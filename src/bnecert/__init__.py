@@ -14,7 +14,6 @@ from .discretize import (
     FiniteGame,
     StepStrategy,
     build_finite,
-    eval_step,
     lift,
 )
 from .driver import RunConfig, RunReport, convergence_diagnostic, run
@@ -58,7 +57,6 @@ __all__ = [
     "conditional",
     "convergence_diagnostic",
     "default_alphas",
-    "eval_step",
     "evaluate",
     "finite_best_response",
     "finite_gap",

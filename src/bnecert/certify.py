@@ -17,9 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import StepStrategy, grid_floor
-from .errors import ZeroMarginal
-from .model import marginal
 from .quadrature import integrate
 
 QUAD_TOL_FLOOR = 1e-9
@@ -146,49 +143,3 @@ def certify(g, F, G, epsilon, quad_tol=None):
         certified=bool(certified),
         wall_time=time.perf_counter() - start,
     )
-
-
-def interim_value(g, player, theta, own, opponent, quad_tol=1e-7):
-    """Diagnostic interim expected utility of one type.
-
-    own is either a StepStrategy (the behavioral row covering theta is
-    used) or a distribution over own actions.  The atomic opponent is
-    reweighted by the conditional density at each atom over the atom's
-    uniform 1/n base mass.
-    """
-    if isinstance(own, StepStrategy):
-        row = min(max(grid_floor(own.n, theta) - 1, 0), own.n - 1)
-        # types in ((i)/n, (i+1)/n] use atom row i; theta=0 uses row 0
-        if theta > own.atom_points[row] and row < own.n - 1:
-            row += 1
-        own_dist = own.weights[row]
-    else:
-        own_dist = np.asarray(own, dtype=float)
-
-    denom = marginal(g, player, theta, quad_tol)
-    if denom <= 0.0:
-        raise ZeroMarginal(
-            f"marginal of player {player} at theta={theta} is {denom}"
-        )
-    masses = opponent.atom_masses()
-    pts = opponent.atom_points
-    total = 0.0
-    for a, pa in enumerate(own_dist):
-        if pa == 0.0:
-            continue
-        for j, t in enumerate(pts):
-            if player == 1:
-                density = g.prior(theta, t)
-            else:
-                density = g.prior(t, theta)
-            weight = density / denom
-            for o in range(masses.shape[1]):
-                m = masses[j, o]
-                if m == 0.0:
-                    continue
-                if player == 1:
-                    util = g.u_bar(a, o, theta, t)
-                else:
-                    util = g.v_bar(o, a, t, theta)
-                total += pa * weight * m * util
-    return total

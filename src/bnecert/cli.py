@@ -15,37 +15,29 @@ import numpy as np
 
 from .certify import certify
 from .discretize import build_finite, lift
-from .driver import DIAGNOSTIC_GRID, RunConfig, run
+from .driver import RunConfig, resolve_backend, run, solve_level
 from .errors import BnecertError
 from .model import load_game_file
-from .solver import check_prop1, default_alphas, solve_enum, solve_fp, solve_lp
+from .solver import check_prop1
 
 EXIT_OK = 0
 EXIT_FATAL = 1
 EXIT_UNCERTIFIED = 2
+
+# `solve` has no --epsilon; fp aims at a finite gap of SOLVE_EPSILON / 10
+SOLVE_EPSILON = 0.01
+# points of the theta grid in the --emit-curves CSV files
+CURVE_POINTS = 1001
 
 
 def _load(args):
     return load_game_file(args.spec, grid_check=args.grid_check)
 
 
-def _solve(g, level, backend, epsilon=0.01, fp_max_iters=2000):
-    fg = build_finite(g, level)
-    prop1 = None
-    if backend in ("auto", "lp"):
-        prop1 = check_prop1(g)
-    if backend == "auto":
-        backend = "lp" if prop1.linearizable else "fp"
-    if backend == "lp":
-        if not prop1.linearizable:
-            raise BnecertError(
-                "lp backend requires the multiplier condition"
-            )
-        alpha1, alpha2 = default_alphas(fg, g, prop1)
-        return fg, solve_lp(fg, alpha1, alpha2)
-    if backend == "enum_oracle":
-        return fg, solve_enum(fg)
-    return fg, solve_fp(fg, max_iters=fp_max_iters, target_gap=epsilon / 10.0)
+def _solve(g, args, epsilon):
+    backend, prop1 = resolve_backend(g, args.backend)
+    return solve_level(g, args.level, backend, prop1, epsilon,
+                       args.fp_max_iters)
 
 
 def cmd_check(args):
@@ -83,11 +75,11 @@ def cmd_discretize(args):
 
 def cmd_solve(args):
     g = _load(args)
-    _, result = _solve(g, args.level, args.backend,
-                       fp_max_iters=args.fp_max_iters)
+    result, note = _solve(g, args, SOLVE_EPSILON)
     print(json.dumps({
         "backend": result.backend,
         "iterations": result.iterations,
+        "note": note,
         "finite_gap1": result.finite_gap1,
         "finite_gap2": result.finite_gap2,
         "objective": result.objective,
@@ -99,8 +91,7 @@ def cmd_solve(args):
 
 def cmd_certify(args):
     g = _load(args)
-    _, result = _solve(g, args.level, args.backend, epsilon=args.epsilon,
-                       fp_max_iters=args.fp_max_iters)
+    result, _ = _solve(g, args, args.epsilon)
     F = lift(result.profile, 1, actions=g.actions1)
     G = lift(result.profile, 2, actions=g.actions2)
     cert = certify(g, F, G, args.epsilon, args.quad_tol)
@@ -109,7 +100,7 @@ def cmd_certify(args):
 
 
 def _write_curves(base, report):
-    grid = np.linspace(0.0, 1.0, DIAGNOSTIC_GRID)
+    grid = np.linspace(0.0, 1.0, CURVE_POINTS)
     for n, F, G, _ in report.level_strategies:
         for player, strat in ((1, F), (2, G)):
             path = f"{base}.curves.level{n}.player{player}.csv"
@@ -133,8 +124,6 @@ def cmd_run(args):
         backend=args.backend,
         fp_max_iters=args.fp_max_iters,
         quad_tol=args.quad_tol,
-        output_path=args.output,
-        emit_curves=args.emit_curves,
     )
     report = run(g, cfg)
     text = report.to_json()
@@ -160,6 +149,10 @@ def build_parser():
         p.add_argument("spec", help="path to the JSON game spec")
         p.add_argument("--grid-check", type=int, default=101,
                        help="validation grid size (odd, >= 11)")
+
+    def add_solver(p):
+        p.add_argument("--backend", default="auto",
+                       choices=["auto", "lp", "fp", "enum_oracle"])
         p.add_argument("--fp-max-iters", type=int, default=2000)
 
     p = sub.add_parser("check", help="validate a game spec")
@@ -175,16 +168,14 @@ def build_parser():
     p = sub.add_parser("solve", help="solve the level-n finite game")
     add_common(p)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--backend", default="auto",
-                   choices=["auto", "lp", "fp", "enum_oracle"])
+    add_solver(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("certify", help="solve one level and certify it")
     add_common(p)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--backend", default="auto",
-                   choices=["auto", "lp", "fp", "enum_oracle"])
+    add_solver(p)
     p.add_argument("--quad-tol", type=float, default=None)
     p.set_defaults(func=cmd_certify)
 
@@ -194,8 +185,7 @@ def build_parser():
     p.add_argument("--max-level", type=int, default=32)
     p.add_argument("--schedule", default="linear",
                    choices=["linear", "doubling"])
-    p.add_argument("--backend", default="auto",
-                   choices=["auto", "lp", "fp", "enum_oracle"])
+    add_solver(p)
     p.add_argument("--quad-tol", type=float, default=None)
     p.add_argument("--output")
     p.add_argument("--emit-curves", action="store_true")

@@ -108,7 +108,10 @@ class StepStrategy:
 
     def values(self, theta):
         """Vector of all F_a(theta)."""
-        k = min(grid_floor(self.n, theta), self.n)
+        return self.at_index(min(grid_floor(self.n, theta), self.n))
+
+    def at_index(self, k):
+        """All F_a on [k/n, (k+1)/n); an index array gives one row each."""
         return self._cum[k] / self.n
 
     @property
@@ -156,8 +159,3 @@ def lift(profile, player, actions=None):
         actions = tuple(f"a{k}" for k in range(weights.shape[1]))
     return StepStrategy(n=profile.n, actions=tuple(actions),
                         weights=np.array(weights, dtype=float))
-
-
-def eval_step(strategy, action, theta):
-    """F_a(theta) for a StepStrategy (functional spelling of .value)."""
-    return strategy.value(action, theta)

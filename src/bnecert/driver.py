@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -18,8 +18,6 @@ from .certify import certify
 from .discretize import build_finite, lift
 from .errors import AllLevelsFailed, BnecertError, NoConvergence
 from .solver import check_prop1, default_alphas, solve_enum, solve_fp, solve_lp
-
-DIAGNOSTIC_GRID = 1001
 
 
 @dataclass(frozen=True)
@@ -30,8 +28,6 @@ class RunConfig:
     backend: str = "auto"     # auto | lp | fp | enum_oracle
     fp_max_iters: int = 2000
     quad_tol: float | None = None
-    output_path: str | None = None
-    emit_curves: bool = False
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -57,14 +53,7 @@ class RunReport:
 
     def to_dict(self):
         return {
-            "config": {
-                "epsilon": self.config.epsilon,
-                "max_level": self.config.max_level,
-                "schedule": self.config.schedule,
-                "backend": self.config.backend,
-                "fp_max_iters": self.config.fp_max_iters,
-                "quad_tol": self.config.quad_tol,
-            },
+            "config": asdict(self.config),
             "status": self.status,
             "certified_level": self.certified_level,
             "levels": self.levels,
@@ -88,14 +77,17 @@ def schedule_levels(schedule, max_level):
     return levels
 
 
-def sup_distance(A, B, grid_points=DIAGNOSTIC_GRID):
-    """Max over a dense grid and all actions of |F_A - F_B|."""
-    grid = np.linspace(0.0, 1.0, grid_points)
-    worst = 0.0
-    for theta in grid:
-        diff = np.max(np.abs(A.values(theta) - B.values(theta)))
-        worst = max(worst, float(diff))
-    return worst
+def sup_distance(A, B):
+    """Exact max over theta in [0, 1] and all actions of |F_A - F_B|.
+
+    Both CDFs are right-continuous steps on their own grids, so their
+    difference is constant from each point of the union of the grids
+    {k/n_A} and {k/n_B} to the next, and the supremum is attained there.
+    """
+    ka, kb = np.arange(A.n + 1), np.arange(B.n + 1)
+    rows_a = np.concatenate([ka, kb * A.n // B.n])
+    rows_b = np.concatenate([ka * B.n // A.n, kb])
+    return float(np.max(np.abs(A.at_index(rows_a) - B.at_index(rows_b))))
 
 
 def convergence_diagnostic(level_strategies):
@@ -114,17 +106,41 @@ def convergence_diagnostic(level_strategies):
     return table
 
 
-def _solve_level(fg, backend, g, prop1, cfg):
-    """Run the selected backend; fictitious play falls back to its best
-    iterate when the target gap is out of reach."""
+def resolve_backend(g, backend):
+    """Concrete backend and check_prop1 result (None when not needed).
+
+    "auto" becomes lp when the multiplier condition is detected and fp
+    otherwise; an explicit lp without the condition is rejected.
+    """
+    if backend not in ("auto", "lp"):
+        return backend, None
+    prop1 = check_prop1(g)
+    if backend == "auto":
+        return ("lp" if prop1.linearizable else "fp"), prop1
+    if not prop1.linearizable:
+        raise ValueError(
+            "lp backend requires the multiplier condition; "
+            "check_prop1 did not detect it"
+        )
+    return backend, prop1
+
+
+def solve_level(g, n, backend, prop1, epsilon, fp_max_iters):
+    """Build and solve the level-n game with a resolved backend.
+
+    Returns (result, note).  Fictitious play aims at a finite gap of
+    epsilon / 10 and falls back to its best iterate, with a note, when
+    that target is out of reach.
+    """
+    fg = build_finite(g, n)
     if backend == "lp":
         alpha1, alpha2 = default_alphas(fg, g, prop1)
         return solve_lp(fg, alpha1, alpha2), None
     if backend == "enum_oracle":
         return solve_enum(fg), None
     try:
-        return solve_fp(fg, max_iters=cfg.fp_max_iters,
-                        target_gap=cfg.epsilon / 10.0), None
+        return solve_fp(fg, max_iters=fp_max_iters,
+                        target_gap=epsilon / 10.0), None
     except NoConvergence as exc:
         return exc.result, "fp did not reach the target gap; best iterate used"
 
@@ -132,27 +148,16 @@ def _solve_level(fg, backend, g, prop1, cfg):
 def run(g, cfg):
     """Schedule levels, solve, lift, certify; stop on the first success."""
     report = RunReport(config=cfg)
-    backend = cfg.backend
-    prop1 = None
-    if backend in ("auto", "lp"):
-        prop1 = check_prop1(g)
-        if backend == "auto":
-            backend = "lp" if prop1.linearizable else "fp"
-        elif not prop1.linearizable:
-            raise ValueError(
-                "lp backend requires the multiplier condition; "
-                "check_prop1 did not detect it"
-            )
+    backend, prop1 = resolve_backend(g, cfg.backend)
 
     solved = []  # (n, F, G, certificate)
-    failures = 0
     levels = schedule_levels(cfg.schedule, cfg.max_level)
     for n in levels:
         record = {"n": n, "backend": backend}
         start = time.perf_counter()
         try:
-            fg = build_finite(g, n)
-            result, note = _solve_level(fg, backend, g, prop1, cfg)
+            result, note = solve_level(g, n, backend, prop1, cfg.epsilon,
+                                       cfg.fp_max_iters)
             F = lift(result.profile, 1, actions=g.actions1)
             G = lift(result.profile, 2, actions=g.actions2)
             cert = certify(g, F, G, cfg.epsilon, cfg.quad_tol)
@@ -166,14 +171,10 @@ def run(g, cfg):
             })
             solved.append((n, F, G, cert))
         except BnecertError as exc:
-            failures += 1
-            record.update({"error": f"{type(exc).__name__}: {exc}"})
-            record["wall_time"] = time.perf_counter() - start
-            report.levels.append(record)
-            continue
+            record["error"] = f"{type(exc).__name__}: {exc}"
         record["wall_time"] = time.perf_counter() - start
         report.levels.append(record)
-        if cert.certified:
+        if record["error"] is None and cert.certified:
             report.status = "certified"
             report.certified_level = n
             break

@@ -55,7 +55,8 @@ class UnboundedObjective(BnecertError):
 
 
 class SimplexStall(BnecertError):
-    """Simplex hit its pivot cap before reaching optimality."""
+    """Simplex stopped short of optimality: it hit its pivot cap, or its
+    basis matrix became numerically singular."""
 
 
 class NoConvergence(BnecertError):

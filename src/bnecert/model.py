@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as exprmod
-from .errors import NegativePrior, NonFinite, QuadratureFailure, ZeroMarginal
+from .errors import NegativePrior, NonFinite, ZeroMarginal
 from .expr import Expr
 from .quadrature import integrate, integrate2d
 
@@ -106,7 +106,6 @@ class InfiniteGame:
     shift1: float
     shift2: float
     prior_norm: float
-    grid_check: int = field(default=101, compare=False)
 
     @property
     def L(self):
@@ -252,16 +251,12 @@ def load_game(spec, grid_check=101):
         shift1=shift1,
         shift2=shift2,
         prior_norm=norm,
-        grid_check=grid_check,
     )
 
     # marginal positivity along every grid line
     for player, gridline in ((1, grid), (2, grid)):
         for theta in gridline:
-            try:
-                mv = marginal(game, player, theta, quad_tol=1e-7)
-            except QuadratureFailure:
-                raise
+            mv = marginal(game, player, theta, quad_tol=1e-7)
             if mv <= 0.0:
                 raise ZeroMarginal(
                     f"marginal of player {player} at theta={theta} is {mv}"

@@ -408,7 +408,10 @@ def solve_lp(fg, alpha1=None, alpha2=None):
     for j in range(n):
         A_eq[n + j, N1 + j * H: N1 + (j + 1) * H] = 1.0
 
-    x, pivots = simplex(cost, A_ub, b_ub, A_eq, b_eq)
+    try:
+        x, pivots = simplex(cost, A_ub, b_ub, A_eq, b_eq)
+    except np.linalg.LinAlgError as exc:
+        raise SimplexStall(f"singular basis matrix: {exc}") from exc
     s = _normalize_rows(x[:N1].reshape(n, L))
     t = _normalize_rows(x[N1:N1 + N2].reshape(n, H))
     profile = BehavioralProfile(s, t)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import bnecert as bc
-from bnecert.certify import interim_value
 from bnecert.solver import solve_lp
 
 from conftest import (
@@ -215,44 +214,3 @@ def test_prior_scaling_invariance():
     for x, y in ((a.value1, b.value1), (a.value2, b.value2),
                  (a.gap1, b.gap1), (a.gap2, b.gap2)):
         assert abs(x - y) <= 1e-12 * max(1.0, abs(x)) + 2e-7
-
-
-# ---------------------------------------------------------------------------
-# interim diagnostics
-
-def test_interim_constant_game():
-    g = make_game([["1"]], [["0"]])
-    G = pure_step(3, ("y1",), 0)
-    for theta in (0.0, 0.4, 1.0):
-        got = interim_value(g, 1, theta, np.array([1.0]), G)
-        assert got == pytest.approx(1.0, abs=1e-8)
-
-
-def test_interim_atomic_average():
-    g = make_game([["theta2", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]])
-    G = pure_step(2, g.actions2, 0)
-    got = interim_value(g, 1, 0.37, np.array([1.0, 0.0]), G)
-    assert got == pytest.approx(0.75, abs=1e-8)
-
-
-def test_interim_nonuniform_prior():
-    g = make_game([["theta2", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]],
-                  prior="theta1+theta2")
-    G = pure_step(2, g.actions2, 0)
-    # conditional weight at theta1 = 0 is t / 0.5; atoms 0.5 and 1.0
-    want = 0.5 * (0.5 / 0.5) * (0.5 + g.shift1) \
-        + 0.5 * (1.0 / 0.5) * (1.0 + g.shift1)
-    got = interim_value(g, 1, 0.0, np.array([1.0, 0.0]), G)
-    assert got == pytest.approx(want, abs=1e-6)
-
-
-def test_interim_accepts_step_strategy_rows():
-    g = make_game([["theta2", "0"], ["0", "theta2"]],
-                  [["0", "0"], ["0", "0"]])
-    weights = np.array([[1.0, 0.0], [0.0, 1.0]])
-    own = bc.StepStrategy(n=2, actions=g.actions1, weights=weights)
-    G = pure_step(2, g.actions2, 0)
-    low = interim_value(g, 1, 0.25, own, G)    # row 0: pure x1
-    high = interim_value(g, 1, 0.75, own, G)   # row 1: pure x2
-    assert low == pytest.approx(0.75, abs=1e-8)
-    assert high == pytest.approx(g.shift1, abs=1e-8)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import bnecert as bc
 from bnecert.cli import main
 
 ZERO_SUM_DOC = {
@@ -15,11 +16,35 @@ ZERO_SUM_DOC = {
 }
 
 
+# general-sum, so auto picks fp; at levels 1-2, 50 fp iterations leave
+# finite gaps above 0.03, far from a target of epsilon / 10
+GENERAL_SUM_DOC = {
+    "actions1": ["x1", "x2"],
+    "actions2": ["y1", "y2"],
+    "u": [["1 + theta1", "0"], ["0", "1"]],
+    "v": [["0", "1"], ["theta2", "0"]],
+    "prior": "1",
+}
+
+
 @pytest.fixture()
 def spec_path(tmp_path):
     path = tmp_path / "game.json"
     path.write_text(json.dumps(ZERO_SUM_DOC))
     return str(path)
+
+
+@pytest.fixture()
+def general_sum_path(tmp_path):
+    path = tmp_path / "general.json"
+    path.write_text(json.dumps(GENERAL_SUM_DOC))
+    return str(path)
+
+
+def general_sum_report(epsilon, max_level):
+    g = bc.load_game(bc.GameSpec.from_dict(GENERAL_SUM_DOC), grid_check=21)
+    return bc.run(g, bc.RunConfig(epsilon=epsilon, max_level=max_level,
+                                  backend="fp", fp_max_iters=50))
 
 
 def test_check(spec_path, capsys):
@@ -60,6 +85,47 @@ def test_certify_exit_codes(spec_path, capsys):
                  "--level", "1", "--epsilon", "1e-9"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["certified"] is False
+
+
+def test_certify_uses_fp_best_iterate_like_run(general_sum_path, capsys):
+    code = main(["certify", general_sum_path, "--grid-check", "21",
+                 "--level", "2", "--epsilon", "0.05", "--backend", "fp",
+                 "--fp-max-iters", "50"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == (0 if doc["certified"] else 2)
+
+    record = general_sum_report(0.05, 2).levels[-1]
+    assert record["n"] == 2 and record["note"] is not None
+    cert = record["certificate"]
+    assert doc["certified"] == cert["certified"]
+    for key in ("gap1", "gap2", "value1", "value2"):
+        assert doc[key] == cert[key]
+
+
+def test_solve_prints_the_run_note(general_sum_path, capsys):
+    assert main(["solve", general_sum_path, "--grid-check", "21",
+                 "--level", "1", "--fp-max-iters", "50"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["backend"] == "fp"
+    note = general_sum_report(0.01, 1).levels[0]["note"]
+    assert note is not None
+    assert doc["note"] == note
+
+
+def test_solve_lp_requires_multiplier_condition(general_sum_path, capsys):
+    assert main(["solve", general_sum_path, "--grid-check", "21",
+                 "--level", "1", "--backend", "lp"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: lp backend requires the multiplier condition; "
+                   "check_prop1 did not detect it\n")
+
+
+def test_fp_max_iters_only_on_solving_commands(spec_path):
+    with pytest.raises(SystemExit):
+        main(["check", spec_path, "--fp-max-iters", "10"])
+    with pytest.raises(SystemExit):
+        main(["discretize", spec_path, "--level", "1",
+              "--fp-max-iters", "10"])
 
 
 def test_run_with_report_and_curves(spec_path, tmp_path, capsys):

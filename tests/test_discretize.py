@@ -82,14 +82,14 @@ def test_eval_step_examples():
     profile = bc.BehavioralProfile.uniform(4, 2, 2)
     F = bc.lift(profile, 1, actions=("x1", "x2"))
     for a in ("x1", "x2"):
-        assert bc.eval_step(F, a, 0.0) == 0.0
-        assert bc.eval_step(F, a, 1.0) == 0.5
+        assert F.value(a, 0.0) == 0.0
+        assert F.value(a, 1.0) == 0.5
 
     pure = bc.BehavioralProfile(
         s=np.tile([1.0, 0.0], (4, 1)), t=np.tile([1.0, 0.0], (4, 1))
     )
     Fp = bc.lift(pure, 1, actions=("x1", "x2"))
-    assert bc.eval_step(Fp, "x1", 0.26) == 0.25
+    assert Fp.value("x1", 0.26) == 0.25
 
 
 def test_unknown_action():

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bnecert as bc
+from bnecert import solver
 from bnecert.driver import schedule_levels, sup_distance
 from bnecert.errors import AllLevelsFailed
 
@@ -101,6 +104,64 @@ def test_sup_distance_identical_and_refined():
     F2 = bc.lift(pure2, 1)
     assert sup_distance(F1, F1) == 0.0
     assert sup_distance(F1, F2) == pytest.approx(0.5, abs=1e-12)
+
+
+def grid_sup_distance(A, B, points=1001):
+    """Oracle: max of |F_A - F_B| sampled on a uniform theta grid."""
+    return max(float(np.max(np.abs(A.values(t) - B.values(t))))
+               for t in np.linspace(0.0, 1.0, points))
+
+
+def test_sup_distance_sees_steps_between_grid_points():
+    # the CDFs differ only on [1/3000, 2/3000), which holds no point of
+    # a 1001-point grid
+    n = 3000
+    wa = np.tile([1.0, 0.0], (n, 1))
+    wb = wa.copy()
+    wa[1] = wb[0] = [0.0, 1.0]
+    A = bc.StepStrategy(n=n, actions=("x1", "x2"), weights=wa)
+    B = bc.StepStrategy(n=n, actions=("x1", "x2"), weights=wb)
+    assert sup_distance(A, B) == pytest.approx(1.0 / n, abs=1e-15)
+    assert grid_sup_distance(A, B) == 0.0
+
+
+@st.composite
+def step_strategies(draw):
+    n = draw(st.integers(1, 32))
+    raw = draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=2,
+                                 max_size=2), min_size=n, max_size=n))
+    w = np.array(raw) + 1e-3
+    return bc.StepStrategy(n=n, actions=("x1", "x2"),
+                           weights=w / w.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(step_strategies(), step_strategies())
+def test_sup_distance_matches_dense_grid_up_to_level_32(A, B):
+    # for n <= 32 every piece of the union grid is wider than 1/1000,
+    # so the 1001-point grid samples each piece at least once
+    assert sup_distance(A, B) == grid_sup_distance(A, B)
+
+
+def test_run_records_simplex_failure_against_its_level(monkeypatch):
+    real_simplex = solver.simplex
+    calls = []
+
+    def singular_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_simplex(*args, **kwargs)
+
+    monkeypatch.setattr("bnecert.solver.simplex", singular_once)
+    g = zero_sum_match_game()
+    report = bc.run(g, bc.RunConfig(epsilon=0.05, max_level=4,
+                                    backend="lp"))
+    first = report.levels[0]
+    assert first["n"] == 1
+    assert first["error"].startswith("SimplexStall: singular basis")
+    assert all(r["error"] is None for r in report.levels[1:])
+    assert len(report.levels) >= 2
 
 
 def test_convergence_diagnostic_structure():

@@ -6,9 +6,11 @@ import pytest
 import bnecert as bc
 from bnecert.discretize import FiniteGame
 from bnecert.errors import (
+    BnecertError,
     Infeasible,
     NoConvergence,
     Prop1Violation,
+    SimplexStall,
     TooLarge,
     UnboundedObjective,
 )
@@ -245,6 +247,18 @@ def test_lp_rejects_bad_alphas(matching_pennies):
     fg = bc.build_finite(matching_pennies, 1)
     with pytest.raises(ValueError):
         solve_lp(fg, np.array([0.0]), np.array([1.0]))
+
+
+def test_lp_singular_basis_is_a_toolkit_error(matching_pennies, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr("bnecert.solver.simplex", singular)
+    fg = bc.build_finite(matching_pennies, 2)
+    with pytest.raises(BnecertError) as info:
+        solve_lp(fg)
+    assert isinstance(info.value, SimplexStall)
+    assert "singular basis" in str(info.value)
 
 
 # ---------------------------------------------------------------------------
