@@ -13,11 +13,11 @@ gap plus the a-posteriori quadrature bound stays within epsilon.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .quadrature import integrate
+from .quadrature import integrate, sequential_sum
 
 QUAD_TOL_FLOOR = 1e-9
 
@@ -36,68 +36,36 @@ class Certificate:
     wall_time: float
 
     def to_dict(self):
-        return {
-            "level": self.level,
-            "epsilon_requested": self.epsilon_requested,
-            "gap1": self.gap1,
-            "gap2": self.gap2,
-            "quad_error1": self.quad_error1,
-            "quad_error2": self.quad_error2,
-            "value1": self.value1,
-            "value2": self.value2,
-            "certified": self.certified,
-            "wall_time": self.wall_time,
-        }
-
-
-def _payoff_fn(g, player):
-    return g.u if player == 1 else g.v
+        return asdict(self)
 
 
 def profile_value(g, F, G, player):
     """Exact ex-ante value of an atomic strategy pair (no quadrature)."""
-    payoff = _payoff_fn(g, player)
-    mf = F.atom_masses()
-    mg = G.atom_masses()
-    pts1 = F.atom_points
-    pts2 = G.atom_points
-    total = 0.0
-    for x in range(len(F.actions)):
-        for y in range(len(G.actions)):
-            for i, t1 in enumerate(pts1):
-                if mf[i, x] == 0.0:
-                    continue
-                for j, t2 in enumerate(pts2):
-                    if mg[j, y] == 0.0:
-                        continue
-                    total += mf[i, x] * mg[j, y] * payoff(x, y, t1, t2)
-    return total
+    payoff = g.payoff(player, F.atom_points[:, None], G.atom_points[None, :])
+    return float(np.einsum("ix,jy,xyij->", F.atom_masses(), G.atom_masses(),
+                           payoff))
 
 
 def best_deviation_integrand(g, player, opponent):
-    """theta -> max over own actions of the atomic opponent sum."""
-    payoff = _payoff_fn(g, player)
+    """theta -> max over own actions of the atomic opponent sum, for a
+    1-D array of theta; each sum is rounded term by term in (atom, action)
+    order, skipping zero masses, whatever the batch."""
     masses = opponent.atom_masses()
     pts = opponent.atom_points
-    own_count = g.L if player == 1 else g.H
-    opp_count = len(opponent.actions)
+    keep = masses != 0.0
+
+    def payoff(theta):
+        """Payoffs indexed [own action, theta, atom, opponent action]."""
+        if player == 1:
+            return g.payoff(1, theta, pts).transpose(0, 2, 3, 1)
+        return g.payoff(2, pts, theta).transpose(1, 2, 3, 0)
 
     def psi(theta):
-        best = -np.inf
-        for a in range(own_count):
-            acc = 0.0
-            for j, t in enumerate(pts):
-                for o in range(opp_count):
-                    m = masses[j, o]
-                    if m == 0.0:
-                        continue
-                    if player == 1:
-                        acc += m * payoff(a, o, theta, t)
-                    else:
-                        acc += m * payoff(o, a, t, theta)
-            if acc > best:
-                best = acc
-        return best
+        with np.errstate(invalid="ignore"):  # 0 * inf, dropped by keep
+            terms = np.where(keep, masses * payoff(theta[:, None]), 0.0)
+        acc = sequential_sum(terms.reshape(*terms.shape[:2], -1))
+        # nan never beats the running best, which starts at -inf
+        return np.where(np.isnan(acc), -np.inf, acc).max(axis=0)
 
     return psi
 

@@ -137,16 +137,9 @@ def build_finite(g, n):
     """Sample the assimilated payoffs of g at the level-n grid."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    L, H = g.L, g.H
-    U = np.empty((L, H, n, n))
-    V = np.empty((L, H, n, n))
     grid = np.arange(1, n + 1) / n
-    for x in range(L):
-        for y in range(H):
-            for i, t1 in enumerate(grid):
-                for j, t2 in enumerate(grid):
-                    U[x, y, i, j] = g.u(x, y, t1, t2)
-                    V[x, y, i, j] = g.v(x, y, t1, t2)
+    U = g.payoff(1, grid[:, None], grid[None, :])
+    V = g.payoff(2, grid[:, None], grid[None, :])
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
         raise NonFinite("payoff tensor contains NaN/inf")
     return FiniteGame(n=n, actions1=g.actions1, actions2=g.actions2, U=U, V=V)

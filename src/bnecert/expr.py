@@ -14,12 +14,21 @@ Grammar (recursive descent, standard precedence):
 The only variables are theta1 and theta2; the only functions are
 min, max, abs, exp, log, sqrt, sin, cos.  Trees are immutable and
 evaluation is pure, so Expr values are safe to share across threads.
+
+Evaluation is elementwise over numpy arrays and bit for bit what Python
+floats and libm give at each point, except that overflow gives +-inf:
++ - * /, sqrt, abs, min and max run as numpy ufuncs, which are IEEE-exact,
+while exp, log, sin, cos and ^ call libm one element at a time, since
+numpy's versions round differently on a few percent of inputs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
 
@@ -44,17 +53,62 @@ class Expr:
     __slots__ = ()
 
     def eval(self, theta1, theta2):
+        """Value at broadcasting scalars or arrays of types, elementwise;
+        DomainError if any point is outside the domain."""
+        theta1 = np.asarray(theta1, dtype=float)
+        theta2 = np.asarray(theta2, dtype=float)
+        shape = np.broadcast_shapes(theta1.shape, theta2.shape)
+        with np.errstate(all="ignore"):
+            value = self._eval(theta1, theta2)
+        return np.broadcast_to(value, shape)[()]
+
+    def _eval(self, theta1, theta2):
         raise NotImplementedError
 
     def __str__(self):
         return _render(self, 0)
 
 
+def _first(bad, x):
+    """The value of x at the first point where bad holds."""
+    return float(np.broadcast_to(x, np.shape(bad))[bad][0])
+
+
+# name -> (scalar function that calls libm, numpy ufunc)
+_LIBM = {
+    "exp": (math.exp, np.exp),
+    "log": (math.log, np.log),
+    "sin": (math.sin, np.sin),
+    "cos": (math.cos, np.cos),
+    "^": (operator.pow, np.power),
+}
+
+
+def _libm_or_ufunc(fn, ufunc, *xs):
+    try:
+        return fn(*xs)
+    except (OverflowError, ValueError):
+        # Python raises where libm gives +-inf (overflow) or nan (sin or
+        # cos of inf); the ufunc gives that value too
+        return float(ufunc(*xs))
+
+
+def _libm(name, *args):
+    fn, ufunc = _LIBM[name]
+    args = np.broadcast_arrays(*args)
+    flat = [x.ravel() for x in args]
+    try:
+        out = np.fromiter(map(fn, *flat), float, args[0].size)
+    except (OverflowError, ValueError):
+        out = np.array([_libm_or_ufunc(fn, ufunc, *xs) for xs in zip(*flat)])
+    return out.reshape(args[0].shape)
+
+
 @dataclass(frozen=True, slots=True)
 class Num(Expr):
     value: float
 
-    def eval(self, theta1, theta2):
+    def _eval(self, theta1, theta2):
         return self.value
 
 
@@ -62,7 +116,7 @@ class Num(Expr):
 class Var(Expr):
     name: str
 
-    def eval(self, theta1, theta2):
+    def _eval(self, theta1, theta2):
         return theta1 if self.name == "theta1" else theta2
 
 
@@ -70,8 +124,8 @@ class Var(Expr):
 class Neg(Expr):
     arg: Expr
 
-    def eval(self, theta1, theta2):
-        return -self.arg.eval(theta1, theta2)
+    def _eval(self, theta1, theta2):
+        return -self.arg._eval(theta1, theta2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,9 +134,9 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
-    def eval(self, theta1, theta2):
-        a = self.left.eval(theta1, theta2)
-        b = self.right.eval(theta1, theta2)
+    def _eval(self, theta1, theta2):
+        a = self.left._eval(theta1, theta2)
+        b = self.right._eval(theta1, theta2)
         op = self.op
         if op == "+":
             return a + b
@@ -91,17 +145,19 @@ class BinOp(Expr):
         if op == "*":
             return a * b
         if op == "/":
-            if b == 0.0:
+            if np.any(b == 0.0):
                 raise DomainError("division by zero")
             return a / b
-        # op == "^"
-        if a < 0.0 and b != math.floor(b):
+        # op == "^"; an infinite exponent counts as an integer
+        bad = (a < 0.0) & (b != np.floor(b))
+        if np.any(bad):
             raise DomainError(
-                f"non-integer power {b!r} of negative base {a!r}"
+                f"non-integer power {_first(bad, b)!r} of negative base "
+                f"{_first(bad, a)!r}"
             )
-        if a == 0.0 and b < 0.0:
+        if np.any((a == 0.0) & (b < 0.0)):
             raise DomainError("zero raised to a negative power")
-        return a ** b
+        return _libm("^", a, b)
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,28 +165,31 @@ class Call(Expr):
     name: str
     args: tuple[Expr, ...]
 
-    def eval(self, theta1, theta2):
-        vals = [a.eval(theta1, theta2) for a in self.args]
+    def _eval(self, theta1, theta2):
+        vals = [a._eval(theta1, theta2) for a in self.args]
         name = self.name
-        if name == "min":
-            return min(vals)
-        if name == "max":
-            return max(vals)
+        if name in ("min", "max"):
+            # Python's min/max: keep the first value unless a later one
+            # is strictly smaller (larger); nan and signed zeros included
+            better = np.less if name == "min" else np.greater
+            out = vals[0]
+            for v in vals[1:]:
+                out = np.where(better(v, out), v, out)
+            return out
+        x = vals[0]
         if name == "abs":
-            return abs(vals[0])
-        if name == "exp":
-            return math.exp(vals[0])
-        if name == "log":
-            if vals[0] <= 0.0:
-                raise DomainError(f"log of non-positive value {vals[0]!r}")
-            return math.log(vals[0])
+            return np.abs(x)
         if name == "sqrt":
-            if vals[0] < 0.0:
-                raise DomainError(f"sqrt of negative value {vals[0]!r}")
-            return math.sqrt(vals[0])
-        if name == "sin":
-            return math.sin(vals[0])
-        return math.cos(vals[0])
+            if np.any(x < 0.0):
+                raise DomainError(
+                    f"sqrt of negative value {_first(x < 0.0, x)!r}"
+                )
+            return np.sqrt(x)
+        if name == "log" and np.any(x <= 0.0):
+            raise DomainError(
+                f"log of non-positive value {_first(x <= 0.0, x)!r}"
+            )
+        return _libm(name, x)
 
 
 # ---------------------------------------------------------------------------

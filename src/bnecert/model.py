@@ -12,6 +12,7 @@ constant Jacobian is absorbed by the prior normalization.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -39,6 +40,20 @@ def _variables_of(e):
             out |= _variables_of(a)
         return out
     return set()
+
+
+def _shift(table, t1, t2):
+    """Nonnegativity shift of a utility table, checked finite at types
+    t1 x t2 (one axis each)."""
+    lo = math.inf
+    for e in itertools.chain.from_iterable(table):
+        vals = e.eval(t1[:, None], t2[None, :])
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
+            i, j = np.argwhere(bad)[0]
+            raise NonFinite(f"utility {e} is not finite at ({t1[i]}, {t2[j]})")
+        lo = min(lo, float(vals.min()))
+    return max(0.0, -lo) + SHIFT_MARGIN
 
 
 @dataclass(frozen=True)
@@ -133,40 +148,26 @@ class InfiniteGame:
         t1, t2 = self._map(theta1, theta2)
         return self.spec.prior.eval(t1, t2) / self.prior_norm
 
-    def u_raw(self, x, y, theta1, theta2):
-        """Player 1's raw utility before the nonnegativity shift."""
+    def raw(self, player, theta1, theta2):
+        """One player's utilities before the nonnegativity shift, at types
+        that broadcast to some shape: an (L, H, *shape) array."""
         t1, t2 = self._map(theta1, theta2)
-        return self.spec.u_raw[x][y].eval(t1, t2)
+        table = self.spec.u_raw if player == 1 else self.spec.v_raw
+        return np.array([[e.eval(t1, t2) for e in row] for row in table])
 
-    def v_raw(self, x, y, theta1, theta2):
-        t1, t2 = self._map(theta1, theta2)
-        return self.spec.v_raw[x][y].eval(t1, t2)
+    def payoff(self, player, theta1, theta2):
+        """Prior-assimilated payoffs b * (raw + shift): (L, H, *shape)."""
+        shift = self.shift1 if player == 1 else self.shift2
+        return self.prior(theta1, theta2) * (self.raw(player, theta1, theta2)
+                                             + shift)
 
-    def u_bar(self, x, y, theta1, theta2):
-        """Shifted (nonnegative) utility of player 1."""
-        return self.u_raw(x, y, theta1, theta2) + self.shift1
-
-    def v_bar(self, x, y, theta1, theta2):
-        return self.v_raw(x, y, theta1, theta2) + self.shift2
-
-    def u(self, x, y, theta1, theta2):
-        """Prior-assimilated payoff of player 1: b * u_bar."""
-        return self.prior(theta1, theta2) * self.u_bar(x, y, theta1, theta2)
-
-    def v(self, x, y, theta1, theta2):
-        return self.prior(theta1, theta2) * self.v_bar(x, y, theta1, theta2)
-
-    def m1(self, theta1):
-        if self.spec.m1 is None:
+    def multiplier(self, player, theta):
+        """m1(theta1) or m2(theta2) at unit-square types; None if absent."""
+        m = self.spec.m1 if player == 1 else self.spec.m2
+        if m is None:
             return None
-        t1, _ = self._map(theta1, 0.0)
-        return self.spec.m1.eval(t1, 0.0)
-
-    def m2(self, theta2):
-        if self.spec.m2 is None:
-            return None
-        _, t2 = self._map(0.0, theta2)
-        return self.spec.m2.eval(0.0, t2)
+        t1, t2 = self._map(theta, theta)
+        return m.eval(t1, 0.0) if player == 1 else m.eval(0.0, t2)
 
 
 def marginal(g, player, theta, quad_tol=1e-9):
@@ -207,10 +208,7 @@ def load_game(spec, grid_check=101):
     g2 = a2 + (b2 - a2) * grid
 
     # prior checks on the raw (unnormalized) density
-    prior_vals = np.empty((grid_check, grid_check))
-    for i, t1 in enumerate(g1):
-        for j, t2 in enumerate(g2):
-            prior_vals[i, j] = spec.prior.eval(t1, t2)
+    prior_vals = spec.prior.eval(g1[:, None], g2[None, :])
     if not np.all(np.isfinite(prior_vals)):
         raise NonFinite("prior evaluates to NaN/inf on the validation grid")
     if np.any(prior_vals < 0.0):
@@ -227,29 +225,10 @@ def load_game(spec, grid_check=101):
     if not (math.isfinite(norm) and norm > 0.0):
         raise ZeroMarginal(f"prior integrates to {norm}; must be positive")
 
-    # utility checks and nonnegativity shifts
-    mins = []
-    for table in (spec.u_raw, spec.v_raw):
-        lo = math.inf
-        for row in table:
-            for e in row:
-                for t1 in g1:
-                    for t2 in g2:
-                        val = e.eval(t1, t2)
-                        if not math.isfinite(val):
-                            raise NonFinite(
-                                f"utility {e} is not finite at "
-                                f"({t1}, {t2})"
-                            )
-                        lo = min(lo, val)
-        mins.append(lo)
-    shift1 = max(0.0, -mins[0]) + SHIFT_MARGIN
-    shift2 = max(0.0, -mins[1]) + SHIFT_MARGIN
-
     game = InfiniteGame(
         spec=spec,
-        shift1=shift1,
-        shift2=shift2,
+        shift1=_shift(spec.u_raw, g1, g2),
+        shift2=_shift(spec.v_raw, g1, g2),
         prior_norm=norm,
     )
 

@@ -121,43 +121,29 @@ def check_prop1(g, grid=21):
     then verification of user-supplied multipliers m1, m2.
     """
     pts = np.linspace(0.0, 1.0, grid)
+    u = g.raw(1, pts[:, None], pts[None, :])
+    v = g.raw(2, pts[:, None], pts[None, :])
     # constant-sum pass
-    c = g.u_raw(0, 0, 0.0, 0.0) + g.v_raw(0, 0, 0.0, 0.0)
-    constant = True
-    for x in range(g.L):
-        for y in range(g.H):
-            for t1 in pts:
-                for t2 in pts:
-                    w = g.u_raw(x, y, t1, t2) + g.v_raw(x, y, t1, t2)
-                    if abs(w - c) > 1e-9:
-                        constant = False
-                        break
-                if not constant:
-                    break
-            if not constant:
-                break
-        if not constant:
-            break
-    if constant:
+    w = u + v
+    c = w[0, 0, 0, 0]
+    if not np.any(np.abs(w - c) > 1e-9):
         return Prop1Result(kind="zero_sum", c=float(c))
 
     if g.spec.m1 is not None and g.spec.m2 is not None:
-        m1 = np.array([g.m1(t) for t in pts])
-        m2 = np.array([g.m2(t) for t in pts])
+        m1, m2 = g.multiplier(1, pts), g.multiplier(2, pts)
         if np.any(m1 <= 0.0) or np.any(m2 <= 0.0):
             raise Prop1Violation("multipliers must be strictly positive")
-        for x in range(g.L):
-            for y in range(g.H):
-                for i, t1 in enumerate(pts):
-                    for j, t2 in enumerate(pts):
-                        lhs = m2[j] * g.u_raw(x, y, t1, t2)
-                        rhs = -m1[i] * g.v_raw(x, y, t1, t2)
-                        scale = max(1.0, abs(lhs), abs(rhs))
-                        if abs(lhs - rhs) > 1e-6 * scale:
-                            raise Prop1Violation(
-                                f"identity fails at actions ({x}, {y}), "
-                                f"types ({t1}, {t2}): {lhs} vs {rhs}"
-                            )
+        lhs = m2 * u
+        rhs = -m1[:, None] * v
+        scale = np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
+        bad = np.abs(lhs - rhs) > 1e-6 * scale
+        if np.any(bad):
+            x, y, i, j = np.argwhere(bad)[0]
+            raise Prop1Violation(
+                f"identity fails at actions ({x}, {y}), "
+                f"types ({pts[i]}, {pts[j]}): "
+                f"{lhs[x, y, i, j]} vs {rhs[x, y, i, j]}"
+            )
         return Prop1Result(kind="user")
     return Prop1Result(kind="none")
 
@@ -168,8 +154,8 @@ def default_alphas(fg, g=None, prop1=None):
     n = fg.n
     grid = fg.grid
     if prop1 is not None and prop1.kind == "user" and g is not None:
-        alpha1 = np.array([(1.0 / n) / g.m1(t) for t in grid])
-        alpha2 = np.array([(1.0 / n) / g.m2(t) for t in grid])
+        alpha1 = (1.0 / n) / g.multiplier(1, grid)
+        alpha2 = (1.0 / n) / g.multiplier(2, grid)
         return alpha1, alpha2
     return np.full(n, 1.0 / n), np.full(n, 1.0 / n)
 
@@ -383,30 +369,22 @@ def solve_lp(fg, alpha1=None, alpha2=None):
     cost[N1 + N2: N1 + N2 + n] = alpha1
     cost[N1 + N2 + n:] = alpha2
 
+    # row i*L + x: interim value of player 1's pure action x at type i,
+    # sum_j,y U[x, y, i, j] / n * sigma2[j, y], is at most z1_i; player 2's
+    # rows N1 + j*H + y likewise.  The -1 entries are set by index, since
+    # a negated identity would write -0.0 everywhere else.
     A_ub = np.zeros((N1 + N2, nvar))
     b_ub = np.zeros(N1 + N2)
-    # interim value of each pure action of player 1 <= z1_i
-    for i in range(n):
-        for x in range(L):
-            r = i * L + x
-            for j in range(n):
-                for y in range(H):
-                    A_ub[r, N1 + j * H + y] = fg.U[x, y, i, j] / n
-            A_ub[r, N1 + N2 + i] = -1.0
-    for j in range(n):
-        for y in range(H):
-            r = N1 + j * H + y
-            for i in range(n):
-                for x in range(L):
-                    A_ub[r, i * L + x] = fg.V[x, y, i, j] / n
-            A_ub[r, N1 + N2 + n + j] = -1.0
+    rows1, rows2 = np.arange(N1), np.arange(N2)
+    A_ub[:N1, N1:N1 + N2] = (fg.U / n).transpose(2, 0, 3, 1).reshape(N1, N2)
+    A_ub[N1:, :N1] = (fg.V / n).transpose(3, 1, 2, 0).reshape(N2, N1)
+    A_ub[rows1, N1 + N2 + rows1 // L] = -1.0
+    A_ub[N1 + rows2, N1 + N2 + n + rows2 // H] = -1.0
 
     A_eq = np.zeros((2 * n, nvar))
     b_eq = np.ones(2 * n)
-    for i in range(n):
-        A_eq[i, i * L: (i + 1) * L] = 1.0
-    for j in range(n):
-        A_eq[n + j, N1 + j * H: N1 + (j + 1) * H] = 1.0
+    A_eq[rows1 // L, rows1] = 1.0
+    A_eq[n + rows2 // H, N1 + rows2] = 1.0
 
     try:
         x, pivots = simplex(cost, A_ub, b_ub, A_eq, b_eq)

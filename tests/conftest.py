@@ -2,13 +2,19 @@
 
 The oracles here deliberately avoid the library's own quadrature and
 tensor code paths: Riemann sums are plain uniform midpoint sums over
-numpy arrays, and reference payoff sums are naive Python loops.
+numpy arrays, reference payoff sums are naive Python loops, and the
+expression oracle walks the tree one point at a time with Python floats
+and the math module.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 import bnecert as bc
+from bnecert.errors import DomainError
+from bnecert.expr import BinOp, Call, Neg, Num, Var
 
 RIEMANN_POINTS = 100_000
 
@@ -68,11 +74,7 @@ def random_poly(rng, terms=3, decreasing=False):
 
 
 def random_poly_game(rng, decreasing=False, grid_check=21):
-    """2x2 general-sum game with random polynomial utilities.
-
-    Expressions use only + and * so that Expr.eval also accepts numpy
-    arrays (needed by the vectorized Riemann oracles below).
-    """
+    """2x2 general-sum game with random polynomial utilities."""
     u = [[random_poly(rng, decreasing=decreasing) for _ in range(2)]
          for _ in range(2)]
     v = [[random_poly(rng, decreasing=decreasing) for _ in range(2)]
@@ -90,41 +92,119 @@ def random_profile(rng, n, L, H):
 def riemann_br_value(g, player, opponent, points=RIEMANN_POINTS):
     """Uniform midpoint Riemann sum of the best-deviation integrand.
 
-    Independent of the library quadrature; vectorized over theta, so the
-    game's expressions must be +/* polynomials (or constants).
+    Independent of the library quadrature; vectorized over theta.
     """
     theta = (np.arange(points) + 0.5) / points
     masses = opponent.atom_masses()
     pts = opponent.atom_points
     own_count = g.L if player == 1 else g.H
-    payoff = g.u if player == 1 else g.v
-    best = np.full(points, -np.inf)
-    for a in range(own_count):
-        acc = np.zeros(points)
-        for j, t in enumerate(pts):
-            for o in range(masses.shape[1]):
-                m = masses[j, o]
-                if m == 0.0:
-                    continue
-                if player == 1:
-                    acc = acc + m * payoff(a, o, theta, t)
-                else:
-                    acc = acc + m * payoff(o, a, t, theta)
-        best = np.maximum(best, acc)
-    return float(best.mean())
+    acc = np.zeros((own_count, points))
+    for j, t in enumerate(pts):
+        if player == 1:
+            payoff = g.payoff(1, theta, t)                  # (own, opp, .)
+        else:
+            payoff = g.payoff(2, t, theta).transpose(1, 0, 2)
+        acc = acc + np.einsum("o,aok->ak", masses[j], payoff)
+    return float(acc.max(axis=0).mean())
 
 
 def naive_profile_value(g, F, G, player):
     """Quadruple loop over atoms; mirrors the definition, not the code."""
-    payoff = g.u if player == 1 else g.v
     total = 0.0
     for i, t1 in enumerate(F.atom_points):
         for x in range(len(F.actions)):
             for j, t2 in enumerate(G.atom_points):
                 for y in range(len(G.actions)):
                     total += (F.weights[i, x] / F.n) * (G.weights[j, y] / G.n) \
-                        * payoff(x, y, t1, t2)
+                        * oracle_payoff(g, player, x, y, t1, t2)
     return total
+
+
+# ---------------------------------------------------------------------------
+# point-by-point oracles for Expr.eval and InfiniteGame.payoff
+
+
+def _is_integer(b):
+    # an infinite exponent counts as an integer, nan does not
+    if math.isnan(b):
+        return False
+    return math.isinf(b) or b == math.floor(b)
+
+
+def oracle_eval(e, theta1, theta2):
+    """Value of an Expr tree at one type pair, with Python floats.
+
+    This is the scalar evaluator the array one replaced, except that an
+    overflow gives +-inf (as libm does) rather than OverflowError, and
+    sin/cos of an infinity give nan.
+    """
+    theta1, theta2 = float(theta1), float(theta2)
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        return theta1 if e.name == "theta1" else theta2
+    if isinstance(e, Neg):
+        return -oracle_eval(e.arg, theta1, theta2)
+    if isinstance(e, BinOp):
+        a = oracle_eval(e.left, theta1, theta2)
+        b = oracle_eval(e.right, theta1, theta2)
+        op = e.op
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            return a * b
+        if op == "/":
+            if b == 0.0:
+                raise DomainError("division by zero")
+            return a / b
+        if a < 0.0 and not _is_integer(b):
+            raise DomainError(
+                f"non-integer power {b!r} of negative base {a!r}"
+            )
+        if a == 0.0 and b < 0.0:
+            raise DomainError("zero raised to a negative power")
+        try:
+            return a ** b
+        except OverflowError:
+            return -math.inf if a < 0.0 and b % 2.0 == 1.0 else math.inf
+    vals = [oracle_eval(a, theta1, theta2) for a in e.args]
+    name = e.name
+    if name == "min":
+        return min(vals)
+    if name == "max":
+        return max(vals)
+    if name == "abs":
+        return abs(vals[0])
+    if name == "exp":
+        try:
+            return math.exp(vals[0])
+        except OverflowError:
+            return math.inf
+    if name == "log":
+        if vals[0] <= 0.0:
+            raise DomainError(f"log of non-positive value {vals[0]!r}")
+        return math.log(vals[0])
+    if name == "sqrt":
+        if vals[0] < 0.0:
+            raise DomainError(f"sqrt of negative value {vals[0]!r}")
+        return math.sqrt(vals[0])
+    if not math.isfinite(vals[0]):
+        return math.nan
+    return math.sin(vals[0]) if name == "sin" else math.cos(vals[0])
+
+
+def oracle_payoff(g, player, x, y, theta1, theta2):
+    """b * (raw + shift) at one point, as the scalar accessors computed it."""
+    a1, b1 = g.spec.type_range1
+    a2, b2 = g.spec.type_range2
+    t1 = a1 + (b1 - a1) * float(theta1)
+    t2 = a2 + (b2 - a2) * float(theta2)
+    prior = oracle_eval(g.spec.prior, t1, t2) / g.prior_norm
+    table, shift = ((g.spec.u_raw, g.shift1) if player == 1
+                    else (g.spec.v_raw, g.shift2))
+    return prior * (oracle_eval(table[x][y], t1, t2) + shift)
 
 
 def ex_ante_value(fg, profile, player):

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import bnecert as bc
+from bnecert.certify import best_deviation_integrand
 from bnecert.solver import solve_lp
 
 from conftest import (
     make_game,
     matching_pennies_game,
     naive_profile_value,
+    oracle_payoff,
     random_poly,
     random_poly_game,
     random_profile,
@@ -104,6 +106,60 @@ def test_br_value_against_riemann_oracle_20_games():
             want = riemann_br_value(g, player, opponent)
             assert abs(got - want) <= max(quad_tol, 1e-6)
             assert err <= quad_tol
+
+
+def _scalar_psi(g, player, opponent, theta):
+    """Best-deviation integrand at one type, looping over actions and atoms."""
+    masses = opponent.atom_masses()
+    best = -np.inf
+    for a in range(g.L if player == 1 else g.H):
+        acc = 0.0
+        for j, t in enumerate(opponent.atom_points):
+            for o in range(len(opponent.actions)):
+                m = masses[j, o]
+                if m == 0.0:
+                    continue
+                if player == 1:
+                    acc += m * oracle_payoff(g, 1, a, o, theta, t)
+                else:
+                    acc += m * oracle_payoff(g, 2, o, a, t, theta)
+        if acc > best:
+            best = acc
+    return best
+
+
+def test_best_deviation_integrand_equals_scalar_loop_bit_for_bit():
+    rng = np.random.default_rng(21)
+    g = make_game(
+        [["exp(theta1 - theta2)", "sin(3*theta1*theta2)", "theta1^1.5"],
+         ["log(1 + theta2)", "min(theta1, theta2)", "sqrt(theta2)"]],
+        [["cos(theta1)", "theta2^0.7", "abs(theta1 - theta2)"],
+         ["theta1*theta2", "exp(-theta2)", "max(theta1, 0.5)"]],
+        prior="1 + theta1^0.5 * theta2")
+    for n in (1, 3, 8):
+        s, t = rng.random((n, 2)), rng.random((n, 3))
+        s[0], t[-1] = (1.0, 0.0), (0.0, 0.0, 1.0)  # zero masses
+        profile = bc.BehavioralProfile(s / s.sum(axis=1, keepdims=True),
+                                       t / t.sum(axis=1, keepdims=True))
+        F = bc.lift(profile, 1, g.actions1)
+        G = bc.lift(profile, 2, g.actions2)
+        theta = np.concatenate((rng.random(20), F.atom_points, [0.0]))
+        for player, opponent in ((1, G), (2, F)):
+            got = best_deviation_integrand(g, player, opponent)(theta)
+            want = [_scalar_psi(g, player, opponent, x) for x in theta]
+            assert got.tolist() == want
+
+
+def test_best_deviation_ignores_zero_mass_actions_where_payoff_overflows():
+    # finite on the validation grid, inf at theta1 = 0.5501
+    g = make_game([["exp(1/abs(theta1 - 0.55))", "1"]], [["0", "0"]],
+                  grid_check=11)
+    profile = bc.BehavioralProfile(np.ones((3, 1)),
+                                   np.tile([0.0, 1.0], (3, 1)))
+    G = bc.lift(profile, 2, g.actions2)
+    assert g.payoff(1, 0.5501, 0.5)[0, 0] == np.inf
+    psi = best_deviation_integrand(g, 1, G)
+    assert psi(np.array([0.1, 0.5501])) == pytest.approx([1.0, 1.0])
 
 
 def test_br_value_rejects_bad_tol():

@@ -55,6 +55,15 @@ def test_check(spec_path, capsys):
     assert doc["prior_norm"] == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("utility", ["exp(1000*theta1)", "10^400"])
+def test_check_overflow_is_nonfinite(utility, tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({**ZERO_SUM_DOC, "u": [[utility, "0"],
+                                                      ["0", "0"]]}))
+    assert main(["check", str(path), "--grid-check", "21"]) == 1
+    assert capsys.readouterr().err.startswith("error: NonFinite")
+
+
 def test_discretize_to_file(spec_path, tmp_path, capsys):
     out = tmp_path / "level2.json"
     code = main(["discretize", spec_path, "--grid-check", "21",

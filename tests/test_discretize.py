@@ -40,7 +40,7 @@ def test_build_finite_n1_single_entry():
     g = make_game([["theta1*theta2"]], [["0"]])
     fg = bc.build_finite(g, 1)
     assert fg.U.shape == (1, 1, 1, 1)
-    assert fg.U[0, 0, 0, 0] == g.u(0, 0, 1.0, 1.0)
+    assert fg.U[0, 0, 0, 0] == g.payoff(1, 1.0, 1.0)[0, 0]
 
 
 def test_build_finite_rejects_bad_level():

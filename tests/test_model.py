@@ -14,7 +14,7 @@ def test_uniform_prior_product_utility():
     g = make_game([["theta1*theta2"]], [["0"]], prior="1")
     assert g.prior_norm == pytest.approx(1.0, abs=1e-9)
     assert g.shift1 == pytest.approx(1e-9, abs=1e-15)
-    assert g.u(0, 0, 0.5, 0.5) == pytest.approx(0.25, abs=1e-8)
+    assert g.payoff(1, 0.5, 0.5)[0, 0] == pytest.approx(0.25, abs=1e-8)
 
 
 def test_linear_prior_normalizes_to_one():
@@ -30,6 +30,12 @@ def test_negative_prior_rejected():
 def test_nonfinite_utility_rejected():
     with pytest.raises(NonFinite):
         make_game([["exp(700)*exp(700)"]], [["0"]])
+
+
+@pytest.mark.parametrize("utility", ["exp(1000*theta1)", "10^400"])
+def test_overflowing_utility_rejected(utility):
+    with pytest.raises(NonFinite):
+        make_game([[utility]], [["0"]])
 
 
 def test_unnormalized_prior_constant_recorded():
@@ -97,11 +103,10 @@ def test_assimilation_consistency_441_points():
     g = make_game([["theta1*theta2 - 0.3"]], [["theta2"]],
                   prior="theta1+theta2")
     grid = np.linspace(0.0, 1.0, 21)
-    for t1 in grid:
-        for t2 in grid:
-            want = g.prior(t1, t2) * (g.u_raw(0, 0, t1, t2) + g.shift1)
-            got = g.u(0, 0, t1, t2)
-            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    t1, t2 = grid[:, None], grid[None, :]
+    want = g.prior(t1, t2) * (g.raw(1, t1, t2)[0, 0] + g.shift1)
+    got = g.payoff(1, t1, t2)[0, 0]
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 def test_shift_invariance_of_best_response_argmax():
@@ -129,7 +134,7 @@ def test_type_range_rescaling():
                   type_range1=[0.0, 2.0])
     assert g.prior_norm == pytest.approx(2.0, abs=1e-8)
     assert g.prior(0.5, 0.3) == pytest.approx(1.0, abs=1e-9)  # (1+1)/2
-    assert g.u_raw(0, 0, 0.5, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert g.raw(1, 0.5, 0.0)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_load_game_file_round_trip(tmp_path):
@@ -141,4 +146,4 @@ def test_load_game_file_round_trip(tmp_path):
     path.write_text(json.dumps(doc))
     g = bc.load_game_file(str(path), grid_check=21)
     assert g.actions1 == ("x1",)
-    assert g.u_raw(0, 0, 0.25, 0.9) == 0.25
+    assert g.raw(1, 0.25, 0.9)[0, 0] == 0.25

@@ -261,6 +261,58 @@ def test_lp_singular_basis_is_a_toolkit_error(matching_pennies, monkeypatch):
     assert "singular basis" in str(info.value)
 
 
+def _loop_built_constraints(fg):
+    """A_ub and A_eq of the slack LP, entry by entry."""
+    n, L, H = fg.n, fg.L, fg.H
+    N1, N2 = n * L, n * H
+    nvar = N1 + N2 + 2 * n
+    A_ub = np.zeros((N1 + N2, nvar))
+    for i in range(n):
+        for x in range(L):
+            r = i * L + x
+            for j in range(n):
+                for y in range(H):
+                    A_ub[r, N1 + j * H + y] = fg.U[x, y, i, j] / n
+            A_ub[r, N1 + N2 + i] = -1.0
+    for j in range(n):
+        for y in range(H):
+            r = N1 + j * H + y
+            for i in range(n):
+                for x in range(L):
+                    A_ub[r, i * L + x] = fg.V[x, y, i, j] / n
+            A_ub[r, N1 + N2 + n + j] = -1.0
+    A_eq = np.zeros((2 * n, nvar))
+    for i in range(n):
+        A_eq[i, i * L: (i + 1) * L] = 1.0
+    for j in range(n):
+        A_eq[n + j, N1 + j * H: N1 + (j + 1) * H] = 1.0
+    return A_ub, A_eq
+
+
+def test_lp_constraints_byte_identical_to_loop_build(monkeypatch):
+    class Captured(Exception):
+        pass
+
+    def capture(*args):
+        raise Captured(args)
+
+    monkeypatch.setattr("bnecert.solver.simplex", capture)
+    rng = np.random.default_rng(12)
+    n, L, H = 4, 3, 2
+    U, V = rng.random((L, H, n, n)), rng.random((L, H, n, n))
+    U[1, 0, 2] = 0.0
+    V[0, 1, :, 3] = -0.0  # the sign of zero must reach the LP as well
+    fg = FiniteGame(n, ("x1", "x2", "x3"), ("y1", "y2"), U, V)
+    with pytest.raises(Captured) as info:
+        solve_lp(fg)
+    _, A_ub, b_ub, A_eq, b_eq = info.value.args[0]
+    want_ub, want_eq = _loop_built_constraints(fg)
+    assert A_ub.tobytes() == want_ub.tobytes()
+    assert A_eq.tobytes() == want_eq.tobytes()
+    assert b_ub.tobytes() == np.zeros(n * (L + H)).tobytes()
+    assert b_eq.tobytes() == np.ones(2 * n).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # fictitious play
 
