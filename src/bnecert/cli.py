@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .certify import certify
-from .discretize import build_finite, lift
+from .discretize import build_finite, grid_floor, lift
 from .driver import RunConfig, resolve_backend, run, solve_level
 from .errors import BnecertError
 from .model import load_game_file
@@ -102,17 +102,16 @@ def cmd_certify(args):
 def _write_curves(base, report):
     grid = np.linspace(0.0, 1.0, CURVE_POINTS)
     for n, F, G, _ in report.level_strategies:
+        index = np.minimum(grid_floor(n, grid), n)
         for player, strat in ((1, F), (2, G)):
+            table = strat.at_index(index)
             path = f"{base}.curves.level{n}.player{player}.csv"
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["theta", "action", "F"])
-                for theta in grid:
-                    for action in strat.actions:
-                        writer.writerow(
-                            [repr(float(theta)), action,
-                             repr(strat.value(action, theta))]
-                        )
+                for theta, row in zip(grid.tolist(), table.tolist()):
+                    for action, value in zip(strat.actions, row):
+                        writer.writerow([repr(theta), action, repr(value)])
 
 
 def cmd_run(args):

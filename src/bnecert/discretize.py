@@ -24,7 +24,8 @@ _FLOOR_NUDGE = 1e-12
 
 
 def grid_floor(n, theta):
-    return int(np.floor(n * theta + _FLOOR_NUDGE))
+    """floor(n * theta), nudged; an array theta gives an index array."""
+    return np.floor(n * theta + _FLOOR_NUDGE).astype(int)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ Three backends:
   * solve_lp    -- the slack-maximization program whose bilinear payoff
                    terms cancel to a constant under the multiplier
                    condition, solved by a built-in dense-tableau simplex
-                   with Bland's anti-cycling rule;
+                   with Bland's anti-cycling rule (array code that takes
+                   the pivots and roundings of a per-row loop);
   * solve_fp    -- agent-form fictitious play (general-sum fallback);
   * solve_enum  -- small-instance oracle: pure-profile enumeration with a
                    support-enumeration fallback.
@@ -72,6 +73,16 @@ def action_values(fg, player, opponent_rows):
     return np.einsum("xyij,ix->jy", fg.V, opponent_rows) * scale
 
 
+def _pure_rows(choice, width):
+    rows = np.zeros((len(choice), width))
+    rows[np.arange(len(choice)), choice] = 1.0
+    return rows
+
+
+def _regret(q, own_rows):
+    return float(q.max(axis=1).sum() - (own_rows * q).sum())
+
+
 def finite_best_response(fg, player, opponent_rows):
     """Pure per-type best response and its ex-ante value.
 
@@ -79,18 +90,13 @@ def finite_best_response(fg, player, opponent_rows):
     """
     q = action_values(fg, player, opponent_rows)
     choice = np.argmax(q, axis=1)  # first maximum = lowest index
-    pure = np.zeros_like(q)
-    pure[np.arange(q.shape[0]), choice] = 1.0
-    return pure, float(q.max(axis=1).sum())
+    return _pure_rows(choice, q.shape[1]), float(q.max(axis=1).sum())
 
 
 def finite_gap(fg, profile):
     """Exact ex-ante regret of each player within the finite game."""
-    q1 = action_values(fg, 1, profile.t)
-    q2 = action_values(fg, 2, profile.s)
-    gap1 = float(q1.max(axis=1).sum() - (profile.s * q1).sum())
-    gap2 = float(q2.max(axis=1).sum() - (profile.t * q2).sum())
-    return gap1, gap2
+    return (_regret(action_values(fg, 1, profile.t), profile.s),
+            _regret(action_values(fg, 2, profile.s), profile.t))
 
 
 def ck_objective(fg, profile, alpha1, alpha2):
@@ -170,9 +176,9 @@ _REFACTOR_EVERY = 40
 
 def _pivot(T, basis, row, col):
     T[row] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            T[r] -= T[r, col] * T[row]
+    rows = np.flatnonzero(T[:, col])
+    rows = rows[rows != row]
+    T[rows] -= np.outer(T[rows, col], T[row])
     basis[row] = col
 
 
@@ -195,50 +201,50 @@ def _rebuild(T, A, b, costvec, basis):
     return True
 
 
-def _run_phase(T, basis, allowed, max_pivots, pivots_done,
-               A=None, b=None, costvec=None):
+def _run_phase(T, basis, allowed, max_pivots, pivots_done, A, b, costvec):
     """Iterate pivots until the cost row has no negative entry among the
-    allowed columns.  Returns the pivot count consumed."""
+    first `allowed` columns.  Returns the pivot count consumed."""
     m = T.shape[0] - 1
     pivots = pivots_done
     since_refactor = 0
     while True:
-        cost = T[-1, :-1]
-        enter = -1
-        for j in allowed:
-            if cost[j] < -_TOL:
-                enter = j
-                break
-        if enter < 0:
+        entering = np.flatnonzero(T[-1, :allowed] < -_TOL)
+        if not entering.size:
             return pivots
-        # ratio test; Bland tie-break on the basic variable index
-        leave = -1
-        best = np.inf
-        for r in range(m):
-            a = T[r, enter]
-            if a > _PIV_TOL:
-                ratio = T[r, -1] / a
-                if ratio < best - 1e-12 or (
-                    abs(ratio - best) <= 1e-12
-                    and (leave < 0 or basis[r] < basis[leave])
-                ):
-                    best = ratio
-                    leave = r
+        enter = entering[0]
+        # ratio test; Bland tie-break on the basic variable index.  The
+        # 1e-12 tie test chains, so the fold runs in row order.
+        column = T[:m, enter]
+        rows = np.flatnonzero(column > _PIV_TOL)
+        ratios = T[rows, -1] / column[rows]
+        leave, best = -1, np.inf
+        for r, ratio in zip(rows.tolist(), ratios.tolist()):
+            if ratio < best - 1e-12 or (
+                abs(ratio - best) <= 1e-12
+                and (leave < 0 or basis[r] < basis[leave])
+            ):
+                best = ratio
+                leave = r
         if leave < 0:
             # may be pivot drift; refactorize once and re-examine
-            if A is not None and since_refactor > 0:
-                if _rebuild(T, A, b, costvec, basis):
-                    since_refactor = 0
-                    continue
+            if since_refactor > 0 and _rebuild(T, A, b, costvec, basis):
+                since_refactor = 0
+                continue
             raise UnboundedObjective(f"column {enter} is unbounded")
         _pivot(T, basis, leave, enter)
         pivots += 1
         since_refactor += 1
-        if since_refactor >= _REFACTOR_EVERY and A is not None:
+        if since_refactor >= _REFACTOR_EVERY:
             if _rebuild(T, A, b, costvec, basis):
                 since_refactor = 0
         if pivots > max_pivots:
             raise SimplexStall(f"pivot cap {max_pivots} reached")
+
+
+def _constraint_block(A, b, nvar):
+    if A is None or not len(A):
+        return np.zeros((0, nvar)), np.zeros(0)
+    return np.asarray(A, dtype=float), np.asarray(b, dtype=float)
 
 
 def simplex(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
@@ -250,91 +256,61 @@ def simplex(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     """
     c = np.asarray(c, dtype=float)
     nvar = c.size
-    rows = []
-    rhs = []
-    slack_rows = []
-    if A_ub is not None and len(A_ub):
-        for r, brow in zip(np.asarray(A_ub, dtype=float), b_ub):
-            rows.append(r)
-            rhs.append(float(brow))
-            slack_rows.append(len(rows) - 1)
-    if A_eq is not None and len(A_eq):
-        for r, brow in zip(np.asarray(A_eq, dtype=float), b_eq):
-            rows.append(r)
-            rhs.append(float(brow))
-    m = len(rows)
-    nslack = len(slack_rows)
-    A = np.zeros((m, nvar + nslack))
-    for i, r in enumerate(rows):
-        A[i, :nvar] = r
-    for k, i in enumerate(slack_rows):
-        A[i, nvar + k] = 1.0
-    b = np.array(rhs)
-    # normalize to b >= 0
-    for i in range(m):
-        if b[i] < 0.0:
-            A[i] *= -1.0
-            b[i] *= -1.0
+    A_ub, b_ub = _constraint_block(A_ub, b_ub, nvar)
+    A_eq, b_eq = _constraint_block(A_eq, b_eq, nvar)
+    nslack = len(A_ub)
+    m = nslack + len(A_eq)
+    structural = nvar + nslack  # columns after these are artificial
+    b = np.concatenate([b_ub, b_eq])
+    flip = np.flatnonzero(b < 0.0)
+    b[flip] *= -1.0
 
-    # initial basis: slack column if usable, else a fresh artificial
-    basis = [-1] * m
-    art_cols = []
-    for i in range(m):
-        k = slack_rows.index(i) if i in slack_rows else -1
-        if k >= 0 and A[i, nvar + k] == 1.0:
-            basis[i] = nvar + k
-    n_art = sum(1 for bcol in basis if bcol < 0)
-    ncols = nvar + nslack + n_art
+    # initial basis: the slack column of an unflipped <= row, otherwise a
+    # fresh artificial column, numbered in row order
+    art_rows = np.concatenate([flip[flip < nslack], np.arange(nslack, m)])
+    basis = nvar + np.arange(m)
+    basis[art_rows] = structural + np.arange(art_rows.size)
+    ncols = structural + art_rows.size
+
+    # [A_ub | I] over [A_eq | 0], negated where b < 0, then artificials
     T = np.zeros((m + 1, ncols + 1))
-    T[:m, : nvar + nslack] = A
+    T[:m, :nvar] = np.vstack([A_ub, A_eq])
+    T[:nslack, nvar:structural] = np.eye(nslack)
+    T[flip, :structural] *= -1.0
+    T[art_rows, basis[art_rows]] = 1.0
     T[:m, -1] = b
-    a = nvar + nslack
-    for i in range(m):
-        if basis[i] < 0:
-            T[i, a] = 1.0
-            basis[i] = a
-            art_cols.append(a)
-            a += 1
 
     Aext = T[:m, :-1].copy()
     pivots = 0
-    if art_cols:
+    if art_rows.size:
         # phase 1: minimize the artificial sum
-        cost1 = np.zeros(ncols)
-        cost1[art_cols] = 1.0
-        for col in art_cols:
-            T[-1, col] = 1.0
-        for i in range(m):
-            if basis[i] in art_cols:
-                T[-1] -= T[i]
-        allowed = [j for j in range(ncols) if j not in art_cols]
-        pivots = _run_phase(T, basis, allowed, max_pivots, pivots,
-                            A=Aext, b=b, costvec=cost1)
+        cost1 = (np.arange(ncols) >= structural).astype(float)
+        T[-1, :-1] = cost1
+        for i in art_rows:  # row by row: the order fixes the rounding
+            T[-1] -= T[i]
+        pivots = _run_phase(T, basis, structural, max_pivots, pivots,
+                            Aext, b, cost1)
         if T[-1, -1] < -1e-7:
             raise Infeasible(f"phase-1 optimum {-T[-1, -1]} > 0")
         # drive remaining artificials out of the basis where possible
-        for i in range(m):
-            if basis[i] in art_cols:
-                for j in allowed:
-                    if abs(T[i, j]) > _TOL:
-                        _pivot(T, basis, i, j)
-                        pivots += 1
-                        break
+        for i in np.flatnonzero(basis >= structural):
+            usable = np.flatnonzero(np.abs(T[i, :structural]) > _TOL)
+            if usable.size:
+                _pivot(T, basis, i, usable[0])
+                pivots += 1
 
     # phase 2 cost row
     cost2 = np.zeros(ncols)
     cost2[:nvar] = c
     _rebuild(T, Aext, b, cost2, basis)
-    allowed = [j for j in range(nvar + nslack) if j not in art_cols]
-    pivots = _run_phase(T, basis, allowed, max_pivots, pivots,
-                        A=Aext, b=b, costvec=cost2)
+    pivots = _run_phase(T, basis, structural, max_pivots, pivots,
+                        Aext, b, cost2)
 
     # final refactorization for a drift-free basic solution
     xb = np.linalg.solve(Aext[:, basis], b)
     x = np.zeros(nvar)
-    for i in range(m):
-        if basis[i] < nvar:
-            x[basis[i]] = xb[i]
+    own = basis < nvar
+    x[basis[own]] = xb[own]
     return x, pivots
 
 
@@ -421,29 +397,23 @@ def solve_fp(fg, max_iters=2000, target_gap=1e-6):
     best = None
     best_gap = np.inf
     for k in range(1, max_iters + 1):
-        profile = BehavioralProfile(s.copy(), t.copy())
-        gap1, gap2 = finite_gap(fg, profile)
+        q1 = action_values(fg, 1, t)
+        q2 = action_values(fg, 2, s)
+        gap1, gap2 = _regret(q1, s), _regret(q2, t)
         worst = max(gap1, gap2)
         if worst < best_gap:
             best_gap = worst
+            profile = BehavioralProfile(s.copy(), t.copy())
             best = SolverResult(profile, gap1, gap2, "fp", k)
         if worst <= target_gap:
             return best
-        br1, _ = finite_best_response(fg, 1, t)
-        br2, _ = finite_best_response(fg, 2, s)
-        s += (br1 - s) / (k + 1.0)
-        t += (br2 - t) / (k + 1.0)
+        s += (_pure_rows(np.argmax(q1, axis=1), L) - s) / (k + 1.0)
+        t += (_pure_rows(np.argmax(q2, axis=1), H) - t) / (k + 1.0)
     raise NoConvergence(best)
 
 
 # ---------------------------------------------------------------------------
 # enumeration oracle
-
-def _pure_rows(choice, width):
-    rows = np.zeros((len(choice), width))
-    rows[np.arange(len(choice)), choice] = 1.0
-    return rows
-
 
 def _pure_action_values(payoff, opp_choice, player, n):
     """q[i, a] against a pure opponent policy (tuple of action indices)."""

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's own quadrature and
 tensor code paths: Riemann sums are plain uniform midpoint sums over
 numpy arrays, reference payoff sums are naive Python loops, and the
 expression oracle walks the tree one point at a time with Python floats
-and the math module.
+and the math module.  The tableau simplex and fictitious play oracles
+are the per-row loop versions that the array code replaced.
 """
 
 import math
@@ -13,8 +14,16 @@ import numpy as np
 import pytest
 
 import bnecert as bc
-from bnecert.errors import DomainError
+from bnecert.discretize import BehavioralProfile
+from bnecert.errors import (
+    DomainError,
+    Infeasible,
+    NoConvergence,
+    SimplexStall,
+    UnboundedObjective,
+)
 from bnecert.expr import BinOp, Call, Neg, Num, Var
+from bnecert.solver import SolverResult, action_values
 
 RIEMANN_POINTS = 100_000
 
@@ -207,9 +216,239 @@ def oracle_payoff(g, player, x, y, theta1, theta2):
     return prior * (oracle_eval(table[x][y], t1, t2) + shift)
 
 
+# ---------------------------------------------------------------------------
+# the per-row tableau simplex and the fictitious play loop (with the gap
+# and best-response code it called) that the array code in bnecert.solver
+# replaced; the new code must take the same pivots and iterates, bit for
+# bit
+
+_TOL = 1e-9
+_PIV_TOL = 1e-7
+_REFACTOR_EVERY = 40
+
+
+def oracle_finite_best_response(fg, player, opponent_rows):
+    """Pure per-type best response and its ex-ante value.
+
+    Ties break toward the lowest action index.
+    """
+    q = action_values(fg, player, opponent_rows)
+    choice = np.argmax(q, axis=1)  # first maximum = lowest index
+    pure = np.zeros_like(q)
+    pure[np.arange(q.shape[0]), choice] = 1.0
+    return pure, float(q.max(axis=1).sum())
+
+
+def oracle_finite_gap(fg, profile):
+    """Exact ex-ante regret of each player within the finite game."""
+    q1 = action_values(fg, 1, profile.t)
+    q2 = action_values(fg, 2, profile.s)
+    gap1 = float(q1.max(axis=1).sum() - (profile.s * q1).sum())
+    gap2 = float(q2.max(axis=1).sum() - (profile.t * q2).sum())
+    return gap1, gap2
+
+
+def _pivot(T, basis, row, col):
+    T[row] /= T[row, col]
+    for r in range(T.shape[0]):
+        if r != row and T[r, col] != 0.0:
+            T[r] -= T[r, col] * T[row]
+    basis[row] = col
+
+
+def _rebuild(T, A, b, costvec, basis):
+    """Recompute the tableau for the current basis from the original data
+    (kills the drift accumulated by repeated pivoting).  Returns False if
+    the recorded basis is numerically singular."""
+    B = A[:, basis]
+    try:
+        body = np.linalg.solve(B, A)
+        xb = np.linalg.solve(B, b)
+    except np.linalg.LinAlgError:
+        return False
+    m = A.shape[0]
+    T[:m, :-1] = body
+    T[:m, -1] = xb
+    cB = costvec[basis]
+    T[-1, :-1] = costvec - cB @ body
+    T[-1, -1] = -(cB @ xb)
+    return True
+
+
+def _run_phase(T, basis, allowed, max_pivots, pivots_done,
+               A=None, b=None, costvec=None):
+    """Iterate pivots until the cost row has no negative entry among the
+    allowed columns.  Returns the pivot count consumed."""
+    m = T.shape[0] - 1
+    pivots = pivots_done
+    since_refactor = 0
+    while True:
+        cost = T[-1, :-1]
+        enter = -1
+        for j in allowed:
+            if cost[j] < -_TOL:
+                enter = j
+                break
+        if enter < 0:
+            return pivots
+        # ratio test; Bland tie-break on the basic variable index
+        leave = -1
+        best = np.inf
+        for r in range(m):
+            a = T[r, enter]
+            if a > _PIV_TOL:
+                ratio = T[r, -1] / a
+                if ratio < best - 1e-12 or (
+                    abs(ratio - best) <= 1e-12
+                    and (leave < 0 or basis[r] < basis[leave])
+                ):
+                    best = ratio
+                    leave = r
+        if leave < 0:
+            # may be pivot drift; refactorize once and re-examine
+            if A is not None and since_refactor > 0:
+                if _rebuild(T, A, b, costvec, basis):
+                    since_refactor = 0
+                    continue
+            raise UnboundedObjective(f"column {enter} is unbounded")
+        _pivot(T, basis, leave, enter)
+        pivots += 1
+        since_refactor += 1
+        if since_refactor >= _REFACTOR_EVERY and A is not None:
+            if _rebuild(T, A, b, costvec, basis):
+                since_refactor = 0
+        if pivots > max_pivots:
+            raise SimplexStall(f"pivot cap {max_pivots} reached")
+
+
+def oracle_simplex(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
+            max_pivots=100_000):
+    """Minimize c @ x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
+
+    Returns (x, pivots).  Raises Infeasible / UnboundedObjective /
+    SimplexStall.
+    """
+    c = np.asarray(c, dtype=float)
+    nvar = c.size
+    rows = []
+    rhs = []
+    slack_rows = []
+    if A_ub is not None and len(A_ub):
+        for r, brow in zip(np.asarray(A_ub, dtype=float), b_ub):
+            rows.append(r)
+            rhs.append(float(brow))
+            slack_rows.append(len(rows) - 1)
+    if A_eq is not None and len(A_eq):
+        for r, brow in zip(np.asarray(A_eq, dtype=float), b_eq):
+            rows.append(r)
+            rhs.append(float(brow))
+    m = len(rows)
+    nslack = len(slack_rows)
+    A = np.zeros((m, nvar + nslack))
+    for i, r in enumerate(rows):
+        A[i, :nvar] = r
+    for k, i in enumerate(slack_rows):
+        A[i, nvar + k] = 1.0
+    b = np.array(rhs)
+    # normalize to b >= 0
+    for i in range(m):
+        if b[i] < 0.0:
+            A[i] *= -1.0
+            b[i] *= -1.0
+
+    # initial basis: slack column if usable, else a fresh artificial
+    basis = [-1] * m
+    art_cols = []
+    for i in range(m):
+        k = slack_rows.index(i) if i in slack_rows else -1
+        if k >= 0 and A[i, nvar + k] == 1.0:
+            basis[i] = nvar + k
+    n_art = sum(1 for bcol in basis if bcol < 0)
+    ncols = nvar + nslack + n_art
+    T = np.zeros((m + 1, ncols + 1))
+    T[:m, : nvar + nslack] = A
+    T[:m, -1] = b
+    a = nvar + nslack
+    for i in range(m):
+        if basis[i] < 0:
+            T[i, a] = 1.0
+            basis[i] = a
+            art_cols.append(a)
+            a += 1
+
+    Aext = T[:m, :-1].copy()
+    pivots = 0
+    if art_cols:
+        # phase 1: minimize the artificial sum
+        cost1 = np.zeros(ncols)
+        cost1[art_cols] = 1.0
+        for col in art_cols:
+            T[-1, col] = 1.0
+        for i in range(m):
+            if basis[i] in art_cols:
+                T[-1] -= T[i]
+        allowed = [j for j in range(ncols) if j not in art_cols]
+        pivots = _run_phase(T, basis, allowed, max_pivots, pivots,
+                            A=Aext, b=b, costvec=cost1)
+        if T[-1, -1] < -1e-7:
+            raise Infeasible(f"phase-1 optimum {-T[-1, -1]} > 0")
+        # drive remaining artificials out of the basis where possible
+        for i in range(m):
+            if basis[i] in art_cols:
+                for j in allowed:
+                    if abs(T[i, j]) > _TOL:
+                        _pivot(T, basis, i, j)
+                        pivots += 1
+                        break
+
+    # phase 2 cost row
+    cost2 = np.zeros(ncols)
+    cost2[:nvar] = c
+    _rebuild(T, Aext, b, cost2, basis)
+    allowed = [j for j in range(nvar + nslack) if j not in art_cols]
+    pivots = _run_phase(T, basis, allowed, max_pivots, pivots,
+                        A=Aext, b=b, costvec=cost2)
+
+    # final refactorization for a drift-free basic solution
+    xb = np.linalg.solve(Aext[:, basis], b)
+    x = np.zeros(nvar)
+    for i in range(m):
+        if basis[i] < nvar:
+            x[basis[i]] = xb[i]
+    return x, pivots
+
+
+def oracle_solve_fp(fg, max_iters=2000, target_gap=1e-6):
+    """Agent-form fictitious play with uniform averaging.
+
+    Raises NoConvergence (carrying the best iterate) if the target gap is
+    not reached within max_iters iterations.
+    """
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    n, L, H = fg.n, fg.L, fg.H
+    s = np.full((n, L), 1.0 / L)
+    t = np.full((n, H), 1.0 / H)
+    best = None
+    best_gap = np.inf
+    for k in range(1, max_iters + 1):
+        profile = BehavioralProfile(s.copy(), t.copy())
+        gap1, gap2 = oracle_finite_gap(fg, profile)
+        worst = max(gap1, gap2)
+        if worst < best_gap:
+            best_gap = worst
+            best = SolverResult(profile, gap1, gap2, "fp", k)
+        if worst <= target_gap:
+            return best
+        br1, _ = oracle_finite_best_response(fg, 1, t)
+        br2, _ = oracle_finite_best_response(fg, 2, s)
+        s += (br1 - s) / (k + 1.0)
+        t += (br2 - t) / (k + 1.0)
+    raise NoConvergence(best)
+
+
 def ex_ante_value(fg, profile, player):
     """w_n of a finite-game profile (independent of the certifier)."""
-    from bnecert.solver import action_values
     if player == 1:
         q = action_values(fg, 1, profile.t)
         return float((profile.s * q).sum())

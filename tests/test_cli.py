@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
+import csv
 import json
 
 import pytest
@@ -137,7 +138,15 @@ def test_fp_max_iters_only_on_solving_commands(spec_path):
               "--fp-max-iters", "10"])
 
 
-def test_run_with_report_and_curves(spec_path, tmp_path, capsys):
+def test_run_with_report_and_curves(spec_path, tmp_path, capsys,
+                                   monkeypatch):
+    runs = []
+
+    def recording_run(g, cfg):
+        runs.append(bc.run(g, cfg))
+        return runs[-1]
+
+    monkeypatch.setattr("bnecert.cli.run", recording_run)
     out = tmp_path / "report.json"
     code = main(["run", spec_path, "--grid-check", "21",
                  "--epsilon", "0.05", "--max-level", "8",
@@ -152,6 +161,16 @@ def test_run_with_report_and_curves(spec_path, tmp_path, capsys):
         lines = curve.read_text().splitlines()
         assert lines[0] == "theta,action,F"
         assert len(lines) == 1 + 1001 * 2  # grid points x actions
+    # every F cell of every solved level is the CDF's value as a number
+    for level, F, G, _ in runs[0].level_strategies:
+        for player, strat in ((1, F), (2, G)):
+            curve = (tmp_path
+                     / f"report.json.curves.level{level}.player{player}.csv")
+            with open(curve, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert len(rows) == 1001 * len(strat.actions)
+            for theta, action, value in rows:
+                assert float(value) == strat.value(action, float(theta))
 
 
 def test_run_uncertified_exit_code(spec_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bnecert as bc
-from bnecert.errors import NegativePrior, NonFinite
+from bnecert.errors import NegativePrior, NonFinite, ZeroMarginal
 from bnecert.quadrature import integrate
 
 from conftest import make_game
@@ -36,6 +36,16 @@ def test_nonfinite_utility_rejected():
 def test_overflowing_utility_rejected(utility):
     with pytest.raises(NonFinite):
         make_game([[utility]], [["0"]])
+
+
+@pytest.mark.parametrize("prior, message", [
+    ("theta1", "marginal of player 1 at theta=0.0 is 0.0"),
+    ("max(0, 0.3 - theta2)", "marginal of player 2 at theta=0.3 is 0.0"),
+])
+def test_zero_marginal_rejected(prior, message):
+    with pytest.raises(ZeroMarginal) as info:
+        make_game([["1"]], [["0"]], prior=prior, grid_check=101)
+    assert str(info.value) == message
 
 
 def test_unnormalized_prior_constant_recorded():

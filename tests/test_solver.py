@@ -1,5 +1,11 @@
 """Finite-game solvers: best responses, gaps, LP, fictitious play, oracle."""
 
+import collections
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,9 +36,17 @@ from bnecert.solver import (
 from conftest import (
     ex_ante_value,
     make_game,
+    oracle_finite_best_response,
+    oracle_finite_gap,
+    oracle_simplex,
+    oracle_solve_fp,
+    random_poly,
     random_poly_game,
     random_profile,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMO_SPECS = sorted((ROOT / "demos" / "specs").glob("*.json"))
 
 
 def identity_finite_game():
@@ -192,6 +206,88 @@ def test_simplex_unbounded():
         simplex(np.array([-1.0, 0.0]), A_ub=[[0.0, 1.0]], b_ub=[1.0])
 
 
+class _Captured(Exception):
+    pass
+
+
+def _slack_lp(monkeypatch, fg, alpha1=None, alpha2=None):
+    """The arguments that solve_lp passes to simplex."""
+    def capture(*args):
+        raise _Captured(args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr("bnecert.solver.simplex", capture)
+        with pytest.raises(_Captured) as info:
+            solve_lp(fg, alpha1, alpha2)
+    return info.value.args[0]
+
+
+def _simplex_outcome(solver, args):
+    """(x bytes, pivots), or the exception's type and message."""
+    try:
+        x, pivots = solver(*args)
+    except (BnecertError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+    return x.tobytes(), pivots
+
+
+def _random_lp(rng):
+    """Small LP with coefficients rounded to 0-2 decimals, so that ties
+    and degenerate vertices occur.  Four in five are feasible by
+    construction (about half their <= rows tight at a known point)."""
+    nvar = int(rng.integers(1, 7))
+    m_ub, m_eq = int(rng.integers(0, 6)), int(rng.integers(0, 4))
+    decimals = int(rng.integers(0, 3))
+
+    def draw(lo, hi, *shape):
+        return np.round(rng.uniform(lo, hi, shape), decimals)
+
+    A_ub, A_eq = draw(-3, 3, m_ub, nvar), draw(-3, 3, m_eq, nvar)
+    if rng.random() < 0.2:
+        return (draw(-3, 3, nvar), A_ub, draw(-3, 3, m_ub),
+                A_eq, draw(-3, 3, m_eq))
+    x0 = rng.integers(0, 3, nvar).astype(float)
+    slack = draw(0, 2, m_ub) * (rng.random(m_ub) < 0.5)
+    return draw(-1, 3, nvar), A_ub, A_ub @ x0 + slack, A_eq, A_eq @ x0
+
+
+def test_simplex_takes_the_oracle_pivots_on_2000_random_lps():
+    rng = np.random.default_rng(2024)
+    outcomes = collections.Counter()
+    for _ in range(2000):
+        args = _random_lp(rng)
+        got = _simplex_outcome(simplex, args)
+        assert got == _simplex_outcome(oracle_simplex, args)
+        outcomes[got[0] if isinstance(got[0], type) else "optimal"] += 1
+    assert outcomes["optimal"] > 1000
+    assert outcomes[Infeasible] > 100 and outcomes[UnboundedObjective] > 100
+
+
+@pytest.mark.parametrize("path", DEMO_SPECS, ids=[p.stem for p in DEMO_SPECS])
+def test_simplex_takes_the_oracle_pivots_on_demo_slack_lps(path,
+                                                          monkeypatch):
+    g = bc.load_game_file(path)
+    prop1 = check_prop1(g)
+    for n in range(1, 13):
+        fg = bc.build_finite(g, n)
+        args = _slack_lp(monkeypatch, fg, *default_alphas(fg, g, prop1))
+        got = _simplex_outcome(simplex, args)
+        assert got == _simplex_outcome(oracle_simplex, args)
+
+
+def test_import_loads_no_scipy():
+    """scipy.optimize would nearly triple the bench's baseline peak RSS."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys, bnecert; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # LP backend
 
@@ -290,22 +386,13 @@ def _loop_built_constraints(fg):
 
 
 def test_lp_constraints_byte_identical_to_loop_build(monkeypatch):
-    class Captured(Exception):
-        pass
-
-    def capture(*args):
-        raise Captured(args)
-
-    monkeypatch.setattr("bnecert.solver.simplex", capture)
     rng = np.random.default_rng(12)
     n, L, H = 4, 3, 2
     U, V = rng.random((L, H, n, n)), rng.random((L, H, n, n))
     U[1, 0, 2] = 0.0
     V[0, 1, :, 3] = -0.0  # the sign of zero must reach the LP as well
     fg = FiniteGame(n, ("x1", "x2", "x3"), ("y1", "y2"), U, V)
-    with pytest.raises(Captured) as info:
-        solve_lp(fg)
-    _, A_ub, b_ub, A_eq, b_eq = info.value.args[0]
+    _, A_ub, b_ub, A_eq, b_eq = _slack_lp(monkeypatch, fg)
     want_ub, want_eq = _loop_built_constraints(fg)
     assert A_ub.tobytes() == want_ub.tobytes()
     assert A_eq.tobytes() == want_eq.tobytes()
@@ -348,6 +435,46 @@ def test_fp_no_convergence_carries_best():
     best = exc.value.result
     assert best.backend == "fp"
     assert np.isfinite(best.finite_gap1) and np.isfinite(best.finite_gap2)
+
+
+def _fp_outcome(solver, fg, target_gap):
+    try:
+        res, converged = solver(fg, max_iters=300, target_gap=target_gap), True
+    except NoConvergence as exc:
+        res, converged = exc.result, False
+    return (converged, res.iterations, res.finite_gap1, res.finite_gap2,
+            res.profile.s.tobytes(), res.profile.t.tobytes())
+
+
+def test_fp_and_gaps_equal_the_oracle_bit_for_bit():
+    rng = np.random.default_rng(31)
+    # x1 = x2 and y2 = y3 as actions, so their values tie exactly and the
+    # best responses must break the ties the same way
+    u = [["theta1", "0", "0"], ["theta1", "0", "0"],
+         ["0", "theta2", "theta2"]]
+    v = [["0", "1", "1"], ["0", "1", "1"], ["theta1", "0", "0"]]
+    games = [make_game(u, v)]
+    for L, H in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        u, v = ([[random_poly(rng) for _ in range(H)] for _ in range(L)]
+                for _ in range(2))
+        games.append(make_game(u, v))
+    converged = set()
+    for g in games:
+        for n in (1, 3, 5):
+            fg = bc.build_finite(g, n)
+            profile = random_profile(rng, n, fg.L, fg.H)
+            assert finite_gap(fg, profile) == oracle_finite_gap(fg, profile)
+            for player, rows in ((1, profile.t), (2, profile.s)):
+                pure, value = finite_best_response(fg, player, rows)
+                want, want_value = oracle_finite_best_response(fg, player,
+                                                               rows)
+                assert pure.tobytes() == want.tobytes()
+                assert value == want_value
+            for target in (1e-2, 1e-9):
+                got = _fp_outcome(solve_fp, fg, target)
+                assert got == _fp_outcome(oracle_solve_fp, fg, target)
+                converged.add(got[0])
+    assert converged == {True, False}
 
 
 # ---------------------------------------------------------------------------
