@@ -13,6 +13,7 @@ with an atom of mass weights[i, a] / n at theta = (i + 1) / n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,12 @@ def grid_floor(n, theta):
 
 @dataclass(frozen=True)
 class FiniteGame:
-    """Level-n discretized game with payoff tensors of shape (L, H, n, n)."""
+    """Level-n discretized game with payoff tensors of shape (L, H, n, n).
+
+    M1 and M2 are the payoff matrices of its agent-form game, built once
+    per game: M1 has rows (i, x) and columns (j, y), M1[i*L + x, j*H + y]
+    = U[x, y, i, j]; M2 has rows (j, y) and columns (i, x).
+    """
 
     n: int
     actions1: tuple[str, ...]
@@ -49,6 +55,14 @@ class FiniteGame:
     @property
     def grid(self):
         return np.arange(1, self.n + 1) / self.n
+
+    @cached_property
+    def M1(self):
+        return self.U.transpose(2, 0, 3, 1).reshape(self.n * self.L, -1)
+
+    @cached_property
+    def M2(self):
+        return self.V.transpose(3, 1, 2, 0).reshape(self.n * self.H, -1)
 
 
 @dataclass(frozen=True)
@@ -103,13 +117,11 @@ class StepStrategy:
 
     def value(self, action, theta):
         """F_a(theta); exact partial-sum evaluation, right-continuous."""
-        a = self.index(action)
-        k = min(grid_floor(self.n, theta), self.n)
-        return self._cum[k, a] / self.n
+        return self.values(theta)[self.index(action)]
 
     def values(self, theta):
-        """Vector of all F_a(theta)."""
-        return self.at_index(min(grid_floor(self.n, theta), self.n))
+        """Vector of all F_a(theta); all 0 below theta = 0."""
+        return self.at_index(np.clip(grid_floor(self.n, theta), 0, self.n))
 
     def at_index(self, k):
         """All F_a on [k/n, (k+1)/n); an index array gives one row each."""

@@ -22,7 +22,7 @@ import numpy as np
 from . import expr as exprmod
 from .errors import NegativePrior, NonFinite, ZeroMarginal
 from .expr import Expr
-from .quadrature import integrate, integrate2d
+from .quadrature import integrate2d, integrate_many
 
 SHIFT_MARGIN = 1e-9
 
@@ -171,13 +171,15 @@ class InfiniteGame:
 
 
 def marginal(g, player, theta, quad_tol=1e-9):
-    """Marginal density of one player's type under the normalized prior."""
+    """Marginal density of one player's type under the normalized prior;
+    a 1-D array of types gives one density each, from one batched pass."""
+    thetas = np.atleast_1d(theta)
     if player == 1:
-        f = lambda t: g.prior(theta, t)
+        f = lambda t, k: g.prior(thetas[k], t)
     else:
-        f = lambda t: g.prior(t, theta)
-    value, _ = integrate(f, 0.0, 1.0, quad_tol)
-    return value
+        f = lambda t, k: g.prior(t, thetas[k])
+    values, _ = integrate_many(f, thetas.size, 0.0, 1.0, quad_tol)
+    return values if np.ndim(theta) else float(values[0])
 
 
 def conditional(g, player, theta_other, theta_own, quad_tol=1e-9):
@@ -233,13 +235,12 @@ def load_game(spec, grid_check=101):
     )
 
     # marginal positivity along every grid line
-    for player, gridline in ((1, grid), (2, grid)):
-        for theta in gridline:
-            mv = marginal(game, player, theta, quad_tol=1e-7)
-            if mv <= 0.0:
-                raise ZeroMarginal(
-                    f"marginal of player {player} at theta={theta} is {mv}"
-                )
+    for player in (1, 2):
+        mv = marginal(game, player, grid, quad_tol=1e-7)
+        bad = np.flatnonzero(mv <= 0.0)
+        if bad.size:
+            raise ZeroMarginal(f"marginal of player {player} at "
+                               f"theta={grid[bad[0]]} is {mv[bad[0]]}")
     return game
 
 

@@ -4,9 +4,10 @@ Each panel compares one Simpson estimate against the two-half refinement;
 |S2 - S1| / 15 is the classic Richardson a-posteriori error estimate and
 S2 + (S2 - S1) / 15 the extrapolated value.  Integrands take an array of
 abscissae and return the values there; all panels of one refinement depth
-are evaluated in one call.  The accepted panels are summed in the order a
-depth-first pass over the initial panels, last panel first, would accept
-them, so results are deterministic and do not depend on the batching.
+are evaluated in one call, for every integrand of a batch at once.  The
+accepted panels of each integrand are summed in the order a depth-first
+pass over its initial panels, last panel first, would accept them, so
+results are deterministic and do not depend on the batching.
 """
 
 from __future__ import annotations
@@ -27,6 +28,70 @@ def sequential_sum(values):
     return np.cumsum(values, axis=-1)[..., -1] + 0.0
 
 
+def integrate_many(f, count, a, b, tol, presplit=(), max_panels=10 ** 6):
+    """Integrate count integrands over [a, b], each to absolute accuracy tol.
+
+    f(x, k) maps 1-D arrays of abscissae x and integrand indices k to the
+    values of integrand k[m] at x[m].  Every integrand is refined, held to
+    the panel budget and summed exactly as integrate would do it alone.
+    Returns arrays (values, error_bounds).
+    """
+    if b <= a:
+        return np.zeros(count), np.zeros(count)
+    points = np.array(sorted({a, b, *(p for p in presplit if a < p < b)}),
+                      dtype=float)
+    width = b - a
+
+    lo, hi = points[:-1], points[1:]
+    x = np.concatenate((points, 0.5 * (lo + hi)))
+    fx = f(np.tile(x, count), np.arange(count).repeat(x.size))
+    fx = fx.reshape(count, x.size)
+    flo, fhi, fm = (fx[:, :lo.size].ravel(), fx[:, 1:points.size].ravel(),
+                    fx[:, points.size:].ravel())
+    lo, hi = np.tile(lo, count), np.tile(hi, count)
+    # one column per panel: its ends, f at its ends and middle, its
+    # Simpson value, the initial panel it lies in and its integrand
+    panels = np.array([lo, hi, flo, fm, fhi, _simpson(flo, fm, fhi, hi - lo),
+                       np.tile(np.arange(points.size - 1), count),
+                       np.arange(count).repeat(points.size - 1)])
+
+    accepted = []
+    used = np.zeros(count, dtype=int)
+    while panels.shape[1]:
+        lo, hi, flo, fm, fhi, s_whole, panel, k = panels
+        used += np.bincount(k.astype(int), minlength=count)
+        if used.max() > max_panels:
+            raise QuadratureFailure(
+                f"panel budget {max_panels} exceeded before reaching tol={tol}"
+            )
+        mid = 0.5 * (lo + hi)
+        flm, frm = np.split(f(np.concatenate((0.5 * (lo + mid),
+                                              0.5 * (mid + hi))),
+                              np.concatenate((k, k)).astype(int)), 2)
+        s_left = _simpson(flo, flm, fm, mid - lo)
+        s_right = _simpson(fm, frm, fhi, hi - mid)
+        s2 = s_left + s_right
+        err = np.abs(s2 - s_whole) / 15.0
+        # proportional error allocation keeps the summed bound <= tol
+        ok = (err <= tol * (hi - lo) / width) | (hi - lo < 1e-14)
+        accepted.append(
+            np.array([k, -panel, lo, s2 + (s2 - s_whole) / 15.0, err])[:, ok])
+        left = np.array([lo, mid, flo, flm, fm, s_left, panel, k])
+        right = np.array([mid, hi, fm, frm, fhi, s_right, panel, k])
+        panels = np.concatenate((left[:, ~ok], right[:, ~ok]), axis=1)
+
+    k, key, left_end, value, err = np.concatenate(accepted, axis=1)
+    order = np.lexsort((left_end, key, k))
+    # one row per integrand, padded at its end with +0.0, which changes no
+    # sum that starts from +0.0
+    k = k[order].astype(int)
+    sizes = np.bincount(k, minlength=count)
+    column = np.arange(k.size) - (np.cumsum(sizes) - sizes).repeat(sizes)
+    rows = np.zeros((2, count, sizes.max()))
+    rows[:, k, column] = np.array([value, err])[:, order]
+    return sequential_sum(rows)
+
+
 def integrate(f, a, b, tol, presplit=(), max_panels=10 ** 6):
     """Integrate f over [a, b] to absolute accuracy tol.
 
@@ -37,58 +102,19 @@ def integrate(f, a, b, tol, presplit=(), max_panels=10 ** 6):
     Returns (value, error_bound) with error_bound <= tol on success.
     Raises QuadratureFailure if the panel budget runs out first.
     """
-    if b <= a:
-        return 0.0, 0.0
-    points = np.array(sorted({a, b, *(p for p in presplit if a < p < b)}),
-                      dtype=float)
-    width = b - a
-
-    lo, hi = points[:-1], points[1:]
-    fx = f(np.concatenate((points, 0.5 * (lo + hi))))
-    flo, fhi, fm = fx[:lo.size], fx[1:points.size], fx[points.size:]
-    # one column per panel: its ends, f at its ends and middle, its
-    # Simpson value, and the index of the initial panel it lies in
-    panels = np.array([lo, hi, flo, fm, fhi, _simpson(flo, fm, fhi, hi - lo),
-                       np.arange(lo.size)])
-
-    accepted = []
-    count = 0
-    while panels.shape[1]:
-        count += panels.shape[1]
-        if count > max_panels:
-            raise QuadratureFailure(
-                f"panel budget {max_panels} exceeded before reaching tol={tol}"
-            )
-        lo, hi, flo, fm, fhi, s_whole, panel = panels
-        mid = 0.5 * (lo + hi)
-        flm, frm = np.split(f(np.concatenate((0.5 * (lo + mid),
-                                              0.5 * (mid + hi)))), 2)
-        s_left = _simpson(flo, flm, fm, mid - lo)
-        s_right = _simpson(fm, frm, fhi, hi - mid)
-        s2 = s_left + s_right
-        err = np.abs(s2 - s_whole) / 15.0
-        # proportional error allocation keeps the summed bound <= tol
-        ok = (err <= tol * (hi - lo) / width) | (hi - lo < 1e-14)
-        accepted.append(
-            np.array([-panel, lo, s2 + (s2 - s_whole) / 15.0, err])[:, ok])
-        left = np.array([lo, mid, flo, flm, fm, s_left, panel])
-        right = np.array([mid, hi, fm, frm, fhi, s_right, panel])
-        panels = np.concatenate((left[:, ~ok], right[:, ~ok]), axis=1)
-
-    key, left_end, value, err = np.concatenate(accepted, axis=1)
-    order = np.lexsort((left_end, key))
-    total, err_total = sequential_sum(np.array([value, err])[:, order])
-    return float(total), float(err_total)
+    value, err = integrate_many(lambda x, k: f(x), 1, a, b, tol, presplit,
+                                max_panels)
+    return float(value[0]), float(err[0])
 
 
 def integrate2d(f, tol):
     """Integrate f(t1, t2) over the unit square to absolute accuracy ~tol;
-    f takes a scalar t1 and an array of t2."""
+    f takes two 1-D arrays of the same length."""
     inner_tol = tol / 4.0
 
     def outer(t1):
-        return np.array([integrate(lambda t2: f(x, t2), 0.0, 1.0,
-                                   inner_tol)[0] for x in t1])
+        return integrate_many(lambda t2, k: f(t1[k], t2), t1.size, 0.0, 1.0,
+                              inner_tol)[0]
 
     value, err = integrate(outer, 0.0, 1.0, tol / 2.0)
     return value, err + inner_tol

@@ -7,12 +7,20 @@ Three backends:
                    condition, solved by a built-in dense-tableau simplex
                    with Bland's anti-cycling rule (array code that takes
                    the pivots and roundings of a per-row loop);
-  * solve_fp    -- agent-form fictitious play (general-sum fallback);
+  * solve_fp    -- agent-form fictitious play (general-sum fallback),
+                   one argmax per player and iteration over the action
+                   values of action_values;
   * solve_enum  -- small-instance oracle: pure-profile enumeration with a
                    support-enumeration fallback.
 
 All payoffs here are prior-assimilated, so the finite game carries a
 uniform 1/n^2 prior and a uniform 1/n conditional.
+
+Action values are np.vecdot of the game's cached agent-form matrices
+(FiniteGame.M1, M2) with the opponent's flattened rows: one dot product
+per (type, action) row.  Not `@`: BLAS gemv rounds some rows of a block
+differently from identical rows elsewhere, which breaks exact ties
+between duplicated actions and so changes best responses.
 """
 
 from __future__ import annotations
@@ -66,11 +74,14 @@ class Prop1Result:
 # interim values, best responses, gaps
 
 def action_values(fg, player, opponent_rows):
-    """Ex-ante per-type action values q[i, a] (the 1/n^2 prior included)."""
-    scale = 1.0 / fg.n ** 2
-    if player == 1:
-        return np.einsum("xyij,jy->ix", fg.U, opponent_rows) * scale
-    return np.einsum("xyij,ix->jy", fg.V, opponent_rows) * scale
+    """Ex-ante per-type action values q[i, a] (the 1/n^2 prior included).
+
+    One dot product per row of the agent-form matrix, so identical action
+    rows give identical values and ties between them stay exact.
+    """
+    M, width = (fg.M1, fg.L) if player == 1 else (fg.M2, fg.H)
+    q = np.vecdot(M, opponent_rows.ravel()).reshape(fg.n, width)
+    return q * (1.0 / fg.n ** 2)
 
 
 def _pure_rows(choice, width):
@@ -79,8 +90,10 @@ def _pure_rows(choice, width):
     return rows
 
 
-def _regret(q, own_rows):
-    return float(q.max(axis=1).sum() - (own_rows * q).sum())
+def _regret(q, own_rows, choice):
+    """Ex-ante regret of own_rows given q and its per-type argmax."""
+    best = q[np.arange(q.shape[0]), choice]
+    return float(best.sum() - (own_rows * q).sum())
 
 
 def finite_best_response(fg, player, opponent_rows):
@@ -95,8 +108,10 @@ def finite_best_response(fg, player, opponent_rows):
 
 def finite_gap(fg, profile):
     """Exact ex-ante regret of each player within the finite game."""
-    return (_regret(action_values(fg, 1, profile.t), profile.s),
-            _regret(action_values(fg, 2, profile.s), profile.t))
+    q1 = action_values(fg, 1, profile.t)
+    q2 = action_values(fg, 2, profile.s)
+    return (_regret(q1, profile.s, q1.argmax(axis=1)),
+            _regret(q2, profile.t, q2.argmax(axis=1)))
 
 
 def ck_objective(fg, profile, alpha1, alpha2):
@@ -352,8 +367,8 @@ def solve_lp(fg, alpha1=None, alpha2=None):
     A_ub = np.zeros((N1 + N2, nvar))
     b_ub = np.zeros(N1 + N2)
     rows1, rows2 = np.arange(N1), np.arange(N2)
-    A_ub[:N1, N1:N1 + N2] = (fg.U / n).transpose(2, 0, 3, 1).reshape(N1, N2)
-    A_ub[N1:, :N1] = (fg.V / n).transpose(3, 1, 2, 0).reshape(N2, N1)
+    A_ub[:N1, N1:N1 + N2] = fg.M1 / n
+    A_ub[N1:, :N1] = fg.M2 / n
     A_ub[rows1, N1 + N2 + rows1 // L] = -1.0
     A_ub[N1 + rows2, N1 + N2 + n + rows2 // H] = -1.0
 
@@ -383,6 +398,15 @@ def solve_lp(fg, alpha1=None, alpha2=None):
 # ---------------------------------------------------------------------------
 # fictitious play backend
 
+def _fp_step(rows, choice, k):
+    """rows += (pure rows of choice - rows) / (k + 1), in place; 1 - r
+    and 1 + (-r) round alike, so this is bit-equal to that formula."""
+    d = -rows
+    d[np.arange(rows.shape[0]), choice] += 1.0
+    d /= k + 1.0
+    rows += d
+
+
 def solve_fp(fg, max_iters=2000, target_gap=1e-6):
     """Agent-form fictitious play with uniform averaging.
 
@@ -394,22 +418,26 @@ def solve_fp(fg, max_iters=2000, target_gap=1e-6):
     n, L, H = fg.n, fg.L, fg.H
     s = np.full((n, L), 1.0 / L)
     t = np.full((n, H), 1.0 / H)
-    best = None
+    best = None  # (s, t, gap1, gap2, iteration) of the best iterate
     best_gap = np.inf
     for k in range(1, max_iters + 1):
         q1 = action_values(fg, 1, t)
         q2 = action_values(fg, 2, s)
-        gap1, gap2 = _regret(q1, s), _regret(q2, t)
+        b1, b2 = q1.argmax(axis=1), q2.argmax(axis=1)  # ties: lowest index
+        gap1, gap2 = _regret(q1, s, b1), _regret(q2, t, b2)
         worst = max(gap1, gap2)
         if worst < best_gap:
             best_gap = worst
-            profile = BehavioralProfile(s.copy(), t.copy())
-            best = SolverResult(profile, gap1, gap2, "fp", k)
+            best = (s.copy(), t.copy(), gap1, gap2, k)
         if worst <= target_gap:
-            return best
-        s += (_pure_rows(np.argmax(q1, axis=1), L) - s) / (k + 1.0)
-        t += (_pure_rows(np.argmax(q2, axis=1), H) - t) / (k + 1.0)
-    raise NoConvergence(best)
+            break
+        _fp_step(s, b1, k)
+        _fp_step(t, b2, k)
+    result = None if best is None else SolverResult(
+        BehavioralProfile(best[0], best[1]), best[2], best[3], "fp", best[4])
+    if best_gap <= target_gap:
+        return result
+    raise NoConvergence(result)
 
 
 # ---------------------------------------------------------------------------

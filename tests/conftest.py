@@ -217,32 +217,41 @@ def oracle_payoff(g, player, x, y, theta1, theta2):
 
 
 # ---------------------------------------------------------------------------
-# the per-row tableau simplex and the fictitious play loop (with the gap
-# and best-response code it called) that the array code in bnecert.solver
-# replaced; the new code must take the same pivots and iterates, bit for
-# bit
+# the per-row tableau simplex, the fictitious play loop (with the gap and
+# best-response code it called) and the einsum action values that the
+# array code in bnecert.solver replaced; the new code must take the same
+# pivots and iterates, bit for bit
 
 _TOL = 1e-9
 _PIV_TOL = 1e-7
 _REFACTOR_EVERY = 40
 
 
-def oracle_finite_best_response(fg, player, opponent_rows):
+def oracle_action_values(fg, player, opponent_rows):
+    """Ex-ante per-type action values q[i, a] (the 1/n^2 prior included)."""
+    scale = 1.0 / fg.n ** 2
+    if player == 1:
+        return np.einsum("xyij,jy->ix", fg.U, opponent_rows) * scale
+    return np.einsum("xyij,ix->jy", fg.V, opponent_rows) * scale
+
+
+def oracle_finite_best_response(fg, player, opponent_rows,
+                                values=action_values):
     """Pure per-type best response and its ex-ante value.
 
     Ties break toward the lowest action index.
     """
-    q = action_values(fg, player, opponent_rows)
+    q = values(fg, player, opponent_rows)
     choice = np.argmax(q, axis=1)  # first maximum = lowest index
     pure = np.zeros_like(q)
     pure[np.arange(q.shape[0]), choice] = 1.0
     return pure, float(q.max(axis=1).sum())
 
 
-def oracle_finite_gap(fg, profile):
+def oracle_finite_gap(fg, profile, values=action_values):
     """Exact ex-ante regret of each player within the finite game."""
-    q1 = action_values(fg, 1, profile.t)
-    q2 = action_values(fg, 2, profile.s)
+    q1 = values(fg, 1, profile.t)
+    q2 = values(fg, 2, profile.s)
     gap1 = float(q1.max(axis=1).sum() - (profile.s * q1).sum())
     gap2 = float(q2.max(axis=1).sum() - (profile.t * q2).sum())
     return gap1, gap2
@@ -418,11 +427,13 @@ def oracle_simplex(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     return x, pivots
 
 
-def oracle_solve_fp(fg, max_iters=2000, target_gap=1e-6):
+def oracle_solve_fp(fg, max_iters=2000, target_gap=1e-6,
+                    values=action_values):
     """Agent-form fictitious play with uniform averaging.
 
     Raises NoConvergence (carrying the best iterate) if the target gap is
-    not reached within max_iters iterations.
+    not reached within max_iters iterations.  values computes the action
+    values: the library's by default, or oracle_action_values.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -433,15 +444,15 @@ def oracle_solve_fp(fg, max_iters=2000, target_gap=1e-6):
     best_gap = np.inf
     for k in range(1, max_iters + 1):
         profile = BehavioralProfile(s.copy(), t.copy())
-        gap1, gap2 = oracle_finite_gap(fg, profile)
+        gap1, gap2 = oracle_finite_gap(fg, profile, values)
         worst = max(gap1, gap2)
         if worst < best_gap:
             best_gap = worst
             best = SolverResult(profile, gap1, gap2, "fp", k)
         if worst <= target_gap:
             return best
-        br1, _ = oracle_finite_best_response(fg, 1, t)
-        br2, _ = oracle_finite_best_response(fg, 2, s)
+        br1, _ = oracle_finite_best_response(fg, 1, t, values)
+        br2, _ = oracle_finite_best_response(fg, 2, s, values)
         s += (br1 - s) / (k + 1.0)
         t += (br2 - t) / (k + 1.0)
     raise NoConvergence(best)

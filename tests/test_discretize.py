@@ -92,6 +92,21 @@ def test_eval_step_examples():
     assert Fp.value("x1", 0.26) == 0.25
 
 
+@pytest.mark.parametrize("theta, want", [
+    (-0.5, [0.0, 0.0]),
+    (-1e-13, [0.0, 0.0]),
+    (0.0, [0.0, 0.0]),
+    (1.5, [0.4375, 0.5625]),
+])
+def test_step_cdf_outside_the_grid(theta, want):
+    weights = np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0], [0.25, 0.75]])
+    F = bc.lift(bc.BehavioralProfile(weights, weights), 1, ("x1", "x2"))
+    # a negative floor index used to read _cum from its end: F(-0.5) was
+    # [0.375, 0.375]
+    assert F.values(theta).tolist() == want
+    assert [F.value(a, theta) for a in ("x1", "x2")] == want
+
+
 def test_unknown_action():
     F = bc.lift(bc.BehavioralProfile.uniform(2, 2, 2), 1)
     with pytest.raises(UnknownAction):

@@ -87,6 +87,16 @@ def test_marginal_examples():
     assert bc.marginal(linear, 1, 0.0) == pytest.approx(0.5, abs=1e-8)
 
 
+def test_marginal_of_a_type_array_equals_one_type_at_a_time():
+    g = make_game([["1"]], [["0"]],
+                  prior="1 + exp(theta1) * abs(theta2 - 0.3)")
+    grid = np.linspace(0.0, 1.0, 41)
+    for player in (1, 2):
+        batch = bc.marginal(g, player, grid, quad_tol=1e-7)
+        one = [bc.marginal(g, player, theta, quad_tol=1e-7) for theta in grid]
+        assert batch.tobytes() == np.array(one).tobytes()
+
+
 def test_conditional_examples():
     uniform = make_game([["1"]], [["0"]], prior="1")
     assert bc.conditional(uniform, 1, 0.8, 0.2) == pytest.approx(1.0,

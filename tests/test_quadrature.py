@@ -7,7 +7,7 @@ import pytest
 
 from bnecert import parse
 from bnecert.errors import QuadratureFailure
-from bnecert.quadrature import integrate, integrate2d
+from bnecert.quadrature import integrate, integrate2d, integrate_many
 
 from conftest import oracle_eval
 
@@ -170,3 +170,41 @@ def test_batched_equals_depth_first_on_300_kinked_integrands():
                         max_panels)
         assert got == want
     assert 0 < failures < 300
+
+
+def test_batch_equals_depth_first_per_integrand():
+    """Each integrand of a batch is refined, budgeted and summed as if it
+    were alone, however many panels the others need."""
+    rng = np.random.default_rng(6)
+    failures = 0
+    for _ in range(12):
+        exprs = [parse(_random_kinked_integrand(rng)) for _ in range(25)]
+        exprs.append(parse("0 * theta1"))  # an all-zero sum
+        presplit = tuple(rng.random(int(rng.integers(0, 4))))
+        tol = 10.0 ** rng.uniform(-9.0, -4.0)
+        max_panels = int(rng.choice([60, 10 ** 6]))
+        a, b = sorted(rng.uniform(-0.5, 1.5, 2))
+
+        def f(x, k):
+            values = np.array([e.eval(x, 0.0) for e in exprs])
+            return values[k, np.arange(x.size)]
+
+        want = []
+        for e in exprs:
+            try:
+                want.append(_depth_first_integrate(
+                    lambda t: oracle_eval(e, t, 0.0), a, b, tol, presplit,
+                    max_panels))
+            except QuadratureFailure:
+                want = None
+                break
+        if want is None:
+            with pytest.raises(QuadratureFailure):
+                integrate_many(f, len(exprs), a, b, tol, presplit,
+                               max_panels)
+            failures += 1
+            continue
+        values, errs = integrate_many(f, len(exprs), a, b, tol, presplit,
+                                      max_panels)
+        assert np.array([values, errs]).T.tobytes() == np.array(want).tobytes()
+    assert 0 < failures < 12

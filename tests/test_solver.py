@@ -36,6 +36,7 @@ from bnecert.solver import (
 from conftest import (
     ex_ante_value,
     make_game,
+    oracle_action_values,
     oracle_finite_best_response,
     oracle_finite_gap,
     oracle_simplex,
@@ -475,6 +476,132 @@ def test_fp_and_gaps_equal_the_oracle_bit_for_bit():
                 assert got == _fp_outcome(oracle_solve_fp, fg, target)
                 converged.add(got[0])
     assert converged == {True, False}
+
+
+def _duplicated_actions_game(rng, n, L, H):
+    """Random payoffs where actions 0 and 1 of each player are copies of
+    each other and beat every other action."""
+    U, V = rng.random((L, H, n, n)), rng.random((L, H, n, n))
+    U[:2] = U[0] + 1.0
+    V[:, :2] = V[:, :1] + 1.0
+    return FiniteGame(n, tuple(f"x{x}" for x in range(L)),
+                      tuple(f"y{y}" for y in range(H)), U, V)
+
+
+def test_duplicated_actions_tie_exactly_at_every_level():
+    # a blocked matrix-vector kernel (BLAS gemv, numpy's @) rounds some
+    # rows apart from identical ones, e.g. at n = 6 with three actions
+    rng = np.random.default_rng(41)
+    for n in range(1, 65):
+        for L, H in ((2, 3), (3, 2), (3, 3), (4, 3)):
+            fg = _duplicated_actions_game(rng, n, L, H)
+            profile = random_profile(rng, n, L, H)
+            for player, rows in ((1, profile.t), (2, profile.s)):
+                q = action_values(fg, player, rows)
+                assert q[:, 0].tobytes() == q[:, 1].tobytes()
+                pure, _ = finite_best_response(fg, player, rows)
+                assert np.all(pure[:, 0] == 1.0)
+
+
+def test_fp_takes_the_einsum_oracle_trajectories():
+    """Where no two distinct payoff rows tie in real arithmetic, rounding
+    never decides a best response, so fp takes the einsum's iterates."""
+    rng = np.random.default_rng(43)
+    # x1 = x2 and y2 = y3 as actions: their values tie exactly
+    u, v = ([[random_poly(rng) for _ in range(3)] for _ in range(2)]
+            for _ in range(2))
+    u[1] = u[0]
+    v = [[row[0], row[1], row[1]] for row in v]
+    games = [make_game(u, v)]
+    for L, H in ((2, 2), (2, 3), (3, 3)):
+        u, v = ([[random_poly(rng) for _ in range(H)] for _ in range(L)]
+                for _ in range(2))
+        games.append(make_game(u, v))
+    converged = set()
+    for g in games:
+        for n in (*range(1, 9), 40, 56):
+            fg = bc.build_finite(g, n)
+            for target in (1e-2, 1e-9):
+                got = _fp_outcome(solve_fp, fg, target)
+                want = _fp_outcome(
+                    lambda fg, **kw: oracle_solve_fp(
+                        fg, values=oracle_action_values, **kw),
+                    fg, target)
+                # gaps may differ in rounding; the iterates may not
+                assert got[:2] + got[4:] == want[:2] + want[4:]
+                converged.add(got[0])
+    assert converged == {True, False}
+
+
+def test_action_values_within_the_dot_product_bound_of_einsum():
+    rng = np.random.default_rng(47)
+    u = 2.0 ** -53
+    for n in (1, 2, 5, 16, 33, 56, 96):
+        for L, H in ((2, 2), (2, 3), (3, 3), (4, 3)):
+            U = rng.random((L, H, n, n)) * 10.0 ** rng.integers(-3, 4)
+            V = rng.random((L, H, n, n)) - 0.5
+            fg = FiniteGame(n, ("x",) * L, ("y",) * H, U, V)
+            profile = random_profile(rng, n, L, H)
+            for player, rows, M, terms in ((1, profile.t, fg.M1, n * H),
+                                           (2, profile.s, fg.M2, n * L)):
+                got = action_values(fg, player, rows)
+                want = oracle_action_values(fg, player, rows)
+                # either result is within gamma_{k+1} * sum |m * x| * scale
+                # of the exact one: k products and sums, then the scaling
+                gamma = (terms + 1) * u / (1.0 - (terms + 1) * u)
+                size = (np.abs(M) @ np.abs(rows.ravel())).reshape(got.shape)
+                bound = 2.0 * gamma * size / n ** 2
+                assert np.all(np.abs(got - want) <= bound)
+
+
+def test_fp_reports_the_gaps_of_its_profile():
+    rng = np.random.default_rng(53)
+    for L, H in ((2, 2), (2, 3), (3, 3)):
+        u, v = ([[random_poly(rng) for _ in range(H)] for _ in range(L)]
+                for _ in range(2))
+        g = make_game(u, v)
+        for n in (1, 4, 9, 24):
+            fg = bc.build_finite(g, n)
+            for target in (1e-2, 1e-9):
+                try:
+                    res = solve_fp(fg, max_iters=200, target_gap=target)
+                except NoConvergence as exc:
+                    res = exc.result
+                gaps = finite_gap(fg, res.profile)
+                assert (res.finite_gap1, res.finite_gap2) == gaps
+
+
+def test_fp_does_not_depend_on_the_blas_thread_count():
+    """The simplex's failures move with the BLAS thread count; fp's
+    trajectory must not."""
+    code = (
+        "import hashlib, numpy as np; "
+        "from bnecert import FiniteGame, solve_fp; "
+        "from bnecert.errors import NoConvergence\n"
+        "rng = np.random.default_rng(59)\n"
+        "U, V = rng.random((2, 3, 56, 56)), rng.random((2, 3, 56, 56))\n"
+        "fg = FiniteGame(56, ('x1', 'x2'), ('y1', 'y2', 'y3'), U, V)\n"
+        "try:\n"
+        "    res = solve_fp(fg, max_iters=500, target_gap=1e-9)\n"
+        "except NoConvergence as exc:\n"
+        "    res = exc.result\n"
+        "p = res.profile\n"
+        "print(res.iterations, res.finite_gap1.hex(), res.finite_gap2.hex(),"
+        " hashlib.sha256(p.s.tobytes() + p.t.tobytes()).hexdigest())\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    outputs = []
+    for threads in ("1", None):
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
