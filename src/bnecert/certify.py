@@ -5,6 +5,8 @@ sum.  The best deviation value reduces to integrating the pointwise
 maximum over own actions of the atomic opponent sum; that integrand is
 piecewise smooth with kinks where the argmax switches, so quadrature
 panels are pre-split at every opponent atom and refined adaptively.
+Each opponent sum is one np.vecdot over the atoms and actions of nonzero
+mass, of payoffs from numpy's ufuncs (within 1 ulp of the C library's).
 
 Acceptance is conservative: a certificate only passes if the measured
 gap plus the a-posteriori quadrature bound stays within epsilon.
@@ -12,12 +14,13 @@ gap plus the a-posteriori quadrature bound stays within epsilon.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .quadrature import integrate, sequential_sum
+from .quadrature import integrate
 
 QUAD_TOL_FLOOR = 1e-9
 
@@ -48,8 +51,8 @@ def profile_value(g, F, G, player):
 
 def best_deviation_integrand(g, player, opponent):
     """theta -> max over own actions of the atomic opponent sum, for a
-    1-D array of theta; each sum is rounded term by term in (atom, action)
-    order, skipping zero masses, whatever the batch."""
+    1-D array of theta; each sum is one dot product over the atoms and
+    actions of nonzero mass, so 0 * inf never arises."""
     masses = opponent.atom_masses()
     pts = opponent.atom_points
     keep = masses != 0.0
@@ -61,13 +64,20 @@ def best_deviation_integrand(g, player, opponent):
         return g.payoff(2, pts, theta).transpose(1, 2, 3, 0)
 
     def psi(theta):
-        with np.errstate(invalid="ignore"):  # 0 * inf, dropped by keep
-            terms = np.where(keep, masses * payoff(theta[:, None]), 0.0)
-        acc = sequential_sum(terms.reshape(*terms.shape[:2], -1))
-        # nan never beats the running best, which starts at -inf
+        acc = np.vecdot(payoff(theta[:, None])[..., keep], masses[keep])
+        # nan never beats another action
         return np.where(np.isnan(acc), -np.inf, acc).max(axis=0)
 
     return psi
+
+
+def check_tolerances(epsilon, quad_tol=None):
+    """ValueError unless epsilon is positive and finite and quad_tol, if
+    given, is positive."""
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    if quad_tol is not None and not quad_tol > 0.0:
+        raise ValueError(f"quad_tol must be positive, got {quad_tol}")
 
 
 def br_value_infinite(g, player, opponent, quad_tol=1e-7):
@@ -76,7 +86,7 @@ def br_value_infinite(g, player, opponent, quad_tol=1e-7):
     Returns (value, error_bound) from adaptive Simpson quadrature with
     mandatory panel splits at the opponent's atom abscissae.
     """
-    if quad_tol <= 0.0:
+    if not quad_tol > 0.0:
         raise ValueError("quad_tol must be positive")
     psi = best_deviation_integrand(g, player, opponent)
     presplit = opponent.atom_points[:-1]
@@ -85,8 +95,7 @@ def br_value_infinite(g, player, opponent, quad_tol=1e-7):
 
 def certify(g, F, G, epsilon, quad_tol=None):
     """Check the epsilon-equilibrium condition of the infinite game."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    check_tolerances(epsilon, quad_tol)
     if quad_tol is None:
         quad_tol = epsilon / 100.0
     quad_tol = max(min(quad_tol, epsilon / 10.0), QUAD_TOL_FLOOR)

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .certify import certify
+from .certify import certify, check_tolerances
 from .discretize import build_finite, grid_floor, lift
 from .driver import RunConfig, resolve_backend, run, solve_level
 from .errors import BnecertError
@@ -90,6 +90,7 @@ def cmd_solve(args):
 
 
 def cmd_certify(args):
+    check_tolerances(args.epsilon, args.quad_tol)
     g = _load(args)
     result, _ = _solve(g, args, args.epsilon)
     F = lift(result.profile, 1, actions=g.actions1)
@@ -115,7 +116,6 @@ def _write_curves(base, report):
 
 
 def cmd_run(args):
-    g = _load(args)
     cfg = RunConfig(
         epsilon=args.epsilon,
         max_level=args.max_level,
@@ -124,7 +124,7 @@ def cmd_run(args):
         fp_max_iters=args.fp_max_iters,
         quad_tol=args.quad_tol,
     )
-    report = run(g, cfg)
+    report = run(_load(args), cfg)
     text = report.to_json()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

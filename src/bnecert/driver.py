@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .certify import certify
+from .certify import certify, check_tolerances
 from .discretize import build_finite, lift
 from .errors import AllLevelsFailed, BnecertError, NoConvergence
 from .solver import check_prop1, default_alphas, solve_enum, solve_fp, solve_lp
@@ -30,10 +30,11 @@ class RunConfig:
     quad_tol: float | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        check_tolerances(self.epsilon, self.quad_tol)
         if self.max_level < 1:
             raise ValueError("max_level must be >= 1")
+        if self.fp_max_iters < 1:
+            raise ValueError("fp_max_iters must be >= 1")
         if self.schedule not in ("linear", "doubling"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.backend not in ("auto", "lp", "fp", "enum_oracle"):

@@ -42,6 +42,18 @@ def _variables_of(e):
     return set()
 
 
+_ARRAY = (list, tuple)  # a JSON array, or a tuple in a spec built in code
+
+
+def _strings(x):
+    return isinstance(x, _ARRAY) and all(isinstance(s, str) for s in x)
+
+
+def _finite_pair(x):
+    return isinstance(x, _ARRAY) and len(x) == 2 and all(
+        isinstance(v, (int, float)) and math.isfinite(v) for v in x)
+
+
 def _shift(table, t1, t2):
     """Nonnegativity shift of a utility table, checked finite at types
     t1 x t2 (one axis each)."""
@@ -92,19 +104,43 @@ class GameSpec:
 
     @classmethod
     def from_dict(cls, d):
-        def table(rows):
-            return tuple(tuple(exprmod.parse(s) for s in row) for row in rows)
+        """Spec from its JSON object; a missing or mistyped field raises a
+        ValueError that names it."""
+        if not isinstance(d, dict):
+            raise ValueError("a game spec must be a JSON object")
+
+        def field(name, what, ok, default=None):
+            if name not in d and default is None:
+                raise ValueError(f"spec has no {name!r} field")
+            value = d.get(name, default)
+            if not ok(value):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+            return value
+
+        def expr(name):
+            return exprmod.parse(field(name, "an expression string",
+                                       lambda x: isinstance(x, str)))
+
+        def table(name):
+            rows = field(name, "a list of rows of expression strings",
+                         lambda t: isinstance(t, _ARRAY)
+                         and all(map(_strings, t)))
+            return tuple(tuple(map(exprmod.parse, row)) for row in rows)
+
+        def type_range(name):
+            return tuple(field(name, "two finite numbers", _finite_pair,
+                               (0.0, 1.0)))
 
         return cls(
-            actions1=tuple(d["actions1"]),
-            actions2=tuple(d["actions2"]),
-            u_raw=table(d["u"]),
-            v_raw=table(d["v"]),
-            prior=exprmod.parse(d["prior"]),
-            m1=exprmod.parse(d["m1"]) if "m1" in d else None,
-            m2=exprmod.parse(d["m2"]) if "m2" in d else None,
-            type_range1=tuple(d.get("type_range1", (0.0, 1.0))),
-            type_range2=tuple(d.get("type_range2", (0.0, 1.0))),
+            actions1=tuple(field("actions1", "a list of strings", _strings)),
+            actions2=tuple(field("actions2", "a list of strings", _strings)),
+            u_raw=table("u"),
+            v_raw=table("v"),
+            prior=expr("prior"),
+            m1=expr("m1") if "m1" in d else None,
+            m2=expr("m2") if "m2" in d else None,
+            type_range1=type_range("type_range1"),
+            type_range2=type_range("type_range2"),
         )
 
     @classmethod

@@ -4,10 +4,11 @@ Each panel compares one Simpson estimate against the two-half refinement;
 |S2 - S1| / 15 is the classic Richardson a-posteriori error estimate and
 S2 + (S2 - S1) / 15 the extrapolated value.  Integrands take an array of
 abscissae and return the values there; all panels of one refinement depth
-are evaluated in one call, for every integrand of a batch at once.  The
-accepted panels of each integrand are summed in the order a depth-first
-pass over its initial panels, last panel first, would accept them, so
-results are deterministic and do not depend on the batching.
+are evaluated in one call, for every integrand of a batch at once.  Each
+integrand's accepted values and errors are summed in the order the
+refinement accepts its panels, depth by depth; that order is the same
+whether it is integrated alone or in a batch, so results are
+deterministic and do not depend on the batching.
 """
 
 from __future__ import annotations
@@ -19,13 +20,6 @@ from .errors import QuadratureFailure
 
 def _simpson(fa, fm, fb, h):
     return (h / 6.0) * (fa + 4.0 * fm + fb)
-
-
-def sequential_sum(values):
-    """0.0 + values[..., 0] + values[..., 1] + ..., rounded left to right."""
-    # cumsum starts at values[..., 0] instead, which can only change the
-    # sign of an all-zero sum; adding +0.0 undoes that
-    return np.cumsum(values, axis=-1)[..., -1] + 0.0
 
 
 def integrate_many(f, count, a, b, tol, presplit=(), max_panels=10 ** 6):
@@ -50,16 +44,16 @@ def integrate_many(f, count, a, b, tol, presplit=(), max_panels=10 ** 6):
                     fx[:, points.size:].ravel())
     lo, hi = np.tile(lo, count), np.tile(hi, count)
     # one column per panel: its ends, f at its ends and middle, its
-    # Simpson value, the initial panel it lies in and its integrand
+    # Simpson value and its integrand
     panels = np.array([lo, hi, flo, fm, fhi, _simpson(flo, fm, fhi, hi - lo),
-                       np.tile(np.arange(points.size - 1), count),
                        np.arange(count).repeat(points.size - 1)])
 
     accepted = []
     used = np.zeros(count, dtype=int)
     while panels.shape[1]:
-        lo, hi, flo, fm, fhi, s_whole, panel, k = panels
-        used += np.bincount(k.astype(int), minlength=count)
+        lo, hi, flo, fm, fhi, s_whole, k = panels
+        k = k.astype(int)
+        used += np.bincount(k, minlength=count)
         if used.max() > max_panels:
             raise QuadratureFailure(
                 f"panel budget {max_panels} exceeded before reaching tol={tol}"
@@ -67,29 +61,23 @@ def integrate_many(f, count, a, b, tol, presplit=(), max_panels=10 ** 6):
         mid = 0.5 * (lo + hi)
         flm, frm = np.split(f(np.concatenate((0.5 * (lo + mid),
                                               0.5 * (mid + hi))),
-                              np.concatenate((k, k)).astype(int)), 2)
+                              np.concatenate((k, k))), 2)
         s_left = _simpson(flo, flm, fm, mid - lo)
         s_right = _simpson(fm, frm, fhi, hi - mid)
         s2 = s_left + s_right
         err = np.abs(s2 - s_whole) / 15.0
         # proportional error allocation keeps the summed bound <= tol
         ok = (err <= tol * (hi - lo) / width) | (hi - lo < 1e-14)
-        accepted.append(
-            np.array([k, -panel, lo, s2 + (s2 - s_whole) / 15.0, err])[:, ok])
-        left = np.array([lo, mid, flo, flm, fm, s_left, panel, k])
-        right = np.array([mid, hi, fm, frm, fhi, s_right, panel, k])
+        accepted.append(np.array([k, s2 + (s2 - s_whole) / 15.0, err])[:, ok])
+        left = np.array([lo, mid, flo, flm, fm, s_left, k])
+        right = np.array([mid, hi, fm, frm, fhi, s_right, k])
         panels = np.concatenate((left[:, ~ok], right[:, ~ok]), axis=1)
 
-    k, key, left_end, value, err = np.concatenate(accepted, axis=1)
-    order = np.lexsort((left_end, key, k))
-    # one row per integrand, padded at its end with +0.0, which changes no
-    # sum that starts from +0.0
-    k = k[order].astype(int)
-    sizes = np.bincount(k, minlength=count)
-    column = np.arange(k.size) - (np.cumsum(sizes) - sizes).repeat(sizes)
-    rows = np.zeros((2, count, sizes.max()))
-    rows[:, k, column] = np.array([value, err])[:, order]
-    return sequential_sum(rows)
+    # bincount adds each integrand's terms to +0.0 in array order
+    k, value, err = np.concatenate(accepted, axis=1)
+    k = k.astype(int)
+    return (np.bincount(k, weights=value, minlength=count),
+            np.bincount(k, weights=err, minlength=count))
 
 
 def integrate(f, a, b, tol, presplit=(), max_panels=10 ** 6):

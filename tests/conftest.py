@@ -4,7 +4,7 @@ The oracles here deliberately avoid the library's own quadrature and
 tensor code paths: Riemann sums are plain uniform midpoint sums over
 numpy arrays, reference payoff sums are naive Python loops, and the
 expression oracle walks the tree one point at a time with Python floats
-and the math module.  The tableau simplex and fictitious play oracles
+and numpy's scalar exp, log, sin, cos and power.  The tableau simplex and fictitious play oracles
 are the per-row loop versions that the array code replaced.
 """
 
@@ -143,9 +143,10 @@ def _is_integer(b):
 def oracle_eval(e, theta1, theta2):
     """Value of an Expr tree at one type pair, with Python floats.
 
-    This is the scalar evaluator the array one replaced, except that an
-    overflow gives +-inf (as libm does) rather than OverflowError, and
-    sin/cos of an infinity give nan.
+    This is the scalar evaluator the array one replaced, except that exp,
+    log, sin, cos and ^ are numpy's, called on one float64 at a time: an
+    overflow gives +-inf rather than OverflowError, and sin/cos of an
+    infinity give nan.
     """
     theta1, theta2 = float(theta1), float(theta2)
     if isinstance(e, Num):
@@ -174,10 +175,7 @@ def oracle_eval(e, theta1, theta2):
             )
         if a == 0.0 and b < 0.0:
             raise DomainError("zero raised to a negative power")
-        try:
-            return a ** b
-        except OverflowError:
-            return -math.inf if a < 0.0 and b % 2.0 == 1.0 else math.inf
+        return _np_scalar(np.power, a, b)
     vals = [oracle_eval(a, theta1, theta2) for a in e.args]
     name = e.name
     if name == "min":
@@ -186,22 +184,19 @@ def oracle_eval(e, theta1, theta2):
         return max(vals)
     if name == "abs":
         return abs(vals[0])
-    if name == "exp":
-        try:
-            return math.exp(vals[0])
-        except OverflowError:
-            return math.inf
-    if name == "log":
-        if vals[0] <= 0.0:
-            raise DomainError(f"log of non-positive value {vals[0]!r}")
-        return math.log(vals[0])
+    if name == "log" and vals[0] <= 0.0:
+        raise DomainError(f"log of non-positive value {vals[0]!r}")
     if name == "sqrt":
         if vals[0] < 0.0:
             raise DomainError(f"sqrt of negative value {vals[0]!r}")
         return math.sqrt(vals[0])
-    if not math.isfinite(vals[0]):
-        return math.nan
-    return math.sin(vals[0]) if name == "sin" else math.cos(vals[0])
+    return _np_scalar(getattr(np, name), vals[0])
+
+
+def _np_scalar(ufunc, *args):
+    """ufunc at float64 scalars, as a Python float; overflow gives +-inf."""
+    with np.errstate(all="ignore"):
+        return float(ufunc(*map(np.float64, args)))
 
 
 def oracle_payoff(g, player, x, y, theta1, theta2):

@@ -108,28 +108,34 @@ def test_br_value_against_riemann_oracle_20_games():
             assert err <= quad_tol
 
 
-def _scalar_psi(g, player, opponent, theta):
-    """Best-deviation integrand at one type, looping over actions and atoms."""
+def _scalar_sums(g, player, opponent, theta):
+    """Per own action at one type: the atomic opponent sum, rounded term by
+    term in (atom, action) order with zero masses skipped, the sum of the
+    terms' magnitudes and the number of terms."""
     masses = opponent.atom_masses()
-    best = -np.inf
+    sums = []
     for a in range(g.L if player == 1 else g.H):
-        acc = 0.0
+        acc = size = 0.0
+        count = 0
         for j, t in enumerate(opponent.atom_points):
             for o in range(len(opponent.actions)):
                 m = masses[j, o]
                 if m == 0.0:
                     continue
                 if player == 1:
-                    acc += m * oracle_payoff(g, 1, a, o, theta, t)
+                    term = m * oracle_payoff(g, 1, a, o, theta, t)
                 else:
-                    acc += m * oracle_payoff(g, 2, o, a, t, theta)
-        if acc > best:
-            best = acc
-    return best
+                    term = m * oracle_payoff(g, 2, o, a, t, theta)
+                acc += term
+                size += abs(term)
+                count += 1
+        sums.append((acc, size, count))
+    return sums
 
 
-def test_best_deviation_integrand_equals_scalar_loop_bit_for_bit():
+def test_best_deviation_integrand_within_the_dot_bound_of_scalar_loop():
     rng = np.random.default_rng(21)
+    u = 2.0 ** -53
     g = make_game(
         [["exp(theta1 - theta2)", "sin(3*theta1*theta2)", "theta1^1.5"],
          ["log(1 + theta2)", "min(theta1, theta2)", "sqrt(theta2)"]],
@@ -146,8 +152,14 @@ def test_best_deviation_integrand_equals_scalar_loop_bit_for_bit():
         theta = np.concatenate((rng.random(20), F.atom_points, [0.0]))
         for player, opponent in ((1, G), (2, F)):
             got = best_deviation_integrand(g, player, opponent)(theta)
-            want = [_scalar_psi(g, player, opponent, x) for x in theta]
-            assert got.tolist() == want
+            for x, value in zip(theta, got):
+                sums = _scalar_sums(g, player, opponent, x)
+                # a dot product of k terms is within gamma_k * sum |term|
+                # of the exact one, however it is summed; the max over own
+                # actions moves by no more than its largest argument does
+                bound = max(2.0 * k * u / (1.0 - k * u) * size
+                            for _, size, k in sums)
+                assert abs(value - max(acc for acc, _, _ in sums)) <= bound
 
 
 def test_best_deviation_ignores_zero_mass_actions_where_payoff_overflows():
@@ -166,6 +178,9 @@ def test_br_value_rejects_bad_tol():
     g = make_game([["1"]], [["1"]])
     with pytest.raises(ValueError):
         bc.br_value_infinite(g, 1, pure_step(1, ("y1",), 0), quad_tol=0.0)
+    with pytest.raises(ValueError):
+        bc.br_value_infinite(g, 1, pure_step(1, ("y1",), 0),
+                             quad_tol=float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +238,11 @@ def test_certify_rejects_bad_epsilon():
     G = pure_step(1, ("y1",), 0)
     with pytest.raises(ValueError):
         bc.certify(g, F, G, epsilon=0.0)
+    for epsilon, quad_tol in ((float("nan"), None), (float("inf"), None),
+                              (1e-3, -1.0), (1e-3, 0.0),
+                              (1e-3, float("nan"))):
+        with pytest.raises(ValueError):
+            bc.certify(g, F, G, epsilon, quad_tol)
 
 
 def test_gap_nonnegativity_up_to_quadrature_error():

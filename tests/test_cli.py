@@ -195,3 +195,40 @@ def test_invalid_json_is_fatal(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["check", str(path)]) == 1
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"prior": None}, "spec has no 'prior' field"),
+    ({"type_range1": ["a", "b"]}, "type_range1 must be two finite numbers"),
+    ({"prior": 1}, "prior must be an expression string"),
+    ({"u": "1"}, "u must be a list of rows of expression strings"),
+])
+def test_malformed_spec_is_a_named_error(tmp_path, capsys, change, message):
+    doc = {k: v for k, v in {**ZERO_SUM_DOC, **change}.items()
+           if v is not None}
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("certify", "--epsilon", "nan"),
+    ("certify", "--epsilon", "inf"),
+    ("run", "--epsilon", "inf"),
+    ("run", "--epsilon", "nan"),
+    ("certify", "--quad-tol", "-1"),
+    ("run", "--quad-tol", "0"),
+])
+def test_bad_epsilon_or_quad_tol_is_fatal(spec_path, capsys, command, option,
+                                          value):
+    argv = [command, spec_path, "--grid-check", "21", "--epsilon", "0.1"]
+    if command == "certify":
+        argv += ["--level", "2"]
+    argv += [option, value]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "must be positive" in out.err

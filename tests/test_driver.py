@@ -37,6 +37,13 @@ def test_run_config_validation():
         bc.RunConfig(epsilon=0.1, schedule="geometric")
     with pytest.raises(ValueError):
         bc.RunConfig(epsilon=0.1, backend="cplex")
+    for fields in ({"epsilon": float("nan")}, {"epsilon": float("inf")},
+                   {"epsilon": 0.1, "quad_tol": -1.0},
+                   {"epsilon": 0.1, "quad_tol": 0.0},
+                   {"epsilon": 0.1, "quad_tol": float("nan")},
+                   {"epsilon": 0.1, "fp_max_iters": 0}):
+        with pytest.raises(ValueError):
+            bc.RunConfig(**fields)
 
 
 def test_constant_game_certified_at_level_one():

@@ -230,3 +230,41 @@ def test_domain_error_if_any_point_is_outside():
         evaluate("log(theta1)", np.array([1.0, 0.5, 0.0]), 1.0)
     with pytest.raises(DomainError):
         evaluate("theta1^0.5", np.array([[1.0], [-1.0]]), np.ones(3))
+
+
+# ---------------------------------------------------------------------------
+# numpy's transcendental ufuncs against the C library
+
+
+def _ordered(x):
+    """Float64 bits as integers that increase with the value; adjacent
+    floats differ by 1 and +0.0 and -0.0 both map to 0."""
+    bits = np.asarray(x, dtype=float).view(np.int64)
+    return np.where(bits < 0, np.int64(-2 ** 63) - bits, bits)
+
+
+def _ulps(a, b):
+    return np.abs(_ordered(a) - _ordered(b))
+
+
+def test_transcendentals_within_one_ulp_of_libm():
+    rng = np.random.default_rng(20261018)
+    wide, near = rng.uniform(-700.0, 700.0, 4000), rng.uniform(-5.0, 5.0, 4000)
+    bases = np.concatenate((rng.uniform(0.0, 10.0, 4000),
+                            rng.uniform(-10.0, 0.0, 2000)))
+    exponents = np.concatenate((rng.uniform(-10.0, 10.0, 4000),
+                                rng.integers(-20, 21, 2000).astype(float)))
+    cases = [
+        ("exp(theta1)", math.exp, np.concatenate((wide, near)), 0.0),
+        ("log(theta1)", math.log, np.concatenate((np.exp(wide),
+                                                  np.abs(near))), 0.0),
+        ("sin(theta1)", math.sin, rng.uniform(-100.0, 100.0, 8000), 0.0),
+        ("cos(theta1)", math.cos, rng.uniform(-100.0, 100.0, 8000), 0.0),
+        ("theta1^theta2", math.pow, bases, exponents),
+    ]
+    for text, libm, t1, t2 in cases:
+        got = evaluate(text, t1, t2)
+        want = np.array([libm(a, b) if libm is math.pow else libm(a)
+                         for a, b in np.broadcast(t1, t2)])
+        assert np.all(np.isfinite(want)), text
+        assert _ulps(got, want).max() <= 1, text

@@ -76,6 +76,36 @@ def test_spec_validation_errors():
         bc.GameSpec.from_dict({**base, "m1": "theta2"})
     with pytest.raises(ValueError):
         bc.GameSpec.from_dict({**base, "type_range1": [1.0, 0.0]})
+    with pytest.raises(ValueError, match="JSON object"):
+        bc.GameSpec.from_dict([base])
+    # a missing or mistyped field is a ValueError that names it
+    for change, field in (
+            ({"prior": None}, "prior"),
+            ({"u": None}, "u"),
+            ({"actions2": None}, "actions2"),
+            ({"prior": 1}, "prior"),
+            ({"m1": 2.0}, "m1"),
+            ({"u": "1"}, "u"),
+            ({"v": ["1", "1"]}, "v"),
+            ({"u": [[1], [1]]}, "u"),
+            ({"actions1": "xy"}, "actions1"),
+            ({"actions2": [1]}, "actions2"),
+            ({"type_range1": ["a", "b"]}, "type_range1"),
+            ({"type_range2": [0.0, 1.0, 2.0]}, "type_range2"),
+            ({"type_range1": [0.0, float("inf")]}, "type_range1"),
+            ({"type_range2": 1.0}, "type_range2")):
+        doc = {k: v for k, v in {**base, **change}.items() if v is not None}
+        with pytest.raises(ValueError,
+                           match=rf"^(spec has no '{field}'|{field} must)"):
+            bc.GameSpec.from_dict(doc)
+
+
+def test_spec_accepts_tuples_and_integer_ranges():
+    spec = bc.GameSpec.from_dict({"actions1": ("x1", "x2"), "actions2": ["y"],
+                                  "u": (("1",), ("2",)), "v": [["1"], ["2"]],
+                                  "prior": "1", "type_range1": [0, 2]})
+    assert spec.actions1 == ("x1", "x2")
+    assert spec.type_range1 == (0, 2)
 
 
 def test_marginal_examples():
