@@ -8,64 +8,29 @@ of the infinite game by quadrature (certify).  The driver chains the
 levels; the cli exposes everything on the command line.
 """
 
-from .certify import Certificate, br_value_infinite, certify, profile_value
-from .discretize import (
-    BehavioralProfile,
-    FiniteGame,
-    StepStrategy,
-    build_finite,
-    lift,
-)
-from .driver import RunConfig, RunReport, convergence_diagnostic, run
-from .expr import Expr, evaluate, parse
-from .model import (
-    GameSpec,
-    InfiniteGame,
-    conditional,
-    load_game,
-    load_game_file,
-    marginal,
-)
-from .solver import (
-    SolverResult,
-    check_prop1,
-    ck_objective,
-    default_alphas,
-    finite_best_response,
-    finite_gap,
-    solve_enum,
-    solve_fp,
-    solve_lp,
-)
+from .certify import certify
+from .discretize import BehavioralProfile, FiniteGame, build_finite, lift
+from .driver import RunConfig, convergence_diagnostic, run
+from .expr import parse
+from .model import GameSpec, conditional, load_game, load_game_file, marginal
+from .solver import check_prop1, default_alphas, solve_enum, solve_fp, solve_lp
 
 __all__ = [
     "BehavioralProfile",
-    "Certificate",
-    "Expr",
     "FiniteGame",
     "GameSpec",
-    "InfiniteGame",
     "RunConfig",
-    "RunReport",
-    "SolverResult",
-    "StepStrategy",
-    "br_value_infinite",
     "build_finite",
     "certify",
     "check_prop1",
-    "ck_objective",
     "conditional",
     "convergence_diagnostic",
     "default_alphas",
-    "evaluate",
-    "finite_best_response",
-    "finite_gap",
     "lift",
     "load_game",
     "load_game_file",
     "marginal",
     "parse",
-    "profile_value",
     "run",
     "solve_enum",
     "solve_fp",

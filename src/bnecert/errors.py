@@ -47,11 +47,13 @@ class Prop1Violation(BnecertError):
 
 
 class Infeasible(BnecertError):
-    """Simplex found the LP infeasible (indicates a construction bug)."""
+    """Simplex found the LP infeasible.  The slack LP is feasible, so
+    there this means numerical drift in the tableau."""
 
 
 class UnboundedObjective(BnecertError):
-    """Simplex found the LP unbounded (indicates a construction bug)."""
+    """Simplex found the LP unbounded.  The slack LP is bounded (z >= 0
+    and alpha > 0), so there this means numerical drift in the tableau."""
 
 
 class SimplexStall(BnecertError):

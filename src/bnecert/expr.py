@@ -19,9 +19,9 @@ Evaluation is elementwise over numpy arrays, one numpy ufunc per node;
 min and max keep Python's semantics, nan and signed zeros included.
 exp, log, sin, cos and ^ stay within 1 ulp of the C library's functions
 (tests/test_expr.py; with numpy 2.4 on AVX-512, exp and ^ differ by one
-ulp on a few percent of inputs, sin and cos nowhere, and numpy's exp
-falls back to the C library's on a reversed view).  Overflow gives +-inf
-and sin or cos of an infinity nan.
+ulp on a few percent of inputs, sin and cos nowhere).  Inputs are taken
+in C order, so a value does not depend on the layout of the type arrays.
+Overflow gives +-inf and sin or cos of an infinity nan.
 """
 
 from __future__ import annotations
@@ -55,8 +55,11 @@ class Expr:
     def eval(self, theta1, theta2):
         """Value at broadcasting scalars or arrays of types, elementwise;
         DomainError if any point is outside the domain."""
-        theta1 = np.asarray(theta1, dtype=float)
-        theta2 = np.asarray(theta2, dtype=float)
+        # C order: numpy sends a reversed view of exp's input through the
+        # C library instead of its own loop, so a value would depend on
+        # the memory layout
+        theta1 = np.asarray(theta1, dtype=float, order="C")
+        theta2 = np.asarray(theta2, dtype=float, order="C")
         shape = np.broadcast_shapes(theta1.shape, theta2.shape)
         with np.errstate(all="ignore"):
             value = self._eval(theta1, theta2)

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as exprmod
-from .errors import NegativePrior, NonFinite, ZeroMarginal
+from .errors import (
+    ExprSyntaxError,
+    NegativePrior,
+    NonFinite,
+    UnknownIdentifier,
+    ZeroMarginal,
+)
 from .expr import Expr
 from .quadrature import integrate2d, integrate_many
 
@@ -52,6 +58,15 @@ def _strings(x):
 def _finite_pair(x):
     return isinstance(x, _ARRAY) and len(x) == 2 and all(
         isinstance(v, (int, float)) and math.isfinite(v) for v in x)
+
+
+def _parse(text, where):
+    """Parse one expression of a spec; a syntax error names where it is."""
+    try:
+        return exprmod.parse(text)
+    except (ExprSyntaxError, UnknownIdentifier) as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
 
 
 def _shift(table, t1, t2):
@@ -118,14 +133,16 @@ class GameSpec:
             return value
 
         def expr(name):
-            return exprmod.parse(field(name, "an expression string",
-                                       lambda x: isinstance(x, str)))
+            return _parse(field(name, "an expression string",
+                                lambda x: isinstance(x, str)), name)
 
         def table(name):
             rows = field(name, "a list of rows of expression strings",
                          lambda t: isinstance(t, _ARRAY)
                          and all(map(_strings, t)))
-            return tuple(tuple(map(exprmod.parse, row)) for row in rows)
+            return tuple(tuple(_parse(text, f"{name}[{x}][{y}]")
+                               for y, text in enumerate(row))
+                         for x, row in enumerate(rows))
 
         def type_range(name):
             return tuple(field(name, "two finite numbers", _finite_pair,

@@ -11,7 +11,8 @@ Three backends:
                    one argmax per player and iteration over the action
                    values of action_values;
   * solve_enum  -- small-instance oracle: pure-profile enumeration with a
-                   support-enumeration fallback.
+                   support-enumeration fallback, both on agent-form
+                   indices type * width + action into M1 and M2.
 
 All payoffs here are prior-assimilated, so the finite game carries a
 uniform 1/n^2 prior and a uniform 1/n conditional.
@@ -73,13 +74,21 @@ class Prop1Result:
 # ---------------------------------------------------------------------------
 # interim values, best responses, gaps
 
+def _agent_form(fg, player):
+    """player's agent-form matrix, its own and its opponent's action
+    counts."""
+    if player == 1:
+        return fg.M1, fg.L, fg.H
+    return fg.M2, fg.H, fg.L
+
+
 def action_values(fg, player, opponent_rows):
     """Ex-ante per-type action values q[i, a] (the 1/n^2 prior included).
 
     One dot product per row of the agent-form matrix, so identical action
     rows give identical values and ties between them stay exact.
     """
-    M, width = (fg.M1, fg.L) if player == 1 else (fg.M2, fg.H)
+    M, width, _ = _agent_form(fg, player)
     q = np.vecdot(M, opponent_rows.ravel()).reshape(fg.n, width)
     return q * (1.0 / fg.n ** 2)
 
@@ -441,86 +450,63 @@ def solve_fp(fg, max_iters=2000, target_gap=1e-6):
 
 
 # ---------------------------------------------------------------------------
-# enumeration oracle
+# enumeration oracle, on agent-form indices type * width + action
 
-def _pure_action_values(payoff, opp_choice, player, n):
-    """q[i, a] against a pure opponent policy (tuple of action indices)."""
-    sel = np.asarray(opp_choice)
-    if player == 1:
-        # payoff axes (x, y, i, j): pick y = sel[j] for each j, sum over j
-        picked = payoff[:, sel, :, np.arange(n)]  # (j, x, i)
-        return picked.sum(axis=0).T / n ** 2      # (i, x)
-    picked = payoff[sel, :, np.arange(n), :]      # (i, y, j)
-    return picked.sum(axis=0).T / n ** 2          # (j, y)
+def _pure_action_values(fg, player, choice):
+    """q[i, a] against a pure opponent policy (one action per type): the
+    opponent's agent-form columns, summed over its types in order."""
+    M, width, opp_width = _agent_form(fg, player)
+    n = fg.n
+    cols = np.arange(n) * opp_width + np.asarray(choice)
+    return (M.T[cols].sum(axis=0) / n ** 2).reshape(n, width)
 
 
 def _support_candidates(n, width):
-    subsets = []
-    for size in range(1, width + 1):
-        subsets.extend(itertools.combinations(range(width), size))
-    return itertools.product(subsets, repeat=n)
+    """Each choice of one nonempty action subset per type, as ascending
+    agent-form indices."""
+    masks = [np.isin(np.arange(width), s) for size in range(1, width + 1)
+             for s in itertools.combinations(range(width), size)]
+    for pick in itertools.product(masks, repeat=n):
+        yield np.flatnonzero(pick)
 
 
-def _solve_support_system(fg, supports1, supports2):
-    """Solve the indifference system for one support pair; None if it has
-    no valid solution."""
-    n, L, H = fg.n, fg.L, fg.H
-    scale = 1.0 / n ** 2
-
-    def opponent_mixture(payoff, own_supports, opp_supports, player):
-        # unknowns: opponent mixture entries over opp_supports, then the
-        # per-type values of the support-indifferent player
-        cols = [(j, y) for j in range(n) for y in opp_supports[j]]
-        ncols = len(cols) + n
-        rows = []
-        rhs = []
-        for i in range(n):
-            for x in own_supports[i]:
-                row = np.zeros(ncols)
-                for k, (j, y) in enumerate(cols):
-                    if player == 1:
-                        row[k] = payoff[x, y, i, j] * scale
-                    else:
-                        row[k] = payoff[y, x, j, i] * scale
-                row[len(cols) + i] = -1.0
-                rows.append(row)
-                rhs.append(0.0)
-        for j in range(n):
-            row = np.zeros(ncols)
-            for k, (jj, _) in enumerate(cols):
-                if jj == j:
-                    row[k] = 1.0
-            rows.append(row)
-            rhs.append(1.0)
-        A = np.array(rows)
-        b = np.array(rhs)
-        sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-        if np.linalg.norm(A @ sol - b) > 1e-9:
-            return None, None
-        mix = np.zeros((n, H if player == 1 else L))
-        for k, (j, y) in enumerate(cols):
-            if sol[k] < -1e-9:
-                return None, None
-            mix[j, y] = max(sol[k], 0.0)
-        values = sol[len(cols):]
-        return mix, values
-
-    t, v1 = opponent_mixture(fg.U, supports1, supports2, player=1)
-    if t is None:
+def _opponent_mixture(fg, player, own, opp):
+    """The opponent mixture on the agent-form indices opp that makes
+    player indifferent over own, as normalized rows, and player's per-type
+    values; None if the indifference system has no valid solution."""
+    M, width, opp_width = _agent_form(fg, player)
+    n, m, k = fg.n, len(own), len(opp)
+    # unknowns: the mixture entries, then the values; rows: one
+    # indifference row per own index, one sum-to-one row per opponent type
+    A = np.zeros((m + n, k + n))
+    A[:m, :k] = M[np.ix_(own, opp)] * (1.0 / n ** 2)
+    A[np.arange(m), k + own // width] = -1.0
+    A[m + opp // opp_width, np.arange(k)] = 1.0
+    b = np.zeros(m + n)
+    b[m:] = 1.0
+    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
+    if np.linalg.norm(A @ sol - b) > 1e-9 or np.any(sol[:k] < -1e-9):
         return None
-    s, v2 = opponent_mixture(fg.V, supports2, supports1, player=2)
-    if s is None:
+    mix = np.zeros(n * opp_width)
+    mix[opp] = sol[:k]
+    return _normalize_rows(mix.reshape(n, opp_width)), sol[k:]
+
+
+def _solve_support_system(fg, own1, own2):
+    """Solve the indifference system for one pair of supports, given as
+    agent-form indices; None if it has no valid solution."""
+    found1 = _opponent_mixture(fg, 1, own1, own2)
+    if found1 is None:
         return None
+    found2 = _opponent_mixture(fg, 2, own2, own1)
+    if found2 is None:
+        return None
+    (t, v1), (s, v2) = found1, found2
     # off-support actions must not be profitable
-    q1 = action_values(fg, 1, _normalize_rows(t))
-    q2 = action_values(fg, 2, _normalize_rows(s))
-    for i in range(n):
-        if q1[i].max() > v1[i] + 1e-9:
-            return None
-    for j in range(n):
-        if q2[j].max() > v2[j] + 1e-9:
-            return None
-    profile = BehavioralProfile(_normalize_rows(s), _normalize_rows(t))
+    if (np.any(action_values(fg, 1, t).max(axis=1) > v1 + 1e-9)
+            or np.any(action_values(fg, 2, s).max(axis=1) > v2 + 1e-9)):
+        return None
+    profile = BehavioralProfile(s, t)
     gap1, gap2 = finite_gap(fg, profile)
     if max(gap1, gap2) > 1e-9:
         return None
@@ -536,14 +522,12 @@ def solve_enum(fg):
 
     examined = 0
     for choice1 in itertools.product(range(L), repeat=n):
-        q2 = _pure_action_values(fg.V, choice1, player=2, n=n)
-        max2 = q2.max(axis=1)
-        br2_sets = [np.flatnonzero(q2[j] == max2[j]) for j in range(n)]
-        for choice2 in itertools.product(*br2_sets):
+        q2 = _pure_action_values(fg, 2, choice1)
+        best2 = q2 == q2.max(axis=1, keepdims=True)
+        for choice2 in itertools.product(*map(np.flatnonzero, best2)):
             examined += 1
-            q1 = _pure_action_values(fg.U, choice2, player=1, n=n)
-            max1 = q1.max(axis=1)
-            if all(q1[i, choice1[i]] == max1[i] for i in range(n)):
+            q1 = _pure_action_values(fg, 1, choice2)
+            if (q1[np.arange(n), choice1] == q1.max(axis=1)).all():
                 profile = BehavioralProfile(
                     _pure_rows(choice1, L), _pure_rows(choice2, H)
                 )
@@ -552,10 +536,10 @@ def solve_enum(fg):
                                     "enum_oracle", examined)
 
     if n <= 2 and L <= 3 and H <= 3:
-        for supports1 in _support_candidates(n, L):
-            for supports2 in _support_candidates(n, H):
+        for own1 in _support_candidates(n, L):
+            for own2 in _support_candidates(n, H):
                 examined += 1
-                found = _solve_support_system(fg, supports1, supports2)
+                found = _solve_support_system(fg, own1, own2)
                 if found is not None:
                     profile, gap1, gap2 = found
                     return SolverResult(profile, gap1, gap2,

@@ -4,11 +4,15 @@ The oracles here deliberately avoid the library's own quadrature and
 tensor code paths: Riemann sums are plain uniform midpoint sums over
 numpy arrays, reference payoff sums are naive Python loops, and the
 expression oracle walks the tree one point at a time with Python floats
-and numpy's scalar exp, log, sin, cos and power.  The tableau simplex and fictitious play oracles
-are the per-row loop versions that the array code replaced.
+and numpy's scalar exp, log, sin, cos and power.  The tableau simplex,
+fictitious play and enumeration oracles are the per-row and per-cell
+loop versions that the array code replaced.
 """
 
+import itertools
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,15 +21,34 @@ import bnecert as bc
 from bnecert.discretize import BehavioralProfile
 from bnecert.errors import (
     DomainError,
+    EquilibriumNotFound,
     Infeasible,
     NoConvergence,
     SimplexStall,
+    TooLarge,
     UnboundedObjective,
 )
 from bnecert.expr import BinOp, Call, Neg, Num, Var
-from bnecert.solver import SolverResult, action_values
+from bnecert.solver import (
+    SolverResult,
+    _normalize_rows,
+    _pure_rows,
+    action_values,
+    finite_gap,
+)
 
 RIEMANN_POINTS = 100_000
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def src_env(**overrides):
+    """The environment for a child Python: os.environ with overrides and
+    this checkout's src/ first on PYTHONPATH, so the child imports the
+    code under test whether or not a copy of the package is installed."""
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def make_game(u, v, prior="1", actions1=None, actions2=None,
@@ -451,6 +474,132 @@ def oracle_solve_fp(fg, max_iters=2000, target_gap=1e-6,
         s += (br1 - s) / (k + 1.0)
         t += (br2 - t) / (k + 1.0)
     raise NoConvergence(best)
+
+
+# ---------------------------------------------------------------------------
+# enumeration oracle: the per-cell loops over the U/V tensors that the
+# agent-form index code replaced
+
+def _pure_action_values(payoff, opp_choice, player, n):
+    """q[i, a] against a pure opponent policy (tuple of action indices)."""
+    sel = np.asarray(opp_choice)
+    if player == 1:
+        # payoff axes (x, y, i, j): pick y = sel[j] for each j, sum over j
+        picked = payoff[:, sel, :, np.arange(n)]  # (j, x, i)
+        return picked.sum(axis=0).T / n ** 2      # (i, x)
+    picked = payoff[sel, :, np.arange(n), :]      # (i, y, j)
+    return picked.sum(axis=0).T / n ** 2          # (j, y)
+
+
+def _support_candidates(n, width):
+    subsets = []
+    for size in range(1, width + 1):
+        subsets.extend(itertools.combinations(range(width), size))
+    return itertools.product(subsets, repeat=n)
+
+
+def _solve_support_system(fg, supports1, supports2):
+    """Solve the indifference system for one support pair; None if it has
+    no valid solution."""
+    n, L, H = fg.n, fg.L, fg.H
+    scale = 1.0 / n ** 2
+
+    def opponent_mixture(payoff, own_supports, opp_supports, player):
+        # unknowns: opponent mixture entries over opp_supports, then the
+        # per-type values of the support-indifferent player
+        cols = [(j, y) for j in range(n) for y in opp_supports[j]]
+        ncols = len(cols) + n
+        rows = []
+        rhs = []
+        for i in range(n):
+            for x in own_supports[i]:
+                row = np.zeros(ncols)
+                for k, (j, y) in enumerate(cols):
+                    if player == 1:
+                        row[k] = payoff[x, y, i, j] * scale
+                    else:
+                        row[k] = payoff[y, x, j, i] * scale
+                row[len(cols) + i] = -1.0
+                rows.append(row)
+                rhs.append(0.0)
+        for j in range(n):
+            row = np.zeros(ncols)
+            for k, (jj, _) in enumerate(cols):
+                if jj == j:
+                    row[k] = 1.0
+            rows.append(row)
+            rhs.append(1.0)
+        A = np.array(rows)
+        b = np.array(rhs)
+        sol, *_ = np.linalg.lstsq(A, b, rcond=None)
+        if np.linalg.norm(A @ sol - b) > 1e-9:
+            return None, None
+        mix = np.zeros((n, H if player == 1 else L))
+        for k, (j, y) in enumerate(cols):
+            if sol[k] < -1e-9:
+                return None, None
+            mix[j, y] = max(sol[k], 0.0)
+        values = sol[len(cols):]
+        return mix, values
+
+    t, v1 = opponent_mixture(fg.U, supports1, supports2, player=1)
+    if t is None:
+        return None
+    s, v2 = opponent_mixture(fg.V, supports2, supports1, player=2)
+    if s is None:
+        return None
+    # off-support actions must not be profitable
+    q1 = action_values(fg, 1, _normalize_rows(t))
+    q2 = action_values(fg, 2, _normalize_rows(s))
+    for i in range(n):
+        if q1[i].max() > v1[i] + 1e-9:
+            return None
+    for j in range(n):
+        if q2[j].max() > v2[j] + 1e-9:
+            return None
+    profile = BehavioralProfile(_normalize_rows(s), _normalize_rows(t))
+    gap1, gap2 = finite_gap(fg, profile)
+    if max(gap1, gap2) > 1e-9:
+        return None
+    return profile, gap1, gap2
+
+
+def oracle_solve_enum(fg):
+    """Exhaustive oracle: pure-profile enumeration, then support
+    enumeration on small instances."""
+    n, L, H = fg.n, fg.L, fg.H
+    if L ** n * H ** n > 10 ** 6:
+        raise TooLarge(f"{L}^{n} * {H}^{n} pure profiles exceed the guard")
+
+    examined = 0
+    for choice1 in itertools.product(range(L), repeat=n):
+        q2 = _pure_action_values(fg.V, choice1, player=2, n=n)
+        max2 = q2.max(axis=1)
+        br2_sets = [np.flatnonzero(q2[j] == max2[j]) for j in range(n)]
+        for choice2 in itertools.product(*br2_sets):
+            examined += 1
+            q1 = _pure_action_values(fg.U, choice2, player=1, n=n)
+            max1 = q1.max(axis=1)
+            if all(q1[i, choice1[i]] == max1[i] for i in range(n)):
+                profile = BehavioralProfile(
+                    _pure_rows(choice1, L), _pure_rows(choice2, H)
+                )
+                gap1, gap2 = finite_gap(fg, profile)
+                return SolverResult(profile, gap1, gap2,
+                                    "enum_oracle", examined)
+
+    if n <= 2 and L <= 3 and H <= 3:
+        for supports1 in _support_candidates(n, L):
+            for supports2 in _support_candidates(n, H):
+                examined += 1
+                found = _solve_support_system(fg, supports1, supports2)
+                if found is not None:
+                    profile, gap1, gap2 = found
+                    return SolverResult(profile, gap1, gap2,
+                                        "enum_oracle", examined)
+    raise EquilibriumNotFound(
+        "no pure equilibrium and support enumeration found none"
+    )
 
 
 def ex_ante_value(fg, profile, player):

@@ -6,7 +6,6 @@ shows the scoreboard.
 """
 
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +14,8 @@ import numpy as np
 import pytest
 
 import bnecert as bc
+from bnecert.certify import br_value_infinite, profile_value
+from bnecert.discretize import StepStrategy
 from bnecert.solver import (
     action_values,
     ck_objective,
@@ -33,6 +34,7 @@ from conftest import (
     random_poly,
     random_poly_game,
     riemann_br_value,
+    src_env,
     strip_wall_time,
     zero_sum_match_game,
 )
@@ -183,8 +185,8 @@ def test_criterion_5_quadrature_correctness(capsys):
                   [["0", "0"], ["0", "0"]])
     weights = np.zeros((1, 2))
     weights[0, 0] = 1.0
-    G = bc.StepStrategy(n=1, actions=g.actions2, weights=weights)
-    value, _ = bc.br_value_infinite(g, 1, G, quad_tol=1e-8)
+    G = StepStrategy(n=1, actions=g.actions2, weights=weights)
+    value, _ = br_value_infinite(g, 1, G, quad_tol=1e-8)
     if abs(value - 0.75) > 1e-8:
         ok = False
 
@@ -199,7 +201,7 @@ def test_criterion_5_quadrature_correctness(capsys):
         player = 1 + trial % 2
         opponent = bc.lift(profile, 3 - player,
                            game.actions2 if player == 1 else game.actions1)
-        got, _ = bc.br_value_infinite(game, player, opponent, quad_tol)
+        got, _ = br_value_infinite(game, player, opponent, quad_tol)
         want = riemann_br_value(game, player, opponent)
         if abs(got - want) > max(quad_tol, 1e-6):
             ok = False
@@ -217,7 +219,7 @@ def test_criterion_6_end_to_end_certification(capsys):
         for player, opp in ((1, G), (2, F)):
             gap = cert.gap1 if player == 1 else cert.gap2
             oracle = riemann_br_value(g, player, opp) \
-                - bc.profile_value(g, F, G, player)
+                - profile_value(g, F, G, player)
             if abs(gap - oracle) > 1e-6:
                 ok = False
     _verdict(capsys, 6, "end-to-end certification", ok)
@@ -313,8 +315,7 @@ def test_criterion_9_determinism(capsys, tmp_path):
     reports = []
     for threads in ("1", "4"):
         out = tmp_path / f"report{threads}.json"
-        env = dict(os.environ, OMP_NUM_THREADS=threads,
-                   OPENBLAS_NUM_THREADS=threads)
+        env = src_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys; from bnecert.cli import main; "

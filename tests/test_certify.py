@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import bnecert as bc
-from bnecert.certify import best_deviation_integrand
+from bnecert.certify import (
+    best_deviation_integrand,
+    br_value_infinite,
+    profile_value,
+)
+from bnecert.discretize import StepStrategy
 from bnecert.solver import solve_lp
 
 from conftest import (
@@ -23,7 +28,7 @@ from conftest import (
 def pure_step(n, actions, index):
     weights = np.zeros((n, len(actions)))
     weights[:, index] = 1.0
-    return bc.StepStrategy(n=n, actions=tuple(actions), weights=weights)
+    return StepStrategy(n=n, actions=tuple(actions), weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +38,7 @@ def test_profile_value_single_atom():
     g = make_game([["theta1*theta2"]], [["0"]])
     F = pure_step(1, ("x1",), 0)
     G = pure_step(1, ("y1",), 0)
-    assert bc.profile_value(g, F, G, 1) == pytest.approx(1.0, abs=1e-8)
+    assert profile_value(g, F, G, 1) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_profile_value_constant_times_prior():
@@ -43,8 +48,8 @@ def test_profile_value_constant_times_prior():
     G = pure_step(n, ("y1",), 0)
     atoms = (np.arange(n) + 1.0) / n
     avg_b = np.mean([[g.prior(t1, t2) for t2 in atoms] for t1 in atoms])
-    assert bc.profile_value(g, F, G, 1) == pytest.approx(3.0 * avg_b,
-                                                        abs=1e-8)
+    assert profile_value(g, F, G, 1) == pytest.approx(3.0 * avg_b,
+                                                     abs=1e-8)
 
 
 def test_profile_value_matches_naive_loop():
@@ -55,7 +60,7 @@ def test_profile_value_matches_naive_loop():
         F = bc.lift(profile, 1, g.actions1)
         G = bc.lift(profile, 2, g.actions2)
         for player in (1, 2):
-            got = bc.profile_value(g, F, G, player)
+            got = profile_value(g, F, G, player)
             want = naive_profile_value(g, F, G, player)
             assert got == pytest.approx(want, abs=1e-13)
 
@@ -68,8 +73,8 @@ def test_profile_value_ignores_zero_mass_actions():
     G2 = pure_step(2, two.actions2, 0)
     F1 = pure_step(2, ("x1",), 0)
     G1 = pure_step(2, ("y1",), 0)
-    assert bc.profile_value(two, F2, G2, 1) == pytest.approx(
-        bc.profile_value(one, F1, G1, 1), abs=1e-12)
+    assert profile_value(two, F2, G2, 1) == pytest.approx(
+        profile_value(one, F1, G1, 1), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +84,7 @@ def test_br_value_analytic_tent():
     g = make_game([["theta1*theta2", "0"], ["1-theta1", "0"]],
                   [["0", "0"], ["0", "0"]])
     G = pure_step(1, g.actions2, 0)  # single atom at theta2 = 1 on y1
-    value, err = bc.br_value_infinite(g, 1, G, quad_tol=1e-8)
+    value, err = br_value_infinite(g, 1, G, quad_tol=1e-8)
     assert err <= 1e-8
     assert value == pytest.approx(0.75, abs=1e-8)
 
@@ -87,7 +92,7 @@ def test_br_value_analytic_tent():
 def test_br_value_analytic_single_action():
     g = make_game([["theta1*theta2"]], [["0"]])
     G = pure_step(2, ("y1",), 0)  # atoms 0.5 and 1.0, mass 1/2 each
-    value, err = bc.br_value_infinite(g, 1, G, quad_tol=1e-8)
+    value, err = br_value_infinite(g, 1, G, quad_tol=1e-8)
     assert value == pytest.approx(0.375, abs=1e-8)
     assert err <= 1e-8
 
@@ -102,7 +107,7 @@ def test_br_value_against_riemann_oracle_20_games():
         for player, opponent_side in ((1, 2), (2, 1)):
             opponent = bc.lift(profile, opponent_side,
                                g.actions2 if player == 1 else g.actions1)
-            got, err = bc.br_value_infinite(g, player, opponent, quad_tol)
+            got, err = br_value_infinite(g, player, opponent, quad_tol)
             want = riemann_br_value(g, player, opponent)
             assert abs(got - want) <= max(quad_tol, 1e-6)
             assert err <= quad_tol
@@ -177,10 +182,10 @@ def test_best_deviation_ignores_zero_mass_actions_where_payoff_overflows():
 def test_br_value_rejects_bad_tol():
     g = make_game([["1"]], [["1"]])
     with pytest.raises(ValueError):
-        bc.br_value_infinite(g, 1, pure_step(1, ("y1",), 0), quad_tol=0.0)
+        br_value_infinite(g, 1, pure_step(1, ("y1",), 0), quad_tol=0.0)
     with pytest.raises(ValueError):
-        bc.br_value_infinite(g, 1, pure_step(1, ("y1",), 0),
-                             quad_tol=float("nan"))
+        br_value_infinite(g, 1, pure_step(1, ("y1",), 0),
+                          quad_tol=float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +206,7 @@ def test_certify_single_action_game():
     for player, opp in ((1, G), (2, F)):
         gap = cert.gap1 if player == 1 else cert.gap2
         oracle = riemann_br_value(g, player, opp) \
-            - bc.profile_value(g, F, G, player)
+            - profile_value(g, F, G, player)
         assert abs(gap - oracle) <= 1e-6
 
 
@@ -228,7 +233,7 @@ def test_certify_zero_sum_via_lp():
     for player, opp in ((1, G), (2, F)):
         gap = cert.gap1 if player == 1 else cert.gap2
         oracle_gap = riemann_br_value(g, player, opp) \
-            - bc.profile_value(g, F, G, player)
+            - profile_value(g, F, G, player)
         assert abs(gap - oracle_gap) <= 1e-6
 
 

@@ -191,6 +191,17 @@ def test_bad_expression_is_fatal(tmp_path, capsys):
     assert "ExprSyntaxError" in capsys.readouterr().err
 
 
+def test_bad_expression_names_its_cell(tmp_path, capsys):
+    v = [row[:] for row in ZERO_SUM_DOC["v"]]
+    v[1][0] = "theta1*"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(ZERO_SUM_DOC, v=v)))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: ExprSyntaxError: v[1][0]: expected operand, "
+        "got end of input (at offset 7)\n")
+
+
 def test_invalid_json_is_fatal(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import bnecert as bc
 from bnecert import solver
+from bnecert.discretize import StepStrategy
 from bnecert.driver import schedule_levels, sup_distance
 from bnecert.errors import AllLevelsFailed
 
@@ -126,8 +127,8 @@ def test_sup_distance_sees_steps_between_grid_points():
     wa = np.tile([1.0, 0.0], (n, 1))
     wb = wa.copy()
     wa[1] = wb[0] = [0.0, 1.0]
-    A = bc.StepStrategy(n=n, actions=("x1", "x2"), weights=wa)
-    B = bc.StepStrategy(n=n, actions=("x1", "x2"), weights=wb)
+    A = StepStrategy(n=n, actions=("x1", "x2"), weights=wa)
+    B = StepStrategy(n=n, actions=("x1", "x2"), weights=wb)
     assert sup_distance(A, B) == pytest.approx(1.0 / n, abs=1e-15)
     assert grid_sup_distance(A, B) == 0.0
 
@@ -138,8 +139,8 @@ def step_strategies(draw):
     raw = draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=2,
                                  max_size=2), min_size=n, max_size=n))
     w = np.array(raw) + 1e-3
-    return bc.StepStrategy(n=n, actions=("x1", "x2"),
-                           weights=w / w.sum(axis=1, keepdims=True))
+    return StepStrategy(n=n, actions=("x1", "x2"),
+                        weights=w / w.sum(axis=1, keepdims=True))
 
 
 @settings(max_examples=60, deadline=None)

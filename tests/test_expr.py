@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from bnecert import evaluate, parse
+from bnecert import parse
 from bnecert.errors import DomainError, ExprSyntaxError, UnknownIdentifier
-from bnecert.expr import FUNCTIONS, BinOp, Call, Neg, Num, Var
+from bnecert.expr import FUNCTIONS, BinOp, Call, Neg, Num, Var, evaluate
 
 from conftest import oracle_eval
 
@@ -268,3 +268,18 @@ def test_transcendentals_within_one_ulp_of_libm():
                          for a, b in np.broadcast(t1, t2)])
         assert np.all(np.isfinite(want)), text
         assert _ulps(got, want).max() <= 1, text
+
+
+def test_value_does_not_depend_on_memory_layout():
+    # numpy runs exp over a reversed view through the C library
+    theta1 = np.linspace(-3.0, 3.0, 1003)
+    theta2 = np.linspace(0.1, 4.0, 1003)
+    for text in ("exp(theta1)", "theta2^theta1", "sin(theta1) + log(theta2)"):
+        e = parse(text)
+        want = e.eval(theta1, theta2)
+        got = e.eval(theta1[::-1], theta2[::-1])[::-1]
+        assert got.tobytes() == want.tobytes(), text
+        grid = e.eval(theta1[::-2, None], theta2[None, ::-3])
+        assert grid.tobytes() == e.eval(theta1[::-2].copy()[:, None],
+                                        theta2[::-3].copy()).tobytes(), text
+    assert parse("exp(theta1)").eval(0.5, 1.0).shape == ()

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import bnecert as bc
-from bnecert.errors import NegativePrior, NonFinite, ZeroMarginal
+from bnecert.errors import (
+    ExprSyntaxError,
+    NegativePrior,
+    NonFinite,
+    UnknownIdentifier,
+    ZeroMarginal,
+)
 from bnecert.quadrature import integrate
 
 from conftest import make_game
@@ -98,6 +104,21 @@ def test_spec_validation_errors():
         with pytest.raises(ValueError,
                            match=rf"^(spec has no '{field}'|{field} must)"):
             bc.GameSpec.from_dict(doc)
+
+
+def test_expression_errors_name_their_field():
+    base = {"actions1": ["x1", "x2"], "actions2": ["y1"],
+            "u": [["1"], ["1"]], "v": [["1"], ["1"]], "prior": "1"}
+    for change, where, error, offset in (
+            ({"v": [["1"], ["theta1*"]]}, "v[1][0]", ExprSyntaxError, 7),
+            ({"u": [["theta3"], ["1"]]}, "u[0][0]", UnknownIdentifier, 0),
+            ({"prior": "1 +"}, "prior", ExprSyntaxError, 3),
+            ({"m2": "exp(theta2"}, "m2", ExprSyntaxError, 10)):
+        with pytest.raises(error) as info:
+            bc.GameSpec.from_dict({**base, **change})
+        assert str(info.value).startswith(f"{where}: ")
+        assert str(info.value).endswith(f"(at offset {offset})")
+        assert info.value.offset == offset
 
 
 def test_spec_accepts_tuples_and_integer_ranges():

@@ -1,7 +1,6 @@
 """Finite-game solvers: best responses, gaps, LP, fictitious play, oracle."""
 
 import collections
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +12,7 @@ import bnecert as bc
 from bnecert.discretize import FiniteGame
 from bnecert.errors import (
     BnecertError,
+    EquilibriumNotFound,
     Infeasible,
     NoConvergence,
     Prop1Violation,
@@ -40,10 +40,12 @@ from conftest import (
     oracle_finite_best_response,
     oracle_finite_gap,
     oracle_simplex,
+    oracle_solve_enum,
     oracle_solve_fp,
     random_poly,
     random_poly_game,
     random_profile,
+    src_env,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -278,9 +280,7 @@ def test_simplex_takes_the_oracle_pivots_on_demo_slack_lps(path,
 
 def test_import_loads_no_scipy():
     """scipy.optimize would nearly triple the bench's baseline peak RSS."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env = src_env()
     code = ("import sys, bnecert; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -589,9 +589,7 @@ def test_fp_does_not_depend_on_the_blas_thread_count():
         "print(res.iterations, res.finite_gap1.hex(), res.finite_gap2.hex(),"
         " hashlib.sha256(p.s.tobytes() + p.t.tobytes()).hexdigest())\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env = src_env()
     outputs = []
     for threads in ("1", None):
         env.pop("OPENBLAS_NUM_THREADS", None)
@@ -625,6 +623,52 @@ def test_enum_guard(zero_sum_match):
     fg = bc.build_finite(zero_sum_match, 11)  # 2^11 * 2^11 > 1e6
     with pytest.raises(TooLarge):
         solve_enum(fg)
+
+
+def test_enum_without_an_equilibrium_it_can_find(matching_pennies):
+    # no pure equilibrium at n = 3, and supports are enumerated only to n = 2
+    with pytest.raises(EquilibriumNotFound):
+        solve_enum(bc.build_finite(matching_pennies, 3))
+
+
+def _enum_outcome(solver, fg):
+    try:
+        res = solver(fg)
+    except BnecertError as exc:
+        return type(exc), str(exc)
+    return (res.backend, res.iterations, res.finite_gap1.hex(),
+            res.finite_gap2.hex(), res.profile.s.tobytes(),
+            res.profile.t.tobytes())
+
+
+def test_enum_equals_the_tensor_oracle_bit_for_bit():
+    """Pure values sum over the opponent's types in the oracle's order, so
+    ties between pure payoffs resolve alike at every level (the order
+    first matters at n >= 6)."""
+    rng = np.random.default_rng(47)
+    levels = [(bc.load_game_file(path), 8) for path in DEMO_SPECS]
+    # x1 = x2 and y2 = y3 as actions, so their values tie exactly
+    u = [["theta1", "0", "0"], ["theta1", "0", "0"],
+         ["0", "theta2", "theta2"]]
+    v = [["0", "1", "1"], ["0", "1", "1"], ["theta1", "0", "0"]]
+    levels.append((make_game(u, v), 5))
+    rps = [["0", "-1", "1"], ["1", "0", "-1"], ["-1", "1", "0"]]
+    levels.append((make_game(rps, [[f"-({e})" for e in row]
+                                   for row in rps]), 6))
+    for L, H in ((1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)):
+        u, v = ([[random_poly(rng) for _ in range(H)] for _ in range(L)]
+                for _ in range(2))
+        levels.append((make_game(u, v), 9))
+    outcomes = collections.Counter()
+    for g, top in levels:
+        for n in range(1, top + 1):
+            if g.L ** n * g.H ** n > 10 ** 6:
+                break
+            fg = bc.build_finite(g, n)
+            got = _enum_outcome(solve_enum, fg)
+            assert got == _enum_outcome(oracle_solve_enum, fg)
+            outcomes[got[0] if len(got) == 2 else "solved"] += 1
+    assert outcomes.keys() == {"solved", EquilibriumNotFound}
 
 
 # ---------------------------------------------------------------------------
