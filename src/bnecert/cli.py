@@ -15,7 +15,8 @@ import numpy as np
 
 from .certify import certify, check_tolerances
 from .discretize import build_finite, grid_floor, lift
-from .driver import RunConfig, resolve_backend, run, solve_level
+from .driver import (RunConfig, check_fp_max_iters, resolve_backend, run,
+                     solve_level)
 from .errors import BnecertError
 from .model import load_game_file
 from .solver import check_prop1
@@ -74,6 +75,7 @@ def cmd_discretize(args):
 
 
 def cmd_solve(args):
+    check_fp_max_iters(args.fp_max_iters)
     g = _load(args)
     result, note = _solve(g, args, SOLVE_EPSILON)
     print(json.dumps({
@@ -91,6 +93,7 @@ def cmd_solve(args):
 
 def cmd_certify(args):
     check_tolerances(args.epsilon, args.quad_tol)
+    check_fp_max_iters(args.fp_max_iters)
     g = _load(args)
     result, _ = _solve(g, args, args.epsilon)
     F = lift(result.profile, 1, actions=g.actions1)

@@ -20,6 +20,12 @@ from .errors import AllLevelsFailed, BnecertError, NoConvergence
 from .solver import check_prop1, default_alphas, solve_enum, solve_fp, solve_lp
 
 
+def check_fp_max_iters(fp_max_iters):
+    """ValueError unless fictitious play may run at least one iteration."""
+    if fp_max_iters < 1:
+        raise ValueError("fp_max_iters must be >= 1")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     epsilon: float
@@ -33,8 +39,7 @@ class RunConfig:
         check_tolerances(self.epsilon, self.quad_tol)
         if self.max_level < 1:
             raise ValueError("max_level must be >= 1")
-        if self.fp_max_iters < 1:
-            raise ValueError("fp_max_iters must be >= 1")
+        check_fp_max_iters(self.fp_max_iters)
         if self.schedule not in ("linear", "doubling"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.backend not in ("auto", "lp", "fp", "enum_oracle"):

@@ -7,9 +7,11 @@ Three backends:
                    condition, solved by a built-in dense-tableau simplex
                    with Bland's anti-cycling rule (array code that takes
                    the pivots and roundings of a per-row loop);
-  * solve_fp    -- agent-form fictitious play (general-sum fallback),
-                   one argmax per player and iteration over the action
-                   values of action_values;
+  * solve_fp    -- agent-form fictitious play (general-sum fallback) on
+                   one preallocated flat state buffer for both players:
+                   per iteration, one np.vecdot and one argmax per player
+                   and whole-buffer elementwise steps, bit-equal to
+                   action_values, _regret and the averaging step;
   * solve_enum  -- small-instance oracle: pure-profile enumeration with a
                    support-enumeration fallback, both on agent-form
                    indices type * width + action into M1 and M2.
@@ -27,6 +29,7 @@ between duplicated actions and so changes best responses.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,7 @@ from .errors import (
     EquilibriumNotFound,
     Infeasible,
     NoConvergence,
+    NonFinite,
     Prop1Violation,
     SimplexStall,
     TooLarge,
@@ -407,43 +411,70 @@ def solve_lp(fg, alpha1=None, alpha2=None):
 # ---------------------------------------------------------------------------
 # fictitious play backend
 
-def _fp_step(rows, choice, k):
-    """rows += (pure rows of choice - rows) / (k + 1), in place; 1 - r
-    and 1 + (-r) round alike, so this is bit-equal to that formula."""
-    d = -rows
-    d[np.arange(rows.shape[0]), choice] += 1.0
-    d /= k + 1.0
-    rows += d
-
-
 def solve_fp(fg, max_iters=2000, target_gap=1e-6):
     """Agent-form fictitious play with uniform averaging.
 
+    Both players' state lives in flat buffers laid out [player 1 |
+    player 2], allocated once: the rows [s | t], their action values q,
+    the products rows * q, the step d, and pick, the agent-form index of
+    each type's best response.  An iteration computes what action_values,
+    _regret and rows += (pure rows - rows) / (k + 1) compute, in the same
+    order, so the iterates are bit-equal to theirs (1 - r and 1 + (-r)
+    round alike).
+
     Raises NoConvergence (carrying the best iterate) if the target gap is
-    not reached within max_iters iterations.
+    not reached within max_iters iterations, and NonFinite if a gap is
+    not finite (action values that overflow).
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     n, L, H = fg.n, fg.L, fg.H
-    s = np.full((n, L), 1.0 / L)
-    t = np.full((n, H), 1.0 / H)
-    best = None  # (s, t, gap1, gap2, iteration) of the best iterate
-    best_gap = np.inf
-    for k in range(1, max_iters + 1):
-        q1 = action_values(fg, 1, t)
-        q2 = action_values(fg, 2, s)
-        b1, b2 = q1.argmax(axis=1), q2.argmax(axis=1)  # ties: lowest index
-        gap1, gap2 = _regret(q1, s, b1), _regret(q2, t, b2)
-        worst = max(gap1, gap2)
-        if worst < best_gap:
-            best_gap = worst
-            best = (s.copy(), t.copy(), gap1, gap2, k)
-        if worst <= target_gap:
-            break
-        _fp_step(s, b1, k)
-        _fp_step(t, b2, k)
-    result = None if best is None else SolverResult(
-        BehavioralProfile(best[0], best[1]), best[2], best[3], "fp", best[4])
+    M1, M2 = fg.M1, fg.M2
+    N1 = n * L
+    rows = np.concatenate([np.full(N1, 1.0 / L), np.full(n * H, 1.0 / H)])
+    q, prod, d = np.empty_like(rows), np.empty_like(rows), np.empty_like(rows)
+    pick = np.empty(2 * n, dtype=np.intp)
+    offsets = np.concatenate([np.arange(n) * L, N1 + np.arange(n) * H])
+    s, t = rows[:N1], rows[N1:]
+    q1, q2 = q[:N1], q[N1:]
+    argmax1, argmax2 = q1.reshape(n, L).argmax, q2.reshape(n, H).argmax
+    pick1, pick2 = pick[:n], pick[n:]
+    prod1, prod2 = prod[:N1], prod[N1:]
+    # scaled after the dot products, as in action_values: folding 1/n^2
+    # into M1 and M2 rounds the values differently and can flip a best
+    # response between near-tied actions
+    scale = 1.0 / n ** 2
+    total = np.add.reduce  # ndarray.sum without its Python wrapper
+    best_gap = np.inf  # so iteration 1, whose gaps are finite, sets best
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, max_iters + 1):
+            np.vecdot(M1, t, out=q1)
+            np.vecdot(M2, s, out=q2)
+            q *= scale
+            argmax1(axis=1, out=pick1)  # ties: lowest index
+            argmax2(axis=1, out=pick2)
+            pick += offsets
+            top = q[pick]
+            np.multiply(rows, q, out=prod)
+            gap1 = float(total(top[:n]) - total(prod1))
+            gap2 = float(total(top[n:]) - total(prod2))
+            if not (math.isfinite(gap1) and math.isfinite(gap2)):
+                raise NonFinite(
+                    f"fictitious play gap is not finite at iteration {k}")
+            worst = max(gap1, gap2)
+            if worst < best_gap:
+                best_gap = worst
+                best = (rows.copy(), gap1, gap2, k)
+            if worst <= target_gap:
+                break
+            np.negative(rows, out=d)
+            d[pick] += 1.0
+            d /= k + 1.0
+            rows += d
+    best_rows, gap1, gap2, k = best
+    profile = BehavioralProfile(best_rows[:N1].reshape(n, L),
+                                best_rows[N1:].reshape(n, H))
+    result = SolverResult(profile, gap1, gap2, "fp", k)
     if best_gap <= target_gap:
         return result
     raise NoConvergence(result)

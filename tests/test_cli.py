@@ -130,6 +130,32 @@ def test_solve_lp_requires_multiplier_condition(general_sum_path, capsys):
                    "check_prop1 did not detect it\n")
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--level", "1"],
+    ["certify", "--level", "1", "--epsilon", "0.1"],
+    ["run", "--epsilon", "0.1"],
+])
+def test_fp_max_iters_is_checked_before_the_spec_loads(command, tmp_path,
+                                                      capsys):
+    missing = str(tmp_path / "missing.json")
+    argv = [command[0], missing, *command[1:], "--fp-max-iters", "0"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: fp_max_iters must be >= 1\n"
+
+
+def test_solve_fp_overflow_is_nonfinite(tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        **ZERO_SUM_DOC,
+        "u": [["1.5e308*theta1", "0"], ["0", "1.5e308*theta2"]],
+        "v": [["0", "1.5e308*theta2"], ["1.5e308*theta1", "0"]],
+    }))
+    assert main(["solve", str(path), "--grid-check", "21", "--level", "3",
+                 "--backend", "fp"]) == 1
+    assert capsys.readouterr().err == (
+        "error: NonFinite: fictitious play gap is not finite at iteration 1\n")
+
+
 def test_fp_max_iters_only_on_solving_commands(spec_path):
     with pytest.raises(SystemExit):
         main(["check", spec_path, "--fp-max-iters", "10"])

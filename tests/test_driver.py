@@ -172,6 +172,23 @@ def test_run_records_simplex_failure_against_its_level(monkeypatch):
     assert len(report.levels) >= 2
 
 
+def test_run_records_fp_overflow_against_its_level():
+    # player 1's first action earns 2.9e307 against anything: summed over
+    # the n opponent types, its action values overflow from n = 7 on, while
+    # the quadrature in certify (at most 6x the payoff) stays finite
+    g = make_game([["2.9e307", "2.9e307"], ["0", "0"]],
+                  [["theta2", "0"], ["0", "1"]])
+    report = bc.run(g, bc.RunConfig(epsilon=1e300, max_level=16,
+                                    schedule="doubling", backend="fp"))
+    assert report.status == "exhausted"
+    errors = {r["n"]: r["error"] for r in report.levels}
+    assert errors == {
+        1: None, 2: None, 4: None,
+        8: "NonFinite: fictitious play gap is not finite at iteration 1",
+        16: "NonFinite: fictitious play gap is not finite at iteration 1",
+    }
+
+
 def test_convergence_diagnostic_structure():
     g = zero_sum_match_game()
     cfg = bc.RunConfig(epsilon=1e-6, max_level=4, schedule="doubling",

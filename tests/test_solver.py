@@ -15,6 +15,7 @@ from bnecert.errors import (
     EquilibriumNotFound,
     Infeasible,
     NoConvergence,
+    NonFinite,
     Prop1Violation,
     SimplexStall,
     TooLarge,
@@ -428,6 +429,19 @@ def test_fp_coordination(coordination):
     assert np.argmax(res.profile.s[0]) == np.argmax(enum.profile.s[0])
 
 
+def test_fp_raises_nonfinite_when_action_values_overflow():
+    # player 1's x1 earns C per unit of y2 over two opponent types: C at
+    # the uniform start, 1.5 C once player 2 has moved toward y2, which
+    # it prefers, so the first gaps are finite and the second are not
+    C = 1.5e308
+    U, V = np.zeros((2, 2, 2, 2)), np.zeros((2, 2, 2, 2))
+    U[0, 1] = C
+    V[:, 1] = 1.0
+    fg = FiniteGame(2, ("x1", "x2"), ("y1", "y2"), U, V)
+    with pytest.raises(NonFinite, match="at iteration 2$"):
+        solve_fp(fg, max_iters=100, target_gap=1e-9)
+
+
 def test_fp_no_convergence_carries_best():
     rng = np.random.default_rng(0)
     fg = bc.build_finite(random_poly_game(rng), 2)
@@ -438,9 +452,10 @@ def test_fp_no_convergence_carries_best():
     assert np.isfinite(best.finite_gap1) and np.isfinite(best.finite_gap2)
 
 
-def _fp_outcome(solver, fg, target_gap):
+def _fp_outcome(solver, fg, target_gap, max_iters=300):
     try:
-        res, converged = solver(fg, max_iters=300, target_gap=target_gap), True
+        res = solver(fg, max_iters=max_iters, target_gap=target_gap)
+        converged = True
     except NoConvergence as exc:
         res, converged = exc.result, False
     return (converged, res.iterations, res.finite_gap1, res.finite_gap2,
@@ -476,6 +491,27 @@ def test_fp_and_gaps_equal_the_oracle_bit_for_bit():
                 assert got == _fp_outcome(oracle_solve_fp, fg, target)
                 converged.add(got[0])
     assert converged == {True, False}
+
+
+def test_fp_equals_the_oracle_over_full_runs_at_bench_sizes():
+    """The fused loop over 2000 iterations at the bench's level sizes:
+    1e-3 is reached mid-run, 1e-9 is missed after the full 2000."""
+    rng = np.random.default_rng(61)
+    for L, H in ((2, 2), (2, 3), (3, 3)):
+        u, v = ([[random_poly(rng) for _ in range(H)] for _ in range(L)]
+                for _ in range(2))
+        g = make_game(u, v)
+        for n in (8, 40, 56):
+            fg = bc.build_finite(g, n)
+            for target in (1e-3, 1e-9):
+                got = _fp_outcome(solve_fp, fg, target, max_iters=2000)
+                want = _fp_outcome(oracle_solve_fp, fg, target,
+                                   max_iters=2000)
+                assert got == want
+                if target == 1e-3:
+                    assert got[0] and got[1] < 2000
+                else:
+                    assert not got[0]
 
 
 def _duplicated_actions_game(rng, n, L, H):
