@@ -35,7 +35,8 @@ class ZeroMarginal(BnecertError):
 
 
 class NonFinite(BnecertError):
-    """An expression evaluated to NaN or infinity on the validation grid."""
+    """A value is NaN or infinite: an expression on the validation grid,
+    a payoff tensor, a fictitious play gap or a Simpson estimate."""
 
 
 class QuadratureFailure(BnecertError):

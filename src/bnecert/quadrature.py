@@ -8,27 +8,35 @@ are evaluated in one call, for every integrand of a batch at once.  Each
 integrand's accepted values and errors are summed in the order the
 refinement accepts its panels, depth by depth; that order is the same
 whether it is integrated alone or in a batch, so results are
-deterministic and do not depend on the batching.
+deterministic and do not depend on the batching.  Simpson estimates that
+are not finite (from an integrand that is not, or one above about 3e307,
+where fa + 4 fm + fb overflows) raise NonFinite at once, since refining
+cannot make them finite.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import NonFinite, QuadratureFailure
 
 
 def _simpson(fa, fm, fb, h):
     return (h / 6.0) * (fa + 4.0 * fm + fb)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow raises NonFinite
 def integrate_many(f, count, a, b, tol, presplit=(), max_panels=10 ** 6):
     """Integrate count integrands over [a, b], each to absolute accuracy tol.
 
     f(x, k) maps 1-D arrays of abscissae x and integrand indices k to the
     values of integrand k[m] at x[m].  Every integrand is refined, held to
     the panel budget and summed exactly as integrate would do it alone.
-    Returns arrays (values, error_bounds).
+    Returns arrays (values, error_bounds).  Raises NonFinite when a panel's
+    Simpson estimates or their difference are not finite, and
+    QuadratureFailure when an integrand exceeds the panel budget.
     """
     if b <= a:
         return np.zeros(count), np.zeros(count)
@@ -66,6 +74,10 @@ def integrate_many(f, count, a, b, tol, presplit=(), max_panels=10 ** 6):
         s_right = _simpson(fm, frm, fhi, hi - mid)
         s2 = s_left + s_right
         err = np.abs(s2 - s_whole) / 15.0
+        if not math.isfinite(err.max()):  # max propagates NaN
+            i = np.argmax(~np.isfinite(err))
+            raise NonFinite(f"Simpson estimates on [{lo[i]}, {hi[i]}] of "
+                            f"integrand {k[i]} are not finite")
         # proportional error allocation keeps the summed bound <= tol
         ok = (err <= tol * (hi - lo) / width) | (hi - lo < 1e-14)
         accepted.append(np.array([k, s2 + (s2 - s_whole) / 15.0, err])[:, ok])
@@ -88,7 +100,8 @@ def integrate(f, a, b, tol, presplit=(), max_panels=10 ** 6):
     initial partition is split there before adaptive refinement starts.
 
     Returns (value, error_bound) with error_bound <= tol on success.
-    Raises QuadratureFailure if the panel budget runs out first.
+    Raises QuadratureFailure if the panel budget runs out first, and
+    NonFinite if a Simpson estimate is not finite.
     """
     value, err = integrate_many(lambda x, k: f(x), 1, a, b, tol, presplit,
                                 max_panels)

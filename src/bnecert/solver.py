@@ -6,7 +6,10 @@ Three backends:
                    terms cancel to a constant under the multiplier
                    condition, solved by a built-in dense-tableau simplex
                    with Bland's anti-cycling rule (array code that takes
-                   the pivots and roundings of a per-row loop);
+                   the pivots and roundings of a per-row loop; a pivot
+                   updates only its nonzero rows by nonzero columns, and
+                   the tableau has no artificial columns, which nothing
+                   reads);
   * solve_fp    -- agent-form fictitious play (general-sum fallback) on
                    one preallocated flat state buffer for both players:
                    per iteration, one np.vecdot and one argmax per player
@@ -203,20 +206,34 @@ _REFACTOR_EVERY = 40
 
 
 def _pivot(T, basis, row, col):
-    T[row] /= T[row, col]
-    rows = np.flatnonzero(T[:, col])
-    rows = rows[rows != row]
-    T[rows] -= np.outer(T[rows, col], T[row])
+    """Pivot on T[row, col].  Only the block of rows with a nonzero in col
+    by columns with a nonzero in the divided pivot row changes: elsewhere
+    the update subtracts +-0, which could only flip the sign of a zero,
+    and nothing reads that sign.  simplex allocates T C-contiguous, so
+    its flat reshape is a view and the block writes through it."""
+    pivot_row = T[row]
+    pivot_row /= pivot_row[col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    rows = np.flatnonzero(factors)
+    cols = np.flatnonzero(pivot_row)
+    flat = T.reshape(-1)
+    flat[(rows * T.shape[1])[:, None] + cols] -= (factors[rows, None]
+                                                  * pivot_row[cols])
     basis[row] = col
 
 
 def _rebuild(T, A, b, costvec, basis):
     """Recompute the tableau for the current basis from the original data
-    (kills the drift accumulated by repeated pivoting).  Returns False if
-    the recorded basis is numerically singular."""
+    (kills the drift accumulated by repeated pivoting).  A and costvec
+    span every column, artificials included, since the basis may hold
+    some; T keeps only the structural ones.  Returns False if the
+    recorded basis is numerically singular."""
+    structural = T.shape[1] - 1
     B = A[:, basis]
     try:
-        body = np.linalg.solve(B, A)
+        body = np.linalg.solve(B, A[:, :structural])
+        # apart: solved as one more column of body, b rounds differently
         xb = np.linalg.solve(B, b)
     except np.linalg.LinAlgError:
         return False
@@ -224,19 +241,19 @@ def _rebuild(T, A, b, costvec, basis):
     T[:m, :-1] = body
     T[:m, -1] = xb
     cB = costvec[basis]
-    T[-1, :-1] = costvec - cB @ body
+    T[-1, :-1] = costvec[:structural] - cB @ body
     T[-1, -1] = -(cB @ xb)
     return True
 
 
-def _run_phase(T, basis, allowed, max_pivots, pivots_done, A, b, costvec):
-    """Iterate pivots until the cost row has no negative entry among the
-    first `allowed` columns.  Returns the pivot count consumed."""
+def _run_phase(T, basis, max_pivots, pivots_done, A, b, costvec):
+    """Iterate pivots until the cost row has no negative entry.  Returns
+    the pivot count consumed."""
     m = T.shape[0] - 1
     pivots = pivots_done
     since_refactor = 0
     while True:
-        entering = np.flatnonzero(T[-1, :allowed] < -_TOL)
+        entering = np.flatnonzero(T[-1, :-1] < -_TOL)
         if not entering.size:
             return pivots
         enter = entering[0]
@@ -301,28 +318,31 @@ def simplex(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     ncols = structural + art_rows.size
 
     # [A_ub | I] over [A_eq | 0], negated where b < 0, then artificials
-    T = np.zeros((m + 1, ncols + 1))
-    T[:m, :nvar] = np.vstack([A_ub, A_eq])
-    T[:nslack, nvar:structural] = np.eye(nslack)
-    T[flip, :structural] *= -1.0
-    T[art_rows, basis[art_rows]] = 1.0
-    T[:m, -1] = b
+    Aext = np.zeros((m, ncols))
+    Aext[:, :nvar] = np.vstack([A_ub, A_eq])
+    Aext[:nslack, nvar:structural] = np.eye(nslack)
+    Aext[flip, :structural] *= -1.0
+    Aext[art_rows, basis[art_rows]] = 1.0
 
-    Aext = T[:m, :-1].copy()
+    # the tableau: structural columns and b, above the cost row.  Nothing
+    # reads an artificial column of it: the pivot rules look only at
+    # structural ones, and _rebuild takes basic columns from Aext.
+    T = np.zeros((m + 1, structural + 1))
+    T[:m, :-1] = Aext[:, :structural]
+    T[:m, -1] = b
     pivots = 0
     if art_rows.size:
-        # phase 1: minimize the artificial sum
+        # phase 1: minimize the artificial sum, whose reduced costs on
+        # the structural columns are minus the sum of the artificial rows
         cost1 = (np.arange(ncols) >= structural).astype(float)
-        T[-1, :-1] = cost1
         for i in art_rows:  # row by row: the order fixes the rounding
             T[-1] -= T[i]
-        pivots = _run_phase(T, basis, structural, max_pivots, pivots,
-                            Aext, b, cost1)
+        pivots = _run_phase(T, basis, max_pivots, pivots, Aext, b, cost1)
         if T[-1, -1] < -1e-7:
             raise Infeasible(f"phase-1 optimum {-T[-1, -1]} > 0")
         # drive remaining artificials out of the basis where possible
         for i in np.flatnonzero(basis >= structural):
-            usable = np.flatnonzero(np.abs(T[i, :structural]) > _TOL)
+            usable = np.flatnonzero(np.abs(T[i, :-1]) > _TOL)
             if usable.size:
                 _pivot(T, basis, i, usable[0])
                 pivots += 1
@@ -331,8 +351,7 @@ def simplex(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     cost2 = np.zeros(ncols)
     cost2[:nvar] = c
     _rebuild(T, Aext, b, cost2, basis)
-    pivots = _run_phase(T, basis, structural, max_pivots, pivots,
-                        Aext, b, cost2)
+    pivots = _run_phase(T, basis, max_pivots, pivots, Aext, b, cost2)
 
     # final refactorization for a drift-free basic solution
     xb = np.linalg.solve(Aext[:, basis], b)

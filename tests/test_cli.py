@@ -156,6 +156,20 @@ def test_solve_fp_overflow_is_nonfinite(tmp_path, capsys):
         "error: NonFinite: fictitious play gap is not finite at iteration 1\n")
 
 
+def test_certify_quadrature_overflow_is_nonfinite(tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        **ZERO_SUM_DOC,
+        "u": [["1.5e308*theta1", "0"], ["0", "1.5e308*theta2"]],
+        "v": [["0", "1.5e308*theta2"], ["1.5e308*theta1", "0"]],
+    }))
+    assert main(["certify", str(path), "--grid-check", "21", "--level", "1",
+                 "--epsilon", "1e-3", "--backend", "fp"]) == 1
+    assert capsys.readouterr().err == (
+        "error: NonFinite: Simpson estimates on [0.0, 1.0] of integrand 0 "
+        "are not finite\n")
+
+
 def test_fp_max_iters_only_on_solving_commands(spec_path):
     with pytest.raises(SystemExit):
         main(["check", spec_path, "--fp-max-iters", "10"])

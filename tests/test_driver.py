@@ -189,6 +189,22 @@ def test_run_records_fp_overflow_against_its_level():
     }
 
 
+def test_run_records_quadrature_overflow_against_its_level():
+    # player 1's x1 earns 4e307 against y1, which player 2 plays above
+    # theta2 = 0.7: at level 1 every type plays y1 and certify's Simpson
+    # sums (6x the payoff) overflow; from level 2 on half the types do
+    g = make_game([["4e307", "0"], ["0", "0"]],
+                  [["theta2 - 0.7", "0"], ["theta2 - 0.7", "0"]])
+    report = bc.run(g, bc.RunConfig(epsilon=1e300, max_level=4,
+                                    schedule="doubling", backend="fp"))
+    errors = {r["n"]: r["error"] for r in report.levels}
+    assert errors == {
+        1: "NonFinite: Simpson estimates on [0.0, 1.0] of integrand 0 "
+           "are not finite",
+        2: None, 4: None,
+    }
+
+
 def test_convergence_diagnostic_structure():
     g = zero_sum_match_game()
     cfg = bc.RunConfig(epsilon=1e-6, max_level=4, schedule="doubling",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bnecert import parse
-from bnecert.errors import QuadratureFailure
+from bnecert.errors import NonFinite, QuadratureFailure
 from bnecert.quadrature import integrate, integrate2d, integrate_many
 
 from conftest import oracle_eval
@@ -63,6 +63,18 @@ def test_panel_budget_exhaustion():
     with pytest.raises(QuadratureFailure):
         integrate(lambda t: np.sin(1e6 * t), 0.0, 1.0, 1e-12,
                   max_panels=50)
+
+
+@pytest.mark.parametrize("integrand", [
+    lambda t: np.full_like(t, 1.5e308),  # fa + 4 fm + fb overflows
+    lambda t: 1.5e308 * t,
+    lambda t: np.where(t > 0.3, np.inf, 1.0),
+], ids=["constant", "linear", "infinite"])
+def test_overflowing_simpson_estimate_is_nonfinite(integrand):
+    # at once, not after the panel budget, and without a RuntimeWarning
+    # (the suite turns those into errors)
+    with pytest.raises(NonFinite, match="Simpson estimates on"):
+        integrate(integrand, 0.0, 1.0, 1e-6, max_panels=10)
 
 
 def test_determinism():

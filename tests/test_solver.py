@@ -279,6 +279,19 @@ def test_simplex_takes_the_oracle_pivots_on_demo_slack_lps(path,
         assert got == _simplex_outcome(oracle_simplex, args)
 
 
+@pytest.mark.parametrize("path", DEMO_SPECS, ids=[p.stem for p in DEMO_SPECS])
+def test_simplex_takes_the_oracle_pivots_at_bench_sizes(path, monkeypatch):
+    """Levels the lp-ladder bench solves: dozens of rebuilds per LP, and
+    the UnboundedObjective of linear_prior_multipliers at n = 48."""
+    g = bc.load_game_file(path)
+    prop1 = check_prop1(g)
+    for n in (40, 48, 56):
+        fg = bc.build_finite(g, n)
+        args = _slack_lp(monkeypatch, fg, *default_alphas(fg, g, prop1))
+        got = _simplex_outcome(simplex, args)
+        assert got == _simplex_outcome(oracle_simplex, args)
+
+
 def test_import_loads_no_scipy():
     """scipy.optimize would nearly triple the bench's baseline peak RSS."""
     env = src_env()
