@@ -1,7 +1,8 @@
 """Command-line surface of the toolkit.
 
 Exit codes: 0 success / certified, 2 exhausted without a certificate,
-1 fatal error.
+1 fatal error (for run, also every level failed; the report still says
+why).
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ import numpy as np
 
 from .certify import certify, check_tolerances
 from .discretize import build_finite, grid_floor, lift
-from .driver import (RunConfig, check_fp_max_iters, resolve_backend, run,
-                     solve_level)
+from .driver import RunConfig, resolve_backend, run, solve_level
 from .errors import BnecertError
 from .model import load_game_file
-from .solver import check_prop1
+from .solver import check_count, check_prop1
 
 EXIT_OK = 0
 EXIT_FATAL = 1
@@ -75,7 +75,7 @@ def cmd_discretize(args):
 
 
 def cmd_solve(args):
-    check_fp_max_iters(args.fp_max_iters)
+    check_count("fp_max_iters", args.fp_max_iters)
     g = _load(args)
     result, note = _solve(g, args, SOLVE_EPSILON)
     print(json.dumps({
@@ -93,7 +93,7 @@ def cmd_solve(args):
 
 def cmd_certify(args):
     check_tolerances(args.epsilon, args.quad_tol)
-    check_fp_max_iters(args.fp_max_iters)
+    check_count("fp_max_iters", args.fp_max_iters)
     g = _load(args)
     result, _ = _solve(g, args, args.epsilon)
     F = lift(result.profile, 1, actions=g.actions1)
@@ -136,6 +136,8 @@ def cmd_run(args):
             _write_curves(args.output, report)
     else:
         print(text)
+    if report.status == "failed":
+        return EXIT_FATAL
     return EXIT_OK if report.status == "certified" else EXIT_UNCERTIFIED
 
 

@@ -3,7 +3,8 @@
 Levels are attempted per the configured schedule up to and including the
 cap; each level is discretized, solved, lifted, and certified, and the
 loop stops at the first certified level.  Failed levels are recorded and
-skipped -- only a run where every level fails is fatal.
+skipped; a run where every level fails reports status "failed" with each
+level's error.
 """
 
 from __future__ import annotations
@@ -16,14 +17,9 @@ import numpy as np
 
 from .certify import certify, check_tolerances
 from .discretize import build_finite, lift
-from .errors import AllLevelsFailed, BnecertError, NoConvergence
-from .solver import check_prop1, default_alphas, solve_enum, solve_fp, solve_lp
-
-
-def check_fp_max_iters(fp_max_iters):
-    """ValueError unless fictitious play may run at least one iteration."""
-    if fp_max_iters < 1:
-        raise ValueError("fp_max_iters must be >= 1")
+from .errors import BnecertError, NoConvergence
+from .solver import (check_count, check_prop1, default_alphas, solve_enum,
+                     solve_fp, solve_lp)
 
 
 @dataclass(frozen=True)
@@ -37,9 +33,10 @@ class RunConfig:
 
     def __post_init__(self):
         check_tolerances(self.epsilon, self.quad_tol)
-        if self.max_level < 1:
-            raise ValueError("max_level must be >= 1")
-        check_fp_max_iters(self.fp_max_iters)
+        for name in ("max_level", "fp_max_iters"):
+            check_count(name, getattr(self, name))
+            # a numpy integer passes the check but not json.dumps
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.schedule not in ("linear", "doubling"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.backend not in ("auto", "lp", "fp", "enum_oracle"):
@@ -49,7 +46,7 @@ class RunConfig:
 @dataclass
 class RunReport:
     config: RunConfig
-    status: str = "exhausted"
+    status: str = "exhausted"  # or "certified", or "failed" (no level solved)
     certified_level: int | None = None
     levels: list = field(default_factory=list)
     strategies: dict | None = None
@@ -186,7 +183,8 @@ def run(g, cfg):
             break
 
     if not solved:
-        raise AllLevelsFailed(f"all {len(levels)} levels failed")
+        report.status = "failed"
+        return report
 
     report.level_strategies = solved
     report.diagnostics = convergence_diagnostic(

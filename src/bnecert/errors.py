@@ -81,7 +81,3 @@ class EquilibriumNotFound(BnecertError):
 
 class UnknownAction(BnecertError):
     """Action label not present in the strategy."""
-
-
-class AllLevelsFailed(BnecertError):
-    """Every discretization level in a run failed with an error."""

@@ -10,11 +10,13 @@ Three backends:
                    updates only its nonzero rows by nonzero columns, and
                    the tableau has no artificial columns, which nothing
                    reads);
-  * solve_fp    -- agent-form fictitious play (general-sum fallback) on
-                   one preallocated flat state buffer for both players:
-                   per iteration, one np.vecdot and one argmax per player
-                   and whole-buffer elementwise steps, bit-equal to
-                   action_values, _regret and the averaging step;
+  * solve_fp    -- agent-form fictitious play (general-sum fallback) in
+                   blocks of iterations that assume unchanged best
+                   responses: a block's action values, best responses and
+                   gaps take a few array calls in all, its steps up to the
+                   first changed best response are kept, and every iterate
+                   is bit-equal to action_values, _regret and the
+                   averaging step taken one iteration at a time;
   * solve_enum  -- small-instance oracle: pure-profile enumeration with a
                    support-enumeration fallback, both on agent-form
                    indices type * width + action into M1 and M2.
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -430,66 +433,125 @@ def solve_lp(fg, alpha1=None, alpha2=None):
 # ---------------------------------------------------------------------------
 # fictitious play backend
 
+# The longest block of fictitious play iterations evaluated in one batch.
+_FP_BLOCK = 64
+
+
+def check_count(name, value):
+    """ValueError unless value is an integer >= 1.  numpy integers count;
+    bools and floats do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 def solve_fp(fg, max_iters=2000, target_gap=1e-6):
     """Agent-form fictitious play with uniform averaging.
 
-    Both players' state lives in flat buffers laid out [player 1 |
-    player 2], allocated once: the rows [s | t], their action values q,
-    the products rows * q, the step d, and pick, the agent-form index of
-    each type's best response.  An iteration computes what action_values,
-    _regret and rows += (pure rows - rows) / (k + 1) compute, in the same
-    order, so the iterates are bit-equal to theirs (1 - r and 1 + (-r)
-    round alike).
+    Best responses change rarely (on the bench's fp games, once every 33
+    to 2000 iterations on average), so fp runs in blocks of iterations
+    that aim at the last best responses seen.  A block advances the rows
+    of its steps as if every best response stayed on aim, then evaluates
+    all of its steps at once: one np.vecdot per player (still one row dot
+    per step and (type, action)), one argmax per player, one gather, one
+    product and a row-wise sum per gap term.  The steps through the first
+    one off aim are exact, since the rows of each were advanced with the
+    true best responses of the steps before it; the block ends there, the
+    next one aims at that step's best responses and halves its length,
+    and a block that stays on aim doubles it, up to _FP_BLOCK.
+
+    The state lives in buffers allocated once, one row per block step,
+    each laid out [player 1 | player 2]: the rows [s | t], their action
+    values q, the products rows * q, and pick, the agent-form index of
+    each type's best response.  Every iterate and gap is bit-equal to
+    action_values, _regret and rows += (pure rows - rows) / (k + 1) taken
+    one iteration at a time: pure - rows rounds as -rows + pure (1 - r is
+    1 + (-r); 0 - r is -r up to the sign of a zero, which the following
+    add erases), and a row-wise np.add.reduce over a contiguous axis runs
+    numpy's pairwise sum on each row exactly as a 1-D reduce of that row
+    does.
 
     Raises NoConvergence (carrying the best iterate) if the target gap is
     not reached within max_iters iterations, and NonFinite if a gap is
     not finite (action values that overflow).
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    check_count("max_iters", max_iters)
     n, L, H = fg.n, fg.L, fg.H
     M1, M2 = fg.M1, fg.M2
     N1 = n * L
-    rows = np.concatenate([np.full(N1, 1.0 / L), np.full(n * H, 1.0 / H)])
-    q, prod, d = np.empty_like(rows), np.empty_like(rows), np.empty_like(rows)
-    pick = np.empty(2 * n, dtype=np.intp)
+    N = N1 + n * H
+    rows = np.empty((_FP_BLOCK, N))
+    q, prod = np.empty_like(rows), np.empty_like(rows)
+    step_rows = list(rows)  # a view of each step's rows, made once
+    pure, d = np.zeros(N), np.empty(N)
+    pick = np.empty((_FP_BLOCK, 2 * n), dtype=np.intp)
+    aim = np.full(2 * n, -1, dtype=np.intp)  # nothing before iteration 1
     offsets = np.concatenate([np.arange(n) * L, N1 + np.arange(n) * H])
-    s, t = rows[:N1], rows[N1:]
-    q1, q2 = q[:N1], q[N1:]
-    argmax1, argmax2 = q1.reshape(n, L).argmax, q2.reshape(n, H).argmax
-    pick1, pick2 = pick[:n], pick[n:]
-    prod1, prod2 = prod[:N1], prod[N1:]
+    starts = np.arange(_FP_BLOCK)[:, None] * N  # each step's offset in q
     # scaled after the dot products, as in action_values: folding 1/n^2
     # into M1 and M2 rounds the values differently and can flip a best
     # response between near-tied actions
     scale = 1.0 / n ** 2
     total = np.add.reduce  # ndarray.sum without its Python wrapper
+    subtract, divide, add = np.subtract, np.divide, np.add
+
+    def advance(src, dst, k):
+        """dst = src after iteration k's averaging step toward pure."""
+        subtract(pure, src, d)
+        divide(d, k + 1.0, d)
+        add(src, d, dst)
+
+    rows[0, :N1] = 1.0 / L
+    rows[0, N1:] = 1.0 / H
     best_gap = np.inf  # so iteration 1, whose gaps are finite, sets best
+    k, size = 1, 1  # the iteration at block step 0, the block length
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, max_iters + 1):
-            np.vecdot(M1, t, out=q1)
-            np.vecdot(M2, s, out=q2)
-            q *= scale
-            argmax1(axis=1, out=pick1)  # ties: lowest index
-            argmax2(axis=1, out=pick2)
-            pick += offsets
-            top = q[pick]
-            np.multiply(rows, q, out=prod)
-            gap1 = float(total(top[:n]) - total(prod1))
-            gap2 = float(total(top[n:]) - total(prod2))
-            if not (math.isfinite(gap1) and math.isfinite(gap2)):
-                raise NonFinite(
-                    f"fictitious play gap is not finite at iteration {k}")
-            worst = max(gap1, gap2)
-            if worst < best_gap:
-                best_gap = worst
-                best = (rows.copy(), gap1, gap2, k)
-            if worst <= target_gap:
+        while True:
+            size = min(size, max_iters - k + 1)
+            for j in range(1, size):  # step j is iteration k + j
+                advance(step_rows[j - 1], step_rows[j], k + j - 1)
+            np.vecdot(M1, rows[:size, None, N1:], out=q[:size, :N1])
+            np.vecdot(M2, rows[:size, None, :N1], out=q[:size, N1:])
+            q[:size] *= scale
+            q[:size, :N1].reshape(size, n, L).argmax(axis=2,
+                                                     out=pick[:size, :n])
+            q[:size, N1:].reshape(size, n, H).argmax(axis=2,
+                                                     out=pick[:size, n:])
+            pick[:size] += offsets  # ties: lowest index
+            top = q.take(pick[:size] + starts[:size])
+            np.multiply(rows[:size], q[:size], out=prod[:size])
+            gaps1 = total(top[:, :n], 1) - total(prod[:size, :N1], 1)
+            gaps2 = total(top[:, n:], 1) - total(prod[:size, N1:], 1)
+            off = np.flatnonzero((pick[:size] != aim).any(axis=1))
+            last = int(off[0]) if off.size else size - 1  # last exact step
+            stop = k + last == max_iters
+            kept = None
+            for j, gap1, gap2 in zip(range(last + 1), gaps1.tolist(),
+                                     gaps2.tolist()):
+                if not (math.isfinite(gap1) and math.isfinite(gap2)):
+                    raise NonFinite("fictitious play gap is not finite at "
+                                    f"iteration {k + j}")
+                worst = max(gap1, gap2)
+                if worst < best_gap:
+                    best_gap, kept = worst, (j, gap1, gap2)
+                if worst <= target_gap:
+                    stop = True
+                    break
+            if kept is not None:
+                j, gap1, gap2 = kept
+                best = (rows[j].copy(), gap1, gap2, k + j)
+            if stop:
                 break
-            np.negative(rows, out=d)
-            d[pick] += 1.0
-            d /= k + 1.0
-            rows += d
+            if off.size:
+                aim[:] = pick[last]
+                pure.fill(0.0)
+                pure[aim] = 1.0
+                size = max(1, size // 2)
+            else:
+                size = min(_FP_BLOCK, 2 * size)
+            advance(step_rows[last], step_rows[0], k + last)
+            k += last + 1
     best_rows, gap1, gap2, k = best
     profile = BehavioralProfile(best_rows[:N1].reshape(n, L),
                                 best_rows[N1:].reshape(n, H))

@@ -24,6 +24,7 @@ from bnecert.errors import (
     EquilibriumNotFound,
     Infeasible,
     NoConvergence,
+    NonFinite,
     SimplexStall,
     TooLarge,
     UnboundedObjective,
@@ -138,6 +139,74 @@ def riemann_br_value(g, player, opponent, points=RIEMANN_POINTS):
             payoff = g.payoff(2, t, theta).transpose(1, 0, 2)
         acc = acc + np.einsum("o,aok->ak", masses[j], payoff)
     return float(acc.max(axis=0).mean())
+
+
+# ---------------------------------------------------------------------------
+# ground truth: the 2x2 threshold game with a uniform prior
+#
+# Action A (index 0) pays theta1 - k against the opponent's A and theta1
+# against its B; action B pays 0.  Player 2 is the same with m.  A's
+# advantage grows with the own type, so every BNE uses thresholds, and
+# the threshold equations tau1 = k (1 - tau2), tau2 = m (1 - tau1) have
+# slope k m < 1: the BNE is unique.
+
+def threshold_game(k, m):
+    """The threshold game for k, m in (0, 1)."""
+    k, m = float(k), float(m)
+    return make_game([[f"theta1 - {k!r}", "theta1"], ["0", "0"]],
+                     [[f"theta2 - {m!r}", "0"], ["theta2", "0"]])
+
+
+def threshold_bne(k, m):
+    """The BNE thresholds (tau1, tau2): each player plays B below its
+    own and A above."""
+    return k * (1 - m) / (1 - k * m), m * (1 - k) / (1 - k * m)
+
+
+def threshold_step_regret(k, m, profile):
+    """Exact ex-ante regret of each player in the continuous threshold
+    game when types in ((i-1)/n, i/n] play row i of the profile.
+
+    Against an opponent who plays A with probability P, A is worth
+    theta - c with c = k P in [0, 1], so the best deviation is worth
+    (1 - c)^2 / 2, and row i's value is s_iA * int_cell (theta - c).
+    """
+    n = profile.n
+    cell = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n ** 2)  # int theta
+    regrets = []
+    for weight, own, opp in ((k, profile.s, profile.t),
+                             (m, profile.t, profile.s)):
+        c = weight * opp[:, 0].mean()
+        own_value = float(own[:, 0] @ (cell - c / n))
+        regrets.append((1.0 - c) ** 2 / 2.0 - own_value)
+    return tuple(regrets)
+
+
+def riemann_step_regret(g, profile, points=(1000, 200)):
+    """Each player's ex-ante regret of the step profile (types in
+    ((i-1)/n, i/n] play row i) in the continuous game g under a uniform
+    prior, by midpoint sums over an own-type by opponent-type grid.
+
+    Uses the raw utilities, so the nonnegativity shift cancels.  Each
+    count is rounded up to a multiple of n, so no midpoint sits on a
+    cell edge.
+    """
+    n = profile.n
+    sizes = [-(-p // n) * n for p in points]
+    own_t, opp_t = ((np.arange(p) + 0.5) / p for p in sizes)
+    regrets = []
+    for player, own, opp in ((1, profile.s, profile.t),
+                             (2, profile.t, profile.s)):
+        if player == 1:
+            u = g.raw(1, own_t[:, None], opp_t[None, :])  # (x, y, own, opp)
+        else:
+            u = g.raw(2, opp_t[None, :], own_t[:, None]).transpose(1, 0, 2, 3)
+        opp_rows = opp[np.floor(opp_t * n).astype(int)]  # (opp, b)
+        values = np.einsum("abpq,qb->ap", u, opp_rows) / sizes[1]
+        own_rows = own[np.floor(own_t * n).astype(int)]  # (own, a)
+        regrets.append(float(values.max(axis=0).mean()
+                             - (own_rows.T * values).sum(axis=0).mean()))
+    return tuple(regrets)
 
 
 def naive_profile_value(g, F, G, player):
@@ -450,8 +519,9 @@ def oracle_solve_fp(fg, max_iters=2000, target_gap=1e-6,
     """Agent-form fictitious play with uniform averaging.
 
     Raises NoConvergence (carrying the best iterate) if the target gap is
-    not reached within max_iters iterations.  values computes the action
-    values: the library's by default, or oracle_action_values.
+    not reached within max_iters iterations, and NonFinite if a gap is not
+    finite.  values computes the action values: the library's by default,
+    or oracle_action_values.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -463,6 +533,9 @@ def oracle_solve_fp(fg, max_iters=2000, target_gap=1e-6,
     for k in range(1, max_iters + 1):
         profile = BehavioralProfile(s.copy(), t.copy())
         gap1, gap2 = oracle_finite_gap(fg, profile, values)
+        if not (math.isfinite(gap1) and math.isfinite(gap2)):
+            raise NonFinite(
+                f"fictitious play gap is not finite at iteration {k}")
         worst = max(gap1, gap2)
         if worst < best_gap:
             best_gap = worst

@@ -218,6 +218,29 @@ def test_run_uncertified_exit_code(spec_path):
                  "--epsilon", "1e-9", "--max-level", "2"]) == 2
 
 
+def test_run_prints_the_report_and_exits_1_when_every_level_fails(
+        tmp_path, capsys):
+    # certify's Simpson sums overflow at level 1, and fp's gaps at levels
+    # 2 and 4; the report keeps each level's error
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        **ZERO_SUM_DOC,
+        "u": [["1.5e308*theta1", "0"], ["0", "1.5e308*theta2"]],
+    }))
+    assert main(["run", str(path), "--grid-check", "21", "--epsilon", "0.1",
+                 "--backend", "fp", "--max-level", "4",
+                 "--schedule", "doubling"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "failed"
+    assert doc["certified_level"] is None and doc["strategies"] is None
+    assert {r["n"]: r["error"] for r in doc["levels"]} == {
+        1: "NonFinite: Simpson estimates on [0.0, 1.0] of integrand 0 "
+           "are not finite",
+        2: "NonFinite: fictitious play gap is not finite at iteration 2",
+        4: "NonFinite: fictitious play gap is not finite at iteration 1",
+    }
+
+
 def test_missing_file_is_fatal(capsys):
     assert main(["check", "/nonexistent/game.json"]) == 1
     assert "error" in capsys.readouterr().err

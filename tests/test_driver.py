@@ -1,5 +1,7 @@
 """Certification loop: schedules, reports, diagnostics, determinism."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ import bnecert as bc
 from bnecert import solver
 from bnecert.discretize import StepStrategy
 from bnecert.driver import schedule_levels, sup_distance
-from bnecert.errors import AllLevelsFailed
 
 from conftest import (
     make_game,
@@ -45,6 +46,37 @@ def test_run_config_validation():
                    {"epsilon": 0.1, "fp_max_iters": 0}):
         with pytest.raises(ValueError):
             bc.RunConfig(**fields)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"fp_max_iters": 2.5, "backend": "fp"},
+     "fp_max_iters must be an integer, got 2.5"),
+    ({"fp_max_iters": 2.0}, "fp_max_iters must be an integer, got 2.0"),
+    ({"fp_max_iters": True}, "fp_max_iters must be an integer, got True"),
+    ({"max_level": 2.5}, "max_level must be an integer, got 2.5"),
+    ({"max_level": 2.5, "schedule": "doubling"},
+     "max_level must be an integer, got 2.5"),
+    ({"max_level": True}, "max_level must be an integer, got True"),
+    ({"max_level": "2"}, "max_level must be an integer, got '2'"),
+])
+def test_run_config_rejects_counts_that_are_not_integers(fields, message):
+    # before, these passed validation and run then raised an untyped
+    # TypeError, or (doubling, fp_max_iters=True) ran silently
+    with pytest.raises(ValueError) as exc:
+        bc.RunConfig(epsilon=0.01, **fields)
+    assert str(exc.value) == message
+
+
+def test_run_config_accepts_numpy_integer_counts():
+    g = make_game([["1", "1"], ["1", "1"]], [["1", "1"], ["1", "1"]])
+    cfg = bc.RunConfig(epsilon=0.01, max_level=np.int64(2),
+                       fp_max_iters=np.int32(5), backend="fp")
+    report = bc.run(g, cfg)
+    assert report.status == "certified"
+    assert report.levels[0]["solver_iterations"] == 1
+    # stored as ints, so the report serializes
+    config = json.loads(report.to_json())["config"]
+    assert (config["max_level"], config["fp_max_iters"]) == (2, 5)
 
 
 def test_constant_game_certified_at_level_one():
@@ -94,13 +126,23 @@ def test_explicit_lp_backend_requires_linearizability():
 
 def test_all_levels_failed():
     # 4 actions: no pure equilibrium exists and the support-enumeration
-    # fallback only covers up to 3 actions, so every level errors out
+    # fallback only covers up to 3 actions, so every level errors out;
+    # the report still says why, level by level
     u = [["1" if x == y else "0" for y in range(4)] for x in range(4)]
     v = [["0" if x == y else "1" for y in range(4)] for x in range(4)]
     g = make_game(u, v)
-    with pytest.raises(AllLevelsFailed):
-        bc.run(g, bc.RunConfig(epsilon=0.5, max_level=2,
-                               backend="enum_oracle"))
+    report = bc.run(g, bc.RunConfig(epsilon=0.5, max_level=2,
+                                    backend="enum_oracle"))
+    assert report.status == "failed"
+    assert report.certified_level is None
+    assert report.strategies is None
+    assert report.diagnostics == [] and report.level_strategies == []
+    assert [r["n"] for r in report.levels] == [1, 2]
+    for record in report.levels:
+        assert record["error"] == ("EquilibriumNotFound: no pure equilibrium "
+                                   "and support enumeration found none")
+        assert "certificate" not in record
+    assert report.to_dict()["status"] == "failed"
 
 
 def test_sup_distance_identical_and_refined():

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bnecert as bc
 from bnecert.discretize import FiniteGame
@@ -22,6 +24,7 @@ from bnecert.errors import (
     UnboundedObjective,
 )
 from bnecert.solver import (
+    _FP_BLOCK,
     action_values,
     check_prop1,
     ck_objective,
@@ -618,6 +621,121 @@ def test_fp_reports_the_gaps_of_its_profile():
                     res = exc.result
                 gaps = finite_gap(fg, res.profile)
                 assert (res.finite_gap1, res.finite_gap2) == gaps
+
+
+def _fp_bits(solver, fg, target_gap, max_iters):
+    """_fp_outcome with the gaps as bits, or the NonFinite message."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _fp_outcome(solver, fg, target_gap, max_iters)
+    except NonFinite as exc:
+        return "NonFinite", str(exc)
+    return (*out[:2], out[2].hex(), out[3].hex(), *out[4:])
+
+
+@st.composite
+def fp_games(draw):
+    """Random finite games: general-sum, constant-sum (whose fp runs are
+    long and switch often), constant-sum with each player's last action a
+    copy of its first (exact ties) or on a quarter grid (ties between
+    distinct actions), and games whose action values overflow once
+    enough weight has moved onto one opponent action."""
+    L = draw(st.integers(1, 3))
+    H = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 20))
+    kind = draw(st.sampled_from(["general", "constant", "duplicated",
+                                 "quarter", "overflow"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    U, V = rng.random((L, H, n, n)), rng.random((L, H, n, n))
+    if kind == "duplicated":
+        U[-1] = U[0]
+        U[:, -1] = U[:, 0]
+    elif kind == "quarter":
+        U = np.floor(4.0 * U) / 4.0
+    elif kind == "overflow":
+        # player 2 prefers y, and x's values against it overflow once
+        # more than a share f of player 2's weight is on y
+        x, y = rng.integers(L), rng.integers(H)
+        f = 1.0 - 10.0 ** rng.uniform(-3.0, -0.5)
+        V[:, y] += 1.0
+        U[x, y] = np.finfo(float).max / max(1.0, n * f)
+    if kind in ("constant", "duplicated", "quarter"):
+        V = 1.0 - U
+    return FiniteGame(n, tuple(f"x{x}" for x in range(L)),
+                      tuple(f"y{y}" for y in range(H)), U, V)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fg=fp_games(),
+       max_iters=st.sampled_from([1, _FP_BLOCK - 1, _FP_BLOCK,
+                                  _FP_BLOCK + 1, 2 * _FP_BLOCK + 1, 300]),
+       reach=st.one_of(st.none(), st.floats(0.0, 1.0)))
+def test_fp_equals_the_oracle_over_random_games(fg, max_iters, reach):
+    """Blocks end where a best response changes, where the target is
+    reached and at max_iters; each must leave the oracle's trajectory.
+    reach=None misses the target; otherwise the target is the oracle's
+    best gap over the first reach * max_iters iterations, so the run stops
+    there or earlier."""
+    target = -1.0
+    if reach is not None:
+        first = _fp_bits(oracle_solve_fp, fg, -1.0,
+                         max(1, round(reach * max_iters)))
+        if first[0] != "NonFinite":
+            target = max(float.fromhex(first[2]), float.fromhex(first[3]))
+    assert (_fp_bits(solve_fp, fg, target, max_iters)
+            == _fp_bits(oracle_solve_fp, fg, target, max_iters))
+
+
+def _best_response_switches(fg, max_iters):
+    """The iterations at which the oracle's best responses change."""
+    s = np.full((fg.n, fg.L), 1.0 / fg.L)
+    t = np.full((fg.n, fg.H), 1.0 / fg.H)
+    switches, last = [], None
+    for k in range(1, max_iters + 1):
+        br1, _ = oracle_finite_best_response(fg, 1, t)
+        br2, _ = oracle_finite_best_response(fg, 2, s)
+        pure = br1.tobytes() + br2.tobytes()
+        if last is not None and pure != last:
+            switches.append(k)
+        last = pure
+        s += (br1 - s) / (k + 1.0)
+        t += (br2 - t) / (k + 1.0)
+    return switches
+
+
+def test_fp_equals_the_oracle_where_best_responses_switch_in_blocks():
+    """A bench-size 3x3 game at n=40 whose best responses change about
+    every 8 iterations, some of them after more than 2 * _FP_BLOCK
+    unchanged ones, where fp's blocks have their full length: 1e-3 is
+    reached mid-run, 1e-9 is missed after the full 2000."""
+    rng = np.random.default_rng(72)
+    u, v = ([[random_poly(rng) for _ in range(3)] for _ in range(3)]
+            for _ in range(2))
+    fg = bc.build_finite(make_game(u, v), 40)
+    switches = _best_response_switches(fg, 2000)
+    runs = np.diff([1, *switches])
+    assert len(switches) > 200 and np.sum(runs > 2 * _FP_BLOCK) >= 3
+    for target in (1e-3, 1e-9):
+        got = _fp_bits(solve_fp, fg, target, 2000)
+        assert got == _fp_bits(oracle_solve_fp, fg, target, 2000)
+        assert got[0] == (target == 1e-3)
+
+
+@pytest.mark.parametrize("max_iters", [2.5, 2.0, True, "3", None])
+def test_fp_rejects_a_max_iters_that_is_not_an_integer(max_iters):
+    fg = identity_finite_game()
+    with pytest.raises(ValueError, match="^max_iters must be an integer"):
+        solve_fp(fg, max_iters=max_iters)
+
+
+def test_fp_accepts_numpy_integer_max_iters():
+    fg = identity_finite_game()
+    for max_iters in (np.int64(3), np.int32(3), np.intp(3)):
+        with pytest.raises(NoConvergence) as exc:
+            solve_fp(fg, max_iters=max_iters, target_gap=-1.0)
+        assert exc.value.result.iterations >= 1
+    with pytest.raises(ValueError, match="^max_iters must be >= 1$"):
+        solve_fp(fg, max_iters=np.int64(0))
 
 
 def test_fp_does_not_depend_on_the_blas_thread_count():
