@@ -1,9 +1,8 @@
-"""Compare the three finite-game solver backends on small games.
+"""Compare the two finite-game solver backends on small games.
 
 The LP backend applies whenever the multiplier condition makes the
 slack program linear (constant-sum raw utilities, or user-supplied
-multipliers).  Fictitious play covers the general-sum case, and the
-enumeration oracle double-checks small instances exhaustively.
+multipliers).  Fictitious play covers the general-sum case.
 """
 
 import os
@@ -26,23 +25,19 @@ def main():
     fg = bc.build_finite(g, n)
 
     lp = bc.solve_lp(fg)
-    print(f"\nlp:   gaps ({lp.finite_gap1:.2e}, {lp.finite_gap2:.2e}) "
+    print(f"\nlp: gaps ({lp.finite_gap1:.2e}, {lp.finite_gap2:.2e}) "
           f"in {lp.iterations} pivots")
 
     try:
         fp = bc.solve_fp(fg, max_iters=5000, target_gap=1e-6)
     except NoConvergence as exc:
         fp = exc.result
-    print(f"fp:   gaps ({fp.finite_gap1:.2e}, {fp.finite_gap2:.2e}) "
+    print(f"fp: gaps ({fp.finite_gap1:.2e}, {fp.finite_gap2:.2e}) "
           f"in {fp.iterations} iterations")
 
-    enum = bc.solve_enum(fg)
-    print(f"enum: gaps ({enum.finite_gap1:.2e}, {enum.finite_gap2:.2e}) "
-          f"after {enum.iterations} candidates")
-
     print("\nplayer 1 behavioral rows (one per grid type):")
-    for name, res in (("lp", lp), ("fp", fp), ("enum", enum)):
-        print(f"  {name:4s} {np.round(res.profile.s, 3).tolist()}")
+    for name, res in (("lp", lp), ("fp", fp)):
+        print(f"  {name} {np.round(res.profile.s, 3).tolist()}")
 
     # the multiplier-based weights from the spec's m1/m2 also work
     g2 = bc.load_game_file(

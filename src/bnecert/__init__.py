@@ -4,16 +4,16 @@ Bayesian games with continuous types on [0, 1]^2 and finite actions.
 Pipeline: parse the game (expr, model), discretize the type space
 (discretize), solve the finite game (solver), lift to step-function
 distributional strategies, and verify the epsilon-equilibrium condition
-of the infinite game by quadrature (certify).  The driver chains the
+of the infinite game by quadrature (certificate).  The driver chains the
 levels; the cli exposes everything on the command line.
 """
 
-from .certify import certify
+from .certificate import certify
 from .discretize import BehavioralProfile, FiniteGame, build_finite, lift
 from .driver import RunConfig, convergence_diagnostic, run
 from .expr import parse
 from .model import GameSpec, conditional, load_game, load_game_file, marginal
-from .solver import check_prop1, default_alphas, solve_enum, solve_fp, solve_lp
+from .solver import check_prop1, default_alphas, solve_fp, solve_lp
 
 __all__ = [
     "BehavioralProfile",
@@ -32,7 +32,6 @@ __all__ = [
     "marginal",
     "parse",
     "run",
-    "solve_enum",
     "solve_fp",
     "solve_lp",
 ]

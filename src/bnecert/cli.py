@@ -1,8 +1,8 @@
 """Command-line surface of the toolkit.
 
 Exit codes: 0 success / certified, 2 exhausted without a certificate,
-1 fatal error (for run, also every level failed; the report still says
-why).
+1 fatal error or usage error (for run, also every level failed; the
+report still says why).
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ import sys
 
 import numpy as np
 
-from .certify import certify, check_tolerances
-from .discretize import build_finite, grid_floor, lift
-from .driver import RunConfig, resolve_backend, run, solve_level
+from .certificate import certify, check_tolerances
+from .discretize import build_finite, check_count, grid_floor, lift
+from .driver import BACKENDS, RunConfig, resolve_backend, run, solve_level
 from .errors import BnecertError
 from .model import load_game_file
-from .solver import check_count, check_prop1
+from .solver import check_prop1
 
 EXIT_OK = 0
 EXIT_FATAL = 1
@@ -141,8 +141,17 @@ def cmd_run(args):
     return EXIT_OK if report.status == "certified" else EXIT_UNCERTIFIED
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's usage errors, with the fatal exit code instead of 2
+    (which means "exhausted without a certificate" here)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_FATAL, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bnecert",
         description="Compute and certify epsilon-equilibria of "
                     "continuous-type Bayesian games by discretization.",
@@ -155,8 +164,7 @@ def build_parser():
                        help="validation grid size (odd, >= 11)")
 
     def add_solver(p):
-        p.add_argument("--backend", default="auto",
-                       choices=["auto", "lp", "fp", "enum_oracle"])
+        p.add_argument("--backend", default="auto", choices=BACKENDS)
         p.add_argument("--fp-max-iters", type=int, default=2000)
 
     p = sub.add_parser("check", help="validate a game spec")
@@ -201,6 +209,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "emit_curves", False) and not args.output:
+        parser.error("--emit-curves writes files next to the report, "
+                     "so it needs --output")
     try:
         return args.func(args)
     except BnecertError as exc:

@@ -12,6 +12,7 @@ with an atom of mass weights[i, a] / n at theta = (i + 1) / n.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,6 +23,15 @@ from .errors import NonFinite, UnknownAction
 # floor(n * theta) with an upward nudge so representable grid points k/n
 # land exactly on k despite binary rounding of k/n
 _FLOOR_NUDGE = 1e-12
+
+
+def check_count(name, value):
+    """ValueError unless value is an integer >= 1.  numpy integers count;
+    bools and floats do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 def grid_floor(n, theta):
@@ -148,8 +158,8 @@ class StepStrategy:
 
 def build_finite(g, n):
     """Sample the assimilated payoffs of g at the level-n grid."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_count("n", n)
+    n = int(n)
     grid = np.arange(1, n + 1) / n
     U = g.payoff(1, grid[:, None], grid[None, :])
     V = g.payoff(2, grid[:, None], grid[None, :])

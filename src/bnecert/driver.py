@@ -15,11 +15,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .certify import certify, check_tolerances
-from .discretize import build_finite, lift
+from .certificate import certify, check_tolerances
+from .discretize import build_finite, check_count, lift
 from .errors import BnecertError, NoConvergence
-from .solver import (check_count, check_prop1, default_alphas, solve_enum,
-                     solve_fp, solve_lp)
+from .solver import check_prop1, default_alphas, solve_fp, solve_lp
+
+
+BACKENDS = ("auto", "lp", "fp")
 
 
 @dataclass(frozen=True)
@@ -27,7 +29,7 @@ class RunConfig:
     epsilon: float
     max_level: int = 32
     schedule: str = "linear"  # or "doubling"
-    backend: str = "auto"     # auto | lp | fp | enum_oracle
+    backend: str = "auto"     # one of BACKENDS
     fp_max_iters: int = 2000
     quad_tol: float | None = None
 
@@ -39,7 +41,7 @@ class RunConfig:
             object.__setattr__(self, name, int(getattr(self, name)))
         if self.schedule not in ("linear", "doubling"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.backend not in ("auto", "lp", "fp", "enum_oracle"):
+        if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
 
 
@@ -139,8 +141,6 @@ def solve_level(g, n, backend, prop1, epsilon, fp_max_iters):
     if backend == "lp":
         alpha1, alpha2 = default_alphas(fg, g, prop1)
         return solve_lp(fg, alpha1, alpha2), None
-    if backend == "enum_oracle":
-        return solve_enum(fg), None
     try:
         return solve_fp(fg, max_iters=fp_max_iters,
                         target_gap=epsilon / 10.0), None

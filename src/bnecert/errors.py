@@ -71,13 +71,5 @@ class NoConvergence(BnecertError):
         self.result = result
 
 
-class TooLarge(BnecertError):
-    """Enumeration guard tripped: the pure-profile space is too big."""
-
-
-class EquilibriumNotFound(BnecertError):
-    """Neither pure enumeration nor support enumeration found an equilibrium."""
-
-
 class UnknownAction(BnecertError):
     """Action label not present in the strategy."""

@@ -1,6 +1,6 @@
 """Equilibrium computation for level-n finite games.
 
-Three backends:
+Two backends:
 
   * solve_lp    -- the slack-maximization program whose bilinear payoff
                    terms cancel to a constant under the multiplier
@@ -16,10 +16,7 @@ Three backends:
                    gaps take a few array calls in all, its steps up to the
                    first changed best response are kept, and every iterate
                    is bit-equal to action_values, _regret and the
-                   averaging step taken one iteration at a time;
-  * solve_enum  -- small-instance oracle: pure-profile enumeration with a
-                   support-enumeration fallback, both on agent-form
-                   indices type * width + action into M1 and M2.
+                   averaging step taken one iteration at a time.
 
 All payoffs here are prior-assimilated, so the finite game carries a
 uniform 1/n^2 prior and a uniform 1/n conditional.
@@ -33,22 +30,18 @@ between duplicated actions and so changes best responses.
 
 from __future__ import annotations
 
-import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import BehavioralProfile, FiniteGame
+from .discretize import BehavioralProfile, check_count
 from .errors import (
-    EquilibriumNotFound,
     Infeasible,
     NoConvergence,
     NonFinite,
     Prop1Violation,
     SimplexStall,
-    TooLarge,
     UnboundedObjective,
 )
 
@@ -437,15 +430,6 @@ def solve_lp(fg, alpha1=None, alpha2=None):
 _FP_BLOCK = 64
 
 
-def check_count(name, value):
-    """ValueError unless value is an integer >= 1.  numpy integers count;
-    bools and floats do not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
-
-
 def solve_fp(fg, max_iters=2000, target_gap=1e-6):
     """Agent-form fictitious play with uniform averaging.
 
@@ -559,103 +543,3 @@ def solve_fp(fg, max_iters=2000, target_gap=1e-6):
     if best_gap <= target_gap:
         return result
     raise NoConvergence(result)
-
-
-# ---------------------------------------------------------------------------
-# enumeration oracle, on agent-form indices type * width + action
-
-def _pure_action_values(fg, player, choice):
-    """q[i, a] against a pure opponent policy (one action per type): the
-    opponent's agent-form columns, summed over its types in order."""
-    M, width, opp_width = _agent_form(fg, player)
-    n = fg.n
-    cols = np.arange(n) * opp_width + np.asarray(choice)
-    return (M.T[cols].sum(axis=0) / n ** 2).reshape(n, width)
-
-
-def _support_candidates(n, width):
-    """Each choice of one nonempty action subset per type, as ascending
-    agent-form indices."""
-    masks = [np.isin(np.arange(width), s) for size in range(1, width + 1)
-             for s in itertools.combinations(range(width), size)]
-    for pick in itertools.product(masks, repeat=n):
-        yield np.flatnonzero(pick)
-
-
-def _opponent_mixture(fg, player, own, opp):
-    """The opponent mixture on the agent-form indices opp that makes
-    player indifferent over own, as normalized rows, and player's per-type
-    values; None if the indifference system has no valid solution."""
-    M, width, opp_width = _agent_form(fg, player)
-    n, m, k = fg.n, len(own), len(opp)
-    # unknowns: the mixture entries, then the values; rows: one
-    # indifference row per own index, one sum-to-one row per opponent type
-    A = np.zeros((m + n, k + n))
-    A[:m, :k] = M[np.ix_(own, opp)] * (1.0 / n ** 2)
-    A[np.arange(m), k + own // width] = -1.0
-    A[m + opp // opp_width, np.arange(k)] = 1.0
-    b = np.zeros(m + n)
-    b[m:] = 1.0
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if np.linalg.norm(A @ sol - b) > 1e-9 or np.any(sol[:k] < -1e-9):
-        return None
-    mix = np.zeros(n * opp_width)
-    mix[opp] = sol[:k]
-    return _normalize_rows(mix.reshape(n, opp_width)), sol[k:]
-
-
-def _solve_support_system(fg, own1, own2):
-    """Solve the indifference system for one pair of supports, given as
-    agent-form indices; None if it has no valid solution."""
-    found1 = _opponent_mixture(fg, 1, own1, own2)
-    if found1 is None:
-        return None
-    found2 = _opponent_mixture(fg, 2, own2, own1)
-    if found2 is None:
-        return None
-    (t, v1), (s, v2) = found1, found2
-    # off-support actions must not be profitable
-    if (np.any(action_values(fg, 1, t).max(axis=1) > v1 + 1e-9)
-            or np.any(action_values(fg, 2, s).max(axis=1) > v2 + 1e-9)):
-        return None
-    profile = BehavioralProfile(s, t)
-    gap1, gap2 = finite_gap(fg, profile)
-    if max(gap1, gap2) > 1e-9:
-        return None
-    return profile, gap1, gap2
-
-
-def solve_enum(fg):
-    """Exhaustive oracle: pure-profile enumeration, then support
-    enumeration on small instances."""
-    n, L, H = fg.n, fg.L, fg.H
-    if L ** n * H ** n > 10 ** 6:
-        raise TooLarge(f"{L}^{n} * {H}^{n} pure profiles exceed the guard")
-
-    examined = 0
-    for choice1 in itertools.product(range(L), repeat=n):
-        q2 = _pure_action_values(fg, 2, choice1)
-        best2 = q2 == q2.max(axis=1, keepdims=True)
-        for choice2 in itertools.product(*map(np.flatnonzero, best2)):
-            examined += 1
-            q1 = _pure_action_values(fg, 1, choice2)
-            if (q1[np.arange(n), choice1] == q1.max(axis=1)).all():
-                profile = BehavioralProfile(
-                    _pure_rows(choice1, L), _pure_rows(choice2, H)
-                )
-                gap1, gap2 = finite_gap(fg, profile)
-                return SolverResult(profile, gap1, gap2,
-                                    "enum_oracle", examined)
-
-    if n <= 2 and L <= 3 and H <= 3:
-        for own1 in _support_candidates(n, L):
-            for own2 in _support_candidates(n, H):
-                examined += 1
-                found = _solve_support_system(fg, own1, own2)
-                if found is not None:
-                    profile, gap1, gap2 = found
-                    return SolverResult(profile, gap1, gap2,
-                                        "enum_oracle", examined)
-    raise EquilibriumNotFound(
-        "no pure equilibrium and support enumeration found none"
-    )

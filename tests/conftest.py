@@ -4,9 +4,11 @@ The oracles here deliberately avoid the library's own quadrature and
 tensor code paths: Riemann sums are plain uniform midpoint sums over
 numpy arrays, reference payoff sums are naive Python loops, and the
 expression oracle walks the tree one point at a time with Python floats
-and numpy's scalar exp, log, sin, cos and power.  The tableau simplex,
-fictitious play and enumeration oracles are the per-row and per-cell
-loop versions that the array code replaced.
+and numpy's scalar exp, log, sin, cos and power.  The tableau simplex
+and fictitious play oracles are the per-row loop versions that the array
+code replaced.  The enumeration oracle exists only here: an exhaustive
+pure-profile and support search, used as an independent cross-check of
+the lp and fp backends on small games.
 """
 
 import itertools
@@ -21,12 +23,10 @@ import bnecert as bc
 from bnecert.discretize import BehavioralProfile
 from bnecert.errors import (
     DomainError,
-    EquilibriumNotFound,
     Infeasible,
     NoConvergence,
     NonFinite,
     SimplexStall,
-    TooLarge,
     UnboundedObjective,
 )
 from bnecert.expr import BinOp, Call, Neg, Num, Var
@@ -550,8 +550,15 @@ def oracle_solve_fp(fg, max_iters=2000, target_gap=1e-6,
 
 
 # ---------------------------------------------------------------------------
-# enumeration oracle: the per-cell loops over the U/V tensors that the
-# agent-form index code replaced
+# enumeration oracle: per-cell loops over the U/V tensors
+
+class TooLarge(Exception):
+    """The enumeration guard tripped: the pure-profile space is too big."""
+
+
+class EquilibriumNotFound(Exception):
+    """Neither pure nor support enumeration found an equilibrium."""
+
 
 def _pure_action_values(payoff, opp_choice, player, n):
     """q[i, a] against a pure opponent policy (tuple of action indices)."""

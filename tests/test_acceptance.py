@@ -14,14 +14,13 @@ import numpy as np
 import pytest
 
 import bnecert as bc
-from bnecert.certify import br_value_infinite, profile_value
+from bnecert.certificate import br_value_infinite, profile_value
 from bnecert.discretize import StepStrategy
 from bnecert.solver import (
     action_values,
     ck_objective,
     finite_best_response,
     finite_gap,
-    solve_enum,
     solve_fp,
     solve_lp,
 )
@@ -31,6 +30,7 @@ from conftest import (
     ex_ante_value,
     make_game,
     oracle_payoff,
+    oracle_solve_enum,
     random_poly,
     random_poly_game,
     riemann_br_value,
@@ -127,7 +127,7 @@ def test_criterion_3_finite_gap_oracle_equivalence(capsys):
         g = make_game(u, v)
         n = 1 + trial % 2
         fg = bc.build_finite(g, n)
-        enum = solve_enum(fg)
+        enum = oracle_solve_enum(fg)
         gaps = finite_gap(fg, enum.profile)
         if enum.profile.s.max() == 1.0 and enum.profile.t.max() == 1.0 \
                 and np.all(np.isin(enum.profile.s, (0.0, 1.0))):
@@ -153,7 +153,7 @@ def test_criterion_4_ck_certificate_identity(capsys):
     for n in (1, 2, 4):
         fg = bc.build_finite(g, n)
         outputs.append((fg, solve_lp(fg).profile))
-        outputs.append((fg, solve_enum(fg).profile)
+        outputs.append((fg, oracle_solve_enum(fg).profile)
                        if n <= 2 else (fg, solve_lp(fg).profile))
         try:
             fp = solve_fp(fg, max_iters=150, target_gap=1e-9)

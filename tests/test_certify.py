@@ -1,10 +1,12 @@
 """Certification against the continuous game: values, deviations, gaps."""
 
+import importlib.util
+
 import numpy as np
 import pytest
 
 import bnecert as bc
-from bnecert.certify import (
+from bnecert.certificate import (
     best_deviation_integrand,
     br_value_infinite,
     profile_value,
@@ -295,3 +297,12 @@ def test_prior_scaling_invariance():
     for x, y in ((a.value1, b.value1), (a.value2, b.value2),
                  (a.gap1, b.gap1), (a.gap2, b.gap2)):
         assert abs(x - y) <= 1e-12 * max(1.0, abs(x)) + 2e-7
+
+
+def test_certificate_module_beside_the_certify_function():
+    # a bnecert.certify submodule would be shadowed by the function, and
+    # its other names unreachable as bnecert.certify.<name>
+    module = importlib.import_module("bnecert.certificate")
+    assert module.profile_value is profile_value
+    assert callable(bc.certify) and bc.certify is module.certify
+    assert importlib.util.find_spec("bnecert.certify") is None

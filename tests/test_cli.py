@@ -2,11 +2,15 @@
 
 import csv
 import json
+import subprocess
+import sys
 
 import pytest
 
 import bnecert as bc
 from bnecert.cli import main
+
+from conftest import src_env
 
 ZERO_SUM_DOC = {
     "actions1": ["x1", "x2"],
@@ -213,6 +217,20 @@ def test_run_with_report_and_curves(spec_path, tmp_path, capsys,
                 assert float(value) == strat.value(action, float(theta))
 
 
+def test_emit_curves_without_output_is_a_usage_error(spec_path, tmp_path,
+                                                    capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", spec_path, "--grid-check", "21", "--epsilon", "0.05",
+              "--emit-curves"])
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.endswith("bnecert: error: --emit-curves writes files next "
+                            "to the report, so it needs --output\n")
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_run_uncertified_exit_code(spec_path):
     assert main(["run", spec_path, "--grid-check", "21",
                  "--epsilon", "1e-9", "--max-level", "2"]) == 2
@@ -239,6 +257,48 @@ def test_run_prints_the_report_and_exits_1_when_every_level_fails(
         2: "NonFinite: fictitious play gap is not finite at iteration 2",
         4: "NonFinite: fictitious play gap is not finite at iteration 1",
     }
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "SPEC"], "the following arguments are required: --epsilon"),
+    (["solve", "SPEC", "--level", "1", "--backend", "bogus"],
+     "argument --backend: invalid choice: 'bogus' "
+     "(choose from 'auto', 'lp', 'fp')"),
+    (["solve", "SPEC", "--level", "1", "--backend", "enum_oracle"],
+     "argument --backend: invalid choice: 'enum_oracle' "
+     "(choose from 'auto', 'lp', 'fp')"),
+    (["certify", "SPEC", "--level", "two", "--epsilon", "0.1"],
+     "argument --level: invalid int value: 'two'"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_errors_exit_1_with_argparse_message(spec_path, capsys, argv,
+                                                   message):
+    # exit 2 is "exhausted without a certificate", argparse's own code
+    argv = [spec_path if a == "SPEC" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage: bnecert")
+    assert out.err.endswith(f"error: {message}\n")
+
+
+def test_usage_error_exit_code_of_the_process(spec_path):
+    proc = subprocess.run([sys.executable, "-m", "bnecert.cli", "run",
+                           spec_path], env=src_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.endswith(
+        "error: the following arguments are required: --epsilon\n")
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["run", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: bnecert")
 
 
 def test_missing_file_is_fatal(capsys):

@@ -45,8 +45,26 @@ def test_build_finite_n1_single_entry():
 
 def test_build_finite_rejects_bad_level():
     g = make_game([["1"]], [["1"]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
         bc.build_finite(g, 0)
+
+
+@pytest.mark.parametrize("n, message", [
+    (2.5, "n must be an integer, got 2.5"),
+    (True, "n must be an integer, got True"),
+])
+def test_build_finite_rejects_levels_that_are_not_counts(n, message):
+    g = make_game([["theta1"]], [["theta2"]])
+    with pytest.raises(ValueError) as exc:
+        bc.build_finite(g, n)
+    assert str(exc.value) == message
+
+
+def test_build_finite_accepts_numpy_integer_levels():
+    g = make_game([["theta1*theta2"]], [["0"]])
+    fg = bc.build_finite(g, np.int64(2))
+    assert type(fg.n) is int and fg.n == 2
+    assert np.array_equal(fg.U, bc.build_finite(g, 2).U)
 
 
 def test_lift_pure_per_type():

@@ -37,8 +37,9 @@ def test_run_config_validation():
         bc.RunConfig(epsilon=0.1, max_level=0)
     with pytest.raises(ValueError):
         bc.RunConfig(epsilon=0.1, schedule="geometric")
-    with pytest.raises(ValueError):
-        bc.RunConfig(epsilon=0.1, backend="cplex")
+    for backend in ("cplex", "enum_oracle"):
+        with pytest.raises(ValueError):
+            bc.RunConfig(epsilon=0.1, backend=backend)
     for fields in ({"epsilon": float("nan")}, {"epsilon": float("inf")},
                    {"epsilon": 0.1, "quad_tol": -1.0},
                    {"epsilon": 0.1, "quad_tol": 0.0},
@@ -125,22 +126,26 @@ def test_explicit_lp_backend_requires_linearizability():
 
 
 def test_all_levels_failed():
-    # 4 actions: no pure equilibrium exists and the support-enumeration
-    # fallback only covers up to 3 actions, so every level errors out;
-    # the report still says why, level by level
-    u = [["1" if x == y else "0" for y in range(4)] for x in range(4)]
-    v = [["0" if x == y else "1" for y in range(4)] for x in range(4)]
-    g = make_game(u, v)
-    report = bc.run(g, bc.RunConfig(epsilon=0.5, max_level=2,
-                                    backend="enum_oracle"))
+    # payoffs of 1.5e308 overflow: auto picks fp (the game is not
+    # constant-sum), certify's Simpson sums overflow at levels 1 and 2 and
+    # fp's gaps at level 3, so every level errors out; the report still
+    # says why, level by level
+    u = [["1.5e308*theta1", "0"], ["0", "1.5e308*theta2"]]
+    v = [["0", "1.5e308*theta2"], ["1.5e308*theta1", "0"]]
+    report = bc.run(make_game(u, v), bc.RunConfig(epsilon=0.5, max_level=3))
     assert report.status == "failed"
     assert report.certified_level is None
     assert report.strategies is None
     assert report.diagnostics == [] and report.level_strategies == []
-    assert [r["n"] for r in report.levels] == [1, 2]
+    assert [r["backend"] for r in report.levels] == ["fp"] * 3
+    assert {r["n"]: r["error"] for r in report.levels} == {
+        1: "NonFinite: Simpson estimates on [0.0, 1.0] of integrand 0 "
+           "are not finite",
+        2: "NonFinite: Simpson estimates on [0.0, 0.5] of integrand 0 "
+           "are not finite",
+        3: "NonFinite: fictitious play gap is not finite at iteration 1",
+    }
     for record in report.levels:
-        assert record["error"] == ("EquilibriumNotFound: no pure equilibrium "
-                                   "and support enumeration found none")
         assert "certificate" not in record
     assert report.to_dict()["status"] == "failed"
 

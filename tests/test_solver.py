@@ -1,4 +1,5 @@
-"""Finite-game solvers: best responses, gaps, LP, fictitious play, oracle."""
+"""Finite-game solvers: best responses, gaps, LP, fictitious play, and
+the enumeration oracle they are checked against."""
 
 import collections
 import subprocess
@@ -14,13 +15,11 @@ import bnecert as bc
 from bnecert.discretize import FiniteGame
 from bnecert.errors import (
     BnecertError,
-    EquilibriumNotFound,
     Infeasible,
     NoConvergence,
     NonFinite,
     Prop1Violation,
     SimplexStall,
-    TooLarge,
     UnboundedObjective,
 )
 from bnecert.solver import (
@@ -32,12 +31,13 @@ from bnecert.solver import (
     finite_best_response,
     finite_gap,
     simplex,
-    solve_enum,
     solve_fp,
     solve_lp,
 )
 
 from conftest import (
+    EquilibriumNotFound,
+    TooLarge,
     ex_ante_value,
     make_game,
     oracle_action_values,
@@ -330,7 +330,7 @@ def test_lp_single_action():
 def test_lp_cross_checked_against_enum(zero_sum_match):
     fg = bc.build_finite(zero_sum_match, 2)
     lp = solve_lp(fg)
-    enum = solve_enum(fg)
+    enum = oracle_solve_enum(fg)
     assert lp.finite_gap1 <= 1e-8 and lp.finite_gap2 <= 1e-8
     assert abs(ex_ante_value(fg, lp.profile, 1)
                - ex_ante_value(fg, enum.profile, 1)) <= 1e-8
@@ -441,7 +441,7 @@ def test_fp_coordination(coordination):
     res = solve_fp(fg, max_iters=10 ** 4, target_gap=1e-3)
     assert max(res.finite_gap1, res.finite_gap2) <= 1e-3
     # converges toward the pure equilibrium that enumeration confirms
-    enum = solve_enum(fg)
+    enum = oracle_solve_enum(fg)
     assert np.argmax(res.profile.s[0]) == np.argmax(enum.profile.s[0])
 
 
@@ -770,17 +770,17 @@ def test_fp_does_not_depend_on_the_blas_thread_count():
 
 
 # ---------------------------------------------------------------------------
-# enumeration oracle
+# enumeration oracle (conftest), pinned to known answers
 
 def test_enum_coordination(coordination):
-    res = solve_enum(bc.build_finite(coordination, 1))
+    res = oracle_solve_enum(bc.build_finite(coordination, 1))
     assert np.array_equal(res.profile.s, [[1.0, 0.0]])
     assert np.array_equal(res.profile.t, [[1.0, 0.0]])
     assert res.finite_gap1 == 0.0 and res.finite_gap2 == 0.0
 
 
 def test_enum_matching_pennies_mixed(matching_pennies):
-    res = solve_enum(bc.build_finite(matching_pennies, 1))
+    res = oracle_solve_enum(bc.build_finite(matching_pennies, 1))
     assert np.allclose(res.profile.s, 0.5, atol=1e-9)
     assert np.allclose(res.profile.t, 0.5, atol=1e-9)
     assert max(res.finite_gap1, res.finite_gap2) <= 1e-10
@@ -789,53 +789,13 @@ def test_enum_matching_pennies_mixed(matching_pennies):
 def test_enum_guard(zero_sum_match):
     fg = bc.build_finite(zero_sum_match, 11)  # 2^11 * 2^11 > 1e6
     with pytest.raises(TooLarge):
-        solve_enum(fg)
+        oracle_solve_enum(fg)
 
 
 def test_enum_without_an_equilibrium_it_can_find(matching_pennies):
     # no pure equilibrium at n = 3, and supports are enumerated only to n = 2
     with pytest.raises(EquilibriumNotFound):
-        solve_enum(bc.build_finite(matching_pennies, 3))
-
-
-def _enum_outcome(solver, fg):
-    try:
-        res = solver(fg)
-    except BnecertError as exc:
-        return type(exc), str(exc)
-    return (res.backend, res.iterations, res.finite_gap1.hex(),
-            res.finite_gap2.hex(), res.profile.s.tobytes(),
-            res.profile.t.tobytes())
-
-
-def test_enum_equals_the_tensor_oracle_bit_for_bit():
-    """Pure values sum over the opponent's types in the oracle's order, so
-    ties between pure payoffs resolve alike at every level (the order
-    first matters at n >= 6)."""
-    rng = np.random.default_rng(47)
-    levels = [(bc.load_game_file(path), 8) for path in DEMO_SPECS]
-    # x1 = x2 and y2 = y3 as actions, so their values tie exactly
-    u = [["theta1", "0", "0"], ["theta1", "0", "0"],
-         ["0", "theta2", "theta2"]]
-    v = [["0", "1", "1"], ["0", "1", "1"], ["theta1", "0", "0"]]
-    levels.append((make_game(u, v), 5))
-    rps = [["0", "-1", "1"], ["1", "0", "-1"], ["-1", "1", "0"]]
-    levels.append((make_game(rps, [[f"-({e})" for e in row]
-                                   for row in rps]), 6))
-    for L, H in ((1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)):
-        u, v = ([[random_poly(rng) for _ in range(H)] for _ in range(L)]
-                for _ in range(2))
-        levels.append((make_game(u, v), 9))
-    outcomes = collections.Counter()
-    for g, top in levels:
-        for n in range(1, top + 1):
-            if g.L ** n * g.H ** n > 10 ** 6:
-                break
-            fg = bc.build_finite(g, n)
-            got = _enum_outcome(solve_enum, fg)
-            assert got == _enum_outcome(oracle_solve_enum, fg)
-            outcomes[got[0] if len(got) == 2 else "solved"] += 1
-    assert outcomes.keys() == {"solved", EquilibriumNotFound}
+        oracle_solve_enum(bc.build_finite(matching_pennies, 3))
 
 
 # ---------------------------------------------------------------------------
