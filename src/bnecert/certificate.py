@@ -42,11 +42,13 @@ class Certificate:
         return asdict(self)
 
 
-def profile_value(g, F, G, player):
-    """Exact ex-ante value of an atomic strategy pair (no quadrature)."""
-    payoff = g.payoff(player, F.atom_points[:, None], G.atom_points[None, :])
-    return float(np.einsum("ix,jy,xyij->", F.atom_masses(), G.atom_masses(),
-                           payoff))
+def profile_value(g, F, G):
+    """Exact ex-ante values (player 1's, player 2's) of an atomic strategy
+    pair (no quadrature), from one pass over both payoff tables."""
+    tables = g.tables(F.atom_points[:, None], G.atom_points[None, :])
+    return tuple(float(np.einsum("ix,jy,xyij->", F.atom_masses(),
+                                 G.atom_masses(), payoff))
+                 for payoff in tables)
 
 
 def best_deviation_integrand(g, player, opponent):
@@ -101,8 +103,7 @@ def certify(g, F, G, epsilon, quad_tol=None):
     quad_tol = max(min(quad_tol, epsilon / 10.0), QUAD_TOL_FLOOR)
 
     start = time.perf_counter()
-    value1 = profile_value(g, F, G, 1)
-    value2 = profile_value(g, F, G, 2)
+    value1, value2 = profile_value(g, F, G)
     br1, err1 = br_value_infinite(g, 1, G, quad_tol)
     br2, err2 = br_value_infinite(g, 2, F, quad_tol)
     gap1 = br1 - value1

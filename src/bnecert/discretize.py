@@ -161,8 +161,7 @@ def build_finite(g, n):
     check_count("n", n)
     n = int(n)
     grid = np.arange(1, n + 1) / n
-    U = g.payoff(1, grid[:, None], grid[None, :])
-    V = g.payoff(2, grid[:, None], grid[None, :])
+    U, V = g.tables(grid[:, None], grid[None, :])
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
         raise NonFinite("payoff tensor contains NaN/inf")
     return FiniteGame(n=n, actions1=g.actions1, actions2=g.actions2, U=U, V=V)

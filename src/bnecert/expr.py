@@ -15,6 +15,9 @@ The only variables are theta1 and theta2; the only functions are
 min, max, abs, exp, log, sqrt, sin, cos.  Trees are immutable and
 evaluation is pure, so Expr values are safe to share across threads.
 
+A Program compiles a list of trees into one tape of steps, in which
+structurally equal subtrees share a step, and evaluates the steps that
+the requested trees need; Expr.eval runs a program of one tree.
 Evaluation is elementwise over numpy arrays, one numpy ufunc per node;
 min and max keep Python's semantics, nan and signed zeros included.
 exp, log, sin, cos and ^ stay within 1 ulp of the C library's functions
@@ -55,53 +58,25 @@ class Expr:
     def eval(self, theta1, theta2):
         """Value at broadcasting scalars or arrays of types, elementwise;
         DomainError if any point is outside the domain."""
-        # C order: numpy sends a reversed view of exp's input through the
-        # C library instead of its own loop, so a value would depend on
-        # the memory layout
-        theta1 = np.asarray(theta1, dtype=float, order="C")
-        theta2 = np.asarray(theta2, dtype=float, order="C")
-        shape = np.broadcast_shapes(theta1.shape, theta2.shape)
-        with np.errstate(all="ignore"):
-            value = self._eval(theta1, theta2)
-        return np.broadcast_to(value, shape)[()]
-
-    def _eval(self, theta1, theta2):
-        raise NotImplementedError
+        return Program([self]).run(theta1, theta2)[0]
 
     def __str__(self):
         return _render(self, 0)
-
-
-def _first(bad, x):
-    """The value of x at the first point where bad holds."""
-    return float(np.broadcast_to(x, np.shape(bad))[bad][0])
-
-
-_UFUNCS = {"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos}
 
 
 @dataclass(frozen=True, slots=True)
 class Num(Expr):
     value: float
 
-    def _eval(self, theta1, theta2):
-        return self.value
-
 
 @dataclass(frozen=True, slots=True)
 class Var(Expr):
     name: str
 
-    def _eval(self, theta1, theta2):
-        return theta1 if self.name == "theta1" else theta2
-
 
 @dataclass(frozen=True, slots=True)
 class Neg(Expr):
     arg: Expr
-
-    def _eval(self, theta1, theta2):
-        return -self.arg._eval(theta1, theta2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,62 +85,207 @@ class BinOp(Expr):
     left: Expr
     right: Expr
 
-    def _eval(self, theta1, theta2):
-        a = self.left._eval(theta1, theta2)
-        b = self.right._eval(theta1, theta2)
-        op = self.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if np.any(b == 0.0):
-                raise DomainError("division by zero")
-            return a / b
-        # op == "^"; an infinite exponent counts as an integer
-        bad = (a < 0.0) & (b != np.floor(b))
-        if np.any(bad):
-            raise DomainError(
-                f"non-integer power {_first(bad, b)!r} of negative base "
-                f"{_first(bad, a)!r}"
-            )
-        if np.any((a == 0.0) & (b < 0.0)):
-            raise DomainError("zero raised to a negative power")
-        return np.power(a, b)
-
 
 @dataclass(frozen=True, slots=True)
 class Call(Expr):
     name: str
     args: tuple[Expr, ...]
 
-    def _eval(self, theta1, theta2):
-        vals = [a._eval(theta1, theta2) for a in self.args]
-        name = self.name
-        if name in ("min", "max"):
-            # Python's min/max: keep the first value unless a later one
-            # is strictly smaller (larger); nan and signed zeros included
-            better = np.less if name == "min" else np.greater
-            out = vals[0]
-            for v in vals[1:]:
-                out = np.where(better(v, out), v, out)
-            return out
-        x = vals[0]
-        if name == "abs":
-            return np.abs(x)
-        if name == "sqrt":
-            if np.any(x < 0.0):
-                raise DomainError(
-                    f"sqrt of negative value {_first(x < 0.0, x)!r}"
-                )
-            return np.sqrt(x)
-        if name == "log" and np.any(x <= 0.0):
-            raise DomainError(
-                f"log of non-positive value {_first(x <= 0.0, x)!r}"
-            )
-        return _UFUNCS[name](x)
+
+# ---------------------------------------------------------------------------
+# compiled evaluation: one numpy ufunc per node, domain checks first
+
+def _first(bad, x):
+    """The value of x at the first point where bad holds."""
+    return float(np.broadcast_to(x, np.shape(bad))[bad][0])
+
+
+def _divide(a, b):
+    if (b == 0.0).any():
+        raise DomainError("division by zero")
+    return np.true_divide(a, b)
+
+
+def _power(a, b):
+    # an infinite exponent counts as an integer
+    bad = (a < 0.0) & (b != np.floor(b))
+    if bad.any():
+        raise DomainError(
+            f"non-integer power {_first(bad, b)!r} of negative base "
+            f"{_first(bad, a)!r}"
+        )
+    if ((a == 0.0) & (b < 0.0)).any():
+        raise DomainError("zero raised to a negative power")
+    return np.power(a, b)
+
+
+def _sqrt(x):
+    bad = x < 0.0
+    if bad.any():
+        raise DomainError(f"sqrt of negative value {_first(bad, x)!r}")
+    return np.sqrt(x)
+
+
+def _log(x):
+    bad = x <= 0.0
+    if bad.any():
+        raise DomainError(f"log of non-positive value {_first(bad, x)!r}")
+    return np.log(x)
+
+
+# Python's min/max: keep the first value unless a later one is strictly
+# smaller (larger); nan and signed zeros included
+def _min(out, v):
+    return np.where(np.less(v, out), v, out)
+
+
+def _max(out, v):
+    return np.where(np.greater(v, out), v, out)
+
+
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": _divide,
+           "^": _power}
+_UNARY = {"abs": np.abs, "sqrt": _sqrt, "exp": np.exp, "log": _log,
+          "sin": np.sin, "cos": np.cos}
+_FOLD = {"min": _min, "max": _max}
+
+
+class Program:
+    """Straight-line program that evaluates a list of trees together.
+
+    Compiling walks each tree bottom-up and puts one step on the tape, a
+    function and the slots of its operands, for each node whose key is
+    new.  A node is keyed on its function and its operands' slots, so
+    structurally equal subtrees share one slot, within a tree and across
+    trees, and compiling is linear in the size of the trees.  Slots 0
+    and 1 hold theta1 and theta2; a constant is keyed on its bits.
+
+    run takes the requested outputs in turn and runs the steps of each
+    tree in the order a walk of the tree meets them, skipping the steps
+    that an earlier output ran.  So the first DomainError is the one that
+    evaluating the trees one by one, in that order, would raise; when the
+    program has names, its message starts with the name of that tree.
+    Each step's value is dropped after its last use.
+    """
+
+    def __init__(self, trees, names=None):
+        self.names = names
+        self.tape = {}        # slot -> (function, operand, operand or -1)
+        self._slot_of = {}    # key -> slot, while compiling
+        self._init = [None, None]  # per slot: None, or a constant
+        self._walk = []       # per tree: the slots of its steps
+        self.outputs = []
+        for e in trees:
+            walk = []
+            self.outputs.append(self._emit(e, walk))
+            # first visits only: a repeated subtree's steps come in once
+            self._walk.append(tuple(dict.fromkeys(walk)))
+        del self._slot_of
+        self._schedules = {}
+
+    def _emit(self, e, walk):
+        """Slot of e's value; appends the slots of e's steps to walk in
+        the order a walk of e evaluates them."""
+        if isinstance(e, BinOp):
+            key = (_BINARY[e.op], self._emit(e.left, walk),
+                   self._emit(e.right, walk))
+        elif isinstance(e, Var):
+            return 0 if e.name == "theta1" else 1
+        elif isinstance(e, Num):
+            value = float(e.value)
+            key = value.hex()
+            slot = self._slot_of.get(key)
+            if slot is None:
+                slot = self._slot_of[key] = len(self._init)
+                self._init.append(np.float64(value))
+            return slot
+        elif isinstance(e, Neg):
+            key = (np.negative, self._emit(e.arg, walk), -1)
+        elif e.name in _FOLD:
+            fn = _FOLD[e.name]
+            first, second, *rest = (self._emit(a, walk) for a in e.args)
+            key = (fn, first, second)
+            for v in rest:
+                key = (fn, self._step(key, walk), v)
+        else:
+            key = (_UNARY[e.name], self._emit(e.args[0], walk), -1)
+        return self._step(key, walk)
+
+    def _step(self, key, walk):
+        """Slot of the step key, put on the tape if it is new."""
+        slot = self._slot_of.get(key)
+        if slot is None:
+            slot = self._slot_of[key] = len(self._init)
+            self._init.append(None)
+            self.tape[slot] = key
+        walk.append(slot)
+        return slot
+
+    def _schedule(self, outputs):
+        """Per output: its steps that no earlier output ran, in walk
+        order, each as ((function, operand, operand or -1), out slot,
+        slots it uses last), and the slots that reading the output uses
+        last."""
+        done, parts = set(), []
+        for k in outputs:
+            part = [s for s in self._walk[k] if s not in done]
+            done.update(part)
+            parts.append(part)
+        last = {}  # slot -> ("step", slot) or ("read", position)
+        for i, (k, part) in enumerate(zip(outputs, parts)):
+            for slot in part:
+                for arg in self.tape[slot][1:]:
+                    last[arg] = ("step", slot)
+            last[self.outputs[k]] = ("read", i)
+        frees = {}
+        for slot, use in last.items():
+            if slot in self.tape:
+                frees[use] = (*frees.get(use, ()), slot)
+        return [(k, [(self.tape[s], s, frees.get(("step", s), ()))
+                     for s in part], frees.get(("read", i), ()))
+                for i, (k, part) in enumerate(zip(outputs, parts))]
+
+    def run(self, theta1, theta2, outputs=None):
+        """Values of the outputs (all by default), in a list, at
+        broadcasting scalars or arrays of types; each value has the
+        broadcast shape."""
+        with np.errstate(all="ignore"):
+            return list(self.stream(theta1, theta2, outputs))
+
+    def stream(self, theta1, theta2, outputs=None):
+        """run's values one by one, each as soon as its steps have run.
+        Once a value is yielded, the program drops it unless a later step
+        needs it, so a caller that drops each value holds one at a time.
+        Unlike run, it leaves np.errstate to the caller."""
+        key = tuple(range(len(self.outputs)) if outputs is None else outputs)
+        schedule = self._schedules.get(key)
+        if schedule is None:
+            schedule = self._schedules[key] = self._schedule(key)
+        # C order: numpy sends a reversed view of exp's input through the
+        # C library instead of its own loop, so a value would depend on
+        # the memory layout
+        regs = self._init.copy()
+        regs[0] = theta1 = np.asarray(theta1, dtype=float, order="C")
+        regs[1] = theta2 = np.asarray(theta2, dtype=float, order="C")
+        shape = np.broadcast(theta1, theta2).shape
+        for k, steps, drop in schedule:
+            try:
+                for (fn, a, b), out, free in steps:
+                    regs[out] = fn(regs[a]) if b < 0 else fn(regs[a], regs[b])
+                    for s in free:
+                        regs[s] = None
+            except DomainError as exc:
+                if self.names is not None:
+                    exc.args = (f"{self.names[k]}: {exc}",)
+                raise
+            slot = self.outputs[k]
+            value = regs[slot]
+            for s in drop:
+                regs[s] = None
+            # an input or a constant goes out as a read-only view
+            if slot not in self.tape or value.shape != shape:
+                value = np.broadcast_to(value, shape)
+            yield value[()] if shape == () else value
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 A game is given by two finite action sets, one utility expression per
 action pair and player, and a joint prior density over the unit square.
-Loading auto-normalizes the prior, applies a uniform nonnegativity shift
+Loading compiles the prior and every utility cell into one expression
+Program, auto-normalizes the prior, applies a uniform nonnegativity shift
 to each player's utilities, folds the prior into the payoffs
-(u = b * u_bar), and sanity-checks everything on a dense grid.
+(u = b * u_bar), and sanity-checks everything on a dense grid.  Every
+later evaluation of the game runs the steps of that program which its
+outputs need, so a subtree shared by several cells is evaluated once.
 
 Declared type ranges [a, b] are rescaled affinely onto [0, 1]; the
 constant Jacobian is absorbed by the prior normalization.
@@ -12,25 +15,27 @@ constant Jacobian is absorbed by the prior normalization.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import expr as exprmod
+from .discretize import check_count
 from .errors import (
+    DomainError,
     ExprSyntaxError,
     NegativePrior,
     NonFinite,
     UnknownIdentifier,
     ZeroMarginal,
 )
-from .expr import Expr
+from .expr import Expr, Program
 from .quadrature import integrate2d, integrate_many
 
 SHIFT_MARGIN = 1e-9
+_BLOCK_POINTS = 3072  # validation grid points per program pass: 24 KiB a value
 
 
 def _variables_of(e):
@@ -69,18 +74,56 @@ def _parse(text, where):
         raise
 
 
-def _shift(table, t1, t2):
-    """Nonnegativity shift of a utility table, checked finite at types
-    t1 x t2 (one axis each)."""
-    lo = math.inf
-    for e in itertools.chain.from_iterable(table):
-        vals = e.eval(t1[:, None], t2[None, :])
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            i, j = np.argwhere(bad)[0]
-            raise NonFinite(f"utility {e} is not finite at ({t1[i]}, {t2[j]})")
-        lo = min(lo, float(vals.min()))
-    return max(0.0, -lo) + SHIFT_MARGIN
+def _compile(spec):
+    """One program over the prior, then u's cells and v's, row by row."""
+    trees, names = [spec.prior], ["prior"]
+    for name, table in (("u", spec.u_raw), ("v", spec.v_raw)):
+        for x, row in enumerate(table):
+            for y, e in enumerate(row):
+                trees.append(e)
+                names.append(f"{name}[{x}][{y}]")
+    return Program(trees, names)
+
+
+def _lows(cells, program, t1, t2):
+    """Least value of each cell (u's, then v's) at types t1 x t2 (one axis
+    each); raises what checking the cells one by one, finite first,
+    raises first."""
+    values = program.stream(t1[:, None], t2[None, :],
+                            range(1, 1 + len(cells)))
+    lows = []
+    with np.errstate(all="ignore"):
+        for e, vals in zip(cells, values):
+            lo = float(vals.min())  # nan if any value is
+            if not (math.isfinite(lo) and math.isfinite(vals.max())):
+                i, j = np.argwhere(~np.isfinite(vals))[0]
+                raise NonFinite(
+                    f"utility {e} is not finite at ({t1[i]}, {t2[j]})")
+            lows.append(lo)
+    return lows
+
+
+def _shifts(spec, program, t1, t2):
+    """Nonnegativity shift of each player's utility table, checked finite
+    at types t1 x t2 (one axis each).
+
+    The grid runs in blocks of rows, so the values that cells share stay
+    small while they wait for their last use.  On an error the whole grid
+    runs again, to raise the error that checking the cells one by one
+    over the whole grid raises first.
+    """
+    cells = [e for table in (spec.u_raw, spec.v_raw) for row in table
+             for e in row]
+    blocks = -(-t1.size * t2.size // _BLOCK_POINTS)
+    try:
+        per_block = [_lows(cells, program, rows, t2)
+                     for rows in np.array_split(t1, blocks)]
+        lows = [min(cell) for cell in zip(*per_block)]
+    except (DomainError, NonFinite):
+        lows = _lows(cells, program, t1, t2)
+    half = len(cells) // 2
+    return tuple(max(0.0, -min(lo)) + SHIFT_MARGIN
+                 for lo in (lows[:half], lows[half:]))
 
 
 @dataclass(frozen=True)
@@ -112,6 +155,11 @@ class GameSpec:
             var = "theta1" if name == "m1" else "theta2"
             if m is not None and not _variables_of(m) <= {var}:
                 raise ValueError(f"{name} may only reference {var}")
+        if (self.m1 is None) != (self.m2 is None):
+            given, missing = (("m1", "m2") if self.m2 is None
+                              else ("m2", "m1"))
+            raise ValueError(f"{given} is given without {missing}; the "
+                             f"multipliers come as a pair")
         for name, rng in (("type_range1", self.type_range1),
                           ("type_range2", self.type_range2)):
             if not rng[1] > rng[0]:
@@ -168,12 +216,17 @@ class GameSpec:
 
 @dataclass(frozen=True)
 class InfiniteGame:
-    """Validated, normalized continuous-type game over [0, 1]^2."""
+    """Validated, normalized continuous-type game over [0, 1]^2.
+
+    program evaluates the prior (output 0), then u's cells and v's, row
+    by row; each accessor runs only the steps its outputs need.
+    """
 
     spec: GameSpec
     shift1: float
     shift2: float
     prior_norm: float
+    program: Program = field(repr=False, compare=False)
 
     @property
     def L(self):
@@ -199,20 +252,42 @@ class InfiniteGame:
     def prior(self, theta1, theta2):
         """Normalized joint density at unit-square coordinates."""
         t1, t2 = self._map(theta1, theta2)
-        return self.spec.prior.eval(t1, t2) / self.prior_norm
+        return self.program.run(t1, t2, (0,))[0] / self.prior_norm
 
-    def raw(self, player, theta1, theta2):
-        """One player's utilities before the nonnegativity shift, at types
-        that broadcast to some shape: an (L, H, *shape) array."""
+    def tables(self, theta1, theta2, players=(1, 2), assimilated=True):
+        """Each listed player's utilities at types that broadcast to some
+        shape, an (L, H, *shape) array each, from one program pass: the
+        prior-assimilated payoffs b * (raw + shift), or with assimilated
+        False the raw utilities before the nonnegativity shift."""
+        size = self.L * self.H
+        outputs = [0] if assimilated else []
+        for player in players:
+            start = 1 if player == 1 else 1 + size
+            outputs.extend(range(start, start + size))
         t1, t2 = self._map(theta1, theta2)
-        table = self.spec.u_raw if player == 1 else self.spec.v_raw
-        return np.array([[e.eval(t1, t2) for e in row] for row in table])
+        shape = np.broadcast(t1, t2).shape
+        # cell by cell into the tables, so one cell is alive at a time
+        values = self.program.stream(t1, t2, outputs)
+        if assimilated:
+            with np.errstate(all="ignore"):
+                b = next(values)
+            b = b / self.prior_norm
+        tables = []
+        for player in players:
+            raw = np.empty((size, *shape))
+            with np.errstate(all="ignore"):
+                for i in range(size):
+                    raw[i] = next(values)
+            raw = raw.reshape(self.L, self.H, *shape)
+            if assimilated:  # b * (raw + shift), in place
+                raw += self.shift1 if player == 1 else self.shift2
+                np.multiply(b, raw, out=raw)
+            tables.append(raw)
+        return tables
 
     def payoff(self, player, theta1, theta2):
         """Prior-assimilated payoffs b * (raw + shift): (L, H, *shape)."""
-        shift = self.shift1 if player == 1 else self.shift2
-        return self.prior(theta1, theta2) * (self.raw(player, theta1, theta2)
-                                             + shift)
+        return self.tables(theta1, theta2, (player,))[0]
 
     def multiplier(self, player, theta):
         """m1(theta1) or m2(theta2) at unit-square types; None if absent."""
@@ -254,6 +329,7 @@ def load_game(spec, grid_check=101):
 
     grid_check is the per-axis size of the validation grid (odd, >= 11).
     """
+    check_count("grid_check", grid_check)
     if grid_check < 11 or grid_check % 2 == 0:
         raise ValueError("grid_check must be odd and >= 11")
     grid = np.linspace(0.0, 1.0, grid_check)
@@ -261,9 +337,10 @@ def load_game(spec, grid_check=101):
     a2, b2 = spec.type_range2
     g1 = a1 + (b1 - a1) * grid
     g2 = a2 + (b2 - a2) * grid
+    program = _compile(spec)
 
     # prior checks on the raw (unnormalized) density
-    prior_vals = spec.prior.eval(g1[:, None], g2[None, :])
+    prior_vals = program.run(g1[:, None], g2[None, :], (0,))[0]
     if not np.all(np.isfinite(prior_vals)):
         raise NonFinite("prior evaluates to NaN/inf on the validation grid")
     if np.any(prior_vals < 0.0):
@@ -273,19 +350,16 @@ def load_game(spec, grid_check=101):
         )
 
     # normalization constant over the unit square (Jacobian absorbed)
-    raw_prior = lambda t1, t2: spec.prior.eval(
-        a1 + (b1 - a1) * t1, a2 + (b2 - a2) * t2
-    )
+    raw_prior = lambda t1, t2: program.run(
+        a1 + (b1 - a1) * t1, a2 + (b2 - a2) * t2, (0,)
+    )[0]
     norm, _ = integrate2d(raw_prior, 1e-9)
     if not (math.isfinite(norm) and norm > 0.0):
         raise ZeroMarginal(f"prior integrates to {norm}; must be positive")
 
-    game = InfiniteGame(
-        spec=spec,
-        shift1=_shift(spec.u_raw, g1, g2),
-        shift2=_shift(spec.v_raw, g1, g2),
-        prior_norm=norm,
-    )
+    shift1, shift2 = _shifts(spec, program, g1, g2)
+    game = InfiniteGame(spec=spec, shift1=shift1, shift2=shift2,
+                        prior_norm=norm, program=program)
 
     # marginal positivity along every grid line
     for player in (1, 2):

@@ -154,8 +154,7 @@ def check_prop1(g, grid=21):
     then verification of user-supplied multipliers m1, m2.
     """
     pts = np.linspace(0.0, 1.0, grid)
-    u = g.raw(1, pts[:, None], pts[None, :])
-    v = g.raw(2, pts[:, None], pts[None, :])
+    u, v = g.tables(pts[:, None], pts[None, :], assimilated=False)
     # constant-sum pass
     w = u + v
     c = w[0, 0, 0, 0]

@@ -197,10 +197,13 @@ def riemann_step_regret(g, profile, points=(1000, 200)):
     regrets = []
     for player, own, opp in ((1, profile.s, profile.t),
                              (2, profile.t, profile.s)):
-        if player == 1:
-            u = g.raw(1, own_t[:, None], opp_t[None, :])  # (x, y, own, opp)
+        if player == 1:  # u is (x, y, own, opp)
+            u, = g.tables(own_t[:, None], opp_t[None, :], (1,),
+                          assimilated=False)
         else:
-            u = g.raw(2, opp_t[None, :], own_t[:, None]).transpose(1, 0, 2, 3)
+            u, = g.tables(opp_t[None, :], own_t[:, None], (2,),
+                          assimilated=False)
+            u = u.transpose(1, 0, 2, 3)
         opp_rows = opp[np.floor(opp_t * n).astype(int)]  # (opp, b)
         values = np.einsum("abpq,qb->ap", u, opp_rows) / sizes[1]
         own_rows = own[np.floor(own_t * n).astype(int)]  # (own, a)

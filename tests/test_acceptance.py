@@ -219,7 +219,7 @@ def test_criterion_6_end_to_end_certification(capsys):
         for player, opp in ((1, G), (2, F)):
             gap = cert.gap1 if player == 1 else cert.gap2
             oracle = riemann_br_value(g, player, opp) \
-                - profile_value(g, F, G, player)
+                - profile_value(g, F, G)[player - 1]
             if abs(gap - oracle) > 1e-6:
                 ok = False
     _verdict(capsys, 6, "end-to-end certification", ok)

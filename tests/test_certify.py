@@ -40,7 +40,7 @@ def test_profile_value_single_atom():
     g = make_game([["theta1*theta2"]], [["0"]])
     F = pure_step(1, ("x1",), 0)
     G = pure_step(1, ("y1",), 0)
-    assert profile_value(g, F, G, 1) == pytest.approx(1.0, abs=1e-8)
+    assert profile_value(g, F, G)[0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_profile_value_constant_times_prior():
@@ -50,7 +50,7 @@ def test_profile_value_constant_times_prior():
     G = pure_step(n, ("y1",), 0)
     atoms = (np.arange(n) + 1.0) / n
     avg_b = np.mean([[g.prior(t1, t2) for t2 in atoms] for t1 in atoms])
-    assert profile_value(g, F, G, 1) == pytest.approx(3.0 * avg_b,
+    assert profile_value(g, F, G)[0] == pytest.approx(3.0 * avg_b,
                                                      abs=1e-8)
 
 
@@ -62,7 +62,7 @@ def test_profile_value_matches_naive_loop():
         F = bc.lift(profile, 1, g.actions1)
         G = bc.lift(profile, 2, g.actions2)
         for player in (1, 2):
-            got = profile_value(g, F, G, player)
+            got = profile_value(g, F, G)[player - 1]
             want = naive_profile_value(g, F, G, player)
             assert got == pytest.approx(want, abs=1e-13)
 
@@ -75,8 +75,8 @@ def test_profile_value_ignores_zero_mass_actions():
     G2 = pure_step(2, two.actions2, 0)
     F1 = pure_step(2, ("x1",), 0)
     G1 = pure_step(2, ("y1",), 0)
-    assert profile_value(two, F2, G2, 1) == pytest.approx(
-        profile_value(one, F1, G1, 1), abs=1e-12)
+    assert profile_value(two, F2, G2)[0] == pytest.approx(
+        profile_value(one, F1, G1)[0], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +208,7 @@ def test_certify_single_action_game():
     for player, opp in ((1, G), (2, F)):
         gap = cert.gap1 if player == 1 else cert.gap2
         oracle = riemann_br_value(g, player, opp) \
-            - profile_value(g, F, G, player)
+            - profile_value(g, F, G)[player - 1]
         assert abs(gap - oracle) <= 1e-6
 
 
@@ -235,7 +235,7 @@ def test_certify_zero_sum_via_lp():
     for player, opp in ((1, G), (2, F)):
         gap = cert.gap1 if player == 1 else cert.gap2
         oracle_gap = riemann_br_value(g, player, opp) \
-            - profile_value(g, F, G, player)
+            - profile_value(g, F, G)[player - 1]
         assert abs(gap - oracle_gap) <= 1e-6
 
 

@@ -325,6 +325,23 @@ def test_bad_expression_names_its_cell(tmp_path, capsys):
         "got end of input (at offset 7)\n")
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"u": [["theta1*theta2", "log(theta2)"], ["0", "theta1*theta2"]]},
+     "u[0][1]: log of non-positive value 0.0"),
+    ({"prior": "sqrt(theta1 - 0.5)"}, "prior: sqrt of negative value -0.5"),
+    # v[0][0] fails on the same step, log(theta2), but u[1][1] comes
+    # first in table order
+    ({"u": [["0", "0"], ["0", "2*log(theta2)"]],
+      "v": [["log(theta2) + 1", "0"], ["0", "0"]]},
+     "u[1][1]: log of non-positive value 0.0"),
+], ids=["u", "prior", "shared"])
+def test_domain_error_names_its_cell(tmp_path, capsys, change, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(ZERO_SUM_DOC, **change)))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: DomainError: {message}\n"
+
+
 def test_invalid_json_is_fatal(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -7,7 +7,16 @@ import pytest
 
 from bnecert import parse
 from bnecert.errors import DomainError, ExprSyntaxError, UnknownIdentifier
-from bnecert.expr import FUNCTIONS, BinOp, Call, Neg, Num, Var, evaluate
+from bnecert.expr import (
+    FUNCTIONS,
+    BinOp,
+    Call,
+    Neg,
+    Num,
+    Program,
+    Var,
+    evaluate,
+)
 
 from conftest import oracle_eval
 
@@ -67,6 +76,12 @@ def test_syntax_errors():
                  "theta1 @ 2"]:
         with pytest.raises(ExprSyntaxError):
             parse(text)
+
+
+def test_bare_domain_error_names_no_cell():
+    with pytest.raises(DomainError) as exc:
+        evaluate("log(theta1)", 0.0, 0.0)
+    assert str(exc.value) == "log of non-positive value 0.0"
 
 
 def test_domain_errors():
@@ -283,3 +298,136 @@ def test_value_does_not_depend_on_memory_layout():
         assert grid.tobytes() == e.eval(theta1[::-2].copy()[:, None],
                                         theta2[::-3].copy()).tobytes(), text
     assert parse("exp(theta1)").eval(0.5, 1.0).shape == ()
+
+
+# ---------------------------------------------------------------------------
+# one program over a table of trees is its trees, evaluated one by one
+
+
+def _random_table(rng, L, H):
+    """L x H trees built from a small pool of subtrees, so that cells
+    share subtrees with each other."""
+    pool = [_random_ast(rng, depth=int(rng.integers(0, 4)),
+                        names=tuple(FUNCTIONS)) for _ in range(4)]
+
+    def cell():
+        e = pool[int(rng.integers(0, len(pool)))]
+        for _ in range(int(rng.integers(0, 3))):
+            other = pool[int(rng.integers(0, len(pool)))]
+            kind = rng.random()
+            if kind < 0.6:
+                e = BinOp("+-*/^"[int(rng.integers(0, 5))], e, other)
+            elif kind < 0.8:
+                args = (other, e, pool[int(rng.integers(0, len(pool)))])
+                e = Call(("min", "max")[int(rng.integers(0, 2))],
+                         args[:int(rng.integers(2, 4))])
+            else:
+                e = Neg(e)
+        return e
+
+    return [[cell() for _ in range(H)] for _ in range(L)]
+
+
+def _first_error(trees, t1, t2):
+    """Index and message of the first tree that raises when the trees
+    are evaluated one by one; None if none does."""
+    for k, e in enumerate(trees):
+        try:
+            e.eval(t1, t2)
+        except DomainError as exc:
+            return k, str(exc)
+    return None
+
+
+def _equal_bits(got, want):
+    numbers = ~np.isnan(want)
+    return (got.shape == want.shape
+            and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got[numbers]),
+                               np.signbit(want[numbers])))
+
+
+def test_table_program_equals_point_oracle_cell_by_cell():
+    rng = np.random.default_rng(20261019)
+    raised = compared = 0
+    for _ in range(150):
+        L, H = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        u = _random_table(rng, L, H)
+        v = ([[Neg(e) for e in row] for row in u] if rng.random() < 0.5
+             else _random_table(rng, L, H))
+        trees = [e for table in (u, v) for row in table for e in row]
+        names = [f"{name}[{x}][{y}]" for name in "uv"
+                 for x in range(L) for y in range(H)]
+        program = Program(trees, names)
+        t1 = _random_points(rng, (6, 1))
+        t2 = _random_points(rng, (1, 5))
+        first = _first_error(trees, t1, t2)
+        if first is not None:
+            k, message = first
+            # the oracle agrees that this cell, and no earlier one, fails
+            for j, e in enumerate(trees[:k + 1]):
+                fails = False
+                for i0, j0 in np.ndindex(6, 5):
+                    try:
+                        oracle_eval(e, t1[i0, 0], t2[0, j0])
+                    except DomainError:
+                        fails = True
+                        break
+                assert fails == (j == k), str(e)
+            with pytest.raises(DomainError) as exc:
+                program.run(t1, t2)
+            assert str(exc.value) == f"{names[k]}: {message}"
+            raised += 1
+            continue
+        values = program.run(t1, t2)
+        for e, got in zip(trees, values):
+            want = np.empty((6, 5))
+            for i0, j0 in np.ndindex(want.shape):
+                want[i0, j0] = oracle_eval(e, t1[i0, 0], t2[0, j0])
+            assert _equal_bits(got, want), str(e)
+        # a subset of the outputs runs only its own steps, to the same bits
+        some = sorted(rng.choice(len(trees), size=len(trees) // 2 + 1,
+                                 replace=False))
+        for k, got in zip(some, program.run(t1, t2, some)):
+            assert _equal_bits(got, values[k]), str(trees[k])
+        compared += 1
+    assert raised > 20 and compared > 50
+
+
+def test_table_first_error_follows_table_order():
+    # log(theta2) is first needed by the last u cell, though v[0][0]
+    # raises too and its other operand comes first
+    u = [[parse("theta1"), parse("2 * log(theta2)")]]
+    v = [[parse("sqrt(theta1 - 2) + log(theta2)"), parse("1")]]
+    program = Program([e for table in (u, v) for row in table for e in row],
+                      ["u[0][0]", "u[0][1]", "v[0][0]", "v[0][1]"])
+    with pytest.raises(DomainError) as exc:
+        program.run(np.array([0.5, 1.0]), np.array([0.0, 1.0]))
+    assert str(exc.value) == "u[0][1]: log of non-positive value 0.0"
+    # without the u cells, v[0][0] raises for its first operand
+    with pytest.raises(DomainError) as exc:
+        program.run(np.array([0.5, 1.0]), np.array([0.0, 1.0]), (2, 3))
+    assert str(exc.value) == "v[0][0]: sqrt of negative value -1.5"
+
+
+def test_negated_table_adds_one_step_per_cell():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        L, H = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        u = [e for row in _random_table(rng, L, H) for e in row]
+        v = [parse(f"-({e})") for e in u]
+        assert len(Program(u + v).tape) <= len(Program(u).tape) + L * H
+
+
+def test_shared_subtrees_share_a_slot():
+    program = Program([parse("sqrt(theta1) + theta1*theta2"),
+                       parse("theta1*theta2 - sqrt(theta1)"),
+                       parse("sqrt(theta1) + theta1*theta2")])
+    # sqrt, *, + and - once each
+    assert len(program.tape) == 4
+    assert program.outputs[0] == program.outputs[2]
+    # -0.0 and 0.0 are different constants
+    signed = Program([BinOp("+", Num(-0.0), Num(-0.0)),
+                      BinOp("+", Num(0.0), Num(-0.0))])
+    first, second = signed.run(0.0, 0.0)
+    assert np.signbit(first) and not np.signbit(second)

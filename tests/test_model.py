@@ -1,5 +1,8 @@
 """Game loading: validation, normalization, marginals, assimilation."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,22 @@ def test_grid_check_validation():
         bc.load_game(spec, grid_check=10)
     with pytest.raises(ValueError):
         bc.load_game(spec, grid_check=9)
+    for bad in (13.0, "13", True):
+        with pytest.raises(ValueError, match="grid_check"):
+            bc.load_game(spec, grid_check=bad)
+    g = bc.load_game(spec, grid_check=np.int64(13))
+    assert g.prior_norm == pytest.approx(1.0)
+
+
+def test_one_multiplier_needs_the_other():
+    path = Path(__file__).resolve().parent.parent / "demos" / "specs"
+    doc = json.loads((path / "linear_prior_multipliers.json").read_text())
+    for missing, given in (("m2", "m1"), ("m1", "m2")):
+        partial = {k: v for k, v in doc.items() if k != missing}
+        with pytest.raises(ValueError) as exc:
+            bc.GameSpec.from_dict(partial)
+        assert str(exc.value) == (f"{given} is given without {missing}; "
+                                  f"the multipliers come as a pair")
 
 
 def test_spec_validation_errors():
@@ -175,7 +194,8 @@ def test_assimilation_consistency_441_points():
                   prior="theta1+theta2")
     grid = np.linspace(0.0, 1.0, 21)
     t1, t2 = grid[:, None], grid[None, :]
-    want = g.prior(t1, t2) * (g.raw(1, t1, t2)[0, 0] + g.shift1)
+    raw, = g.tables(t1, t2, (1,), assimilated=False)
+    want = g.prior(t1, t2) * (raw[0, 0] + g.shift1)
     got = g.payoff(1, t1, t2)[0, 0]
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
@@ -205,16 +225,16 @@ def test_type_range_rescaling():
                   type_range1=[0.0, 2.0])
     assert g.prior_norm == pytest.approx(2.0, abs=1e-8)
     assert g.prior(0.5, 0.3) == pytest.approx(1.0, abs=1e-9)  # (1+1)/2
-    assert g.raw(1, 0.5, 0.0)[0, 0] == pytest.approx(1.0, abs=1e-12)
+    raw, = g.tables(0.5, 0.0, (1,), assimilated=False)
+    assert raw[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_load_game_file_round_trip(tmp_path):
-    import json
-
     doc = {"actions1": ["x1"], "actions2": ["y1"],
            "u": [["theta1"]], "v": [["theta2"]], "prior": "1"}
     path = tmp_path / "game.json"
     path.write_text(json.dumps(doc))
     g = bc.load_game_file(str(path), grid_check=21)
     assert g.actions1 == ("x1",)
-    assert g.raw(1, 0.25, 0.9)[0, 0] == 0.25
+    raw, = g.tables(0.25, 0.9, (1,), assimilated=False)
+    assert raw[0, 0] == 0.25
