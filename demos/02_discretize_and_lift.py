@@ -33,8 +33,7 @@ def main():
     print("\nstep CDFs of player 1 (threshold at theta = 1/2):")
     print("theta   F_x1     F_x2     sum")
     for theta in (0.0, 0.25, 0.49, 0.5, 0.75, 1.0):
-        fx1 = F.value("x1", theta)
-        fx2 = F.value("x2", theta)
+        fx1, fx2 = F.values(theta)
         print(f"{theta:5.2f}   {fx1:.4f}   {fx2:.4f}   {fx1 + fx2:.4f}")
     # the per-action CDFs always sum to floor(n*theta)/n -- the lifted
     # strategy spreads each grid type's mass across its chosen actions

@@ -96,8 +96,14 @@ def br_value_infinite(g, player, opponent, quad_tol=1e-7):
 
 
 def certify(g, F, G, epsilon, quad_tol=None):
-    """Check the epsilon-equilibrium condition of the infinite game."""
+    """Check the epsilon-equilibrium condition of the infinite game for
+    player 1's strategy F and player 2's G, over the game's labels."""
     check_tolerances(epsilon, quad_tol)
+    for player, strat, actions in ((1, F, g.actions1), (2, G, g.actions2)):
+        if strat.actions != actions:
+            raise ValueError(f"player {player}'s strategy has actions "
+                             f"{strat.actions}, but the game gives player "
+                             f"{player} {actions}")
     if quad_tol is None:
         quad_tol = epsilon / 100.0
     quad_tol = max(min(quad_tol, epsilon / 10.0), QUAD_TOL_FLOOR)

@@ -14,9 +14,10 @@ import sys
 
 import numpy as np
 
-from .certificate import certify, check_tolerances
-from .discretize import build_finite, check_count, grid_floor, lift
-from .driver import BACKENDS, RunConfig, resolve_backend, run, solve_level
+from .certificate import check_tolerances
+from .discretize import build_finite, check_count
+from .driver import (BACKENDS, RunConfig, certify_level, resolve_backend,
+                     run, solve_level)
 from .errors import BnecertError
 from .model import load_game_file
 from .solver import check_prop1
@@ -33,12 +34,6 @@ CURVE_POINTS = 1001
 
 def _load(args):
     return load_game_file(args.spec, grid_check=args.grid_check)
-
-
-def _solve(g, args, epsilon):
-    backend, prop1 = resolve_backend(g, args.backend)
-    return solve_level(g, args.level, backend, prop1, epsilon,
-                       args.fp_max_iters)
 
 
 def cmd_check(args):
@@ -77,7 +72,9 @@ def cmd_discretize(args):
 def cmd_solve(args):
     check_count("fp_max_iters", args.fp_max_iters)
     g = _load(args)
-    result, note = _solve(g, args, SOLVE_EPSILON)
+    backend, prop1 = resolve_backend(g, args.backend)
+    result, note = solve_level(g, args.level, backend, prop1, SOLVE_EPSILON,
+                               args.fp_max_iters)
     print(json.dumps({
         "backend": result.backend,
         "iterations": result.iterations,
@@ -95,10 +92,9 @@ def cmd_certify(args):
     check_tolerances(args.epsilon, args.quad_tol)
     check_count("fp_max_iters", args.fp_max_iters)
     g = _load(args)
-    result, _ = _solve(g, args, args.epsilon)
-    F = lift(result.profile, 1, actions=g.actions1)
-    G = lift(result.profile, 2, actions=g.actions2)
-    cert = certify(g, F, G, args.epsilon, args.quad_tol)
+    backend, prop1 = resolve_backend(g, args.backend)
+    *_, cert = certify_level(g, args.level, backend, prop1, args.epsilon,
+                             args.quad_tol, args.fp_max_iters)
     print(json.dumps(cert.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK if cert.certified else EXIT_UNCERTIFIED
 
@@ -106,9 +102,8 @@ def cmd_certify(args):
 def _write_curves(base, report):
     grid = np.linspace(0.0, 1.0, CURVE_POINTS)
     for n, F, G, _ in report.level_strategies:
-        index = np.minimum(grid_floor(n, grid), n)
         for player, strat in ((1, F), (2, G)):
-            table = strat.at_index(index)
+            table = strat.values(grid)
             path = f"{base}.curves.level{n}.player{player}.csv"
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)

@@ -8,6 +8,8 @@ non-decreasing right-continuous step function per action,
     F_a(theta) = (1/n) * sum_{i <= floor(n * theta)} weights[i - 1, a],
 
 with an atom of mass weights[i, a] / n at theta = (i + 1) / n.
+StepStrategy.values looks F up at types theta, and at_index at grid
+indices, which is where the driver's sup-distance needs it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonFinite, UnknownAction
+from .errors import NonFinite
 
 # floor(n * theta) with an upward nudge so representable grid points k/n
 # land exactly on k despite binary rounding of k/n
@@ -86,6 +88,8 @@ class BehavioralProfile:
         for name, m in (("s", self.s), ("t", self.t)):
             if m.ndim != 2:
                 raise ValueError(f"{name} must be 2-D")
+            if not np.all(np.isfinite(m)):
+                raise ValueError(f"{name} has entries that are not finite")
             if np.any(m < 0.0):
                 raise ValueError(f"{name} has negative entries")
             if np.max(np.abs(m.sum(axis=1) - 1.0)) > 1e-12:
@@ -119,18 +123,9 @@ class StepStrategy:
         )
         object.__setattr__(self, "_cum", cum)
 
-    def index(self, action):
-        try:
-            return self.actions.index(action)
-        except ValueError:
-            raise UnknownAction(f"no action {action!r}") from None
-
-    def value(self, action, theta):
-        """F_a(theta); exact partial-sum evaluation, right-continuous."""
-        return self.values(theta)[self.index(action)]
-
     def values(self, theta):
-        """Vector of all F_a(theta); all 0 below theta = 0."""
+        """All F_a(theta), exact partial sums, right-continuous; all 0
+        below theta = 0.  An array theta gives one row each."""
         return self.at_index(np.clip(grid_floor(self.n, theta), 0, self.n))
 
     def at_index(self, k):

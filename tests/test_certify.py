@@ -239,6 +239,28 @@ def test_certify_zero_sum_via_lp():
         assert abs(gap - oracle_gap) <= 1e-6
 
 
+def test_certify_rejects_strategies_of_the_other_player():
+    # with F and G swapped, level 4 of the match game used to certify
+    # (gaps -0.039 and 0.039), and a 2x3 game failed inside einsum
+    g = zero_sum_match_game()
+    res = solve_lp(bc.build_finite(g, 4))
+    F = bc.lift(res.profile, 1, g.actions1)
+    G = bc.lift(res.profile, 2, g.actions2)
+    with pytest.raises(ValueError) as info:
+        bc.certify(g, G, F, epsilon=0.05)
+    assert str(info.value) == ("player 1's strategy has actions ('y1', "
+                               "'y2'), but the game gives player 1 ('x1', "
+                               "'x2')")
+    wide = make_game([["theta1", "0", "1"], ["0", "theta2", "0"]],
+                     [["0", "1", "theta1"], ["theta2", "0", "1"]])
+    F = pure_step(2, wide.actions1, 0)
+    G = pure_step(2, wide.actions2, 0)
+    with pytest.raises(ValueError, match="player 1's strategy"):
+        bc.certify(wide, G, F, epsilon=0.05)
+    with pytest.raises(ValueError, match="player 2's strategy"):
+        bc.certify(wide, F, pure_step(2, ("y1", "y3", "y2"), 0), 0.05)
+
+
 def test_certify_rejects_bad_epsilon():
     g = make_game([["1"]], [["1"]])
     F = pure_step(1, ("x1",), 0)

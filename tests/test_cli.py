@@ -214,7 +214,8 @@ def test_run_with_report_and_curves(spec_path, tmp_path, capsys,
                 rows = list(csv.reader(fh))[1:]
             assert len(rows) == 1001 * len(strat.actions)
             for theta, action, value in rows:
-                assert float(value) == strat.value(action, float(theta))
+                k = strat.actions.index(action)
+                assert float(value) == strat.values(float(theta))[k]
 
 
 def test_emit_curves_without_output_is_a_usage_error(spec_path, tmp_path,

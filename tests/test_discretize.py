@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import bnecert as bc
 from bnecert.discretize import grid_floor
-from bnecert.errors import UnknownAction
 
 from conftest import make_game, random_profile
 
@@ -73,18 +72,18 @@ def test_lift_pure_per_type():
         t=np.array([[1.0, 0.0], [1.0, 0.0]]),
     )
     F = bc.lift(profile, 1, actions=("x1", "x2"))
-    assert F.value("x1", 0.49) == 0.0
-    assert F.value("x1", 0.5) == 0.5
-    assert F.value("x1", 1.0) == 0.5
-    assert F.value("x2", 1.0) == 0.5
+    assert F.values(0.49)[0] == 0.0
+    assert F.values(0.5)[0] == 0.5
+    assert F.values(1.0)[0] == 0.5
+    assert F.values(1.0)[1] == 0.5
 
 
 def test_lift_uniform_rows():
     for L in (2, 3, 4):
         profile = bc.BehavioralProfile.uniform(4, L, 2)
         F = bc.lift(profile, 1)
-        for a in F.actions:
-            assert F.value(a, 1.0) == pytest.approx(1.0 / L, abs=1e-15)
+        for k in range(len(F.actions)):
+            assert F.values(1.0)[k] == pytest.approx(1.0 / L, abs=1e-15)
 
 
 def test_lift_single_type_mixture():
@@ -92,22 +91,22 @@ def test_lift_single_type_mixture():
         s=np.array([[0.3, 0.7]]), t=np.array([[1.0]])
     )
     F = bc.lift(profile, 1, actions=("x1", "x2"))
-    assert F.value("x1", 0.999) == 0.0
-    assert F.value("x1", 1.0) == pytest.approx(0.3, abs=1e-15)
+    assert F.values(0.999)[0] == 0.0
+    assert F.values(1.0)[0] == pytest.approx(0.3, abs=1e-15)
 
 
 def test_eval_step_examples():
     profile = bc.BehavioralProfile.uniform(4, 2, 2)
     F = bc.lift(profile, 1, actions=("x1", "x2"))
-    for a in ("x1", "x2"):
-        assert F.value(a, 0.0) == 0.0
-        assert F.value(a, 1.0) == 0.5
+    for k in range(2):
+        assert F.values(0.0)[k] == 0.0
+        assert F.values(1.0)[k] == 0.5
 
     pure = bc.BehavioralProfile(
         s=np.tile([1.0, 0.0], (4, 1)), t=np.tile([1.0, 0.0], (4, 1))
     )
     Fp = bc.lift(pure, 1, actions=("x1", "x2"))
-    assert Fp.value("x1", 0.26) == 0.25
+    assert Fp.values(0.26)[0] == 0.25
 
 
 @pytest.mark.parametrize("theta, want", [
@@ -122,18 +121,22 @@ def test_step_cdf_outside_the_grid(theta, want):
     # a negative floor index used to read _cum from its end: F(-0.5) was
     # [0.375, 0.375]
     assert F.values(theta).tolist() == want
-    assert [F.value(a, theta) for a in ("x1", "x2")] == want
-
-
-def test_unknown_action():
-    F = bc.lift(bc.BehavioralProfile.uniform(2, 2, 2), 1)
-    with pytest.raises(UnknownAction):
-        F.value("nope", 0.5)
+    # an array of types, as the curve files use, takes the same lookup
+    assert F.values(np.array([theta, 0.5]))[0].tolist() == want
 
 
 def test_default_action_labels():
     F = bc.lift(bc.BehavioralProfile.uniform(2, 3, 2), 1)
     assert F.actions == ("a0", "a1", "a2")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_behavioral_profile_rejects_entries_that_are_not_finite(bad):
+    # a NaN row passed both the sign and the row-sum check
+    with pytest.raises(ValueError, match="s has entries that are not"):
+        bc.BehavioralProfile(np.array([[bad, bad]]), np.array([[1.0]]))
+    with pytest.raises(ValueError, match="t has entries that are not"):
+        bc.BehavioralProfile(np.array([[1.0]]), np.array([[0.5, bad]]))
 
 
 def test_behavioral_profile_validation():

@@ -178,6 +178,25 @@ def test_conditional_examples():
                                                                 abs=1e-8)
 
 
+def test_conditional_of_a_type_array_equals_one_type_at_a_time():
+    g = make_game([["1"]], [["0"]], prior="theta1 + theta2 * theta2")
+    own = np.linspace(0.0, 1.0, 9)
+    for player in (1, 2):
+        for other in (0.3, own[::-1]):
+            batch = bc.conditional(g, player, other, own)
+            one = [bc.conditional(g, player, o, t)
+                   for o, t in np.broadcast(other, own)]
+            assert batch.tobytes() == np.array(one).tobytes()
+
+
+def test_conditional_names_the_first_type_with_zero_marginal():
+    # 0.33 lies between the validation grid's points, so the game loads
+    g = make_game([["1"]], [["0"]], prior="abs(theta1 - 0.33)")
+    with pytest.raises(ZeroMarginal) as info:
+        bc.conditional(g, 1, 0.5, np.array([0.1, 0.33, 0.7]))
+    assert str(info.value) == "marginal of player 1 at theta=0.33 is 0.0"
+
+
 def test_conditional_normalization():
     g = make_game([["1"]], [["0"]], prior="theta1+theta2")
     quad_tol = 1e-9

@@ -28,7 +28,6 @@ from bnecert.solver import (
     check_prop1,
     ck_objective,
     default_alphas,
-    finite_best_response,
     finite_gap,
     simplex,
     solve_fp,
@@ -70,14 +69,16 @@ def identity_finite_game():
 
 def test_best_response_indifference_tie():
     fg = identity_finite_game()
-    pure, value = finite_best_response(fg, 1, np.array([[0.5, 0.5]]))
+    pure, value = oracle_finite_best_response(fg, 1,
+                                              np.array([[0.5, 0.5]]))
     assert np.array_equal(pure, [[1.0, 0.0]])  # tie -> lowest index
     assert value == pytest.approx(0.5, abs=1e-15)
 
 
 def test_best_response_pure_opponent():
     fg = identity_finite_game()
-    pure, value = finite_best_response(fg, 1, np.array([[1.0, 0.0]]))
+    pure, value = oracle_finite_best_response(fg, 1,
+                                              np.array([[1.0, 0.0]]))
     assert np.array_equal(pure, [[1.0, 0.0]])
     assert value == pytest.approx(1.0, abs=1e-15)
 
@@ -85,7 +86,7 @@ def test_best_response_pure_opponent():
 def test_best_response_n2_match_game(zero_sum_match):
     fg = bc.build_finite(zero_sum_match, 2)
     t = np.array([[1.0, 0.0], [1.0, 0.0]])  # opponent always y1
-    pure, value = finite_best_response(fg, 1, t)
+    pure, value = oracle_finite_best_response(fg, 1, t)
     assert np.array_equal(pure, [[1.0, 0.0], [1.0, 0.0]])
     # brute-force reference sum over every (i, j) grid cell
     want = sum(0.25 * fg.U[0, 0, i, j] for i in range(2) for j in range(2))
@@ -128,11 +129,11 @@ def test_scaling_invariance_of_argmax():
     g = random_poly_game(rng)
     fg = bc.build_finite(g, 4)
     t = random_profile(rng, 4, 2, 2).t
-    base, _ = finite_best_response(fg, 1, t)
+    base, _ = oracle_finite_best_response(fg, 1, t)
     for lam in (0.5, 3.0, 100.0):
         scaled = FiniteGame(n=4, actions1=fg.actions1, actions2=fg.actions2,
                             U=fg.U * lam, V=fg.V)
-        pure, _ = finite_best_response(scaled, 1, t)
+        pure, _ = oracle_finite_best_response(scaled, 1, t)
         assert np.array_equal(pure, base)
 
 
@@ -177,6 +178,27 @@ def test_prop1_user_multipliers():
     alpha1, alpha2 = default_alphas(bc.build_finite(g, 2), g, res)
     assert alpha1 == pytest.approx([0.5 / 1.5, 0.5 / 2.0], abs=1e-12)
     assert alpha2 == pytest.approx([0.5 / 1.5, 0.5 / 2.0], abs=1e-12)
+
+
+def test_alphas_need_multipliers_positive_at_every_level_type():
+    # check_prop1's 21-point grid misses 1/3, where m1 is zero; the lp
+    # used to run with an infinite alpha there, and a ValueError from
+    # solve_lp would end a run instead of failing one level
+    u = [["abs(theta1 - 1/3) * theta2", "0"],
+         ["0", "abs(theta1 - 1/3) * (1 - theta2)"]]
+    v = [["-(1 + theta2) * theta2", "0"],
+         ["0", "-(1 + theta2) * (1 - theta2)"]]
+    g = make_game(u, v, m1="abs(theta1 - 1/3)", m2="1 + theta2")
+    prop1 = check_prop1(g)
+    assert prop1.kind == "user"
+    default_alphas(bc.build_finite(g, 2), g, prop1)
+    with pytest.raises(Prop1Violation) as info:
+        default_alphas(bc.build_finite(g, 3), g, prop1)
+    assert str(info.value) == ("m1 is 0.0 at the level-3 type "
+                               "0.3333333333333333; it must be positive "
+                               "and finite")
+    with pytest.raises(Prop1Violation):
+        bc.driver.certify_level(g, 3, "lp", prop1, 0.05, None, 2000)
 
 
 def test_prop1_violation():
@@ -359,8 +381,21 @@ def test_lp_moderate_level(zero_sum_match):
 
 def test_lp_rejects_bad_alphas(matching_pennies):
     fg = bc.build_finite(matching_pennies, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^alpha1 must be 1 positive"):
         solve_lp(fg, np.array([0.0]), np.array([1.0]))
+
+
+def test_lp_rejects_alphas_not_finite_or_not_one_per_type(zero_sum_match):
+    # NaN alphas used to return a "solution" with objective nan, and a
+    # wrong length failed with numpy's broadcast error
+    fg = bc.build_finite(zero_sum_match, 4)
+    good = np.full(4, 0.25)
+    for bad in (np.full(4, np.nan), np.array([0.25, np.inf, 0.25, 0.25]),
+                np.full(3, 0.25), np.full((4, 1), 0.25), 0.25):
+        for name, alphas in (("alpha1", (bad, good)),
+                             ("alpha2", (good, bad))):
+            with pytest.raises(ValueError, match=f"^{name} must be 4 "):
+                solve_lp(fg, *alphas)
 
 
 def test_lp_singular_basis_is_a_toolkit_error(matching_pennies, monkeypatch):
@@ -496,12 +531,6 @@ def test_fp_and_gaps_equal_the_oracle_bit_for_bit():
             fg = bc.build_finite(g, n)
             profile = random_profile(rng, n, fg.L, fg.H)
             assert finite_gap(fg, profile) == oracle_finite_gap(fg, profile)
-            for player, rows in ((1, profile.t), (2, profile.s)):
-                pure, value = finite_best_response(fg, player, rows)
-                want, want_value = oracle_finite_best_response(fg, player,
-                                                               rows)
-                assert pure.tobytes() == want.tobytes()
-                assert value == want_value
             for target in (1e-2, 1e-9):
                 got = _fp_outcome(solve_fp, fg, target)
                 assert got == _fp_outcome(oracle_solve_fp, fg, target)
@@ -551,7 +580,7 @@ def test_duplicated_actions_tie_exactly_at_every_level():
             for player, rows in ((1, profile.t), (2, profile.s)):
                 q = action_values(fg, player, rows)
                 assert q[:, 0].tobytes() == q[:, 1].tobytes()
-                pure, _ = finite_best_response(fg, player, rows)
+                pure, _ = oracle_finite_best_response(fg, player, rows)
                 assert np.all(pure[:, 0] == 1.0)
 
 
