@@ -2,7 +2,9 @@
 
 The LP backend applies whenever the multiplier condition makes the
 slack program linear (constant-sum raw utilities, or user-supplied
-multipliers).  Fictitious play covers the general-sum case.
+multipliers).  Fictitious play covers the general-sum case.  `run` and
+the command line pick the backend from the game; calling solve_fp
+directly, as below, runs fictitious play on a game that the LP solves.
 """
 
 import os

@@ -1,10 +1,10 @@
 """End-to-end certification loop with a JSON report.
 
 `run` walks a schedule of discretization levels, solves each one with
-the auto-selected backend, lifts and certifies, and stops at the first
-level whose certificate holds.  The report captures every attempted
-level, the winning strategies in atomic form, and sup-distance
-diagnostics between consecutive levels.
+the backend the game picks (lp here, as the game is zero-sum), lifts and
+certifies, and stops at the first level whose certificate holds.  The
+report captures every attempted level, the winning strategies in atomic
+form, and sup-distance diagnostics between consecutive levels.
 """
 
 import json

@@ -16,8 +16,7 @@ import numpy as np
 
 from .certificate import check_tolerances
 from .discretize import build_finite, check_count
-from .driver import (BACKENDS, RunConfig, certify_level, resolve_backend,
-                     run, solve_level)
+from .driver import RunConfig, certify_level, run, solve_level
 from .errors import BnecertError
 from .model import load_game_file
 from .solver import check_prop1
@@ -72,8 +71,7 @@ def cmd_discretize(args):
 def cmd_solve(args):
     check_count("fp_max_iters", args.fp_max_iters)
     g = _load(args)
-    backend, prop1 = resolve_backend(g, args.backend)
-    result, note = solve_level(g, args.level, backend, prop1, SOLVE_EPSILON,
+    result, note = solve_level(g, args.level, check_prop1(g), SOLVE_EPSILON,
                                args.fp_max_iters)
     print(json.dumps({
         "backend": result.backend,
@@ -92,8 +90,7 @@ def cmd_certify(args):
     check_tolerances(args.epsilon, args.quad_tol)
     check_count("fp_max_iters", args.fp_max_iters)
     g = _load(args)
-    backend, prop1 = resolve_backend(g, args.backend)
-    *_, cert = certify_level(g, args.level, backend, prop1, args.epsilon,
+    *_, cert = certify_level(g, args.level, check_prop1(g), args.epsilon,
                              args.quad_tol, args.fp_max_iters)
     print(json.dumps(cert.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK if cert.certified else EXIT_UNCERTIFIED
@@ -118,7 +115,6 @@ def cmd_run(args):
         epsilon=args.epsilon,
         max_level=args.max_level,
         schedule=args.schedule,
-        backend=args.backend,
         fp_max_iters=args.fp_max_iters,
         quad_tol=args.quad_tol,
     )
@@ -158,10 +154,6 @@ def build_parser():
         p.add_argument("--grid-check", type=int, default=101,
                        help="validation grid size (odd, >= 11)")
 
-    def add_solver(p):
-        p.add_argument("--backend", default="auto", choices=BACKENDS)
-        p.add_argument("--fp-max-iters", type=int, default=2000)
-
     p = sub.add_parser("check", help="validate a game spec")
     add_common(p)
     p.set_defaults(func=cmd_check)
@@ -175,14 +167,14 @@ def build_parser():
     p = sub.add_parser("solve", help="solve the level-n finite game")
     add_common(p)
     p.add_argument("--level", type=int, required=True)
-    add_solver(p)
+    p.add_argument("--fp-max-iters", type=int, default=2000)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("certify", help="solve one level and certify it")
     add_common(p)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    add_solver(p)
+    p.add_argument("--fp-max-iters", type=int, default=2000)
     p.add_argument("--quad-tol", type=float, default=None)
     p.set_defaults(func=cmd_certify)
 
@@ -192,7 +184,7 @@ def build_parser():
     p.add_argument("--max-level", type=int, default=32)
     p.add_argument("--schedule", default="linear",
                    choices=["linear", "doubling"])
-    add_solver(p)
+    p.add_argument("--fp-max-iters", type=int, default=2000)
     p.add_argument("--quad-tol", type=float, default=None)
     p.add_argument("--output")
     p.add_argument("--emit-curves", action="store_true")

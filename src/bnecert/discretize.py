@@ -101,10 +101,6 @@ class BehavioralProfile:
     def n(self):
         return self.s.shape[0]
 
-    @classmethod
-    def uniform(cls, n, L, H):
-        return cls(np.full((n, L), 1.0 / L), np.full((n, H), 1.0 / H))
-
 
 @dataclass(frozen=True)
 class StepStrategy:

@@ -22,15 +22,11 @@ from .errors import BnecertError, NoConvergence
 from .solver import check_prop1, default_alphas, solve_fp, solve_lp
 
 
-BACKENDS = ("auto", "lp", "fp")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     epsilon: float
     max_level: int = 32
     schedule: str = "linear"  # or "doubling"
-    backend: str = "auto"     # one of BACKENDS
     fp_max_iters: int = 2000
     quad_tol: float | None = None
 
@@ -42,8 +38,6 @@ class RunConfig:
             object.__setattr__(self, name, int(getattr(self, name)))
         if self.schedule not in ("linear", "doubling"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}")
 
 
 @dataclass
@@ -112,34 +106,16 @@ def convergence_diagnostic(level_strategies):
     return table
 
 
-def resolve_backend(g, backend):
-    """Concrete backend and check_prop1 result (None when not needed).
-
-    "auto" becomes lp when the multiplier condition is detected and fp
-    otherwise; an explicit lp without the condition is rejected.
-    """
-    if backend not in ("auto", "lp"):
-        return backend, None
-    prop1 = check_prop1(g)
-    if backend == "auto":
-        return ("lp" if prop1.linearizable else "fp"), prop1
-    if not prop1.linearizable:
-        raise ValueError(
-            "lp backend requires the multiplier condition; "
-            "check_prop1 did not detect it"
-        )
-    return backend, prop1
-
-
-def solve_level(g, n, backend, prop1, epsilon, fp_max_iters):
-    """Build and solve the level-n game with a resolved backend.
+def solve_level(g, n, prop1, epsilon, fp_max_iters):
+    """Build and solve the level-n game: the LP when check_prop1's result
+    prop1 finds the multiplier condition, fictitious play otherwise.
 
     Returns (result, note).  Fictitious play aims at a finite gap of
     epsilon / 10 and falls back to its best iterate, with a note, when
     that target is out of reach.
     """
     fg = build_finite(g, n)
-    if backend == "lp":
+    if prop1.linearizable:
         alpha1, alpha2 = default_alphas(fg, g, prop1)
         return solve_lp(fg, alpha1, alpha2), None
     try:
@@ -149,10 +125,10 @@ def solve_level(g, n, backend, prop1, epsilon, fp_max_iters):
         return exc.result, "fp did not reach the target gap; best iterate used"
 
 
-def certify_level(g, n, backend, prop1, epsilon, quad_tol, fp_max_iters):
+def certify_level(g, n, prop1, epsilon, quad_tol, fp_max_iters):
     """solve_level, then lift both players with the game's action labels
     and certify them: (result, note, F, G, certificate)."""
-    result, note = solve_level(g, n, backend, prop1, epsilon, fp_max_iters)
+    result, note = solve_level(g, n, prop1, epsilon, fp_max_iters)
     F = lift(result.profile, 1, actions=g.actions1)
     G = lift(result.profile, 2, actions=g.actions2)
     return result, note, F, G, certify(g, F, G, epsilon, quad_tol)
@@ -161,7 +137,8 @@ def certify_level(g, n, backend, prop1, epsilon, quad_tol, fp_max_iters):
 def run(g, cfg):
     """Schedule levels, solve, lift, certify; stop on the first success."""
     report = RunReport(config=cfg)
-    backend, prop1 = resolve_backend(g, cfg.backend)
+    prop1 = check_prop1(g)
+    backend = "lp" if prop1.linearizable else "fp"
 
     solved = []  # (n, F, G, certificate)
     levels = schedule_levels(cfg.schedule, cfg.max_level)
@@ -170,8 +147,7 @@ def run(g, cfg):
         start = time.perf_counter()
         try:
             result, note, F, G, cert = certify_level(
-                g, n, backend, prop1, cfg.epsilon, cfg.quad_tol,
-                cfg.fp_max_iters)
+                g, n, prop1, cfg.epsilon, cfg.quad_tol, cfg.fp_max_iters)
             record.update({
                 "finite_gap1": result.finite_gap1,
                 "finite_gap2": result.finite_gap2,

@@ -60,9 +60,6 @@ class Expr:
         DomainError if any point is outside the domain."""
         return Program([self]).run(theta1, theta2)[0]
 
-    def __str__(self):
-        return _render(self, 0)
-
 
 @dataclass(frozen=True, slots=True)
 class Num(Expr):
@@ -444,41 +441,3 @@ class _Parser:
 def parse(text):
     """Parse DSL text into an immutable Expr tree."""
     return _Parser(text).parse()
-
-
-# ---------------------------------------------------------------------------
-# pretty-printing (minimal parentheses; reparses to the same evaluation)
-
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _prec(e):
-    if isinstance(e, (Num, Var, Call)):
-        return _PREC_ATOM
-    if isinstance(e, Neg):
-        return _PREC_NEG
-    return {"+": _PREC_ADD, "-": _PREC_ADD,
-            "*": _PREC_MUL, "/": _PREC_MUL,
-            "^": _PREC_POW}[e.op]
-
-
-def _render(e, parent_prec):
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Call):
-        return f"{e.name}({', '.join(_render(a, 0) for a in e.args)})"
-    if isinstance(e, Neg):
-        s = "-" + _render(e.arg, _PREC_NEG)
-        return f"({s})" if parent_prec > _PREC_NEG else s
-    # BinOp; left-associative except '^'
-    prec = _prec(e)
-    if e.op == "^":
-        left = _render(e.left, _PREC_ATOM)     # base must be an atom
-        right = _render(e.right, _PREC_NEG)    # exponent may be unary
-    else:
-        left = _render(e.left, prec)
-        right = _render(e.right, prec + 1)
-    s = f"{left} {e.op} {right}"
-    return f"({s})" if parent_prec > prec else s

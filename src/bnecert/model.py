@@ -85,25 +85,25 @@ def _compile(spec):
     return Program(trees, names)
 
 
-def _lows(cells, program, t1, t2):
-    """Least value of each cell (u's, then v's) at types t1 x t2 (one axis
-    each); raises what checking the cells one by one, finite first,
-    raises first."""
-    values = program.stream(t1[:, None], t2[None, :],
-                            range(1, 1 + len(cells)))
+def _lows(program, t1, t2):
+    """Least value of each of the program's cells (u's, then v's) at
+    types t1 x t2 (one axis each); raises what checking the cells one by
+    one, finite first, raises first."""
+    cells = range(1, len(program.outputs))
+    values = program.stream(t1[:, None], t2[None, :], cells)
     lows = []
     with np.errstate(all="ignore"):
-        for e, vals in zip(cells, values):
+        for k, vals in zip(cells, values):
             lo = float(vals.min())  # nan if any value is
             if not (math.isfinite(lo) and math.isfinite(vals.max())):
                 i, j = np.argwhere(~np.isfinite(vals))[0]
-                raise NonFinite(
-                    f"utility {e} is not finite at ({t1[i]}, {t2[j]})")
+                raise NonFinite(f"{program.names[k]}: utility is not finite "
+                                f"at ({t1[i]}, {t2[j]})")
             lows.append(lo)
     return lows
 
 
-def _shifts(spec, program, t1, t2):
+def _shifts(program, t1, t2):
     """Nonnegativity shift of each player's utility table, checked finite
     at types t1 x t2 (one axis each).
 
@@ -112,16 +112,14 @@ def _shifts(spec, program, t1, t2):
     runs again, to raise the error that checking the cells one by one
     over the whole grid raises first.
     """
-    cells = [e for table in (spec.u_raw, spec.v_raw) for row in table
-             for e in row]
     blocks = -(-t1.size * t2.size // _BLOCK_POINTS)
     try:
-        per_block = [_lows(cells, program, rows, t2)
+        per_block = [_lows(program, rows, t2)
                      for rows in np.array_split(t1, blocks)]
         lows = [min(cell) for cell in zip(*per_block)]
     except (DomainError, NonFinite):
-        lows = _lows(cells, program, t1, t2)
-    half = len(cells) // 2
+        lows = _lows(program, t1, t2)
+    half = len(lows) // 2
     return tuple(max(0.0, -min(lo)) + SHIFT_MARGIN
                  for lo in (lows[:half], lows[half:]))
 
@@ -359,7 +357,7 @@ def load_game(spec, grid_check=101):
     if not (math.isfinite(norm) and norm > 0.0):
         raise ZeroMarginal(f"prior integrates to {norm}; must be positive")
 
-    shift1, shift2 = _shifts(spec, game.program, *game._map(grid, grid))
+    shift1, shift2 = _shifts(game.program, *game._map(grid, grid))
     game = replace(game, shift1=shift1, shift2=shift2, prior_norm=norm)
 
     # marginal positivity along every grid line

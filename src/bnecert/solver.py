@@ -74,21 +74,13 @@ class Prop1Result:
 # ---------------------------------------------------------------------------
 # interim values, best responses, gaps
 
-def _agent_form(fg, player):
-    """player's agent-form matrix, its own and its opponent's action
-    counts."""
-    if player == 1:
-        return fg.M1, fg.L, fg.H
-    return fg.M2, fg.H, fg.L
-
-
 def action_values(fg, player, opponent_rows):
     """Ex-ante per-type action values q[i, a] (the 1/n^2 prior included).
 
     One dot product per row of the agent-form matrix, so identical action
     rows give identical values and ties between them stay exact.
     """
-    M, width, _ = _agent_form(fg, player)
+    M, width = (fg.M1, fg.L) if player == 1 else (fg.M2, fg.H)
     q = np.vecdot(M, opponent_rows.ravel()).reshape(fg.n, width)
     return q * (1.0 / fg.n ** 2)
 

@@ -8,7 +8,8 @@ and numpy's scalar exp, log, sin, cos and power.  The tableau simplex
 and fictitious play oracles are the per-row loop versions that the array
 code replaced.  The enumeration oracle exists only here: an exhaustive
 pure-profile and support search, used as an independent cross-check of
-the lp and fp backends on small games.
+the lp and fp backends on small games.  So does the pretty-printer of
+expression trees, whose output the tests reparse.
 """
 
 import itertools
@@ -112,6 +113,11 @@ def random_poly_game(rng, decreasing=False, grid_check=21):
     v = [[random_poly(rng, decreasing=decreasing) for _ in range(2)]
          for _ in range(2)]
     return make_game(u, v, grid_check=grid_check)
+
+
+def uniform_profile(n, L, H):
+    return BehavioralProfile(np.full((n, L), 1.0 / L),
+                             np.full((n, H), 1.0 / H))
 
 
 def random_profile(rng, n, L, H):
@@ -303,6 +309,45 @@ def oracle_payoff(g, player, x, y, theta1, theta2):
     table, shift = ((g.spec.u_raw, g.shift1) if player == 1
                     else (g.spec.v_raw, g.shift2))
     return prior * (oracle_eval(table[x][y], t1, t2) + shift)
+
+
+# ---------------------------------------------------------------------------
+# pretty-printing with minimal parentheses; reparses to the same evaluation
+
+_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+
+
+def _prec(e):
+    if isinstance(e, (Num, Var, Call)):
+        return _PREC_ATOM
+    if isinstance(e, Neg):
+        return _PREC_NEG
+    return {"+": _PREC_ADD, "-": _PREC_ADD,
+            "*": _PREC_MUL, "/": _PREC_MUL,
+            "^": _PREC_POW}[e.op]
+
+
+def render(e, parent_prec=0):
+    """DSL text of an Expr tree with the fewest parentheses."""
+    if isinstance(e, Num):
+        return repr(e.value)
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Call):
+        return f"{e.name}({', '.join(render(a) for a in e.args)})"
+    if isinstance(e, Neg):
+        s = "-" + render(e.arg, _PREC_NEG)
+        return f"({s})" if parent_prec > _PREC_NEG else s
+    # BinOp; left-associative except '^'
+    prec = _prec(e)
+    if e.op == "^":
+        left = render(e.left, _PREC_ATOM)     # base must be an atom
+        right = render(e.right, _PREC_NEG)    # exponent may be unary
+    else:
+        left = render(e.left, prec)
+        right = render(e.right, prec + 1)
+    s = f"{left} {e.op} {right}"
+    return f"({s})" if parent_prec > prec else s
 
 
 # ---------------------------------------------------------------------------

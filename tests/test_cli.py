@@ -2,6 +2,9 @@
 
 import csv
 import json
+import re
+import shlex
+import shutil
 import subprocess
 import sys
 
@@ -10,7 +13,7 @@ import pytest
 import bnecert as bc
 from bnecert.cli import main
 
-from conftest import src_env
+from conftest import ROOT, src_env
 
 ZERO_SUM_DOC = {
     "actions1": ["x1", "x2"],
@@ -21,7 +24,7 @@ ZERO_SUM_DOC = {
 }
 
 
-# general-sum, so auto picks fp; at levels 1-2, 50 fp iterations leave
+# general-sum, so fp solves it; at levels 1-2, 50 fp iterations leave
 # finite gaps above 0.03, far from a target of epsilon / 10
 GENERAL_SUM_DOC = {
     "actions1": ["x1", "x2"],
@@ -49,7 +52,7 @@ def general_sum_path(tmp_path):
 def general_sum_report(epsilon, max_level):
     g = bc.load_game(bc.GameSpec.from_dict(GENERAL_SUM_DOC), grid_check=21)
     return bc.run(g, bc.RunConfig(epsilon=epsilon, max_level=max_level,
-                                  backend="fp", fp_max_iters=50))
+                                  fp_max_iters=50))
 
 
 def test_check(spec_path, capsys):
@@ -82,7 +85,7 @@ def test_discretize_to_file(spec_path, tmp_path, capsys):
 
 def test_solve_stdout(spec_path, capsys):
     assert main(["solve", spec_path, "--grid-check", "21",
-                 "--level", "2", "--backend", "lp"]) == 0
+                 "--level", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["backend"] == "lp"
     assert doc["finite_gap1"] <= 1e-8
@@ -103,8 +106,7 @@ def test_certify_exit_codes(spec_path, capsys):
 
 def test_certify_uses_fp_best_iterate_like_run(general_sum_path, capsys):
     code = main(["certify", general_sum_path, "--grid-check", "21",
-                 "--level", "2", "--epsilon", "0.05", "--backend", "fp",
-                 "--fp-max-iters", "50"])
+                 "--level", "2", "--epsilon", "0.05", "--fp-max-iters", "50"])
     doc = json.loads(capsys.readouterr().out)
     assert code == (0 if doc["certified"] else 2)
 
@@ -124,14 +126,6 @@ def test_solve_prints_the_run_note(general_sum_path, capsys):
     note = general_sum_report(0.01, 1).levels[0]["note"]
     assert note is not None
     assert doc["note"] == note
-
-
-def test_solve_lp_requires_multiplier_condition(general_sum_path, capsys):
-    assert main(["solve", general_sum_path, "--grid-check", "21",
-                 "--level", "1", "--backend", "lp"]) == 1
-    err = capsys.readouterr().err
-    assert err == ("error: lp backend requires the multiplier condition; "
-                   "check_prop1 did not detect it\n")
 
 
 @pytest.mark.parametrize("command", [
@@ -154,8 +148,8 @@ def test_solve_fp_overflow_is_nonfinite(tmp_path, capsys):
         "u": [["1.5e308*theta1", "0"], ["0", "1.5e308*theta2"]],
         "v": [["0", "1.5e308*theta2"], ["1.5e308*theta1", "0"]],
     }))
-    assert main(["solve", str(path), "--grid-check", "21", "--level", "3",
-                 "--backend", "fp"]) == 1
+    assert main(["solve", str(path), "--grid-check", "21",
+                 "--level", "3"]) == 1
     assert capsys.readouterr().err == (
         "error: NonFinite: fictitious play gap is not finite at iteration 1\n")
 
@@ -168,7 +162,7 @@ def test_certify_quadrature_overflow_is_nonfinite(tmp_path, capsys):
         "v": [["0", "1.5e308*theta2"], ["1.5e308*theta1", "0"]],
     }))
     assert main(["certify", str(path), "--grid-check", "21", "--level", "1",
-                 "--epsilon", "1e-3", "--backend", "fp"]) == 1
+                 "--epsilon", "1e-3"]) == 1
     assert capsys.readouterr().err == (
         "error: NonFinite: Simpson estimates on [0.0, 1.0] of integrand 0 "
         "are not finite\n")
@@ -247,8 +241,7 @@ def test_run_prints_the_report_and_exits_1_when_every_level_fails(
         "u": [["1.5e308*theta1", "0"], ["0", "1.5e308*theta2"]],
     }))
     assert main(["run", str(path), "--grid-check", "21", "--epsilon", "0.1",
-                 "--backend", "fp", "--max-level", "4",
-                 "--schedule", "doubling"]) == 1
+                 "--max-level", "4", "--schedule", "doubling"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "failed"
     assert doc["certified_level"] is None and doc["strategies"] is None
@@ -262,15 +255,16 @@ def test_run_prints_the_report_and_exits_1_when_every_level_fails(
 
 @pytest.mark.parametrize("argv, message", [
     (["run", "SPEC"], "the following arguments are required: --epsilon"),
-    (["solve", "SPEC", "--level", "1", "--backend", "bogus"],
-     "argument --backend: invalid choice: 'bogus' "
-     "(choose from 'auto', 'lp', 'fp')"),
-    (["solve", "SPEC", "--level", "1", "--backend", "enum_oracle"],
-     "argument --backend: invalid choice: 'enum_oracle' "
-     "(choose from 'auto', 'lp', 'fp')"),
+    # the game picks its solver, so there is no --backend to set
+    (["solve", "SPEC", "--level", "1", "--backend", "lp"],
+     "unrecognized arguments: --backend lp"),
+    (["certify", "SPEC", "--level", "1", "--epsilon", "0.1",
+      "--backend", "fp"], "unrecognized arguments: --backend fp"),
     (["certify", "SPEC", "--level", "two", "--epsilon", "0.1"],
      "argument --level: invalid int value: 'two'"),
     ([], "the following arguments are required: command"),
+    (["run", "SPEC", "--epsilon", "0.1", "--backend", "auto"],
+     "unrecognized arguments: --backend auto"),
 ])
 def test_usage_errors_exit_1_with_argparse_message(spec_path, capsys, argv,
                                                    message):
@@ -384,3 +378,25 @@ def test_bad_epsilon_or_quad_tol_is_fatal(spec_path, capsys, command, option,
     out = capsys.readouterr()
     assert out.out == ""
     assert "must be positive" in out.err
+
+
+def readme_commands():
+    """The bnecert command lines of README's sh blocks, continuations
+    joined."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("bnecert ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    commands = readme_commands()
+    # one line per subcommand when this test was written
+    assert {argv[0] for argv in commands} == {"check", "discretize", "solve",
+                                             "certify", "run"}
+    shutil.copytree(ROOT / "demos" / "specs", tmp_path / "demos" / "specs")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) in (0, 2), argv
+        assert capsys.readouterr().err == "", argv

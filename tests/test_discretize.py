@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import bnecert as bc
 from bnecert.discretize import grid_floor
 
-from conftest import make_game, random_profile
+from conftest import make_game, random_profile, uniform_profile
 
 
 def test_grid_floor_nudge():
@@ -80,7 +80,7 @@ def test_lift_pure_per_type():
 
 def test_lift_uniform_rows():
     for L in (2, 3, 4):
-        profile = bc.BehavioralProfile.uniform(4, L, 2)
+        profile = uniform_profile(4, L, 2)
         F = bc.lift(profile, 1)
         for k in range(len(F.actions)):
             assert F.values(1.0)[k] == pytest.approx(1.0 / L, abs=1e-15)
@@ -96,7 +96,7 @@ def test_lift_single_type_mixture():
 
 
 def test_eval_step_examples():
-    profile = bc.BehavioralProfile.uniform(4, 2, 2)
+    profile = uniform_profile(4, 2, 2)
     F = bc.lift(profile, 1, actions=("x1", "x2"))
     for k in range(2):
         assert F.values(0.0)[k] == 0.0
@@ -126,7 +126,7 @@ def test_step_cdf_outside_the_grid(theta, want):
 
 
 def test_default_action_labels():
-    F = bc.lift(bc.BehavioralProfile.uniform(2, 3, 2), 1)
+    F = bc.lift(uniform_profile(2, 3, 2), 1)
     assert F.actions == ("a0", "a1", "a2")
 
 

@@ -1,6 +1,11 @@
 """Certification loop: schedules, reports, diagnostics, determinism."""
 
+import contextlib
+import dataclasses
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -8,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bnecert as bc
-from bnecert import solver
+from bnecert import cli, solver
 from bnecert.discretize import StepStrategy
 from bnecert.driver import schedule_levels, sup_distance
 
@@ -37,9 +42,6 @@ def test_run_config_validation():
         bc.RunConfig(epsilon=0.1, max_level=0)
     with pytest.raises(ValueError):
         bc.RunConfig(epsilon=0.1, schedule="geometric")
-    for backend in ("cplex", "enum_oracle"):
-        with pytest.raises(ValueError):
-            bc.RunConfig(epsilon=0.1, backend=backend)
     for fields in ({"epsilon": float("nan")}, {"epsilon": float("inf")},
                    {"epsilon": 0.1, "quad_tol": -1.0},
                    {"epsilon": 0.1, "quad_tol": 0.0},
@@ -50,8 +52,7 @@ def test_run_config_validation():
 
 
 @pytest.mark.parametrize("fields, message", [
-    ({"fp_max_iters": 2.5, "backend": "fp"},
-     "fp_max_iters must be an integer, got 2.5"),
+    ({"fp_max_iters": 2.5}, "fp_max_iters must be an integer, got 2.5"),
     ({"fp_max_iters": 2.0}, "fp_max_iters must be an integer, got 2.0"),
     ({"fp_max_iters": True}, "fp_max_iters must be an integer, got True"),
     ({"max_level": 2.5}, "max_level must be an integer, got 2.5"),
@@ -69,15 +70,76 @@ def test_run_config_rejects_counts_that_are_not_integers(fields, message):
 
 
 def test_run_config_accepts_numpy_integer_counts():
-    g = make_game([["1", "1"], ["1", "1"]], [["1", "1"], ["1", "1"]])
+    # general-sum, and neither player's payoff depends on their own
+    # action, so fp's first iterate is an equilibrium
+    g = make_game([["1", "2"], ["1", "2"]], [["1", "1"], ["2", "2"]])
     cfg = bc.RunConfig(epsilon=0.01, max_level=np.int64(2),
-                       fp_max_iters=np.int32(5), backend="fp")
+                       fp_max_iters=np.int32(5))
     report = bc.run(g, cfg)
     assert report.status == "certified"
+    assert report.levels[0]["backend"] == "fp"
     assert report.levels[0]["solver_iterations"] == 1
     # stored as ints, so the report serializes
     config = json.loads(report.to_json())["config"]
     assert (config["max_level"], config["fp_max_iters"]) == (2, 5)
+
+
+def test_run_config_has_no_backend():
+    # the game picks its solver, so there is nothing to set
+    assert [f.name for f in dataclasses.fields(bc.RunConfig)] == [
+        "epsilon", "max_level", "schedule", "fp_max_iters", "quad_tol"]
+    with pytest.raises(TypeError):
+        bc.RunConfig(epsilon=0.1, backend="fp")
+
+
+@st.composite
+def games_of_each_kind(draw):
+    """Spec of a 2x2 game: constant-sum, general-sum, or one whose v is
+    -(m2/m1) u with multipliers m1, m2 in the spec.  A poisoned game's
+    payoffs take the log of 0 at the level-3 type 1/3, which no
+    validation grid meets, so level 3 fails."""
+    kind = draw(st.sampled_from(["constant", "general", "multipliers"]))
+    poison = " + 0*log(abs(theta1 - 1/3))" * draw(st.booleans())
+
+    def table():
+        def cell():
+            a, b, c = (draw(st.integers(-9, 9)) / 8 for _ in range(3))
+            return f"{a} + {b}*theta1 + {c}*theta1*theta2{poison}"
+        return [[cell(), cell()], [cell(), cell()]]
+
+    u, extra = table(), {}
+    if kind == "constant":
+        v = [[f"0.5 - ({e})" for e in row] for row in u]
+    elif kind == "general":
+        v = table()
+    else:
+        extra = {"m1": f"1 + {draw(st.integers(0, 3))}*theta1",
+                 "m2": f"1 + {draw(st.integers(0, 3))}*theta2"}
+        v = [[f"-({extra['m2']})*({e})/({extra['m1']})" for e in row]
+             for row in u]
+    return {"actions1": ["x1", "x2"], "actions2": ["y1", "y2"], "u": u,
+            "v": v, "prior": "1", **extra}
+
+
+@settings(max_examples=60, deadline=None)
+@given(games_of_each_kind())
+def test_backend_follows_the_game(doc):
+    g = bc.load_game(bc.GameSpec.from_dict(doc), grid_check=11)
+    want = "lp" if bc.check_prop1(g).linearizable else "fp"
+    report = bc.run(g, bc.RunConfig(epsilon=1e-9, max_level=3,
+                                    fp_max_iters=20))
+    # every level, failed or not, names the solver the game picks
+    assert report.levels
+    assert [r["backend"] for r in report.levels] == [want] * len(report.levels)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "game.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["solve", path, "--grid-check", "11",
+                             "--level", "1", "--fp-max-iters", "20"]) == 0
+    assert json.loads(out.getvalue())["backend"] == want
 
 
 def test_constant_game_certified_at_level_one():
@@ -119,14 +181,8 @@ def test_unreachable_epsilon_exhausts():
     assert report.strategies is not None  # best attempt still reported
 
 
-def test_explicit_lp_backend_requires_linearizability():
-    g = make_game([["theta1"]], [["theta2"]])
-    with pytest.raises(ValueError):
-        bc.run(g, bc.RunConfig(epsilon=0.1, backend="lp"))
-
-
 def test_all_levels_failed():
-    # payoffs of 1.5e308 overflow: auto picks fp (the game is not
+    # payoffs of 1.5e308 overflow: fp solves the game (it is not
     # constant-sum), certify's Simpson sums overflow at levels 1 and 2 and
     # fp's gaps at level 3, so every level errors out; the report still
     # says why, level by level
@@ -210,8 +266,7 @@ def test_run_records_simplex_failure_against_its_level(monkeypatch):
 
     monkeypatch.setattr("bnecert.solver.simplex", singular_once)
     g = zero_sum_match_game()
-    report = bc.run(g, bc.RunConfig(epsilon=0.05, max_level=4,
-                                    backend="lp"))
+    report = bc.run(g, bc.RunConfig(epsilon=0.05, max_level=4))
     first = report.levels[0]
     assert first["n"] == 1
     assert first["error"].startswith("SimplexStall: singular basis")
@@ -226,7 +281,7 @@ def test_run_records_fp_overflow_against_its_level():
     g = make_game([["2.9e307", "2.9e307"], ["0", "0"]],
                   [["theta2", "0"], ["0", "1"]])
     report = bc.run(g, bc.RunConfig(epsilon=1e300, max_level=16,
-                                    schedule="doubling", backend="fp"))
+                                    schedule="doubling"))
     assert report.status == "exhausted"
     errors = {r["n"]: r["error"] for r in report.levels}
     assert errors == {
@@ -243,7 +298,7 @@ def test_run_records_quadrature_overflow_against_its_level():
     g = make_game([["4e307", "0"], ["0", "0"]],
                   [["theta2 - 0.7", "0"], ["theta2 - 0.7", "0"]])
     report = bc.run(g, bc.RunConfig(epsilon=1e300, max_level=4,
-                                    schedule="doubling", backend="fp"))
+                                    schedule="doubling"))
     errors = {r["n"]: r["error"] for r in report.levels}
     assert errors == {
         1: "NonFinite: Simpson estimates on [0.0, 1.0] of integrand 0 "
@@ -297,6 +352,6 @@ def test_report_serialization_round_trip():
     doc = json.loads(report.to_json())
     assert doc["status"] == "certified"
     assert set(doc["config"]) == {"epsilon", "max_level", "schedule",
-                                  "backend", "fp_max_iters", "quad_tol"}
+                                  "fp_max_iters", "quad_tol"}
     atoms = doc["strategies"]["player1"]["atoms"]
     assert sum(a["mass"] for a in atoms) == pytest.approx(1.0, abs=1e-9)

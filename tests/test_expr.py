@@ -17,7 +17,7 @@ from bnecert.expr import (
     Var,
 )
 
-from conftest import oracle_eval
+from conftest import oracle_eval, render
 
 
 def test_parse_product_tree():
@@ -145,7 +145,7 @@ def test_precedence_oracle_1000_random_asts():
     for _ in range(1000):
         ast = _random_ast(rng, depth=int(rng.integers(1, 6)))
         reference = parse(_paren_render(ast))
-        pretty = parse(str(ast))
+        pretty = parse(render(ast))
         t1, t2 = rng.random(), rng.random()
         want = _try_eval(reference, t1, t2)
         assert _try_eval(ast, t1, t2) == want
@@ -167,7 +167,7 @@ def test_pretty_print_round_trip_on_grid():
     grid = np.linspace(0.0, 1.0, 21)
     for text in texts:
         e = parse(text)
-        again = parse(str(e))
+        again = parse(render(e))
         for t1 in grid:
             for t2 in grid:
                 assert again.eval(t1, t2) == e.eval(t1, t2)
@@ -205,10 +205,10 @@ def test_array_eval_equals_point_oracle_on_random_asts():
             continue
         got = ast.eval(t1, t2)
         assert got.shape == want.shape
-        assert np.array_equal(got, want, equal_nan=True), str(ast)
+        assert np.array_equal(got, want, equal_nan=True), render(ast)
         numbers = ~np.isnan(want)
         assert np.array_equal(np.signbit(got[numbers]),
-                              np.signbit(want[numbers])), str(ast)
+                              np.signbit(want[numbers])), render(ast)
         compared += 1
     assert raised > 50 and compared > 300
 
@@ -372,7 +372,7 @@ def test_table_program_equals_point_oracle_cell_by_cell():
                     except DomainError:
                         fails = True
                         break
-                assert fails == (j == k), str(e)
+                assert fails == (j == k), render(e)
             with pytest.raises(DomainError) as exc:
                 program.run(t1, t2)
             assert str(exc.value) == f"{names[k]}: {message}"
@@ -383,12 +383,12 @@ def test_table_program_equals_point_oracle_cell_by_cell():
             want = np.empty((6, 5))
             for i0, j0 in np.ndindex(want.shape):
                 want[i0, j0] = oracle_eval(e, t1[i0, 0], t2[0, j0])
-            assert _equal_bits(got, want), str(e)
+            assert _equal_bits(got, want), render(e)
         # a subset of the outputs runs only its own steps, to the same bits
         some = sorted(rng.choice(len(trees), size=len(trees) // 2 + 1,
                                  replace=False))
         for k, got in zip(some, program.run(t1, t2, some)):
-            assert _equal_bits(got, values[k]), str(trees[k])
+            assert _equal_bits(got, values[k]), render(trees[k])
         compared += 1
     assert raised > 20 and compared > 50
 
@@ -414,7 +414,7 @@ def test_negated_table_adds_one_step_per_cell():
     for _ in range(50):
         L, H = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         u = [e for row in _random_table(rng, L, H) for e in row]
-        v = [parse(f"-({e})") for e in u]
+        v = [parse(f"-({render(e)})") for e in u]
         assert len(Program(u + v).tape) <= len(Program(u).tape) + L * H
 
 

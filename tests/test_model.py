@@ -47,6 +47,19 @@ def test_overflowing_utility_rejected(utility):
         make_game([[utility]], [["0"]])
 
 
+@pytest.mark.parametrize("u, v, message", [
+    ([["1", "0"], ["exp(1000*theta1)", "0"]], [["0", "0"], ["0", "0"]],
+     "u[1][0]: utility is not finite at (0.75, 0.0)"),
+    ([["1", "0"], ["0", "0"]], [["0", "10^400"], ["0", "0"]],
+     "v[0][1]: utility is not finite at (0.0, 0.0)"),
+])
+def test_nonfinite_utility_names_its_cell(u, v, message):
+    # named like a DomainError, from the cell's place in its table
+    with pytest.raises(NonFinite) as info:
+        make_game(u, v)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("prior, message", [
     ("theta1", "marginal of player 1 at theta=0.0 is 0.0"),
     ("max(0, 0.3 - theta2)", "marginal of player 2 at theta=0.3 is 0.0"),

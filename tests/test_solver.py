@@ -49,6 +49,7 @@ from conftest import (
     random_poly_game,
     random_profile,
     src_env,
+    uniform_profile,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -96,13 +97,13 @@ def test_best_response_n2_match_game(zero_sum_match):
 def test_finite_gap_single_action():
     g = make_game([["theta1"]], [["theta2"]])
     fg = bc.build_finite(g, 3)
-    gaps = finite_gap(fg, bc.BehavioralProfile.uniform(3, 1, 1))
+    gaps = finite_gap(fg, uniform_profile(3, 1, 1))
     assert gaps == (0.0, 0.0)
 
 
 def test_finite_gap_matching_pennies(matching_pennies):
     fg = bc.build_finite(matching_pennies, 1)
-    uniform = bc.BehavioralProfile.uniform(1, 2, 2)
+    uniform = uniform_profile(1, 2, 2)
     gap1, gap2 = finite_gap(fg, uniform)
     assert abs(gap1) <= 1e-12 and abs(gap2) <= 1e-12
 
@@ -198,7 +199,7 @@ def test_alphas_need_multipliers_positive_at_every_level_type():
                                "0.3333333333333333; it must be positive "
                                "and finite")
     with pytest.raises(Prop1Violation):
-        bc.driver.certify_level(g, 3, "lp", prop1, 0.05, None, 2000)
+        bc.driver.certify_level(g, 3, prop1, 0.05, None, 2000)
 
 
 def test_prop1_violation():
