@@ -15,7 +15,7 @@ HERE = os.path.dirname(__file__)
 
 def main():
     path = os.path.join(HERE, "specs", "linear_prior_multipliers.json")
-    g = bc.load_game_file(path, grid_check=21)
+    g = bc.load_game_file(path)
 
     print(f"actions: {g.actions1} vs {g.actions2}")
     print(f"prior normalization constant: {g.prior_norm:.6f}")

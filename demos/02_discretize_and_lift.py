@@ -16,8 +16,7 @@ HERE = os.path.dirname(__file__)
 
 
 def main():
-    g = bc.load_game_file(os.path.join(HERE, "specs", "zero_sum_match.json"),
-                          grid_check=21)
+    g = bc.load_game_file(os.path.join(HERE, "specs", "zero_sum_match.json"))
 
     n = 4
     fg = bc.build_finite(g, n)

@@ -18,10 +18,9 @@ HERE = os.path.dirname(__file__)
 
 
 def main():
-    g = bc.load_game_file(os.path.join(HERE, "specs", "zero_sum_match.json"),
-                          grid_check=21)
+    g = bc.load_game_file(os.path.join(HERE, "specs", "zero_sum_match.json"))
     prop1 = bc.check_prop1(g)
-    print(f"multiplier condition: {prop1.kind} (c = {prop1.c})")
+    print(f"multiplier condition: {prop1.kind}")
 
     n = 2
     fg = bc.build_finite(g, n)
@@ -43,8 +42,7 @@ def main():
 
     # the multiplier-based weights from the spec's m1/m2 also work
     g2 = bc.load_game_file(
-        os.path.join(HERE, "specs", "linear_prior_multipliers.json"),
-        grid_check=21)
+        os.path.join(HERE, "specs", "linear_prior_multipliers.json"))
     prop2 = bc.check_prop1(g2)
     fg2 = bc.build_finite(g2, 4)
     alpha1, alpha2 = bc.default_alphas(fg2, g2, prop2)

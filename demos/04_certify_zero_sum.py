@@ -15,8 +15,7 @@ HERE = os.path.dirname(__file__)
 
 
 def main():
-    g = bc.load_game_file(os.path.join(HERE, "specs", "zero_sum_match.json"),
-                          grid_check=21)
+    g = bc.load_game_file(os.path.join(HERE, "specs", "zero_sum_match.json"))
     epsilon = 0.05
 
     print(f"certifying levels against epsilon = {epsilon}")
@@ -25,7 +24,7 @@ def main():
         res = bc.solve_lp(bc.build_finite(g, n))
         F = bc.lift(res.profile, 1, g.actions1)
         G = bc.lift(res.profile, 2, g.actions2)
-        cert = bc.certify(g, F, G, epsilon, quad_tol=1e-7)
+        cert = bc.certify(g, F, G, epsilon)
         err = max(cert.quad_error1, cert.quad_error2)
         print(f"{n:2d}  {cert.gap1:+.3e}  {cert.gap2:+.3e}  "
               f"{err:.1e}     {cert.certified}")

@@ -16,10 +16,8 @@ HERE = os.path.dirname(__file__)
 
 
 def main():
-    g = bc.load_game_file(os.path.join(HERE, "specs", "zero_sum_match.json"),
-                          grid_check=21)
-    cfg = bc.RunConfig(epsilon=0.05, max_level=32, schedule="doubling",
-                       quad_tol=1e-7)
+    g = bc.load_game_file(os.path.join(HERE, "specs", "zero_sum_match.json"))
+    cfg = bc.RunConfig(epsilon=0.05, max_level=32, schedule="doubling")
     report = bc.run(g, cfg)
 
     print(f"status: {report.status} at level {report.certified_level}")

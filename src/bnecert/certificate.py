@@ -73,13 +73,10 @@ def best_deviation_integrand(g, player, opponent):
     return psi
 
 
-def check_tolerances(epsilon, quad_tol=None):
-    """ValueError unless epsilon is positive and finite and quad_tol, if
-    given, is positive."""
+def check_tolerances(epsilon):
+    """ValueError unless epsilon is positive and finite."""
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    if quad_tol is not None and not quad_tol > 0.0:
-        raise ValueError(f"quad_tol must be positive, got {quad_tol}")
 
 
 def br_value_infinite(g, player, opponent, quad_tol=1e-7):
@@ -95,18 +92,17 @@ def br_value_infinite(g, player, opponent, quad_tol=1e-7):
     return integrate(psi, 0.0, 1.0, quad_tol, presplit=presplit)
 
 
-def certify(g, F, G, epsilon, quad_tol=None):
+def certify(g, F, G, epsilon):
     """Check the epsilon-equilibrium condition of the infinite game for
-    player 1's strategy F and player 2's G, over the game's labels."""
-    check_tolerances(epsilon, quad_tol)
+    player 1's strategy F and player 2's G, over the game's labels.  The
+    quadrature tolerance is epsilon / 100, floored at QUAD_TOL_FLOOR."""
+    check_tolerances(epsilon)
     for player, strat, actions in ((1, F, g.actions1), (2, G, g.actions2)):
         if strat.actions != actions:
             raise ValueError(f"player {player}'s strategy has actions "
                              f"{strat.actions}, but the game gives player "
                              f"{player} {actions}")
-    if quad_tol is None:
-        quad_tol = epsilon / 100.0
-    quad_tol = max(min(quad_tol, epsilon / 10.0), QUAD_TOL_FLOOR)
+    quad_tol = max(epsilon / 100.0, QUAD_TOL_FLOOR)
 
     start = time.perf_counter()
     value1, value2 = profile_value(g, F, G)

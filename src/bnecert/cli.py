@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .certificate import check_tolerances
-from .discretize import build_finite, check_count
+from .discretize import build_finite
 from .driver import RunConfig, certify_level, run, solve_level
 from .errors import BnecertError
 from .model import load_game_file
@@ -31,12 +31,8 @@ SOLVE_EPSILON = 0.01
 CURVE_POINTS = 1001
 
 
-def _load(args):
-    return load_game_file(args.spec, grid_check=args.grid_check)
-
-
 def cmd_check(args):
-    g = _load(args)
+    g = load_game_file(args.spec)
     prop1 = check_prop1(g)
     print(json.dumps({
         "actions1": list(g.actions1),
@@ -50,7 +46,7 @@ def cmd_check(args):
 
 
 def cmd_discretize(args):
-    g = _load(args)
+    g = load_game_file(args.spec)
     fg = build_finite(g, args.level)
     doc = {
         "n": fg.n,
@@ -69,10 +65,8 @@ def cmd_discretize(args):
 
 
 def cmd_solve(args):
-    check_count("fp_max_iters", args.fp_max_iters)
-    g = _load(args)
-    result, note = solve_level(g, args.level, check_prop1(g), SOLVE_EPSILON,
-                               args.fp_max_iters)
+    g = load_game_file(args.spec)
+    result, note = solve_level(g, args.level, check_prop1(g), SOLVE_EPSILON)
     print(json.dumps({
         "backend": result.backend,
         "iterations": result.iterations,
@@ -87,11 +81,9 @@ def cmd_solve(args):
 
 
 def cmd_certify(args):
-    check_tolerances(args.epsilon, args.quad_tol)
-    check_count("fp_max_iters", args.fp_max_iters)
-    g = _load(args)
-    *_, cert = certify_level(g, args.level, check_prop1(g), args.epsilon,
-                             args.quad_tol, args.fp_max_iters)
+    check_tolerances(args.epsilon)
+    g = load_game_file(args.spec)
+    *_, cert = certify_level(g, args.level, check_prop1(g), args.epsilon)
     print(json.dumps(cert.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK if cert.certified else EXIT_UNCERTIFIED
 
@@ -115,10 +107,8 @@ def cmd_run(args):
         epsilon=args.epsilon,
         max_level=args.max_level,
         schedule=args.schedule,
-        fp_max_iters=args.fp_max_iters,
-        quad_tol=args.quad_tol,
     )
-    report = run(_load(args), cfg)
+    report = run(load_game_file(args.spec), cfg)
     text = report.to_json()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -151,8 +141,6 @@ def build_parser():
 
     def add_common(p):
         p.add_argument("spec", help="path to the JSON game spec")
-        p.add_argument("--grid-check", type=int, default=101,
-                       help="validation grid size (odd, >= 11)")
 
     p = sub.add_parser("check", help="validate a game spec")
     add_common(p)
@@ -167,15 +155,12 @@ def build_parser():
     p = sub.add_parser("solve", help="solve the level-n finite game")
     add_common(p)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--fp-max-iters", type=int, default=2000)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("certify", help="solve one level and certify it")
     add_common(p)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--fp-max-iters", type=int, default=2000)
-    p.add_argument("--quad-tol", type=float, default=None)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("run", help="full certification loop")
@@ -184,8 +169,6 @@ def build_parser():
     p.add_argument("--max-level", type=int, default=32)
     p.add_argument("--schedule", default="linear",
                    choices=["linear", "doubling"])
-    p.add_argument("--fp-max-iters", type=int, default=2000)
-    p.add_argument("--quad-tol", type=float, default=None)
     p.add_argument("--output")
     p.add_argument("--emit-curves", action="store_true")
     p.set_defaults(func=cmd_run)

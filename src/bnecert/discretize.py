@@ -158,10 +158,9 @@ def build_finite(g, n):
     return FiniteGame(n=n, actions1=g.actions1, actions2=g.actions2, U=U, V=V)
 
 
-def lift(profile, player, actions=None):
-    """Lift one side of a finite-game profile to a StepStrategy."""
+def lift(profile, player, actions):
+    """Lift one side of a finite-game profile to a StepStrategy labelled
+    with that player's actions."""
     weights = profile.s if player == 1 else profile.t
-    if actions is None:
-        actions = tuple(f"a{k}" for k in range(weights.shape[1]))
     return StepStrategy(n=profile.n, actions=tuple(actions),
                         weights=np.array(weights, dtype=float))

@@ -21,21 +21,21 @@ from .discretize import build_finite, check_count, lift
 from .errors import BnecertError, NoConvergence
 from .solver import check_prop1, default_alphas, solve_fp, solve_lp
 
+# fictitious play's iteration budget per level
+FP_MAX_ITERS = 2000
+
 
 @dataclass(frozen=True)
 class RunConfig:
     epsilon: float
     max_level: int = 32
     schedule: str = "linear"  # or "doubling"
-    fp_max_iters: int = 2000
-    quad_tol: float | None = None
 
     def __post_init__(self):
-        check_tolerances(self.epsilon, self.quad_tol)
-        for name in ("max_level", "fp_max_iters"):
-            check_count(name, getattr(self, name))
-            # a numpy integer passes the check but not json.dumps
-            object.__setattr__(self, name, int(getattr(self, name)))
+        check_tolerances(self.epsilon)
+        check_count("max_level", self.max_level)
+        # a numpy integer passes the check but not json.dumps
+        object.__setattr__(self, "max_level", int(self.max_level))
         if self.schedule not in ("linear", "doubling"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
 
@@ -106,32 +106,32 @@ def convergence_diagnostic(level_strategies):
     return table
 
 
-def solve_level(g, n, prop1, epsilon, fp_max_iters):
+def solve_level(g, n, prop1, epsilon):
     """Build and solve the level-n game: the LP when check_prop1's result
     prop1 finds the multiplier condition, fictitious play otherwise.
 
     Returns (result, note).  Fictitious play aims at a finite gap of
-    epsilon / 10 and falls back to its best iterate, with a note, when
-    that target is out of reach.
+    epsilon / 10 within FP_MAX_ITERS iterations and falls back to its best
+    iterate, with a note, when that target is out of reach.
     """
     fg = build_finite(g, n)
     if prop1.linearizable:
         alpha1, alpha2 = default_alphas(fg, g, prop1)
         return solve_lp(fg, alpha1, alpha2), None
     try:
-        return solve_fp(fg, max_iters=fp_max_iters,
+        return solve_fp(fg, max_iters=FP_MAX_ITERS,
                         target_gap=epsilon / 10.0), None
     except NoConvergence as exc:
         return exc.result, "fp did not reach the target gap; best iterate used"
 
 
-def certify_level(g, n, prop1, epsilon, quad_tol, fp_max_iters):
+def certify_level(g, n, prop1, epsilon):
     """solve_level, then lift both players with the game's action labels
     and certify them: (result, note, F, G, certificate)."""
-    result, note = solve_level(g, n, prop1, epsilon, fp_max_iters)
-    F = lift(result.profile, 1, actions=g.actions1)
-    G = lift(result.profile, 2, actions=g.actions2)
-    return result, note, F, G, certify(g, F, G, epsilon, quad_tol)
+    result, note = solve_level(g, n, prop1, epsilon)
+    F = lift(result.profile, 1, g.actions1)
+    G = lift(result.profile, 2, g.actions2)
+    return result, note, F, G, certify(g, F, G, epsilon)
 
 
 def run(g, cfg):
@@ -146,8 +146,7 @@ def run(g, cfg):
         record = {"n": n, "backend": backend}
         start = time.perf_counter()
         try:
-            result, note, F, G, cert = certify_level(
-                g, n, prop1, cfg.epsilon, cfg.quad_tol, cfg.fp_max_iters)
+            result, note, F, G, cert = certify_level(g, n, prop1, cfg.epsilon)
             record.update({
                 "finite_gap1": result.finite_gap1,
                 "finite_gap2": result.finite_gap2,

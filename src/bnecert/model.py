@@ -367,5 +367,5 @@ def load_game(spec, grid_check=101):
     return game
 
 
-def load_game_file(path, grid_check=101):
-    return load_game(GameSpec.from_file(path), grid_check=grid_check)
+def load_game_file(path):
+    return load_game(GameSpec.from_file(path))

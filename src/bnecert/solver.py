@@ -59,12 +59,11 @@ class SolverResult:
 class Prop1Result:
     """Outcome of the linearizability check.
 
-    kind is 'zero_sum' (raw utilities sum to the constant c everywhere),
+    kind is 'zero_sum' (raw utilities sum to one constant everywhere),
     'user' (supplied multipliers verified), or 'none'.
     """
 
     kind: str
-    c: float | None = None
 
     @property
     def linearizable(self):
@@ -120,19 +119,26 @@ def ck_objective(fg, profile, alpha1, alpha2):
 # ---------------------------------------------------------------------------
 # linearizability detection
 
-def check_prop1(g, grid=21):
+# points per type axis of check_prop1's grid
+PROP1_GRID = 21
+
+
+def check_prop1(g):
     """Detect whether the slack program's bilinear terms are constant.
 
-    Checks the raw (pre-shift) utilities: constant-sum detection first,
-    then verification of user-supplied multipliers m1, m2.
+    Checks the raw (pre-shift) utilities on a PROP1_GRID x PROP1_GRID
+    type grid: constant-sum detection first, then verification of
+    user-supplied multipliers m1, m2.  A sum that overflows, or is not
+    finite, is not constant.
     """
-    pts = np.linspace(0.0, 1.0, grid)
+    pts = np.linspace(0.0, 1.0, PROP1_GRID)
     u, v = g.tables(pts[:, None], pts[None, :], assimilated=False)
     # constant-sum pass
-    w = u + v
-    c = w[0, 0, 0, 0]
-    if not np.any(np.abs(w - c) > 1e-9):
-        return Prop1Result(kind="zero_sum", c=float(c))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = u + v
+        spread = np.abs(w - w[0, 0, 0, 0])
+    if np.all(spread <= 1e-9):
+        return Prop1Result(kind="zero_sum")
 
     if g.spec.m1 is not None and g.spec.m2 is not None:
         m1, m2 = g.multiplier(1, pts), g.multiplier(2, pts)

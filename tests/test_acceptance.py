@@ -92,7 +92,7 @@ def test_criterion_2_step_strategy_invariants(capsys):
         counts = rng.multinomial(64, np.full(L, 1.0 / L), size=n)
         profile = bc.BehavioralProfile(counts / 64.0,
                                        np.full((n, 2), 0.5))
-        F = bc.lift(profile, 1)
+        F = bc.lift(profile, 1, [f"a{k}" for k in range(L)])
         if not np.all(F.values(0.0) == 0.0):
             ok = False
         prev = np.zeros(L)
@@ -210,8 +210,7 @@ def test_criterion_5_quadrature_correctness(capsys):
 
 def test_criterion_6_end_to_end_certification(capsys):
     g = zero_sum_match_game()
-    cfg = bc.RunConfig(epsilon=0.05, max_level=32, schedule="doubling",
-                       quad_tol=1e-8)
+    cfg = bc.RunConfig(epsilon=0.05, max_level=32, schedule="doubling")
     report = bc.run(g, cfg)
     ok = report.status == "certified" and report.certified_level <= 32
     if ok:
@@ -245,7 +244,7 @@ def test_criterion_7_convergence_trend(capsys):
                 res = exc.result
             F = bc.lift(res.profile, 1, g.actions1)
             G = bc.lift(res.profile, 2, g.actions2)
-            cert = bc.certify(g, F, G, epsilon=0.1, quad_tol=1e-6)
+            cert = bc.certify(g, F, G, epsilon=0.1)
             worst[n] = max(cert.gap1, cert.gap2)
         if not (worst[32] < worst[2] and worst[32] <= 0.1):
             ok = False
@@ -275,8 +274,7 @@ def test_criterion_8_shift_scale_invariance(capsys):
     for c, g in games.items():
         F = bc.lift(res.profile, 1, g.actions1)
         G = bc.lift(res.profile, 2, g.actions2)
-        statuses.append(bc.certify(g, F, G, epsilon=0.05,
-                                   quad_tol=1e-7).certified)
+        statuses.append(bc.certify(g, F, G, epsilon=0.05).certified)
     if len(set(statuses)) != 1:
         ok = False
 
@@ -288,7 +286,7 @@ def test_criterion_8_shift_scale_invariance(capsys):
     for g in (plain, scaled):
         F = bc.lift(res.profile, 1, g.actions1)
         G = bc.lift(res.profile, 2, g.actions2)
-        certs.append(bc.certify(g, F, G, epsilon=0.05, quad_tol=1e-7))
+        certs.append(bc.certify(g, F, G, epsilon=0.05))
     a, b = certs
     if a.certified != b.certified:
         ok = False
@@ -320,7 +318,7 @@ def test_criterion_9_determinism(capsys, tmp_path):
             [sys.executable, "-c",
              "import sys; from bnecert.cli import main; "
              "sys.exit(main(sys.argv[1:]))",
-             "run", str(spec), "--grid-check", "21", "--epsilon", "0.05",
+             "run", str(spec), "--epsilon", "0.05",
              "--max-level", "8", "--schedule", "doubling",
              "--output", str(out)],
             env=env, capture_output=True, text=True)

@@ -4,6 +4,7 @@ src/ that only the tests use."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 
 import bnecert
@@ -57,6 +58,25 @@ def test_bench_run_config_constructs():
     cfg = bnecert.RunConfig(epsilon=0.004, max_level=64, schedule="doubling")
     assert (cfg.epsilon, cfg.max_level, cfg.schedule) == (0.004, 64,
                                                           "doubling")
+
+
+def test_signatures_take_no_tuning_options():
+    # the quadrature tolerance, fp's budget and the CLI's validation grid
+    # are fixed rules; only the library calls the bench makes keep them
+    want = {
+        bnecert.certify: ["g", "F", "G", "epsilon"],
+        bnecert.driver.certify_level: ["g", "n", "prop1", "epsilon"],
+        bnecert.driver.solve_level: ["g", "n", "prop1", "epsilon"],
+        bnecert.lift: ["profile", "player", "actions"],
+        bnecert.load_game_file: ["path"],
+        bnecert.check_prop1: ["g"],
+        bnecert.load_game: ["spec", "grid_check"],
+        bnecert.solve_fp: ["fg", "max_iters", "target_gap"],
+        bnecert.certificate.br_value_infinite: ["g", "player", "opponent",
+                                                "quad_tol"],
+    }
+    for func, params in want.items():
+        assert list(inspect.signature(func).parameters) == params, func
 
 
 def src_definitions():

@@ -197,7 +197,7 @@ def test_certify_single_action_game():
     g = make_game([["theta1*theta2"]], [["theta1+theta2"]])
     F = pure_step(3, ("x1",), 0)
     G = pure_step(3, ("y1",), 0)
-    cert = bc.certify(g, F, G, epsilon=1e-4, quad_tol=1e-6)
+    cert = bc.certify(g, F, G, epsilon=1e-4)
     # no deviation can improve on the only action, so neither gap is
     # positive; the atomic candidate value sits above the Lebesgue
     # integral of the same action by an O(1/n) sampling bias, which is
@@ -228,7 +228,7 @@ def test_certify_zero_sum_via_lp():
     res = solve_lp(fg)
     F = bc.lift(res.profile, 1, g.actions1)
     G = bc.lift(res.profile, 2, g.actions2)
-    cert = bc.certify(g, F, G, epsilon=0.05, quad_tol=1e-7)
+    cert = bc.certify(g, F, G, epsilon=0.05)
     assert cert.certified
     assert cert.level == 16
     # cross-check both gaps against the independent Riemann oracle
@@ -267,11 +267,9 @@ def test_certify_rejects_bad_epsilon():
     G = pure_step(1, ("y1",), 0)
     with pytest.raises(ValueError):
         bc.certify(g, F, G, epsilon=0.0)
-    for epsilon, quad_tol in ((float("nan"), None), (float("inf"), None),
-                              (1e-3, -1.0), (1e-3, 0.0),
-                              (1e-3, float("nan"))):
-        with pytest.raises(ValueError):
-            bc.certify(g, F, G, epsilon, quad_tol)
+    for epsilon in (-1e-3, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            bc.certify(g, F, G, epsilon)
 
 
 def test_gap_nonnegativity_up_to_quadrature_error():
@@ -294,12 +292,16 @@ def test_shrinking_quad_tol_is_conservative():
     res = solve_lp(fg)
     F = bc.lift(res.profile, 1, g.actions1)
     G = bc.lift(res.profile, 2, g.actions2)
-    loose = bc.certify(g, F, G, epsilon=0.05, quad_tol=1e-3)
-    tight = bc.certify(g, F, G, epsilon=0.05, quad_tol=1e-8)
-    assert loose.certified and tight.certified
-    assert tight.quad_error1 <= loose.quad_error1 + 1e-12
-    # the measured gaps agree within the looser error bound
-    assert abs(tight.gap1 - loose.gap1) <= loose.quad_error1 + 1e-10
+    values = profile_value(g, F, G)
+    for player, opponent in ((1, G), (2, F)):
+        loose = br_value_infinite(g, player, opponent, 1e-3)
+        tight = br_value_infinite(g, player, opponent, 1e-8)
+        # both pass the epsilon = 0.05 test that certify applies
+        for br, err in (loose, tight):
+            assert br - values[player - 1] + err <= 0.05
+        assert tight[1] <= loose[1] + 1e-12
+        # the deviation values agree within the looser error bound
+        assert abs(tight[0] - loose[0]) <= loose[1] + 1e-10
 
 
 def test_prior_scaling_invariance():
@@ -313,7 +315,7 @@ def test_prior_scaling_invariance():
     for g in (base, scaled):
         F = bc.lift(res.profile, 1, g.actions1)
         G = bc.lift(res.profile, 2, g.actions2)
-        certs.append(bc.certify(g, F, G, epsilon=0.05, quad_tol=1e-7))
+        certs.append(bc.certify(g, F, G, epsilon=0.05))
     a, b = certs
     assert a.certified == b.certified
     for x, y in ((a.value1, b.value1), (a.value2, b.value2),

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
+import argparse
 import csv
 import json
 import re
@@ -11,7 +12,7 @@ import sys
 import pytest
 
 import bnecert as bc
-from bnecert.cli import main
+from bnecert.cli import build_parser, main
 
 from conftest import ROOT, src_env
 
@@ -24,14 +25,25 @@ ZERO_SUM_DOC = {
 }
 
 
-# general-sum, so fp solves it; at levels 1-2, 50 fp iterations leave
-# finite gaps above 0.03, far from a target of epsilon / 10
+# general-sum, so fp solves it; at levels 1-2, fp's 2000 iterations leave
+# a finite gap above 0.004, short of its target epsilon / 10 for any
+# epsilon <= 0.01
 GENERAL_SUM_DOC = {
     "actions1": ["x1", "x2"],
     "actions2": ["y1", "y2"],
     "u": [["1 + theta1", "0"], ["0", "1"]],
     "v": [["0", "1"], ["theta2", "0"]],
     "prior": "1",
+}
+
+
+# the required arguments of each subcommand, with SPEC for the spec path
+MINIMAL_ARGV = {
+    "check": ["check", "SPEC"],
+    "discretize": ["discretize", "SPEC", "--level", "1"],
+    "solve": ["solve", "SPEC", "--level", "1"],
+    "certify": ["certify", "SPEC", "--level", "1", "--epsilon", "0.1"],
+    "run": ["run", "SPEC", "--epsilon", "0.1"],
 }
 
 
@@ -50,13 +62,12 @@ def general_sum_path(tmp_path):
 
 
 def general_sum_report(epsilon, max_level):
-    g = bc.load_game(bc.GameSpec.from_dict(GENERAL_SUM_DOC), grid_check=21)
-    return bc.run(g, bc.RunConfig(epsilon=epsilon, max_level=max_level,
-                                  fp_max_iters=50))
+    g = bc.load_game(bc.GameSpec.from_dict(GENERAL_SUM_DOC))
+    return bc.run(g, bc.RunConfig(epsilon=epsilon, max_level=max_level))
 
 
 def test_check(spec_path, capsys):
-    assert main(["check", spec_path, "--grid-check", "21"]) == 0
+    assert main(["check", spec_path]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["actions1"] == ["x1", "x2"]
     assert doc["multiplier_condition"] == "zero_sum"
@@ -68,13 +79,13 @@ def test_check_overflow_is_nonfinite(utility, tmp_path, capsys):
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps({**ZERO_SUM_DOC, "u": [[utility, "0"],
                                                       ["0", "0"]]}))
-    assert main(["check", str(path), "--grid-check", "21"]) == 1
+    assert main(["check", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: NonFinite")
 
 
 def test_discretize_to_file(spec_path, tmp_path, capsys):
     out = tmp_path / "level2.json"
-    code = main(["discretize", spec_path, "--grid-check", "21",
+    code = main(["discretize", spec_path,
                  "--level", "2", "--output", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
@@ -84,8 +95,7 @@ def test_discretize_to_file(spec_path, tmp_path, capsys):
 
 
 def test_solve_stdout(spec_path, capsys):
-    assert main(["solve", spec_path, "--grid-check", "21",
-                 "--level", "2"]) == 0
+    assert main(["solve", spec_path, "--level", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["backend"] == "lp"
     assert doc["finite_gap1"] <= 1e-8
@@ -93,24 +103,24 @@ def test_solve_stdout(spec_path, capsys):
 
 
 def test_certify_exit_codes(spec_path, capsys):
-    assert main(["certify", spec_path, "--grid-check", "21",
+    assert main(["certify", spec_path,
                  "--level", "4", "--epsilon", "0.05"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["certified"] is True
 
-    assert main(["certify", spec_path, "--grid-check", "21",
+    assert main(["certify", spec_path,
                  "--level", "1", "--epsilon", "1e-9"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["certified"] is False
 
 
 def test_certify_uses_fp_best_iterate_like_run(general_sum_path, capsys):
-    code = main(["certify", general_sum_path, "--grid-check", "21",
-                 "--level", "2", "--epsilon", "0.05", "--fp-max-iters", "50"])
+    code = main(["certify", general_sum_path,
+                 "--level", "2", "--epsilon", "0.002"])
     doc = json.loads(capsys.readouterr().out)
     assert code == (0 if doc["certified"] else 2)
 
-    record = general_sum_report(0.05, 2).levels[-1]
+    record = general_sum_report(0.002, 2).levels[-1]
     assert record["n"] == 2 and record["note"] is not None
     cert = record["certificate"]
     assert doc["certified"] == cert["certified"]
@@ -119,26 +129,12 @@ def test_certify_uses_fp_best_iterate_like_run(general_sum_path, capsys):
 
 
 def test_solve_prints_the_run_note(general_sum_path, capsys):
-    assert main(["solve", general_sum_path, "--grid-check", "21",
-                 "--level", "1", "--fp-max-iters", "50"]) == 0
+    assert main(["solve", general_sum_path, "--level", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["backend"] == "fp"
     note = general_sum_report(0.01, 1).levels[0]["note"]
     assert note is not None
     assert doc["note"] == note
-
-
-@pytest.mark.parametrize("command", [
-    ["solve", "--level", "1"],
-    ["certify", "--level", "1", "--epsilon", "0.1"],
-    ["run", "--epsilon", "0.1"],
-])
-def test_fp_max_iters_is_checked_before_the_spec_loads(command, tmp_path,
-                                                      capsys):
-    missing = str(tmp_path / "missing.json")
-    argv = [command[0], missing, *command[1:], "--fp-max-iters", "0"]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == "error: fp_max_iters must be >= 1\n"
 
 
 def test_solve_fp_overflow_is_nonfinite(tmp_path, capsys):
@@ -148,8 +144,7 @@ def test_solve_fp_overflow_is_nonfinite(tmp_path, capsys):
         "u": [["1.5e308*theta1", "0"], ["0", "1.5e308*theta2"]],
         "v": [["0", "1.5e308*theta2"], ["1.5e308*theta1", "0"]],
     }))
-    assert main(["solve", str(path), "--grid-check", "21",
-                 "--level", "3"]) == 1
+    assert main(["solve", str(path), "--level", "3"]) == 1
     assert capsys.readouterr().err == (
         "error: NonFinite: fictitious play gap is not finite at iteration 1\n")
 
@@ -161,19 +156,11 @@ def test_certify_quadrature_overflow_is_nonfinite(tmp_path, capsys):
         "u": [["1.5e308*theta1", "0"], ["0", "1.5e308*theta2"]],
         "v": [["0", "1.5e308*theta2"], ["1.5e308*theta1", "0"]],
     }))
-    assert main(["certify", str(path), "--grid-check", "21", "--level", "1",
+    assert main(["certify", str(path), "--level", "1",
                  "--epsilon", "1e-3"]) == 1
     assert capsys.readouterr().err == (
         "error: NonFinite: Simpson estimates on [0.0, 1.0] of integrand 0 "
         "are not finite\n")
-
-
-def test_fp_max_iters_only_on_solving_commands(spec_path):
-    with pytest.raises(SystemExit):
-        main(["check", spec_path, "--fp-max-iters", "10"])
-    with pytest.raises(SystemExit):
-        main(["discretize", spec_path, "--level", "1",
-              "--fp-max-iters", "10"])
 
 
 def test_run_with_report_and_curves(spec_path, tmp_path, capsys,
@@ -186,8 +173,7 @@ def test_run_with_report_and_curves(spec_path, tmp_path, capsys,
 
     monkeypatch.setattr("bnecert.cli.run", recording_run)
     out = tmp_path / "report.json"
-    code = main(["run", spec_path, "--grid-check", "21",
-                 "--epsilon", "0.05", "--max-level", "8",
+    code = main(["run", spec_path, "--epsilon", "0.05", "--max-level", "8",
                  "--schedule", "doubling", "--output", str(out),
                  "--emit-curves"])
     assert code == 0
@@ -216,8 +202,7 @@ def test_emit_curves_without_output_is_a_usage_error(spec_path, tmp_path,
                                                     capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main(["run", spec_path, "--grid-check", "21", "--epsilon", "0.05",
-              "--emit-curves"])
+        main(["run", spec_path, "--epsilon", "0.05", "--emit-curves"])
     assert exc.value.code == 1
     out = capsys.readouterr()
     assert out.out == ""
@@ -227,7 +212,7 @@ def test_emit_curves_without_output_is_a_usage_error(spec_path, tmp_path,
 
 
 def test_run_uncertified_exit_code(spec_path):
-    assert main(["run", spec_path, "--grid-check", "21",
+    assert main(["run", spec_path,
                  "--epsilon", "1e-9", "--max-level", "2"]) == 2
 
 
@@ -240,7 +225,7 @@ def test_run_prints_the_report_and_exits_1_when_every_level_fails(
         **ZERO_SUM_DOC,
         "u": [["1.5e308*theta1", "0"], ["0", "1.5e308*theta2"]],
     }))
-    assert main(["run", str(path), "--grid-check", "21", "--epsilon", "0.1",
+    assert main(["run", str(path), "--epsilon", "0.1",
                  "--max-level", "4", "--schedule", "doubling"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "failed"
@@ -265,6 +250,15 @@ def test_run_prints_the_report_and_exits_1_when_every_level_fails(
     ([], "the following arguments are required: command"),
     (["run", "SPEC", "--epsilon", "0.1", "--backend", "auto"],
      "unrecognized arguments: --backend auto"),
+    # epsilon sets the quadrature tolerance, fp's budget is fixed and the
+    # validation grid is 101 points, so none of them is an option
+    *[([*argv, flag, value], f"unrecognized arguments: {flag} {value}")
+      for flag, value, commands in (
+          ("--quad-tol", "1e-7", ("certify", "run")),
+          ("--fp-max-iters", "50", ("solve", "certify", "run")),
+          ("--grid-check", "21", ("check", "discretize", "solve", "certify",
+                                  "run")))
+      for argv in (MINIMAL_ARGV[command] for command in commands)],
 ])
 def test_usage_errors_exit_1_with_argparse_message(spec_path, capsys, argv,
                                                    message):
@@ -277,6 +271,23 @@ def test_usage_errors_exit_1_with_argparse_message(spec_path, capsys, argv,
     assert out.out == ""
     assert out.err.startswith("usage: bnecert")
     assert out.err.endswith(f"error: {message}\n")
+
+
+def test_option_sets_of_the_subcommands():
+    # a new option is a deliberate change: it has to be added here too
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    options = {name: {option for action in sub._actions
+                      for option in action.option_strings} - {"-h", "--help"}
+               for name, sub in subparsers.choices.items()}
+    assert options == {
+        "check": set(),
+        "discretize": {"--level", "--output"},
+        "solve": {"--level"},
+        "certify": {"--level", "--epsilon"},
+        "run": {"--epsilon", "--max-level", "--schedule", "--output",
+                "--emit-curves"},
+    }
 
 
 def test_usage_error_exit_code_of_the_process(spec_path):
@@ -365,12 +376,12 @@ def test_malformed_spec_is_a_named_error(tmp_path, capsys, change, message):
     ("certify", "--epsilon", "inf"),
     ("run", "--epsilon", "inf"),
     ("run", "--epsilon", "nan"),
-    ("certify", "--quad-tol", "-1"),
-    ("run", "--quad-tol", "0"),
 ])
 def test_bad_epsilon_or_quad_tol_is_fatal(spec_path, capsys, command, option,
                                           value):
-    argv = [command, spec_path, "--grid-check", "21", "--epsilon", "0.1"]
+    # the quadrature tolerance follows from epsilon, so a bad epsilon is
+    # the one bad tolerance
+    argv = [command, spec_path, "--epsilon", "0.1"]
     if command == "certify":
         argv += ["--level", "2"]
     argv += [option, value]

@@ -81,7 +81,7 @@ def test_lift_pure_per_type():
 def test_lift_uniform_rows():
     for L in (2, 3, 4):
         profile = uniform_profile(4, L, 2)
-        F = bc.lift(profile, 1)
+        F = bc.lift(profile, 1, [f"x{k}" for k in range(L)])
         for k in range(len(F.actions)):
             assert F.values(1.0)[k] == pytest.approx(1.0 / L, abs=1e-15)
 
@@ -126,8 +126,13 @@ def test_step_cdf_outside_the_grid(theta, want):
 
 
 def test_default_action_labels():
-    F = bc.lift(uniform_profile(2, 3, 2), 1)
-    assert F.actions == ("a0", "a1", "a2")
+    # there are none: labels a0, a1, ... would never be the game's, and
+    # certify rejects a strategy labelled otherwise than the game
+    profile = uniform_profile(2, 3, 2)
+    with pytest.raises(TypeError):
+        bc.lift(profile, 1)
+    F = bc.lift(profile, 1, ["x1", "x2", "x3"])
+    assert F.actions == ("x1", "x2", "x3")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -169,7 +174,7 @@ def test_serialize_atoms():
 def test_step_strategy_invariants(n, seed, L):
     rng = np.random.default_rng(seed)
     profile = random_profile(rng, n, L, 2)
-    F = bc.lift(profile, 1)
+    F = bc.lift(profile, 1, [f"x{k}" for k in range(L)])
     # F(0) = 0
     assert np.all(F.values(0.0) == 0.0)
     # non-decreasing and right-continuous on a dense probe grid
@@ -205,7 +210,9 @@ def test_monotone_refinement_consistency(n, seed):
             out[i, policy[idx]] = 1.0
         return out
 
-    F_n = bc.lift(bc.BehavioralProfile(rows(n), rows(n)), 1)
-    F_2n = bc.lift(bc.BehavioralProfile(rows(2 * n), rows(2 * n)), 1)
+    actions = ("x1", "x2")
+    F_n = bc.lift(bc.BehavioralProfile(rows(n), rows(n)), 1, actions)
+    F_2n = bc.lift(bc.BehavioralProfile(rows(2 * n), rows(2 * n)), 1,
+                   actions)
     for k in range(n + 1):
         assert np.allclose(F_n.values(k / n), F_2n.values(k / n), atol=1e-12)

@@ -43,18 +43,15 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         bc.RunConfig(epsilon=0.1, schedule="geometric")
     for fields in ({"epsilon": float("nan")}, {"epsilon": float("inf")},
-                   {"epsilon": 0.1, "quad_tol": -1.0},
-                   {"epsilon": 0.1, "quad_tol": 0.0},
-                   {"epsilon": 0.1, "quad_tol": float("nan")},
-                   {"epsilon": 0.1, "fp_max_iters": 0}):
+                   {"epsilon": -0.1}, {"epsilon": 0.1, "max_level": -1}):
         with pytest.raises(ValueError):
             bc.RunConfig(**fields)
 
 
 @pytest.mark.parametrize("fields, message", [
-    ({"fp_max_iters": 2.5}, "fp_max_iters must be an integer, got 2.5"),
-    ({"fp_max_iters": 2.0}, "fp_max_iters must be an integer, got 2.0"),
-    ({"fp_max_iters": True}, "fp_max_iters must be an integer, got True"),
+    ({"max_level": 2.0}, "max_level must be an integer, got 2.0"),
+    ({"max_level": 0.5}, "max_level must be an integer, got 0.5"),
+    ({"max_level": None}, "max_level must be an integer, got None"),
     ({"max_level": 2.5}, "max_level must be an integer, got 2.5"),
     ({"max_level": 2.5, "schedule": "doubling"},
      "max_level must be an integer, got 2.5"),
@@ -63,7 +60,7 @@ def test_run_config_validation():
 ])
 def test_run_config_rejects_counts_that_are_not_integers(fields, message):
     # before, these passed validation and run then raised an untyped
-    # TypeError, or (doubling, fp_max_iters=True) ran silently
+    # TypeError, or (doubling) ran silently
     with pytest.raises(ValueError) as exc:
         bc.RunConfig(epsilon=0.01, **fields)
     assert str(exc.value) == message
@@ -73,23 +70,26 @@ def test_run_config_accepts_numpy_integer_counts():
     # general-sum, and neither player's payoff depends on their own
     # action, so fp's first iterate is an equilibrium
     g = make_game([["1", "2"], ["1", "2"]], [["1", "1"], ["2", "2"]])
-    cfg = bc.RunConfig(epsilon=0.01, max_level=np.int64(2),
-                       fp_max_iters=np.int32(5))
-    report = bc.run(g, cfg)
-    assert report.status == "certified"
-    assert report.levels[0]["backend"] == "fp"
-    assert report.levels[0]["solver_iterations"] == 1
-    # stored as ints, so the report serializes
-    config = json.loads(report.to_json())["config"]
-    assert (config["max_level"], config["fp_max_iters"]) == (2, 5)
+    for max_level in (np.int64(2), np.int32(2)):
+        cfg = bc.RunConfig(epsilon=0.01, max_level=max_level)
+        assert type(cfg.max_level) is int
+        report = bc.run(g, cfg)
+        assert report.status == "certified"
+        assert report.levels[0]["backend"] == "fp"
+        assert report.levels[0]["solver_iterations"] == 1
+        # stored as an int, so the report serializes
+        assert json.loads(report.to_json())["config"]["max_level"] == 2
 
 
 def test_run_config_has_no_backend():
-    # the game picks its solver, so there is nothing to set
+    # the game picks its solver, epsilon sets the quadrature tolerance and
+    # fp's budget is fixed, so there is nothing else to set
     assert [f.name for f in dataclasses.fields(bc.RunConfig)] == [
-        "epsilon", "max_level", "schedule", "fp_max_iters", "quad_tol"]
-    with pytest.raises(TypeError):
-        bc.RunConfig(epsilon=0.1, backend="fp")
+        "epsilon", "max_level", "schedule"]
+    for removed in ({"backend": "fp"}, {"quad_tol": 1e-7},
+                    {"fp_max_iters": 50}):
+        with pytest.raises(TypeError):
+            bc.RunConfig(epsilon=0.1, **removed)
 
 
 @st.composite
@@ -126,8 +126,7 @@ def games_of_each_kind(draw):
 def test_backend_follows_the_game(doc):
     g = bc.load_game(bc.GameSpec.from_dict(doc), grid_check=11)
     want = "lp" if bc.check_prop1(g).linearizable else "fp"
-    report = bc.run(g, bc.RunConfig(epsilon=1e-9, max_level=3,
-                                    fp_max_iters=20))
+    report = bc.run(g, bc.RunConfig(epsilon=1e-9, max_level=3))
     # every level, failed or not, names the solver the game picks
     assert report.levels
     assert [r["backend"] for r in report.levels] == [want] * len(report.levels)
@@ -137,8 +136,7 @@ def test_backend_follows_the_game(doc):
             json.dump(doc, fh)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            assert cli.main(["solve", path, "--grid-check", "11",
-                             "--level", "1", "--fp-max-iters", "20"]) == 0
+            assert cli.main(["solve", path, "--level", "1"]) == 0
     assert json.loads(out.getvalue())["backend"] == want
 
 
@@ -154,8 +152,7 @@ def test_constant_game_certified_at_level_one():
 
 def test_zero_sum_certified_linear_schedule():
     g = zero_sum_match_game()
-    cfg = bc.RunConfig(epsilon=0.05, max_level=8, schedule="linear",
-                       quad_tol=1e-7)
+    cfg = bc.RunConfig(epsilon=0.05, max_level=8, schedule="linear")
     report = bc.run(g, cfg)
     assert report.status == "certified"
     assert report.certified_level is not None
@@ -170,7 +167,7 @@ def test_unreachable_epsilon_exhausts():
     # decreasing-in-own-type utilities keep the deviation gaps positive,
     # so a 1e-9 tolerance is genuinely unreachable at low levels
     g = random_poly_game(rng, decreasing=True)
-    cfg = bc.RunConfig(epsilon=1e-9, max_level=2, fp_max_iters=100)
+    cfg = bc.RunConfig(epsilon=1e-9, max_level=2)
     report = bc.run(g, cfg)
     assert report.status == "exhausted"
     assert report.certified_level is None
@@ -211,8 +208,8 @@ def test_sup_distance_identical_and_refined():
                                  np.array([[1.0, 0.0]]))
     pure2 = bc.BehavioralProfile(np.tile([1.0, 0.0], (2, 1)),
                                  np.tile([1.0, 0.0], (2, 1)))
-    F1 = bc.lift(pure1, 1)
-    F2 = bc.lift(pure2, 1)
+    F1 = bc.lift(pure1, 1, ("x1", "x2"))
+    F2 = bc.lift(pure2, 1, ("x1", "x2"))
     assert sup_distance(F1, F1) == 0.0
     assert sup_distance(F1, F2) == pytest.approx(0.5, abs=1e-12)
 
@@ -309,8 +306,7 @@ def test_run_records_quadrature_overflow_against_its_level():
 
 def test_convergence_diagnostic_structure():
     g = zero_sum_match_game()
-    cfg = bc.RunConfig(epsilon=1e-6, max_level=4, schedule="doubling",
-                       quad_tol=1e-7)
+    cfg = bc.RunConfig(epsilon=1e-6, max_level=4, schedule="doubling")
     report = bc.run(g, cfg)  # epsilon far too small: all levels solved
     assert report.status == "exhausted"
     solved = [r for r in report.levels if r.get("error") is None]
@@ -351,7 +347,6 @@ def test_report_serialization_round_trip():
     report = bc.run(g, bc.RunConfig(epsilon=0.05, max_level=4))
     doc = json.loads(report.to_json())
     assert doc["status"] == "certified"
-    assert set(doc["config"]) == {"epsilon", "max_level", "schedule",
-                                  "fp_max_iters", "quad_tol"}
+    assert set(doc["config"]) == {"epsilon", "max_level", "schedule"}
     atoms = doc["strategies"]["player1"]["atoms"]
     assert sum(a["mass"] for a in atoms) == pytest.approx(1.0, abs=1e-9)

@@ -266,7 +266,7 @@ def test_load_game_file_round_trip(tmp_path):
            "u": [["theta1"]], "v": [["theta2"]], "prior": "1"}
     path = tmp_path / "game.json"
     path.write_text(json.dumps(doc))
-    g = bc.load_game_file(str(path), grid_check=21)
+    g = bc.load_game_file(str(path))
     assert g.actions1 == ("x1",)
     raw, = g.tables(0.25, 0.9, (1,), assimilated=False)
     assert raw[0, 0] == 0.25

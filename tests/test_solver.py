@@ -4,6 +4,7 @@ the enumeration oracle they are checked against."""
 import collections
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -144,14 +145,28 @@ def test_scaling_invariance_of_argmax():
 def test_prop1_constant_sum(matching_pennies):
     res = check_prop1(matching_pennies)
     assert res.kind == "zero_sum"
-    assert res.c == pytest.approx(1.0, abs=1e-12)
 
 
 def test_prop1_zero_sum(zero_sum_match):
     res = check_prop1(zero_sum_match)
     assert res.kind == "zero_sum"
-    assert res.c == pytest.approx(0.0, abs=1e-12)
     assert res.linearizable
+
+
+def test_prop1_overflowing_sum_is_not_constant():
+    # u + v overflows to inf on the grid, and an inf sum is not a constant
+    # one: the lp would fail at every level
+    g = make_game([["1e308 + 1e307*theta1", "1e308"], ["1e308", "1e308"]],
+                  [["1e308", "1e308"], ["1e308", "1e308"]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_prop1(g).kind == "none"
+        report = bc.run(g, bc.RunConfig(epsilon=0.1, max_level=4))
+    # every level runs fp and ends in a typed error or a solve
+    assert [r["backend"] for r in report.levels] == ["fp"] * 4
+    for record in report.levels:
+        error = record["error"]
+        assert error is None or error.startswith("NonFinite: "), error
 
 
 def test_prop1_not_detected():
@@ -199,7 +214,7 @@ def test_alphas_need_multipliers_positive_at_every_level_type():
                                "0.3333333333333333; it must be positive "
                                "and finite")
     with pytest.raises(Prop1Violation):
-        bc.driver.certify_level(g, 3, prop1, 0.05, None, 2000)
+        bc.driver.certify_level(g, 3, prop1, 0.05)
 
 
 def test_prop1_violation():
