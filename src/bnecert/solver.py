@@ -4,12 +4,13 @@ Two backends:
 
   * solve_lp    -- the slack-maximization program whose bilinear payoff
                    terms cancel to a constant under the multiplier
-                   condition, solved by a built-in dense-tableau simplex
-                   with Bland's anti-cycling rule (array code that takes
-                   the pivots and roundings of a per-row loop; a pivot
-                   updates only its nonzero rows by nonzero columns, and
-                   the tableau has no artificial columns, which nothing
-                   reads);
+                   condition.  Each player's rows hold only the opponent's
+                   sigma and the own z, so it is two LPs, one per player,
+                   each solved by a dense-tableau simplex with Bland's
+                   anti-cycling rule (array code that takes the pivots and
+                   roundings of a per-row loop; a pivot updates only its
+                   nonzero rows by nonzero columns, and the tableau has no
+                   artificial columns, which nothing reads);
   * solve_fp    -- agent-form fictitious play (general-sum fallback) in
                    blocks of iterations that assume unchanged best
                    responses: a block's action values, best responses and
@@ -144,10 +145,12 @@ def check_prop1(g):
         m1, m2 = g.multiplier(1, pts), g.multiplier(2, pts)
         if np.any(m1 <= 0.0) or np.any(m2 <= 0.0):
             raise Prop1Violation("multipliers must be strictly positive")
-        lhs = m2 * u
-        rhs = -m1[:, None] * v
-        scale = np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
-        bad = np.abs(lhs - rhs) > 1e-6 * scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = m2 * u
+            rhs = -m1[:, None] * v
+            scale = np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
+            # a side that is not finite verifies nothing
+            bad = ~(np.abs(lhs - rhs) <= 1e-6 * scale) | ~np.isfinite(scale)
         if np.any(bad):
             x, y, i, j = np.argwhere(bad)[0]
             raise Prop1Violation(
@@ -332,7 +335,9 @@ def simplex(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     # phase 2 cost row
     cost2 = np.zeros(ncols)
     cost2[:nvar] = c
-    _rebuild(T, Aext, b, cost2, basis)
+    if not _rebuild(T, Aext, b, cost2, basis):
+        # phase 2 would pivot on the stale phase-1 tableau
+        raise SimplexStall("singular basis matrix at the start of phase 2")
     pivots = _run_phase(T, basis, max_pivots, pivots, Aext, b, cost2)
 
     # final refactorization for a drift-free basic solution
@@ -353,6 +358,25 @@ def _normalize_rows(mat):
     return mat / sums
 
 
+def _solve_block(M, width, alpha):
+    """One player's block of the slack LP: minimize alpha @ z over the
+    opponent's rows sigma and z = -slack >= 0, subject to M / n @ sigma
+    <= z[type] on each own row type * width + action and each row of
+    sigma summing to 1.  Returns sigma's rows and the pivot count."""
+    n = alpha.size
+    rows, cols = M.shape
+    # the -1 entries are set by index, since a negated identity would
+    # write -0.0 everywhere else
+    A_ub = np.zeros((rows, cols + n))
+    A_ub[:, :cols] = M / n
+    A_ub[np.arange(rows), cols + np.arange(rows) // width] = -1.0
+    A_eq = np.zeros((n, cols + n))
+    A_eq[np.arange(cols) // (cols // n), np.arange(cols)] = 1.0
+    x, pivots = simplex(np.concatenate([np.zeros(cols), alpha]), A_ub,
+                        np.zeros(rows), A_eq, np.ones(n))
+    return _normalize_rows(x[:cols].reshape(n, cols // n)), pivots
+
+
 def solve_lp(fg, alpha1=None, alpha2=None):
     """Solve the finite game through the slack-maximization LP.
 
@@ -371,35 +395,11 @@ def solve_lp(fg, alpha1=None, alpha2=None):
             raise ValueError(f"{name} must be {n} positive finite weights, "
                              f"one per type, got {alpha.tolist()}")
 
-    N1, N2 = n * L, n * H
-    nvar = N1 + N2 + 2 * n  # sigma1, sigma2, z1, z2  (z = -slack >= 0)
-    cost = np.zeros(nvar)
-    cost[N1 + N2: N1 + N2 + n] = alpha1
-    cost[N1 + N2 + n:] = alpha2
-
-    # row i*L + x: interim value of player 1's pure action x at type i,
-    # sum_j,y U[x, y, i, j] / n * sigma2[j, y], is at most z1_i; player 2's
-    # rows N1 + j*H + y likewise.  The -1 entries are set by index, since
-    # a negated identity would write -0.0 everywhere else.
-    A_ub = np.zeros((N1 + N2, nvar))
-    b_ub = np.zeros(N1 + N2)
-    rows1, rows2 = np.arange(N1), np.arange(N2)
-    A_ub[:N1, N1:N1 + N2] = fg.M1 / n
-    A_ub[N1:, :N1] = fg.M2 / n
-    A_ub[rows1, N1 + N2 + rows1 // L] = -1.0
-    A_ub[N1 + rows2, N1 + N2 + n + rows2 // H] = -1.0
-
-    A_eq = np.zeros((2 * n, nvar))
-    b_eq = np.ones(2 * n)
-    A_eq[rows1 // L, rows1] = 1.0
-    A_eq[n + rows2 // H, N1 + rows2] = 1.0
-
     try:
-        x, pivots = simplex(cost, A_ub, b_ub, A_eq, b_eq)
+        t, pivots1 = _solve_block(fg.M1, L, alpha1)
+        s, pivots2 = _solve_block(fg.M2, H, alpha2)
     except np.linalg.LinAlgError as exc:
         raise SimplexStall(f"singular basis matrix: {exc}") from exc
-    s = _normalize_rows(x[:N1].reshape(n, L))
-    t = _normalize_rows(x[N1:N1 + N2].reshape(n, H))
     profile = BehavioralProfile(s, t)
     gap1, gap2 = finite_gap(fg, profile)
     return SolverResult(
@@ -407,7 +407,7 @@ def solve_lp(fg, alpha1=None, alpha2=None):
         finite_gap1=gap1,
         finite_gap2=gap2,
         backend="lp",
-        iterations=pivots,
+        iterations=pivots1 + pivots2,
         objective=ck_objective(fg, profile, alpha1, alpha2),
     )
 

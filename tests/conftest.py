@@ -552,7 +552,8 @@ def oracle_simplex(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     # phase 2 cost row
     cost2 = np.zeros(ncols)
     cost2[:nvar] = c
-    _rebuild(T, Aext, b, cost2, basis)
+    if not _rebuild(T, Aext, b, cost2, basis):
+        raise SimplexStall("singular basis matrix at the start of phase 2")
     allowed = [j for j in range(nvar + nslack) if j not in art_cols]
     pivots = _run_phase(T, basis, allowed, max_pivots, pivots,
                         A=Aext, b=b, costvec=cost2)

@@ -217,6 +217,20 @@ def test_alphas_need_multipliers_positive_at_every_level_type():
         bc.driver.certify_level(g, 3, prop1, 0.05)
 
 
+def test_prop1_identity_that_overflows_is_not_verified():
+    # m2 * u = 10 u and -m1 * v = 50 u differ, but both overflow where
+    # u = 1e308; inf - inf is nan, and a nan or inf side used to pass
+    u = [["1e308*theta1", "1e308"], ["0", "1e308*theta2"]]
+    v = [["-0.5e308*theta1", "-0.5e308"], ["0", "-0.5e308*theta2"]]
+    g = make_game(u, v, m1="100", m2="10")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Prop1Violation) as info:
+            check_prop1(g)
+    assert str(info.value) == ("identity fails at actions (0, 0), types "
+                               "(0.05, 0.0): 5e+307 vs inf")
+
+
 def test_prop1_violation():
     u = [["theta1*theta2 + 1"]]
     v = [["-(1+theta2)*(theta1*theta2 + 1)/(1+theta1)"]]
@@ -251,20 +265,22 @@ def test_simplex_unbounded():
         simplex(np.array([-1.0, 0.0]), A_ub=[[0.0, 1.0]], b_ub=[1.0])
 
 
-class _Captured(Exception):
-    pass
-
-
 def _slack_lp(monkeypatch, fg, alpha1=None, alpha2=None):
-    """The arguments that solve_lp passes to simplex."""
+    """The arguments of each simplex call solve_lp makes: player 1's
+    block, then player 2's.  Each call returns the uniform rows, so that
+    solve_lp runs to its end and every call is seen."""
+    calls = []
+
     def capture(*args):
-        raise _Captured(args)
+        calls.append(args)
+        _, _, _, A_eq, b_eq = args
+        return A_eq.T @ (b_eq / A_eq.sum(axis=1)), 0
 
     with monkeypatch.context() as patch:
         patch.setattr("bnecert.solver.simplex", capture)
-        with pytest.raises(_Captured) as info:
-            solve_lp(fg, alpha1, alpha2)
-    return info.value.args[0]
+        solve_lp(fg, alpha1, alpha2)
+    assert len(calls) == 2
+    return calls
 
 
 def _simplex_outcome(solver, args):
@@ -315,22 +331,89 @@ def test_simplex_takes_the_oracle_pivots_on_demo_slack_lps(path,
     prop1 = check_prop1(g)
     for n in range(1, 13):
         fg = bc.build_finite(g, n)
-        args = _slack_lp(monkeypatch, fg, *default_alphas(fg, g, prop1))
-        got = _simplex_outcome(simplex, args)
-        assert got == _simplex_outcome(oracle_simplex, args)
+        for args in _slack_lp(monkeypatch, fg,
+                              *default_alphas(fg, g, prop1)):
+            got = _simplex_outcome(simplex, args)
+            assert got == _simplex_outcome(oracle_simplex, args)
 
 
 @pytest.mark.parametrize("path", DEMO_SPECS, ids=[p.stem for p in DEMO_SPECS])
 def test_simplex_takes_the_oracle_pivots_at_bench_sizes(path, monkeypatch):
-    """Levels the lp-ladder bench solves: dozens of rebuilds per LP, and
-    the UnboundedObjective of linear_prior_multipliers at n = 48."""
+    """Levels the lp-ladder bench solves: dozens of rebuilds per block."""
     g = bc.load_game_file(path)
     prop1 = check_prop1(g)
     for n in (40, 48, 56):
         fg = bc.build_finite(g, n)
-        args = _slack_lp(monkeypatch, fg, *default_alphas(fg, g, prop1))
-        got = _simplex_outcome(simplex, args)
-        assert got == _simplex_outcome(oracle_simplex, args)
+        for args in _slack_lp(monkeypatch, fg,
+                              *default_alphas(fg, g, prop1)):
+            got = _simplex_outcome(simplex, args)
+            assert got == _simplex_outcome(oracle_simplex, args)
+
+
+def _block_diag(a, b):
+    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
+    out[:a.shape[0], :a.shape[1]] = a
+    out[a.shape[0]:, a.shape[1]:] = b
+    return out
+
+
+@pytest.mark.parametrize("path", DEMO_SPECS, ids=[p.stem for p in DEMO_SPECS])
+def test_joint_slack_lp_optimum_is_the_sum_of_the_block_optima(path,
+                                                               monkeypatch):
+    """The joint LP over (sigma2, z1, sigma1, z2) with both players' rows
+    shares no variable between the blocks, so its optimum is their sum."""
+    g = bc.load_game_file(path)
+    prop1 = check_prop1(g)
+    for n in range(1, 7):
+        fg = bc.build_finite(g, n)
+        blocks = _slack_lp(monkeypatch, fg, *default_alphas(fg, g, prop1))
+        parts = [c @ oracle_simplex(c, *rest)[0] for c, *rest in blocks]
+        (c1, ub1, bu1, eq1, be1), (c2, ub2, bu2, eq2, be2) = blocks
+        c = np.concatenate([c1, c2])
+        x, _ = oracle_simplex(c, _block_diag(ub1, ub2),
+                              np.concatenate([bu1, bu2]),
+                              _block_diag(eq1, eq2),
+                              np.concatenate([be1, be2]))
+        assert abs(c @ x - sum(parts)) <= 1e-9
+
+
+@pytest.mark.parametrize("path", DEMO_SPECS, ids=[p.stem for p in DEMO_SPECS])
+def test_lp_solves_the_demo_specs_at_bench_sizes(path):
+    g = bc.load_game_file(path)
+    prop1 = check_prop1(g)
+    for n in (40, 48, 56):
+        fg = bc.build_finite(g, n)
+        res = solve_lp(fg, *default_alphas(fg, g, prop1))
+        assert res.finite_gap1 <= 1e-8 and res.finite_gap2 <= 1e-8
+
+
+@pytest.mark.parametrize("solver", [simplex, oracle_simplex],
+                         ids=["simplex", "oracle"])
+def test_a_singular_basis_at_phase_2_stalls_before_any_pivot(solver,
+                                                              monkeypatch):
+    """The rebuild that starts phase 2 fails: no phase runs on the stale
+    phase-1 tableau."""
+    namespace = solver.__globals__
+    real_rebuild = namespace["_rebuild"]
+    real_run_phase = namespace["_run_phase"]
+    phases = []
+
+    def rebuild(T, A, b, costvec, basis):
+        if costvec[:2].any():  # the phase-2 cost, not phase 1's
+            return False
+        return real_rebuild(T, A, b, costvec, basis)
+
+    def run_phase(*args, **kwargs):
+        phases.append(kwargs.get("costvec", args[-1]).copy())
+        return real_run_phase(*args, **kwargs)
+
+    monkeypatch.setitem(namespace, "_rebuild", rebuild)
+    monkeypatch.setitem(namespace, "_run_phase", run_phase)
+    with pytest.raises(SimplexStall, match="at the start of phase 2"):
+        # min x + y s.t. x + y = 2, x - y = 0: phase 1 runs first
+        solver(np.array([1.0, 1.0]), A_eq=[[1.0, 1.0], [1.0, -1.0]],
+               b_eq=[2.0, 0.0])
+    assert len(phases) == 1 and not phases[0][:2].any()
 
 
 def test_import_loads_no_scipy():
@@ -426,31 +509,23 @@ def test_lp_singular_basis_is_a_toolkit_error(matching_pennies, monkeypatch):
     assert "singular basis" in str(info.value)
 
 
-def _loop_built_constraints(fg):
-    """A_ub and A_eq of the slack LP, entry by entry."""
+def _loop_built_block(fg, player):
+    """A_ub and A_eq of one player's block of the slack LP, entry by
+    entry: columns are the opponent's sigma, then the own z."""
     n, L, H = fg.n, fg.L, fg.H
-    N1, N2 = n * L, n * H
-    nvar = N1 + N2 + 2 * n
-    A_ub = np.zeros((N1 + N2, nvar))
+    own, opp = (L, H) if player == 1 else (H, L)
+    A_ub = np.zeros((n * own, n * opp + n))
     for i in range(n):
-        for x in range(L):
-            r = i * L + x
+        for x in range(own):
             for j in range(n):
-                for y in range(H):
-                    A_ub[r, N1 + j * H + y] = fg.U[x, y, i, j] / n
-            A_ub[r, N1 + N2 + i] = -1.0
+                for y in range(opp):
+                    payoff = (fg.U[x, y, i, j] if player == 1
+                              else fg.V[y, x, j, i])
+                    A_ub[i * own + x, j * opp + y] = payoff / n
+            A_ub[i * own + x, n * opp + i] = -1.0
+    A_eq = np.zeros((n, n * opp + n))
     for j in range(n):
-        for y in range(H):
-            r = N1 + j * H + y
-            for i in range(n):
-                for x in range(L):
-                    A_ub[r, i * L + x] = fg.V[x, y, i, j] / n
-            A_ub[r, N1 + N2 + n + j] = -1.0
-    A_eq = np.zeros((2 * n, nvar))
-    for i in range(n):
-        A_eq[i, i * L: (i + 1) * L] = 1.0
-    for j in range(n):
-        A_eq[n + j, N1 + j * H: N1 + (j + 1) * H] = 1.0
+        A_eq[j, j * opp: (j + 1) * opp] = 1.0
     return A_ub, A_eq
 
 
@@ -461,12 +536,19 @@ def test_lp_constraints_byte_identical_to_loop_build(monkeypatch):
     U[1, 0, 2] = 0.0
     V[0, 1, :, 3] = -0.0  # the sign of zero must reach the LP as well
     fg = FiniteGame(n, ("x1", "x2", "x3"), ("y1", "y2"), U, V)
-    _, A_ub, b_ub, A_eq, b_eq = _slack_lp(monkeypatch, fg)
-    want_ub, want_eq = _loop_built_constraints(fg)
-    assert A_ub.tobytes() == want_ub.tobytes()
-    assert A_eq.tobytes() == want_eq.tobytes()
-    assert b_ub.tobytes() == np.zeros(n * (L + H)).tobytes()
-    assert b_eq.tobytes() == np.ones(2 * n).tobytes()
+    alpha1, alpha2 = rng.random(n) + 0.5, rng.random(n) + 0.5
+    blocks = _slack_lp(monkeypatch, fg, alpha1, alpha2)
+    for player, own, opp, alpha, (c, A_ub, b_ub, A_eq, b_eq) in (
+            (1, L, H, alpha1, blocks[0]), (2, H, L, alpha2, blocks[1])):
+        want_ub, want_eq = _loop_built_block(fg, player)
+        assert A_ub.tobytes() == want_ub.tobytes()
+        assert A_eq.tobytes() == want_eq.tobytes()
+        assert c.tobytes() == np.concatenate([np.zeros(n * opp),
+                                              alpha]).tobytes()
+        assert b_ub.tobytes() == np.zeros(n * own).tobytes()
+        assert b_eq.tobytes() == np.ones(n).tobytes()
+    # the -0.0 entries of V are in player 2's block, rows j = 3, y = 1
+    assert np.signbit(blocks[1][1][3 * H + 1, :n * L:L]).all()
 
 
 # ---------------------------------------------------------------------------
