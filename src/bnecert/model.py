@@ -276,10 +276,10 @@ class InfiniteGame:
             with np.errstate(all="ignore"):
                 for i in range(size):
                     raw[i] = next(values)
-            raw = raw.reshape(self.L, self.H, *shape)
-            if assimilated:  # b * (raw + shift), in place
-                raw += self.shift1 if player == 1 else self.shift2
-                np.multiply(b, raw, out=raw)
+                raw = raw.reshape(self.L, self.H, *shape)
+                if assimilated:  # b * (raw + shift), in place
+                    raw += self.shift1 if player == 1 else self.shift2
+                    np.multiply(b, raw, out=raw)
             tables.append(raw)
         return tables
 

@@ -5,12 +5,15 @@ Two backends:
   * solve_lp    -- the slack-maximization program whose bilinear payoff
                    terms cancel to a constant under the multiplier
                    condition.  Each player's rows hold only the opponent's
-                   sigma and the own z, so it is two LPs, one per player,
-                   each solved by a dense-tableau simplex with Bland's
-                   anti-cycling rule (array code that takes the pivots and
-                   roundings of a per-row loop; a pivot updates only its
-                   nonzero rows by nonzero columns, and the tableau has no
-                   artificial columns, which nothing reads);
+                   sigma and the own z, so it is two LPs, one per player.
+                   Each block scales and shifts its payoffs to [0, 2), which
+                   leaves the optimal sigma as it is and makes a crash
+                   basis feasible, and a dense-tableau simplex runs one
+                   phase of Bland's anti-cycling rule from that basis:
+                   there is no phase 1 and there are no artificial columns
+                   (array code that takes the pivots and roundings of a
+                   per-row loop; a pivot updates only its nonzero rows by
+                   nonzero columns);
   * solve_fp    -- agent-form fictitious play (general-sum fallback) in
                    blocks of iterations that assume unchanged best
                    responses: a block's action values, best responses and
@@ -183,11 +186,12 @@ def default_alphas(fg, g=None, prop1=None):
 
 
 # ---------------------------------------------------------------------------
-# dense-tableau simplex (Bland's rule, two phases)
+# dense-tableau simplex (Bland's rule from a feasible start basis)
 
 _TOL = 1e-9
-_PIV_TOL = 1e-7  # min pivot magnitude; payoff coefficients are O(1)
+_PIV_TOL = 1e-7  # min pivot magnitude; _solve_block's payoffs are in [0, 2)
 _REFACTOR_EVERY = 40
+_MAX_PIVOTS = 100_000
 
 
 def _pivot(T, basis, row, col):
@@ -210,14 +214,12 @@ def _pivot(T, basis, row, col):
 
 def _rebuild(T, A, b, costvec, basis):
     """Recompute the tableau for the current basis from the original data
-    (kills the drift accumulated by repeated pivoting).  A and costvec
-    span every column, artificials included, since the basis may hold
-    some; T keeps only the structural ones.  Returns False if the
-    recorded basis is numerically singular."""
-    structural = T.shape[1] - 1
+    (kills the drift accumulated by repeated pivoting).  Returns False if
+    the recorded basis is numerically singular; raises NonFinite if the
+    rebuilt tableau is not finite."""
     B = A[:, basis]
     try:
-        body = np.linalg.solve(B, A[:, :structural])
+        body = np.linalg.solve(B, A)
         # apart: solved as one more column of body, b rounds differently
         xb = np.linalg.solve(B, b)
     except np.linalg.LinAlgError:
@@ -226,21 +228,59 @@ def _rebuild(T, A, b, costvec, basis):
     T[:m, :-1] = body
     T[:m, -1] = xb
     cB = costvec[basis]
-    T[-1, :-1] = costvec[:structural] - cB @ body
+    T[-1, :-1] = costvec - cB @ body
     T[-1, -1] = -(cB @ xb)
+    if not np.isfinite(T).all():
+        raise NonFinite("the simplex tableau is not finite")
     return True
 
 
-def _run_phase(T, basis, max_pivots, pivots_done, A, b, costvec):
-    """Iterate pivots until the cost row has no negative entry.  Returns
-    the pivot count consumed."""
-    m = T.shape[0] - 1
-    pivots = pivots_done
-    since_refactor = 0
+def _constraint_block(A, b, nvar):
+    if A is None or not len(A):
+        return np.zeros((0, nvar)), np.zeros(0)
+    return np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+
+
+def simplex(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, basis):
+    """Minimize c @ x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0,
+    by Bland's rule from a feasible start basis.
+
+    The columns are x, then one slack per row of A_ub; basis[r] is the
+    column basic in row r, the rows of A_ub first.  There is no phase 1:
+    a start whose basis matrix is singular raises SimplexStall, and one
+    whose basic solution has an entry below -_TOL raises Infeasible, both
+    before any pivot.  Returns (x, pivots).  Raises UnboundedObjective,
+    SimplexStall at the pivot cap, and NonFinite.
+    """
+    c = np.asarray(c, dtype=float)
+    nvar = c.size
+    A_ub, b_ub = _constraint_block(A_ub, b_ub, nvar)
+    A_eq, b_eq = _constraint_block(A_eq, b_eq, nvar)
+    nslack = len(A_ub)
+    m = nslack + len(A_eq)
+    basis = np.array(basis, dtype=np.intp)  # a copy: the pivots rewrite it
+    # [A_ub | I] over [A_eq | 0], and its cost
+    A = np.zeros((m, nvar + nslack))
+    A[:, :nvar] = np.vstack([A_ub, A_eq])
+    A[:nslack, nvar:] = np.eye(nslack)
+    b = np.concatenate([b_ub, b_eq])
+    cost = np.zeros(nvar + nslack)
+    cost[:nvar] = c
+
+    # the tableau: every column and b, above the cost row
+    T = np.zeros((m + 1, nvar + nslack + 1))
+    if not _rebuild(T, A, b, cost, basis):
+        raise SimplexStall("singular start basis")
+    low = np.flatnonzero(T[:m, -1] < -_TOL)
+    if low.size:
+        raise Infeasible(f"the start basis is infeasible: column "
+                         f"{basis[low[0]]}, basic in row {low[0]}, is "
+                         f"{T[low[0], -1]}")
+    pivots = since_refactor = 0
     while True:
         entering = np.flatnonzero(T[-1, :-1] < -_TOL)
         if not entering.size:
-            return pivots
+            break
         enter = entering[0]
         # ratio test; Bland tie-break on the basic variable index.  The
         # 1e-12 tie test chains, so the fold runs in row order.
@@ -257,7 +297,7 @@ def _run_phase(T, basis, max_pivots, pivots_done, A, b, costvec):
                 leave = r
         if leave < 0:
             # may be pivot drift; refactorize once and re-examine
-            if since_refactor > 0 and _rebuild(T, A, b, costvec, basis):
+            if since_refactor > 0 and _rebuild(T, A, b, cost, basis):
                 since_refactor = 0
                 continue
             raise UnboundedObjective(f"column {enter} is unbounded")
@@ -265,83 +305,15 @@ def _run_phase(T, basis, max_pivots, pivots_done, A, b, costvec):
         pivots += 1
         since_refactor += 1
         if since_refactor >= _REFACTOR_EVERY:
-            if _rebuild(T, A, b, costvec, basis):
+            if _rebuild(T, A, b, cost, basis):
                 since_refactor = 0
-        if pivots > max_pivots:
-            raise SimplexStall(f"pivot cap {max_pivots} reached")
-
-
-def _constraint_block(A, b, nvar):
-    if A is None or not len(A):
-        return np.zeros((0, nvar)), np.zeros(0)
-    return np.asarray(A, dtype=float), np.asarray(b, dtype=float)
-
-
-def simplex(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
-            max_pivots=100_000):
-    """Minimize c @ x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
-
-    Returns (x, pivots).  Raises Infeasible / UnboundedObjective /
-    SimplexStall.
-    """
-    c = np.asarray(c, dtype=float)
-    nvar = c.size
-    A_ub, b_ub = _constraint_block(A_ub, b_ub, nvar)
-    A_eq, b_eq = _constraint_block(A_eq, b_eq, nvar)
-    nslack = len(A_ub)
-    m = nslack + len(A_eq)
-    structural = nvar + nslack  # columns after these are artificial
-    b = np.concatenate([b_ub, b_eq])
-    flip = np.flatnonzero(b < 0.0)
-    b[flip] *= -1.0
-
-    # initial basis: the slack column of an unflipped <= row, otherwise a
-    # fresh artificial column, numbered in row order
-    art_rows = np.concatenate([flip[flip < nslack], np.arange(nslack, m)])
-    basis = nvar + np.arange(m)
-    basis[art_rows] = structural + np.arange(art_rows.size)
-    ncols = structural + art_rows.size
-
-    # [A_ub | I] over [A_eq | 0], negated where b < 0, then artificials
-    Aext = np.zeros((m, ncols))
-    Aext[:, :nvar] = np.vstack([A_ub, A_eq])
-    Aext[:nslack, nvar:structural] = np.eye(nslack)
-    Aext[flip, :structural] *= -1.0
-    Aext[art_rows, basis[art_rows]] = 1.0
-
-    # the tableau: structural columns and b, above the cost row.  Nothing
-    # reads an artificial column of it: the pivot rules look only at
-    # structural ones, and _rebuild takes basic columns from Aext.
-    T = np.zeros((m + 1, structural + 1))
-    T[:m, :-1] = Aext[:, :structural]
-    T[:m, -1] = b
-    pivots = 0
-    if art_rows.size:
-        # phase 1: minimize the artificial sum, whose reduced costs on
-        # the structural columns are minus the sum of the artificial rows
-        cost1 = (np.arange(ncols) >= structural).astype(float)
-        for i in art_rows:  # row by row: the order fixes the rounding
-            T[-1] -= T[i]
-        pivots = _run_phase(T, basis, max_pivots, pivots, Aext, b, cost1)
-        if T[-1, -1] < -1e-7:
-            raise Infeasible(f"phase-1 optimum {-T[-1, -1]} > 0")
-        # drive remaining artificials out of the basis where possible
-        for i in np.flatnonzero(basis >= structural):
-            usable = np.flatnonzero(np.abs(T[i, :-1]) > _TOL)
-            if usable.size:
-                _pivot(T, basis, i, usable[0])
-                pivots += 1
-
-    # phase 2 cost row
-    cost2 = np.zeros(ncols)
-    cost2[:nvar] = c
-    if not _rebuild(T, Aext, b, cost2, basis):
-        # phase 2 would pivot on the stale phase-1 tableau
-        raise SimplexStall("singular basis matrix at the start of phase 2")
-    pivots = _run_phase(T, basis, max_pivots, pivots, Aext, b, cost2)
+        if pivots > _MAX_PIVOTS:
+            raise SimplexStall(f"pivot cap {_MAX_PIVOTS} reached")
 
     # final refactorization for a drift-free basic solution
-    xb = np.linalg.solve(Aext[:, basis], b)
+    xb = np.linalg.solve(A[:, basis], b)
+    if not np.isfinite(xb).all():
+        raise NonFinite("the simplex solution is not finite")
     x = np.zeros(nvar)
     own = basis < nvar
     x[basis[own]] = xb[own]
@@ -362,9 +334,21 @@ def _solve_block(M, width, alpha):
     """One player's block of the slack LP: minimize alpha @ z over the
     opponent's rows sigma and z = -slack >= 0, subject to M / n @ sigma
     <= z[type] on each own row type * width + action and each row of
-    sigma summing to 1.  Returns sigma's rows and the pivot count."""
+    sigma summing to 1.  Returns sigma's rows and the pivot count.
+
+    M is first scaled by a power of two (exact, barring underflow) to a
+    largest magnitude in [1/2, 1), so that the simplex's absolute
+    tolerances suit it whatever the payoffs' size, and then shifted by
+    -min(0, min M).  Neither moves the optimal sigma: z scales with M,
+    and as each row of sigma sums to 1, the shift moves every constraint
+    row by the same constant.  After the shift z >= 0 cannot bind, and
+    the start basis is feasible: in each sum-to-one row the opponent
+    type's first action is basic, z[i] is basic in the row of type i's
+    best action against those, and every other row keeps its slack."""
     n = alpha.size
     rows, cols = M.shape
+    M = np.ldexp(M, -np.frexp(np.abs(M).max())[1])
+    M = M - min(0.0, M.min())
     # the -1 entries are set by index, since a negated identity would
     # write -0.0 everywhere else
     A_ub = np.zeros((rows, cols + n))
@@ -372,8 +356,12 @@ def _solve_block(M, width, alpha):
     A_ub[np.arange(rows), cols + np.arange(rows) // width] = -1.0
     A_eq = np.zeros((n, cols + n))
     A_eq[np.arange(cols) // (cols // n), np.arange(cols)] = 1.0
+    first = np.arange(0, cols, cols // n)  # each opponent type's action 0
+    best = A_ub[:, first].sum(axis=1).reshape(n, width).argmax(axis=1)
+    basis = np.concatenate([cols + n + np.arange(rows), first])
+    basis[np.arange(n) * width + best] = cols + np.arange(n)
     x, pivots = simplex(np.concatenate([np.zeros(cols), alpha]), A_ub,
-                        np.zeros(rows), A_eq, np.ones(n))
+                        np.zeros(rows), A_eq, np.ones(n), basis=basis)
     return _normalize_rows(x[:cols].reshape(n, cols // n)), pivots
 
 
@@ -395,20 +383,26 @@ def solve_lp(fg, alpha1=None, alpha2=None):
             raise ValueError(f"{name} must be {n} positive finite weights, "
                              f"one per type, got {alpha.tolist()}")
 
-    try:
-        t, pivots1 = _solve_block(fg.M1, L, alpha1)
-        s, pivots2 = _solve_block(fg.M2, H, alpha2)
-    except np.linalg.LinAlgError as exc:
-        raise SimplexStall(f"singular basis matrix: {exc}") from exc
-    profile = BehavioralProfile(s, t)
-    gap1, gap2 = finite_gap(fg, profile)
+    # payoffs or alphas near the float limit overflow; the finiteness
+    # checks in simplex and below turn that into NonFinite
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            t, pivots1 = _solve_block(fg.M1, L, alpha1)
+            s, pivots2 = _solve_block(fg.M2, H, alpha2)
+        except np.linalg.LinAlgError as exc:
+            raise SimplexStall(f"singular basis matrix: {exc}") from exc
+        profile = BehavioralProfile(s, t)
+        gap1, gap2 = finite_gap(fg, profile)
+        objective = ck_objective(fg, profile, alpha1, alpha2)
+    if not (math.isfinite(gap1) and math.isfinite(gap2)):
+        raise NonFinite(f"the LP profile's finite gaps are {gap1}, {gap2}")
     return SolverResult(
         profile=profile,
         finite_gap1=gap1,
         finite_gap2=gap2,
         backend="lp",
         iterations=pivots1 + pivots2,
-        objective=ck_objective(fg, profile, alpha1, alpha2),
+        objective=objective,
     )
 
 

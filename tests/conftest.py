@@ -12,6 +12,8 @@ the lp and fp backends on small games.  So does the pretty-printer of
 expression trees, whose output the tests reparse.
 """
 
+import functools
+import importlib.util
 import itertools
 import math
 import os
@@ -113,6 +115,26 @@ def random_poly_game(rng, decreasing=False, grid_check=21):
     v = [[random_poly(rng, decreasing=decreasing) for _ in range(2)]
          for _ in range(2)]
     return make_game(u, v, grid_check=grid_check)
+
+
+@functools.cache
+def _bench_games():
+    """bench/games.py, loaded by path: bench/ is not a package."""
+    spec = importlib.util.spec_from_file_location("bench_games",
+                                                  ROOT / "bench" / "games.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def generated_constant_sum_game(seed, L, H, scale=None):
+    """The bench generator's constant-sum L x H game 0 for a seed, with
+    every u cell multiplied by scale (a string) and v = -u."""
+    spec = _bench_games().game_spec(seed, 0, "constant_sum", L, H)
+    if scale is not None:
+        spec["u"] = [[f"{scale}*({e})" for e in row] for row in spec["u"]]
+        spec["v"] = [[f"-({e})" for e in row] for row in spec["u"]]
+    return bc.load_game(bc.GameSpec.from_dict(spec))
 
 
 def uniform_profile(n, L, H):
@@ -359,6 +381,7 @@ def render(e, parent_prec=0):
 _TOL = 1e-9
 _PIV_TOL = 1e-7
 _REFACTOR_EVERY = 40
+_MAX_PIVOTS = 100_000
 
 
 def oracle_action_values(fg, player, opponent_rows):
@@ -420,20 +443,21 @@ def _rebuild(T, A, b, costvec, basis):
     cB = costvec[basis]
     T[-1, :-1] = costvec - cB @ body
     T[-1, -1] = -(cB @ xb)
+    if not np.isfinite(T).all():
+        raise NonFinite("the simplex tableau is not finite")
     return True
 
 
-def _run_phase(T, basis, allowed, max_pivots, pivots_done,
-               A=None, b=None, costvec=None):
-    """Iterate pivots until the cost row has no negative entry among the
-    allowed columns.  Returns the pivot count consumed."""
+def _run_phase(T, basis, A, b, costvec):
+    """Iterate pivots until the cost row has no negative entry.  Returns
+    the pivot count."""
     m = T.shape[0] - 1
-    pivots = pivots_done
+    pivots = 0
     since_refactor = 0
     while True:
         cost = T[-1, :-1]
         enter = -1
-        for j in allowed:
+        for j in range(cost.size):
             if cost[j] < -_TOL:
                 enter = j
                 break
@@ -454,7 +478,7 @@ def _run_phase(T, basis, allowed, max_pivots, pivots_done,
                     leave = r
         if leave < 0:
             # may be pivot drift; refactorize once and re-examine
-            if A is not None and since_refactor > 0:
+            if since_refactor > 0:
                 if _rebuild(T, A, b, costvec, basis):
                     since_refactor = 0
                     continue
@@ -462,19 +486,21 @@ def _run_phase(T, basis, allowed, max_pivots, pivots_done,
         _pivot(T, basis, leave, enter)
         pivots += 1
         since_refactor += 1
-        if since_refactor >= _REFACTOR_EVERY and A is not None:
+        if since_refactor >= _REFACTOR_EVERY:
             if _rebuild(T, A, b, costvec, basis):
                 since_refactor = 0
-        if pivots > max_pivots:
-            raise SimplexStall(f"pivot cap {max_pivots} reached")
+        if pivots > _MAX_PIVOTS:
+            raise SimplexStall(f"pivot cap {_MAX_PIVOTS} reached")
 
 
-def oracle_simplex(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
-            max_pivots=100_000):
-    """Minimize c @ x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
+def oracle_simplex(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *,
+                   basis):
+    """Minimize c @ x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0,
+    from the start basis (basis[r] is the column basic in row r; the
+    columns are x, then one slack per row of A_ub).
 
     Returns (x, pivots).  Raises Infeasible / UnboundedObjective /
-    SimplexStall.
+    SimplexStall / NonFinite.
     """
     c = np.asarray(c, dtype=float)
     nvar = c.size
@@ -498,68 +524,23 @@ def oracle_simplex(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     for k, i in enumerate(slack_rows):
         A[i, nvar + k] = 1.0
     b = np.array(rhs)
-    # normalize to b >= 0
-    for i in range(m):
-        if b[i] < 0.0:
-            A[i] *= -1.0
-            b[i] *= -1.0
+    cost = np.zeros(nvar + nslack)
+    cost[:nvar] = c
 
-    # initial basis: slack column if usable, else a fresh artificial
-    basis = [-1] * m
-    art_cols = []
-    for i in range(m):
-        k = slack_rows.index(i) if i in slack_rows else -1
-        if k >= 0 and A[i, nvar + k] == 1.0:
-            basis[i] = nvar + k
-    n_art = sum(1 for bcol in basis if bcol < 0)
-    ncols = nvar + nslack + n_art
-    T = np.zeros((m + 1, ncols + 1))
-    T[:m, : nvar + nslack] = A
-    T[:m, -1] = b
-    a = nvar + nslack
-    for i in range(m):
-        if basis[i] < 0:
-            T[i, a] = 1.0
-            basis[i] = a
-            art_cols.append(a)
-            a += 1
-
-    Aext = T[:m, :-1].copy()
-    pivots = 0
-    if art_cols:
-        # phase 1: minimize the artificial sum
-        cost1 = np.zeros(ncols)
-        cost1[art_cols] = 1.0
-        for col in art_cols:
-            T[-1, col] = 1.0
-        for i in range(m):
-            if basis[i] in art_cols:
-                T[-1] -= T[i]
-        allowed = [j for j in range(ncols) if j not in art_cols]
-        pivots = _run_phase(T, basis, allowed, max_pivots, pivots,
-                            A=Aext, b=b, costvec=cost1)
-        if T[-1, -1] < -1e-7:
-            raise Infeasible(f"phase-1 optimum {-T[-1, -1]} > 0")
-        # drive remaining artificials out of the basis where possible
-        for i in range(m):
-            if basis[i] in art_cols:
-                for j in allowed:
-                    if abs(T[i, j]) > _TOL:
-                        _pivot(T, basis, i, j)
-                        pivots += 1
-                        break
-
-    # phase 2 cost row
-    cost2 = np.zeros(ncols)
-    cost2[:nvar] = c
-    if not _rebuild(T, Aext, b, cost2, basis):
-        raise SimplexStall("singular basis matrix at the start of phase 2")
-    allowed = [j for j in range(nvar + nslack) if j not in art_cols]
-    pivots = _run_phase(T, basis, allowed, max_pivots, pivots,
-                        A=Aext, b=b, costvec=cost2)
+    basis = [int(col) for col in basis]
+    T = np.zeros((m + 1, nvar + nslack + 1))
+    if not _rebuild(T, A, b, cost, basis):
+        raise SimplexStall("singular start basis")
+    for r in range(m):
+        if T[r, -1] < -_TOL:
+            raise Infeasible(f"the start basis is infeasible: column "
+                             f"{basis[r]}, basic in row {r}, is {T[r, -1]}")
+    pivots = _run_phase(T, basis, A, b, cost)
 
     # final refactorization for a drift-free basic solution
-    xb = np.linalg.solve(Aext[:, basis], b)
+    xb = np.linalg.solve(A[:, basis], b)
+    if not np.isfinite(xb).all():
+        raise NonFinite("the simplex solution is not finite")
     x = np.zeros(nvar)
     for i in range(m):
         if basis[i] < nvar:

@@ -4,8 +4,10 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from bnecert.discretize import StepStrategy
 from bnecert.driver import schedule_levels, sup_distance
 
 from conftest import (
+    generated_constant_sum_game,
     make_game,
     random_poly_game,
     strip_wall_time,
@@ -286,6 +289,25 @@ def test_run_records_fp_overflow_against_its_level():
         8: "NonFinite: fictitious play gap is not finite at iteration 1",
         16: "NonFinite: fictitious play gap is not finite at iteration 1",
     }
+
+
+def test_run_records_lp_overflow_against_its_level():
+    """Constant-sum games whose u cells are scaled by 5e307: the level
+    payoffs, the LP's action values or certify's quadrature overflow.
+    run catches only typed errors, so under warnings-as-errors each level
+    either solves, with finite gaps, or records one; no RuntimeWarning
+    leaves it."""
+    for seed in (1, 2, 3):
+        for size in (2, 3):
+            g = generated_constant_sum_game(seed, size, size, scale="5e+307")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = bc.run(g, bc.RunConfig(epsilon=0.1, max_level=8))
+            assert report.levels
+            for record in report.levels:
+                if record["error"] is None:
+                    assert math.isfinite(record["finite_gap1"])
+                    assert math.isfinite(record["finite_gap2"])
 
 
 def test_run_records_quadrature_overflow_against_its_level():

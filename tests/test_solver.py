@@ -2,6 +2,8 @@
 the enumeration oracle they are checked against."""
 
 import collections
+import itertools
+import math
 import subprocess
 import sys
 import warnings
@@ -39,6 +41,7 @@ from conftest import (
     EquilibriumNotFound,
     TooLarge,
     ex_ante_value,
+    generated_constant_sum_game,
     make_game,
     oracle_action_values,
     oracle_finite_best_response,
@@ -244,35 +247,39 @@ def test_prop1_violation():
 
 def test_simplex_bounded_ub():
     x, _ = simplex(np.array([-1.0, 0.0]),
-                   A_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[3.0, 1.0])
+                   A_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[3.0, 1.0],
+                   basis=[2, 3])
     assert x[0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_simplex_equality():
     # min x + y s.t. x + y = 2, x - y = 0
     x, _ = simplex(np.array([1.0, 1.0]),
-                   A_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[2.0, 0.0])
+                   A_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[2.0, 0.0],
+                   basis=[0, 1])
     assert x == pytest.approx([1.0, 1.0], abs=1e-10)
 
 
 def test_simplex_infeasible():
     with pytest.raises(Infeasible):
-        simplex(np.array([0.0]), A_eq=[[1.0]], b_eq=[-1.0])
+        simplex(np.array([0.0]), A_eq=[[1.0]], b_eq=[-1.0], basis=[0])
 
 
 def test_simplex_unbounded():
     with pytest.raises(UnboundedObjective):
-        simplex(np.array([-1.0, 0.0]), A_ub=[[0.0, 1.0]], b_ub=[1.0])
+        simplex(np.array([-1.0, 0.0]), A_ub=[[0.0, 1.0]], b_ub=[1.0],
+                basis=[2])
 
 
 def _slack_lp(monkeypatch, fg, alpha1=None, alpha2=None):
-    """The arguments of each simplex call solve_lp makes: player 1's
-    block, then player 2's.  Each call returns the uniform rows, so that
-    solve_lp runs to its end and every call is seen."""
+    """The LP of each simplex call solve_lp makes, player 1's block then
+    player 2's: (c, A_ub, b_ub, A_eq, b_eq, start basis).  Each call
+    returns the uniform rows, so that solve_lp runs to its end and every
+    call is seen."""
     calls = []
 
-    def capture(*args):
-        calls.append(args)
+    def capture(*args, basis):
+        calls.append((*args, basis))
         _, _, _, A_eq, b_eq = args
         return A_eq.T @ (b_eq / A_eq.sum(axis=1)), 0
 
@@ -283,19 +290,22 @@ def _slack_lp(monkeypatch, fg, alpha1=None, alpha2=None):
     return calls
 
 
-def _simplex_outcome(solver, args):
+def _simplex_outcome(solver, lp):
     """(x bytes, pivots), or the exception's type and message."""
+    *data, basis = lp
     try:
-        x, pivots = solver(*args)
+        x, pivots = solver(*data, basis=basis)
     except (BnecertError, np.linalg.LinAlgError) as exc:
         return type(exc), str(exc)
     return x.tobytes(), pivots
 
 
 def _random_lp(rng):
-    """Small LP with coefficients rounded to 0-2 decimals, so that ties
-    and degenerate vertices occur.  Four in five are feasible by
-    construction (about half their <= rows tight at a known point)."""
+    """Small LP and start basis, coefficients rounded to 0-2 decimals so
+    that ties and degenerate vertices occur.  Half have b_ub >= 0, no
+    equality rows and the all-slack start.  The rest start from a random
+    basis, for which three in five are feasible by construction (b is
+    made from a point whose nonzeros are basic, some of them 0)."""
     nvar = int(rng.integers(1, 7))
     m_ub, m_eq = int(rng.integers(0, 6)), int(rng.integers(0, 4))
     decimals = int(rng.integers(0, 3))
@@ -303,25 +313,32 @@ def _random_lp(rng):
     def draw(lo, hi, *shape):
         return np.round(rng.uniform(lo, hi, shape), decimals)
 
-    A_ub, A_eq = draw(-3, 3, m_ub, nvar), draw(-3, 3, m_eq, nvar)
-    if rng.random() < 0.2:
-        return (draw(-3, 3, nvar), A_ub, draw(-3, 3, m_ub),
-                A_eq, draw(-3, 3, m_eq))
-    x0 = rng.integers(0, 3, nvar).astype(float)
-    slack = draw(0, 2, m_ub) * (rng.random(m_ub) < 0.5)
-    return draw(-1, 3, nvar), A_ub, A_ub @ x0 + slack, A_eq, A_eq @ x0
+    c, A_ub = draw(-1, 3, nvar), draw(-3, 3, m_ub, nvar)
+    if rng.random() < 0.5:
+        b_ub = draw(0, 3, m_ub) * (rng.random(m_ub) < 0.7)
+        return c, A_ub, b_ub, None, None, nvar + np.arange(m_ub)
+    A_eq = draw(-3, 3, m_eq, nvar)
+    m, ncols = m_ub + m_eq, nvar + m_ub
+    basis = rng.choice(ncols, m, replace=m > ncols)
+    if rng.random() < 0.4:
+        return c, A_ub, draw(-3, 3, m_ub), A_eq, draw(-3, 3, m_eq), basis
+    x = np.zeros(ncols)
+    x[basis] = rng.integers(0, 3, m)
+    return (c, A_ub, A_ub @ x[:nvar] + x[nvar:], A_eq, A_eq @ x[:nvar],
+            basis)
 
 
 def test_simplex_takes_the_oracle_pivots_on_2000_random_lps():
     rng = np.random.default_rng(2024)
     outcomes = collections.Counter()
     for _ in range(2000):
-        args = _random_lp(rng)
-        got = _simplex_outcome(simplex, args)
-        assert got == _simplex_outcome(oracle_simplex, args)
+        lp = _random_lp(rng)
+        got = _simplex_outcome(simplex, lp)
+        assert got == _simplex_outcome(oracle_simplex, lp)
         outcomes[got[0] if isinstance(got[0], type) else "optimal"] += 1
     assert outcomes["optimal"] > 1000
     assert outcomes[Infeasible] > 100 and outcomes[UnboundedObjective] > 100
+    assert outcomes[SimplexStall] > 100
 
 
 @pytest.mark.parametrize("path", DEMO_SPECS, ids=[p.stem for p in DEMO_SPECS])
@@ -331,10 +348,9 @@ def test_simplex_takes_the_oracle_pivots_on_demo_slack_lps(path,
     prop1 = check_prop1(g)
     for n in range(1, 13):
         fg = bc.build_finite(g, n)
-        for args in _slack_lp(monkeypatch, fg,
-                              *default_alphas(fg, g, prop1)):
-            got = _simplex_outcome(simplex, args)
-            assert got == _simplex_outcome(oracle_simplex, args)
+        for lp in _slack_lp(monkeypatch, fg, *default_alphas(fg, g, prop1)):
+            got = _simplex_outcome(simplex, lp)
+            assert got == _simplex_outcome(oracle_simplex, lp)
 
 
 @pytest.mark.parametrize("path", DEMO_SPECS, ids=[p.stem for p in DEMO_SPECS])
@@ -344,10 +360,9 @@ def test_simplex_takes_the_oracle_pivots_at_bench_sizes(path, monkeypatch):
     prop1 = check_prop1(g)
     for n in (40, 48, 56):
         fg = bc.build_finite(g, n)
-        for args in _slack_lp(monkeypatch, fg,
-                              *default_alphas(fg, g, prop1)):
-            got = _simplex_outcome(simplex, args)
-            assert got == _simplex_outcome(oracle_simplex, args)
+        for lp in _slack_lp(monkeypatch, fg, *default_alphas(fg, g, prop1)):
+            got = _simplex_outcome(simplex, lp)
+            assert got == _simplex_outcome(oracle_simplex, lp)
 
 
 def _block_diag(a, b):
@@ -361,19 +376,31 @@ def _block_diag(a, b):
 def test_joint_slack_lp_optimum_is_the_sum_of_the_block_optima(path,
                                                                monkeypatch):
     """The joint LP over (sigma2, z1, sigma1, z2) with both players' rows
-    shares no variable between the blocks, so its optimum is their sum."""
+    shares no variable between the blocks, so its optimum is their sum.
+    It starts from the two blocks' start bases, the second offset."""
     g = bc.load_game_file(path)
     prop1 = check_prop1(g)
     for n in range(1, 7):
         fg = bc.build_finite(g, n)
         blocks = _slack_lp(monkeypatch, fg, *default_alphas(fg, g, prop1))
-        parts = [c @ oracle_simplex(c, *rest)[0] for c, *rest in blocks]
-        (c1, ub1, bu1, eq1, be1), (c2, ub2, bu2, eq2, be2) = blocks
+        parts = [lp[0] @ oracle_simplex(*lp[:5], basis=lp[5])[0]
+                 for lp in blocks]
+        (c1, ub1, bu1, eq1, be1, basis1), (c2, ub2, bu2, eq2, be2,
+                                           basis2) = blocks
+        # joint columns: x1, x2, then the slacks of ub1 and of ub2; joint
+        # rows: ub1, ub2, eq1, eq2
+        nvar1, nvar2, rows1, rows2 = c1.size, c2.size, len(ub1), len(ub2)
+        slack1 = nvar1 + nvar2
+        col1 = np.where(basis1 < nvar1, basis1, basis1 + nvar2)
+        col2 = np.where(basis2 < nvar2, basis2 + nvar1,
+                        basis2 - nvar2 + slack1 + rows1)
+        basis = np.concatenate([col1[:rows1], col2[:rows2], col1[rows1:],
+                                col2[rows2:]])
         c = np.concatenate([c1, c2])
         x, _ = oracle_simplex(c, _block_diag(ub1, ub2),
                               np.concatenate([bu1, bu2]),
                               _block_diag(eq1, eq2),
-                              np.concatenate([be1, be2]))
+                              np.concatenate([be1, be2]), basis=basis)
         assert abs(c @ x - sum(parts)) <= 1e-9
 
 
@@ -387,33 +414,80 @@ def test_lp_solves_the_demo_specs_at_bench_sizes(path):
         assert res.finite_gap1 <= 1e-8 and res.finite_gap2 <= 1e-8
 
 
+@pytest.mark.parametrize("path", DEMO_SPECS, ids=[p.stem for p in DEMO_SPECS])
+def test_lp_solves_the_demo_specs_at_every_level_to_64(path):
+    g = bc.load_game_file(path)
+    prop1 = check_prop1(g)
+    for n in range(1, 65):
+        fg = bc.build_finite(g, n)
+        res = solve_lp(fg, *default_alphas(fg, g, prop1))
+        assert max(res.finite_gap1, res.finite_gap2) <= 1e-8, n
+
+
+def test_lp_solves_generated_3x3_constant_sum_games():
+    for seed in range(1, 8):
+        g = generated_constant_sum_game(seed, 3, 3)
+        for n in range(8, 13):
+            res = solve_lp(bc.build_finite(g, n))
+            assert max(res.finite_gap1, res.finite_gap2) <= 1e-8, (seed, n)
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_lp_solves_games_with_payoffs_near_1e300(size):
+    """The simplex's tolerances are absolute, so each block scales its
+    payoffs first; the gaps scale with the payoffs."""
+    for seed in range(1, 8):
+        g = generated_constant_sum_game(seed, size, size, scale="1e+300")
+        for n in range(1, 9):
+            fg = bc.build_finite(g, n)
+            res = solve_lp(fg)
+            largest = max(np.abs(fg.M1).max(), np.abs(fg.M2).max())
+            assert max(res.finite_gap1, res.finite_gap2) <= 1e-8 * largest, \
+                (seed, n)
+
+
+@pytest.mark.parametrize("c", [0.5, 3.0])
+def test_lp_solves_level_games_with_negative_payoffs(zero_sum_match, c):
+    """With payoffs below 0 the slack LP's bound z >= 0 would bind and
+    leave a profile that is not an equilibrium, had the block not shifted
+    them first."""
+    for n in (4, 8, 16):
+        fg = bc.build_finite(zero_sum_match, n)
+        shifted = FiniteGame(n, fg.actions1, fg.actions2, fg.U - c, fg.V + c)
+        assert shifted.U.min() < 0.0
+        res = solve_lp(shifted)
+        assert max(res.finite_gap1, res.finite_gap2) <= 1e-8, n
+
+
 @pytest.mark.parametrize("solver", [simplex, oracle_simplex],
                          ids=["simplex", "oracle"])
-def test_a_singular_basis_at_phase_2_stalls_before_any_pivot(solver,
-                                                              monkeypatch):
-    """The rebuild that starts phase 2 fails: no phase runs on the stale
-    phase-1 tableau."""
-    namespace = solver.__globals__
-    real_rebuild = namespace["_rebuild"]
-    real_run_phase = namespace["_run_phase"]
-    phases = []
+def test_a_singular_start_basis_stalls_before_any_pivot(solver,
+                                                        monkeypatch):
+    pivots = []
+    monkeypatch.setitem(solver.__globals__, "_pivot",
+                        lambda *args: pivots.append(args))
+    with pytest.raises(SimplexStall, match="^singular start basis$"):
+        # x and y basic in the rows of x + y = 2 and 2x + 2y = 4
+        solver(np.array([1.0, -1.0]), A_eq=[[1.0, 1.0], [2.0, 2.0]],
+               b_eq=[2.0, 4.0], basis=[0, 1])
+    assert pivots == []
 
-    def rebuild(T, A, b, costvec, basis):
-        if costvec[:2].any():  # the phase-2 cost, not phase 1's
-            return False
-        return real_rebuild(T, A, b, costvec, basis)
 
-    def run_phase(*args, **kwargs):
-        phases.append(kwargs.get("costvec", args[-1]).copy())
-        return real_run_phase(*args, **kwargs)
-
-    monkeypatch.setitem(namespace, "_rebuild", rebuild)
-    monkeypatch.setitem(namespace, "_run_phase", run_phase)
-    with pytest.raises(SimplexStall, match="at the start of phase 2"):
-        # min x + y s.t. x + y = 2, x - y = 0: phase 1 runs first
-        solver(np.array([1.0, 1.0]), A_eq=[[1.0, 1.0], [1.0, -1.0]],
-               b_eq=[2.0, 0.0])
-    assert len(phases) == 1 and not phases[0][:2].any()
+@pytest.mark.parametrize("solver", [simplex, oracle_simplex],
+                         ids=["simplex", "oracle"])
+def test_an_infeasible_start_basis_raises_before_any_pivot(solver,
+                                                           monkeypatch):
+    pivots = []
+    monkeypatch.setitem(solver.__globals__, "_pivot",
+                        lambda *args: pivots.append(args))
+    # min x + y s.t. x <= 1, x + y = 2 is feasible, but with its slack s
+    # basic in the first row and x in the second, x = 2 and s = -1: only
+    # a phase 1 could repair that start
+    with pytest.raises(Infeasible, match="^the start basis is infeasible: "
+                       r"column 2, basic in row 0, is -1\.0$"):
+        solver(np.array([1.0, 1.0]), A_ub=[[1.0, 0.0]], b_ub=[1.0],
+               A_eq=[[1.0, 1.0]], b_eq=[2.0], basis=[2, 0])
+    assert pivots == []
 
 
 def test_import_loads_no_scipy():
@@ -497,6 +571,18 @@ def test_lp_rejects_alphas_not_finite_or_not_one_per_type(zero_sum_match):
                 solve_lp(fg, *alphas)
 
 
+def test_lp_overflow_is_a_nonfinite_error(zero_sum_match):
+    """Overflow in the LP is a typed error, not a RuntimeWarning: alphas
+    near the float limit overflow the simplex's cost row, and payoffs
+    near it the action values of the finite gaps."""
+    fg = bc.build_finite(zero_sum_match, 4)
+    with pytest.raises(NonFinite, match="^the simplex tableau is not "):
+        solve_lp(fg, np.full(4, 1e308), np.full(4, 1e308))
+    fg = bc.build_finite(generated_constant_sum_game(1, 2, 2, "5e+307"), 8)
+    with pytest.raises(NonFinite, match="^the LP profile's finite gaps "):
+        solve_lp(fg)
+
+
 def test_lp_singular_basis_is_a_toolkit_error(matching_pennies, monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
@@ -510,45 +596,68 @@ def test_lp_singular_basis_is_a_toolkit_error(matching_pennies, monkeypatch):
 
 
 def _loop_built_block(fg, player):
-    """A_ub and A_eq of one player's block of the slack LP, entry by
-    entry: columns are the opponent's sigma, then the own z."""
+    """A_ub, A_eq and the start basis of one player's block of the slack
+    LP, entry by entry: columns are the opponent's sigma, then the own z,
+    then the slacks.  The payoffs are scaled by a power of two to a
+    largest magnitude in [1/2, 1) and shifted by -min(0, min)."""
     n, L, H = fg.n, fg.L, fg.H
     own, opp = (L, H) if player == 1 else (H, L)
+
+    def payoff(i, x, j, y):
+        return fg.U[x, y, i, j] if player == 1 else fg.V[y, x, j, i]
+
+    cells = list(itertools.product(range(n), range(own), range(n),
+                                   range(opp)))
+    exponent = math.frexp(max(abs(payoff(*cell)) for cell in cells))[1]
+    low = min(0.0, min(math.ldexp(payoff(*cell), -exponent)
+                       for cell in cells))
     A_ub = np.zeros((n * own, n * opp + n))
+    for i, x, j, y in cells:
+        A_ub[i * own + x, j * opp + y] = (
+            math.ldexp(payoff(i, x, j, y), -exponent) - low) / n
     for i in range(n):
         for x in range(own):
-            for j in range(n):
-                for y in range(opp):
-                    payoff = (fg.U[x, y, i, j] if player == 1
-                              else fg.V[y, x, j, i])
-                    A_ub[i * own + x, j * opp + y] = payoff / n
             A_ub[i * own + x, n * opp + i] = -1.0
     A_eq = np.zeros((n, n * opp + n))
     for j in range(n):
         A_eq[j, j * opp: (j + 1) * opp] = 1.0
-    return A_ub, A_eq
+    # each row's slack, and each opponent type's first action in its
+    # sum-to-one row; then z[i] in the row of i's best reply to those
+    basis = [n * opp + n + r for r in range(n * own)]
+    basis += [j * opp for j in range(n)]
+    for i in range(n):
+        values = [sum(A_ub[i * own + x, j * opp] for j in range(n))
+                  for x in range(own)]
+        basis[i * own + values.index(max(values))] = n * opp + i
+    return A_ub, A_eq, basis
 
 
 def test_lp_constraints_byte_identical_to_loop_build(monkeypatch):
     rng = np.random.default_rng(12)
     n, L, H = 4, 3, 2
-    U, V = rng.random((L, H, n, n)), rng.random((L, H, n, n))
+    # U is scaled and shifted (its magnitudes reach 3), V neither
+    U, V = 4.0 * rng.random((L, H, n, n)) - 1.0, rng.random((L, H, n, n))
     U[1, 0, 2] = 0.0
     V[0, 1, :, 3] = -0.0  # the sign of zero must reach the LP as well
     fg = FiniteGame(n, ("x1", "x2", "x3"), ("y1", "y2"), U, V)
     alpha1, alpha2 = rng.random(n) + 0.5, rng.random(n) + 0.5
     blocks = _slack_lp(monkeypatch, fg, alpha1, alpha2)
-    for player, own, opp, alpha, (c, A_ub, b_ub, A_eq, b_eq) in (
+    for player, own, opp, alpha, (c, A_ub, b_ub, A_eq, b_eq, basis) in (
             (1, L, H, alpha1, blocks[0]), (2, H, L, alpha2, blocks[1])):
-        want_ub, want_eq = _loop_built_block(fg, player)
+        want_ub, want_eq, want_basis = _loop_built_block(fg, player)
         assert A_ub.tobytes() == want_ub.tobytes()
         assert A_eq.tobytes() == want_eq.tobytes()
+        assert basis.tolist() == want_basis
         assert c.tobytes() == np.concatenate([np.zeros(n * opp),
                                               alpha]).tobytes()
         assert b_ub.tobytes() == np.zeros(n * own).tobytes()
         assert b_eq.tobytes() == np.ones(n).tobytes()
     # the -0.0 entries of V are in player 2's block, rows j = 3, y = 1
     assert np.signbit(blocks[1][1][3 * H + 1, :n * L:L]).all()
+    # the types' best replies in player 1's start differ, so the loop
+    # checks a choice, not a constant
+    z_rows = [blocks[0][5].tolist().index(n * H + i) for i in range(n)]
+    assert len({row % L for row in z_rows}) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -866,8 +975,8 @@ def test_fp_accepts_numpy_integer_max_iters():
 
 
 def test_fp_does_not_depend_on_the_blas_thread_count():
-    """The simplex's failures move with the BLAS thread count; fp's
-    trajectory must not."""
+    """The simplex's refactorizations may round with the BLAS thread
+    count; fp's trajectory must not depend on it."""
     code = (
         "import hashlib, numpy as np; "
         "from bnecert import FiniteGame, solve_fp; "
