@@ -5,8 +5,12 @@ Two backends:
   * solve_lp    -- the slack-maximization program whose bilinear payoff
                    terms cancel to a constant under the multiplier
                    condition.  Each player's rows hold only the opponent's
-                   sigma and the own z, so it is two LPs, one per player.
-                   Each block scales and shifts its payoffs to [0, 2), which
+                   sigma and the own z, so it splits into one block per
+                   player; the condition makes the game a minimax problem,
+                   so the dual of player 1's block is player 2's block,
+                   and one LP gives both strategies: player 2's from its
+                   primal, player 1's from the duals of its rows.  The
+                   block scales and shifts its payoffs to [0, 2), which
                    leaves the optimal sigma as it is and makes a crash
                    basis feasible, and a dense-tableau simplex runs one
                    phase of Bland's anti-cycling rule from that basis:
@@ -249,8 +253,12 @@ def simplex(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, basis):
     column basic in row r, the rows of A_ub first.  There is no phase 1:
     a start whose basis matrix is singular raises SimplexStall, and one
     whose basic solution has an entry below -_TOL raises Infeasible, both
-    before any pivot.  Returns (x, pivots).  Raises UnboundedObjective,
-    SimplexStall at the pivot cap, and NonFinite.
+    before any pivot.  Returns (x, y, pivots): y = c_B B^-1 are the row
+    duals of the final basis matrix B, solved from B as x_B is, so that
+    b @ y = c @ x and no reduced cost c - A^T y is below -_TOL, up to
+    rounding; the duals of A_ub's rows are <= 0.  Raises
+    UnboundedObjective, SimplexStall at the pivot cap, and NonFinite when
+    the tableau, x or y is not finite.
     """
     c = np.asarray(c, dtype=float)
     nvar = c.size
@@ -269,7 +277,8 @@ def simplex(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, basis):
 
     # the tableau: every column and b, above the cost row
     T = np.zeros((m + 1, nvar + nslack + 1))
-    if not _rebuild(T, A, b, cost, basis):
+    # a repeated column is singular even where rounding hides it from LU
+    if len(set(basis.tolist())) < m or not _rebuild(T, A, b, cost, basis):
         raise SimplexStall("singular start basis")
     low = np.flatnonzero(T[:m, -1] < -_TOL)
     if low.size:
@@ -310,23 +319,30 @@ def simplex(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, basis):
         if pivots > _MAX_PIVOTS:
             raise SimplexStall(f"pivot cap {_MAX_PIVOTS} reached")
 
-    # final refactorization for a drift-free basic solution
-    xb = np.linalg.solve(A[:, basis], b)
+    # final refactorization for a drift-free basic solution and its duals
+    B = A[:, basis]
+    xb = np.linalg.solve(B, b)
     if not np.isfinite(xb).all():
         raise NonFinite("the simplex solution is not finite")
+    y = np.linalg.solve(B.T, cost[basis])
+    if not np.isfinite(y).all():
+        raise NonFinite("the simplex duals are not finite")
     x = np.zeros(nvar)
     own = basis < nvar
     x[basis[own]] = xb[own]
-    return x, pivots
+    return x, y, pivots
 
 
 # ---------------------------------------------------------------------------
 # LP backend
 
 def _normalize_rows(mat):
+    """Clip mat at 0 and scale each row to sum 1; a row that sums to 0
+    plays action 0."""
     mat = np.clip(mat, 0.0, None)
     sums = mat.sum(axis=1, keepdims=True)
-    sums[sums == 0.0] = 1.0
+    empty = sums[:, 0] == 0.0
+    mat[empty, 0] = sums[empty] = 1.0
     return mat / sums
 
 
@@ -334,7 +350,8 @@ def _solve_block(M, width, alpha):
     """One player's block of the slack LP: minimize alpha @ z over the
     opponent's rows sigma and z = -slack >= 0, subject to M / n @ sigma
     <= z[type] on each own row type * width + action and each row of
-    sigma summing to 1.  Returns sigma's rows and the pivot count.
+    sigma summing to 1.  Returns sigma's rows, the own rows and the pivot
+    count.
 
     M is first scaled by a power of two (exact, barring underflow) to a
     largest magnitude in [1/2, 1), so that the simplex's absolute
@@ -344,7 +361,16 @@ def _solve_block(M, width, alpha):
     row by the same constant.  After the shift z >= 0 cannot bind, and
     the start basis is feasible: in each sum-to-one row the opponent
     type's first action is basic, z[i] is basic in the row of type i's
-    best action against those, and every other row keeps its slack."""
+    best action against those, and every other row keeps its slack.
+
+    The own rows come from the duals: p = -y on the M rows, each type's
+    row normalized.  The dual maximizes sum_j min_b (p M / n)[j, b] over
+    p >= 0 whose type-i row sums to at most alpha[i].  As the shifted M
+    is >= 0, adding mass to a row of p keeps p optimal, so normalizing is
+    sound, and a row that sums to 0 (z[i] nonbasic at 0) plays action 0.
+    Rows that sum to alpha are alpha times own rows, and under the
+    multiplier identity (alpha M is minus the opponent's alpha times its
+    M, transposed, up to a constant) the dual is the opponent's block."""
     n = alpha.size
     rows, cols = M.shape
     M = np.ldexp(M, -np.frexp(np.abs(M).max())[1])
@@ -360,9 +386,10 @@ def _solve_block(M, width, alpha):
     best = A_ub[:, first].sum(axis=1).reshape(n, width).argmax(axis=1)
     basis = np.concatenate([cols + n + np.arange(rows), first])
     basis[np.arange(n) * width + best] = cols + np.arange(n)
-    x, pivots = simplex(np.concatenate([np.zeros(cols), alpha]), A_ub,
-                        np.zeros(rows), A_eq, np.ones(n), basis=basis)
-    return _normalize_rows(x[:cols].reshape(n, cols // n)), pivots
+    x, y, pivots = simplex(np.concatenate([np.zeros(cols), alpha]), A_ub,
+                           np.zeros(rows), A_eq, np.ones(n), basis=basis)
+    return (_normalize_rows(x[:cols].reshape(n, cols // n)),
+            _normalize_rows(-y[:rows].reshape(n, width)), pivots)
 
 
 def solve_lp(fg, alpha1=None, alpha2=None):
@@ -370,9 +397,11 @@ def solve_lp(fg, alpha1=None, alpha2=None):
 
     Valid whenever the bilinear payoff terms are constant over feasible
     profiles (constant-sum raw utilities, or verified multipliers); the
-    caller is responsible for running check_prop1 first.
+    caller is responsible for running check_prop1 first.  Then the game
+    is a minimax problem, and one LP solves both sides of it: player 1's
+    block gives t from its primal and s from its duals (_solve_block).
     """
-    n, L, H = fg.n, fg.L, fg.H
+    n, L = fg.n, fg.L
     if alpha1 is None or alpha2 is None:
         alpha1, alpha2 = default_alphas(fg)
     alpha1 = np.asarray(alpha1, dtype=float)
@@ -387,8 +416,7 @@ def solve_lp(fg, alpha1=None, alpha2=None):
     # checks in simplex and below turn that into NonFinite
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            t, pivots1 = _solve_block(fg.M1, L, alpha1)
-            s, pivots2 = _solve_block(fg.M2, H, alpha2)
+            t, s, pivots = _solve_block(fg.M1, L, alpha1)
         except np.linalg.LinAlgError as exc:
             raise SimplexStall(f"singular basis matrix: {exc}") from exc
         profile = BehavioralProfile(s, t)
@@ -401,7 +429,7 @@ def solve_lp(fg, alpha1=None, alpha2=None):
         finite_gap1=gap1,
         finite_gap2=gap2,
         backend="lp",
-        iterations=pivots1 + pivots2,
+        iterations=pivots,
         objective=objective,
     )
 

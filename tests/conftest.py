@@ -499,8 +499,9 @@ def oracle_simplex(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *,
     from the start basis (basis[r] is the column basic in row r; the
     columns are x, then one slack per row of A_ub).
 
-    Returns (x, pivots).  Raises Infeasible / UnboundedObjective /
-    SimplexStall / NonFinite.
+    Returns (x, y, pivots), y = c_B B^-1 the row duals of the final basis
+    matrix B.  Raises Infeasible / UnboundedObjective / SimplexStall /
+    NonFinite.
     """
     c = np.asarray(c, dtype=float)
     nvar = c.size
@@ -529,7 +530,7 @@ def oracle_simplex(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *,
 
     basis = [int(col) for col in basis]
     T = np.zeros((m + 1, nvar + nslack + 1))
-    if not _rebuild(T, A, b, cost, basis):
+    if len(set(basis)) < m or not _rebuild(T, A, b, cost, basis):
         raise SimplexStall("singular start basis")
     for r in range(m):
         if T[r, -1] < -_TOL:
@@ -537,15 +538,19 @@ def oracle_simplex(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *,
                              f"{basis[r]}, basic in row {r}, is {T[r, -1]}")
     pivots = _run_phase(T, basis, A, b, cost)
 
-    # final refactorization for a drift-free basic solution
-    xb = np.linalg.solve(A[:, basis], b)
+    # final refactorization for a drift-free basic solution and its duals
+    B = A[:, basis]
+    xb = np.linalg.solve(B, b)
     if not np.isfinite(xb).all():
         raise NonFinite("the simplex solution is not finite")
+    y = np.linalg.solve(B.T, cost[basis])
+    if not np.isfinite(y).all():
+        raise NonFinite("the simplex duals are not finite")
     x = np.zeros(nvar)
     for i in range(m):
         if basis[i] < nvar:
             x[basis[i]] = xb[i]
-    return x, pivots
+    return x, y, pivots
 
 
 def oracle_solve_fp(fg, max_iters=2000, target_gap=1e-6,

@@ -27,6 +27,7 @@ from bnecert.errors import (
 )
 from bnecert.solver import (
     _FP_BLOCK,
+    _solve_block,
     action_values,
     check_prop1,
     ck_objective,
@@ -246,17 +247,17 @@ def test_prop1_violation():
 # simplex core
 
 def test_simplex_bounded_ub():
-    x, _ = simplex(np.array([-1.0, 0.0]),
-                   A_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[3.0, 1.0],
-                   basis=[2, 3])
+    x, _, _ = simplex(np.array([-1.0, 0.0]),
+                      A_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[3.0, 1.0],
+                      basis=[2, 3])
     assert x[0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_simplex_equality():
     # min x + y s.t. x + y = 2, x - y = 0
-    x, _ = simplex(np.array([1.0, 1.0]),
-                   A_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[2.0, 0.0],
-                   basis=[0, 1])
+    x, _, _ = simplex(np.array([1.0, 1.0]),
+                      A_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[2.0, 0.0],
+                      basis=[0, 1])
     assert x == pytest.approx([1.0, 1.0], abs=1e-10)
 
 
@@ -271,33 +272,50 @@ def test_simplex_unbounded():
                 basis=[2])
 
 
-def _slack_lp(monkeypatch, fg, alpha1=None, alpha2=None):
-    """The LP of each simplex call solve_lp makes, player 1's block then
-    player 2's: (c, A_ub, b_ub, A_eq, b_eq, start basis).  Each call
-    returns the uniform rows, so that solve_lp runs to its end and every
-    call is seen."""
+def _captured_lps(monkeypatch, call):
+    """The LP of each simplex call that call() makes: (c, A_ub, b_ub,
+    A_eq, b_eq, start basis).  Each simplex call returns the uniform rows
+    and zero duals, so that call() runs to its end and every call is
+    seen."""
     calls = []
 
     def capture(*args, basis):
         calls.append((*args, basis))
-        _, _, _, A_eq, b_eq = args
-        return A_eq.T @ (b_eq / A_eq.sum(axis=1)), 0
+        _, A_ub, _, A_eq, b_eq = args
+        return (A_eq.T @ (b_eq / A_eq.sum(axis=1)),
+                np.zeros(len(A_ub) + len(A_eq)), 0)
 
     with monkeypatch.context() as patch:
         patch.setattr("bnecert.solver.simplex", capture)
-        solve_lp(fg, alpha1, alpha2)
-    assert len(calls) == 2
+        call()
     return calls
 
 
+def _slack_lp(monkeypatch, fg, alpha1=None, alpha2=None):
+    """The LP of solve_lp's one simplex call, player 1's block."""
+    calls = _captured_lps(monkeypatch, lambda: solve_lp(fg, alpha1, alpha2))
+    assert len(calls) == 1
+    return calls[0]
+
+
+def _player2_block(fg, alpha2):
+    """Player 2's block of the slack LP, built entry by entry.  solve_lp
+    reads player 1's strategy from the duals of player 1's block instead
+    of solving this one, but the simplex must solve it as well."""
+    n = fg.n
+    A_ub, A_eq, basis = _loop_built_block(fg, 2)
+    return (np.concatenate([np.zeros(n * fg.L), alpha2]), A_ub,
+            np.zeros(n * fg.H), A_eq, np.ones(n), np.array(basis))
+
+
 def _simplex_outcome(solver, lp):
-    """(x bytes, pivots), or the exception's type and message."""
+    """(x bytes, y bytes, pivots), or the exception's type and message."""
     *data, basis = lp
     try:
-        x, pivots = solver(*data, basis=basis)
+        x, y, pivots = solver(*data, basis=basis)
     except (BnecertError, np.linalg.LinAlgError) as exc:
         return type(exc), str(exc)
-    return x.tobytes(), pivots
+    return x.tobytes(), y.tobytes(), pivots
 
 
 def _random_lp(rng):
@@ -341,6 +359,29 @@ def test_simplex_takes_the_oracle_pivots_on_2000_random_lps():
     assert outcomes[SimplexStall] > 100
 
 
+def test_simplex_duals_are_optimal_on_the_random_lps():
+    """On the optimal LPs of the 2000, b @ y = c @ x (strong duality) and
+    no reduced cost c - A^T y, slack columns included, is below -1e-9."""
+    rng = np.random.default_rng(2024)
+    optimal = 0
+    for _ in range(2000):
+        c, A_ub, b_ub, A_eq, b_eq, basis = _random_lp(rng)
+        try:
+            x, y, _ = simplex(c, A_ub, b_ub, A_eq, b_eq, basis=basis)
+        except (BnecertError, np.linalg.LinAlgError):
+            continue
+        m_ub = len(A_ub)
+        if A_eq is None:
+            A_eq, b_eq = np.zeros((0, c.size)), np.zeros(0)
+        A = np.block([[A_ub, np.eye(m_ub)],
+                      [A_eq, np.zeros((len(A_eq), m_ub))]])
+        reduced = np.concatenate([c, np.zeros(m_ub)]) - A.T @ y
+        assert abs(np.concatenate([b_ub, b_eq]) @ y - c @ x) <= 1e-9
+        assert reduced.min(initial=0.0) >= -1e-9
+        optimal += 1
+    assert optimal > 1000
+
+
 @pytest.mark.parametrize("path", DEMO_SPECS, ids=[p.stem for p in DEMO_SPECS])
 def test_simplex_takes_the_oracle_pivots_on_demo_slack_lps(path,
                                                           monkeypatch):
@@ -348,7 +389,9 @@ def test_simplex_takes_the_oracle_pivots_on_demo_slack_lps(path,
     prop1 = check_prop1(g)
     for n in range(1, 13):
         fg = bc.build_finite(g, n)
-        for lp in _slack_lp(monkeypatch, fg, *default_alphas(fg, g, prop1)):
+        alpha1, alpha2 = default_alphas(fg, g, prop1)
+        for lp in (_slack_lp(monkeypatch, fg, alpha1, alpha2),
+                   _player2_block(fg, alpha2)):
             got = _simplex_outcome(simplex, lp)
             assert got == _simplex_outcome(oracle_simplex, lp)
 
@@ -360,48 +403,29 @@ def test_simplex_takes_the_oracle_pivots_at_bench_sizes(path, monkeypatch):
     prop1 = check_prop1(g)
     for n in (40, 48, 56):
         fg = bc.build_finite(g, n)
-        for lp in _slack_lp(monkeypatch, fg, *default_alphas(fg, g, prop1)):
+        alpha1, alpha2 = default_alphas(fg, g, prop1)
+        for lp in (_slack_lp(monkeypatch, fg, alpha1, alpha2),
+                   _player2_block(fg, alpha2)):
             got = _simplex_outcome(simplex, lp)
             assert got == _simplex_outcome(oracle_simplex, lp)
 
 
-def _block_diag(a, b):
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
-    out[:a.shape[0], :a.shape[1]] = a
-    out[a.shape[0]:, a.shape[1]:] = b
-    return out
-
-
 @pytest.mark.parametrize("path", DEMO_SPECS, ids=[p.stem for p in DEMO_SPECS])
-def test_joint_slack_lp_optimum_is_the_sum_of_the_block_optima(path,
-                                                               monkeypatch):
-    """The joint LP over (sigma2, z1, sigma1, z2) with both players' rows
-    shares no variable between the blocks, so its optimum is their sum.
-    It starts from the two blocks' start bases, the second offset."""
+def test_the_duals_of_player_1s_block_solve_player_2s_block(path):
+    """Player 2's block minimizes alpha2 @ z2 subject to z2[j] >= each of
+    type j's rows of its scaled, shifted M2 / n @ sigma1.  At solve_lp's
+    s, read from the duals of player 1's block, that objective is the
+    optimum the oracle reaches on player 2's block."""
     g = bc.load_game_file(path)
     prop1 = check_prop1(g)
     for n in range(1, 7):
         fg = bc.build_finite(g, n)
-        blocks = _slack_lp(monkeypatch, fg, *default_alphas(fg, g, prop1))
-        parts = [lp[0] @ oracle_simplex(*lp[:5], basis=lp[5])[0]
-                 for lp in blocks]
-        (c1, ub1, bu1, eq1, be1, basis1), (c2, ub2, bu2, eq2, be2,
-                                           basis2) = blocks
-        # joint columns: x1, x2, then the slacks of ub1 and of ub2; joint
-        # rows: ub1, ub2, eq1, eq2
-        nvar1, nvar2, rows1, rows2 = c1.size, c2.size, len(ub1), len(ub2)
-        slack1 = nvar1 + nvar2
-        col1 = np.where(basis1 < nvar1, basis1, basis1 + nvar2)
-        col2 = np.where(basis2 < nvar2, basis2 + nvar1,
-                        basis2 - nvar2 + slack1 + rows1)
-        basis = np.concatenate([col1[:rows1], col2[:rows2], col1[rows1:],
-                                col2[rows2:]])
-        c = np.concatenate([c1, c2])
-        x, _ = oracle_simplex(c, _block_diag(ub1, ub2),
-                              np.concatenate([bu1, bu2]),
-                              _block_diag(eq1, eq2),
-                              np.concatenate([be1, be2]), basis=basis)
-        assert abs(c @ x - sum(parts)) <= 1e-9
+        alpha1, alpha2 = default_alphas(fg, g, prop1)
+        s = solve_lp(fg, alpha1, alpha2).profile.s
+        c, A_ub, b_ub, A_eq, b_eq, basis = _player2_block(fg, alpha2)
+        x, _, _ = oracle_simplex(c, A_ub, b_ub, A_eq, b_eq, basis=basis)
+        z2 = (A_ub[:, :n * fg.L] @ s.ravel()).reshape(n, fg.H).max(axis=1)
+        assert abs(alpha2 @ z2 - c @ x) <= 1e-9, n
 
 
 @pytest.mark.parametrize("path", DEMO_SPECS, ids=[p.stem for p in DEMO_SPECS])
@@ -420,16 +444,23 @@ def test_lp_solves_the_demo_specs_at_every_level_to_64(path):
     prop1 = check_prop1(g)
     for n in range(1, 65):
         fg = bc.build_finite(g, n)
-        res = solve_lp(fg, *default_alphas(fg, g, prop1))
+        alpha1, alpha2 = default_alphas(fg, g, prop1)
+        res = solve_lp(fg, alpha1, alpha2)
         assert max(res.finite_gap1, res.finite_gap2) <= 1e-8, n
+        # s, from player 1's duals, is the primal of player 2's block
+        s = _solve_block(fg.M2, fg.H, alpha2)[0]
+        assert np.abs(res.profile.s - s).max() <= 1e-12, n
 
 
 def test_lp_solves_generated_3x3_constant_sum_games():
     for seed in range(1, 8):
         g = generated_constant_sum_game(seed, 3, 3)
         for n in range(8, 13):
-            res = solve_lp(bc.build_finite(g, n))
+            fg = bc.build_finite(g, n)
+            res = solve_lp(fg)
             assert max(res.finite_gap1, res.finite_gap2) <= 1e-8, (seed, n)
+            s = _solve_block(fg.M2, fg.H, np.full(n, 1.0 / n))[0]
+            assert np.abs(res.profile.s - s).max() <= 1e-12, (seed, n)
 
 
 @pytest.mark.parametrize("size", [2, 3])
@@ -459,6 +490,35 @@ def test_lp_solves_level_games_with_negative_payoffs(zero_sum_match, c):
         assert max(res.finite_gap1, res.finite_gap2) <= 1e-8, n
 
 
+def test_lp_gives_action_0_to_a_type_whose_duals_sum_to_0(monkeypatch):
+    """Type 0 of player 1 gets the minimum payoff, 0, whatever it plays,
+    so its duals add nothing to the dual objective of player 1's block,
+    and zeroing them leaves another optimal dual, with which type 0 plays
+    action 0.  With the simplex's duals and with the zeroed ones, each
+    row sums to 1 and the profile is an equilibrium."""
+    n, L, H = 3, 2, 3
+    U = np.round(np.random.default_rng(5).random((L, H, n, n)), 1)
+    U[:, :, 0, :] = 0.0
+    fg = FiniteGame(n, ("x1", "x2"), ("y1", "y2", "y3"), U, -U)
+    real_simplex = simplex
+
+    def zeroed(*args, basis):
+        x, y, pivots = real_simplex(*args, basis=basis)
+        y[:L] = 0.0  # type 0's rows of M1
+        return x, y, pivots
+
+    for patched in (False, True):
+        with monkeypatch.context() as patch:
+            if patched:
+                patch.setattr("bnecert.solver.simplex", zeroed)
+            res = solve_lp(fg)
+        for rows in (res.profile.s, res.profile.t):
+            assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12
+        assert max(res.finite_gap1, res.finite_gap2) <= 1e-8
+        if patched:
+            assert res.profile.s[0].tolist() == [1.0, 0.0]
+
+
 @pytest.mark.parametrize("solver", [simplex, oracle_simplex],
                          ids=["simplex", "oracle"])
 def test_a_singular_start_basis_stalls_before_any_pivot(solver,
@@ -470,6 +530,11 @@ def test_a_singular_start_basis_stalls_before_any_pivot(solver,
         # x and y basic in the rows of x + y = 2 and 2x + 2y = 4
         solver(np.array([1.0, -1.0]), A_eq=[[1.0, 1.0], [2.0, 2.0]],
                b_eq=[2.0, 4.0], basis=[0, 1])
+    with pytest.raises(SimplexStall, match="^singular start basis$"):
+        # x basic in both rows: LU's rounding leaves this basis matrix a
+        # nonzero last pivot, but not that of its transpose
+        solver(np.array([0.42]), A_eq=[[0.31], [-1.99]], b_eq=[0.0, 0.0],
+               basis=[0, 0])
     assert pivots == []
 
 
@@ -573,10 +638,14 @@ def test_lp_rejects_alphas_not_finite_or_not_one_per_type(zero_sum_match):
 
 def test_lp_overflow_is_a_nonfinite_error(zero_sum_match):
     """Overflow in the LP is a typed error, not a RuntimeWarning: alphas
-    near the float limit overflow the simplex's cost row, and payoffs
-    near it the action values of the finite gaps."""
-    fg = bc.build_finite(zero_sum_match, 4)
+    near the float limit overflow the simplex's cost row or its duals,
+    and payoffs near it the action values of the finite gaps.  Duals
+    that are not finite are caught before they reach a profile."""
+    fg = bc.build_finite(zero_sum_match, 8)
     with pytest.raises(NonFinite, match="^the simplex tableau is not "):
+        solve_lp(fg, np.full(8, 1.7e308), np.full(8, 1.7e308))
+    fg = bc.build_finite(zero_sum_match, 4)
+    with pytest.raises(NonFinite, match="^the simplex duals are not "):
         solve_lp(fg, np.full(4, 1e308), np.full(4, 1e308))
     fg = bc.build_finite(generated_constant_sum_game(1, 2, 2, "5e+307"), 8)
     with pytest.raises(NonFinite, match="^the LP profile's finite gaps "):
@@ -641,7 +710,9 @@ def test_lp_constraints_byte_identical_to_loop_build(monkeypatch):
     V[0, 1, :, 3] = -0.0  # the sign of zero must reach the LP as well
     fg = FiniteGame(n, ("x1", "x2", "x3"), ("y1", "y2"), U, V)
     alpha1, alpha2 = rng.random(n) + 0.5, rng.random(n) + 0.5
-    blocks = _slack_lp(monkeypatch, fg, alpha1, alpha2)
+    blocks = [_slack_lp(monkeypatch, fg, alpha1, alpha2),
+              *_captured_lps(monkeypatch,
+                             lambda: _solve_block(fg.M2, H, alpha2))]
     for player, own, opp, alpha, (c, A_ub, b_ub, A_eq, b_eq, basis) in (
             (1, L, H, alpha1, blocks[0]), (2, H, L, alpha2, blocks[1])):
         want_ub, want_eq, want_basis = _loop_built_block(fg, player)
