@@ -24,7 +24,9 @@ Two backends:
                    gaps take a few array calls in all, its steps up to the
                    first changed best response are kept, and every iterate
                    is bit-equal to action_values, _regret and the
-                   averaging step taken one iteration at a time.
+                   averaging step taken one iteration at a time.  Each
+                   iterate is also purified (per-type argmax), and fp
+                   stops at the first pure profile within the target gap.
 
 All payoffs here are prior-assimilated, so the finite game carries a
 uniform 1/n^2 prior and a uniform 1/n conditional.
@@ -441,6 +443,22 @@ def solve_lp(fg, alpha1=None, alpha2=None):
 _FP_BLOCK = 64
 
 
+def _pure_hit(fg, choice, target_gap):
+    """The pure profile that plays the agent-form actions choice ([player
+    1 | player 2], one per type) and its finite gaps, if both are finite
+    and at most target_gap; otherwise None."""
+    n, L = fg.n, fg.L
+    pure = np.zeros(n * (L + fg.H))
+    pure[choice] = 1.0
+    profile = BehavioralProfile(pure[:n * L].reshape(n, L),
+                                pure[n * L:].reshape(n, fg.H))
+    gap1, gap2 = finite_gap(fg, profile)
+    if (math.isfinite(gap1) and math.isfinite(gap2)
+            and gap1 <= target_gap and gap2 <= target_gap):
+        return profile, gap1, gap2
+    return None
+
+
 def solve_fp(fg, max_iters=2000, target_gap=1e-6):
     """Agent-form fictitious play with uniform averaging.
 
@@ -467,9 +485,19 @@ def solve_fp(fg, max_iters=2000, target_gap=1e-6):
     numpy's pairwise sum on each row exactly as a 1-D reduce of that row
     does.
 
-    Raises NoConvergence (carrying the best iterate) if the target gap is
-    not reached within max_iters iterations, and NonFinite if a gap is
-    not finite (action values that overflow).
+    After each iterate's gap check, fp purifies it: each type plays its
+    largest entry, a tie going to the lowest index.  If both finite gaps
+    of that pure profile are finite and at most target_gap, fp returns
+    it, with iterations the iteration it purified.  A block purifies its
+    exact steps with one argmax per player and takes finite_gap only of
+    a purified profile that differs from the last one taken, so a run
+    that never hits pays two np.vecdot per distinct purified profile and
+    returns the bits of plain fictitious play.
+
+    Raises NoConvergence (carrying the best iterate) if neither an
+    iterate nor its purification reaches the target gap within max_iters
+    iterations, and NonFinite if an iterate's gap is not finite (action
+    values that overflow).
     """
     check_count("max_iters", max_iters)
     n, L, H = fg.n, fg.L, fg.H
@@ -481,6 +509,7 @@ def solve_fp(fg, max_iters=2000, target_gap=1e-6):
     step_rows = list(rows)  # a view of each step's rows, made once
     pure, d = np.zeros(N), np.empty(N)
     pick = np.empty((_FP_BLOCK, 2 * n), dtype=np.intp)
+    purified = np.full((_FP_BLOCK + 1, 2 * n), -1, dtype=np.intp)
     aim = np.full(2 * n, -1, dtype=np.intp)  # nothing before iteration 1
     offsets = np.concatenate([np.arange(n) * L, N1 + np.arange(n) * H])
     starts = np.arange(_FP_BLOCK)[:, None] * N  # each step's offset in q
@@ -521,9 +550,15 @@ def solve_fp(fg, max_iters=2000, target_gap=1e-6):
             off = np.flatnonzero((pick[:size] != aim).any(axis=1))
             last = int(off[0]) if off.size else size - 1  # last exact step
             stop = k + last == max_iters
+            # each exact step purified; row 0 holds the last one checked
+            rows[:last + 1, :N1].reshape(last + 1, n, L).argmax(
+                axis=2, out=purified[1:last + 2, :n])
+            rows[:last + 1, N1:].reshape(last + 1, n, H).argmax(
+                axis=2, out=purified[1:last + 2, n:])
+            fresh = (purified[1:last + 2] != purified[:last + 1]).any(axis=1)
             kept = None
-            for j, gap1, gap2 in zip(range(last + 1), gaps1.tolist(),
-                                     gaps2.tolist()):
+            for j, gap1, gap2, new in zip(range(last + 1), gaps1.tolist(),
+                                          gaps2.tolist(), fresh.tolist()):
                 if not (math.isfinite(gap1) and math.isfinite(gap2)):
                     raise NonFinite("fictitious play gap is not finite at "
                                     f"iteration {k + j}")
@@ -533,6 +568,11 @@ def solve_fp(fg, max_iters=2000, target_gap=1e-6):
                 if worst <= target_gap:
                     stop = True
                     break
+                if new:
+                    hit = _pure_hit(fg, purified[j + 1] + offsets, target_gap)
+                    if hit is not None:
+                        profile, gap1, gap2 = hit
+                        return SolverResult(profile, gap1, gap2, "fp", k + j)
             if kept is not None:
                 j, gap1, gap2 = kept
                 best = (rows[j].copy(), gap1, gap2, k + j)
@@ -546,6 +586,7 @@ def solve_fp(fg, max_iters=2000, target_gap=1e-6):
             else:
                 size = min(_FP_BLOCK, 2 * size)
             advance(step_rows[last], step_rows[0], k + last)
+            purified[0] = purified[last + 1]
             k += last + 1
     best_rows, gap1, gap2, k = best
     profile = BehavioralProfile(best_rows[:N1].reshape(n, L),

@@ -211,8 +211,9 @@ def threshold_step_regret(k, m, profile):
 
 def riemann_step_regret(g, profile, points=(1000, 200)):
     """Each player's ex-ante regret of the step profile (types in
-    ((i-1)/n, i/n] play row i) in the continuous game g under a uniform
-    prior, by midpoint sums over an own-type by opponent-type grid.
+    ((i-1)/n, i/n] play row i) in the continuous game g, by midpoint sums
+    over an own-type by opponent-type grid weighted by the normalized
+    prior, prior / prior_norm.
 
     Uses the raw utilities, so the nonnegativity shift cancels.  Each
     count is rounded up to a multiple of n, so no midpoint sits on a
@@ -227,12 +228,15 @@ def riemann_step_regret(g, profile, points=(1000, 200)):
         if player == 1:  # u is (x, y, own, opp)
             u, = g.tables(own_t[:, None], opp_t[None, :], (1,),
                           assimilated=False)
+            prior = g.prior(own_t[:, None], opp_t[None, :])
         else:
             u, = g.tables(opp_t[None, :], own_t[:, None], (2,),
                           assimilated=False)
             u = u.transpose(1, 0, 2, 3)
+            prior = g.prior(opp_t[None, :], own_t[:, None])
         opp_rows = opp[np.floor(opp_t * n).astype(int)]  # (opp, b)
-        values = np.einsum("abpq,qb->ap", u, opp_rows) / sizes[1]
+        values = np.einsum("abpq,pq,qb->ap", u, np.broadcast_to(
+            prior, u.shape[2:]), opp_rows) / sizes[1]
         own_rows = own[np.floor(own_t * n).astype(int)]  # (own, a)
         regrets.append(float(values.max(axis=0).mean()
                              - (own_rows.T * values).sum(axis=0).mean()))
@@ -554,8 +558,14 @@ def oracle_simplex(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *,
 
 
 def oracle_solve_fp(fg, max_iters=2000, target_gap=1e-6,
-                    values=action_values):
+                    values=action_values, purify=True):
     """Agent-form fictitious play with uniform averaging.
+
+    After each iterate's gap check, the iterate is purified (each type
+    plays its largest entry, ties to the lowest index), and a pure
+    profile whose two gaps are finite and at most target_gap is returned
+    at that iteration.  purify=False skips that check and gives plain
+    fictitious play.
 
     Raises NoConvergence (carrying the best iterate) if the target gap is
     not reached within max_iters iterations, and NonFinite if a gap is not
@@ -581,6 +591,13 @@ def oracle_solve_fp(fg, max_iters=2000, target_gap=1e-6,
             best = SolverResult(profile, gap1, gap2, "fp", k)
         if worst <= target_gap:
             return best
+        if purify:
+            pure = BehavioralProfile(_pure_rows(s.argmax(axis=1), L),
+                                     _pure_rows(t.argmax(axis=1), H))
+            gap1, gap2 = oracle_finite_gap(fg, pure, values)
+            if (math.isfinite(gap1) and math.isfinite(gap2)
+                    and gap1 <= target_gap and gap2 <= target_gap):
+                return SolverResult(pure, gap1, gap2, "fp", k)
         br1, _ = oracle_finite_best_response(fg, 1, t, values)
         br2, _ = oracle_finite_best_response(fg, 2, s, values)
         s += (br1 - s) / (k + 1.0)

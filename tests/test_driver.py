@@ -277,10 +277,12 @@ def test_run_records_simplex_failure_against_its_level(monkeypatch):
 def test_run_records_fp_overflow_against_its_level():
     # player 1's first action earns 2.9e307 against anything: summed over
     # the n opponent types, its action values overflow from n = 7 on, while
-    # the quadrature in certify (at most 6x the payoff) stays finite
+    # the quadrature in certify (at most 6x the payoff) stays finite.
+    # Player 2's y1 pays 1/2 - theta2: its certificate gap is 0.0625 or
+    # more at levels 1, 2 and 4, so no level certifies and ends the run
     g = make_game([["2.9e307", "2.9e307"], ["0", "0"]],
-                  [["theta2", "0"], ["0", "1"]])
-    report = bc.run(g, bc.RunConfig(epsilon=1e300, max_level=16,
+                  [["0.5 - theta2", "0"], ["0", "1"]])
+    report = bc.run(g, bc.RunConfig(epsilon=1e-3, max_level=16,
                                     schedule="doubling"))
     assert report.status == "exhausted"
     errors = {r["n"]: r["error"] for r in report.levels}
@@ -311,12 +313,14 @@ def test_run_records_lp_overflow_against_its_level():
 
 
 def test_run_records_quadrature_overflow_against_its_level():
-    # player 1's x1 earns 4e307 against y1, which player 2 plays above
-    # theta2 = 0.7: at level 1 every type plays y1 and certify's Simpson
-    # sums (6x the payoff) overflow; from level 2 on half the types do
-    g = make_game([["4e307", "0"], ["0", "0"]],
-                  [["theta2 - 0.7", "0"], ["theta2 - 0.7", "0"]])
-    report = bc.run(g, bc.RunConfig(epsilon=1e300, max_level=4,
+    # player 1's x1 earns 4e307 against y2, which player 2 plays above
+    # theta2 = 0.7: at level 1 every type plays y2 and certify's Simpson
+    # sums (6x the payoff) overflow; from level 2 on half the types do.
+    # Below 0.7 player 2's y1 pays 0.7 - theta2: its certificate gap is
+    # 0.08 or more at levels 2 and 4, so neither certifies and ends the run
+    g = make_game([["0", "4e307"], ["0", "0"]],
+                  [["0.7 - theta2", "0"], ["0.7 - theta2", "0"]])
+    report = bc.run(g, bc.RunConfig(epsilon=1e-3, max_level=4,
                                     schedule="doubling"))
     errors = {r["n"]: r["error"] for r in report.levels}
     assert errors == {

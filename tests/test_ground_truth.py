@@ -12,6 +12,7 @@ from bnecert.driver import certify_level
 from bnecert.errors import NoConvergence
 
 from conftest import (
+    _bench_games,
     random_profile,
     riemann_step_regret,
     threshold_bne,
@@ -33,6 +34,36 @@ def test_closed_form_step_regret_agrees_with_a_riemann_sum(k, m, n, seed):
     # the only error left is the kink of the best deviation: O(1/1000^2)
     assert np.allclose(exact, riemann, rtol=0.0, atol=1e-6)
     assert min(exact) >= -1e-15
+
+
+def test_riemann_step_regret_weights_by_the_prior():
+    """Regret under (u, v, prior p) equals regret under (u p / Z, v p / Z,
+    prior 1), Z the integral of p, up to rounding; and the prior moves
+    it."""
+    spec = _bench_games().game_spec(17, 1, "general_sum", 2, 3)
+    prior, norm = "1 + 2*theta1 + 0.5*theta2", 2.25
+
+    def game(table_scale, game_prior):
+        doc = dict(spec, prior=game_prior)
+        for name in ("u", "v"):
+            doc[name] = [[f"({e}){table_scale}" for e in row]
+                         for row in spec[name]]
+        return bc.load_game(bc.GameSpec.from_dict(doc))
+
+    weighted = game("", prior)
+    folded = game(f"*({prior})/{norm!r}", "1")
+    uniform = game("", "1")
+    rng = np.random.default_rng(79)
+    moved = 0.0
+    for n in (1, 3, 8):
+        for _ in range(3):
+            profile = random_profile(rng, n, 2, 3)
+            regret = riemann_step_regret(weighted, profile)
+            assert np.allclose(regret, riemann_step_regret(folded, profile),
+                               rtol=0.0, atol=1e-12)
+            moved = max(moved, *np.abs(np.subtract(
+                regret, riemann_step_regret(uniform, profile))))
+    assert moved > 1e-2
 
 
 def test_closed_form_step_regret_of_pure_profiles():

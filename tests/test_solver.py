@@ -771,14 +771,69 @@ def test_fp_raises_nonfinite_when_action_values_overflow():
         solve_fp(fg, max_iters=100, target_gap=1e-9)
 
 
+def _is_pure(profile):
+    return all(np.isin(rows, (0.0, 1.0)).all()
+               for rows in (profile.s, profile.t))
+
+
 def test_fp_no_convergence_carries_best():
-    rng = np.random.default_rng(0)
-    fg = bc.build_finite(random_poly_game(rng), 2)
+    # matching pennies with type-dependent stakes: no pure equilibrium,
+    # so no purified iterate ends the run early
+    g = make_game([["1 + theta1", "0"], ["0", "1"]],
+                  [["0", "1 + theta2"], ["1", "0"]])
+    fg = bc.build_finite(g, 2)
+    # enumeration tries every pure profile before any mixed one
+    assert not _is_pure(oracle_solve_enum(fg).profile)
     with pytest.raises(NoConvergence) as exc:
         solve_fp(fg, max_iters=30, target_gap=1e-9)
     best = exc.value.result
     assert best.backend == "fp"
     assert np.isfinite(best.finite_gap1) and np.isfinite(best.finite_gap2)
+
+
+def test_fp_hits_play_a_best_response_at_every_type():
+    """On small games with a pure equilibrium (enumeration tries every
+    pure profile before any mixed one), fp stops at a pure profile in
+    which each type's action attains its row maximum of the action
+    values."""
+    rng = np.random.default_rng(67)
+    hits = 0
+    for L, H in ((2, 2), (2, 3), (3, 3)):
+        for _ in range(6):
+            u, v = ([[random_poly(rng) for _ in range(H)] for _ in range(L)]
+                    for _ in range(2))
+            g = make_game(u, v)
+            for n in (1, 2, 3, 4):
+                fg = bc.build_finite(g, n)
+                try:
+                    if not _is_pure(oracle_solve_enum(fg).profile):
+                        continue
+                except EquilibriumNotFound:
+                    continue
+                res = solve_fp(fg, max_iters=300, target_gap=1e-12)
+                assert _is_pure(res.profile)
+                for player, own, opp in ((1, res.profile.s, res.profile.t),
+                                         (2, res.profile.t, res.profile.s)):
+                    q = action_values(fg, player, opp)
+                    assert np.all(q[own == 1.0] == q.max(axis=1))
+                hits += 1
+    assert hits >= 40
+
+
+def test_fp_purifies_a_tie_to_the_lowest_index():
+    """Actions 0 and 1 are copies that beat the rest, so at iteration 1
+    the uniform start ties them at every type: its purification plays
+    action 0 everywhere, an exact equilibrium."""
+    rng = np.random.default_rng(71)
+    for n in (1, 5, 40):
+        for L, H in ((3, 3), (4, 3)):
+            fg = _duplicated_actions_game(rng, n, L, H)
+            res = solve_fp(fg, max_iters=2000, target_gap=1e-12)
+            assert res.iterations == 1
+            assert np.all(res.profile.s[:, 0] == 1.0)
+            assert np.all(res.profile.t[:, 0] == 1.0)
+            assert (res.finite_gap1, res.finite_gap2) == finite_gap(
+                fg, res.profile)
 
 
 def _fp_outcome(solver, fg, target_gap, max_iters=300):
@@ -818,8 +873,11 @@ def test_fp_and_gaps_equal_the_oracle_bit_for_bit():
 
 def test_fp_equals_the_oracle_over_full_runs_at_bench_sizes():
     """The fused loop over 2000 iterations at the bench's level sizes:
-    1e-3 is reached mid-run, 1e-9 is missed after the full 2000."""
+    1e-3 is reached mid-run, by the mixed iterate or a purified one, and
+    1e-9 is hit by a purified iterate or missed after the full 2000, with
+    plain fictitious play's bits."""
     rng = np.random.default_rng(61)
+    kinds = collections.Counter()
     for L, H in ((2, 2), (2, 3), (3, 3)):
         u, v = ([[random_poly(rng) for _ in range(H)] for _ in range(L)]
                 for _ in range(2))
@@ -827,14 +885,16 @@ def test_fp_equals_the_oracle_over_full_runs_at_bench_sizes():
         for n in (8, 40, 56):
             fg = bc.build_finite(g, n)
             for target in (1e-3, 1e-9):
-                got = _fp_outcome(solve_fp, fg, target, max_iters=2000)
-                want = _fp_outcome(oracle_solve_fp, fg, target,
-                                   max_iters=2000)
-                assert got == want
+                got = _fp_bits(solve_fp, fg, target, 2000)
+                assert got == _fp_bits(oracle_solve_fp, fg, target, 2000)
+                kind = _check_against_plain_fp(fg, got, target, 2000)
+                kinds[kind, target] += 1
                 if target == 1e-3:
-                    assert got[0] and got[1] < 2000
+                    assert got[0] is True and got[1] < 2000
                 else:
-                    assert not got[0]
+                    assert kind != "mixed"
+    assert set(kinds) == {("pure", 1e-3), ("mixed", 1e-3), ("pure", 1e-9),
+                          ("missed", 1e-9)}
 
 
 def _duplicated_actions_game(rng, n, L, H):
@@ -940,6 +1000,29 @@ def _fp_bits(solver, fg, target_gap, max_iters):
     return (*out[:2], out[2].hex(), out[3].hex(), *out[4:])
 
 
+def _plain_fp(fg, **kw):
+    """Fictitious play without the purified check: the old trajectory."""
+    return oracle_solve_fp(fg, purify=False, **kw)
+
+
+def _check_against_plain_fp(fg, got, target_gap, max_iters):
+    """The kind of the _fp_bits outcome got, after checking it: "pure" for
+    a purified hit, which is pure, within target_gap and earlier than
+    plain fictitious play stops, if it does; otherwise plain fictitious
+    play's outcome, bit for bit: "mixed" when that reached target_gap,
+    "missed" when not, and "nonfinite" when it raised NonFinite."""
+    plain = _fp_bits(_plain_fp, fg, target_gap, max_iters)
+    if got == plain:
+        return {True: "mixed", False: "missed"}.get(got[0], "nonfinite")
+    assert got[0] is True and got[1] <= max_iters
+    assert max(float.fromhex(got[2]), float.fromhex(got[3])) <= target_gap
+    for rows in got[4:]:
+        assert np.isin(np.frombuffer(rows), (0.0, 1.0)).all()
+    if plain[0] is True:
+        assert got[1] < plain[1]
+    return "pure"
+
+
 @st.composite
 def fp_games(draw):
     """Random finite games: general-sum, constant-sum (whose fp runs are
@@ -976,21 +1059,24 @@ def fp_games(draw):
 @given(fg=fp_games(),
        max_iters=st.sampled_from([1, _FP_BLOCK - 1, _FP_BLOCK,
                                   _FP_BLOCK + 1, 2 * _FP_BLOCK + 1, 300]),
-       reach=st.one_of(st.none(), st.floats(0.0, 1.0)))
+       reach=st.one_of(st.none(), st.just("exact"), st.floats(0.0, 1.0)))
 def test_fp_equals_the_oracle_over_random_games(fg, max_iters, reach):
     """Blocks end where a best response changes, where the target is
-    reached and at max_iters; each must leave the oracle's trajectory.
-    reach=None misses the target; otherwise the target is the oracle's
-    best gap over the first reach * max_iters iterations, so the run stops
-    there or earlier."""
-    target = -1.0
-    if reach is not None:
+    reached and at max_iters; each must leave the oracle's trajectory,
+    and a purified iterate must hit where the oracle's does.
+    reach=None misses the target, and "exact" aims at a gap of 0;
+    otherwise the target is the oracle's best gap over the first reach *
+    max_iters iterations, so the run stops there or earlier.  A run that
+    no purified iterate ends gives plain fictitious play's bits."""
+    target = 0.0 if reach == "exact" else -1.0
+    if reach not in (None, "exact"):
         first = _fp_bits(oracle_solve_fp, fg, -1.0,
                          max(1, round(reach * max_iters)))
         if first[0] != "NonFinite":
             target = max(float.fromhex(first[2]), float.fromhex(first[3]))
-    assert (_fp_bits(solve_fp, fg, target, max_iters)
-            == _fp_bits(oracle_solve_fp, fg, target, max_iters))
+    got = _fp_bits(solve_fp, fg, target, max_iters)
+    assert got == _fp_bits(oracle_solve_fp, fg, target, max_iters)
+    _check_against_plain_fp(fg, got, target, max_iters)
 
 
 def _best_response_switches(fg, max_iters):
@@ -1026,6 +1112,8 @@ def test_fp_equals_the_oracle_where_best_responses_switch_in_blocks():
         got = _fp_bits(solve_fp, fg, target, 2000)
         assert got == _fp_bits(oracle_solve_fp, fg, target, 2000)
         assert got[0] == (target == 1e-3)
+        # no purified iterate hits
+        assert _check_against_plain_fp(fg, got, target, 2000) != "pure"
 
 
 @pytest.mark.parametrize("max_iters", [2.5, 2.0, True, "3", None])
