@@ -32,7 +32,7 @@ from .errors import (
     ZeroMarginal,
 )
 from .expr import Expr, Program
-from .quadrature import integrate2d, integrate_many
+from .quadrature import integrate, integrate_many
 
 SHIFT_MARGIN = 1e-9
 _BLOCK_POINTS = 3072  # validation grid points per program pass: 24 KiB a value
@@ -62,7 +62,8 @@ def _strings(x):
 
 def _finite_pair(x):
     return isinstance(x, _ARRAY) and len(x) == 2 and all(
-        isinstance(v, (int, float)) and math.isfinite(v) for v in x)
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        and math.isfinite(v) for v in x)
 
 
 def _parse(text, where):
@@ -352,8 +353,10 @@ def load_game(spec, grid_check=101):
             f"prior is negative at theta=({grid[idx[0]]}, {grid[idx[1]]})"
         )
 
-    # normalization constant over the unit square (Jacobian absorbed)
-    norm, _ = integrate2d(game.prior, 1e-9)
+    # normalization constant over the unit square (Jacobian absorbed): the
+    # marginal of player 1 to 1e-9 / 4, integrated to 1e-9 / 2
+    norm, _ = integrate(lambda t: marginal(game, 1, t, 2.5e-10), 0.0, 1.0,
+                        5e-10)
     if not (math.isfinite(norm) and norm > 0.0):
         raise ZeroMarginal(f"prior integrates to {norm}; must be positive")
 

@@ -107,15 +107,3 @@ def integrate(f, a, b, tol, presplit=(), max_panels=10 ** 6):
                                 max_panels)
     return float(value[0]), float(err[0])
 
-
-def integrate2d(f, tol):
-    """Integrate f(t1, t2) over the unit square to absolute accuracy ~tol;
-    f takes two 1-D arrays of the same length."""
-    inner_tol = tol / 4.0
-
-    def outer(t1):
-        return integrate_many(lambda t2, k: f(t1[k], t2), t1.size, 0.0, 1.0,
-                              inner_tol)[0]
-
-    value, err = integrate(outer, 0.0, 1.0, tol / 2.0)
-    return value, err + inner_tol

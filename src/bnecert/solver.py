@@ -10,6 +10,8 @@ Two backends:
                    so the dual of player 1's block is player 2's block,
                    and one LP gives both strategies: player 2's from its
                    primal, player 1's from the duals of its rows.  The
+                   block goes to the simplex in equality form, A x = b,
+                   x >= 0, with a slack column per payoff row.  The
                    block scales and shifts its payoffs to [0, 2), which
                    leaves the optimal sigma as it is and makes a crash
                    basis feasible, and a dense-tableau simplex runs one
@@ -171,24 +173,23 @@ def check_prop1(g):
     return Prop1Result(kind="none")
 
 
-def default_alphas(fg, g=None, prop1=None):
+def default_alphas(fg, g, prop1):
     """Per-type objective weights: marginal over multiplier when the
     multipliers are known, otherwise the uniform 1/n."""
     n = fg.n
-    grid = fg.grid
-    if prop1 is not None and prop1.kind == "user" and g is not None:
-        alphas = []
-        for player in (1, 2):
-            # check_prop1 saw the multiplier on its own grid only
-            m = g.multiplier(player, grid)
-            bad = np.flatnonzero(~((m > 0.0) & (m < np.inf)))
-            if bad.size:
-                raise Prop1Violation(f"m{player} is {m[bad[0]]} at the level-"
-                                     f"{n} type {grid[bad[0]]}; it must be "
-                                     f"positive and finite")
-            alphas.append((1.0 / n) / m)
-        return tuple(alphas)
-    return np.full(n, 1.0 / n), np.full(n, 1.0 / n)
+    if prop1.kind != "user":
+        return np.full(n, 1.0 / n), np.full(n, 1.0 / n)
+    alphas = []
+    for player in (1, 2):
+        # check_prop1 saw the multiplier on its own grid only
+        m = g.multiplier(player, fg.grid)
+        bad = np.flatnonzero(~((m > 0.0) & (m < np.inf)))
+        if bad.size:
+            raise Prop1Violation(f"m{player} is {m[bad[0]]} at the level-"
+                                 f"{n} type {fg.grid[bad[0]]}; it must be "
+                                 f"positive and finite")
+        alphas.append((1.0 / n) / m)
+    return tuple(alphas)
 
 
 # ---------------------------------------------------------------------------
@@ -241,46 +242,26 @@ def _rebuild(T, A, b, costvec, basis):
     return True
 
 
-def _constraint_block(A, b, nvar):
-    if A is None or not len(A):
-        return np.zeros((0, nvar)), np.zeros(0)
-    return np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+def simplex(c, A, b, *, basis):
+    """Minimize c @ x subject to A x = b, x >= 0, by Bland's rule from a
+    feasible start basis.
 
-
-def simplex(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, basis):
-    """Minimize c @ x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0,
-    by Bland's rule from a feasible start basis.
-
-    The columns are x, then one slack per row of A_ub; basis[r] is the
-    column basic in row r, the rows of A_ub first.  There is no phase 1:
-    a start whose basis matrix is singular raises SimplexStall, and one
+    basis[r] is the column of A basic in row r.  There is no phase 1: a
+    start whose basis matrix is singular raises SimplexStall, and one
     whose basic solution has an entry below -_TOL raises Infeasible, both
-    before any pivot.  Returns (x, y, pivots): y = c_B B^-1 are the row
-    duals of the final basis matrix B, solved from B as x_B is, so that
-    b @ y = c @ x and no reduced cost c - A^T y is below -_TOL, up to
-    rounding; the duals of A_ub's rows are <= 0.  Raises
-    UnboundedObjective, SimplexStall at the pivot cap, and NonFinite when
-    the tableau, x or y is not finite.
+    before any pivot.  Returns (x, y, pivots), x over every column of A:
+    y = c_B B^-1 are the row duals of the final basis matrix B, solved
+    from B as x_B is, so that b @ y = c @ x and no reduced cost c - A^T y
+    is below -_TOL, up to rounding.  Raises UnboundedObjective,
+    SimplexStall at the pivot cap or when the final B is singular, and
+    NonFinite when the tableau, x or y is not finite.
     """
-    c = np.asarray(c, dtype=float)
-    nvar = c.size
-    A_ub, b_ub = _constraint_block(A_ub, b_ub, nvar)
-    A_eq, b_eq = _constraint_block(A_eq, b_eq, nvar)
-    nslack = len(A_ub)
-    m = nslack + len(A_eq)
+    m = A.shape[0]
     basis = np.array(basis, dtype=np.intp)  # a copy: the pivots rewrite it
-    # [A_ub | I] over [A_eq | 0], and its cost
-    A = np.zeros((m, nvar + nslack))
-    A[:, :nvar] = np.vstack([A_ub, A_eq])
-    A[:nslack, nvar:] = np.eye(nslack)
-    b = np.concatenate([b_ub, b_eq])
-    cost = np.zeros(nvar + nslack)
-    cost[:nvar] = c
-
     # the tableau: every column and b, above the cost row
-    T = np.zeros((m + 1, nvar + nslack + 1))
+    T = np.zeros((m + 1, c.size + 1))
     # a repeated column is singular even where rounding hides it from LU
-    if len(set(basis.tolist())) < m or not _rebuild(T, A, b, cost, basis):
+    if len(set(basis.tolist())) < m or not _rebuild(T, A, b, c, basis):
         raise SimplexStall("singular start basis")
     low = np.flatnonzero(T[:m, -1] < -_TOL)
     if low.size:
@@ -308,7 +289,7 @@ def simplex(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, basis):
                 leave = r
         if leave < 0:
             # may be pivot drift; refactorize once and re-examine
-            if since_refactor > 0 and _rebuild(T, A, b, cost, basis):
+            if since_refactor > 0 and _rebuild(T, A, b, c, basis):
                 since_refactor = 0
                 continue
             raise UnboundedObjective(f"column {enter} is unbounded")
@@ -316,22 +297,24 @@ def simplex(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, basis):
         pivots += 1
         since_refactor += 1
         if since_refactor >= _REFACTOR_EVERY:
-            if _rebuild(T, A, b, cost, basis):
+            if _rebuild(T, A, b, c, basis):
                 since_refactor = 0
         if pivots > _MAX_PIVOTS:
             raise SimplexStall(f"pivot cap {_MAX_PIVOTS} reached")
 
     # final refactorization for a drift-free basic solution and its duals
     B = A[:, basis]
-    xb = np.linalg.solve(B, b)
-    if not np.isfinite(xb).all():
-        raise NonFinite("the simplex solution is not finite")
-    y = np.linalg.solve(B.T, cost[basis])
+    try:
+        xb = np.linalg.solve(B, b)
+        if not np.isfinite(xb).all():
+            raise NonFinite("the simplex solution is not finite")
+        y = np.linalg.solve(B.T, c[basis])
+    except np.linalg.LinAlgError as exc:
+        raise SimplexStall(f"singular basis matrix: {exc}") from exc
     if not np.isfinite(y).all():
         raise NonFinite("the simplex duals are not finite")
-    x = np.zeros(nvar)
-    own = basis < nvar
-    x[basis[own]] = xb[own]
+    x = np.zeros(c.size)
+    x[basis] = xb
     return x, y, pivots
 
 
@@ -349,11 +332,17 @@ def _normalize_rows(mat):
 
 
 def _solve_block(M, width, alpha):
-    """One player's block of the slack LP: minimize alpha @ z over the
-    opponent's rows sigma and z = -slack >= 0, subject to M / n @ sigma
-    <= z[type] on each own row type * width + action and each row of
-    sigma summing to 1.  Returns sigma's rows, the own rows and the pivot
-    count.
+    """One player's block of the slack LP, in the equality form that
+    simplex takes: minimize c @ x subject to A x = b, x >= 0, where x is
+    the opponent's rows sigma, then z = -slack, then one slack column per
+    row of M, and
+
+        A = [M / n | -E_z | I ; E_sigma | 0 | 0],  b = [0; 1],
+        c = [0; alpha; 0].
+
+    So M / n @ sigma <= z[type] on each own row type * width + action
+    (E_z picks the row's z), and each row of sigma sums to 1 (E_sigma
+    sums it).  Returns sigma's rows, the own rows and the pivot count.
 
     M is first scaled by a power of two (exact, barring underflow) to a
     largest magnitude in [1/2, 1), so that the simplex's absolute
@@ -377,19 +366,21 @@ def _solve_block(M, width, alpha):
     rows, cols = M.shape
     M = np.ldexp(M, -np.frexp(np.abs(M).max())[1])
     M = M - min(0.0, M.min())
-    # the -1 entries are set by index, since a negated identity would
+    # the +-1 entries are set by index, since a negated identity would
     # write -0.0 everywhere else
-    A_ub = np.zeros((rows, cols + n))
-    A_ub[:, :cols] = M / n
-    A_ub[np.arange(rows), cols + np.arange(rows) // width] = -1.0
-    A_eq = np.zeros((n, cols + n))
-    A_eq[np.arange(cols) // (cols // n), np.arange(cols)] = 1.0
+    A = np.zeros((rows + n, cols + n + rows))
+    A[:rows, :cols] = M / n
+    A[np.arange(rows), cols + np.arange(rows) // width] = -1.0
+    A[np.arange(rows), cols + n + np.arange(rows)] = 1.0
+    A[rows + np.arange(cols) // (cols // n), np.arange(cols)] = 1.0
     first = np.arange(0, cols, cols // n)  # each opponent type's action 0
-    best = A_ub[:, first].sum(axis=1).reshape(n, width).argmax(axis=1)
+    best = A[:rows, first].sum(axis=1).reshape(n, width).argmax(axis=1)
     basis = np.concatenate([cols + n + np.arange(rows), first])
     basis[np.arange(n) * width + best] = cols + np.arange(n)
-    x, y, pivots = simplex(np.concatenate([np.zeros(cols), alpha]), A_ub,
-                           np.zeros(rows), A_eq, np.ones(n), basis=basis)
+    b = np.concatenate([np.zeros(rows), np.ones(n)])
+    c = np.zeros(cols + n + rows)
+    c[cols:cols + n] = alpha
+    x, y, pivots = simplex(c, A, b, basis=basis)
     return (_normalize_rows(x[:cols].reshape(n, cols // n)),
             _normalize_rows(-y[:rows].reshape(n, width)), pivots)
 
@@ -405,7 +396,7 @@ def solve_lp(fg, alpha1=None, alpha2=None):
     """
     n, L = fg.n, fg.L
     if alpha1 is None or alpha2 is None:
-        alpha1, alpha2 = default_alphas(fg)
+        alpha1 = alpha2 = np.full(n, 1.0 / n)
     alpha1 = np.asarray(alpha1, dtype=float)
     alpha2 = np.asarray(alpha2, dtype=float)
     for name, alpha in (("alpha1", alpha1), ("alpha2", alpha2)):
@@ -417,10 +408,7 @@ def solve_lp(fg, alpha1=None, alpha2=None):
     # payoffs or alphas near the float limit overflow; the finiteness
     # checks in simplex and below turn that into NonFinite
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            t, s, pivots = _solve_block(fg.M1, L, alpha1)
-        except np.linalg.LinAlgError as exc:
-            raise SimplexStall(f"singular basis matrix: {exc}") from exc
+        t, s, pivots = _solve_block(fg.M1, L, alpha1)
         profile = BehavioralProfile(s, t)
         gap1, gap2 = finite_gap(fg, profile)
         objective = ck_objective(fg, profile, alpha1, alpha2)

@@ -497,63 +497,47 @@ def _run_phase(T, basis, A, b, costvec):
             raise SimplexStall(f"pivot cap {_MAX_PIVOTS} reached")
 
 
-def oracle_simplex(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *,
-                   basis):
-    """Minimize c @ x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0,
-    from the start basis (basis[r] is the column basic in row r; the
-    columns are x, then one slack per row of A_ub).
+# (c, A, b, basis) of an LP whose start basis matrix, columns x and
+# y = x / 4, LU factors with a rounded nonzero last pivot, but whose
+# transpose it does not: optimal before any pivot, it fails in the final
+# solve for the duals
+SINGULAR_DUALS_LP = (np.zeros(2), np.array([[-1.95, -0.4875], [2.18, 0.545]]),
+                     np.zeros(2), [0, 1])
 
-    Returns (x, y, pivots), y = c_B B^-1 the row duals of the final basis
-    matrix B.  Raises Infeasible / UnboundedObjective / SimplexStall /
-    NonFinite.
+
+def oracle_simplex(c, A, b, *, basis):
+    """Minimize c @ x subject to A x = b, x >= 0, from the start basis
+    (basis[r] is the column basic in row r).
+
+    Returns (x, y, pivots), x over every column and y = c_B B^-1 the row
+    duals of the final basis matrix B.  Raises Infeasible /
+    UnboundedObjective / SimplexStall / NonFinite.
     """
-    c = np.asarray(c, dtype=float)
-    nvar = c.size
-    rows = []
-    rhs = []
-    slack_rows = []
-    if A_ub is not None and len(A_ub):
-        for r, brow in zip(np.asarray(A_ub, dtype=float), b_ub):
-            rows.append(r)
-            rhs.append(float(brow))
-            slack_rows.append(len(rows) - 1)
-    if A_eq is not None and len(A_eq):
-        for r, brow in zip(np.asarray(A_eq, dtype=float), b_eq):
-            rows.append(r)
-            rhs.append(float(brow))
-    m = len(rows)
-    nslack = len(slack_rows)
-    A = np.zeros((m, nvar + nslack))
-    for i, r in enumerate(rows):
-        A[i, :nvar] = r
-    for k, i in enumerate(slack_rows):
-        A[i, nvar + k] = 1.0
-    b = np.array(rhs)
-    cost = np.zeros(nvar + nslack)
-    cost[:nvar] = c
-
+    m = len(A)
     basis = [int(col) for col in basis]
-    T = np.zeros((m + 1, nvar + nslack + 1))
-    if len(set(basis)) < m or not _rebuild(T, A, b, cost, basis):
+    T = np.zeros((m + 1, c.size + 1))
+    if len(set(basis)) < m or not _rebuild(T, A, b, c, basis):
         raise SimplexStall("singular start basis")
     for r in range(m):
         if T[r, -1] < -_TOL:
             raise Infeasible(f"the start basis is infeasible: column "
                              f"{basis[r]}, basic in row {r}, is {T[r, -1]}")
-    pivots = _run_phase(T, basis, A, b, cost)
+    pivots = _run_phase(T, basis, A, b, c)
 
     # final refactorization for a drift-free basic solution and its duals
     B = A[:, basis]
-    xb = np.linalg.solve(B, b)
-    if not np.isfinite(xb).all():
-        raise NonFinite("the simplex solution is not finite")
-    y = np.linalg.solve(B.T, cost[basis])
+    try:
+        xb = np.linalg.solve(B, b)
+        if not np.isfinite(xb).all():
+            raise NonFinite("the simplex solution is not finite")
+        y = np.linalg.solve(B.T, c[basis])
+    except np.linalg.LinAlgError as exc:
+        raise SimplexStall(f"singular basis matrix: {exc}") from exc
     if not np.isfinite(y).all():
         raise NonFinite("the simplex duals are not finite")
-    x = np.zeros(nvar)
+    x = np.zeros(c.size)
     for i in range(m):
-        if basis[i] < nvar:
-            x[basis[i]] = xb[i]
+        x[basis[i]] = xb[i]
     return x, y, pivots
 
 

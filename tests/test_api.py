@@ -149,3 +149,28 @@ def test_no_submodule_is_shadowed():
     for info in pkgutil.iter_modules(bnecert.__path__):
         module = importlib.import_module(f"bnecert.{info.name}")
         assert getattr(bnecert, info.name) is module, info.name
+
+
+def test_certificate_imports_only_the_trusted_core():
+    """certify is the part of the pipeline a reader must trust, so
+    certificate.py imports from the package only errors, expr, model and
+    quadrature: never a solver or the code that drives one.  import
+    bnecert itself would load all of them."""
+    path = ROOT / "src" / "bnecert" / "certificate.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "bnecert":
+                continue
+            inner = parts[1:] if node.level == 0 else parts
+            if inner and inner[0]:
+                imported.add(inner[0])  # from .model import ...
+            else:
+                imported.update(a.name for a in node.names)  # from . import
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names
+                            if a.name.split(".")[0] == "bnecert")
+    assert "quadrature" in imported  # the scan reads the imports
+    assert imported <= {"errors", "expr", "model", "quadrature"}
+    assert not imported & {"solver", "driver", "discretize", "cli"}

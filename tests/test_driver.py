@@ -20,6 +20,7 @@ from bnecert.discretize import StepStrategy
 from bnecert.driver import schedule_levels, sup_distance
 
 from conftest import (
+    SINGULAR_DUALS_LP,
     generated_constant_sum_game,
     make_game,
     random_poly_game,
@@ -261,7 +262,8 @@ def test_run_records_simplex_failure_against_its_level(monkeypatch):
     def singular_once(*args, **kwargs):
         calls.append(None)
         if len(calls) == 1:
-            raise np.linalg.LinAlgError("Singular matrix")
+            *data, basis = SINGULAR_DUALS_LP
+            return real_simplex(*data, basis=basis)
         return real_simplex(*args, **kwargs)
 
     monkeypatch.setattr("bnecert.solver.simplex", singular_once)

@@ -1,6 +1,7 @@
 """Game loading: validation, normalization, marginals, assimilation."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,18 @@ def test_uniform_prior_product_utility():
 def test_linear_prior_normalizes_to_one():
     g = make_game([["1"]], [["0"]], prior="theta1+theta2")
     assert g.prior_norm == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("prior, norm", [
+    # theta1*theta2 itself has a zero marginal at theta = 0
+    ("1 + theta1*theta2", 1.25),
+    # sum_k 1/((k+1) (k+1)!) -- series for the double integral of e^(xy)
+    ("exp(theta1*theta2)", sum(1.0 / ((k + 1) * math.factorial(k + 1))
+                               for k in range(25))),
+], ids=["one_plus_product", "exp_product"])
+def test_prior_norm_is_the_integral_over_the_unit_square(prior, norm):
+    g = make_game([["1"]], [["0"]], prior=prior)
+    assert abs(g.prior_norm - norm) <= 1e-8
 
 
 def test_negative_prior_rejected():
@@ -131,6 +144,8 @@ def test_spec_validation_errors():
             ({"type_range1": ["a", "b"]}, "type_range1"),
             ({"type_range2": [0.0, 1.0, 2.0]}, "type_range2"),
             ({"type_range1": [0.0, float("inf")]}, "type_range1"),
+            ({"type_range1": [False, True]}, "type_range1"),
+            ({"type_range2": [0, True]}, "type_range2"),
             ({"type_range2": 1.0}, "type_range2")):
         doc = {k: v for k, v in {**base, **change}.items() if v is not None}
         with pytest.raises(ValueError,

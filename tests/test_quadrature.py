@@ -7,7 +7,7 @@ import pytest
 
 from bnecert import parse
 from bnecert.errors import NonFinite, QuadratureFailure
-from bnecert.quadrature import integrate, integrate2d, integrate_many
+from bnecert.quadrature import integrate, integrate_many
 
 from conftest import oracle_eval
 
@@ -82,20 +82,6 @@ def test_determinism():
     a = integrate(f, 0.0, 1.0, 1e-9)
     b = integrate(f, 0.0, 1.0, 1e-9)
     assert a == b
-
-
-def test_integrate2d():
-    value, err = integrate2d(lambda t1, t2: t1 * t2, 1e-9)
-    assert abs(value - 0.25) <= 1e-9
-    value, err = integrate2d(lambda t1, t2: t1 + t2, 1e-9)
-    assert abs(value - 1.0) <= 1e-8
-
-
-def test_integrate2d_nonseparable():
-    value, _ = integrate2d(lambda t1, t2: np.exp(t1 * t2), 1e-9)
-    # sum_k 1/((k+1) (k+1)!) -- series for the double integral of e^(xy)
-    exact = sum(1.0 / ((k + 1) * math.factorial(k + 1)) for k in range(25))
-    assert abs(value - exact) <= 1e-8
 
 
 def test_random_polynomials_against_antiderivative():

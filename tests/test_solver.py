@@ -39,6 +39,7 @@ from bnecert.solver import (
 )
 
 from conftest import (
+    SINGULAR_DUALS_LP,
     EquilibriumNotFound,
     TooLarge,
     ex_ante_value,
@@ -247,43 +248,44 @@ def test_prop1_violation():
 # simplex core
 
 def test_simplex_bounded_ub():
-    x, _, _ = simplex(np.array([-1.0, 0.0]),
-                      A_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[3.0, 1.0],
-                      basis=[2, 3])
+    # min -x s.t. x + s1 = 3, y + s2 = 1, from the slacks
+    x, _, _ = simplex(np.array([-1.0, 0.0, 0.0, 0.0]),
+                      np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]),
+                      np.array([3.0, 1.0]), basis=[2, 3])
     assert x[0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_simplex_equality():
     # min x + y s.t. x + y = 2, x - y = 0
     x, _, _ = simplex(np.array([1.0, 1.0]),
-                      A_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[2.0, 0.0],
-                      basis=[0, 1])
+                      np.array([[1.0, 1.0], [1.0, -1.0]]),
+                      np.array([2.0, 0.0]), basis=[0, 1])
     assert x == pytest.approx([1.0, 1.0], abs=1e-10)
 
 
 def test_simplex_infeasible():
     with pytest.raises(Infeasible):
-        simplex(np.array([0.0]), A_eq=[[1.0]], b_eq=[-1.0], basis=[0])
+        simplex(np.array([0.0]), np.array([[1.0]]), np.array([-1.0]),
+                basis=[0])
 
 
 def test_simplex_unbounded():
+    # min -x s.t. y + s = 1, from the slack
     with pytest.raises(UnboundedObjective):
-        simplex(np.array([-1.0, 0.0]), A_ub=[[0.0, 1.0]], b_ub=[1.0],
-                basis=[2])
+        simplex(np.array([-1.0, 0.0, 0.0]), np.array([[0.0, 1.0, 1.0]]),
+                np.array([1.0]), basis=[2])
 
 
 def _captured_lps(monkeypatch, call):
-    """The LP of each simplex call that call() makes: (c, A_ub, b_ub,
-    A_eq, b_eq, start basis).  Each simplex call returns the uniform rows
-    and zero duals, so that call() runs to its end and every call is
-    seen."""
+    """The LP of each simplex call that call() makes: (c, A, b, start
+    basis).  Each simplex call returns the uniform rows and zero duals,
+    so that call() runs to its end and every call is seen."""
     calls = []
 
-    def capture(*args, basis):
-        calls.append((*args, basis))
-        _, A_ub, _, A_eq, b_eq = args
-        return (A_eq.T @ (b_eq / A_eq.sum(axis=1)),
-                np.zeros(len(A_ub) + len(A_eq)), 0)
+    def capture(c, A, b, *, basis):
+        calls.append((c, A, b, basis))
+        sums = A[b == 1.0]  # the sum-to-one rows
+        return sums.T @ (1.0 / sums.sum(axis=1)), np.zeros(len(A)), 0
 
     with monkeypatch.context() as patch:
         patch.setattr("bnecert.solver.simplex", capture)
@@ -302,10 +304,8 @@ def _player2_block(fg, alpha2):
     """Player 2's block of the slack LP, built entry by entry.  solve_lp
     reads player 1's strategy from the duals of player 1's block instead
     of solving this one, but the simplex must solve it as well."""
-    n = fg.n
-    A_ub, A_eq, basis = _loop_built_block(fg, 2)
-    return (np.concatenate([np.zeros(n * fg.L), alpha2]), A_ub,
-            np.zeros(n * fg.H), A_eq, np.ones(n), np.array(basis))
+    c, A, b, basis = _loop_built_block(fg, 2, alpha2)
+    return c, A, b, np.array(basis)
 
 
 def _simplex_outcome(solver, lp):
@@ -313,7 +313,7 @@ def _simplex_outcome(solver, lp):
     *data, basis = lp
     try:
         x, y, pivots = solver(*data, basis=basis)
-    except (BnecertError, np.linalg.LinAlgError) as exc:
+    except BnecertError as exc:
         return type(exc), str(exc)
     return x.tobytes(), y.tobytes(), pivots
 
@@ -346,11 +346,24 @@ def _random_lp(rng):
             basis)
 
 
+def _standard_form(c, A_ub, b_ub, A_eq, b_eq, basis):
+    """The LP min c @ x s.t. A_ub x <= b_ub, A_eq x = b_eq, x >= 0 as
+    simplex takes it: (c, A, b, basis) over x, then one slack column per
+    row of A_ub, whose rows come first."""
+    if A_eq is None:
+        A_eq, b_eq = np.zeros((0, c.size)), np.zeros(0)
+    m_ub = len(A_ub)
+    A = np.block([[A_ub, np.eye(m_ub)],
+                  [A_eq, np.zeros((len(A_eq), m_ub))]])
+    return (np.concatenate([c, np.zeros(m_ub)]), A,
+            np.concatenate([b_ub, b_eq]), basis)
+
+
 def test_simplex_takes_the_oracle_pivots_on_2000_random_lps():
     rng = np.random.default_rng(2024)
     outcomes = collections.Counter()
     for _ in range(2000):
-        lp = _random_lp(rng)
+        lp = _standard_form(*_random_lp(rng))
         got = _simplex_outcome(simplex, lp)
         assert got == _simplex_outcome(oracle_simplex, lp)
         outcomes[got[0] if isinstance(got[0], type) else "optimal"] += 1
@@ -365,19 +378,13 @@ def test_simplex_duals_are_optimal_on_the_random_lps():
     rng = np.random.default_rng(2024)
     optimal = 0
     for _ in range(2000):
-        c, A_ub, b_ub, A_eq, b_eq, basis = _random_lp(rng)
+        c, A, b, basis = _standard_form(*_random_lp(rng))
         try:
-            x, y, _ = simplex(c, A_ub, b_ub, A_eq, b_eq, basis=basis)
-        except (BnecertError, np.linalg.LinAlgError):
+            x, y, _ = simplex(c, A, b, basis=basis)
+        except BnecertError:
             continue
-        m_ub = len(A_ub)
-        if A_eq is None:
-            A_eq, b_eq = np.zeros((0, c.size)), np.zeros(0)
-        A = np.block([[A_ub, np.eye(m_ub)],
-                      [A_eq, np.zeros((len(A_eq), m_ub))]])
-        reduced = np.concatenate([c, np.zeros(m_ub)]) - A.T @ y
-        assert abs(np.concatenate([b_ub, b_eq]) @ y - c @ x) <= 1e-9
-        assert reduced.min(initial=0.0) >= -1e-9
+        assert abs(b @ y - c @ x) <= 1e-9
+        assert (c - A.T @ y).min(initial=0.0) >= -1e-9
         optimal += 1
     assert optimal > 1000
 
@@ -422,9 +429,10 @@ def test_the_duals_of_player_1s_block_solve_player_2s_block(path):
         fg = bc.build_finite(g, n)
         alpha1, alpha2 = default_alphas(fg, g, prop1)
         s = solve_lp(fg, alpha1, alpha2).profile.s
-        c, A_ub, b_ub, A_eq, b_eq, basis = _player2_block(fg, alpha2)
-        x, _, _ = oracle_simplex(c, A_ub, b_ub, A_eq, b_eq, basis=basis)
-        z2 = (A_ub[:, :n * fg.L] @ s.ravel()).reshape(n, fg.H).max(axis=1)
+        c, A, b, basis = _player2_block(fg, alpha2)
+        x, _, _ = oracle_simplex(c, A, b, basis=basis)
+        z2 = (A[:n * fg.H, :n * fg.L] @ s.ravel()).reshape(n, fg.H).max(
+            axis=1)
         assert abs(alpha2 @ z2 - c @ x) <= 1e-9, n
 
 
@@ -528,13 +536,13 @@ def test_a_singular_start_basis_stalls_before_any_pivot(solver,
                         lambda *args: pivots.append(args))
     with pytest.raises(SimplexStall, match="^singular start basis$"):
         # x and y basic in the rows of x + y = 2 and 2x + 2y = 4
-        solver(np.array([1.0, -1.0]), A_eq=[[1.0, 1.0], [2.0, 2.0]],
-               b_eq=[2.0, 4.0], basis=[0, 1])
+        solver(np.array([1.0, -1.0]), np.array([[1.0, 1.0], [2.0, 2.0]]),
+               np.array([2.0, 4.0]), basis=[0, 1])
     with pytest.raises(SimplexStall, match="^singular start basis$"):
         # x basic in both rows: LU's rounding leaves this basis matrix a
         # nonzero last pivot, but not that of its transpose
-        solver(np.array([0.42]), A_eq=[[0.31], [-1.99]], b_eq=[0.0, 0.0],
-               basis=[0, 0])
+        solver(np.array([0.42]), np.array([[0.31], [-1.99]]),
+               np.array([0.0, 0.0]), basis=[0, 0])
     assert pivots == []
 
 
@@ -545,13 +553,14 @@ def test_an_infeasible_start_basis_raises_before_any_pivot(solver,
     pivots = []
     monkeypatch.setitem(solver.__globals__, "_pivot",
                         lambda *args: pivots.append(args))
-    # min x + y s.t. x <= 1, x + y = 2 is feasible, but with its slack s
-    # basic in the first row and x in the second, x = 2 and s = -1: only
-    # a phase 1 could repair that start
+    # min x + y s.t. x + s = 1, x + y = 2 is feasible, but with s basic
+    # in the first row and x in the second, x = 2 and s = -1: only a
+    # phase 1 could repair that start
     with pytest.raises(Infeasible, match="^the start basis is infeasible: "
                        r"column 2, basic in row 0, is -1\.0$"):
-        solver(np.array([1.0, 1.0]), A_ub=[[1.0, 0.0]], b_ub=[1.0],
-               A_eq=[[1.0, 1.0]], b_eq=[2.0], basis=[2, 0])
+        solver(np.array([1.0, 1.0, 0.0]),
+               np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
+               np.array([1.0, 2.0]), basis=[2, 0])
     assert pivots == []
 
 
@@ -652,9 +661,22 @@ def test_lp_overflow_is_a_nonfinite_error(zero_sum_match):
         solve_lp(fg)
 
 
-def test_lp_singular_basis_is_a_toolkit_error(matching_pennies, monkeypatch):
+@pytest.mark.parametrize("solver", [simplex, oracle_simplex],
+                         ids=["simplex", "oracle"])
+def test_a_singular_final_basis_is_a_stall(solver):
+    *data, basis = SINGULAR_DUALS_LP
+    with pytest.raises(SimplexStall,
+                       match="^singular basis matrix: Singular matrix$"):
+        solver(*data, basis=basis)
+
+
+def test_lp_singular_basis_is_a_toolkit_error(matching_pennies,
+                                              monkeypatch):
+    real_simplex = simplex
+
     def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("Singular matrix")
+        *data, basis = SINGULAR_DUALS_LP
+        return real_simplex(*data, basis=basis)
 
     monkeypatch.setattr("bnecert.solver.simplex", singular)
     fg = bc.build_finite(matching_pennies, 2)
@@ -664,11 +686,11 @@ def test_lp_singular_basis_is_a_toolkit_error(matching_pennies, monkeypatch):
     assert "singular basis" in str(info.value)
 
 
-def _loop_built_block(fg, player):
-    """A_ub, A_eq and the start basis of one player's block of the slack
-    LP, entry by entry: columns are the opponent's sigma, then the own z,
-    then the slacks.  The payoffs are scaled by a power of two to a
-    largest magnitude in [1/2, 1) and shifted by -min(0, min)."""
+def _loop_built_block(fg, player, alpha):
+    """c, A, b and the start basis of one player's block of the slack LP,
+    entry by entry: columns are the opponent's sigma, then the own z,
+    then one slack per own row.  The payoffs are scaled by a power of two
+    to a largest magnitude in [1/2, 1) and shifted by -min(0, min)."""
     n, L, H = fg.n, fg.L, fg.H
     own, opp = (L, H) if player == 1 else (H, L)
 
@@ -680,25 +702,30 @@ def _loop_built_block(fg, player):
     exponent = math.frexp(max(abs(payoff(*cell)) for cell in cells))[1]
     low = min(0.0, min(math.ldexp(payoff(*cell), -exponent)
                        for cell in cells))
-    A_ub = np.zeros((n * own, n * opp + n))
+    rows, z, slack = n * own, n * opp, n * opp + n
+    A = np.zeros((rows + n, slack + rows))
     for i, x, j, y in cells:
-        A_ub[i * own + x, j * opp + y] = (
+        A[i * own + x, j * opp + y] = (
             math.ldexp(payoff(i, x, j, y), -exponent) - low) / n
-    for i in range(n):
-        for x in range(own):
-            A_ub[i * own + x, n * opp + i] = -1.0
-    A_eq = np.zeros((n, n * opp + n))
+    for r in range(rows):
+        A[r, z + r // own] = -1.0
+        A[r, slack + r] = 1.0
     for j in range(n):
-        A_eq[j, j * opp: (j + 1) * opp] = 1.0
+        A[rows + j, j * opp: (j + 1) * opp] = 1.0
+    c = np.zeros(slack + rows)
+    b = np.zeros(rows + n)
+    for i in range(n):
+        c[z + i] = alpha[i]
+        b[rows + i] = 1.0
     # each row's slack, and each opponent type's first action in its
     # sum-to-one row; then z[i] in the row of i's best reply to those
-    basis = [n * opp + n + r for r in range(n * own)]
+    basis = [slack + r for r in range(rows)]
     basis += [j * opp for j in range(n)]
     for i in range(n):
-        values = [sum(A_ub[i * own + x, j * opp] for j in range(n))
+        values = [sum(A[i * own + x, j * opp] for j in range(n))
                   for x in range(own)]
-        basis[i * own + values.index(max(values))] = n * opp + i
-    return A_ub, A_eq, basis
+        basis[i * own + values.index(max(values))] = z + i
+    return c, A, b, basis
 
 
 def test_lp_constraints_byte_identical_to_loop_build(monkeypatch):
@@ -713,21 +740,19 @@ def test_lp_constraints_byte_identical_to_loop_build(monkeypatch):
     blocks = [_slack_lp(monkeypatch, fg, alpha1, alpha2),
               *_captured_lps(monkeypatch,
                              lambda: _solve_block(fg.M2, H, alpha2))]
-    for player, own, opp, alpha, (c, A_ub, b_ub, A_eq, b_eq, basis) in (
-            (1, L, H, alpha1, blocks[0]), (2, H, L, alpha2, blocks[1])):
-        want_ub, want_eq, want_basis = _loop_built_block(fg, player)
-        assert A_ub.tobytes() == want_ub.tobytes()
-        assert A_eq.tobytes() == want_eq.tobytes()
+    for player, alpha, lp in ((1, alpha1, blocks[0]),
+                              (2, alpha2, blocks[1])):
+        *arrays, basis = lp
+        *want_arrays, want_basis = _loop_built_block(fg, player, alpha)
+        for got, want in zip(arrays, want_arrays):  # c, A and b
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
         assert basis.tolist() == want_basis
-        assert c.tobytes() == np.concatenate([np.zeros(n * opp),
-                                              alpha]).tobytes()
-        assert b_ub.tobytes() == np.zeros(n * own).tobytes()
-        assert b_eq.tobytes() == np.ones(n).tobytes()
     # the -0.0 entries of V are in player 2's block, rows j = 3, y = 1
     assert np.signbit(blocks[1][1][3 * H + 1, :n * L:L]).all()
     # the types' best replies in player 1's start differ, so the loop
     # checks a choice, not a constant
-    z_rows = [blocks[0][5].tolist().index(n * H + i) for i in range(n)]
+    z_rows = [blocks[0][3].tolist().index(n * H + i) for i in range(n)]
     assert len({row % L for row in z_rows}) > 1
 
 
