@@ -1,10 +1,11 @@
 """End-to-end certification loop with a JSON report.
 
-`run` walks a schedule of discretization levels, solves each one with
-the backend the game picks (lp here, as the game is zero-sum), lifts and
-certifies, and stops at the first level whose certificate holds.  The
-report captures every attempted level, the winning strategies in atomic
-form, and sup-distance diagnostics between consecutive levels.
+`run` doubles the discretization level, 1, 2, 4, ..., up to its cap,
+solves each level with the backend the game picks (lp here, as the game
+is zero-sum), lifts and certifies, and stops at the first level of that
+sequence whose certificate holds.  The report captures every attempted
+level, the winning strategies in atomic form, and sup-distance
+diagnostics between consecutive levels.
 """
 
 import json
@@ -17,7 +18,7 @@ HERE = os.path.dirname(__file__)
 
 def main():
     g = bc.load_game_file(os.path.join(HERE, "specs", "zero_sum_match.json"))
-    cfg = bc.RunConfig(epsilon=0.05, max_level=32, schedule="doubling")
+    cfg = bc.RunConfig(epsilon=0.05, max_level=32)
     report = bc.run(g, cfg)
 
     print(f"status: {report.status} at level {report.certified_level}")

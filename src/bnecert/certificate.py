@@ -15,6 +15,7 @@ gap plus the a-posteriori quadrature bound stays within epsilon.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass
 
@@ -74,8 +75,10 @@ def best_deviation_integrand(g, player, opponent):
 
 
 def check_tolerances(epsilon):
-    """ValueError unless epsilon is positive and finite."""
-    if not 0.0 < epsilon < math.inf:
+    """ValueError unless epsilon is a positive, finite real number.  numpy
+    floats count; bools do not."""
+    if (isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real)
+            or not 0.0 < epsilon < math.inf):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
 
 

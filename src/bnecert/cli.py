@@ -103,11 +103,7 @@ def _write_curves(base, report):
 
 
 def cmd_run(args):
-    cfg = RunConfig(
-        epsilon=args.epsilon,
-        max_level=args.max_level,
-        schedule=args.schedule,
-    )
+    cfg = RunConfig(epsilon=args.epsilon, max_level=args.max_level)
     report = run(load_game_file(args.spec), cfg)
     text = report.to_json()
     if args.output:
@@ -167,8 +163,6 @@ def build_parser():
     add_common(p)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--max-level", type=int, default=32)
-    p.add_argument("--schedule", default="linear",
-                   choices=["linear", "doubling"])
     p.add_argument("--output")
     p.add_argument("--emit-curves", action="store_true")
     p.set_defaults(func=cmd_run)

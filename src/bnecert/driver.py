@@ -1,11 +1,12 @@
 """End-to-end certification loop over discretization levels.
 
-Levels are attempted per the configured schedule up to and including the
-cap; each level is discretized, solved, lifted, and certified by
-certify_level, the one level op that `bnecert certify` runs too, and the
-loop stops at the first certified level.  Failed levels are recorded and
-skipped; a run where every level fails reports status "failed" with each
-level's error.
+Levels double, 1, 2, 4, ..., up to the cap, which is the last level when
+it is not a power of two; each level is discretized, solved, lifted, and
+certified by certify_level, the one level op that `bnecert certify` runs
+too, and the loop stops at the first level of this sequence that
+certifies, which need not be the smallest level that would.  Failed
+levels are recorded and skipped; a run where every level fails reports
+status "failed" with each level's error.
 """
 
 from __future__ import annotations
@@ -29,15 +30,17 @@ FP_MAX_ITERS = 2000
 class RunConfig:
     epsilon: float
     max_level: int = 32
-    schedule: str = "linear"  # or "doubling"
+    schedule: str = "doubling"  # the only value: levels always double
 
     def __post_init__(self):
         check_tolerances(self.epsilon)
         check_count("max_level", self.max_level)
-        # a numpy integer passes the check but not json.dumps
+        # numpy numbers pass the checks but not json.dumps
+        object.__setattr__(self, "epsilon", float(self.epsilon))
         object.__setattr__(self, "max_level", int(self.max_level))
-        if self.schedule not in ("linear", "doubling"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
+        if self.schedule != "doubling":
+            raise ValueError(f"levels always double; schedule must be "
+                             f"'doubling', got {self.schedule!r}")
 
 
 @dataclass
@@ -65,16 +68,11 @@ class RunReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def schedule_levels(schedule, max_level):
-    """Level sequence: linear 1, 2, 3, ...; doubling 1, 2, 4, 8, ..."""
-    if schedule == "linear":
-        return list(range(1, max_level + 1))
-    levels = []
-    n = 1
-    while n <= max_level:
-        levels.append(n)
-        n *= 2
-    return levels
+def schedule_levels(max_level):
+    """Levels 1, 2, 4, 8, ... up to max_level, then max_level itself when
+    it is not a power of two."""
+    # (max_level - 1).bit_length() powers of two lie below max_level
+    return [2**k for k in range((max_level - 1).bit_length())] + [max_level]
 
 
 def sup_distance(A, B):
@@ -141,8 +139,7 @@ def run(g, cfg):
     backend = "lp" if prop1.linearizable else "fp"
 
     solved = []  # (n, F, G, certificate)
-    levels = schedule_levels(cfg.schedule, cfg.max_level)
-    for n in levels:
+    for n in schedule_levels(cfg.max_level):
         record = {"n": n, "backend": backend}
         start = time.perf_counter()
         try:

@@ -210,7 +210,7 @@ def test_criterion_5_quadrature_correctness(capsys):
 
 def test_criterion_6_end_to_end_certification(capsys):
     g = zero_sum_match_game()
-    cfg = bc.RunConfig(epsilon=0.05, max_level=32, schedule="doubling")
+    cfg = bc.RunConfig(epsilon=0.05, max_level=32)
     report = bc.run(g, cfg)
     ok = report.status == "certified" and report.certified_level <= 32
     if ok:
@@ -298,7 +298,7 @@ def test_criterion_8_shift_scale_invariance(capsys):
 
 def test_criterion_9_determinism(capsys, tmp_path):
     g = zero_sum_match_game()
-    cfg = bc.RunConfig(epsilon=0.05, max_level=8, schedule="doubling")
+    cfg = bc.RunConfig(epsilon=0.05, max_level=8)
     a = strip_wall_time(bc.run(g, cfg).to_dict())
     b = strip_wall_time(bc.run(g, cfg).to_dict())
     ok = json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
@@ -319,8 +319,7 @@ def test_criterion_9_determinism(capsys, tmp_path):
              "import sys; from bnecert.cli import main; "
              "sys.exit(main(sys.argv[1:]))",
              "run", str(spec), "--epsilon", "0.05",
-             "--max-level", "8", "--schedule", "doubling",
-             "--output", str(out)],
+             "--max-level", "8", "--output", str(out)],
             env=env, capture_output=True, text=True)
         if proc.returncode != 0:
             ok = False

@@ -174,8 +174,7 @@ def test_run_with_report_and_curves(spec_path, tmp_path, capsys,
     monkeypatch.setattr("bnecert.cli.run", recording_run)
     out = tmp_path / "report.json"
     code = main(["run", spec_path, "--epsilon", "0.05", "--max-level", "8",
-                 "--schedule", "doubling", "--output", str(out),
-                 "--emit-curves"])
+                 "--output", str(out), "--emit-curves"])
     assert code == 0
     report = json.loads(out.read_text())
     assert report["status"] == "certified"
@@ -226,7 +225,7 @@ def test_run_prints_the_report_and_exits_1_when_every_level_fails(
         "u": [["1.5e308*theta1", "0"], ["0", "1.5e308*theta2"]],
     }))
     assert main(["run", str(path), "--epsilon", "0.1",
-                 "--max-level", "4", "--schedule", "doubling"]) == 1
+                 "--max-level", "4"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "failed"
     assert doc["certified_level"] is None and doc["strategies"] is None
@@ -259,6 +258,9 @@ def test_run_prints_the_report_and_exits_1_when_every_level_fails(
           ("--grid-check", "21", ("check", "discretize", "solve", "certify",
                                   "run")))
       for argv in (MINIMAL_ARGV[command] for command in commands)],
+    # levels always double, so there is no schedule to pick
+    (["run", "SPEC", "--epsilon", "0.1", "--schedule", "doubling"],
+     "unrecognized arguments: --schedule doubling"),
 ])
 def test_usage_errors_exit_1_with_argparse_message(spec_path, capsys, argv,
                                                    message):
@@ -285,8 +287,7 @@ def test_option_sets_of_the_subcommands():
         "discretize": {"--level", "--output"},
         "solve": {"--level"},
         "certify": {"--level", "--epsilon"},
-        "run": {"--epsilon", "--max-level", "--schedule", "--output",
-                "--emit-curves"},
+        "run": {"--epsilon", "--max-level", "--output", "--emit-curves"},
     }
 
 

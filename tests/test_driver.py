@@ -29,14 +29,35 @@ from conftest import (
 )
 
 
-def test_schedule_linear():
-    assert schedule_levels("linear", 5) == [1, 2, 3, 4, 5]
-    assert schedule_levels("linear", 1) == [1]
-
-
 def test_schedule_doubling():
-    assert schedule_levels("doubling", 32) == [1, 2, 4, 8, 16, 32]
-    assert schedule_levels("doubling", 20) == [1, 2, 4, 8, 16]
+    assert schedule_levels(32) == [1, 2, 4, 8, 16, 32]
+    # the cap is the last level even when it is not a power of two
+    assert schedule_levels(20) == [1, 2, 4, 8, 16, 20]
+    assert schedule_levels(3) == [1, 2, 3]
+    assert schedule_levels(1) == [1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**6))
+def test_schedule_doubles_up_to_the_cap(max_level):
+    levels = schedule_levels(max_level)
+    assert levels[0] == 1 and levels[-1] == max_level
+    for a, b in zip(levels, levels[1:]):
+        assert a & (a - 1) == 0  # a power of two
+        assert a < b <= 2 * a  # so no power of two below the cap is skipped
+
+
+def test_run_visits_the_schedule_up_to_the_first_certified_level():
+    g = zero_sum_match_game()
+    # certified at 4 of [1, 2, 4, 8, 16, 20]; exhausted at 20 and at 3
+    for epsilon, max_level, certified_level in ((0.05, 20, 4),
+                                                (1e-6, 20, None),
+                                                (0.05, 3, None)):
+        report = bc.run(g, bc.RunConfig(epsilon=epsilon, max_level=max_level))
+        assert report.certified_level == certified_level
+        levels = schedule_levels(max_level)
+        stop = levels.index(certified_level or max_level)
+        assert [r["n"] for r in report.levels] == levels[:stop + 1]
 
 
 def test_run_config_validation():
@@ -44,8 +65,9 @@ def test_run_config_validation():
         bc.RunConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         bc.RunConfig(epsilon=0.1, max_level=0)
-    with pytest.raises(ValueError):
-        bc.RunConfig(epsilon=0.1, schedule="geometric")
+    for schedule in ("geometric", "linear"):
+        with pytest.raises(ValueError, match="levels always double"):
+            bc.RunConfig(epsilon=0.1, schedule=schedule)
     for fields in ({"epsilon": float("nan")}, {"epsilon": float("inf")},
                    {"epsilon": -0.1}, {"epsilon": 0.1, "max_level": -1}):
         with pytest.raises(ValueError):
@@ -83,6 +105,34 @@ def test_run_config_accepts_numpy_integer_counts():
         assert report.levels[0]["solver_iterations"] == 1
         # stored as an int, so the report serializes
         assert json.loads(report.to_json())["config"]["max_level"] == 2
+
+
+def test_run_config_stores_a_numpy_epsilon_as_a_float():
+    # before, a float32 epsilon ran every level and then to_json raised
+    # TypeError: Object of type float32 is not JSON serializable
+    g = make_game([["1", "2"], ["1", "2"]], [["1", "1"], ["2", "2"]])
+    for epsilon in (np.float32(0.05), np.float64(0.05)):
+        cfg = bc.RunConfig(epsilon=epsilon, max_level=2)
+        assert type(cfg.epsilon) is float
+        assert cfg.epsilon == float(epsilon)
+        report = bc.run(g, cfg)
+        assert report.status == "certified"
+        doc = json.loads(report.to_json())
+        assert doc["config"]["epsilon"] == float(epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [True, np.True_, "0.1", None])
+def test_epsilon_that_is_not_a_real_number_is_rejected(epsilon):
+    # before, True passed as epsilon = 1.0, in RunConfig and in certify
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        bc.RunConfig(epsilon=epsilon)
+    g = zero_sum_match_game()
+    profile = bc.BehavioralProfile(np.array([[1.0, 0.0]]),
+                                   np.array([[1.0, 0.0]]))
+    F = bc.lift(profile, 1, g.actions1)
+    G = bc.lift(profile, 2, g.actions2)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        bc.certify(g, F, G, epsilon)
 
 
 def test_run_config_has_no_backend():
@@ -154,9 +204,9 @@ def test_constant_game_certified_at_level_one():
     assert report.strategies["player1"]["level"] == 1
 
 
-def test_zero_sum_certified_linear_schedule():
+def test_zero_sum_certified_within_the_cap():
     g = zero_sum_match_game()
-    cfg = bc.RunConfig(epsilon=0.05, max_level=8, schedule="linear")
+    cfg = bc.RunConfig(epsilon=0.05, max_level=8)
     report = bc.run(g, cfg)
     assert report.status == "certified"
     assert report.certified_level is not None
@@ -284,8 +334,7 @@ def test_run_records_fp_overflow_against_its_level():
     # more at levels 1, 2 and 4, so no level certifies and ends the run
     g = make_game([["2.9e307", "2.9e307"], ["0", "0"]],
                   [["0.5 - theta2", "0"], ["0", "1"]])
-    report = bc.run(g, bc.RunConfig(epsilon=1e-3, max_level=16,
-                                    schedule="doubling"))
+    report = bc.run(g, bc.RunConfig(epsilon=1e-3, max_level=16))
     assert report.status == "exhausted"
     errors = {r["n"]: r["error"] for r in report.levels}
     assert errors == {
@@ -322,8 +371,7 @@ def test_run_records_quadrature_overflow_against_its_level():
     # 0.08 or more at levels 2 and 4, so neither certifies and ends the run
     g = make_game([["0", "4e307"], ["0", "0"]],
                   [["0.7 - theta2", "0"], ["0.7 - theta2", "0"]])
-    report = bc.run(g, bc.RunConfig(epsilon=1e-3, max_level=4,
-                                    schedule="doubling"))
+    report = bc.run(g, bc.RunConfig(epsilon=1e-3, max_level=4))
     errors = {r["n"]: r["error"] for r in report.levels}
     assert errors == {
         1: "NonFinite: Simpson estimates on [0.0, 1.0] of integrand 0 "
@@ -334,7 +382,7 @@ def test_run_records_quadrature_overflow_against_its_level():
 
 def test_convergence_diagnostic_structure():
     g = zero_sum_match_game()
-    cfg = bc.RunConfig(epsilon=1e-6, max_level=4, schedule="doubling")
+    cfg = bc.RunConfig(epsilon=1e-6, max_level=4)
     report = bc.run(g, cfg)  # epsilon far too small: all levels solved
     assert report.status == "exhausted"
     solved = [r for r in report.levels if r.get("error") is None]
@@ -362,7 +410,7 @@ def test_convergence_diagnostic_levels_8_16_32():
 
 def test_report_determinism():
     g = zero_sum_match_game()
-    cfg = bc.RunConfig(epsilon=0.05, max_level=8, schedule="doubling")
+    cfg = bc.RunConfig(epsilon=0.05, max_level=8)
     a = strip_wall_time(bc.run(g, cfg).to_dict())
     b = strip_wall_time(bc.run(g, cfg).to_dict())
     import json

@@ -168,7 +168,8 @@ def test_prop1_overflowing_sum_is_not_constant():
         assert check_prop1(g).kind == "none"
         report = bc.run(g, bc.RunConfig(epsilon=0.1, max_level=4))
     # every level runs fp and ends in a typed error or a solve
-    assert [r["backend"] for r in report.levels] == ["fp"] * 4
+    assert [r["n"] for r in report.levels] == [1, 2, 4]
+    assert [r["backend"] for r in report.levels] == ["fp"] * 3
     for record in report.levels:
         error = record["error"]
         assert error is None or error.startswith("NonFinite: "), error
