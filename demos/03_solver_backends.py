@@ -25,7 +25,9 @@ def main():
     n = 2
     fg = bc.build_finite(g, n)
 
-    lp = bc.solve_lp(fg)
+    # the LP reads player 1's strategy from its duals, which is sound
+    # only under the game's own per-type weights
+    lp = bc.solve_lp(fg, *bc.default_alphas(fg, g, prop1))
     print(f"\nlp: gaps ({lp.finite_gap1:.2e}, {lp.finite_gap2:.2e}) "
           f"in {lp.iterations} pivots")
 
@@ -40,7 +42,8 @@ def main():
     for name, res in (("lp", lp), ("fp", fp)):
         print(f"  {name} {np.round(res.profile.s, 3).tolist()}")
 
-    # the multiplier-based weights from the spec's m1/m2 also work
+    # with user multipliers the weights are marginal over multiplier,
+    # from the spec's m1/m2; uniform ones would give a non-equilibrium
     g2 = bc.load_game_file(
         os.path.join(HERE, "specs", "linear_prior_multipliers.json"))
     prop2 = bc.check_prop1(g2)

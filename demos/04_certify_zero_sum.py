@@ -16,12 +16,14 @@ HERE = os.path.dirname(__file__)
 
 def main():
     g = bc.load_game_file(os.path.join(HERE, "specs", "zero_sum_match.json"))
+    prop1 = bc.check_prop1(g)
     epsilon = 0.05
 
     print(f"certifying levels against epsilon = {epsilon}")
     print(" n   gap1        gap2        quad_err    certified")
     for n in (1, 2, 4, 8, 16):
-        res = bc.solve_lp(bc.build_finite(g, n))
+        fg = bc.build_finite(g, n)
+        res = bc.solve_lp(fg, *bc.default_alphas(fg, g, prop1))
         F = bc.lift(res.profile, 1, g.actions1)
         G = bc.lift(res.profile, 2, g.actions2)
         cert = bc.certify(g, F, G, epsilon)

@@ -1,15 +1,15 @@
 """Verification of candidate strategy pairs against the infinite game.
 
-A lifted profile is purely atomic, so its own value is an exact double
-sum.  The best deviation value reduces to integrating the pointwise
-maximum over own actions of the atomic opponent sum; that integrand is
-piecewise smooth with kinks where the argmax switches, so quadrature
-panels are pre-split at every opponent atom and refined adaptively.
-Each opponent sum is one np.vecdot over the atoms and actions of nonzero
-mass, of payoffs from numpy's ufuncs (within 1 ulp of the C library's).
-
-Acceptance is conservative: a certificate only passes if the measured
-gap plus the a-posteriori quadrature bound stays within epsilon.
+Both sides of a gap read interim_values, each own action's value against
+the atomic opponent: one np.vecdot over the opponent's atoms and actions
+of nonzero mass, of payoffs from numpy's ufuncs (within 1 ulp of the C
+library's).  The candidate's value sums it exactly over its own atoms,
+at the right ends of its cells; the best deviation integrates its max
+over own actions, pre-splitting panels at the opponent's atoms (where
+the integrand may kink) and refining adaptively.  The sides differ only
+in the own type, summed for one and integrated for the other: that is
+the gap's O(1/n) bias.  A certificate passes only if the gap plus the
+a-posteriori quadrature bound stays within epsilon.
 """
 
 from __future__ import annotations
@@ -43,35 +43,23 @@ class Certificate:
         return asdict(self)
 
 
-def profile_value(g, F, G):
-    """Exact ex-ante values (player 1's, player 2's) of an atomic strategy
-    pair (no quadrature), from one pass over both payoff tables."""
-    tables = g.tables(F.atom_points[:, None], G.atom_points[None, :])
-    return tuple(float(np.einsum("ix,jy,xyij->", F.atom_masses(),
-                                 G.atom_masses(), payoff))
-                 for payoff in tables)
-
-
-def best_deviation_integrand(g, player, opponent):
-    """theta -> max over own actions of the atomic opponent sum, for a
-    1-D array of theta; each sum is one dot product over the atoms and
-    actions of nonzero mass, so 0 * inf never arises."""
+def interim_values(g, player, opponent):
+    """theta -> the (own actions, theta) array of interim values against
+    the atomic opponent, for a 1-D array of theta; each is one dot product
+    over the atoms and actions of nonzero mass, so 0 * inf never arises."""
     masses = opponent.atom_masses()
     pts = opponent.atom_points
     keep = masses != 0.0
 
-    def payoff(theta):
-        """Payoffs indexed [own action, theta, atom, opponent action]."""
+    def values(theta):
+        # payoffs indexed [own action, theta, atom, opponent action]
         if player == 1:
-            return g.payoff(1, theta, pts).transpose(0, 2, 3, 1)
-        return g.payoff(2, pts, theta).transpose(1, 2, 3, 0)
+            payoff = g.payoff(1, theta[:, None], pts).transpose(0, 2, 3, 1)
+        else:
+            payoff = g.payoff(2, pts, theta[:, None]).transpose(1, 2, 3, 0)
+        return np.vecdot(payoff[..., keep], masses[keep])
 
-    def psi(theta):
-        acc = np.vecdot(payoff(theta[:, None])[..., keep], masses[keep])
-        # nan never beats another action
-        return np.where(np.isnan(acc), -np.inf, acc).max(axis=0)
-
-    return psi
+    return values
 
 
 def check_tolerances(epsilon):
@@ -82,17 +70,23 @@ def check_tolerances(epsilon):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
 
 
-def br_value_infinite(g, player, opponent, quad_tol=1e-7):
+def br_value_infinite(g, player, opponent, quad_tol):
     """Value of the best pure deviation against an atomic opponent.
 
-    Returns (value, error_bound) from adaptive Simpson quadrature with
-    mandatory panel splits at the opponent's atom abscissae.
+    Returns (value, error_bound) from adaptive Simpson quadrature of the
+    max over own actions of interim_values, with mandatory panel splits
+    at the opponent's atom abscissae.
     """
     if not quad_tol > 0.0:
         raise ValueError("quad_tol must be positive")
-    psi = best_deviation_integrand(g, player, opponent)
-    presplit = opponent.atom_points[:-1]
-    return integrate(psi, 0.0, 1.0, quad_tol, presplit=presplit)
+    values = interim_values(g, player, opponent)
+
+    def psi(theta):  # nan never beats another action
+        acc = values(theta)
+        return np.where(np.isnan(acc), -np.inf, acc).max(axis=0)
+
+    return integrate(psi, 0.0, 1.0, quad_tol,
+                     presplit=opponent.atom_points[:-1])
 
 
 def certify(g, F, G, epsilon):
@@ -108,21 +102,24 @@ def certify(g, F, G, epsilon):
     quad_tol = max(epsilon / 100.0, QUAD_TOL_FLOOR)
 
     start = time.perf_counter()
-    value1, value2 = profile_value(g, F, G)
-    br1, err1 = br_value_infinite(g, 1, G, quad_tol)
-    br2, err2 = br_value_infinite(g, 2, F, quad_tol)
-    gap1 = br1 - value1
-    gap2 = br2 - value2
-    certified = (gap1 + err1 <= epsilon) and (gap2 + err2 <= epsilon)
+    values, gaps, errors = [], [], []
+    for player, own, opponent in ((1, F, G), (2, G, F)):
+        interim = interim_values(g, player, opponent)(own.atom_points)
+        values.append(float(np.vecdot(own.atom_masses().ravel(),
+                                      interim.T.ravel())))
+        br, err = br_value_infinite(g, player, opponent, quad_tol)
+        gaps.append(br - values[-1])
+        errors.append(err)
     return Certificate(
         level=F.n,
         epsilon_requested=float(epsilon),
-        gap1=float(gap1),
-        gap2=float(gap2),
-        quad_error1=float(err1),
-        quad_error2=float(err2),
-        value1=float(value1),
-        value2=float(value2),
-        certified=bool(certified),
+        gap1=gaps[0],
+        gap2=gaps[1],
+        quad_error1=errors[0],
+        quad_error2=errors[1],
+        value1=values[0],
+        value2=values[1],
+        certified=all(gap + err <= epsilon
+                      for gap, err in zip(gaps, errors)),
         wall_time=time.perf_counter() - start,
     )

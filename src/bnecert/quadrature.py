@@ -22,13 +22,15 @@ import numpy as np
 
 from .errors import NonFinite, QuadratureFailure
 
+MAX_PANELS = 10 ** 6  # the panel budget: panels refined per integrand
+
 
 def _simpson(fa, fm, fb, h):
     return (h / 6.0) * (fa + 4.0 * fm + fb)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises NonFinite
-def integrate_many(f, count, a, b, tol, presplit=(), max_panels=10 ** 6):
+def integrate_many(f, count, a, b, tol, presplit=()):
     """Integrate count integrands over [a, b], each to absolute accuracy tol.
 
     f(x, k) maps 1-D arrays of abscissae x and integrand indices k to the
@@ -62,9 +64,9 @@ def integrate_many(f, count, a, b, tol, presplit=(), max_panels=10 ** 6):
         lo, hi, flo, fm, fhi, s_whole, k = panels
         k = k.astype(int)
         used += np.bincount(k, minlength=count)
-        if used.max() > max_panels:
+        if used.max() > MAX_PANELS:
             raise QuadratureFailure(
-                f"panel budget {max_panels} exceeded before reaching tol={tol}"
+                f"panel budget {MAX_PANELS} exceeded before reaching tol={tol}"
             )
         mid = 0.5 * (lo + hi)
         flm, frm = np.split(f(np.concatenate((0.5 * (lo + mid),
@@ -92,7 +94,7 @@ def integrate_many(f, count, a, b, tol, presplit=(), max_panels=10 ** 6):
             np.bincount(k, weights=err, minlength=count))
 
 
-def integrate(f, a, b, tol, presplit=(), max_panels=10 ** 6):
+def integrate(f, a, b, tol, presplit=()):
     """Integrate f over [a, b] to absolute accuracy tol.
 
     f maps a 1-D array of abscissae to the array of integrand values.
@@ -103,7 +105,6 @@ def integrate(f, a, b, tol, presplit=(), max_panels=10 ** 6):
     Raises QuadratureFailure if the panel budget runs out first, and
     NonFinite if a Simpson estimate is not finite.
     """
-    value, err = integrate_many(lambda x, k: f(x), 1, a, b, tol, presplit,
-                                max_panels)
+    value, err = integrate_many(lambda x, k: f(x), 1, a, b, tol, presplit)
     return float(value[0]), float(err[0])
 

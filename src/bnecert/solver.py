@@ -385,7 +385,7 @@ def _solve_block(M, width, alpha):
             _normalize_rows(-y[:rows].reshape(n, width)), pivots)
 
 
-def solve_lp(fg, alpha1=None, alpha2=None):
+def solve_lp(fg, alpha1, alpha2):
     """Solve the finite game through the slack-maximization LP.
 
     Valid whenever the bilinear payoff terms are constant over feasible
@@ -393,10 +393,10 @@ def solve_lp(fg, alpha1=None, alpha2=None):
     caller is responsible for running check_prop1 first.  Then the game
     is a minimax problem, and one LP solves both sides of it: player 1's
     block gives t from its primal and s from its duals (_solve_block).
+    The duals are s only under the game's own weights: alpha1 and alpha2
+    must be default_alphas'; with others it need not be an equilibrium.
     """
     n, L = fg.n, fg.L
-    if alpha1 is None or alpha2 is None:
-        alpha1 = alpha2 = np.full(n, 1.0 / n)
     alpha1 = np.asarray(alpha1, dtype=float)
     alpha2 = np.asarray(alpha2, dtype=float)
     for name, alpha in (("alpha1", alpha1), ("alpha2", alpha2)):
@@ -447,7 +447,7 @@ def _pure_hit(fg, choice, target_gap):
     return None
 
 
-def solve_fp(fg, max_iters=2000, target_gap=1e-6):
+def solve_fp(fg, max_iters, target_gap):
     """Agent-form fictitious play with uniform averaging.
 
     Best responses change rarely (on the bench's fp games, once every 33

@@ -137,6 +137,17 @@ def generated_constant_sum_game(seed, L, H, scale=None):
     return bc.load_game(bc.GameSpec.from_dict(spec))
 
 
+def solve_default_lp(fg, g):
+    """solve_lp of g's level game fg under the game's own weights."""
+    return bc.solve_lp(fg, *bc.default_alphas(fg, g, bc.check_prop1(g)))
+
+
+def generated_general_sum_game(seed, index, L, H):
+    """The bench generator's general-sum L x H game `index` for a seed."""
+    spec = _bench_games().game_spec(seed, index, "general_sum", L, H)
+    return bc.load_game(bc.GameSpec.from_dict(spec))
+
+
 def uniform_profile(n, L, H):
     return BehavioralProfile(np.full((n, L), 1.0 / L),
                              np.full((n, H), 1.0 / H))

@@ -14,26 +14,27 @@ import numpy as np
 import pytest
 
 import bnecert as bc
-from bnecert.certificate import br_value_infinite, profile_value
+from bnecert.certificate import br_value_infinite
 from bnecert.discretize import StepStrategy
 from bnecert.solver import (
     action_values,
     ck_objective,
     finite_gap,
     solve_fp,
-    solve_lp,
 )
 from bnecert.errors import NoConvergence
 
 from conftest import (
     ex_ante_value,
     make_game,
+    naive_profile_value,
     oracle_finite_best_response,
     oracle_payoff,
     oracle_solve_enum,
     random_poly,
     random_poly_game,
     riemann_br_value,
+    solve_default_lp,
     src_env,
     strip_wall_time,
     zero_sum_match_game,
@@ -136,7 +137,7 @@ def test_criterion_3_finite_gap_oracle_equivalence(capsys):
         elif max(gaps) > 1e-10:     # mixed output: indifference residual
             ok = False
         if zero_sum:
-            lp = solve_lp(fg)
+            lp = solve_default_lp(fg, g)
             if max(lp.finite_gap1, lp.finite_gap2) > 1e-8:
                 ok = False
             if abs(ex_ante_value(fg, lp.profile, 1)
@@ -152,9 +153,10 @@ def test_criterion_4_ck_certificate_identity(capsys):
     outputs = []
     for n in (1, 2, 4):
         fg = bc.build_finite(g, n)
-        outputs.append((fg, solve_lp(fg).profile))
+        lp = solve_default_lp(fg, g)
+        outputs.append((fg, lp.profile))
         outputs.append((fg, oracle_solve_enum(fg).profile)
-                       if n <= 2 else (fg, solve_lp(fg).profile))
+                       if n <= 2 else (fg, lp.profile))
         try:
             fp = solve_fp(fg, max_iters=150, target_gap=1e-9)
         except NoConvergence as exc:
@@ -218,7 +220,7 @@ def test_criterion_6_end_to_end_certification(capsys):
         for player, opp in ((1, G), (2, F)):
             gap = cert.gap1 if player == 1 else cert.gap2
             oracle = riemann_br_value(g, player, opp) \
-                - profile_value(g, F, G)[player - 1]
+                - naive_profile_value(g, F, G, player)
             if abs(gap - oracle) > 1e-6:
                 ok = False
     _verdict(capsys, 6, "end-to-end certification", ok)
@@ -269,7 +271,7 @@ def test_criterion_8_shift_scale_invariance(capsys):
             pure, _ = oracle_finite_best_response(finites[c], 1, t)
             if not np.array_equal(pure, base_pure):
                 ok = False
-    res = solve_lp(finites[0])
+    res = solve_default_lp(finites[0], games[0])
     statuses = []
     for c, g in games.items():
         F = bc.lift(res.profile, 1, g.actions1)
@@ -281,7 +283,7 @@ def test_criterion_8_shift_scale_invariance(capsys):
     # prior scaled by 7 pre-normalization: identical after normalization
     plain = zero_sum_match_game()
     scaled = make_game(base_u, base_v, prior="7")
-    res = solve_lp(bc.build_finite(plain, n))
+    res = solve_default_lp(bc.build_finite(plain, n), plain)
     certs = []
     for g in (plain, scaled):
         F = bc.lift(res.profile, 1, g.actions1)

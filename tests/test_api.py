@@ -7,6 +7,8 @@ import importlib
 import inspect
 import pkgutil
 
+import pytest
+
 import bnecert
 from bnecert.errors import NoConvergence
 
@@ -73,8 +75,9 @@ def test_bench_run_config_constructs():
 
 
 def test_signatures_take_no_tuning_options():
-    # the quadrature tolerance, fp's budget and the CLI's validation grid
-    # are fixed rules; only the library calls the bench makes keep them
+    # the quadrature tolerance and panel budget, fp's budget, the LP's
+    # weights and the CLI's validation grid are fixed rules; only the
+    # library calls the bench makes keep them, with no default
     want = {
         bnecert.certify: ["g", "F", "G", "epsilon"],
         bnecert.driver.certify_level: ["g", "n", "prop1", "epsilon"],
@@ -83,12 +86,25 @@ def test_signatures_take_no_tuning_options():
         bnecert.load_game_file: ["path"],
         bnecert.check_prop1: ["g"],
         bnecert.load_game: ["spec", "grid_check"],
+        bnecert.solve_lp: ["fg", "alpha1", "alpha2"],
         bnecert.solve_fp: ["fg", "max_iters", "target_gap"],
         bnecert.certificate.br_value_infinite: ["g", "player", "opponent",
                                                 "quad_tol"],
+        bnecert.certificate.interim_values: ["g", "player", "opponent"],
+        bnecert.quadrature.integrate: ["f", "a", "b", "tol", "presplit"],
+        bnecert.quadrature.integrate_many: ["f", "count", "a", "b", "tol",
+                                            "presplit"],
     }
     for func, params in want.items():
         assert list(inspect.signature(func).parameters) == params, func
+    for func in (bnecert.solve_lp, bnecert.solve_fp,
+                 bnecert.certificate.br_value_infinite):
+        assert all(p.default is inspect.Parameter.empty
+                   for p in inspect.signature(func).parameters.values()), func
+    fg = bnecert.build_finite(bnecert.load_game_file(
+        ROOT / "demos" / "specs" / "zero_sum_match.json"), 2)
+    with pytest.raises(TypeError):
+        bnecert.solve_lp(fg)
 
 
 def src_definitions():

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 import bnecert as bc
-from bnecert.certificate import (
-    best_deviation_integrand,
-    br_value_infinite,
-    profile_value,
-)
+from bnecert.certificate import br_value_infinite, interim_values
 from bnecert.discretize import StepStrategy
-from bnecert.solver import solve_lp
+from bnecert.errors import NoConvergence
+from bnecert.solver import solve_fp
 
 from conftest import (
+    ROOT,
+    ex_ante_value,
+    generated_general_sum_game,
     make_game,
     matching_pennies_game,
     naive_profile_value,
@@ -23,6 +23,7 @@ from conftest import (
     random_poly_game,
     random_profile,
     riemann_br_value,
+    solve_default_lp,
     zero_sum_match_game,
 )
 
@@ -33,6 +34,18 @@ def pure_step(n, actions, index):
     return StepStrategy(n=n, actions=tuple(actions), weights=weights)
 
 
+def lp_profile(g, n):
+    """The LP profile of g's level-n game."""
+    return solve_default_lp(bc.build_finite(g, n), g).profile
+
+
+def profile_values(g, F, G):
+    """The candidate's ex-ante values (player 1's, player 2's), as the
+    certificate reports them."""
+    cert = bc.certify(g, F, G, epsilon=1.0)
+    return cert.value1, cert.value2
+
+
 # ---------------------------------------------------------------------------
 # profile values
 
@@ -40,7 +53,7 @@ def test_profile_value_single_atom():
     g = make_game([["theta1*theta2"]], [["0"]])
     F = pure_step(1, ("x1",), 0)
     G = pure_step(1, ("y1",), 0)
-    assert profile_value(g, F, G)[0] == pytest.approx(1.0, abs=1e-8)
+    assert profile_values(g, F, G)[0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_profile_value_constant_times_prior():
@@ -50,8 +63,8 @@ def test_profile_value_constant_times_prior():
     G = pure_step(n, ("y1",), 0)
     atoms = (np.arange(n) + 1.0) / n
     avg_b = np.mean([[g.prior(t1, t2) for t2 in atoms] for t1 in atoms])
-    assert profile_value(g, F, G)[0] == pytest.approx(3.0 * avg_b,
-                                                     abs=1e-8)
+    assert profile_values(g, F, G)[0] == pytest.approx(3.0 * avg_b,
+                                                      abs=1e-8)
 
 
 def test_profile_value_matches_naive_loop():
@@ -62,7 +75,7 @@ def test_profile_value_matches_naive_loop():
         F = bc.lift(profile, 1, g.actions1)
         G = bc.lift(profile, 2, g.actions2)
         for player in (1, 2):
-            got = profile_value(g, F, G)[player - 1]
+            got = profile_values(g, F, G)[player - 1]
             want = naive_profile_value(g, F, G, player)
             assert got == pytest.approx(want, abs=1e-13)
 
@@ -75,8 +88,39 @@ def test_profile_value_ignores_zero_mass_actions():
     G2 = pure_step(2, two.actions2, 0)
     F1 = pure_step(2, ("x1",), 0)
     G1 = pure_step(2, ("y1",), 0)
-    assert profile_value(two, F2, G2)[0] == pytest.approx(
-        profile_value(one, F1, G1)[0], abs=1e-12)
+    assert profile_values(two, F2, G2)[0] == pytest.approx(
+        profile_values(one, F1, G1)[0], abs=1e-12)
+
+
+def test_certificate_values_equal_the_finite_ex_ante_values():
+    # the certificate's candidate value is the level game's ex-ante value
+    # of the same profile: both sum the same payoffs at the atoms
+    specs = ROOT / "demos" / "specs"
+    games = [bc.load_game_file(specs / name) for name in (
+        "zero_sum_match.json", "matching_pennies.json",
+        "linear_prior_multipliers.json")]
+    games += [generated_general_sum_game(1, 1, 2, 2),
+              generated_general_sum_game(2, 0, 2, 3)]
+    checked = 0
+    for g in games:
+        linearizable = bc.check_prop1(g).linearizable
+        for n in (1, 2, 3, 8, 16):
+            fg = bc.build_finite(g, n)
+            try:
+                profiles = [solve_fp(fg, max_iters=200,
+                                     target_gap=1e-6).profile]
+            except NoConvergence as exc:
+                profiles = [exc.result.profile]
+            if linearizable:
+                profiles.append(solve_default_lp(fg, g).profile)
+            for profile in profiles:
+                cert = bc.certify(g, bc.lift(profile, 1, g.actions1),
+                                  bc.lift(profile, 2, g.actions2), 1.0)
+                for player, value in ((1, cert.value1), (2, cert.value2)):
+                    want = ex_ante_value(fg, profile, player)
+                    assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+                    checked += 1
+    assert checked == 2 * 5 * (3 * 2 + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +184,7 @@ def _scalar_sums(g, player, opponent, theta):
     return sums
 
 
-def test_best_deviation_integrand_within_the_dot_bound_of_scalar_loop():
+def test_interim_values_within_the_dot_bound_of_scalar_loop():
     rng = np.random.default_rng(21)
     u = 2.0 ** -53
     g = make_game(
@@ -158,15 +202,18 @@ def test_best_deviation_integrand_within_the_dot_bound_of_scalar_loop():
         G = bc.lift(profile, 2, g.actions2)
         theta = np.concatenate((rng.random(20), F.atom_points, [0.0]))
         for player, opponent in ((1, G), (2, F)):
-            got = best_deviation_integrand(g, player, opponent)(theta)
-            for x, value in zip(theta, got):
+            got = interim_values(g, player, opponent)(theta)
+            assert got.shape == (len(g.actions1 if player == 1
+                                     else g.actions2), theta.size)
+            for x, values in zip(theta, got.T):
                 sums = _scalar_sums(g, player, opponent, x)
                 # a dot product of k terms is within gamma_k * sum |term|
-                # of the exact one, however it is summed; the max over own
-                # actions moves by no more than its largest argument does
-                bound = max(2.0 * k * u / (1.0 - k * u) * size
-                            for _, size, k in sums)
-                assert abs(value - max(acc for acc, _, _ in sums)) <= bound
+                # of the exact one, however it is summed, so each own
+                # action's value is (and so is their max, the deviation
+                # integrand)
+                for value, (acc, size, k) in zip(values, sums):
+                    assert abs(value - acc) <= 2.0 * k * u / (1.0 - k * u) \
+                        * size
 
 
 def test_best_deviation_ignores_zero_mass_actions_where_payoff_overflows():
@@ -177,8 +224,12 @@ def test_best_deviation_ignores_zero_mass_actions_where_payoff_overflows():
                                    np.tile([0.0, 1.0], (3, 1)))
     G = bc.lift(profile, 2, g.actions2)
     assert g.payoff(1, 0.5501, 0.5)[0, 0] == np.inf
-    psi = best_deviation_integrand(g, 1, G)
-    assert psi(np.array([0.1, 0.5501])) == pytest.approx([1.0, 1.0])
+    values = interim_values(g, 1, G)
+    assert values(np.array([0.1, 0.5501])) == pytest.approx(np.ones((1, 2)))
+    value, err = br_value_infinite(g, 1, G, quad_tol=1e-9)
+    # the payoff 1 plus the nonnegativity shift, under a uniform prior
+    assert value == pytest.approx(1.0 + g.shift1, abs=1e-12)
+    assert err <= 1e-9
 
 
 def test_br_value_rejects_bad_tol():
@@ -208,7 +259,7 @@ def test_certify_single_action_game():
     for player, opp in ((1, G), (2, F)):
         gap = cert.gap1 if player == 1 else cert.gap2
         oracle = riemann_br_value(g, player, opp) \
-            - profile_value(g, F, G)[player - 1]
+            - naive_profile_value(g, F, G, player)
         assert abs(gap - oracle) <= 1e-6
 
 
@@ -224,10 +275,9 @@ def test_certify_constant_utilities():
 
 def test_certify_zero_sum_via_lp():
     g = zero_sum_match_game()
-    fg = bc.build_finite(g, 16)
-    res = solve_lp(fg)
-    F = bc.lift(res.profile, 1, g.actions1)
-    G = bc.lift(res.profile, 2, g.actions2)
+    profile = lp_profile(g, 16)
+    F = bc.lift(profile, 1, g.actions1)
+    G = bc.lift(profile, 2, g.actions2)
     cert = bc.certify(g, F, G, epsilon=0.05)
     assert cert.certified
     assert cert.level == 16
@@ -235,7 +285,7 @@ def test_certify_zero_sum_via_lp():
     for player, opp in ((1, G), (2, F)):
         gap = cert.gap1 if player == 1 else cert.gap2
         oracle_gap = riemann_br_value(g, player, opp) \
-            - profile_value(g, F, G)[player - 1]
+            - naive_profile_value(g, F, G, player)
         assert abs(gap - oracle_gap) <= 1e-6
 
 
@@ -243,9 +293,9 @@ def test_certify_rejects_strategies_of_the_other_player():
     # with F and G swapped, level 4 of the match game used to certify
     # (gaps -0.039 and 0.039), and a 2x3 game failed inside einsum
     g = zero_sum_match_game()
-    res = solve_lp(bc.build_finite(g, 4))
-    F = bc.lift(res.profile, 1, g.actions1)
-    G = bc.lift(res.profile, 2, g.actions2)
+    profile = lp_profile(g, 4)
+    F = bc.lift(profile, 1, g.actions1)
+    G = bc.lift(profile, 2, g.actions2)
     with pytest.raises(ValueError) as info:
         bc.certify(g, G, F, epsilon=0.05)
     assert str(info.value) == ("player 1's strategy has actions ('y1', "
@@ -288,11 +338,10 @@ def test_gap_nonnegativity_up_to_quadrature_error():
 
 def test_shrinking_quad_tol_is_conservative():
     g = zero_sum_match_game()
-    fg = bc.build_finite(g, 8)
-    res = solve_lp(fg)
-    F = bc.lift(res.profile, 1, g.actions1)
-    G = bc.lift(res.profile, 2, g.actions2)
-    values = profile_value(g, F, G)
+    profile = lp_profile(g, 8)
+    F = bc.lift(profile, 1, g.actions1)
+    G = bc.lift(profile, 2, g.actions2)
+    values = profile_values(g, F, G)
     for player, opponent in ((1, G), (2, F)):
         loose = br_value_infinite(g, player, opponent, 1e-3)
         tight = br_value_infinite(g, player, opponent, 1e-8)
@@ -309,12 +358,11 @@ def test_prior_scaling_invariance():
     v = [[f"-({e})" for e in row] for row in u]
     base = make_game(u, v, prior="theta1+theta2")
     scaled = make_game(u, v, prior="7*(theta1+theta2)")
-    fg = bc.build_finite(base, 4)
-    res = solve_lp(fg)
+    profile = lp_profile(base, 4)
     certs = []
     for g in (base, scaled):
-        F = bc.lift(res.profile, 1, g.actions1)
-        G = bc.lift(res.profile, 2, g.actions2)
+        F = bc.lift(profile, 1, g.actions1)
+        G = bc.lift(profile, 2, g.actions2)
         certs.append(bc.certify(g, F, G, epsilon=0.05))
     a, b = certs
     assert a.certified == b.certified
@@ -327,6 +375,6 @@ def test_certificate_module_beside_the_certify_function():
     # a bnecert.certify submodule would be shadowed by the function, and
     # its other names unreachable as bnecert.certify.<name>
     module = importlib.import_module("bnecert.certificate")
-    assert module.profile_value is profile_value
+    assert module.interim_values is interim_values
     assert callable(bc.certify) and bc.certify is module.certify
     assert importlib.util.find_spec("bnecert.certify") is None

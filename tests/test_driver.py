@@ -24,6 +24,7 @@ from conftest import (
     generated_constant_sum_game,
     make_game,
     random_poly_game,
+    solve_default_lp,
     strip_wall_time,
     zero_sum_match_game,
 )
@@ -399,7 +400,7 @@ def test_convergence_diagnostic_levels_8_16_32():
     g = zero_sum_match_game()
     strategies = []
     for n in (8, 16, 32):
-        res = bc.solve_lp(bc.build_finite(g, n))
+        res = solve_default_lp(bc.build_finite(g, n), g)
         strategies.append((n, bc.lift(res.profile, 1, g.actions1),
                            bc.lift(res.profile, 2, g.actions2)))
     table = bc.convergence_diagnostic(strategies)

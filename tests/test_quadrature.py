@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bnecert import parse
+from bnecert import parse, quadrature
 from bnecert.errors import NonFinite, QuadratureFailure
 from bnecert.quadrature import integrate, integrate_many
 
@@ -58,11 +58,11 @@ def test_presplit_outside_interval_ignored():
     assert value == pytest.approx(1.0, abs=1e-14)
 
 
-def test_panel_budget_exhaustion():
+def test_panel_budget_exhaustion(monkeypatch):
     # resolving a fast oscillation needs far more than 50 panels
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 50)
     with pytest.raises(QuadratureFailure):
-        integrate(lambda t: np.sin(1e6 * t), 0.0, 1.0, 1e-12,
-                  max_panels=50)
+        integrate(lambda t: np.sin(1e6 * t), 0.0, 1.0, 1e-12)
 
 
 @pytest.mark.parametrize("integrand", [
@@ -70,11 +70,12 @@ def test_panel_budget_exhaustion():
     lambda t: 1.5e308 * t,
     lambda t: np.where(t > 0.3, np.inf, 1.0),
 ], ids=["constant", "linear", "infinite"])
-def test_overflowing_simpson_estimate_is_nonfinite(integrand):
+def test_overflowing_simpson_estimate_is_nonfinite(integrand, monkeypatch):
     # at once, not after the panel budget, and without a RuntimeWarning
     # (the suite turns those into errors)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 10)
     with pytest.raises(NonFinite, match="Simpson estimates on"):
-        integrate(integrand, 0.0, 1.0, 1e-6, max_panels=10)
+        integrate(integrand, 0.0, 1.0, 1e-6)
 
 
 def test_determinism():
@@ -145,7 +146,7 @@ def _random_kinked_integrand(rng):
             f" + {c[2]}*sin({w}*theta1) + {c[3]}*min(theta1^3, {k3})")
 
 
-def test_batched_equals_depth_first_on_300_kinked_integrands():
+def test_batched_equals_depth_first_on_300_kinked_integrands(monkeypatch):
     """Same failures; the same accepted panels, so value and error are the
     depth-first sums up to the rounding of two summation orders."""
     rng = np.random.default_rng(4)
@@ -156,6 +157,7 @@ def test_batched_equals_depth_first_on_300_kinked_integrands():
         presplit = tuple(rng.random(int(rng.integers(0, 6))))
         tol = 10.0 ** rng.uniform(-10.0, -3.0)
         max_panels = int(rng.choice([20, 60, 200, 10 ** 6]))
+        monkeypatch.setattr(quadrature, "MAX_PANELS", max_panels)
         a, b = sorted(rng.uniform(-0.5, 1.5, 2))
         try:
             terms = _depth_first_panels(
@@ -163,12 +165,10 @@ def test_batched_equals_depth_first_on_300_kinked_integrands():
                 max_panels)
         except QuadratureFailure:
             with pytest.raises(QuadratureFailure):
-                integrate(lambda t: e.eval(t, 0.0), a, b, tol, presplit,
-                          max_panels)
+                integrate(lambda t: e.eval(t, 0.0), a, b, tol, presplit)
             failures += 1
             continue
-        got = integrate(lambda t: e.eval(t, 0.0), a, b, tol, presplit,
-                        max_panels)
+        got = integrate(lambda t: e.eval(t, 0.0), a, b, tol, presplit)
         # recursive sums of the same m terms in two orders differ by at
         # most 2 * gamma_{m-1} * sum |term| (Higham, Accuracy and
         # Stability of Numerical Algorithms, 2002, section 4.2)
@@ -185,7 +185,7 @@ def test_batched_equals_depth_first_on_300_kinked_integrands():
     assert reordered > 0  # the sums are not all bit-equal by accident
 
 
-def test_batch_equals_each_integrand_alone():
+def test_batch_equals_each_integrand_alone(monkeypatch):
     """Each integrand of a batch is refined, budgeted and summed as if it
     were alone, however many panels the others need."""
     rng = np.random.default_rng(6)
@@ -195,7 +195,8 @@ def test_batch_equals_each_integrand_alone():
         exprs.append(parse("0 * theta1"))  # an all-zero sum
         presplit = tuple(rng.random(int(rng.integers(0, 4))))
         tol = 10.0 ** rng.uniform(-9.0, -4.0)
-        max_panels = int(rng.choice([60, 10 ** 6]))
+        monkeypatch.setattr(quadrature, "MAX_PANELS",
+                            int(rng.choice([60, 10 ** 6])))
         a, b = sorted(rng.uniform(-0.5, 1.5, 2))
 
         def f(x, k):
@@ -206,17 +207,15 @@ def test_batch_equals_each_integrand_alone():
         for e in exprs:
             try:
                 want.append(integrate(lambda t: e.eval(t, 0.0), a, b, tol,
-                                      presplit, max_panels))
+                                      presplit))
             except QuadratureFailure:
                 want = None
                 break
         if want is None:
             with pytest.raises(QuadratureFailure):
-                integrate_many(f, len(exprs), a, b, tol, presplit,
-                               max_panels)
+                integrate_many(f, len(exprs), a, b, tol, presplit)
             failures += 1
             continue
-        values, errs = integrate_many(f, len(exprs), a, b, tol, presplit,
-                                      max_panels)
+        values, errs = integrate_many(f, len(exprs), a, b, tol, presplit)
         assert np.array([values, errs]).T.tobytes() == np.array(want).tobytes()
     assert 0 < failures < 12

@@ -54,6 +54,7 @@ from conftest import (
     random_poly,
     random_poly_game,
     random_profile,
+    solve_default_lp,
     src_env,
     uniform_profile,
 )
@@ -466,7 +467,7 @@ def test_lp_solves_generated_3x3_constant_sum_games():
         g = generated_constant_sum_game(seed, 3, 3)
         for n in range(8, 13):
             fg = bc.build_finite(g, n)
-            res = solve_lp(fg)
+            res = solve_default_lp(fg, g)
             assert max(res.finite_gap1, res.finite_gap2) <= 1e-8, (seed, n)
             s = _solve_block(fg.M2, fg.H, np.full(n, 1.0 / n))[0]
             assert np.abs(res.profile.s - s).max() <= 1e-12, (seed, n)
@@ -480,7 +481,7 @@ def test_lp_solves_games_with_payoffs_near_1e300(size):
         g = generated_constant_sum_game(seed, size, size, scale="1e+300")
         for n in range(1, 9):
             fg = bc.build_finite(g, n)
-            res = solve_lp(fg)
+            res = solve_default_lp(fg, g)
             largest = max(np.abs(fg.M1).max(), np.abs(fg.M2).max())
             assert max(res.finite_gap1, res.finite_gap2) <= 1e-8 * largest, \
                 (seed, n)
@@ -495,7 +496,7 @@ def test_lp_solves_level_games_with_negative_payoffs(zero_sum_match, c):
         fg = bc.build_finite(zero_sum_match, n)
         shifted = FiniteGame(n, fg.actions1, fg.actions2, fg.U - c, fg.V + c)
         assert shifted.U.min() < 0.0
-        res = solve_lp(shifted)
+        res = solve_default_lp(shifted, zero_sum_match)
         assert max(res.finite_gap1, res.finite_gap2) <= 1e-8, n
 
 
@@ -520,7 +521,8 @@ def test_lp_gives_action_0_to_a_type_whose_duals_sum_to_0(monkeypatch):
         with monkeypatch.context() as patch:
             if patched:
                 patch.setattr("bnecert.solver.simplex", zeroed)
-            res = solve_lp(fg)
+            # default_alphas' weights for a constant-sum game
+            res = solve_lp(fg, np.full(n, 1.0 / n), np.full(n, 1.0 / n))
         for rows in (res.profile.s, res.profile.t):
             assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12
         assert max(res.finite_gap1, res.finite_gap2) <= 1e-8
@@ -582,7 +584,7 @@ def test_import_loads_no_scipy():
 def test_lp_matching_pennies_uniform(matching_pennies):
     for n in (1, 3):
         fg = bc.build_finite(matching_pennies, n)
-        res = solve_lp(fg)
+        res = solve_default_lp(fg, matching_pennies)
         assert res.backend == "lp"
         assert res.finite_gap1 <= 1e-8 and res.finite_gap2 <= 1e-8
         # with type-independent payoffs only the aggregate mixture is
@@ -593,13 +595,13 @@ def test_lp_matching_pennies_uniform(matching_pennies):
 
 def test_lp_single_action():
     g = make_game([["theta1"]], [["-theta1"]])
-    res = solve_lp(bc.build_finite(g, 2))
+    res = solve_default_lp(bc.build_finite(g, 2), g)
     assert res.finite_gap1 == 0.0 and res.finite_gap2 == 0.0
 
 
 def test_lp_cross_checked_against_enum(zero_sum_match):
     fg = bc.build_finite(zero_sum_match, 2)
-    lp = solve_lp(fg)
+    lp = solve_default_lp(fg, zero_sum_match)
     enum = oracle_solve_enum(fg)
     assert lp.finite_gap1 <= 1e-8 and lp.finite_gap2 <= 1e-8
     assert abs(ex_ante_value(fg, lp.profile, 1)
@@ -611,7 +613,7 @@ def test_lp_backend_value_agreement(matching_pennies, zero_sum_match):
     for g in (matching_pennies, zero_sum_match):
         for n in (1, 2, 4):
             fg = bc.build_finite(g, n)
-            lp = solve_lp(fg)
+            lp = solve_default_lp(fg, g)
             try:
                 fp = solve_fp(fg, max_iters=4000, target_gap=1e-6)
             except NoConvergence as exc:
@@ -623,7 +625,7 @@ def test_lp_backend_value_agreement(matching_pennies, zero_sum_match):
 
 def test_lp_moderate_level(zero_sum_match):
     fg = bc.build_finite(zero_sum_match, 16)
-    res = solve_lp(fg)
+    res = solve_default_lp(fg, zero_sum_match)
     assert res.finite_gap1 <= 1e-8 and res.finite_gap2 <= 1e-8
 
 
@@ -657,9 +659,9 @@ def test_lp_overflow_is_a_nonfinite_error(zero_sum_match):
     fg = bc.build_finite(zero_sum_match, 4)
     with pytest.raises(NonFinite, match="^the simplex duals are not "):
         solve_lp(fg, np.full(4, 1e308), np.full(4, 1e308))
-    fg = bc.build_finite(generated_constant_sum_game(1, 2, 2, "5e+307"), 8)
+    g = generated_constant_sum_game(1, 2, 2, "5e+307")
     with pytest.raises(NonFinite, match="^the LP profile's finite gaps "):
-        solve_lp(fg)
+        solve_default_lp(bc.build_finite(g, 8), g)
 
 
 @pytest.mark.parametrize("solver", [simplex, oracle_simplex],
@@ -682,7 +684,7 @@ def test_lp_singular_basis_is_a_toolkit_error(matching_pennies,
     monkeypatch.setattr("bnecert.solver.simplex", singular)
     fg = bc.build_finite(matching_pennies, 2)
     with pytest.raises(BnecertError) as info:
-        solve_lp(fg)
+        solve_default_lp(fg, matching_pennies)
     assert isinstance(info.value, SimplexStall)
     assert "singular basis" in str(info.value)
 
@@ -1146,7 +1148,7 @@ def test_fp_equals_the_oracle_where_best_responses_switch_in_blocks():
 def test_fp_rejects_a_max_iters_that_is_not_an_integer(max_iters):
     fg = identity_finite_game()
     with pytest.raises(ValueError, match="^max_iters must be an integer"):
-        solve_fp(fg, max_iters=max_iters)
+        solve_fp(fg, max_iters=max_iters, target_gap=1e-6)
 
 
 def test_fp_accepts_numpy_integer_max_iters():
@@ -1156,7 +1158,7 @@ def test_fp_accepts_numpy_integer_max_iters():
             solve_fp(fg, max_iters=max_iters, target_gap=-1.0)
         assert exc.value.result.iterations >= 1
     with pytest.raises(ValueError, match="^max_iters must be >= 1$"):
-        solve_fp(fg, max_iters=np.int64(0))
+        solve_fp(fg, max_iters=np.int64(0), target_gap=1e-6)
 
 
 def test_fp_does_not_depend_on_the_blas_thread_count():
@@ -1247,7 +1249,7 @@ def test_ck_identity_at_solver_outputs(matching_pennies, zero_sum_match):
     for g in (matching_pennies, zero_sum_match):
         for n in (1, 2, 4):
             fg = bc.build_finite(g, n)
-            _assert_ck_identity(fg, solve_lp(fg).profile)
+            _assert_ck_identity(fg, solve_default_lp(fg, g).profile)
             _assert_ck_identity(fg, random_profile(rng, n, 2, 2))
     fg = bc.build_finite(matching_pennies, 1)
     try:
