@@ -10,6 +10,14 @@ the integrand may kink) and refining adaptively.  The sides differ only
 in the own type, summed for one and integrated for the other: that is
 the gap's O(1/n) bias.  A certificate passes only if the gap plus the
 a-posteriori quadrature bound stays within epsilon.
+
+One quadrature loop integrates both players' best deviations, so F and
+G must share a level: both integrals split their panels at the one grid
+i / n.  Each is refined and summed as it would be alone, so the values
+are those of certifying the players in turn.  When the shared loop
+raises, the players are certified in turn through br_value_infinite,
+which raises the error that order meets first: player 1's when both
+fail.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .quadrature import integrate
+from .quadrature import integrate, integrate_many
 
 QUAD_TOL_FLOOR = 1e-9
 
@@ -70,6 +78,18 @@ def check_tolerances(epsilon):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
 
 
+def _psi(g, player, opponent):
+    """The deviation integrand: theta -> the max over own actions of
+    interim_values, where a nan never beats another action."""
+    values = interim_values(g, player, opponent)
+
+    def psi(theta):
+        acc = values(theta)
+        return np.where(np.isnan(acc), -np.inf, acc).max(axis=0)
+
+    return psi
+
+
 def br_value_infinite(g, player, opponent, quad_tol):
     """Value of the best pure deviation against an atomic opponent.
 
@@ -77,39 +97,55 @@ def br_value_infinite(g, player, opponent, quad_tol):
     max over own actions of interim_values, with mandatory panel splits
     at the opponent's atom abscissae.
     """
-    if not quad_tol > 0.0:
-        raise ValueError("quad_tol must be positive")
-    values = interim_values(g, player, opponent)
-
-    def psi(theta):  # nan never beats another action
-        acc = values(theta)
-        return np.where(np.isnan(acc), -np.inf, acc).max(axis=0)
-
-    return integrate(psi, 0.0, 1.0, quad_tol,
+    return integrate(_psi(g, player, opponent), 0.0, 1.0, quad_tol,
                      presplit=opponent.atom_points[:-1])
 
 
 def certify(g, F, G, epsilon):
     """Check the epsilon-equilibrium condition of the infinite game for
-    player 1's strategy F and player 2's G, over the game's labels.  The
-    quadrature tolerance is epsilon / 100, floored at QUAD_TOL_FLOOR."""
+    player 1's strategy F and player 2's G, over the game's labels; F and
+    G must share a level.  The quadrature tolerance is epsilon / 100,
+    floored at QUAD_TOL_FLOOR."""
     check_tolerances(epsilon)
     for player, strat, actions in ((1, F, g.actions1), (2, G, g.actions2)):
         if strat.actions != actions:
             raise ValueError(f"player {player}'s strategy has actions "
                              f"{strat.actions}, but the game gives player "
                              f"{player} {actions}")
+    if F.n != G.n:
+        raise ValueError(f"player 1's strategy is of level {F.n} and "
+                         f"player 2's of level {G.n}; they must share one")
     quad_tol = max(epsilon / 100.0, QUAD_TOL_FLOOR)
 
-    start = time.perf_counter()
-    values, gaps, errors = [], [], []
-    for player, own, opponent in ((1, F, G), (2, G, F)):
+    def value(player, own, opponent):
         interim = interim_values(g, player, opponent)(own.atom_points)
-        values.append(float(np.vecdot(own.atom_masses().ravel(),
-                                      interim.T.ravel())))
-        br, err = br_value_infinite(g, player, opponent, quad_tol)
-        gaps.append(br - values[-1])
-        errors.append(err)
+        return float(np.vecdot(own.atom_masses().ravel(), interim.T.ravel()))
+
+    start = time.perf_counter()
+    sides = ((1, F, G), (2, G, F))
+    psis = [_psi(g, player, opponent) for player, _, opponent in sides]
+
+    def both(theta, k):  # integrand k is player k + 1's
+        out = np.empty_like(theta)
+        for i, psi in enumerate(psis):
+            mine = k == i
+            if mine.any():
+                out[mine] = psi(theta[mine])
+        return out
+
+    try:
+        values = [value(*side) for side in sides]
+        # both players' atoms sit on the one grid i / n
+        brs, errors = integrate_many(both, 2, 0.0, 1.0, quad_tol,
+                                     presplit=F.atom_points[:-1])
+    except Exception:
+        # certifying the players in turn raises the error it meets first
+        for player, own, opponent in sides:
+            value(player, own, opponent)
+            br_value_infinite(g, player, opponent, quad_tol)
+        raise
+    brs, errors = brs.tolist(), errors.tolist()
+    gaps = [br - v for br, v in zip(brs, values)]
     return Certificate(
         level=F.n,
         epsilon_requested=float(epsilon),

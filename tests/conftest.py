@@ -6,7 +6,8 @@ numpy arrays, reference payoff sums are naive Python loops, and the
 expression oracle walks the tree one point at a time with Python floats
 and numpy's scalar exp, log, sin, cos and power.  The tableau simplex
 and fictitious play oracles are the per-row loop versions that the array
-code replaced.  The enumeration oracle exists only here: an exhaustive
+code replaced, and the quadrature oracle is the loop that called its
+integrand once a depth before the library's prefetching pass schedule.  The enumeration oracle exists only here: an exhaustive
 pure-profile and support search, used as an independent cross-check of
 the lp and fp backends on small games.  So does the pretty-printer of
 expression trees, whose output the tests reparse.
@@ -29,6 +30,7 @@ from bnecert.errors import (
     Infeasible,
     NoConvergence,
     NonFinite,
+    QuadratureFailure,
     SimplexStall,
     UnboundedObjective,
 )
@@ -264,6 +266,94 @@ def naive_profile_value(g, F, G, player):
                     total += (F.weights[i, x] / F.n) * (G.weights[j, y] / G.n) \
                         * oracle_payoff(g, player, x, y, t1, t2)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the quadrature loop that calls its integrand once a depth, and certify as
+# one such integral per player
+
+
+def _oracle_simpson(fa, fm, fb, h):
+    return (h / 6.0) * (fa + 4.0 * fm + fb)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def oracle_integrate_many(f, count, a, b, tol, presplit=(),
+                          max_panels=10 ** 6):
+    """integrate_many as it was before the pass schedule: the first call
+    of f takes the initial panels' ends and midpoints, and each depth
+    then calls f once on the quarter points of all its panels."""
+    if b <= a:
+        return np.zeros(count), np.zeros(count)
+    points = np.array(sorted({a, b, *(p for p in presplit if a < p < b)}),
+                      dtype=float)
+    width = b - a
+
+    lo, hi = points[:-1], points[1:]
+    x = np.concatenate((points, 0.5 * (lo + hi)))
+    fx = f(np.tile(x, count), np.arange(count).repeat(x.size))
+    fx = fx.reshape(count, x.size)
+    flo, fhi, fm = (fx[:, :lo.size].ravel(), fx[:, 1:points.size].ravel(),
+                    fx[:, points.size:].ravel())
+    lo, hi = np.tile(lo, count), np.tile(hi, count)
+    panels = np.array([lo, hi, flo, fm, fhi,
+                       _oracle_simpson(flo, fm, fhi, hi - lo),
+                       np.arange(count).repeat(points.size - 1)])
+
+    accepted = []
+    used = np.zeros(count, dtype=int)
+    while panels.shape[1]:
+        lo, hi, flo, fm, fhi, s_whole, k = panels
+        k = k.astype(int)
+        used += np.bincount(k, minlength=count)
+        if used.max() > max_panels:
+            raise QuadratureFailure(
+                f"panel budget {max_panels} exceeded before reaching tol={tol}"
+            )
+        mid = 0.5 * (lo + hi)
+        flm, frm = np.split(f(np.concatenate((0.5 * (lo + mid),
+                                              0.5 * (mid + hi))),
+                              np.concatenate((k, k))), 2)
+        s_left = _oracle_simpson(flo, flm, fm, mid - lo)
+        s_right = _oracle_simpson(fm, frm, fhi, hi - mid)
+        s2 = s_left + s_right
+        err = np.abs(s2 - s_whole) / 15.0
+        if not math.isfinite(err.max()):
+            i = np.argmax(~np.isfinite(err))
+            raise NonFinite(f"Simpson estimates on [{lo[i]}, {hi[i]}] of "
+                            f"integrand {k[i]} are not finite")
+        ok = (err <= tol * (hi - lo) / width) | (hi - lo < 1e-14)
+        accepted.append(np.array([k, s2 + (s2 - s_whole) / 15.0, err])[:, ok])
+        left = np.array([lo, mid, flo, flm, fm, s_left, k])
+        right = np.array([mid, hi, fm, frm, fhi, s_right, k])
+        panels = np.concatenate((left[:, ~ok], right[:, ~ok]), axis=1)
+
+    k, value, err = np.concatenate(accepted, axis=1)
+    k = k.astype(int)
+    return (np.bincount(k, weights=value, minlength=count),
+            np.bincount(k, weights=err, minlength=count))
+
+
+def oracle_certify(g, F, G, epsilon):
+    """(gap1, gap2, quad_error1, quad_error2, value1, value2) of certify,
+    player by player: the candidate's value, then the best deviation by
+    oracle_integrate_many alone.  An error is the first player's."""
+    quad_tol = max(epsilon / 100.0, 1e-9)
+    gaps, errors, values = [], [], []
+    for player, own, opponent in ((1, F, G), (2, G, F)):
+        interim = bc.certificate.interim_values(g, player, opponent)
+        values.append(float(np.vecdot(own.atom_masses().ravel(),
+                                      interim(own.atom_points).T.ravel())))
+
+        def psi(theta, k):
+            acc = interim(theta)
+            return np.where(np.isnan(acc), -np.inf, acc).max(axis=0)
+
+        br, err = oracle_integrate_many(psi, 1, 0.0, 1.0, quad_tol,
+                                        presplit=opponent.atom_points[:-1])
+        gaps.append(float(br[0]) - values[-1])
+        errors.append(float(err[0]))
+    return (*gaps, *errors, *values)
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,16 @@ def test_signatures_take_no_tuning_options():
         bnecert.solve_lp(fg)
 
 
+def test_lookahead_is_a_module_constant_and_no_parameter():
+    # the pass schedule is a fixed rule of the quadrature, not an option
+    quadrature = bnecert.quadrature
+    assert type(quadrature.LOOKAHEAD) is int and quadrature.LOOKAHEAD >= 1
+    for module in (quadrature, bnecert.certificate, bnecert.model):
+        for name, func in inspect.getmembers(module, inspect.isfunction):
+            params = inspect.signature(func).parameters
+            assert not any(p.lower() == "lookahead" for p in params), name
+
+
 def src_definitions():
     """(name, where) of every module-level function, class and constant
     of src/bnecert, and of every method of its classes, dunders too."""

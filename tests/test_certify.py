@@ -18,6 +18,7 @@ from conftest import (
     make_game,
     matching_pennies_game,
     naive_profile_value,
+    oracle_certify,
     oracle_payoff,
     random_poly,
     random_poly_game,
@@ -311,6 +312,16 @@ def test_certify_rejects_strategies_of_the_other_player():
         bc.certify(wide, F, pure_step(2, ("y1", "y3", "y2"), 0), 0.05)
 
 
+def test_certify_rejects_strategies_of_two_levels():
+    g = zero_sum_match_game()
+    F = bc.lift(lp_profile(g, 4), 1, g.actions1)
+    G = bc.lift(lp_profile(g, 2), 2, g.actions2)
+    with pytest.raises(ValueError) as info:
+        bc.certify(g, F, G, epsilon=0.05)
+    assert str(info.value) == ("player 1's strategy is of level 4 and "
+                               "player 2's of level 2; they must share one")
+
+
 def test_certify_rejects_bad_epsilon():
     g = make_game([["1"]], [["1"]])
     F = pure_step(1, ("x1",), 0)
@@ -369,6 +380,66 @@ def test_prior_scaling_invariance():
     for x, y in ((a.value1, b.value1), (a.value2, b.value2),
                  (a.gap1, b.gap1), (a.gap2, b.gap2)):
         assert abs(x - y) <= 1e-12 * max(1.0, abs(x)) + 2e-7
+
+
+# ---------------------------------------------------------------------------
+# one quadrature loop for both players
+
+
+@pytest.fixture(scope="module")
+def certify_games():
+    return [bc.load_game_file(ROOT / "demos" / "specs" / f"{name}.json")
+            for name in ("linear_prior_multipliers", "matching_pennies",
+                         "zero_sum_match")] + [
+        generated_general_sum_game(1, 1, 2, 2),
+        generated_general_sum_game(2, 2, 2, 3)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+def test_certify_equals_certifying_player_by_player(certify_games, n):
+    """Both players in one quadrature loop give the bytes of one plain
+    integral per player."""
+    rng = np.random.default_rng(n)
+    for g in certify_games:
+        profile = random_profile(rng, n, g.L, g.H)
+        F = bc.lift(profile, 1, g.actions1)
+        G = bc.lift(profile, 2, g.actions2)
+        for epsilon in (1e-3, 1e-6):
+            cert = bc.certify(g, F, G, epsilon)
+            got = (cert.gap1, cert.gap2, cert.quad_error1,
+                   cert.quad_error2, cert.value1, cert.value2)
+            want = oracle_certify(g, F, G, epsilon)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_certify_makes_no_replay_when_the_shared_loop_succeeds(
+        monkeypatch, certify_games):
+    def replay(*args):
+        raise AssertionError("replayed a player")
+
+    monkeypatch.setattr(bc.certificate, "br_value_infinite", replay)
+    for g in certify_games:
+        profile = random_profile(np.random.default_rng(3), 8, g.L, g.H)
+        bc.certify(g, bc.lift(profile, 1, g.actions1),
+                   bc.lift(profile, 2, g.actions2), 1e-3)
+
+
+def test_when_both_players_fail_the_error_is_player_1s():
+    # inf near 0.35 for player 1 and near 0.55 for player 2: in one loop,
+    # player 2's overflow shows at a shallower depth than player 1's
+    g = make_game([["exp(1/abs(theta1 - 0.35))"]],
+                  [["exp(1/abs(theta2 - 0.55))"]], grid_check=11)
+    F = pure_step(2, g.actions1, 0)
+    G = pure_step(2, g.actions2, 0)
+    with pytest.raises(bc.errors.NonFinite) as want:
+        oracle_certify(g, F, G, 1e-3)
+    assert "integrand 0" in str(want.value)
+    with pytest.raises(bc.errors.NonFinite) as got:
+        bc.certify(g, F, G, 1e-3)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(bc.errors.NonFinite) as second:
+        br_value_infinite(g, 2, F, 1e-5)
+    assert str(second.value) != str(want.value)
 
 
 def test_certificate_module_beside_the_certify_function():

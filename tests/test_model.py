@@ -195,6 +195,19 @@ def test_marginal_of_a_type_array_equals_one_type_at_a_time():
         assert batch.tobytes() == np.array(one).tobytes()
 
 
+@pytest.mark.parametrize("quad_tol", [math.nan, -1.0, 0.0, math.inf])
+def test_marginal_rejects_a_bad_tolerance_at_once(quad_tol):
+    g = make_game([["1"]], [["0"]], prior="1 + theta1 * theta2")
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        bc.marginal(g, 1, 0.3, quad_tol=quad_tol)
+
+
+def test_marginal_of_no_types_is_empty():
+    g = make_game([["1"]], [["0"]], prior="1 + theta1 * theta2")
+    for player in (1, 2):
+        assert bc.marginal(g, player, np.array([])).shape == (0,)
+
+
 def test_conditional_examples():
     uniform = make_game([["1"]], [["0"]], prior="1")
     assert bc.conditional(uniform, 1, 0.8, 0.2) == pytest.approx(1.0,

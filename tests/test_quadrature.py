@@ -1,15 +1,16 @@
 """Adaptive Simpson quadrature: accuracy, error bounds, kink handling."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from bnecert import parse, quadrature
-from bnecert.errors import NonFinite, QuadratureFailure
+from bnecert.errors import DomainError, NonFinite, QuadratureFailure
 from bnecert.quadrature import integrate, integrate_many
 
-from conftest import oracle_eval
+from conftest import oracle_eval, oracle_integrate_many
 
 
 def test_polynomial_exact():
@@ -50,6 +51,20 @@ def test_kink_without_presplit_still_converges():
 def test_empty_interval():
     assert integrate(np.ones_like, 1.0, 1.0, 1e-9) == (0.0, 0.0)
     assert integrate(np.ones_like, 2.0, 1.0, 1e-9) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_tol_must_be_positive_and_finite(tol):
+    # at once, not after refining a million panels
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        integrate(np.ones_like, 0.0, 1.0, tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        integrate_many(lambda x, k: x, 2, 0.0, 1.0, tol)
+
+
+def test_no_integrands():
+    values, errs = integrate_many(lambda x, k: x, 0, 0.0, 1.0, 1e-9)
+    assert values.shape == errs.shape == (0,)
 
 
 def test_presplit_outside_interval_ignored():
@@ -219,3 +234,169 @@ def test_batch_equals_each_integrand_alone(monkeypatch):
         values, errs = integrate_many(f, len(exprs), a, b, tol, presplit)
         assert np.array([values, errs]).T.tobytes() == np.array(want).tobytes()
     assert 0 < failures < 12
+
+
+# ---------------------------------------------------------------------------
+# the pass schedule: the first call takes depth 0's quarter points, and a
+# depth that lacks some prefetches LOOKAHEAD depths of their subtrees
+
+
+def _outcome(integrator, *args):
+    """The bytes of (values, errors), or the error's type and message."""
+    try:
+        values, errs = integrator(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return values.tobytes(), errs.tobytes()
+
+
+def _trapped_integrand(rng):
+    """A random kinked integrand; a third of them raise DomainError near a
+    kink that refinement chases, and a third overflow to inf there."""
+    text = _random_kinked_integrand(rng)
+    c = f"{rng.random():.6f}"
+    trap = int(rng.integers(3))
+    if trap == 1:
+        text += f" + abs(theta1 - {c}) + 0 * sqrt(abs(theta1 - {c}) - 1e-4)"
+    elif trap == 2:
+        text += f" + exp(1 / abs(theta1 - {c}))"
+    return parse(text)
+
+
+def _batch(exprs):
+    """f(x, k) of integrate_many: each expression at its own abscissae."""
+    def f(x, k):
+        out = np.empty_like(x)
+        for i, e in enumerate(exprs):
+            out[k == i] = e.eval(x[k == i], 0.0)
+        return out
+    return f
+
+
+def _random_batch(rng, monkeypatch):
+    """Arguments of integrate_many for a random batch, with the panel
+    budget set to a random one of 20, 60 and 10**6."""
+    count = int(rng.integers(1, 4))
+    exprs = [_trapped_integrand(rng) for _ in range(count)]
+    presplit = tuple(rng.random(int(rng.integers(0, 6))))
+    tol = 10.0 ** rng.uniform(-10.0, -3.0)
+    max_panels = int(rng.choice([20, 60, 10 ** 6]))
+    monkeypatch.setattr(quadrature, "MAX_PANELS", max_panels)
+    a, b = sorted(rng.uniform(-0.5, 1.5, 2))
+    return _batch(exprs), count, a, b, tol, presplit, max_panels
+
+
+def test_pass_schedule_is_bit_identical_to_one_call_a_depth(monkeypatch):
+    """Values and errors byte for byte, and the same error, type and
+    message, as the loop that calls f once a depth; DomainError names the
+    first bad value of the array that raised it."""
+    rng = np.random.default_rng(25)
+    outcomes = Counter()
+    for _ in range(300):
+        f, *args, max_panels = _random_batch(rng, monkeypatch)
+        largest = Counter()
+
+        def sized(name, f=f, largest=largest):
+            def g(x, k):
+                largest[name] = max(largest[name], x.size)
+                return f(x, k)
+            return g
+
+        want = _outcome(oracle_integrate_many, sized("plain"), *args,
+                        max_panels)
+        assert _outcome(integrate_many, sized("new"), *args) == want
+        assert largest["new"] <= max(quadrature.FETCH_POINTS,
+                                     largest["plain"])
+        outcomes[want[0] if isinstance(want[0], type) else "ok"] += 1
+    assert set(outcomes) == {"ok", QuadratureFailure, DomainError, NonFinite}
+
+
+def test_no_call_outgrows_fetch_points_or_the_plain_schedule():
+    # 64 cells that each refine a few depths: a fetch of all their
+    # subtrees would hold 64 * 31 abscissae
+    sizes = {"plain": [], "new": []}
+
+    def sized(name):
+        def f(x, k):
+            sizes[name].append(x.size)
+            return np.sin(40.0 * x)
+        return f
+
+    presplit = tuple(np.arange(1, 64) / 64)
+    want = oracle_integrate_many(sized("plain"), 1, 0.0, 1.0, 1e-13,
+                                 presplit)
+    got = integrate_many(sized("new"), 1, 0.0, 1.0, 1e-13, presplit)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert max(sizes["new"]) <= max(quadrature.FETCH_POINTS,
+                                    max(sizes["plain"]))
+    assert max(sizes["plain"]) * 2 ** quadrature.LOOKAHEAD \
+        > quadrature.FETCH_POINTS
+    assert len(sizes["new"]) < len(sizes["plain"])
+
+
+def test_raises_on_abscissae_the_plain_schedule_never_reaches_change_nothing(
+        monkeypatch):
+    """An f that raises wherever a prefetch runs ahead of the refinement
+    still gives the plain schedule's bytes, or its error."""
+    rng = np.random.default_rng(26)
+    discarded = 0
+    for _ in range(100):
+        f, *args, max_panels = _random_batch(rng, monkeypatch)
+        visited = set()
+
+        def plain(x, k):
+            visited.update(zip(k.tolist(), x.tolist()))
+            return f(x, k)
+
+        def strict(x, k):
+            nonlocal discarded
+            if not visited.issuperset(zip(k.tolist(), x.tolist())):
+                discarded += 1
+                raise ValueError("an abscissa the refinement never reaches")
+            return f(x, k)
+
+        want = _outcome(oracle_integrate_many, plain, *args, max_panels)
+        assert _outcome(integrate_many, strict, *args) == want
+    assert discarded > 10
+
+
+def test_a_first_call_that_raises_is_replayed_as_the_plain_one():
+    # the plain schedule first calls f at 0, 1 and 0.5, then at depth 0
+    # at 0.25 and 0.75, where this f raises
+    def f(x):
+        if (x == 0.25).any():
+            raise ValueError(f"0.25 among {x.size} abscissae")
+        return x
+
+    with pytest.raises(ValueError, match=r"^0\.25 among 2 abscissae$"):
+        integrate(f, 0.0, 1.0, 1e-9)
+
+
+@pytest.mark.parametrize("lookahead", [1, 2, 3, 4, 5])
+def test_a_kink_costs_one_call_per_lookahead_depths(monkeypatch, lookahead):
+    """On |theta - c| with c off the presplit, f is called once for depth
+    0 and once per LOOKAHEAD depths below it."""
+    if lookahead != quadrature.LOOKAHEAD:
+        monkeypatch.setattr(quadrature, "LOOKAHEAD", lookahead)
+    rng = np.random.default_rng(lookahead)
+    deepest = 0
+    for _ in range(20):
+        c = rng.random()
+        presplit = tuple(rng.random(int(rng.integers(0, 4))))
+        tol = 10.0 ** rng.uniform(-10.0, -4.0)
+        calls = Counter()
+
+        def counted(name):
+            def f(x, k):
+                calls[name] += 1
+                return np.abs(x - c)
+            return f
+
+        want = oracle_integrate_many(counted("plain"), 1, 0.0, 1.0, tol,
+                                     presplit)
+        got = integrate_many(counted("new"), 1, 0.0, 1.0, tol, presplit)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        depths = calls["plain"] - 1
+        assert calls["new"] <= 1 + math.ceil((depths - 1) / lookahead)
+        deepest = max(deepest, depths)
+    assert deepest > 2 * lookahead
