@@ -11,13 +11,7 @@ in the own type, summed for one and integrated for the other: that is
 the gap's O(1/n) bias.  A certificate passes only if the gap plus the
 a-posteriori quadrature bound stays within epsilon.
 
-One quadrature loop integrates both players' best deviations, so F and
-G must share a level: both integrals split their panels at the one grid
-i / n.  Each is refined and summed as it would be alone, so the values
-are those of certifying the players in turn.  When the shared loop
-raises, the players are certified in turn through br_value_infinite,
-which raises the error that order meets first: player 1's when both
-fail.
+F and G must share a level: a certificate reports one.
 """
 
 from __future__ import annotations
@@ -29,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .quadrature import integrate, integrate_many
+from .quadrature import integrate
 
 QUAD_TOL_FLOOR = 1e-9
 
@@ -78,18 +72,6 @@ def check_tolerances(epsilon):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
 
 
-def _psi(g, player, opponent):
-    """The deviation integrand: theta -> the max over own actions of
-    interim_values, where a nan never beats another action."""
-    values = interim_values(g, player, opponent)
-
-    def psi(theta):
-        acc = values(theta)
-        return np.where(np.isnan(acc), -np.inf, acc).max(axis=0)
-
-    return psi
-
-
 def br_value_infinite(g, player, opponent, quad_tol):
     """Value of the best pure deviation against an atomic opponent.
 
@@ -97,7 +79,13 @@ def br_value_infinite(g, player, opponent, quad_tol):
     max over own actions of interim_values, with mandatory panel splits
     at the opponent's atom abscissae.
     """
-    return integrate(_psi(g, player, opponent), 0.0, 1.0, quad_tol,
+    values = interim_values(g, player, opponent)
+
+    def psi(theta):  # nan never beats another action
+        acc = values(theta)
+        return np.where(np.isnan(acc), -np.inf, acc).max(axis=0)
+
+    return integrate(psi, 0.0, 1.0, quad_tol,
                      presplit=opponent.atom_points[:-1])
 
 
@@ -117,35 +105,15 @@ def certify(g, F, G, epsilon):
                          f"player 2's of level {G.n}; they must share one")
     quad_tol = max(epsilon / 100.0, QUAD_TOL_FLOOR)
 
-    def value(player, own, opponent):
-        interim = interim_values(g, player, opponent)(own.atom_points)
-        return float(np.vecdot(own.atom_masses().ravel(), interim.T.ravel()))
-
     start = time.perf_counter()
-    sides = ((1, F, G), (2, G, F))
-    psis = [_psi(g, player, opponent) for player, _, opponent in sides]
-
-    def both(theta, k):  # integrand k is player k + 1's
-        out = np.empty_like(theta)
-        for i, psi in enumerate(psis):
-            mine = k == i
-            if mine.any():
-                out[mine] = psi(theta[mine])
-        return out
-
-    try:
-        values = [value(*side) for side in sides]
-        # both players' atoms sit on the one grid i / n
-        brs, errors = integrate_many(both, 2, 0.0, 1.0, quad_tol,
-                                     presplit=F.atom_points[:-1])
-    except Exception:
-        # certifying the players in turn raises the error it meets first
-        for player, own, opponent in sides:
-            value(player, own, opponent)
-            br_value_infinite(g, player, opponent, quad_tol)
-        raise
-    brs, errors = brs.tolist(), errors.tolist()
-    gaps = [br - v for br, v in zip(brs, values)]
+    values, gaps, errors = [], [], []
+    for player, own, opponent in ((1, F, G), (2, G, F)):
+        interim = interim_values(g, player, opponent)(own.atom_points)
+        values.append(float(np.vecdot(own.atom_masses().ravel(),
+                                      interim.T.ravel())))
+        br, err = br_value_infinite(g, player, opponent, quad_tol)
+        gaps.append(br - values[-1])
+        errors.append(err)
     return Certificate(
         level=F.n,
         epsilon_requested=float(epsilon),

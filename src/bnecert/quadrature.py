@@ -17,21 +17,20 @@ Pass schedule.  Each depth needs the quarter points of its panels, the
 midpoints of their halves.  The first call of f evaluates the initial
 panels' ends and midpoints and also those quarter points, which depth 0
 always needs.  A later depth that lacks them makes one call for all its
-panels that do, which also prefetches each one's subtree: the quarter
-points of its descendants down to LOOKAHEAD depths in all, that is its
-dyadic grid of 2**(LOOKAHEAD + 1) intervals.  The grid comes from the
+panels, which also prefetches each one's subtree: the quarter points of
+its descendants down to LOOKAHEAD depths in all, that is its dyadic
+grid of 2**(LOOKAHEAD + 1) intervals.  The grid comes from the
 0.5 * (lo + hi) chain that refinement follows, so its points are the
-floats refinement reaches.  Each call keeps these values in a cache
-keyed by integrand, subtree and grid index, and the depths below read
-them from there.  So f is called for depth 0, then at depths 1,
-LOOKAHEAD + 1, 2 LOOKAHEAD + 1, ... while refinement goes on: chasing
-one kink takes one call per LOOKAHEAD depths.  A prefetched value
-counts toward neither the panel budget nor NonFinite until refinement
-reaches its panel.  A call runs ahead of refinement only while it holds
-at most FETCH_POINTS abscissae, or no more than the plain first call
-below does; otherwise it takes just what its depth needs.  So the
-integrand's largest array is never much larger than on the plain
-schedule.
+floats refinement reaches.  Each panel carries f on its grid, and each
+half it refines into takes its own half of that grid, until the grids
+run out.  So f is called for depth 0, then at depths 1, LOOKAHEAD + 1,
+2 LOOKAHEAD + 1, ... while refinement goes on: chasing one kink takes
+one call per LOOKAHEAD depths.  A prefetched value counts toward neither
+the panel budget nor NonFinite until refinement reaches its panel.  A
+call runs ahead of refinement only while it holds at most FETCH_POINTS
+abscissae, or no more than the first call of the plain schedule below;
+otherwise it takes just what its depth needs.  So the integrand's
+largest array is never much larger than on the plain schedule.
 
 Exactness rule.  f must give each value whatever else the array holds;
 then results are bit-identical to calling f once a depth on just the
@@ -58,11 +57,6 @@ LOOKAHEAD = 4  # depths of quarter points that one call of f fetches
 # many panels refine at once a call is bound by arithmetic, not overhead,
 # and running ahead would only make the integrand's arrays larger.
 FETCH_POINTS = 1024
-# for each row of state, the rows of a refined panel that its left and
-# right halves take that row from: lo, mid (set after), hi, f at each and
-# the Simpson value; the last four rows are scratch, rewritten each depth
-_HALVES = np.array([[0, 1], [0, 1], [1, 2], [3, 4], [7, 8], [4, 5], [9, 10],
-                    [0, 0], [0, 0], [0, 0], [0, 0]])
 
 
 def _simpson(fa, fm, fb, h):
@@ -102,103 +96,87 @@ def integrate_many(f, count, a, b, tol, presplit=()):
     width = b - a
     size = 2 ** (LOOKAHEAD + 1)  # intervals of a prefetched subtree's grid
     cells = points.size - 1
+
     lo, hi = points[:-1], points[1:]
     mid = 0.5 * (lo + hi)
-    x = np.concatenate((points, mid))
-    quarters = np.concatenate((0.5 * (lo + mid), 0.5 * (mid + hi)))
+    x = np.concatenate((points, mid, 0.5 * (lo + mid), 0.5 * (mid + hi)))
+    plain = points.size + cells  # the ends and midpoints
+    cap = max(FETCH_POINTS, count * plain)  # abscissae of a call ahead
     lookahead, fx = True, None
-    cap = max(FETCH_POINTS, count * x.size)  # abscissae of a call ahead
-    if count * (x.size + quarters.size) <= cap:
+    if count * x.size <= cap:
         try:
-            fx = f(np.tile(np.concatenate((x, quarters)), count),
-                   np.arange(count).repeat(x.size + quarters.size))
+            fx = f(np.tile(x, count), np.arange(count).repeat(x.size))
         except Exception:  # the exactness rule
             lookahead = False
     if fx is None:
-        fx = f(np.tile(x, count), np.arange(count).repeat(x.size))
+        fx = f(np.tile(x[:plain], count), np.arange(count).repeat(plain))
     fx = fx.reshape(count, -1)
+    flo, fhi, fm = (fx[:, :cells].ravel(), fx[:, 1:points.size].ravel(),
+                    fx[:, points.size:plain].ravel())
+    lo, hi = np.tile(lo, count), np.tile(hi, count)
+    # one column per panel: its ends, f at its ends and middle, its
+    # Simpson value and its integrand
+    panels = np.array([lo, hi, flo, fm, fhi, _simpson(flo, fm, fhi, hi - lo),
+                       np.arange(count).repeat(cells)])
+    # Where d > 0, f on each panel's dyadic grid of 4 d intervals, one
+    # column per panel: its quarter points are rows d and 3 d.  All
+    # panels of a depth share d, since a call fetches for all of them.
+    d, grid = 0, None
+    if fx.shape[1] > plain:
+        flq, fhq = fx[:, plain:].reshape(count, 2, cells).transpose(1, 0, 2)
+        d, grid = 1, np.array([flo, flq.ravel(), fm, fhq.ravel(), fhi])
 
-    # Panels run integrand by integrand, cell by cell, one column each.
-    # Rows of state: lo, mid, hi, f at each, the panel's Simpson value,
-    # f at its quarter points and its halves' Simpson values.  Rows of
-    # ints: integrand, and where the cache, the dyadic grids of the
-    # fetched subtrees laid end to end, holds the panel's quarter points:
-    # at pos + d and pos + 3 d, with its halves at pos and pos + 2 d and
-    # d / 2.  d is 0 where the cache holds none of them.  The first call
-    # fetched subtrees of one depth: grids of 4 intervals.
-    state = np.empty((11, count * cells))
-    state[:3] = np.tile(np.stack((lo, mid, hi)), count)
-    state[3:6] = np.stack((fx[:, :cells], fx[:, cells + 1:x.size],
-                           fx[:, 1:cells + 1])).reshape(3, -1)
-    state[6] = _simpson(state[3], state[4], state[5], state[2] - state[0])
-    ints = np.zeros((3, count * cells), dtype=int)
-    ints[0] = np.arange(count).repeat(cells)
-    cache = np.zeros((count * cells, 5))
-    if fx.shape[1] > x.size:
-        ints[1] = np.arange(0, cache.size, 5)
-        ints[2] = 1
-        cache[:, [1, 3]] = fx[:, x.size:].reshape(count, 2, cells) \
-            .transpose(0, 2, 1).reshape(-1, 2)
-    cache = cache.ravel()
-
-    depths = ([], [], [], [], [])  # k, s2, s_whole, err, accepted
+    accepted = []
     used = np.zeros(count, dtype=int)
-    while ints.shape[1]:
-        k, pos, d = ints[0], ints[1], ints[2]
+    while panels.shape[1]:
+        lo, hi, flo, fm, fhi, s_whole, k = panels
+        k = k.astype(int)
         used += np.bincount(k, minlength=count)
         if used.max() > MAX_PANELS:
             raise QuadratureFailure(
                 f"panel budget {MAX_PANELS} exceeded before reaching tol={tol}"
             )
-        missing = k.size - np.count_nonzero(d)
-        if lookahead and 0 < missing * (size - 1) <= cap:
-            fetch = (d == 0).nonzero()[0]
+        mid = 0.5 * (lo + hi)
+        if lookahead and not d and k.size * (size - 1) <= cap:
             try:
-                grid = _dyadic(state[0, fetch], state[2, fetch], size)
-                grid[1:-1] = f(grid[1:-1].ravel(), k[fetch][None].repeat(
-                    size - 1, axis=0).ravel()).reshape(size - 1, -1)
-                pos[fetch] = cache.size + np.arange(fetch.size) * (size + 1)
-                d[fetch] = size // 4
-                cache = np.concatenate((cache, grid.T.ravel()))
-                missing = 0
+                x = _dyadic(lo, hi, size)[1:-1]
+                fx = f(x.ravel(), np.tile(k, size - 1)).reshape(x.shape)
             except Exception:  # the exactness rule
                 lookahead = False
-        # the halves, left ones then right ones
-        lo, hi = state[:2].ravel(), state[1:3].ravel()
-        if lookahead and not missing:
-            fq = cache[np.concatenate((pos + d, pos + 3 * d))]
+            else:
+                d, grid = size // 4, np.concatenate(([flo], fx, [fhi]))
+        if d:  # 0 for good once a call has raised
+            flm, frm = grid[d], grid[3 * d]
         else:
-            fq = f(0.5 * (lo + hi), np.concatenate((k, k)))
-        state[7:9] = fq.reshape(2, -1)
-        state[9:] = _simpson(state[3:5].ravel(), fq, state[4:6].ravel(),
-                             hi - lo).reshape(2, -1)
-        s2 = state[9] + state[10]
-        err = np.abs(s2 - state[6]) / 15.0
+            flm, frm = np.split(f(np.concatenate((0.5 * (lo + mid),
+                                                  0.5 * (mid + hi))),
+                                  np.concatenate((k, k))), 2)
+        s_left = _simpson(flo, flm, fm, mid - lo)
+        s_right = _simpson(fm, frm, fhi, hi - mid)
+        s2 = s_left + s_right
+        err = np.abs(s2 - s_whole) / 15.0
         if not math.isfinite(err.max()):  # max propagates NaN
             i = np.argmax(~np.isfinite(err))
-            raise NonFinite(f"Simpson estimates on [{state[0, i]}, "
-                            f"{state[2, i]}] of integrand {k[i]} are not "
-                            f"finite")
+            raise NonFinite(f"Simpson estimates on [{lo[i]}, {hi[i]}] of "
+                            f"integrand {k[i]} are not finite")
         # proportional error allocation keeps the summed bound <= tol
-        h = state[2] - state[0]
+        h = hi - lo
         ok = (err <= tol * h / width) | (h < 1e-14)
-        for kept, column in zip(depths, (k, s2, state[6], err, ok)):
-            kept.append(column)
-        # the refined panels' left halves, then their right halves
-        refine = (~ok).nonzero()[0]
-        state = state.take(refine, axis=1).take(_HALVES, axis=0) \
-            .reshape(11, -1)
-        state[1] = (state[0] + state[2]) * 0.5
-        ints = ints.take(refine, axis=1)
-        ints = np.concatenate((ints, ints), axis=1)
-        ints[1, refine.size:] += 2 * ints[2, refine.size:]
-        ints[2] >>= 1
+        accepted.append(np.array([k, s2 + (s2 - s_whole) / 15.0, err])[:, ok])
+        refine = ~ok
+        left = np.array([lo, mid, flo, flm, fm, s_left, k])
+        right = np.array([mid, hi, fm, frm, fhi, s_right, k])
+        panels = np.concatenate((left[:, refine], right[:, refine]), axis=1)
+        if d:  # the halves' grids
+            grid = np.concatenate((grid[:2 * d + 1, refine],
+                                   grid[2 * d:, refine]), axis=1)
+            d //= 2
 
-    k, s2, s_whole, err, ok = (np.concatenate(column) for column in depths)
     # bincount adds each integrand's terms to +0.0 in array order
-    return (np.bincount(k[ok], weights=(s2 + (s2 - s_whole) / 15.0)[ok],
-                        minlength=count),
-            np.bincount(k[ok], weights=err[ok], minlength=count))
+    k, value, err = np.concatenate(accepted, axis=1)
+    k = k.astype(int)
+    return (np.bincount(k, weights=value, minlength=count),
+            np.bincount(k, weights=err, minlength=count))
 
 
 def integrate(f, a, b, tol, presplit=()):

@@ -383,7 +383,7 @@ def test_prior_scaling_invariance():
 
 
 # ---------------------------------------------------------------------------
-# one quadrature loop for both players
+# certify against the player-by-player oracle
 
 
 @pytest.fixture(scope="module")
@@ -397,8 +397,8 @@ def certify_games():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
 def test_certify_equals_certifying_player_by_player(certify_games, n):
-    """Both players in one quadrature loop give the bytes of one plain
-    integral per player."""
+    """The pass schedule gives the bytes of one plain integral per
+    player."""
     rng = np.random.default_rng(n)
     for g in certify_games:
         profile = random_profile(rng, n, g.L, g.H)
@@ -412,21 +412,10 @@ def test_certify_equals_certifying_player_by_player(certify_games, n):
             assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
-def test_certify_makes_no_replay_when_the_shared_loop_succeeds(
-        monkeypatch, certify_games):
-    def replay(*args):
-        raise AssertionError("replayed a player")
-
-    monkeypatch.setattr(bc.certificate, "br_value_infinite", replay)
-    for g in certify_games:
-        profile = random_profile(np.random.default_rng(3), 8, g.L, g.H)
-        bc.certify(g, bc.lift(profile, 1, g.actions1),
-                   bc.lift(profile, 2, g.actions2), 1e-3)
-
-
 def test_when_both_players_fail_the_error_is_player_1s():
-    # inf near 0.35 for player 1 and near 0.55 for player 2: in one loop,
-    # player 2's overflow shows at a shallower depth than player 1's
+    # inf near 0.35 for player 1 and near 0.55 for player 2: player 2's
+    # overflow shows at a shallower depth, so refining both players in
+    # one loop would raise player 2's error
     g = make_game([["exp(1/abs(theta1 - 0.35))"]],
                   [["exp(1/abs(theta2 - 0.55))"]], grid_check=11)
     F = pure_step(2, g.actions1, 0)

@@ -238,7 +238,7 @@ def test_batch_equals_each_integrand_alone(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the pass schedule: the first call takes depth 0's quarter points, and a
-# depth that lacks some prefetches LOOKAHEAD depths of their subtrees
+# depth that lacks them prefetches LOOKAHEAD depths of its subtrees
 
 
 def _outcome(integrator, *args):
