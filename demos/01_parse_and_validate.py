@@ -2,7 +2,7 @@
 
 A game is four ingredients: two action sets, one utility expression per
 action pair and player, and a joint prior density over the unit square.
-Loading normalizes the prior, shifts utilities to be nonnegative, and
+Loading normalizes the prior, takes each payoff as prior x utility, and
 rejects anything that is negative, non-finite, or degenerate.
 """
 
@@ -19,7 +19,11 @@ def main():
 
     print(f"actions: {g.actions1} vs {g.actions2}")
     print(f"prior normalization constant: {g.prior_norm:.6f}")
-    print(f"nonnegativity shifts: {g.shift1:.3e}, {g.shift2:.3e}")
+    # each payoff is the normalized prior times the raw utility
+    t = 0.75
+    raw, = g.tables(t, t, (1,), assimilated=False)
+    print(f"u[0][0] at ({t}, {t}): payoff {g.payoff(1, t, t)[0, 0]:.4f} = "
+          f"prior {g.prior(t, t):.4f} x utility {raw[0, 0]:.4f}")
 
     # the prior is now a proper density; its marginals integrate to one
     for theta in (0.0, 0.5, 1.0):

@@ -38,8 +38,6 @@ def cmd_check(args):
         "actions1": list(g.actions1),
         "actions2": list(g.actions2),
         "prior_norm": g.prior_norm,
-        "shift1": g.shift1,
-        "shift2": g.shift2,
         "multiplier_condition": prop1.kind,
     }, indent=2, sort_keys=True))
     return EXIT_OK

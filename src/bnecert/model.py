@@ -3,8 +3,7 @@
 A game is given by two finite action sets, one utility expression per
 action pair and player, and a joint prior density over the unit square.
 Loading compiles the prior and every utility cell into one expression
-Program, auto-normalizes the prior, applies a uniform nonnegativity shift
-to each player's utilities, folds the prior into the payoffs
+Program, auto-normalizes the prior, folds it into the payoffs
 (u = b * u_bar), and sanity-checks everything on a dense grid.  Every
 later evaluation of the game runs the steps of that program which its
 outputs need, so a subtree shared by several cells is evaluated once.
@@ -34,7 +33,6 @@ from .errors import (
 from .expr import Expr, Program
 from .quadrature import integrate, integrate_many
 
-SHIFT_MARGIN = 1e-9
 _BLOCK_POINTS = 3072  # validation grid points per program pass: 24 KiB a value
 
 
@@ -86,43 +84,34 @@ def _compile(spec):
     return Program(trees, names)
 
 
-def _lows(program, t1, t2):
-    """Least value of each of the program's cells (u's, then v's) at
-    types t1 x t2 (one axis each); raises what checking the cells one by
-    one, finite first, raises first."""
-    cells = range(1, len(program.outputs))
-    values = program.stream(t1[:, None], t2[None, :], cells)
-    lows = []
-    with np.errstate(all="ignore"):
-        for k, vals in zip(cells, values):
-            lo = float(vals.min())  # nan if any value is
-            if not (math.isfinite(lo) and math.isfinite(vals.max())):
-                i, j = np.argwhere(~np.isfinite(vals))[0]
-                raise NonFinite(f"{program.names[k]}: utility is not finite "
-                                f"at ({t1[i]}, {t2[j]})")
-            lows.append(lo)
-    return lows
-
-
-def _shifts(program, t1, t2):
-    """Nonnegativity shift of each player's utility table, checked finite
-    at types t1 x t2 (one axis each).
+def _check_utilities(program, t1, t2):
+    """Check the program's utility cells (u's, then v's) finite at types
+    t1 x t2 (one axis each).  Raises what checking the cells one by one
+    over the whole grid raises first: a DomainError, or NonFinite naming
+    the cell and the point.
 
     The grid runs in blocks of rows, so the values that cells share stay
     small while they wait for their last use.  On an error the whole grid
-    runs again, to raise the error that checking the cells one by one
-    over the whole grid raises first.
+    runs again, so that the error raised is that first one.
     """
+    cells = range(1, len(program.outputs))
+
+    def check(rows):
+        values = program.stream(rows[:, None], t2[None, :], cells)
+        with np.errstate(all="ignore"):
+            for k, vals in zip(cells, values):
+                bad = ~np.isfinite(vals)
+                if bad.any():
+                    i, j = np.argwhere(bad)[0]
+                    raise NonFinite(f"{program.names[k]}: utility is not "
+                                    f"finite at ({rows[i]}, {t2[j]})")
+
     blocks = -(-t1.size * t2.size // _BLOCK_POINTS)
     try:
-        per_block = [_lows(program, rows, t2)
-                     for rows in np.array_split(t1, blocks)]
-        lows = [min(cell) for cell in zip(*per_block)]
+        for rows in np.array_split(t1, blocks):
+            check(rows)
     except (DomainError, NonFinite):
-        lows = _lows(program, t1, t2)
-    half = len(lows) // 2
-    return tuple(max(0.0, -min(lo)) + SHIFT_MARGIN
-                 for lo in (lows[:half], lows[half:]))
+        check(t1)
 
 
 @dataclass(frozen=True)
@@ -222,8 +211,6 @@ class InfiniteGame:
     """
 
     spec: GameSpec
-    shift1: float
-    shift2: float
     prior_norm: float
     program: Program = field(repr=False, compare=False)
 
@@ -256,8 +243,8 @@ class InfiniteGame:
     def tables(self, theta1, theta2, players=(1, 2), assimilated=True):
         """Each listed player's utilities at types that broadcast to some
         shape, an (L, H, *shape) array each, from one program pass: the
-        prior-assimilated payoffs b * (raw + shift), or with assimilated
-        False the raw utilities before the nonnegativity shift."""
+        prior-assimilated payoffs b * raw, or with assimilated False the
+        raw utilities."""
         size = self.L * self.H
         outputs = [0] if assimilated else []
         for player in players:
@@ -278,14 +265,13 @@ class InfiniteGame:
                 for i in range(size):
                     raw[i] = next(values)
                 raw = raw.reshape(self.L, self.H, *shape)
-                if assimilated:  # b * (raw + shift), in place
-                    raw += self.shift1 if player == 1 else self.shift2
+                if assimilated:  # b * raw, in place
                     np.multiply(b, raw, out=raw)
             tables.append(raw)
         return tables
 
     def payoff(self, player, theta1, theta2):
-        """Prior-assimilated payoffs b * (raw + shift): (L, H, *shape)."""
+        """Prior-assimilated payoffs b * raw: (L, H, *shape)."""
         return self.tables(theta1, theta2, (player,))[0]
 
     def multiplier(self, player, theta):
@@ -318,10 +304,10 @@ def _check_marginal(player, thetas, densities):
                            f"theta={thetas[bad[0]]} is {densities[bad[0]]}")
 
 
-def conditional(g, player, theta_other, theta_own, quad_tol=1e-9):
+def conditional(g, player, theta_other, theta_own):
     """Conditional density of the opponent's type given one's own; as in
     marginal, a 1-D array of own types gives one density each."""
-    denom = marginal(g, player, theta_own, quad_tol)
+    denom = marginal(g, player, theta_own)
     _check_marginal(player, np.atleast_1d(theta_own), np.atleast_1d(denom))
     if player == 1:
         joint = g.prior(theta_own, theta_other)
@@ -339,9 +325,8 @@ def load_game(spec, grid_check=101):
     if grid_check < 11 or grid_check % 2 == 0:
         raise ValueError("grid_check must be odd and >= 11")
     grid = np.linspace(0.0, 1.0, grid_check)
-    # unnormalized and unshifted until both are known; x / 1.0 is exact
-    game = InfiniteGame(spec=spec, shift1=0.0, shift2=0.0, prior_norm=1.0,
-                        program=_compile(spec))
+    # unnormalized until the norm is known; x / 1.0 is exact
+    game = InfiniteGame(spec=spec, prior_norm=1.0, program=_compile(spec))
 
     # prior checks on the raw (unnormalized) density
     prior_vals = game.prior(grid[:, None], grid[None, :])
@@ -360,8 +345,8 @@ def load_game(spec, grid_check=101):
     if not (math.isfinite(norm) and norm > 0.0):
         raise ZeroMarginal(f"prior integrates to {norm}; must be positive")
 
-    shift1, shift2 = _shifts(game.program, *game._map(grid, grid))
-    game = replace(game, shift1=shift1, shift2=shift2, prior_norm=norm)
+    _check_utilities(game.program, *game._map(grid, grid))
+    game = replace(game, prior_norm=norm)
 
     # marginal positivity along every grid line
     for player in (1, 2):

@@ -138,9 +138,9 @@ PROP1_GRID = 21
 def check_prop1(g):
     """Detect whether the slack program's bilinear terms are constant.
 
-    Checks the raw (pre-shift) utilities on a PROP1_GRID x PROP1_GRID
-    type grid: constant-sum detection first, then verification of
-    user-supplied multipliers m1, m2.  A sum that overflows, or is not
+    Checks the raw utilities, not weighted by the prior, on a PROP1_GRID x
+    PROP1_GRID type grid: constant-sum detection first, then verification
+    of user-supplied multipliers m1, m2.  A sum that overflows, or is not
     finite, is not constant.
     """
     pts = np.linspace(0.0, 1.0, PROP1_GRID)

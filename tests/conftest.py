@@ -163,9 +163,11 @@ def random_profile(rng, n, L, H):
 
 
 def riemann_br_value(g, player, opponent, points=RIEMANN_POINTS):
-    """Uniform midpoint Riemann sum of the best-deviation integrand.
+    """Uniform midpoint Riemann sum of the best-deviation integrand, with
+    the payoffs taken as the normalized prior times the raw utilities.
 
-    Independent of the library quadrature; vectorized over theta.
+    Independent of the library quadrature and of its prior-assimilated
+    tables; vectorized over theta.
     """
     theta = (np.arange(points) + 0.5) / points
     masses = opponent.atom_masses()
@@ -174,9 +176,11 @@ def riemann_br_value(g, player, opponent, points=RIEMANN_POINTS):
     acc = np.zeros((own_count, points))
     for j, t in enumerate(pts):
         if player == 1:
-            payoff = g.payoff(1, theta, t)                  # (own, opp, .)
+            raw, = g.tables(theta, t, (1,), assimilated=False)
+            payoff = g.prior(theta, t) * raw                # (own, opp, .)
         else:
-            payoff = g.payoff(2, t, theta).transpose(1, 0, 2)
+            raw, = g.tables(t, theta, (2,), assimilated=False)
+            payoff = (g.prior(t, theta) * raw).transpose(1, 0, 2)
         acc = acc + np.einsum("o,aok->ak", masses[j], payoff)
     return float(acc.max(axis=0).mean())
 
@@ -228,9 +232,9 @@ def riemann_step_regret(g, profile, points=(1000, 200)):
     over an own-type by opponent-type grid weighted by the normalized
     prior, prior / prior_norm.
 
-    Uses the raw utilities, so the nonnegativity shift cancels.  Each
-    count is rounded up to a multiple of n, so no midpoint sits on a
-    cell edge.
+    Multiplies the raw utilities by that prior itself, as the payoffs
+    are defined, without the library's assimilated tables.  Each count
+    is rounded up to a multiple of n, so no midpoint sits on a cell edge.
     """
     n = profile.n
     sizes = [-(-p // n) * n for p in points]
@@ -427,15 +431,15 @@ def _np_scalar(ufunc, *args):
 
 
 def oracle_payoff(g, player, x, y, theta1, theta2):
-    """b * (raw + shift) at one point, as the scalar accessors computed it."""
+    """Normalized prior times raw utility at one point, by the scalar
+    expression oracle."""
     a1, b1 = g.spec.type_range1
     a2, b2 = g.spec.type_range2
     t1 = a1 + (b1 - a1) * float(theta1)
     t2 = a2 + (b2 - a2) * float(theta2)
     prior = oracle_eval(g.spec.prior, t1, t2) / g.prior_norm
-    table, shift = ((g.spec.u_raw, g.shift1) if player == 1
-                    else (g.spec.v_raw, g.shift2))
-    return prior * (oracle_eval(table[x][y], t1, t2) + shift)
+    table = g.spec.u_raw if player == 1 else g.spec.v_raw
+    return prior * oracle_eval(table[x][y], t1, t2)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,7 @@ def test_signatures_take_no_tuning_options():
         bnecert.load_game_file: ["path"],
         bnecert.check_prop1: ["g"],
         bnecert.load_game: ["spec", "grid_check"],
+        bnecert.conditional: ["g", "player", "theta_other", "theta_own"],
         bnecert.solve_lp: ["fg", "alpha1", "alpha2"],
         bnecert.solve_fp: ["fg", "max_iters", "target_gap"],
         bnecert.certificate.br_value_infinite: ["g", "player", "opponent",

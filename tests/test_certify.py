@@ -228,8 +228,8 @@ def test_best_deviation_ignores_zero_mass_actions_where_payoff_overflows():
     values = interim_values(g, 1, G)
     assert values(np.array([0.1, 0.5501])) == pytest.approx(np.ones((1, 2)))
     value, err = br_value_infinite(g, 1, G, quad_tol=1e-9)
-    # the payoff 1 plus the nonnegativity shift, under a uniform prior
-    assert value == pytest.approx(1.0 + g.shift1, abs=1e-12)
+    # the payoff 1 under a uniform prior
+    assert value == 1.0
     assert err <= 1e-9
 
 
@@ -288,6 +288,25 @@ def test_certify_zero_sum_via_lp():
         oracle_gap = riemann_br_value(g, player, opp) \
             - naive_profile_value(g, F, G, player)
         assert abs(gap - oracle_gap) <= 1e-6
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_gaps_of_a_game_with_negative_utilities_match_the_oracle(n):
+    """A general-sum game whose utilities go negative: both gaps equal
+    the Riemann deviation value minus the naive candidate value, both on
+    prior x utility, within criterion 6's tolerance and the quadrature
+    error.  A per-game offset on the payoffs moved gap1 by 0.18 at n = 2."""
+    g = generated_general_sum_game(1, 1, 2, 2)
+    grid = np.linspace(0.0, 1.0, 11)
+    raw = g.tables(grid[:, None], grid[None, :], assimilated=False)
+    assert min(table.min() for table in raw) < 0.0
+    _, _, F, G, cert = bc.driver.certify_level(g, n, bc.check_prop1(g), 1e-3)
+    for player, opp in ((1, G), (2, F)):
+        gap, err = ((cert.gap1, cert.quad_error1) if player == 1
+                    else (cert.gap2, cert.quad_error2))
+        oracle_gap = riemann_br_value(g, player, opp) \
+            - naive_profile_value(g, F, G, player)
+        assert abs(gap - oracle_gap) <= 1e-6 + err
 
 
 def test_certify_rejects_strategies_of_the_other_player():

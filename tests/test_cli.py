@@ -72,6 +72,9 @@ def test_check(spec_path, capsys):
     assert doc["actions1"] == ["x1", "x2"]
     assert doc["multiplier_condition"] == "zero_sum"
     assert doc["prior_norm"] == pytest.approx(1.0, abs=1e-8)
+    # payoffs are prior x utility, so there is no per-game offset to show
+    assert set(doc) == {"actions1", "actions2", "prior_norm",
+                        "multiplier_condition"}
 
 
 @pytest.mark.parametrize("utility", ["exp(1000*theta1)", "10^400"])

@@ -23,8 +23,8 @@ from conftest import make_game
 def test_uniform_prior_product_utility():
     g = make_game([["theta1*theta2"]], [["0"]], prior="1")
     assert g.prior_norm == pytest.approx(1.0, abs=1e-9)
-    assert g.shift1 == pytest.approx(1e-9, abs=1e-15)
-    assert g.payoff(1, 0.5, 0.5)[0, 0] == pytest.approx(0.25, abs=1e-8)
+    # the payoff is prior x utility, with no offset
+    assert g.payoff(1, 0.5, 0.5)[0, 0] == g.prior(0.5, 0.5) * 0.25
 
 
 def test_linear_prior_normalizes_to_one():
@@ -243,7 +243,7 @@ def test_conditional_normalization():
     quad_tol = 1e-9
     for theta_own in np.linspace(0.0, 1.0, 11):
         total, _ = integrate(
-            lambda t: bc.conditional(g, 1, t, theta_own, quad_tol),
+            lambda t: bc.conditional(g, 1, t, theta_own),
             0.0, 1.0, quad_tol,
         )
         assert abs(total - 1.0) <= 2 * quad_tol + 1e-7
@@ -255,9 +255,9 @@ def test_assimilation_consistency_441_points():
     grid = np.linspace(0.0, 1.0, 21)
     t1, t2 = grid[:, None], grid[None, :]
     raw, = g.tables(t1, t2, (1,), assimilated=False)
-    want = g.prior(t1, t2) * (raw[0, 0] + g.shift1)
+    want = g.prior(t1, t2) * raw[0, 0]
     got = g.payoff(1, t1, t2)[0, 0]
-    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_shift_invariance_of_best_response_argmax():

@@ -656,9 +656,9 @@ def test_lp_overflow_is_a_nonfinite_error(zero_sum_match):
     fg = bc.build_finite(zero_sum_match, 8)
     with pytest.raises(NonFinite, match="^the simplex tableau is not "):
         solve_lp(fg, np.full(8, 1.7e308), np.full(8, 1.7e308))
-    fg = bc.build_finite(zero_sum_match, 4)
+    fg = bc.build_finite(zero_sum_match, 6)
     with pytest.raises(NonFinite, match="^the simplex duals are not "):
-        solve_lp(fg, np.full(4, 1e308), np.full(4, 1e308))
+        solve_lp(fg, np.full(6, 1e308), np.full(6, 1e308))
     g = generated_constant_sum_game(1, 2, 2, "5e+307")
     with pytest.raises(NonFinite, match="^the LP profile's finite gaps "):
         solve_default_lp(bc.build_finite(g, 8), g)
@@ -773,7 +773,7 @@ def test_fp_matching_pennies(matching_pennies):
     fg = bc.build_finite(matching_pennies, 1)
     res = solve_fp(fg, max_iters=10 ** 4, target_gap=0.01)
     assert max(res.finite_gap1, res.finite_gap2) <= 0.01
-    # closed-form equilibrium value 0.5 (plus the 1e-9 shift)
+    # closed-form equilibrium value 0.5
     assert ex_ante_value(fg, res.profile, 1) == pytest.approx(0.5, abs=0.02)
 
 
