@@ -13,24 +13,21 @@ are not finite (from an integrand that is not, or one above about 3e307,
 where fa + 4 fm + fb overflows) raise NonFinite at once, since refining
 cannot make them finite.
 
-Pass schedule.  Each depth needs the quarter points of its panels, the
-midpoints of their halves.  The first call of f evaluates the initial
-panels' ends and midpoints and also those quarter points, which depth 0
-always needs.  A later depth that lacks them makes one call for all its
-panels, which also prefetches each one's subtree: the quarter points of
-its descendants down to LOOKAHEAD depths in all, that is its dyadic
-grid of 2**(LOOKAHEAD + 1) intervals.  The grid comes from the
-0.5 * (lo + hi) chain that refinement follows, so its points are the
-floats refinement reaches.  Each panel carries f on its grid, and each
-half it refines into takes its own half of that grid, until the grids
-run out.  So f is called for depth 0, then at depths 1, LOOKAHEAD + 1,
-2 LOOKAHEAD + 1, ... while refinement goes on: chasing one kink takes
-one call per LOOKAHEAD depths.  A prefetched value counts toward neither
-the panel budget nor NonFinite until refinement reaches its panel.  A
-call runs ahead of refinement only while it holds at most FETCH_POINTS
-abscissae, or no more than the first call of the plain schedule below;
-otherwise it takes just what its depth needs.  So the integrand's
-largest array is never much larger than on the plain schedule.
+Pass schedule.  Each panel carries f on its dyadic grid of 2**m
+intervals, built by the 0.5 * (lo + hi) chain that refinement follows,
+so its points are the floats refinement reaches: rows 0, 2**(m-1) and
+2**m are its ends and middle, rows 2**(m-2) and 3 * 2**(m-2) the
+quarter points its depth needs, and each half takes its half of the
+grid.  One rule calls f: once for the first panels, on each integrand's
+ends once and the middles, and once for each depth whose grids hold no
+quarter points, on each panel's grid of 2**(LOOKAHEAD + 1) intervals.
+A call takes the first panels' quarter points, or a depth's whole grids,
+only while it holds at most FETCH_POINTS abscissae, or as many as the
+first call without quarter points; otherwise it takes just the quarter
+points.  So f is called for depth 0 and then at depths 1, LOOKAHEAD + 1,
+2 LOOKAHEAD + 1, ... while refinement goes on.  A value fetched ahead
+counts toward neither the panel budget nor NonFinite until refinement
+reaches its panel.
 
 Exactness rule.  f must give each value whatever else the array holds;
 then results are bit-identical to calling f once a depth on just the
@@ -52,27 +49,13 @@ from .errors import NonFinite, QuadratureFailure
 
 MAX_PANELS = 10 ** 6  # the panel budget: panels refined per integrand
 LOOKAHEAD = 4  # depths of quarter points that one call of f fetches
-# A call of f takes abscissae that refinement has not reached only while
-# it holds at most this many, or as many as the plain first call: where
-# many panels refine at once a call is bound by arithmetic, not overhead,
-# and running ahead would only make the integrand's arrays larger.
+# A call of f runs ahead of refinement only up to this many abscissae: past
+# that it is bound by arithmetic, and running ahead only grows its arrays.
 FETCH_POINTS = 1024
 
 
 def _simpson(fa, fm, fb, h):
     return (h / 6.0) * (fa + 4.0 * fm + fb)
-
-
-def _dyadic(lo, hi, size):
-    """(size + 1, panels) abscissae: each panel's grid of size intervals,
-    size a power of two, by the 0.5 * (lo + hi) chain of refinement."""
-    x = np.empty((size + 1, lo.size))
-    x[0], x[size] = lo, hi
-    step = size // 2
-    while step:
-        x[step::2 * step] = 0.5 * (x[:-step:2 * step] + x[2 * step::2 * step])
-        step //= 2
-    return x
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises NonFinite
@@ -94,65 +77,65 @@ def integrate_many(f, count, a, b, tol, presplit=()):
     points = np.array(sorted({a, b, *(p for p in presplit if a < p < b)}),
                       dtype=float)
     width = b - a
-    size = 2 ** (LOOKAHEAD + 1)  # intervals of a prefetched subtree's grid
     cells = points.size - 1
+    cap = max(FETCH_POINTS, count * (2 * cells + 1))
+    ahead = True  # calls may run ahead of refinement until one raises
 
-    lo, hi = points[:-1], points[1:]
-    mid = 0.5 * (lo + hi)
-    x = np.concatenate((points, mid, 0.5 * (lo + mid), 0.5 * (mid + hi)))
-    plain = points.size + cells  # the ends and midpoints
-    cap = max(FETCH_POINTS, count * plain)  # abscissae of a call ahead
-    lookahead, fx = True, None
-    if count * x.size <= cap:
+    def fetch(lo, hi, k, grid):
+        """The panels' grids of f, quarter points included, from one call
+        of f.  grid holds f at their ends and middles, or is None for the
+        first call, which also takes each integrand's ends once."""
+        nonlocal ahead
+        first = grid is None
+        m = 2 if first else LOOKAHEAD + 1  # a grid of 2**m intervals
+        rows = [2, 1, 3] if first else list(range(1, 2 ** m))
+        held = len(rows) * k.size + first * count * (cells + 1)  # abscissae
+        now = ahead and held <= cap  # this call runs ahead of refinement
+        if not now:  # just the middles, or just the quarter points
+            m, rows = (1, [1]) if first else (2, [1, 3])
+        size = 2 ** m
+        x = np.empty((size + 1, k.size))
+        x[0], x[size] = lo, hi
+        for step in (2 ** j for j in range(m, 0, -1)):  # coarse to fine
+            x[step // 2::step] = 0.5 * (x[:-1:step] + x[step::step])
+        fx = np.empty_like(x)
         try:
-            fx = f(np.tile(x, count), np.arange(count).repeat(x.size))
+            if first:  # integrand by integrand: ends, then rows
+                xs = np.concatenate((points, x[rows, :cells].ravel()))
+                v = f(np.tile(xs, count), np.arange(count).repeat(xs.size))
+                v = v.reshape(count, -1)
+                by = fx.reshape(size + 1, count, cells).swapaxes(0, 1)
+                by[:, 0], by[:, size] = v[:, :cells], v[:, 1:cells + 1]
+                by[:, rows] = v[:, cells + 1:].reshape(count, -1, cells)
+            else:  # row by row; the known ends and middles stay
+                v = f(x[rows].ravel(), np.tile(k, len(rows)))
+                fx[rows] = v.reshape(len(rows), -1)
+                fx[::size // 2] = grid
         except Exception:  # the exactness rule
-            lookahead = False
-    if fx is None:
-        fx = f(np.tile(x[:plain], count), np.arange(count).repeat(plain))
-    fx = fx.reshape(count, -1)
-    flo, fhi, fm = (fx[:, :cells].ravel(), fx[:, 1:points.size].ravel(),
-                    fx[:, points.size:plain].ravel())
-    lo, hi = np.tile(lo, count), np.tile(hi, count)
-    # one column per panel: its ends, f at its ends and middle, its
-    # Simpson value and its integrand
-    panels = np.array([lo, hi, flo, fm, fhi, _simpson(flo, fm, fhi, hi - lo),
-                       np.arange(count).repeat(cells)])
-    # Where d > 0, f on each panel's dyadic grid of 4 d intervals, one
-    # column per panel: its quarter points are rows d and 3 d.  All
-    # panels of a depth share d, since a call fetches for all of them.
-    d, grid = 0, None
-    if fx.shape[1] > plain:
-        flq, fhq = fx[:, plain:].reshape(count, 2, cells).transpose(1, 0, 2)
-        d, grid = 1, np.array([flo, flq.ravel(), fm, fhq.ravel(), fhi])
+            if not now:
+                raise
+            ahead = False
+            return fetch(lo, hi, k, grid)
+        return fx
 
+    lo, hi = np.tile(points[:-1], count), np.tile(points[1:], count)
+    k = np.arange(count).repeat(cells)
+    grid = fetch(lo, hi, k, None)  # (2**m + 1, panels): f on the dyadic grids
+    s_whole = _simpson(grid[0], grid[grid.shape[0] // 2], grid[-1], hi - lo)
     accepted = []
     used = np.zeros(count, dtype=int)
-    while panels.shape[1]:
-        lo, hi, flo, fm, fhi, s_whole, k = panels
-        k = k.astype(int)
+    while k.size:
         used += np.bincount(k, minlength=count)
         if used.max() > MAX_PANELS:
             raise QuadratureFailure(
                 f"panel budget {MAX_PANELS} exceeded before reaching tol={tol}"
             )
+        if grid.shape[0] == 3:  # no quarter points
+            grid = fetch(lo, hi, k, grid)
+        q = grid.shape[0] // 4  # the quarter points are rows q and 3 q
         mid = 0.5 * (lo + hi)
-        if lookahead and not d and k.size * (size - 1) <= cap:
-            try:
-                x = _dyadic(lo, hi, size)[1:-1]
-                fx = f(x.ravel(), np.tile(k, size - 1)).reshape(x.shape)
-            except Exception:  # the exactness rule
-                lookahead = False
-            else:
-                d, grid = size // 4, np.concatenate(([flo], fx, [fhi]))
-        if d:  # 0 for good once a call has raised
-            flm, frm = grid[d], grid[3 * d]
-        else:
-            flm, frm = np.split(f(np.concatenate((0.5 * (lo + mid),
-                                                  0.5 * (mid + hi))),
-                                  np.concatenate((k, k))), 2)
-        s_left = _simpson(flo, flm, fm, mid - lo)
-        s_right = _simpson(fm, frm, fhi, hi - mid)
+        s_left = _simpson(grid[0], grid[q], grid[2 * q], mid - lo)
+        s_right = _simpson(grid[2 * q], grid[3 * q], grid[4 * q], hi - mid)
         s2 = s_left + s_right
         err = np.abs(s2 - s_whole) / 15.0
         if not math.isfinite(err.max()):  # max propagates NaN
@@ -163,20 +146,17 @@ def integrate_many(f, count, a, b, tol, presplit=()):
         h = hi - lo
         ok = (err <= tol * h / width) | (h < 1e-14)
         accepted.append(np.array([k, s2 + (s2 - s_whole) / 15.0, err])[:, ok])
-        refine = ~ok
-        left = np.array([lo, mid, flo, flm, fm, s_left, k])
-        right = np.array([mid, hi, fm, frm, fhi, s_right, k])
-        panels = np.concatenate((left[:, refine], right[:, refine]), axis=1)
-        if d:  # the halves' grids
-            grid = np.concatenate((grid[:2 * d + 1, refine],
-                                   grid[2 * d:, refine]), axis=1)
-            d //= 2
+        r = ~ok  # refined panels become their halves, the left ones first
+        lo, mid, hi = lo[r], mid[r], hi[r]
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        k, s_whole = k[r], np.concatenate((s_left[r], s_right[r]))
+        k = np.concatenate((k, k))
+        grid = np.concatenate((grid[:2 * q + 1, r], grid[2 * q:, r]), axis=1)
 
     # bincount adds each integrand's terms to +0.0 in array order
     k, value, err = np.concatenate(accepted, axis=1)
-    k = k.astype(int)
-    return (np.bincount(k, weights=value, minlength=count),
-            np.bincount(k, weights=err, minlength=count))
+    return (np.bincount(k.astype(int), weights=value, minlength=count),
+            np.bincount(k.astype(int), weights=err, minlength=count))
 
 
 def integrate(f, a, b, tol, presplit=()):

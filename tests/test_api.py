@@ -213,3 +213,17 @@ def test_certificate_imports_only_the_trusted_core():
     assert "quadrature" in imported  # the scan reads the imports
     assert imported <= {"errors", "expr", "model", "quadrature"}
     assert not imported & {"solver", "driver", "discretize", "cli"}
+
+
+def test_quadrature_imports_only_math_numpy_and_errors():
+    """The quadrature is the trusted core's numerics: quadrature.py
+    imports only math, numpy and the package's errors."""
+    path = ROOT / "src" / "bnecert" / "quadrature.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.add("." * node.level + (node.module or ""))
+    assert "numpy" in imported  # the scan reads the imports
+    assert imported <= {"math", "numpy", ".errors"}

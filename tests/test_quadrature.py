@@ -1,5 +1,6 @@
 """Adaptive Simpson quadrature: accuracy, error bounds, kink handling."""
 
+import hashlib
 import math
 from collections import Counter
 
@@ -237,8 +238,9 @@ def test_batch_equals_each_integrand_alone(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the pass schedule: the first call takes depth 0's quarter points, and a
-# depth that lacks them prefetches LOOKAHEAD depths of its subtrees
+# the pass schedule: one call for the first panels, with their quarter
+# points within the cap, and one for each depth whose panels' grids hold
+# no quarter points, with LOOKAHEAD depths of their subtrees within it
 
 
 def _outcome(integrator, *args):
@@ -309,6 +311,48 @@ def test_pass_schedule_is_bit_identical_to_one_call_a_depth(monkeypatch):
                                      largest["plain"])
         outcomes[want[0] if isinstance(want[0], type) else "ok"] += 1
     assert set(outcomes) == {"ok", QuadratureFailure, DomainError, NonFinite}
+
+
+def test_every_call_of_f_is_pinned():
+    """The size, abscissae and integrand indices of every call of f, byte
+    for byte: which arrays f sees is part of the schedule, since an error
+    of f, such as DomainError, names the first bad value of its array.  The integrands are exactly rounded, so
+    refinement, and with it the bytes, do not depend on the CPU.  The
+    last batch's 64 cells overflow the cap: its first call takes no
+    quarter points, and the depths below fetch just theirs until few
+    panels refine."""
+    rng = np.random.default_rng(28)
+    sizes, digest = [], hashlib.sha256()
+
+    def exact(c, power):
+        def f(x, k):
+            sizes.append(x.size)
+            digest.update(x.tobytes())
+            digest.update(k.tobytes())
+            return np.abs(x - c[k]) + k * (x * x) ** power
+        return f
+
+    for _ in range(30):
+        count = int(rng.integers(1, 4))
+        c = rng.random(count)
+        presplit = tuple(rng.random(int(rng.integers(0, 6))))
+        tol = 10.0 ** rng.uniform(-10.0, -3.0)
+        integrate_many(exact(c, 1), count, 0.0, 1.0, tol, presplit)
+    integrate_many(exact(rng.random(8), 2), 8, 0.0, 1.0, 1e-13,
+                   tuple(np.arange(1, 64) / 64))
+    assert sizes == [
+        50, 124, 124, 124, 62, 63, 186, 186, 186, 51, 186, 124, 13, 62, 75,
+        186, 186, 186, 186, 186, 62, 50, 124, 124, 25, 62, 62, 62, 18, 124,
+        124, 62, 42, 124, 15, 186, 186, 62, 21, 62, 62, 62, 62, 62, 10, 124,
+        124, 124, 124, 26, 124, 124, 124, 62, 75, 186, 186, 124, 25, 62, 62,
+        62, 62, 13, 62, 26, 124, 15, 186, 186, 186, 15, 124, 124, 62, 13, 62,
+        62, 62, 62, 62, 25, 62, 62, 62, 62, 62, 10, 124, 124, 124, 62, 13, 62,
+        62, 5, 62, 62, 62, 62, 62, 42, 124, 62, 34, 124, 124, 124, 39, 186,
+        186, 186, 186, 186, 62, 34, 124, 124, 124, 124, 10, 124, 124, 124,
+        124, 10, 124, 124, 124, 124,
+        1032, 1024, 1796, 3588, 7172, 496, 496, 496, 496, 496, 496, 496]
+    assert digest.hexdigest() == (
+        "d9bbf559829a963abd03dda407c16b618aae7229d4aae3f6c3341b876b906f8b")
 
 
 def test_no_call_outgrows_fetch_points_or_the_plain_schedule():
