@@ -36,6 +36,19 @@ def check_count(name, value):
         raise ValueError(f"{name} must be >= 1")
 
 
+def _check_rows(name, m):
+    """ValueError unless m is 2-D with finite, nonnegative entries and
+    rows that sum to 1 within 1e-12: per-type action distributions."""
+    if m.ndim != 2:
+        raise ValueError(f"{name} must be 2-D")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} has entries that are not finite")
+    if np.any(m < 0.0):
+        raise ValueError(f"{name} has negative entries")
+    if np.max(np.abs(m.sum(axis=1) - 1.0)) > 1e-12:
+        raise ValueError(f"rows of {name} must sum to 1")
+
+
 def grid_floor(n, theta):
     """floor(n * theta), nudged; an array theta gives an index array."""
     return np.floor(n * theta + _FLOOR_NUDGE).astype(int)
@@ -85,15 +98,8 @@ class BehavioralProfile:
     t: np.ndarray
 
     def __post_init__(self):
-        for name, m in (("s", self.s), ("t", self.t)):
-            if m.ndim != 2:
-                raise ValueError(f"{name} must be 2-D")
-            if not np.all(np.isfinite(m)):
-                raise ValueError(f"{name} has entries that are not finite")
-            if np.any(m < 0.0):
-                raise ValueError(f"{name} has negative entries")
-            if np.max(np.abs(m.sum(axis=1) - 1.0)) > 1e-12:
-                raise ValueError(f"rows of {name} must sum to 1")
+        _check_rows("s", self.s)
+        _check_rows("t", self.t)
         if self.s.shape[0] != self.t.shape[0]:
             raise ValueError("s and t must have the same number of types")
 
@@ -113,6 +119,7 @@ class StepStrategy:
     def __post_init__(self):
         if self.weights.shape != (self.n, len(self.actions)):
             raise ValueError("weights must have shape (n, len(actions))")
+        _check_rows("weights", self.weights)
         # cumulative masses; cum[k, a] = sum of first k rows
         cum = np.vstack(
             [np.zeros(len(self.actions)), np.cumsum(self.weights, axis=0)]

@@ -6,7 +6,8 @@ class BnecertError(Exception):
 
 
 class ExprSyntaxError(BnecertError):
-    """Malformed expression text; carries the byte offset of the problem."""
+    """Malformed expression text; offset is the index in the text (in
+    characters) where the problem is."""
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (at offset {offset})")

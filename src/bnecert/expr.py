@@ -1,6 +1,6 @@
 """Tiny math DSL for utility functions and prior densities.
 
-Grammar (recursive descent, standard precedence):
+Grammar (standard precedence):
 
     expr    := term (('+' | '-') term)*
     term    := unary (('*' | '/') unary)*
@@ -10,7 +10,11 @@ Grammar (recursive descent, standard precedence):
              | FUNC '(' expr (',' expr)* ')'
              | '(' expr ')'
 
-'^' binds tighter than unary minus, so "-2^2" is -(2^2) = -4.
+'^' binds tighter than unary minus, so "-2^2" is -(2^2) = -4.  The
+parser climbs precedences: after an operand it folds in each binary
+operator above its floor, by one table of (precedence, floor of the
+right operand): + - (1, 1), * / (2, 2), ^ (4, 3); a unary minus's
+operand has floor 3.
 The only variables are theta1 and theta2; the only functions are
 min, max, abs, exp, log, sqrt, sin, cos.  Trees are immutable and
 evaluation is pure, so Expr values are safe to share across threads.
@@ -87,6 +91,22 @@ class BinOp(Expr):
 class Call(Expr):
     name: str
     args: tuple[Expr, ...]
+
+
+def postorder(tree):
+    """The nodes of tree, each after its operands, which come left to
+    right; the walk keeps its own stack, so any depth will do."""
+    nodes, todo = [], [tree]
+    while todo:  # each node before its operands, the last operand first
+        e = todo.pop()
+        nodes.append(e)
+        if isinstance(e, BinOp):
+            todo += (e.left, e.right)
+        elif isinstance(e, Neg):
+            todo.append(e.arg)
+        elif isinstance(e, Call):
+            todo += e.args
+    return nodes[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -180,33 +200,40 @@ class Program:
         del self._slot_of
         self._schedules = {}
 
-    def _emit(self, e, walk):
-        """Slot of e's value; appends the slots of e's steps to walk in
-        the order a walk of e evaluates them."""
-        if isinstance(e, BinOp):
-            key = (_BINARY[e.op], self._emit(e.left, walk),
-                   self._emit(e.right, walk))
-        elif isinstance(e, Var):
-            return 0 if e.name == "theta1" else 1
-        elif isinstance(e, Num):
-            value = float(e.value)
-            key = value.hex()
-            slot = self._slot_of.get(key)
-            if slot is None:
-                slot = self._slot_of[key] = len(self._init)
-                self._init.append(np.float64(value))
-            return slot
-        elif isinstance(e, Neg):
-            key = (np.negative, self._emit(e.arg, walk), -1)
-        elif e.name in _FOLD:
-            fn = _FOLD[e.name]
-            first, second, *rest = (self._emit(a, walk) for a in e.args)
-            key = (fn, first, second)
-            for v in rest:
-                key = (fn, self._step(key, walk), v)
-        else:
-            key = (_UNARY[e.name], self._emit(e.args[0], walk), -1)
-        return self._step(key, walk)
+    def _emit(self, tree, walk):
+        """Slot of tree's value; appends the slots of its steps to walk in
+        the order a walk of the tree evaluates them.  Nodes come in
+        postorder and take their operands' slots off a stack."""
+        slots = []
+        for e in postorder(tree):
+            if isinstance(e, BinOp):
+                right = slots.pop()
+                key = (_BINARY[e.op], slots.pop(), right)
+            elif isinstance(e, Var):
+                slots.append(0 if e.name == "theta1" else 1)
+                continue
+            elif isinstance(e, Num):
+                value = float(e.value)
+                key = value.hex()
+                slot = self._slot_of.get(key)
+                if slot is None:
+                    slot = self._slot_of[key] = len(self._init)
+                    self._init.append(np.float64(value))
+                slots.append(slot)
+                continue
+            elif isinstance(e, Neg):
+                key = (np.negative, slots.pop(), -1)
+            elif e.name in _FOLD:
+                fn, n = _FOLD[e.name], len(e.args)
+                first, second, *rest = slots[-n:]
+                del slots[-n:]
+                key = (fn, first, second)
+                for v in rest:
+                    key = (fn, self._step(key, walk), v)
+            else:
+                key = (_UNARY[e.name], slots.pop(), -1)
+            slots.append(self._step(key, walk))
+        return slots[0]
 
     def _step(self, key, walk):
         """Slot of the step key, put on the tape if it is new."""
@@ -292,7 +319,8 @@ _OPS = set("+-*/^(),")
 
 
 def _tokenize(text):
-    """Yield (kind, value, offset) triples; kind in {num, ident, op, end}."""
+    """The list of (kind, value, offset) triples, kind in {num, ident,
+    op, end}; offset is a character index."""
     tokens = []
     i, nchars = 0, len(text)
     while i < nchars:
@@ -339,105 +367,73 @@ def _tokenize(text):
 # ---------------------------------------------------------------------------
 # parser
 
+# binary operator -> (its precedence, the floor of its right operand)
+_PRECEDENCE = {"+": (1, 1), "-": (1, 1), "*": (2, 2), "/": (2, 2),
+               "^": (4, 3)}
+
+
 class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def expect_op(self, symbol):
-        kind, value, offset = self.peek()
+        kind, value, offset = self.tokens[self.pos]
         if kind != "op" or value != symbol:
             raise ExprSyntaxError(f"expected {symbol!r}", offset)
-        return self.advance()
+        self.pos += 1
 
-    def parse(self):
-        e = self.expr()
-        kind, value, offset = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"unexpected trailing input {value!r}", offset)
-        return e
-
-    def expr(self):
-        e = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                e = BinOp(value, e, self.term())
-            else:
-                return e
-
-    def term(self):
-        e = self.unary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                e = BinOp(value, e, self.unary())
-            else:
-                return e
-
-    def unary(self):
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            return BinOp("^", base, self.unary())
-        return base
-
-    def atom(self):
-        kind, value, offset = self.advance()
+    def expr(self, floor):
+        """One operand, then each binary operator whose precedence is
+        above floor, folded in with its right operand parsed at its
+        operator's floor."""
+        kind, value, offset = self.tokens[self.pos]
+        self.pos += 1
         if kind == "num":
-            return Num(value)
-        if kind == "ident":
-            if value in VARIABLES:
-                return Var(value)
-            if value in FUNCTIONS:
-                return self.call(value, offset)
-            raise UnknownIdentifier(value, offset)
-        if kind == "op" and value == "(":
-            e = self.expr()
+            e = Num(value)
+        elif kind == "ident" and value in VARIABLES:
+            e = Var(value)
+        elif kind == "ident" and value in FUNCTIONS:
+            self.expect_op("(")
+            args = [self.expr(0)]
+            while self.tokens[self.pos][:2] == ("op", ","):
+                self.pos += 1
+                args.append(self.expr(0))
             self.expect_op(")")
-            return e
-        what = "end of input" if kind == "end" else repr(value)
-        raise ExprSyntaxError(f"expected operand, got {what}", offset)
-
-    def call(self, name, name_offset):
-        self.expect_op("(")
-        args = [self.expr()]
+            lo, hi = FUNCTIONS[value]
+            if len(args) < lo or (hi is not None and len(args) > hi):
+                raise ExprSyntaxError(
+                    f"{value} takes {lo}{'+' if hi is None else ''} "
+                    f"argument(s), got {len(args)}", offset)
+            e = Call(value, tuple(args))
+        elif kind == "ident":
+            raise UnknownIdentifier(value, offset)
+        elif (kind, value) == ("op", "("):
+            e = self.expr(0)
+            self.expect_op(")")
+        elif (kind, value) == ("op", "-"):
+            e = Neg(self.expr(3))  # so only '^' binds tighter
+        else:
+            what = "end of input" if kind == "end" else repr(value)
+            raise ExprSyntaxError(f"expected operand, got {what}", offset)
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == ",":
-                self.advance()
-                args.append(self.expr())
-            else:
-                break
-        self.expect_op(")")
-        lo, hi = FUNCTIONS[name]
-        if len(args) < lo or (hi is not None and len(args) > hi):
-            raise ExprSyntaxError(
-                f"{name} takes {lo}{'+' if hi is None else ''} argument(s), "
-                f"got {len(args)}",
-                name_offset,
-            )
-        return Call(name, tuple(args))
+            op = self.tokens[self.pos][1]
+            prec, right_floor = _PRECEDENCE.get(op, (0, 0))
+            if prec <= floor:
+                return e
+            self.pos += 1
+            e = BinOp(op, e, self.expr(right_floor))
 
 
 def parse(text):
     """Parse DSL text into an immutable Expr tree."""
-    return _Parser(text).parse()
+    p = _Parser(text)
+    try:
+        e = p.expr(0)
+    except RecursionError:  # named at the last token read
+        raise ExprSyntaxError("expression nested too deeply",
+                              p.tokens[p.pos - 1][2]) from None
+    kind, value, offset = p.tokens[p.pos]
+    if kind != "end":
+        raise ExprSyntaxError(f"unexpected trailing input {value!r}", offset)
+    return e

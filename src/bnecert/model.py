@@ -37,18 +37,7 @@ _BLOCK_POINTS = 3072  # validation grid points per program pass: 24 KiB a value
 
 
 def _variables_of(e):
-    if isinstance(e, exprmod.Var):
-        return {e.name}
-    if isinstance(e, exprmod.Neg):
-        return _variables_of(e.arg)
-    if isinstance(e, exprmod.BinOp):
-        return _variables_of(e.left) | _variables_of(e.right)
-    if isinstance(e, exprmod.Call):
-        out = set()
-        for a in e.args:
-            out |= _variables_of(a)
-        return out
-    return set()
+    return {v.name for v in exprmod.postorder(e) if isinstance(v, exprmod.Var)}
 
 
 _ARRAY = (list, tuple)  # a JSON array, or a tuple in a spec built in code

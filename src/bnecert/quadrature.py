@@ -20,7 +20,8 @@ so its points are the floats refinement reaches: rows 0, 2**(m-1) and
 quarter points its depth needs, and each half takes its half of the
 grid.  One rule calls f: once for the first panels, on each integrand's
 ends once and the middles, and once for each depth whose grids hold no
-quarter points, on each panel's grid of 2**(LOOKAHEAD + 1) intervals.
+quarter points, on each panel's grid of 2**(LOOKAHEAD + 1) intervals
+but its ends and middle, whose values the panel holds.
 A call takes the first panels' quarter points, or a depth's whole grids,
 only while it holds at most FETCH_POINTS abscissae, or as many as the
 first call without quarter points; otherwise it takes just the quarter
@@ -88,7 +89,9 @@ def integrate_many(f, count, a, b, tol, presplit=()):
         nonlocal ahead
         first = grid is None
         m = 2 if first else LOOKAHEAD + 1  # a grid of 2**m intervals
-        rows = [2, 1, 3] if first else list(range(1, 2 ** m))
+        # rows f has not given yet: the middle is known past the first call
+        rows = [2, 1, 3] if first else [r for r in range(1, 2 ** m)
+                                        if r != 2 ** (m - 1)]
         held = len(rows) * k.size + first * count * (cells + 1)  # abscissae
         now = ahead and held <= cap  # this call runs ahead of refinement
         if not now:  # just the middles, or just the quarter points

@@ -7,7 +7,10 @@ expression oracle walks the tree one point at a time with Python floats
 and numpy's scalar exp, log, sin, cos and power.  The tableau simplex
 and fictitious play oracles are the per-row loop versions that the array
 code replaced, and the quadrature oracle is the loop that called its
-integrand once a depth before the library's prefetching pass schedule.  The enumeration oracle exists only here: an exhaustive
+integrand once a depth before the library's prefetching pass schedule.
+The parser oracle is the recursive-descent parser, one method per
+grammar rule, that the precedence-climbing parser replaced.  The
+enumeration oracle exists only here: an exhaustive
 pure-profile and support search, used as an independent cross-check of
 the lp and fp backends on small games.  So does the pretty-printer of
 expression trees, whose output the tests reparse.
@@ -27,14 +30,25 @@ import bnecert as bc
 from bnecert.discretize import BehavioralProfile
 from bnecert.errors import (
     DomainError,
+    ExprSyntaxError,
     Infeasible,
     NoConvergence,
     NonFinite,
     QuadratureFailure,
     SimplexStall,
     UnboundedObjective,
+    UnknownIdentifier,
 )
-from bnecert.expr import BinOp, Call, Neg, Num, Var
+from bnecert.expr import (
+    FUNCTIONS,
+    VARIABLES,
+    BinOp,
+    Call,
+    Neg,
+    Num,
+    Var,
+    _tokenize,
+)
 from bnecert.solver import (
     SolverResult,
     _normalize_rows,
@@ -440,6 +454,116 @@ def oracle_payoff(g, player, x, y, theta1, theta2):
     prior = oracle_eval(g.spec.prior, t1, t2) / g.prior_norm
     table = g.spec.u_raw if player == 1 else g.spec.v_raw
     return prior * oracle_eval(table[x][y], t1, t2)
+
+
+# ---------------------------------------------------------------------------
+# the recursive-descent parser that precedence climbing replaced: one
+# method per grammar rule of the bnecert.expr docstring
+
+
+class _OracleParser:
+    def __init__(self, text):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, symbol):
+        kind, value, offset = self.peek()
+        if kind != "op" or value != symbol:
+            raise ExprSyntaxError(f"expected {symbol!r}", offset)
+        return self.advance()
+
+    def parse(self):
+        e = self.expr()
+        kind, value, offset = self.peek()
+        if kind != "end":
+            raise ExprSyntaxError(f"unexpected trailing input {value!r}", offset)
+        return e
+
+    def expr(self):
+        e = self.term()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in "+-":
+                self.advance()
+                e = BinOp(value, e, self.term())
+            else:
+                return e
+
+    def term(self):
+        e = self.unary()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in "*/":
+                self.advance()
+                e = BinOp(value, e, self.unary())
+            else:
+                return e
+
+    def unary(self):
+        kind, value, _ = self.peek()
+        if kind == "op" and value == "-":
+            self.advance()
+            return Neg(self.unary())
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        kind, value, _ = self.peek()
+        if kind == "op" and value == "^":
+            self.advance()
+            return BinOp("^", base, self.unary())
+        return base
+
+    def atom(self):
+        kind, value, offset = self.advance()
+        if kind == "num":
+            return Num(value)
+        if kind == "ident":
+            if value in VARIABLES:
+                return Var(value)
+            if value in FUNCTIONS:
+                return self.call(value, offset)
+            raise UnknownIdentifier(value, offset)
+        if kind == "op" and value == "(":
+            e = self.expr()
+            self.expect_op(")")
+            return e
+        what = "end of input" if kind == "end" else repr(value)
+        raise ExprSyntaxError(f"expected operand, got {what}", offset)
+
+    def call(self, name, name_offset):
+        self.expect_op("(")
+        args = [self.expr()]
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value == ",":
+                self.advance()
+                args.append(self.expr())
+            else:
+                break
+        self.expect_op(")")
+        lo, hi = FUNCTIONS[name]
+        if len(args) < lo or (hi is not None and len(args) > hi):
+            raise ExprSyntaxError(
+                f"{name} takes {lo}{'+' if hi is None else ''} argument(s), "
+                f"got {len(args)}",
+                name_offset,
+            )
+        return Call(name, tuple(args))
+
+
+def oracle_parse(text):
+    """Expr tree of DSL text, by recursive descent on the tokenizer's
+    tokens; raises what bnecert.parse raises, with the same offsets."""
+    return _OracleParser(text).parse()
 
 
 # ---------------------------------------------------------------------------

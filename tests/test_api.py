@@ -4,15 +4,18 @@ src/ that only the tests use."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
 import bnecert
 from bnecert.errors import NoConvergence
 
-from conftest import ROOT
+from conftest import ROOT, src_env
 
 BENCH_SCRIPTS = sorted((ROOT / "bench").glob("*.py"))
 CALLER_DIRS = ("src", "bench", "demos")
@@ -227,3 +230,16 @@ def test_quadrature_imports_only_math_numpy_and_errors():
             imported.add("." * node.level + (node.module or ""))
     assert "numpy" in imported  # the scan reads the imports
     assert imported <= {"math", "numpy", ".errors"}
+
+
+def test_import_loads_no_scipy():
+    """import bnecert loads no scipy module, directly or through another
+    package, so a short run does not pay for scipy's start-up."""
+    if importlib.util.find_spec("scipy") is None:
+        pytest.skip("scipy is not installed, so nothing can load it")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bnecert; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=src_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -335,6 +335,19 @@ def test_bad_expression_names_its_cell(tmp_path, capsys):
         "got end of input (at offset 7)\n")
 
 
+def test_deep_nesting_is_an_error_naming_its_cell_not_a_traceback(tmp_path):
+    u = [row[:] for row in ZERO_SUM_DOC["u"]]
+    u[0][0] = "(" * 2000 + "theta1" + ")" * 2000
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(dict(ZERO_SUM_DOC, u=u)))
+    proc = subprocess.run([sys.executable, "-m", "bnecert.cli", "check",
+                           str(path)], env=src_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 1
+    assert re.fullmatch(r"error: ExprSyntaxError: u\[0\]\[0\]: expression "
+                        r"nested too deeply \(at offset \d+\)\n", proc.stderr)
+
+
 @pytest.mark.parametrize("change, message", [
     ({"u": [["theta1*theta2", "log(theta2)"], ["0", "theta1*theta2"]]},
      "u[0][1]: log of non-positive value 0.0"),

@@ -6,9 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bnecert as bc
-from bnecert.discretize import grid_floor
+from bnecert.discretize import StepStrategy, grid_floor
 
-from conftest import make_game, random_profile, uniform_profile
+from conftest import (
+    make_game,
+    matching_pennies_game,
+    random_profile,
+    uniform_profile,
+)
 
 
 def test_grid_floor_nudge():
@@ -151,6 +156,29 @@ def test_behavioral_profile_validation():
         bc.BehavioralProfile(np.array([[-0.1, 1.1]]), np.array([[1.0]]))
     with pytest.raises(ValueError):
         bc.BehavioralProfile(np.array([[1.0]]), np.array([[1.0], [1.0]]))
+
+
+@pytest.mark.parametrize("fill, message", [
+    (0.0, "^rows of weights must sum to 1$"),
+    (5.0, "^rows of weights must sum to 1$"),
+    (np.nan, "^weights has entries that are not finite$"),
+    (-0.5, "^weights has negative entries$"),
+])
+def test_step_strategy_weights_must_be_a_strategy(fill, message):
+    # certify took all-zero weights on matching pennies at n = 4 as an
+    # equilibrium with gaps 0 and 0, and weights of 5.0 with gaps -45
+    g = matching_pennies_game()
+    for actions in (g.actions1, g.actions2):
+        with pytest.raises(ValueError, match=message):
+            StepStrategy(n=4, actions=actions, weights=np.full((4, 2), fill))
+
+
+def test_step_strategy_takes_rows_that_sum_to_1_within_1e_12():
+    weights = np.array([[0.5, 0.5 + 5e-13], [1.0 - 5e-13, 0.0]])
+    F = StepStrategy(n=2, actions=("x1", "x2"), weights=weights)
+    assert F.values(1.0) == pytest.approx([0.75, 0.25], abs=1e-12)
+    with pytest.raises(ValueError, match="^rows of weights must sum to 1$"):
+        StepStrategy(n=2, actions=("x1", "x2"), weights=weights * 1.001)
 
 
 def test_serialize_atoms():

@@ -17,7 +17,7 @@ from bnecert.expr import (
     Var,
 )
 
-from conftest import oracle_eval, render
+from conftest import oracle_eval, oracle_parse, render
 
 
 def test_parse_product_tree():
@@ -171,6 +171,57 @@ def test_pretty_print_round_trip_on_grid():
         for t1 in grid:
             for t2 in grid:
                 assert again.eval(t1, t2) == e.eval(t1, t2)
+
+
+# ---------------------------------------------------------------------------
+# precedence climbing parses as the recursive-descent oracle does: the same
+# trees, or the same error type, message and offset
+
+# tokens of the DSL, near misses, whitespace, and non-ASCII letters and
+# digits: '٣' is a digit float() reads, '²' one it does not, '½' neither
+_FRAGMENTS = (
+    list("+-*/^(),") * 3
+    + list("0123456789.eE") + ["1e5", "2.5", "1e-3", ".5e+2", "1e999"]
+    + ["theta1", "theta2"] * 3 + list(FUNCTIONS)
+    + ["theta3", "thet", "foo", "_x", "a1", "θ", "éa", "x٣"]
+    + ["٣", "²", "½", "@", "#", "$"]
+    + [" ", " ", "  ", "\t", "\n", "\u00a0", "\u2003"]
+)
+
+
+def _fuzz_text(rng):
+    """A string of 0 to 14 fragments of the DSL's alphabet."""
+    picks = rng.integers(0, len(_FRAGMENTS), int(rng.integers(0, 15)))
+    return "".join(_FRAGMENTS[i] for i in picks)
+
+
+def _parse_outcome(parser, text):
+    try:
+        return parser(text)
+    except (ExprSyntaxError, UnknownIdentifier) as exc:
+        return type(exc), str(exc), exc.offset
+
+
+def _parse_corpus(rng, strings, asts):
+    """strings fuzzed texts, then asts random trees of depth at most 6,
+    each rendered with the fewest and with full parentheses."""
+    texts = [_fuzz_text(rng) for _ in range(strings)]
+    for _ in range(asts):
+        ast = _random_ast(rng, depth=int(rng.integers(0, 7)),
+                          names=tuple(FUNCTIONS))
+        texts += [render(ast), _paren_render(ast)]
+    return texts
+
+
+def test_parse_equals_the_recursive_descent_oracle():
+    rng = np.random.default_rng(29)
+    texts = _parse_corpus(rng, strings=20_000, asts=2_000)
+    kinds = set()
+    for text in texts:
+        got = _parse_outcome(parse, text)
+        assert got == _parse_outcome(oracle_parse, text), text
+        kinds.add(got[0] if isinstance(got, tuple) else "tree")
+    assert kinds == {"tree", ExprSyntaxError, UnknownIdentifier}
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,36 @@ def test_expression_errors_name_their_field():
         assert info.value.offset == offset
 
 
+def _one_cell_doc(**change):
+    return {"actions1": ["x"], "actions2": ["y"], "u": [["theta1"]],
+            "v": [["0"]], "prior": "1", **change}
+
+
+def test_long_sums_load():
+    """A 1500-term sum is a tree 1500 deep, which compiles and validates
+    without recursion."""
+    terms = ["theta1"] * 1500
+    g = bc.load_game(bc.GameSpec.from_dict(_one_cell_doc(
+        u=[[" + ".join(terms)]], m1=" + ".join(["1", *terms[1:]]), m2="1")))
+    assert g.payoff(1, 0.5, 0.25)[0, 0] == 750.0
+    assert g.multiplier(1, 0.5) == 750.5
+    with pytest.raises(ValueError, match="^m1 may only reference theta1$"):
+        bc.GameSpec.from_dict(_one_cell_doc(
+            m1=" + ".join([*terms, "theta2"]), m2="1"))
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 2000 + "theta1" + ")" * 2000,
+    "-" * 2000 + "theta1",
+    "2^" * 2000 + "1",
+    "exp(" * 2000 + "theta1" + ")" * 2000,
+], ids=["parentheses", "unary-minus", "power", "calls"])
+def test_nesting_deeper_than_the_stack_is_a_syntax_error(text):
+    with pytest.raises(ExprSyntaxError, match=r"^u\[0\]\[0\]: expression "
+                       r"nested too deeply \(at offset \d+\)$"):
+        bc.load_game(bc.GameSpec.from_dict(_one_cell_doc(u=[[text]])))
+
+
 def test_spec_accepts_tuples_and_integer_ranges():
     spec = bc.GameSpec.from_dict({"actions1": ("x1", "x2"), "actions2": ["y"],
                                   "u": (("1",), ("2",)), "v": [["1"], ["2"]],

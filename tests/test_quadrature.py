@@ -341,23 +341,23 @@ def test_every_call_of_f_is_pinned():
     integrate_many(exact(rng.random(8), 2), 8, 0.0, 1.0, 1e-13,
                    tuple(np.arange(1, 64) / 64))
     assert sizes == [
-        50, 124, 124, 124, 62, 63, 186, 186, 186, 51, 186, 124, 13, 62, 75,
-        186, 186, 186, 186, 186, 62, 50, 124, 124, 25, 62, 62, 62, 18, 124,
-        124, 62, 42, 124, 15, 186, 186, 62, 21, 62, 62, 62, 62, 62, 10, 124,
-        124, 124, 124, 26, 124, 124, 124, 62, 75, 186, 186, 124, 25, 62, 62,
-        62, 62, 13, 62, 26, 124, 15, 186, 186, 186, 15, 124, 124, 62, 13, 62,
-        62, 62, 62, 62, 25, 62, 62, 62, 62, 62, 10, 124, 124, 124, 62, 13, 62,
-        62, 5, 62, 62, 62, 62, 62, 42, 124, 62, 34, 124, 124, 124, 39, 186,
-        186, 186, 186, 186, 62, 34, 124, 124, 124, 124, 10, 124, 124, 124,
-        124, 10, 124, 124, 124, 124,
-        1032, 1024, 1796, 3588, 7172, 496, 496, 496, 496, 496, 496, 496]
+        50, 120, 120, 120, 60, 63, 180, 180, 180, 51, 180, 120, 13, 60, 75,
+        180, 180, 180, 180, 180, 60, 50, 120, 120, 25, 60, 60, 60, 18, 120,
+        120, 60, 42, 120, 15, 180, 180, 60, 21, 60, 60, 60, 60, 60, 10, 120,
+        120, 120, 120, 26, 120, 120, 120, 60, 75, 180, 180, 120, 25, 60, 60,
+        60, 60, 13, 60, 26, 120, 15, 180, 180, 180, 15, 120, 120, 60, 13, 60,
+        60, 60, 60, 60, 25, 60, 60, 60, 60, 60, 10, 120, 120, 120, 60, 13, 60,
+        60, 5, 60, 60, 60, 60, 60, 42, 120, 60, 34, 120, 120, 120, 39, 180,
+        180, 180, 180, 180, 60, 34, 120, 120, 120, 120, 10, 120, 120, 120, 120,
+        10, 120, 120, 120, 120,
+        1032, 1024, 1796, 3588, 7172, 480, 480, 480, 480, 480, 480, 480]
     assert digest.hexdigest() == (
-        "d9bbf559829a963abd03dda407c16b618aae7229d4aae3f6c3341b876b906f8b")
+        "1cf614a9ed9ad5e36343ac7d2115f854d21d9f1a5cd9351d0a04e9ff32f6557b")
 
 
 def test_no_call_outgrows_fetch_points_or_the_plain_schedule():
     # 64 cells that each refine a few depths: a fetch of all their
-    # subtrees would hold 64 * 31 abscissae
+    # subtrees would hold 64 * 30 abscissae
     sizes = {"plain": [], "new": []}
 
     def sized(name):
