@@ -21,7 +21,7 @@ evaluation is pure, so Expr values are safe to share across threads.
 
 A Program compiles a list of trees into one tape of steps, in which
 structurally equal subtrees share a step, and evaluates the steps that
-the requested trees need; Expr.eval runs a program of one tree.
+the requested trees need.
 Evaluation is elementwise over numpy arrays, one numpy ufunc per node;
 min and max keep Python's semantics, nan and signed zeros included.
 exp, log, sin, cos and ^ stay within 1 ulp of the C library's functions
@@ -58,11 +58,6 @@ class Expr:
     """Base class for AST nodes."""
 
     __slots__ = ()
-
-    def eval(self, theta1, theta2):
-        """Value at broadcasting scalars or arrays of types, elementwise;
-        DomainError if any point is outside the domain."""
-        return Program([self]).run(theta1, theta2)[0]
 
 
 @dataclass(frozen=True, slots=True)

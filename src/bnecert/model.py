@@ -2,11 +2,12 @@
 
 A game is given by two finite action sets, one utility expression per
 action pair and player, and a joint prior density over the unit square.
-Loading compiles the prior and every utility cell into one expression
-Program, auto-normalizes the prior, folds it into the payoffs
-(u = b * u_bar), and sanity-checks everything on a dense grid.  Every
-later evaluation of the game runs the steps of that program which its
-outputs need, so a subtree shared by several cells is evaluated once.
+Loading compiles the prior, every utility cell and the multipliers into
+one expression Program, auto-normalizes the prior, folds it into the
+payoffs (u = b * u_bar), and sanity-checks the prior and the utilities
+on a dense grid.  Every later evaluation of the game runs the steps of
+that program which its outputs need, so a subtree shared by several
+cells is evaluated once.
 
 Declared type ranges [a, b] are rescaled affinely onto [0, 1]; the
 constant Jacobian is absorbed by the prior normalization.
@@ -63,27 +64,31 @@ def _parse(text, where):
 
 
 def _compile(spec):
-    """One program over the prior, then u's cells and v's, row by row."""
+    """One program over the prior, then u's cells and v's, row by row,
+    then m1 and m2 when given."""
     trees, names = [spec.prior], ["prior"]
     for name, table in (("u", spec.u_raw), ("v", spec.v_raw)):
         for x, row in enumerate(table):
             for y, e in enumerate(row):
                 trees.append(e)
                 names.append(f"{name}[{x}][{y}]")
+    if spec.m1 is not None:  # then m2 is too
+        trees += [spec.m1, spec.m2]
+        names += ["m1", "m2"]
     return Program(trees, names)
 
 
-def _check_utilities(program, t1, t2):
-    """Check the program's utility cells (u's, then v's) finite at types
-    t1 x t2 (one axis each).  Raises what checking the cells one by one
-    over the whole grid raises first: a DomainError, or NonFinite naming
-    the cell and the point.
+def _check_utilities(g, t1, t2):
+    """Check g's utility cells (u's, then v's) finite at types t1 x t2
+    (one axis each).  Raises what checking the cells one by one over the
+    whole grid raises first: a DomainError, or NonFinite naming the cell
+    and the point.
 
     The grid runs in blocks of rows, so the values that cells share stay
     small while they wait for their last use.  On an error the whole grid
     runs again, so that the error raised is that first one.
     """
-    cells = range(1, len(program.outputs))
+    program, cells = g.program, range(1, 1 + 2 * g.L * g.H)
 
     def check(rows):
         values = program.stream(rows[:, None], t2[None, :], cells)
@@ -103,17 +108,19 @@ def _check_utilities(program, t1, t2):
         check(t1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameSpec:
-    """Parsed but not yet validated game description."""
+    """Parsed but not yet validated game description.  Specs compare by
+    identity and print without their expressions, whose trees may be
+    deeper than the stack."""
 
     actions1: tuple[str, ...]
     actions2: tuple[str, ...]
-    u_raw: tuple[tuple[Expr, ...], ...]  # [x][y]
-    v_raw: tuple[tuple[Expr, ...], ...]
-    prior: Expr
-    m1: Expr | None = None
-    m2: Expr | None = None
+    u_raw: tuple[tuple[Expr, ...], ...] = field(repr=False)  # [x][y]
+    v_raw: tuple[tuple[Expr, ...], ...] = field(repr=False)
+    prior: Expr = field(repr=False)
+    m1: Expr | None = field(default=None, repr=False)
+    m2: Expr | None = field(default=None, repr=False)
     type_range1: tuple[float, float] = (0.0, 1.0)
     type_range2: tuple[float, float] = (0.0, 1.0)
 
@@ -196,7 +203,8 @@ class InfiniteGame:
     """Validated, normalized continuous-type game over [0, 1]^2.
 
     program evaluates the prior (output 0), then u's cells and v's, row
-    by row; each accessor runs only the steps its outputs need.
+    by row, then m1 and m2 when given; each accessor runs only the steps
+    its outputs need.
     """
 
     spec: GameSpec
@@ -231,9 +239,9 @@ class InfiniteGame:
 
     def tables(self, theta1, theta2, players=(1, 2), assimilated=True):
         """Each listed player's utilities at types that broadcast to some
-        shape, an (L, H, *shape) array each, from one program pass: the
-        prior-assimilated payoffs b * raw, or with assimilated False the
-        raw utilities."""
+        shape, an (L, H, *shape) view each of one buffer, from one program
+        pass: the prior-assimilated payoffs b * raw, or with assimilated
+        False the raw utilities."""
         size = self.L * self.H
         outputs = [0] if assimilated else []
         for player in players:
@@ -241,23 +249,19 @@ class InfiniteGame:
             outputs.extend(range(start, start + size))
         t1, t2 = self._map(theta1, theta2)
         shape = np.broadcast(t1, t2).shape
-        # cell by cell into the tables, so one cell is alive at a time
+        # cell by cell into one buffer, so one cell is alive at a time
+        raw = np.empty((len(players) * size, *shape))
         values = self.program.stream(t1, t2, outputs)
         if assimilated:
             with np.errstate(all="ignore"):
                 b = next(values)
             b = b / self.prior_norm
-        tables = []
-        for player in players:
-            raw = np.empty((size, *shape))
-            with np.errstate(all="ignore"):
-                for i in range(size):
-                    raw[i] = next(values)
-                raw = raw.reshape(self.L, self.H, *shape)
-                if assimilated:  # b * raw, in place
-                    np.multiply(b, raw, out=raw)
-            tables.append(raw)
-        return tables
+        with np.errstate(all="ignore"):
+            for i, value in enumerate(values):
+                raw[i] = value
+            if assimilated:  # b * raw, in place
+                np.multiply(b, raw, out=raw)
+        return list(raw.reshape(len(players), self.L, self.H, *shape))
 
     def payoff(self, player, theta1, theta2):
         """Prior-assimilated payoffs b * raw: (L, H, *shape)."""
@@ -265,11 +269,11 @@ class InfiniteGame:
 
     def multiplier(self, player, theta):
         """m1(theta1) or m2(theta2) at unit-square types; None if absent."""
-        m = self.spec.m1 if player == 1 else self.spec.m2
-        if m is None:
+        if self.spec.m1 is None:
             return None
         t1, t2 = self._map(theta, theta)
-        return m.eval(t1, 0.0) if player == 1 else m.eval(0.0, t2)
+        args = (t1, 0.0) if player == 1 else (0.0, t2)
+        return self.program.run(*args, (2 * self.L * self.H + player,))[0]
 
 
 def marginal(g, player, theta, quad_tol=1e-9):
@@ -316,16 +320,15 @@ def load_game(spec, grid_check=101):
     grid = np.linspace(0.0, 1.0, grid_check)
     # unnormalized until the norm is known; x / 1.0 is exact
     game = InfiniteGame(spec=spec, prior_norm=1.0, program=_compile(spec))
+    t1, t2 = game._map(grid, grid)  # the grid in spec coordinates
 
     # prior checks on the raw (unnormalized) density
     prior_vals = game.prior(grid[:, None], grid[None, :])
     if not np.all(np.isfinite(prior_vals)):
         raise NonFinite("prior evaluates to NaN/inf on the validation grid")
     if np.any(prior_vals < 0.0):
-        idx = np.argwhere(prior_vals < 0.0)[0]
-        raise NegativePrior(
-            f"prior is negative at theta=({grid[idx[0]]}, {grid[idx[1]]})"
-        )
+        i, j = np.argwhere(prior_vals < 0.0)[0]
+        raise NegativePrior(f"prior is negative at theta=({t1[i]}, {t2[j]})")
 
     # normalization constant over the unit square (Jacobian absorbed): the
     # marginal of player 1 to 1e-9 / 4, integrated to 1e-9 / 2
@@ -334,12 +337,12 @@ def load_game(spec, grid_check=101):
     if not (math.isfinite(norm) and norm > 0.0):
         raise ZeroMarginal(f"prior integrates to {norm}; must be positive")
 
-    _check_utilities(game.program, *game._map(grid, grid))
+    _check_utilities(game, t1, t2)
     game = replace(game, prior_norm=norm)
 
     # marginal positivity along every grid line
-    for player in (1, 2):
-        _check_marginal(player, grid,
+    for player, thetas in ((1, t1), (2, t2)):
+        _check_marginal(player, thetas,
                         marginal(game, player, grid, quad_tol=1e-7))
     return game
 

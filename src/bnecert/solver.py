@@ -18,8 +18,8 @@ Two backends:
                    phase of Bland's anti-cycling rule from that basis:
                    there is no phase 1 and there are no artificial columns
                    (array code that takes the pivots and roundings of a
-                   per-row loop; a pivot updates only its nonzero rows by
-                   nonzero columns);
+                   per-row loop; a pivot updates only the columns where
+                   its row is nonzero);
   * solve_fp    -- agent-form fictitious play (general-sum fallback) in
                    blocks of iterations that assume unchanged best
                    responses: a block's action values, best responses and
@@ -202,20 +202,16 @@ _MAX_PIVOTS = 100_000
 
 
 def _pivot(T, basis, row, col):
-    """Pivot on T[row, col].  Only the block of rows with a nonzero in col
-    by columns with a nonzero in the divided pivot row changes: elsewhere
-    the update subtracts +-0, which could only flip the sign of a zero,
-    and nothing reads that sign.  simplex allocates T C-contiguous, so
-    its flat reshape is a view and the block writes through it."""
+    """Pivot on T[row, col], updating the whole columns in which the
+    divided pivot row is nonzero: in the others the update subtracts +-0,
+    which could only flip the sign of a zero, and nothing reads that
+    sign."""
     pivot_row = T[row]
     pivot_row /= pivot_row[col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    rows = np.flatnonzero(factors)
     cols = np.flatnonzero(pivot_row)
-    flat = T.reshape(-1)
-    flat[(rows * T.shape[1])[:, None] + cols] -= (factors[rows, None]
-                                                  * pivot_row[cols])
+    T[:, cols] -= factors[:, None] * pivot_row[cols]
     basis[row] = col
 
 

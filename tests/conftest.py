@@ -9,10 +9,12 @@ and fictitious play oracles are the per-row loop versions that the array
 code replaced, and the quadrature oracle is the loop that called its
 integrand once a depth before the library's prefetching pass schedule.
 The parser oracle is the recursive-descent parser, one method per
-grammar rule, that the precedence-climbing parser replaced.  The
-enumeration oracle exists only here: an exhaustive
-pure-profile and support search, used as an independent cross-check of
-the lp and fp backends on small games.  So does the pretty-printer of
+grammar rule, that the precedence-climbing parser replaced.  The exact
+regret oracle reads the prior and utility trees of a polynomial game
+as coefficient arrays and integrates them with numpy.polynomial, with
+no library evaluation at all.  The enumeration oracle exists only here:
+an exhaustive pure-profile and support search, used as an independent
+cross-check of the lp and fp backends on small games.  So does the pretty-printer of
 expression trees, whose output the tests reparse.
 """
 
@@ -25,6 +27,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
 import bnecert as bc
 from bnecert.discretize import BehavioralProfile
@@ -46,6 +50,7 @@ from bnecert.expr import (
     Call,
     Neg,
     Num,
+    Program,
     Var,
     _tokenize,
 )
@@ -208,11 +213,19 @@ def riemann_br_value(g, player, opponent, points=RIEMANN_POINTS):
 # the threshold equations tau1 = k (1 - tau2), tau2 = m (1 - tau1) have
 # slope k m < 1: the BNE is unique.
 
+def threshold_spec(k, m):
+    """The spec dict of the threshold game for k, m in (0, 1)."""
+    k, m = float(k), float(m)
+    return {"actions1": ["x1", "x2"], "actions2": ["y1", "y2"],
+            "u": [[f"theta1 - {k!r}", "theta1"], ["0", "0"]],
+            "v": [[f"theta2 - {m!r}", "0"], ["theta2", "0"]],
+            "prior": "1"}
+
+
 def threshold_game(k, m):
     """The threshold game for k, m in (0, 1)."""
-    k, m = float(k), float(m)
-    return make_game([[f"theta1 - {k!r}", "theta1"], ["0", "0"]],
-                     [[f"theta2 - {m!r}", "0"], ["theta2", "0"]])
+    return bc.load_game(bc.GameSpec.from_dict(threshold_spec(k, m)),
+                        grid_check=21)
 
 
 def threshold_bne(k, m):
@@ -284,6 +297,200 @@ def naive_profile_value(g, F, G, player):
                     total += (F.weights[i, x] / F.n) * (G.weights[j, y] / G.n) \
                         * oracle_payoff(g, player, x, y, t1, t2)
     return total
+
+
+# ---------------------------------------------------------------------------
+# exact step regret of polynomial games
+#
+# When the prior and every utility are polynomials in (theta1, theta2) on
+# the unit square, a player's interim value Phi_x of an own action x
+# against a step opponent is a polynomial in the own type: per opponent
+# cell, the antiderivative in the opponent type at the cell's edges.  The
+# best deviation psi = max_x Phi_x switches actions only at real roots of
+# some Phi_a - Phi_b, and both sides of the regret are differences of
+# antiderivatives, so the regret is exact up to rounding.
+
+
+def _poly2_mul(a, b):
+    out = np.zeros(np.add(a.shape, b.shape) - 1)
+    for (p, q), c in np.ndenumerate(a):
+        out[p:p + b.shape[0], q:q + b.shape[1]] += c * b
+    return out
+
+
+def _poly2_add(a, b):
+    out = np.zeros(np.maximum(a.shape, b.shape))
+    out[:a.shape[0], :a.shape[1]] += a
+    out[:b.shape[0], :b.shape[1]] += b
+    return out
+
+
+def poly2(e):
+    """Coefficients c[p, q] of theta1^p theta2^q of a tree built from
+    numbers, theta1, theta2, +, -, *, division by a constant and powers
+    by a whole number; ValueError for any other tree."""
+    if isinstance(e, Num):
+        return np.array([[float(e.value)]])
+    if isinstance(e, Var):
+        return np.array([[0.0], [1.0]] if e.name == "theta1"
+                        else [[0.0, 1.0]])
+    if isinstance(e, Neg):
+        return -poly2(e.arg)
+    if isinstance(e, BinOp):
+        a = poly2(e.left)
+        if e.op == "^":
+            k = e.right.value if isinstance(e.right, Num) else -1
+            if k < 0 or k != int(k):
+                raise ValueError(f"not a whole power: {e.right!r}")
+            out = np.ones((1, 1))
+            for _ in range(int(k)):
+                out = _poly2_mul(out, a)
+            return out
+        b = poly2(e.right)
+        if e.op == "+":
+            return _poly2_add(a, b)
+        if e.op == "-":
+            return _poly2_add(a, -b)
+        if e.op == "*":
+            return _poly2_mul(a, b)
+        if b.size == 1:  # "/"
+            return a / b[0, 0]
+    raise ValueError(f"not a polynomial: {e!r}")
+
+
+def _poly2_integral(c):
+    """Integral of a polynomial over the unit square."""
+    p, q = np.indices(c.shape)
+    return float((c / ((p + 1) * (q + 1))).sum())
+
+
+def interim_polynomials(g, player, opponent_rows):
+    """Per own action x, the coefficients of Phi_x (own type ascending):
+    the sum over the opponent's cells j and actions y of
+    opponent_rows[j, y] times the integral over cell j of prior * utility
+    / Z, Z the prior's integral over the unit square."""
+    prior = poly2(g.spec.prior)
+    table = g.spec.u_raw if player == 1 else g.spec.v_raw
+    own_count, opp_count = (g.L, g.H) if player == 1 else (g.H, g.L)
+    edges = np.linspace(0.0, 1.0, opponent_rows.shape[0] + 1)
+    phis = []
+    for x in range(own_count):
+        phi = np.zeros(1)
+        for y in range(opp_count):
+            cell = table[x][y] if player == 1 else table[y][x]
+            c = _poly2_mul(prior, poly2(cell))
+            if player == 2:
+                c = c.T  # own type first
+            anti = P.polyint(c, axis=1).T  # (opponent powers, own powers)
+            per_cell = P.polyval(edges[1:], anti) - P.polyval(edges[:-1],
+                                                              anti)
+            phi = P.polyadd(phi, per_cell @ opponent_rows[:, y])
+        phis.append(phi / _poly2_integral(prior))
+    return phis
+
+
+def _switch_points(phis):
+    """0, 1 and every real root in (0, 1) of a difference of two of the
+    polynomials; a nearly real root is kept too, since a cut where the
+    argmax does not change costs nothing."""
+    cuts = [0.0, 1.0]
+    for a, b in itertools.combinations(phis, 2):
+        roots = P.polyroots(P.polytrim(P.polysub(a, b)))
+        roots = roots.real[np.abs(roots.imag) <= 1e-7]
+        cuts.extend(roots[(roots > 0.0) & (roots < 1.0)])
+    return np.unique(cuts)
+
+
+def exact_step_regret(g, profile):
+    """Each player's ex-ante regret of the step profile (types in
+    ((i-1)/n, i/n] play row i) in g, whose prior and utilities must be
+    polynomials (poly2) on unit type ranges: the integral of psi minus the
+    played value, per own cell, from exact antiderivatives."""
+    if (g.spec.type_range1, g.spec.type_range2) != ((0.0, 1.0),) * 2:
+        raise ValueError("the oracle takes unit type ranges only")
+    edges = np.linspace(0.0, 1.0, profile.n + 1)
+    regrets = []
+    for player, own, opp in ((1, profile.s, profile.t),
+                             (2, profile.t, profile.s)):
+        phis = interim_polynomials(g, player, opp)
+        antis = [P.polyint(phi) for phi in phis]
+        cuts = np.union1d(_switch_points(phis), edges)  # per own cell
+        best = 0.0
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            x = int(np.argmax([P.polyval(0.5 * (lo + hi), phi)
+                               for phi in phis]))
+            best += P.polyval(hi, antis[x]) - P.polyval(lo, antis[x])
+        cells = np.diff([P.polyval(edges, anti) for anti in antis], axis=1)
+        regrets.append(float(best - (own.T * cells).sum()))
+    return tuple(regrets)
+
+
+def riemann_step_regret_error(g, profile, points=(1000, 200)):
+    """A bound on |riemann_step_regret - exact_step_regret| per player on
+    a polynomial game, with h and k the own and opponent midpoint steps:
+
+    * the opponent axis: each Phi_x is off by at most k^2 D_opp / 24, D_opp
+      the largest |d^2/d(opponent type)^2| of prior * utility / Z, so psi
+      and the played value by as much each;
+    * the own axis: the played value by h^2 D_own / 24, D_own the largest
+      |Phi_x''|, and psi by as much plus h^2 S / 4 for each switch point,
+      S the largest |Phi_x'| (the midpoint rule on a Lipschitz cell);
+    * the prior's norm, which load_game integrates to 5e-10: 1e-8 of the
+      largest |Phi_x| twice over.
+    Sup norms are bounded by the sums of the absolute coefficients."""
+    n = profile.n
+    h, k = (1.0 / (-(-p // n) * n) for p in points)
+    prior = poly2(g.spec.prior)
+    bounds = []
+    for player, table, opp in ((1, g.spec.u_raw, profile.t),
+                               (2, g.spec.v_raw, profile.s)):
+        d_opp = 0.0
+        for e in itertools.chain.from_iterable(table):
+            c = np.abs(_poly2_mul(prior, poly2(e)))
+            power = np.indices(c.shape)[2 - player]  # the opponent's
+            d_opp = max(d_opp, float((c * power * (power - 1)).sum()))
+        d_opp /= abs(_poly2_integral(prior))
+        phis = interim_polynomials(g, player, opp)
+        p = [np.arange(phi.size) for phi in phis]
+        d_own = max(float((np.abs(c) * q * (q - 1)).sum())
+                    for c, q in zip(phis, p))
+        slope = max(float((np.abs(c) * q).sum()) for c, q in zip(phis, p))
+        size = max(float(np.abs(c).sum()) for c in phis)
+        kinks = _switch_points(phis).size - 2
+        bounds.append(2 * k ** 2 * d_opp / 24
+                      + h ** 2 * (2 * d_own / 24 + kinks * slope / 4)
+                      + 2e-8 * size)
+    return tuple(bounds)
+
+
+def _render_poly(coefs):
+    """Spec text of sum c theta1^p theta2^q over {(p, q): c}."""
+    terms = [" * ".join([repr(c), *(f"theta{i}^{k}"
+                                    for i, k in ((1, p), (2, q)) if k)])
+             for (p, q), c in sorted(coefs.items())]
+    return " + ".join(terms) or "0"
+
+
+@st.composite
+def polynomial_game_specs(draw):
+    """Spec dicts of games with 1 to 3 actions a player, whose utilities
+    have degree <= 2 in each type, with coefficients in quarters from -2
+    to 2, and whose prior is 1 + a theta1 + b theta2 with a and b in
+    quarters from -1/4 to 2."""
+    L, H = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    quarters = st.integers(-8, 8).map(lambda q: q / 4)
+    cell = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                           quarters, max_size=4)
+
+    def table():
+        return [[_render_poly(draw(cell)) for _ in range(H)]
+                for _ in range(L)]
+
+    a, b = (draw(st.integers(-1, 8)) / 4 for _ in range(2))
+    return {"actions1": [f"x{i}" for i in range(L)],
+            "actions2": [f"y{j}" for j in range(H)],
+            "u": table(), "v": table(),
+            "prior": f"1 + {a!r} * theta1 + {b!r} * theta2"}
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +582,15 @@ def oracle_certify(g, F, G, epsilon):
 
 
 # ---------------------------------------------------------------------------
-# point-by-point oracles for Expr.eval and InfiniteGame.payoff
+# one tree's array value, and point-by-point oracles for it and for
+# InfiniteGame.payoff
+
+
+def expr_eval(e, theta1, theta2):
+    """Value of the tree e at broadcasting scalars or arrays of types,
+    from a Program of that tree alone; DomainError if any point is
+    outside the domain."""
+    return Program([e]).run(theta1, theta2)[0]
 
 
 def _is_integer(b):

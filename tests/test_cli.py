@@ -357,7 +357,12 @@ def test_deep_nesting_is_an_error_naming_its_cell_not_a_traceback(tmp_path):
     ({"u": [["0", "0"], ["0", "2*log(theta2)"]],
       "v": [["log(theta2) + 1", "0"], ["0", "0"]]},
      "u[1][1]: log of non-positive value 0.0"),
-], ids=["u", "prior", "shared"])
+    # multipliers are evaluated only when the game is not constant-sum
+    ({**GENERAL_SUM_DOC, "m1": "log(theta1 - 0.5)", "m2": "1"},
+     "m1: log of non-positive value -0.5"),
+    ({**GENERAL_SUM_DOC, "m1": "1", "m2": "sqrt(theta2 - 0.5)"},
+     "m2: sqrt of negative value -0.5"),
+], ids=["u", "prior", "shared", "m1", "m2"])
 def test_domain_error_names_its_cell(tmp_path, capsys, change, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(ZERO_SUM_DOC, **change)))

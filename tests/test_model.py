@@ -15,9 +15,10 @@ from bnecert.errors import (
     UnknownIdentifier,
     ZeroMarginal,
 )
+from bnecert.expr import Program
 from bnecert.quadrature import integrate
 
-from conftest import make_game
+from conftest import ROOT, make_game
 
 
 def test_uniform_prior_product_utility():
@@ -45,8 +46,9 @@ def test_prior_norm_is_the_integral_over_the_unit_square(prior, norm):
 
 
 def test_negative_prior_rejected():
-    with pytest.raises(NegativePrior):
+    with pytest.raises(NegativePrior) as info:
         make_game([["1"]], [["1"]], prior="theta1-0.5")
+    assert str(info.value) == "prior is negative at theta=(0.0, 0.0)"
 
 
 def test_nonfinite_utility_rejected():
@@ -83,6 +85,23 @@ def test_zero_marginal_rejected(prior, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("error, change, message", [
+    (NegativePrior, {"prior": "theta1 - 2.5"},
+     "prior is negative at theta=(2.0, 10.0)"),
+    (ZeroMarginal, {"prior": "theta1 - 2"},
+     "marginal of player 1 at theta=2.0 is 0.0"),
+    (ZeroMarginal, {"prior": "max(0, 13 - theta2)"},
+     "marginal of player 2 at theta=13.0 is 0.0"),
+    (NonFinite, {"u": [["exp(10000*(theta1 - 2.85))"]]},
+     "u[0][0]: utility is not finite at (2.93, 10.0)"),
+], ids=["negative-prior", "zero-marginal-1", "zero-marginal-2", "utility"])
+def test_load_errors_name_points_in_spec_coordinates(error, change, message):
+    doc = _one_cell_doc(type_range1=[2, 3], type_range2=[10, 20], **change)
+    with pytest.raises(error) as info:
+        bc.load_game(bc.GameSpec.from_dict(doc))
+    assert str(info.value) == message
+
+
 def test_unnormalized_prior_constant_recorded():
     g = make_game([["1"]], [["0"]], prior="7")
     assert g.prior_norm == pytest.approx(7.0, abs=1e-8)
@@ -102,6 +121,26 @@ def test_grid_check_validation():
             bc.load_game(spec, grid_check=bad)
     g = bc.load_game(spec, grid_check=np.int64(13))
     assert g.prior_norm == pytest.approx(1.0)
+
+
+def test_one_program_per_game(monkeypatch):
+    """load_game compiles the prior, the utilities and the multipliers into
+    one Program, and check_prop1 and run evaluate them all through it."""
+    built = []
+    init = Program.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Program, "__init__", counting_init)
+    g = bc.load_game_file(ROOT / "demos" / "specs"
+                          / "linear_prior_multipliers.json")
+    assert bc.check_prop1(g).kind == "user"
+    report = bc.run(g, bc.RunConfig(epsilon=0.004, max_level=8))
+    assert [rec["backend"] for rec in report.levels] == ["lp"] * 4
+    assert all(rec["error"] is None for rec in report.levels)
+    assert len(built) == 1 and built[0] is g.program
 
 
 def test_one_multiplier_needs_the_other():
@@ -184,6 +223,18 @@ def test_long_sums_load():
     with pytest.raises(ValueError, match="^m1 may only reference theta1$"):
         bc.GameSpec.from_dict(_one_cell_doc(
             m1=" + ".join([*terms, "theta2"]), m2="1"))
+
+
+def test_deep_specs_print_compare_and_hash():
+    """repr, == and hash of a spec do not walk its expression trees, so a
+    1500-term sum (a tree 1500 deep) does not exhaust the stack."""
+    doc = _one_cell_doc(u=[[" + ".join(["theta1"] * 1500)]])
+    spec, spec2 = (bc.GameSpec.from_dict(doc) for _ in range(2))
+    assert repr(spec) == ("GameSpec(actions1=('x',), actions2=('y',), "
+                          "type_range1=(0.0, 1.0), type_range2=(0.0, 1.0))")
+    assert spec == spec and spec != spec2
+    assert hash(spec) == hash(spec)
+    assert repr(bc.load_game(spec)).startswith(f"InfiniteGame(spec={spec!r}")
 
 
 @pytest.mark.parametrize("text", [

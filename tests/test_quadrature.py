@@ -11,7 +11,7 @@ from bnecert import parse, quadrature
 from bnecert.errors import DomainError, NonFinite, QuadratureFailure
 from bnecert.quadrature import integrate, integrate_many
 
-from conftest import oracle_eval, oracle_integrate_many
+from conftest import expr_eval, oracle_eval, oracle_integrate_many
 
 
 def test_polynomial_exact():
@@ -181,10 +181,10 @@ def test_batched_equals_depth_first_on_300_kinked_integrands(monkeypatch):
                 max_panels)
         except QuadratureFailure:
             with pytest.raises(QuadratureFailure):
-                integrate(lambda t: e.eval(t, 0.0), a, b, tol, presplit)
+                integrate(lambda t: expr_eval(e, t, 0.0), a, b, tol, presplit)
             failures += 1
             continue
-        got = integrate(lambda t: e.eval(t, 0.0), a, b, tol, presplit)
+        got = integrate(lambda t: expr_eval(e, t, 0.0), a, b, tol, presplit)
         # recursive sums of the same m terms in two orders differ by at
         # most 2 * gamma_{m-1} * sum |term| (Higham, Accuracy and
         # Stability of Numerical Algorithms, 2002, section 4.2)
@@ -216,14 +216,14 @@ def test_batch_equals_each_integrand_alone(monkeypatch):
         a, b = sorted(rng.uniform(-0.5, 1.5, 2))
 
         def f(x, k):
-            values = np.array([e.eval(x, 0.0) for e in exprs])
+            values = np.array([expr_eval(e, x, 0.0) for e in exprs])
             return values[k, np.arange(x.size)]
 
         want = []
         for e in exprs:
             try:
-                want.append(integrate(lambda t: e.eval(t, 0.0), a, b, tol,
-                                      presplit))
+                want.append(integrate(lambda t: expr_eval(e, t, 0.0), a, b,
+                                      tol, presplit))
             except QuadratureFailure:
                 want = None
                 break
@@ -270,7 +270,7 @@ def _batch(exprs):
     def f(x, k):
         out = np.empty_like(x)
         for i, e in enumerate(exprs):
-            out[k == i] = e.eval(x[k == i], 0.0)
+            out[k == i] = expr_eval(e, x[k == i], 0.0)
         return out
     return f
 

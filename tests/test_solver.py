@@ -18,6 +18,7 @@ import bnecert as bc
 from bnecert.discretize import FiniteGame
 from bnecert.errors import (
     BnecertError,
+    DomainError,
     Infeasible,
     NoConvergence,
     NonFinite,
@@ -27,6 +28,7 @@ from bnecert.errors import (
 )
 from bnecert.solver import (
     _FP_BLOCK,
+    _pivot,
     _solve_block,
     action_values,
     check_prop1,
@@ -224,6 +226,18 @@ def test_alphas_need_multipliers_positive_at_every_level_type():
         bc.driver.certify_level(g, 3, prop1, 0.05)
 
 
+@pytest.mark.parametrize("m1, m2, message", [
+    ("log(theta1 - 0.5)", "1", "m1: log of non-positive value -0.5"),
+    ("1", "sqrt(theta2 - 0.5)", "m2: sqrt of negative value -0.5"),
+], ids=["m1", "m2"])
+def test_a_multiplier_domain_error_names_its_field(m1, m2, message):
+    g = make_game([["1 + theta1", "0"], ["0", "1"]],
+                  [["0", "1"], ["theta2", "0"]], m1=m1, m2=m2)
+    with pytest.raises(DomainError) as info:
+        check_prop1(g)
+    assert str(info.value) == message
+
+
 def test_prop1_identity_that_overflows_is_not_verified():
     # m2 * u = 10 u and -m1 * v = 50 u differ, but both overflow where
     # u = 1e308; inf - inf is nan, and a nan or inf side used to pass
@@ -372,6 +386,26 @@ def test_simplex_takes_the_oracle_pivots_on_2000_random_lps():
     assert outcomes["optimal"] > 1000
     assert outcomes[Infeasible] > 100 and outcomes[UnboundedObjective] > 100
     assert outcomes[SimplexStall] > 100
+
+
+def test_pivot_result_does_not_depend_on_the_tableau_layout():
+    """_pivot gives the bytes of a C-ordered tableau on a Fortran-ordered
+    one and on a strided view, zeros (and their signs) included."""
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        m, k = rng.integers(2, 9, 2)
+        data = rng.normal(size=(m, k)) * (rng.random((m, k)) < 0.6)
+        row, col = rng.integers(m), rng.integers(k)
+        data[row, col] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        want, want_basis = data.copy(), np.zeros(m, dtype=np.intp)
+        _pivot(want, want_basis, row, col)
+        strided = np.zeros((2 * m, 3 * k))[::2, ::3]
+        strided[...] = data
+        for T in (np.asfortranarray(data), strided):
+            basis = np.zeros(m, dtype=np.intp)
+            _pivot(T, basis, row, col)
+            assert np.ascontiguousarray(T).tobytes() == want.tobytes()
+            assert basis.tolist() == want_basis.tolist()
 
 
 def test_simplex_duals_are_optimal_on_the_random_lps():
