@@ -5,11 +5,11 @@ The level-n game samples the prior-assimilated payoffs at the grid
 prior over joint types.  A finite-game behavioral profile lifts to one
 non-decreasing right-continuous step function per action,
 
-    F_a(theta) = (1/n) * sum_{i <= floor(n * theta)} weights[i - 1, a],
+    F_a(theta) = (1/n) * sum_{i/n <= theta} weights[i - 1, a],
 
 with an atom of mass weights[i, a] / n at theta = (i + 1) / n.
-StepStrategy.values looks F up at types theta, and at_index at grid
-indices, which is where the driver's sup-distance needs it.
+level_grid(n) defines those types once; StepStrategy.values counts the
+atoms at or below theta by searchsorted on it, so grid points are exact.
 """
 
 from __future__ import annotations
@@ -21,11 +21,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonFinite
-
-# floor(n * theta) with an upward nudge so representable grid points k/n
-# land exactly on k despite binary rounding of k/n
-_FLOOR_NUDGE = 1e-12
-
 
 def check_count(name, value):
     """ValueError unless value is an integer >= 1.  numpy integers count;
@@ -49,9 +44,9 @@ def _check_rows(name, m):
         raise ValueError(f"rows of {name} must sum to 1")
 
 
-def grid_floor(n, theta):
-    """floor(n * theta), nudged; an array theta gives an index array."""
-    return np.floor(n * theta + _FLOOR_NUDGE).astype(int)
+def level_grid(n):
+    """The level-n types 1/n, ..., n/n (zero excluded)."""
+    return np.arange(1, n + 1) / n
 
 
 @dataclass(frozen=True)
@@ -76,10 +71,6 @@ class FiniteGame:
     @property
     def H(self):
         return len(self.actions2)
-
-    @property
-    def grid(self):
-        return np.arange(1, self.n + 1) / self.n
 
     @cached_property
     def M1(self):
@@ -127,17 +118,15 @@ class StepStrategy:
         object.__setattr__(self, "_cum", cum)
 
     def values(self, theta):
-        """All F_a(theta), exact partial sums, right-continuous; all 0
-        below theta = 0.  An array theta gives one row each."""
-        return self.at_index(np.clip(grid_floor(self.n, theta), 0, self.n))
-
-    def at_index(self, k):
-        """All F_a on [k/n, (k+1)/n); an index array gives one row each."""
+        """All F_a(theta): the exact partial sum over the atoms at or
+        below theta, so right-continuous and all 0 below 1/n.  An array
+        theta gives one row each."""
+        k = np.searchsorted(self.atom_points, theta, side="right")
         return self._cum[k] / self.n
 
     @property
     def atom_points(self):
-        return np.arange(1, self.n + 1) / self.n
+        return level_grid(self.n)
 
     def atom_masses(self):
         """(n, A) array of atom masses weights / n."""
@@ -158,7 +147,7 @@ def build_finite(g, n):
     """Sample the assimilated payoffs of g at the level-n grid."""
     check_count("n", n)
     n = int(n)
-    grid = np.arange(1, n + 1) / n
+    grid = level_grid(n)
     U, V = g.tables(grid[:, None], grid[None, :])
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
         raise NonFinite("payoff tensor contains NaN/inf")

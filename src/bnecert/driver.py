@@ -78,14 +78,12 @@ def schedule_levels(max_level):
 def sup_distance(A, B):
     """Exact max over theta in [0, 1] and all actions of |F_A - F_B|.
 
-    Both CDFs are right-continuous steps on their own grids, so their
-    difference is constant from each point of the union of the grids
-    {k/n_A} and {k/n_B} to the next, and the supremum is attained there.
+    Both CDFs are right-continuous steps that jump only at their atoms,
+    so the supremum is attained at an atom of A's or B's level grid (a
+    point k/n_B equal to an atom j/n_A is the same double).
     """
-    ka, kb = np.arange(A.n + 1), np.arange(B.n + 1)
-    rows_a = np.concatenate([ka, kb * A.n // B.n])
-    rows_b = np.concatenate([ka * B.n // A.n, kb])
-    return float(np.max(np.abs(A.at_index(rows_a) - B.at_index(rows_b))))
+    atoms = np.concatenate([A.atom_points, B.atom_points])
+    return float(np.max(np.abs(A.values(atoms) - B.values(atoms))))
 
 
 def convergence_diagnostic(level_strategies):

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import BehavioralProfile, check_count
+from .discretize import BehavioralProfile, check_count, level_grid
 from .errors import (
     Infeasible,
     NoConvergence,
@@ -164,9 +164,10 @@ def check_prop1(g):
             bad = ~(np.abs(lhs - rhs) <= 1e-6 * scale) | ~np.isfinite(scale)
         if np.any(bad):
             x, y, i, j = np.argwhere(bad)[0]
+            t1, t2 = g._map(pts[i], pts[j])  # in spec coordinates
             raise Prop1Violation(
                 f"identity fails at actions ({x}, {y}), "
-                f"types ({pts[i]}, {pts[j]}): "
+                f"types ({t1}, {t2}): "
                 f"{lhs[x, y, i, j]} vs {rhs[x, y, i, j]}"
             )
         return Prop1Result(kind="user")
@@ -179,14 +180,16 @@ def default_alphas(fg, g, prop1):
     n = fg.n
     if prop1.kind != "user":
         return np.full(n, 1.0 / n), np.full(n, 1.0 / n)
+    grid = level_grid(n)
     alphas = []
     for player in (1, 2):
         # check_prop1 saw the multiplier on its own grid only
-        m = g.multiplier(player, fg.grid)
+        m = g.multiplier(player, grid)
         bad = np.flatnonzero(~((m > 0.0) & (m < np.inf)))
         if bad.size:
+            theta = g._map(grid, grid)[player - 1][bad[0]]  # spec coordinates
             raise Prop1Violation(f"m{player} is {m[bad[0]]} at the level-"
-                                 f"{n} type {fg.grid[bad[0]]}; it must be "
+                                 f"{n} type {theta}; it must be "
                                  f"positive and finite")
         alphas.append((1.0 / n) / m)
     return tuple(alphas)

@@ -243,3 +243,18 @@ def test_import_loads_no_scipy():
         env=src_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_a_run_loads_no_numpy_ma():
+    """np.union1d and np.unique import numpy.ma, which costs a run more
+    than a megabyte of peak RSS; this run compares levels 1, 2 and 4."""
+    spec = ROOT / "demos" / "specs" / "zero_sum_match.json"
+    code = ("import sys, bnecert as bc; "
+            f"g = bc.load_game_file({str(spec)!r}); "
+            "r = bc.run(g, bc.RunConfig(epsilon=1e-3, max_level=4)); "
+            "assert len(r.diagnostics) == 2, r.diagnostics; "
+            "print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bnecert as bc
-from bnecert.discretize import StepStrategy, grid_floor
+from bnecert.discretize import StepStrategy
 
 from conftest import (
     make_game,
@@ -16,14 +16,28 @@ from conftest import (
 )
 
 
-def test_grid_floor_nudge():
-    # 0.3 * 10 rounds to 2.9999999999999996; the nudge must land on 3
-    assert grid_floor(10, 0.3) == 3
+def atoms_counted(n, theta):
+    """The number of atoms at or below theta that values counts for a
+    level-n one-action strategy, whose atoms each have mass 1/n."""
+    F = StepStrategy(n=n, actions=("x",), weights=np.ones((n, 1)))
+    return np.rint(F.values(theta)[..., 0] * n).astype(int)
+
+
+def test_values_count_the_atoms_at_or_below_theta():
+    # 0.3 * 10 rounds to 2.9999999999999996, yet 0.3 is the atom 3/10
+    assert atoms_counted(10, 0.3) == 3
     for n in (1, 2, 3, 7, 10, 32):
         for k in range(n + 1):
-            assert grid_floor(n, k / n) == k
-    assert grid_floor(4, 0.26) == 1
-    assert grid_floor(4, 0.0) == 0
+            assert atoms_counted(n, k / n) == k
+    assert atoms_counted(4, 0.26) == 1
+    assert atoms_counted(4, 0.0) == 0
+
+
+@pytest.mark.parametrize("n", [50_000, 100_000])
+def test_values_count_every_atom_at_fine_levels(n):
+    # a floor of n * theta nudged by 1e-12 misses 1337 and 4012 of them
+    k = np.arange(n + 1)
+    assert np.array_equal(atoms_counted(n, k / n), k)
 
 
 def test_build_finite_product_utility_n2():
@@ -234,7 +248,7 @@ def test_monotone_refinement_consistency(n, seed):
         out = np.zeros((level, 2))
         for i in range(level):
             theta = (i + 1) / level
-            idx = min(grid_floor(n, theta - 0.5 / level), n - 1)
+            idx = min(int(np.floor(n * (theta - 0.5 / level))), n - 1)
             out[i, policy[idx]] = 1.0
         return out
 

@@ -260,6 +260,32 @@ def test_prop1_violation():
         check_prop1(g)
 
 
+RANGES = {"type_range1": [2, 3], "type_range2": [10, 20]}
+
+
+def test_prop1_violation_names_types_in_spec_coordinates():
+    # the failing point is the unit-square corner (0, 0)
+    g = make_game([["theta1"]], [["-2*theta1"]], m1="1", m2="1", **RANGES)
+    with pytest.raises(Prop1Violation) as info:
+        check_prop1(g)
+    assert str(info.value) == ("identity fails at actions (0, 0), types "
+                               "(2.0, 10.0): 2.0 vs 4.0")
+
+
+def test_alphas_name_the_level_type_in_spec_coordinates():
+    # m1 is zero at the spec type 2.125, the level-8 type 1/8, which
+    # check_prop1's 21-point grid misses
+    u = [["abs(theta1-2.125)*theta2", "0"], ["0", "abs(theta1-2.125)"]]
+    v = [["-theta2", "0"], ["0", "-1"]]
+    g = make_game(u, v, m1="abs(theta1 - 2.125)", m2="1", **RANGES)
+    prop1 = check_prop1(g)
+    assert prop1.kind == "user"
+    with pytest.raises(Prop1Violation) as info:
+        default_alphas(bc.build_finite(g, 8), g, prop1)
+    assert str(info.value) == ("m1 is 0.0 at the level-8 type 2.125; it "
+                               "must be positive and finite")
+
+
 # ---------------------------------------------------------------------------
 # simplex core
 
@@ -453,6 +479,31 @@ def test_simplex_takes_the_oracle_pivots_at_bench_sizes(path, monkeypatch):
             assert got == _simplex_outcome(oracle_simplex, lp)
 
 
+def test_the_final_tableau_stays_within_1e_12_of_its_rebuild(monkeypatch):
+    """The periodic refactorization holds the pivots' drift down: without
+    it this 3 x 3 game's tableau ends about 2.5e-11 from a fresh rebuild
+    of its final basis at n = 24, and 1.1e-9 at n = 48."""
+    lps, tableaus = [], []
+
+    def capture_lp(c, A, b, *, basis):
+        lps.append((c, A, b))
+        return simplex(c, A, b, basis=basis)
+
+    def capture_pivot(T, basis, row, col):
+        tableaus.append((T, basis))  # both change in place
+        _pivot(T, basis, row, col)
+
+    g = generated_constant_sum_game(3, 3, 3)
+    monkeypatch.setattr("bnecert.solver.simplex", capture_lp)
+    monkeypatch.setattr("bnecert.solver._pivot", capture_pivot)
+    solve_default_lp(bc.build_finite(g, 24), g)
+    assert len(lps) == 1 and tableaus
+    (c, A, b), (T, basis) = lps[0], tableaus[-1]
+    rebuilt = np.zeros_like(T)
+    assert bc.solver._rebuild(rebuilt, A, b, c, basis)
+    assert np.max(np.abs(T - rebuilt)) <= 1e-12
+
+
 @pytest.mark.parametrize("path", DEMO_SPECS, ids=[p.stem for p in DEMO_SPECS])
 def test_the_duals_of_player_1s_block_solve_player_2s_block(path):
     """Player 2's block minimizes alpha2 @ z2 subject to z2[j] >= each of
@@ -599,17 +650,6 @@ def test_an_infeasible_start_basis_raises_before_any_pivot(solver,
                np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
                np.array([1.0, 2.0]), basis=[2, 0])
     assert pivots == []
-
-
-def test_import_loads_no_scipy():
-    """scipy.optimize would nearly triple the bench's baseline peak RSS."""
-    env = src_env()
-    code = ("import sys, bnecert; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
