@@ -55,34 +55,36 @@ FUNCTIONS = {
 
 
 class Expr:
-    """Base class for AST nodes."""
+    """Base class for AST nodes.  A node compares and hashes by identity
+    and prints as an object: the methods a dataclass would generate
+    recurse, and a tree may be deeper than the stack."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Num(Expr):
     value: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class BinOp(Expr):
     op: str
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Call(Expr):
     name: str
     args: tuple[Expr, ...]

@@ -18,8 +18,11 @@ Two backends:
                    phase of Bland's anti-cycling rule from that basis:
                    there is no phase 1 and there are no artificial columns
                    (array code that takes the pivots and roundings of a
-                   per-row loop; a pivot updates only the columns where
-                   its row is nonzero);
+                   per-row loop).  The tableau is column-major, and a
+                   pivot updates only the columns where its row is
+                   nonzero, each contiguous.  The ratio test's Bland
+                   tie-break folds over the rows in order, as its 1e-12
+                   tie test chains;
   * solve_fp    -- agent-form fictitious play (general-sum fallback) in
                    blocks of iterations that assume unchanged best
                    responses: a block's action values, best responses and
@@ -208,13 +211,14 @@ def _pivot(T, basis, row, col):
     """Pivot on T[row, col], updating the whole columns in which the
     divided pivot row is nonzero: in the others the update subtracts +-0,
     which could only flip the sign of a zero, and nothing reads that
-    sign."""
+    sign.  The update goes through T.T, whose rows are T's columns, so on
+    simplex's column-major tableau it moves contiguous rows."""
     pivot_row = T[row]
     pivot_row /= pivot_row[col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    cols = np.flatnonzero(pivot_row)
-    T[:, cols] -= factors[:, None] * pivot_row[cols]
+    cols = pivot_row.nonzero()[0]
+    T.T[cols] -= np.multiply.outer(pivot_row[cols], factors)
     basis[row] = col
 
 
@@ -257,27 +261,29 @@ def simplex(c, A, b, *, basis):
     """
     m = A.shape[0]
     basis = np.array(basis, dtype=np.intp)  # a copy: the pivots rewrite it
-    # the tableau: every column and b, above the cost row
-    T = np.zeros((m + 1, c.size + 1))
+    # the tableau, column-major: every column and b, above the cost row
+    T = np.zeros((m + 1, c.size + 1), order="F")
     # a repeated column is singular even where rounding hides it from LU
     if len(set(basis.tolist())) < m or not _rebuild(T, A, b, c, basis):
         raise SimplexStall("singular start basis")
-    low = np.flatnonzero(T[:m, -1] < -_TOL)
+    cost, xb = T[-1, :-1], T[:m, -1]  # views: they follow the pivots
+    low = np.flatnonzero(xb < -_TOL)
     if low.size:
         raise Infeasible(f"the start basis is infeasible: column "
                          f"{basis[low[0]]}, basic in row {low[0]}, is "
-                         f"{T[low[0], -1]}")
+                         f"{xb[low[0]]}")
+    negative = np.empty(c.size, dtype=bool)
     pivots = since_refactor = 0
     while True:
-        entering = np.flatnonzero(T[-1, :-1] < -_TOL)
-        if not entering.size:
+        np.less(cost, -_TOL, out=negative)
+        enter = negative.argmax()  # Bland: the first such column
+        if not negative[enter]:
             break
-        enter = entering[0]
         # ratio test; Bland tie-break on the basic variable index.  The
         # 1e-12 tie test chains, so the fold runs in row order.
         column = T[:m, enter]
-        rows = np.flatnonzero(column > _PIV_TOL)
-        ratios = T[rows, -1] / column[rows]
+        rows = (column > _PIV_TOL).nonzero()[0]
+        ratios = xb[rows] / column[rows]
         leave, best = -1, np.inf
         for r, ratio in zip(rows.tolist(), ratios.tolist()):
             if ratio < best - 1e-12 or (

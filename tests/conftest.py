@@ -53,6 +53,7 @@ from bnecert.expr import (
     Program,
     Var,
     _tokenize,
+    postorder,
 )
 from bnecert.solver import (
     SolverResult,
@@ -779,6 +780,32 @@ def oracle_parse(text):
     """Expr tree of DSL text, by recursive descent on the tokenizer's
     tokens; raises what bnecert.parse raises, with the same offsets."""
     return _OracleParser(text).parse()
+
+
+def tree_repr(tree):
+    """The text a dataclass repr would give the Expr tree, such as
+    BinOp(op='+', left=Var(name='theta1'), right=Num(value=1.0)), built
+    over postorder, so any depth will do.  Tests compare trees by it:
+    equal texts are equal trees, and a failed assert shows both."""
+    texts = []
+    for e in postorder(tree):
+        if isinstance(e, BinOp):
+            right = texts.pop()
+            texts.append(f"BinOp(op={e.op!r}, left={texts.pop()}, "
+                         f"right={right})")
+        elif isinstance(e, Neg):
+            texts.append(f"Neg(arg={texts.pop()})")
+        elif isinstance(e, Call):
+            start = len(texts) - len(e.args)
+            args = ", ".join(texts[start:]) + ("," if start == len(texts) - 1
+                                               else "")
+            del texts[start:]
+            texts.append(f"Call(name={e.name!r}, args=({args}))")
+        elif isinstance(e, Num):
+            texts.append(f"Num(value={e.value!r})")
+        else:
+            texts.append(f"Var(name={e.name!r})")
+    return texts[0]
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,38 @@ from bnecert.expr import (
     Var,
 )
 
-from conftest import expr_eval, oracle_eval, oracle_parse, render
+from conftest import (
+    expr_eval,
+    oracle_eval,
+    oracle_parse,
+    render,
+    tree_repr,
+)
 
 
 def test_parse_product_tree():
     e = parse("theta1*theta2")
-    assert e == BinOp("*", Var("theta1"), Var("theta2"))
+    assert tree_repr(e) == tree_repr(BinOp("*", Var("theta1"), Var("theta2")))
+
+
+def test_tree_repr_is_the_dataclass_repr():
+    e = BinOp("+", Neg(Num(1.5)), Call("min", (Var("theta1"),
+                                               Call("max", (Num(2.0),)))))
+    assert tree_repr(e) == (
+        "BinOp(op='+', left=Neg(arg=Num(value=1.5)), right=Call(name='min', "
+        "args=(Var(name='theta1'), Call(name='max', args=(Num(value=2.0),)))"
+        "))")
+
+
+def test_a_1500_term_sum_compares_hashes_and_prints():
+    """A 1500-term sum is a tree 1500 deep, past the recursion limit:
+    nodes compare and hash by identity, and tree_repr walks it."""
+    text = " + ".join(["theta1"] * 1500)
+    a, b = parse(text), parse(text)
+    assert a == a and a != b and hash(a) == hash(a)
+    assert repr(a).startswith("<bnecert.expr.BinOp object at ")
+    assert tree_repr(a) == tree_repr(b)
+    assert tree_repr(a) != tree_repr(parse(text[:-1] + "2"))  # theta2 last
 
 
 def test_dangling_operator_offset():
@@ -197,7 +223,7 @@ def _fuzz_text(rng):
 
 def _parse_outcome(parser, text):
     try:
-        return parser(text)
+        return tree_repr(parser(text))
     except (ExprSyntaxError, UnknownIdentifier) as exc:
         return type(exc), str(exc), exc.offset
 
