@@ -23,15 +23,15 @@ Two backends:
                    nonzero, each contiguous.  The ratio test's Bland
                    tie-break folds over the rows in order, as its 1e-12
                    tie test chains;
-  * solve_fp    -- agent-form fictitious play (general-sum fallback) in
-                   blocks of iterations that assume unchanged best
-                   responses: a block's action values, best responses and
-                   gaps take a few array calls in all, its steps up to the
-                   first changed best response are kept, and every iterate
-                   is bit-equal to action_values, _regret and the
-                   averaging step taken one iteration at a time.  Each
-                   iterate is also purified (per-type argmax), and fp
-                   stops at the first pure profile within the target gap.
+  * solve_fp    -- agent-form fictitious play (general-sum fallback)
+                   whose state is the best-response counts: iteration
+                   k's rows are (counts + 1/L) / k.  It runs in blocks of
+                   iterations that assume unchanged best responses: a
+                   block's rows, action values, best responses and gaps
+                   take a few array calls in all, and its steps up to the
+                   first changed best response are kept.  Each iterate is
+                   also purified (per-type argmax), and fp stops at the
+                   first pure profile within the target gap.
 
 All payoffs here are prior-assimilated, so the finite game carries a
 uniform 1/n^2 prior and a uniform 1/n conditional.
@@ -46,6 +46,7 @@ between duplicated actions and so changes best responses.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -455,28 +456,26 @@ def _pure_hit(fg, choice, target_gap):
 def solve_fp(fg, max_iters, target_gap):
     """Agent-form fictitious play with uniform averaging.
 
+    The state is the best-response counts over the agent-form entries
+    [player 1 | player 2], exact integers in a float array: iteration k's
+    rows are (counts + uniform) / k, uniform being 1/L on player 1's
+    entries and 1/H on player 2's.  The integer sum comes first, then one
+    rounding for + uniform and one for the division, so entries with
+    equal counts are equal and purification ties are exact.
+
     Best responses change rarely (on the bench's fp games, once every 33
     to 2000 iterations on average), so fp runs in blocks of iterations
-    that aim at the last best responses seen.  A block advances the rows
-    of its steps as if every best response stayed on aim, then evaluates
-    all of its steps at once: one np.vecdot per player (still one row dot
+    that aim at the last best responses seen, pure: step j of a block
+    starting at iteration k is iteration k + j, with counts + j * pure.
+    A block builds all of its steps' rows [s | t] in one broadcast and
+    evaluates them at once: one np.vecdot per player (still one row dot
     per step and (type, action)), one argmax per player, one gather, one
-    product and a row-wise sum per gap term.  The steps through the first
-    one off aim are exact, since the rows of each were advanced with the
-    true best responses of the steps before it; the block ends there, the
-    next one aims at that step's best responses and halves its length,
-    and a block that stays on aim doubles it, up to _FP_BLOCK.
-
-    The state lives in buffers allocated once, one row per block step,
-    each laid out [player 1 | player 2]: the rows [s | t], their action
-    values q, the products rows * q, and pick, the agent-form index of
-    each type's best response.  Every iterate and gap is bit-equal to
-    action_values, _regret and rows += (pure rows - rows) / (k + 1) taken
-    one iteration at a time: pure - rows rounds as -rows + pure (1 - r is
-    1 + (-r); 0 - r is -r up to the sign of a zero, which the following
-    add erases), and a row-wise np.add.reduce over a contiguous axis runs
-    numpy's pairwise sum on each row exactly as a 1-D reduce of that row
-    does.
+    product and a row-wise np.add.reduce per gap term, which runs numpy's
+    pairwise sum on each row as a 1-D reduce of that row does, so gaps
+    are bit-equal to _regret's.  The steps through the first one off aim
+    are exact; the block ends there, the next one aims at that step's
+    best responses and halves its length, and a block that stays on aim
+    doubles it, up to _FP_BLOCK.
 
     After each iterate's gap check, fp purifies it: each type plays its
     largest entry, a tie going to the lowest index.  If both finite gaps
@@ -487,20 +486,25 @@ def solve_fp(fg, max_iters, target_gap):
     that never hits pays two np.vecdot per distinct purified profile and
     returns the bits of plain fictitious play.
 
-    Raises NoConvergence (carrying the best iterate) if neither an
-    iterate nor its purification reaches the target gap within max_iters
-    iterations, and NonFinite if an iterate's gap is not finite (action
-    values that overflow).
+    Raises ValueError if target_gap is not a real number or is nan,
+    NoConvergence (carrying the best iterate) if neither an iterate nor
+    its purification reaches the target gap within max_iters iterations,
+    and NonFinite if an iterate's gap is not finite (action values that
+    overflow).
     """
     check_count("max_iters", max_iters)
+    if not isinstance(target_gap, numbers.Real) or math.isnan(target_gap):
+        raise ValueError(f"target_gap must be a real number, got "
+                         f"{target_gap!r}")
     n, L, H = fg.n, fg.L, fg.H
     M1, M2 = fg.M1, fg.M2
     N1 = n * L
     N = N1 + n * H
     rows = np.empty((_FP_BLOCK, N))
     q, prod = np.empty_like(rows), np.empty_like(rows)
-    step_rows = list(rows)  # a view of each step's rows, made once
-    pure, d = np.zeros(N), np.empty(N)
+    counts, pure = np.zeros(N), np.zeros(N)
+    uniform = np.repeat([1.0 / L, 1.0 / H], [N1, N - N1])
+    steps = np.arange(_FP_BLOCK, dtype=float)
     pick = np.empty((_FP_BLOCK, 2 * n), dtype=np.intp)
     purified = np.full((_FP_BLOCK + 1, 2 * n), -1, dtype=np.intp)
     aim = np.full(2 * n, -1, dtype=np.intp)  # nothing before iteration 1
@@ -511,23 +515,16 @@ def solve_fp(fg, max_iters, target_gap):
     # response between near-tied actions
     scale = 1.0 / n ** 2
     total = np.add.reduce  # ndarray.sum without its Python wrapper
-    subtract, divide, add = np.subtract, np.divide, np.add
-
-    def advance(src, dst, k):
-        """dst = src after iteration k's averaging step toward pure."""
-        subtract(pure, src, d)
-        divide(d, k + 1.0, d)
-        add(src, d, dst)
-
-    rows[0, :N1] = 1.0 / L
-    rows[0, N1:] = 1.0 / H
     best_gap = np.inf  # so iteration 1, whose gaps are finite, sets best
     k, size = 1, 1  # the iteration at block step 0, the block length
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             size = min(size, max_iters - k + 1)
-            for j in range(1, size):  # step j is iteration k + j
-                advance(step_rows[j - 1], step_rows[j], k + j - 1)
+            # in place: temporaries of this size showed in peak RSS
+            np.multiply.outer(steps[:size], pure, out=rows[:size])
+            rows[:size] += counts  # an exact integer sum
+            rows[:size] += uniform
+            rows[:size] /= k + steps[:size, None]
             np.vecdot(M1, rows[:size, None, N1:], out=q[:size, :N1])
             np.vecdot(M2, rows[:size, None, :N1], out=q[:size, N1:])
             q[:size] *= scale
@@ -571,6 +568,7 @@ def solve_fp(fg, max_iters, target_gap):
                 best = (rows[j].copy(), gap1, gap2, k + j)
             if stop:
                 break
+            counts += last * pure  # the aimed best responses of steps < last
             if off.size:
                 aim[:] = pick[last]
                 pure.fill(0.0)
@@ -578,7 +576,7 @@ def solve_fp(fg, max_iters, target_gap):
                 size = max(1, size // 2)
             else:
                 size = min(_FP_BLOCK, 2 * size)
-            advance(step_rows[last], step_rows[0], k + last)
+            counts += pure  # step last's own best response
             purified[0] = purified[last + 1]
             k += last + 1
     best_rows, gap1, gap2, k = best

@@ -12,10 +12,13 @@ The parser oracle is the recursive-descent parser, one method per
 grammar rule, that the precedence-climbing parser replaced.  The exact
 regret oracle reads the prior and utility trees of a polynomial game
 as coefficient arrays and integrates them with numpy.polynomial, with
-no library evaluation at all.  The enumeration oracle exists only here:
-an exhaustive pure-profile and support search, used as an independent
-cross-check of the lp and fp backends on small games.  So does the pretty-printer of
-expression trees, whose output the tests reparse.
+no library evaluation at all.  The exact fictitious play oracle runs in
+Fractions over the float agent-form matrices, so rounding decides none
+of its best responses or gap checks.  The enumeration oracle exists
+only here: an exhaustive pure-profile and support search, used as an
+independent cross-check of the lp and fp backends on small games.  So
+does the pretty-printer of expression trees, whose output the tests
+reparse.
 """
 
 import functools
@@ -23,6 +26,7 @@ import importlib.util
 import itertools
 import math
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -1030,11 +1034,13 @@ def oracle_solve_fp(fg, max_iters=2000, target_gap=1e-6,
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     n, L, H = fg.n, fg.L, fg.H
-    s = np.full((n, L), 1.0 / L)
-    t = np.full((n, H), 1.0 / H)
+    # best-response counts; iteration k's rows are (counts + 1/L) / k
+    c1, c2 = np.zeros((n, L)), np.zeros((n, H))
     best = None
     best_gap = np.inf
     for k in range(1, max_iters + 1):
+        s = (c1 + 1.0 / L) / k
+        t = (c2 + 1.0 / H) / k
         profile = BehavioralProfile(s.copy(), t.copy())
         gap1, gap2 = oracle_finite_gap(fg, profile, values)
         if not (math.isfinite(gap1) and math.isfinite(gap2)):
@@ -1055,9 +1061,60 @@ def oracle_solve_fp(fg, max_iters=2000, target_gap=1e-6,
                 return SolverResult(pure, gap1, gap2, "fp", k)
         br1, _ = oracle_finite_best_response(fg, 1, t, values)
         br2, _ = oracle_finite_best_response(fg, 2, s, values)
-        s += (br1 - s) / (k + 1.0)
-        t += (br2 - t) / (k + 1.0)
+        c1 += br1
+        c2 += br2
     raise NoConvergence(best)
+
+
+def _exact_gap(M, scale, own, opponent):
+    """Exact ex-ante regret of own (n x width) against the opponent's
+    rows through the agent-form matrix M, all in Fractions.  Returns
+    (gap, best responses with ties to the lowest index, whether some
+    type's best action value is attained twice)."""
+    q = (M @ opponent.ravel()).reshape(own.shape) * scale
+    best = q.max(axis=1)
+    tied = bool(np.any((q == best[:, None]).sum(axis=1) > 1))
+    return best.sum() - (own * q).sum(), q.argmax(axis=1), tied
+
+
+def exact_solve_fp(fg, max_iters, target_gap):
+    """Fictitious play in exact rational arithmetic over the float M1, M2.
+
+    Iteration k's rows are (counts + 1/L) / k in Fractions.  The order of
+    checks is solve_fp's: the iterate's exact gaps against target_gap,
+    then its purification (each type's largest entry), whose exact gaps
+    end the run when both are at most target_gap.  Best responses and
+    purifications break ties to the lowest index.
+
+    Returns (iteration, s, t, tied): the iteration fp stops at and the
+    profile it returns there, as Fractions (None, None, None if it does
+    not stop within max_iters), and whether two action values of a type
+    tie exactly at some best response taken on the way, where floating
+    point fp's choice falls to rounding.
+    """
+    n, L, H = fg.n, fg.L, fg.H
+    M1, M2 = (np.vectorize(Fraction, otypes=[object])(M)
+              for M in (fg.M1, fg.M2))
+    scale, target = Fraction(1, n * n), Fraction(target_gap)
+    c1 = np.zeros((n, L), dtype=object)
+    c2 = np.zeros((n, H), dtype=object)
+    tied = False
+    for k in range(1, max_iters + 1):
+        s = (c1 + Fraction(1, L)) / k
+        t = (c2 + Fraction(1, H)) / k
+        gap1, br1, tie1 = _exact_gap(M1, scale, s, t)
+        gap2, br2, tie2 = _exact_gap(M2, scale, t, s)
+        if max(gap1, gap2) <= target:
+            return k, s, t, tied
+        pure_s = _pure_rows(np.argmax(s, axis=1), L).astype(object)
+        pure_t = _pure_rows(np.argmax(t, axis=1), H).astype(object)
+        if (_exact_gap(M1, scale, pure_s, pure_t)[0] <= target
+                and _exact_gap(M2, scale, pure_t, pure_s)[0] <= target):
+            return k, pure_s, pure_t, tied
+        tied = tied or tie1 or tie2
+        c1[np.arange(n), br1] += 1
+        c2[np.arange(n), br2] += 1
+    return None, None, None, tied
 
 
 # ---------------------------------------------------------------------------

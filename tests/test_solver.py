@@ -45,7 +45,9 @@ from conftest import (
     EquilibriumNotFound,
     TooLarge,
     ex_ante_value,
+    exact_solve_fp,
     generated_constant_sum_game,
+    generated_general_sum_game,
     make_game,
     oracle_action_values,
     oracle_finite_best_response,
@@ -1216,6 +1218,69 @@ def test_fp_equals_the_oracle_where_best_responses_switch_in_blocks():
         assert got[0] == (target == 1e-3)
         # no purified iterate hits
         assert _check_against_plain_fp(fg, got, target, 2000) != "pure"
+
+
+def test_fp_stops_where_exact_rational_fp_stops():
+    """On the bench generator's general-sum games at n <= 4, fp and its
+    oracle stop at the iteration, and on the profile, of fictitious play
+    in exact rational arithmetic, wherever no best response on the exact
+    trajectory ties two action values: there floating point decides the
+    tie by rounding.  The counts make purification ties exact; the
+    running average rounded them apart, and (1, 5, 3x3) at n = 2 stopped
+    at 12 instead of 11, (3, 5, 3x3) at n = 4 at 4 instead of 3 and
+    (2, 2, 2x3) at n = 2 at 5 instead of 6."""
+    games = [((seed, index, L, H), generated_general_sum_game(seed, index,
+                                                             L, H))
+             for seed in (1, 2, 3)
+             for index, L, H in ((1, 2, 2), (2, 2, 3), (4, 2, 3), (5, 3, 3))]
+    # x1 = x2: their values tie at every best response, so every run is
+    # skipped
+    u = [["theta1", "0", "0"], ["theta1", "0", "0"],
+         ["0", "theta2", "theta2"]]
+    v = [["0", "1", "1"], ["0", "1", "1"], ["theta1", "0", "0"]]
+    games.append(("ties", make_game(u, v)))
+    compared, skipped = set(), set()
+    for name, g in games:
+        for n in (1, 2, 3, 4):
+            fg = bc.build_finite(g, n)
+            stop, s, t, tied = exact_solve_fp(fg, 250, 1e-4)
+            if tied:
+                skipped.add((name, n))
+                continue
+            for solver in (solve_fp, oracle_solve_fp):
+                try:
+                    res = solver(fg, max_iters=250, target_gap=1e-4)
+                except NoConvergence:
+                    assert stop is None, (name, n, solver)
+                    continue
+                assert res.iterations == stop, (name, n, solver)
+                for got, want in ((res.profile.s, s), (res.profile.t, t)):
+                    assert np.allclose(got, want.astype(float), rtol=1e-13,
+                                       atol=0.0), (name, n, solver)
+            compared.add((name, n))
+    assert {((1, 5, 3, 3), 2), ((3, 5, 3, 3), 4),
+            ((2, 2, 2, 3), 2)} <= compared
+    assert len(compared) == 48
+    assert skipped == {("ties", n) for n in (1, 2, 3, 4)}
+
+
+@pytest.mark.parametrize("target_gap", [math.nan, np.float64(math.nan),
+                                        "1e-4", None, 1e-4 + 0j])
+def test_fp_rejects_a_target_gap_that_is_nan_or_not_real(target_gap):
+    # no gap is <= nan: without the check, a nan target ran the whole
+    # budget and raised NoConvergence as if the run had missed
+    g = make_game([["theta1", "0"], ["0", "theta2"]],
+                  [["0", "theta2"], ["theta1", "0"]])
+    fg = bc.build_finite(g, 4)
+    with pytest.raises(ValueError, match="^target_gap must be a real"):
+        solve_fp(fg, max_iters=2000, target_gap=target_gap)
+
+
+def test_fp_accepts_an_infinite_target_gap():
+    # a negative one turns hits off (test_fp_accepts_numpy_integer_max_iters)
+    fg = identity_finite_game()
+    for target in (math.inf, np.float64(math.inf)):
+        assert solve_fp(fg, max_iters=3, target_gap=target).iterations == 1
 
 
 @pytest.mark.parametrize("max_iters", [2.5, 2.0, True, "3", None])
