@@ -14,13 +14,13 @@ class ExprSyntaxError(BnecertError):
         self.offset = offset
 
 
-class UnknownIdentifier(BnecertError):
-    """Variable other than theta1/theta2, or an unknown function name."""
+class UnknownIdentifier(ExprSyntaxError):
+    """A name that is neither a variable nor a function: a kind of syntax
+    error, which keeps the name."""
 
     def __init__(self, name, offset):
-        super().__init__(f"unknown identifier {name!r} (at offset {offset})")
+        super().__init__(f"unknown identifier {name!r}", offset)
         self.name = name
-        self.offset = offset
 
 
 class DomainError(BnecertError):

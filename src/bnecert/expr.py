@@ -12,12 +12,13 @@ Grammar (standard precedence):
 
 '^' binds tighter than unary minus, so "-2^2" is -(2^2) = -4.  The
 parser climbs precedences: after an operand it folds in each binary
-operator above its floor, by one table of (precedence, floor of the
-right operand): + - (1, 1), * / (2, 2), ^ (4, 3); a unary minus's
-operand has floor 3.
-The only variables are theta1 and theta2; the only functions are
-min, max, abs, exp, log, sqrt, sin, cos.  Trees are immutable and
-evaluation is pure, so Expr values are safe to share across threads.
+operator above its floor.  OPERATORS holds each binary operator's
+precedence, the floor of its right operand and its function:
++ - (1, 1), * / (2, 2), ^ (4, 3); a unary minus's operand has floor 3.
+FUNCTIONS holds each function's least and greatest number of arguments
+and its function.  A name that is neither a function nor one of the
+VARIABLES is an UnknownIdentifier.  Trees are immutable and evaluation
+is pure, so Expr values are safe to share across threads.
 
 A Program compiles a list of trees into one tape of steps, in which
 structurally equal subtrees share a step, and evaluates the steps that
@@ -38,21 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
-
-VARIABLES = ("theta1", "theta2")
-
-# name -> (min_arity, max_arity); None means unbounded
-FUNCTIONS = {
-    "min": (2, None),
-    "max": (2, None),
-    "abs": (1, 1),
-    "exp": (1, 1),
-    "log": (1, 1),
-    "sqrt": (1, 1),
-    "sin": (1, 1),
-    "cos": (1, 1),
-}
-
 
 class Expr:
     """Base class for AST nodes.  A node compares and hashes by identity
@@ -157,11 +143,18 @@ def _max(out, v):
     return np.where(np.greater(v, out), v, out)
 
 
-_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": _divide,
-           "^": _power}
-_UNARY = {"abs": np.abs, "sqrt": _sqrt, "exp": np.exp, "log": _log,
-          "sin": np.sin, "cos": np.cos}
-_FOLD = {"min": _min, "max": _max}
+VARIABLES = ("theta1", "theta2")
+
+# operator -> (precedence, floor of its right operand, function)
+OPERATORS = {"+": (1, 1, np.add), "-": (1, 1, np.subtract),
+             "*": (2, 2, np.multiply), "/": (2, 2, _divide),
+             "^": (4, 3, _power)}
+
+# name -> (min arity, max arity or None for a fold from the left, function)
+FUNCTIONS = {"min": (2, None, _min), "max": (2, None, _max),
+             "abs": (1, 1, np.abs), "exp": (1, 1, np.exp),
+             "log": (1, 1, _log), "sqrt": (1, 1, _sqrt),
+             "sin": (1, 1, np.sin), "cos": (1, 1, np.cos)}
 
 
 class Program:
@@ -171,8 +164,8 @@ class Program:
     function and the slots of its operands, for each node whose key is
     new.  A node is keyed on its function and its operands' slots, so
     structurally equal subtrees share one slot, within a tree and across
-    trees, and compiling is linear in the size of the trees.  Slots 0
-    and 1 hold theta1 and theta2; a constant is keyed on its bits.
+    trees, and compiling is linear in the size of the trees.  The first
+    slots hold the VARIABLES, in order; a constant is keyed on its bits.
 
     run takes the requested outputs in turn and runs the steps of each
     tree in the order a walk of the tree meets them, skipping the steps
@@ -205,9 +198,9 @@ class Program:
         for e in postorder(tree):
             if isinstance(e, BinOp):
                 right = slots.pop()
-                key = (_BINARY[e.op], slots.pop(), right)
+                key = (OPERATORS[e.op][2], slots.pop(), right)
             elif isinstance(e, Var):
-                slots.append(0 if e.name == "theta1" else 1)
+                slots.append(VARIABLES.index(e.name))
                 continue
             elif isinstance(e, Num):
                 value = float(e.value)
@@ -220,15 +213,15 @@ class Program:
                 continue
             elif isinstance(e, Neg):
                 key = (np.negative, slots.pop(), -1)
-            elif e.name in _FOLD:
-                fn, n = _FOLD[e.name], len(e.args)
+            elif FUNCTIONS[e.name][1] is not None:
+                key = (FUNCTIONS[e.name][2], slots.pop(), -1)
+            else:  # a fold from the left
+                fn, n = FUNCTIONS[e.name][2], len(e.args)
                 first, second, *rest = slots[-n:]
                 del slots[-n:]
                 key = (fn, first, second)
                 for v in rest:
                     key = (fn, self._step(key, walk), v)
-            else:
-                key = (_UNARY[e.name], slots.pop(), -1)
             slots.append(self._step(key, walk))
         return slots[0]
 
@@ -312,7 +305,7 @@ class Program:
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_OPS = set("+-*/^(),")
+_OPS = set(OPERATORS) | set("(),")
 
 
 def _tokenize(text):
@@ -364,11 +357,6 @@ def _tokenize(text):
 # ---------------------------------------------------------------------------
 # parser
 
-# binary operator -> (its precedence, the floor of its right operand)
-_PRECEDENCE = {"+": (1, 1), "-": (1, 1), "*": (2, 2), "/": (2, 2),
-               "^": (4, 3)}
-
-
 class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
@@ -397,7 +385,7 @@ class _Parser:
                 self.pos += 1
                 args.append(self.expr(0))
             self.expect_op(")")
-            lo, hi = FUNCTIONS[value]
+            lo, hi, _ = FUNCTIONS[value]
             if len(args) < lo or (hi is not None and len(args) > hi):
                 raise ExprSyntaxError(
                     f"{value} takes {lo}{'+' if hi is None else ''} "
@@ -415,7 +403,7 @@ class _Parser:
             raise ExprSyntaxError(f"expected operand, got {what}", offset)
         while True:
             op = self.tokens[self.pos][1]
-            prec, right_floor = _PRECEDENCE.get(op, (0, 0))
+            prec, right_floor, _ = OPERATORS.get(op, (0, 0, None))
             if prec <= floor:
                 return e
             self.pos += 1

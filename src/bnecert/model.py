@@ -28,7 +28,6 @@ from .errors import (
     ExprSyntaxError,
     NegativePrior,
     NonFinite,
-    UnknownIdentifier,
     ZeroMarginal,
 )
 from .expr import Expr, Program
@@ -58,7 +57,7 @@ def _parse(text, where):
     """Parse one expression of a spec; a syntax error names where it is."""
     try:
         return exprmod.parse(text)
-    except (ExprSyntaxError, UnknownIdentifier) as exc:
+    except ExprSyntaxError as exc:
         exc.args = (f"{where}: {exc}",)
         raise
 
@@ -125,10 +124,9 @@ class GameSpec:
     type_range2: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
-        if len(set(self.actions1)) != len(self.actions1):
-            raise ValueError("duplicate action labels for player 1")
-        if len(set(self.actions2)) != len(self.actions2):
-            raise ValueError("duplicate action labels for player 2")
+        for player, labels in ((1, self.actions1), (2, self.actions2)):
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"duplicate action labels for player {player}")
         if not self.actions1 or not self.actions2:
             raise ValueError("each player needs at least one action")
         L, H = len(self.actions1), len(self.actions2)

@@ -770,7 +770,7 @@ class _OracleParser:
             else:
                 break
         self.expect_op(")")
-        lo, hi = FUNCTIONS[name]
+        lo, hi, _ = FUNCTIONS[name]
         if len(args) < lo or (hi is not None and len(args) > hi):
             raise ExprSyntaxError(
                 f"{name} takes {lo}{'+' if hi is None else ''} argument(s), "

@@ -96,6 +96,14 @@ def test_unknown_identifier():
         parse("foo(1)")
 
 
+def test_an_unknown_name_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError) as info:
+        parse("theta1 + theta3")
+    assert type(info.value) is UnknownIdentifier
+    assert info.value.name == "theta3" and info.value.offset == 9
+    assert str(info.value) == "unknown identifier 'theta3' (at offset 9)"
+
+
 def test_syntax_errors():
     for text in ["", "(theta1", "1 + + 2", "max(1)", "abs(1, 2)", "1..2",
                  "theta1 @ 2"]:

@@ -207,6 +207,30 @@ def test_expression_errors_name_their_field():
         assert info.value.offset == offset
 
 
+def test_an_unknown_name_in_a_cell_names_the_cell():
+    doc = {"actions1": ["x1", "x2"], "actions2": ["y1", "y2"],
+           "u": [["1", "theta1 + theta3"], ["1", "1"]],
+           "v": [["1", "1"], ["1", "1"]], "prior": "1"}
+    with pytest.raises(ExprSyntaxError) as info:
+        bc.GameSpec.from_dict(doc)
+    assert type(info.value) is UnknownIdentifier
+    assert str(info.value) == ("u[0][1]: unknown identifier 'theta3' "
+                               "(at offset 9)")
+
+
+@pytest.mark.parametrize("actions1, actions2, player", [
+    (["x", "y", "x"], ["a", "b", "c"], 1),
+    (["a", "b", "c"], ["x", "y", "x"], 2),
+    (["x", "y", "x"], ["x", "y", "x"], 1),
+], ids=["player1", "player2", "both-player1-first"])
+def test_duplicate_action_labels_are_rejected(actions1, actions2, player):
+    doc = {"actions1": actions1, "actions2": actions2,
+           "u": [["1"] * 3] * 3, "v": [["1"] * 3] * 3, "prior": "1"}
+    with pytest.raises(ValueError, match=rf"^duplicate action labels for "
+                       rf"player {player}$"):
+        bc.GameSpec.from_dict(doc)
+
+
 def _one_cell_doc(**change):
     return {"actions1": ["x"], "actions2": ["y"], "u": [["theta1"]],
             "v": [["0"]], "prior": "1", **change}

@@ -1184,19 +1184,21 @@ def test_fp_equals_the_oracle_over_random_games(fg, max_iters, reach):
 
 
 def _best_response_switches(fg, max_iters):
-    """The iterations at which the oracle's best responses change."""
-    s = np.full((fg.n, fg.L), 1.0 / fg.L)
-    t = np.full((fg.n, fg.H), 1.0 / fg.H)
+    """The iterations at which the oracle's best responses change, on the
+    oracle's trajectory: iteration k's rows are (counts + 1/L) / k."""
+    c1, c2 = np.zeros((fg.n, fg.L)), np.zeros((fg.n, fg.H))
     switches, last = [], None
     for k in range(1, max_iters + 1):
+        s = (c1 + 1.0 / fg.L) / k
+        t = (c2 + 1.0 / fg.H) / k
         br1, _ = oracle_finite_best_response(fg, 1, t)
         br2, _ = oracle_finite_best_response(fg, 2, s)
         pure = br1.tobytes() + br2.tobytes()
         if last is not None and pure != last:
             switches.append(k)
         last = pure
-        s += (br1 - s) / (k + 1.0)
-        t += (br2 - t) / (k + 1.0)
+        c1 += br1
+        c2 += br2
     return switches
 
 
