@@ -22,7 +22,9 @@ Two backends:
                    pivot updates only the columns where its row is
                    nonzero, each contiguous.  The ratio test's Bland
                    tie-break folds over the rows in order, as its 1e-12
-                   tie test chains;
+                   tie test chains.  The periodic rebuild solves only
+                   the nonbasic columns against the basis matrix and
+                   writes each basic column as a unit vector;
   * solve_fp    -- agent-form fictitious play (general-sum fallback)
                    whose state is the best-response counts: iteration
                    k's rows are (counts + 1/L) / k.  It runs in blocks of
@@ -225,21 +227,28 @@ def _pivot(T, basis, row, col):
 
 def _rebuild(T, A, b, costvec, basis):
     """Recompute the tableau for the current basis from the original data
-    (kills the drift accumulated by repeated pivoting).  Returns False if
-    the recorded basis is numerically singular; raises NonFinite if the
-    rebuilt tableau is not finite."""
+    (kills the drift accumulated by repeated pivoting).  Only the
+    nonbasic columns are solved: gesv solves each right-hand column on
+    its own, so they take the bits of a solve of every column, and each
+    basic column is written as the exact unit vector of its row, with
+    reduced cost 0.  Returns False if the recorded basis is numerically
+    singular; raises NonFinite if the rebuilt tableau is not finite."""
+    nonbasic = np.ones(costvec.size, dtype=bool)
+    nonbasic[basis] = False
+    rest = np.flatnonzero(nonbasic)
     B = A[:, basis]
     try:
-        body = np.linalg.solve(B, A)
+        body = np.linalg.solve(B, A[:, rest])
         # apart: solved as one more column of body, b rounds differently
         xb = np.linalg.solve(B, b)
     except np.linalg.LinAlgError:
         return False
     m = A.shape[0]
-    T[:m, :-1] = body
+    T[:, basis] = np.eye(m + 1, m)  # unit columns, reduced costs 0
+    T[:m, rest] = body
     T[:m, -1] = xb
     cB = costvec[basis]
-    T[-1, :-1] = costvec - cB @ body
+    T[-1, rest] = costvec[rest] - cB @ body
     T[-1, -1] = -(cB @ xb)
     if not np.isfinite(T).all():
         raise NonFinite("the simplex tableau is not finite")

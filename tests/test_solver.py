@@ -44,6 +44,7 @@ from conftest import (
     SINGULAR_DUALS_LP,
     EquilibriumNotFound,
     TooLarge,
+    _rebuild as oracle_rebuild,
     ex_ante_value,
     exact_solve_fp,
     generated_constant_sum_game,
@@ -479,6 +480,74 @@ def test_simplex_takes_the_oracle_pivots_at_bench_sizes(path, monkeypatch):
                    _player2_block(fg, alpha2)):
             got = _simplex_outcome(simplex, lp)
             assert got == _simplex_outcome(oracle_simplex, lp)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3)],
+                         ids=["2x2", "2x3", "3x3"])
+def test_simplex_takes_the_oracle_pivots_on_generated_games_to_n_32(
+        shape, monkeypatch):
+    """Generated constant-sum games at the levels a larger lp-ladder
+    would solve, where a rebuild has the most basic columns to skip."""
+    for seed in (1, 2, 3):
+        g = generated_constant_sum_game(seed, *shape)
+        for n in (16, 32):
+            fg = bc.build_finite(g, n)
+            lp = _slack_lp(monkeypatch, fg, *default_alphas(fg, g,
+                                                            check_prop1(g)))
+            got = _simplex_outcome(simplex, lp)
+            assert got == _simplex_outcome(oracle_simplex, lp)
+
+
+@pytest.mark.parametrize("path", DEMO_SPECS, ids=[p.stem for p in DEMO_SPECS])
+def test_a_rebuild_solves_the_nonbasic_columns_to_the_bits_of_a_full_solve(
+        path, monkeypatch):
+    """Every rebuild of the bench-size demo LPs against the oracle's
+    rebuild, which solves B^-1 A for every column: the nonbasic columns,
+    their reduced costs, x_B and the objective are the same bits, because
+    gesv solves each right-hand column on its own, and each basic column
+    is the exact unit vector of its row with reduced cost exactly 0."""
+    rebuild = bc.solver._rebuild
+    calls = []
+
+    def compare(T, A, b, costvec, basis):
+        ok = rebuild(T, A, b, costvec, basis)
+        full = np.zeros_like(T)
+        assert oracle_rebuild(full, A, b, costvec, basis) == ok
+        if ok:
+            m = A.shape[0]
+            rest = np.setdiff1d(np.arange(costvec.size), basis)
+            assert T[:, rest].tobytes() == full[:, rest].tobytes()
+            assert T[:, -1].tobytes() == full[:, -1].tobytes()
+            assert (T[:m, basis] == np.eye(m)).all()
+            assert (T[-1, basis] == 0.0).all()
+        calls.append(ok)
+        return ok
+
+    g = bc.load_game_file(path)
+    prop1 = check_prop1(g)
+    for n in (40, 48, 56):
+        fg = bc.build_finite(g, n)
+        alpha1, alpha2 = default_alphas(fg, g, prop1)
+        lps = (_slack_lp(monkeypatch, fg, alpha1, alpha2),
+               _player2_block(fg, alpha2))
+        with monkeypatch.context() as patch:
+            patch.setattr("bnecert.solver._rebuild", compare)
+            for lp in lps:
+                _simplex_outcome(simplex, lp)
+    # 6 start rebuilds, and at least as many periodic ones
+    assert len(calls) >= 12 and all(calls)
+
+
+def test_an_lp_with_no_nonbasic_column_solves_in_0_pivots():
+    """As many columns as rows: the rebuild solves a right-hand side of 0
+    columns.  The first LP of
+    test_a_singular_start_basis_stalls_before_any_pivot is square too:
+    numpy raises LinAlgError on a singular B with 0 right-hand columns,
+    so that start still stalls."""
+    x, y, pivots = simplex(np.array([1.0, 1.0]), np.diag([1.0, 2.0]),
+                           np.array([1.0, 1.0]), basis=[0, 1])
+    assert x.tolist() == [1.0, 0.5] and y.tolist() == [1.0, 0.5]
+    assert pivots == 0
 
 
 def test_the_final_tableau_stays_within_1e_12_of_its_rebuild(monkeypatch):
