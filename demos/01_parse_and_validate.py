@@ -33,7 +33,8 @@ def main():
     # conditional beliefs shift with one's own type under this prior
     print("belief about the opponent given theta1=0 vs theta1=1:")
     for own in (0.0, 1.0):
-        row = [bc.conditional(g, 1, other, own) for other in (0.25, 0.75)]
+        row = [g.prior(own, other) / bc.marginal(g, 1, own)
+               for other in (0.25, 0.75)]
         print(f"  theta1={own}: b(0.25|.)={row[0]:.3f}  b(0.75|.)={row[1]:.3f}")
 
     # malformed expressions are rejected with a position

@@ -12,7 +12,7 @@ from .certificate import certify
 from .discretize import BehavioralProfile, FiniteGame, build_finite, lift
 from .driver import RunConfig, convergence_diagnostic, run
 from .expr import parse
-from .model import GameSpec, conditional, load_game, load_game_file, marginal
+from .model import GameSpec, load_game, load_game_file, marginal
 from .solver import check_prop1, default_alphas, solve_fp, solve_lp
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "build_finite",
     "certify",
     "check_prop1",
-    "conditional",
     "convergence_diagnostic",
     "default_alphas",
     "lift",

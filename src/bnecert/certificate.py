@@ -48,7 +48,11 @@ class Certificate:
 def interim_values(g, player, opponent):
     """theta -> the (own actions, theta) array of interim values against
     the atomic opponent, for a 1-D array of theta; each is one dot product
-    over the atoms and actions of nonzero mass, so 0 * inf never arises."""
+    over the atoms and actions of nonzero mass, so 0 * inf never arises.
+    A player other than 1 or 2 is a ValueError, as in discretize.lift."""
+    if (isinstance(player, bool) or not isinstance(player, numbers.Integral)
+            or player not in (1, 2)):
+        raise ValueError(f"player must be 1 or 2, got {player!r}")
     masses = opponent.atom_masses()
     pts = opponent.atom_points
     keep = masses != 0.0

@@ -160,7 +160,7 @@ def build_parser():
     p = sub.add_parser("run", help="full certification loop")
     add_common(p)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--max-level", type=int, default=32)
+    p.add_argument("--max-level", type=int, default=RunConfig.max_level)
     p.add_argument("--output")
     p.add_argument("--emit-curves", action="store_true")
     p.set_defaults(func=cmd_run)
@@ -179,7 +179,7 @@ def main(argv=None):
     except BnecertError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FATAL
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
 

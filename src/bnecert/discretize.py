@@ -31,11 +31,20 @@ def check_count(name, value):
         raise ValueError(f"{name} must be >= 1")
 
 
+def check_player(player):
+    """ValueError unless player is 1 or 2, an integer as in check_count."""
+    if (isinstance(player, bool) or not isinstance(player, numbers.Integral)
+            or player not in (1, 2)):
+        raise ValueError(f"player must be 1 or 2, got {player!r}")
+
+
 def _check_rows(name, m):
     """ValueError unless m is 2-D with finite, nonnegative entries and
     rows that sum to 1 within 1e-12: per-type action distributions."""
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D")
+    if m.shape[0] == 0:
+        raise ValueError(f"{name} has no rows")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} has entries that are not finite")
     if np.any(m < 0.0):
@@ -157,6 +166,7 @@ def build_finite(g, n):
 def lift(profile, player, actions):
     """Lift one side of a finite-game profile to a StepStrategy labelled
     with that player's actions."""
+    check_player(player)
     weights = profile.s if player == 1 else profile.t
     return StepStrategy(n=profile.n, actions=tuple(actions),
                         weights=np.array(weights, dtype=float))

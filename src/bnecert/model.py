@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import expr as exprmod
-from .discretize import check_count
+from .discretize import check_count, check_player
 from .errors import (
     DomainError,
     ExprSyntaxError,
@@ -243,6 +243,7 @@ class InfiniteGame:
         size = self.L * self.H
         outputs = [0] if assimilated else []
         for player in players:
+            check_player(player)
             start = 1 if player == 1 else 1 + size
             outputs.extend(range(start, start + size))
         t1, t2 = self._map(theta1, theta2)
@@ -267,6 +268,7 @@ class InfiniteGame:
 
     def multiplier(self, player, theta):
         """m1(theta1) or m2(theta2) at unit-square types; None if absent."""
+        check_player(player)
         if self.spec.m1 is None:
             return None
         t1, t2 = self._map(theta, theta)
@@ -277,6 +279,7 @@ class InfiniteGame:
 def marginal(g, player, theta, quad_tol=1e-9):
     """Marginal density of one player's type under the normalized prior;
     a 1-D array of types gives one density each, from one batched pass."""
+    check_player(player)
     thetas = np.atleast_1d(theta)
     if player == 1:
         f = lambda t, k: g.prior(thetas[k], t)
@@ -284,27 +287,6 @@ def marginal(g, player, theta, quad_tol=1e-9):
         f = lambda t, k: g.prior(t, thetas[k])
     values, _ = integrate_many(f, thetas.size, 0.0, 1.0, quad_tol)
     return values if np.ndim(theta) else float(values[0])
-
-
-def _check_marginal(player, thetas, densities):
-    """ZeroMarginal naming the first of the 1-D types thetas whose marginal
-    density is not positive."""
-    bad = np.flatnonzero(densities <= 0.0)
-    if bad.size:
-        raise ZeroMarginal(f"marginal of player {player} at "
-                           f"theta={thetas[bad[0]]} is {densities[bad[0]]}")
-
-
-def conditional(g, player, theta_other, theta_own):
-    """Conditional density of the opponent's type given one's own; as in
-    marginal, a 1-D array of own types gives one density each."""
-    denom = marginal(g, player, theta_own)
-    _check_marginal(player, np.atleast_1d(theta_own), np.atleast_1d(denom))
-    if player == 1:
-        joint = g.prior(theta_own, theta_other)
-    else:
-        joint = g.prior(theta_other, theta_own)
-    return joint / denom
 
 
 def load_game(spec, grid_check=101):
@@ -340,8 +322,11 @@ def load_game(spec, grid_check=101):
 
     # marginal positivity along every grid line
     for player, thetas in ((1, t1), (2, t2)):
-        _check_marginal(player, thetas,
-                        marginal(game, player, grid, quad_tol=1e-7))
+        densities = marginal(game, player, grid, quad_tol=1e-7)
+        bad = np.flatnonzero(densities <= 0.0)
+        if bad.size:
+            raise ZeroMarginal(f"marginal of player {player} at theta="
+                               f"{thetas[bad[0]]} is {densities[bad[0]]}")
     return game
 
 

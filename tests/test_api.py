@@ -10,6 +10,7 @@ import pkgutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import bnecert
@@ -89,7 +90,6 @@ def test_signatures_take_no_tuning_options():
         bnecert.load_game_file: ["path"],
         bnecert.check_prop1: ["g"],
         bnecert.load_game: ["spec", "grid_check"],
-        bnecert.conditional: ["g", "player", "theta_other", "theta_own"],
         bnecert.solve_lp: ["fg", "alpha1", "alpha2"],
         bnecert.solve_fp: ["fg", "max_iters", "target_gap"],
         bnecert.certificate.br_value_infinite: ["g", "player", "opponent",
@@ -109,6 +109,50 @@ def test_signatures_take_no_tuning_options():
         ROOT / "demos" / "specs" / "zero_sum_match.json"), 2)
     with pytest.raises(TypeError):
         bnecert.solve_lp(fg)
+
+
+# each public call that takes a player, on a game g with multipliers and
+# a level-2 step strategy F (two actions, so either player's opponent)
+PLAYER_CALLS = {
+    "lift": lambda g, F, p: bnecert.lift(
+        bnecert.BehavioralProfile(F.weights, F.weights), p,
+        g.actions1).weights,
+    "marginal": lambda g, F, p: bnecert.marginal(g, p, 0.5),
+    "payoff": lambda g, F, p: g.payoff(p, 0.3, 0.7),
+    "tables": lambda g, F, p: g.tables(0.3, 0.7, (p,), assimilated=False)[0],
+    "multiplier": lambda g, F, p: g.multiplier(p, 0.5),
+    "interim_values": lambda g, F, p: bnecert.certificate.interim_values(
+        g, p, F)(np.array([0.5])),
+    "br_value_infinite": lambda g, F, p:
+        bnecert.certificate.br_value_infinite(g, p, F, 1e-6),
+}
+
+
+@pytest.fixture(scope="module")
+def game_and_strategy():
+    g = bnecert.load_game_file(
+        ROOT / "demos" / "specs" / "linear_prior_multipliers.json")
+    profile = bnecert.BehavioralProfile(np.array([[1.0, 0.0], [0.25, 0.75]]),
+                                        np.full((2, 2), 0.5))
+    return g, bnecert.lift(profile, 1, g.actions1)
+
+
+@pytest.mark.parametrize("player", [0, 3, "1", 1.5, True])
+@pytest.mark.parametrize("call", PLAYER_CALLS)
+def test_a_player_other_than_1_or_2_is_rejected(game_and_strategy, call,
+                                                player):
+    # each of these read any player but 1 as player 2
+    with pytest.raises(ValueError,
+                       match=f"^player must be 1 or 2, got {player!r}$"):
+        PLAYER_CALLS[call](*game_and_strategy, player)
+
+
+@pytest.mark.parametrize("call", PLAYER_CALLS)
+def test_numpy_integer_players_are_players(game_and_strategy, call):
+    for player in (1, 2):
+        want = PLAYER_CALLS[call](*game_and_strategy, player)
+        got = PLAYER_CALLS[call](*game_and_strategy, np.int64(player))
+        np.testing.assert_array_equal(got, want)
 
 
 def test_lookahead_is_a_module_constant_and_no_parameter():

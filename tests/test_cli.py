@@ -294,6 +294,11 @@ def test_option_sets_of_the_subcommands():
     }
 
 
+def test_run_takes_its_default_level_cap_from_run_config(spec_path):
+    args = build_parser().parse_args(["run", spec_path, "--epsilon", "0.1"])
+    assert args.max_level == bc.RunConfig(epsilon=0.1).max_level
+
+
 def test_usage_error_exit_code_of_the_process(spec_path):
     proc = subprocess.run([sys.executable, "-m", "bnecert.cli", "run",
                            spec_path], env=src_env(), capture_output=True,

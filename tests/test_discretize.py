@@ -187,6 +187,14 @@ def test_step_strategy_weights_must_be_a_strategy(fill, message):
             StepStrategy(n=4, actions=actions, weights=np.full((4, 2), fill))
 
 
+def test_an_empty_profile_is_named():
+    # numpy's max over no rows raised "zero-size array to reduction ..."
+    with pytest.raises(ValueError, match="^s has no rows$"):
+        bc.BehavioralProfile(np.zeros((0, 2)), np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="^weights has no rows$"):
+        StepStrategy(0, ("a",), np.zeros((0, 1)))
+
+
 def test_step_strategy_takes_rows_that_sum_to_1_within_1e_12():
     weights = np.array([[0.5, 0.5 + 5e-13], [1.0 - 5e-13, 0.0]])
     F = StepStrategy(n=2, actions=("x1", "x2"), weights=weights)

@@ -16,7 +16,6 @@ from bnecert.errors import (
     ZeroMarginal,
 )
 from bnecert.expr import Program
-from bnecert.quadrature import integrate
 
 from conftest import ROOT, make_game
 
@@ -311,47 +310,6 @@ def test_marginal_of_no_types_is_empty():
     g = make_game([["1"]], [["0"]], prior="1 + theta1 * theta2")
     for player in (1, 2):
         assert bc.marginal(g, player, np.array([])).shape == (0,)
-
-
-def test_conditional_examples():
-    uniform = make_game([["1"]], [["0"]], prior="1")
-    assert bc.conditional(uniform, 1, 0.8, 0.2) == pytest.approx(1.0,
-                                                                 abs=1e-9)
-    linear = make_game([["1"]], [["0"]], prior="theta1+theta2")
-    assert bc.conditional(linear, 1, 0.5, 0.5) == pytest.approx(1.0,
-                                                               abs=1e-8)
-    assert bc.conditional(linear, 1, 1.0, 0.0) == pytest.approx(2.0,
-                                                                abs=1e-8)
-
-
-def test_conditional_of_a_type_array_equals_one_type_at_a_time():
-    g = make_game([["1"]], [["0"]], prior="theta1 + theta2 * theta2")
-    own = np.linspace(0.0, 1.0, 9)
-    for player in (1, 2):
-        for other in (0.3, own[::-1]):
-            batch = bc.conditional(g, player, other, own)
-            one = [bc.conditional(g, player, o, t)
-                   for o, t in np.broadcast(other, own)]
-            assert batch.tobytes() == np.array(one).tobytes()
-
-
-def test_conditional_names_the_first_type_with_zero_marginal():
-    # 0.33 lies between the validation grid's points, so the game loads
-    g = make_game([["1"]], [["0"]], prior="abs(theta1 - 0.33)")
-    with pytest.raises(ZeroMarginal) as info:
-        bc.conditional(g, 1, 0.5, np.array([0.1, 0.33, 0.7]))
-    assert str(info.value) == "marginal of player 1 at theta=0.33 is 0.0"
-
-
-def test_conditional_normalization():
-    g = make_game([["1"]], [["0"]], prior="theta1+theta2")
-    quad_tol = 1e-9
-    for theta_own in np.linspace(0.0, 1.0, 11):
-        total, _ = integrate(
-            lambda t: bc.conditional(g, 1, t, theta_own),
-            0.0, 1.0, quad_tol,
-        )
-        assert abs(total - 1.0) <= 2 * quad_tol + 1e-7
 
 
 def test_assimilation_consistency_441_points():
