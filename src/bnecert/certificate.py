@@ -3,13 +3,14 @@
 Both sides of a gap read interim_values, each own action's value against
 the atomic opponent: one np.vecdot over the opponent's atoms and actions
 of nonzero mass, of payoffs from numpy's ufuncs (within 1 ulp of the C
-library's).  The candidate's value sums it exactly over its own atoms,
-at the right ends of its cells; the best deviation integrates its max
-over own actions, pre-splitting panels at the opponent's atoms (where
-the integrand may kink) and refining adaptively.  The sides differ only
-in the own type, summed for one and integrated for the other: that is
-the gap's O(1/n) bias.  A certificate passes only if the gap plus the
-a-posteriori quadrature bound stays within epsilon.
+library's).  The best deviation integrates its max over own actions,
+pre-splitting panels at the opponent's atoms (where the integrand may
+kink) and refining adaptively.  The candidate's value sums it exactly
+over its own atoms, at the right ends of its cells, read from the
+integrand's first call, which takes the panel ends first.  The sides
+differ only in the own type, summed for one and integrated for the
+other: that is the gap's O(1/n) bias.  A certificate passes only if the
+gap plus the a-posteriori quadrature bound stays within epsilon.
 
 F and G must share a level: a certificate reports one.
 """
@@ -76,21 +77,33 @@ def check_tolerances(epsilon):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
 
 
+class _Deviation(tuple):
+    """br_value_infinite's (value, error_bound), with its interim values
+    at the partition points 0, 1/n, ..., 1 as the attribute interim."""
+
+
 def br_value_infinite(g, player, opponent, quad_tol):
     """Value of the best pure deviation against an atomic opponent.
 
     Returns (value, error_bound) from adaptive Simpson quadrature of the
     max over own actions of interim_values, with mandatory panel splits
-    at the opponent's atom abscissae.
+    at the opponent's atom abscissae.  Its attribute interim holds
+    interim_values at the partition 0, 1/n, ..., 1, read from the first
+    call of the integrand, whose abscissae start with it.
     """
     values = interim_values(g, player, opponent)
+    first = []
 
     def psi(theta):  # nan never beats another action
         acc = values(theta)
+        if not first:
+            first.append(acc[:, :opponent.n + 1])
         return np.where(np.isnan(acc), -np.inf, acc).max(axis=0)
 
-    return integrate(psi, 0.0, 1.0, quad_tol,
-                     presplit=opponent.atom_points[:-1])
+    result = _Deviation(integrate(psi, 0.0, 1.0, quad_tol,
+                                  presplit=opponent.atom_points[:-1]))
+    result.interim = first[0]
+    return result
 
 
 def certify(g, F, G, epsilon):
@@ -112,10 +125,11 @@ def certify(g, F, G, epsilon):
     start = time.perf_counter()
     values, gaps, errors = [], [], []
     for player, own, opponent in ((1, F, G), (2, G, F)):
-        interim = interim_values(g, player, opponent)(own.atom_points)
+        deviation = br_value_infinite(g, player, opponent, quad_tol)
+        br, err = deviation
+        # own atoms 1/n, ..., 1: the opponent's level is the own one
         values.append(float(np.vecdot(own.atom_masses().ravel(),
-                                      interim.T.ravel())))
-        br, err = br_value_infinite(g, player, opponent, quad_tol)
+                                      deviation.interim[:, 1:].T.ravel())))
         gaps.append(br - values[-1])
         errors.append(err)
     return Certificate(

@@ -165,7 +165,8 @@ class Program:
     new.  A node is keyed on its function and its operands' slots, so
     structurally equal subtrees share one slot, within a tree and across
     trees, and compiling is linear in the size of the trees.  The first
-    slots hold the VARIABLES, in order; a constant is keyed on its bits.
+    slots hold the VARIABLES, in order; a constant is keyed on its bits,
+    and the negation of a constant compiles to the negated constant.
 
     run takes the requested outputs in turn and runs the steps of each
     tree in the order a walk of the tree meets them, skipping the steps
@@ -203,15 +204,13 @@ class Program:
                 slots.append(VARIABLES.index(e.name))
                 continue
             elif isinstance(e, Num):
-                value = float(e.value)
-                key = value.hex()
-                slot = self._slot_of.get(key)
-                if slot is None:
-                    slot = self._slot_of[key] = len(self._init)
-                    self._init.append(np.float64(value))
-                slots.append(slot)
+                slots.append(self._constant(e.value))
                 continue
             elif isinstance(e, Neg):
+                value = self._init[slots[-1]]
+                if value is not None:  # a constant: negating it is exact
+                    slots[-1] = self._constant(-value)
+                    continue
                 key = (np.negative, slots.pop(), -1)
             elif FUNCTIONS[e.name][1] is not None:
                 key = (FUNCTIONS[e.name][2], slots.pop(), -1)
@@ -224,6 +223,15 @@ class Program:
                     key = (fn, self._step(key, walk), v)
             slots.append(self._step(key, walk))
         return slots[0]
+
+    def _constant(self, value):
+        """Slot of the constant value, keyed on its bits."""
+        value = float(value)
+        slot = self._slot_of.get(value.hex())
+        if slot is None:
+            slot = self._slot_of[value.hex()] = len(self._init)
+            self._init.append(np.float64(value))
+        return slot
 
     def _step(self, key, walk):
         """Slot of the step key, put on the tape if it is new."""

@@ -168,6 +168,8 @@ def integrate(f, a, b, tol, presplit=()):
     f maps a 1-D array of abscissae to the array of integrand values.
     presplit lists interior abscissae where the integrand may kink; the
     initial partition is split there before adaptive refinement starts.
+    The first call of f takes that partition first: a, the presplit
+    abscissae inside (a, b) in increasing order, then b.
 
     Returns (value, error_bound) with error_bound <= tol on success.
     Raises ValueError unless 0 < tol < inf, QuadratureFailure if the

@@ -2,38 +2,16 @@
 
 Two backends:
 
-  * solve_lp    -- the slack-maximization program whose bilinear payoff
-                   terms cancel to a constant under the multiplier
-                   condition.  Each player's rows hold only the opponent's
-                   sigma and the own z, so it splits into one block per
-                   player; the condition makes the game a minimax problem,
-                   so the dual of player 1's block is player 2's block,
-                   and one LP gives both strategies: player 2's from its
-                   primal, player 1's from the duals of its rows.  The
-                   block goes to the simplex in equality form, A x = b,
-                   x >= 0, with a slack column per payoff row.  The
-                   block scales and shifts its payoffs to [0, 2), which
-                   leaves the optimal sigma as it is and makes a crash
-                   basis feasible, and a dense-tableau simplex runs one
-                   phase of Bland's anti-cycling rule from that basis:
-                   there is no phase 1 and there are no artificial columns
-                   (array code that takes the pivots and roundings of a
-                   per-row loop).  The tableau is column-major, and a
-                   pivot updates only the columns where its row is
-                   nonzero, each contiguous.  The ratio test's Bland
-                   tie-break folds over the rows in order, as its 1e-12
-                   tie test chains.  The periodic rebuild solves only
-                   the nonbasic columns against the basis matrix and
-                   writes each basic column as a unit vector;
-  * solve_fp    -- agent-form fictitious play (general-sum fallback)
-                   whose state is the best-response counts: iteration
-                   k's rows are (counts + 1/L) / k.  It runs in blocks of
-                   iterations that assume unchanged best responses: a
-                   block's rows, action values, best responses and gaps
-                   take a few array calls in all, and its steps up to the
-                   first changed best response are kept.  Each iterate is
-                   also purified (per-type argmax), and fp stops at the
-                   first pure profile within the target gap.
+  * solve_lp    -- the slack-maximization LP, valid under the multiplier
+                   condition, one block per player (_solve_block) whose
+                   duals give the other player's strategy, solved by a
+                   dense-tableau simplex with Bland's rule from a
+                   feasible crash basis, with no phase 1 (simplex);
+  * solve_fp    -- agent-form fictitious play (general-sum fallback) on
+                   exact best-response counts, in blocks of iterations
+                   evaluated together that run through the best-response
+                   switches they predict, each step checked, and that
+                   stop at the first purified iterate within the target.
 
 All payoffs here are prior-assimilated, so the finite game carries a
 uniform 1/n^2 prior and a uniform 1/n conditional.
@@ -449,17 +427,64 @@ _FP_BLOCK = 64
 def _pure_hit(fg, choice, target_gap):
     """The pure profile that plays the agent-form actions choice ([player
     1 | player 2], one per type) and its finite gaps, if both are finite
-    and at most target_gap; otherwise None."""
+    and at most target_gap; otherwise None.  The gaps are finite_gap's
+    bits, and only a hit builds a profile."""
     n, L = fg.n, fg.L
     pure = np.zeros(n * (L + fg.H))
     pure[choice] = 1.0
-    profile = BehavioralProfile(pure[:n * L].reshape(n, L),
-                                pure[n * L:].reshape(n, fg.H))
-    gap1, gap2 = finite_gap(fg, profile)
+    s, t = pure[:n * L].reshape(n, L), pure[n * L:].reshape(n, fg.H)
+    q1, q2 = action_values(fg, 1, t), action_values(fg, 2, s)
+    gap1 = _regret(q1, s, q1.argmax(axis=1))
+    gap2 = _regret(q2, t, q2.argmax(axis=1))
     if (math.isfinite(gap1) and math.isfinite(gap2)
             and gap1 <= target_gap and gap2 <= target_gap):
-        return profile, gap1, gap2
+        return BehavioralProfile(s, t), gap1, gap2
     return None
+
+
+def _slopes(fg, owner, aim):
+    """(aim, S, up, ref) for agent-form actions aim ([player 1 | player
+    2], one per type; owner maps each entry to its agent).  While both
+    players play aim, each fp step adds S to the unscaled action values
+    M @ (counts + uniform): M1's columns at player 2's aims to player
+    1's, M2's at player 1's to player 2's.  up lists the entries whose
+    slope exceeds that of their agent's aim, and ref that aim of each."""
+    n = fg.n
+    S = np.concatenate((fg.M1[:, aim[n:] - n * fg.L].sum(axis=1),
+                        fg.M2[:, aim[:n]].sum(axis=1)))
+    up = np.flatnonzero(S > S[aim[owner]])
+    return aim, S, up, aim[owner[up]]
+
+
+@np.errstate(all="ignore")  # a prediction never raises
+def _predict_aims(fg, offsets, owner, W, slopes, size):
+    """Predicted best responses of a block's size steps, as segments
+    (first step, agent-form actions), and the _slopes of the last one.
+
+    W is the unscaled action values of the step before the block, and
+    slopes the _slopes of its best responses.  Each segment aims at the
+    argmax of W (ties to the lowest index); while the aims hold, W grows
+    by S per step, so an entry whose slope exceeds its aim's by A and
+    whose value trails it by -D first overtakes it floor(-D / A) + 1
+    steps on, where the next segment starts.  nan predicts no switch."""
+    n, N1 = fg.n, fg.n * fg.L
+    segments, j = [], 0
+    while True:
+        W = W + slopes[1]  # the values of step j
+        aim = np.empty(2 * n, dtype=np.intp)
+        W[:N1].reshape(n, -1).argmax(1, out=aim[:n])
+        W[N1:].reshape(n, -1).argmax(1, out=aim[n:])
+        aim += offsets
+        if (aim != slopes[0]).any():
+            slopes = _slopes(fg, owner, aim)
+        segments.append((j, aim))
+        _, S, up, ref = slopes
+        step = np.fmin.reduce(np.floor((W[ref] - W[up]) / (S[up] - S[ref])),
+                              initial=np.inf) + 1.0
+        if not step < size - j:
+            return segments, slopes
+        W = W + (step - 1.0) * S
+        j += int(step)
 
 
 def solve_fp(fg, max_iters, target_gap):
@@ -472,26 +497,32 @@ def solve_fp(fg, max_iters, target_gap):
     rounding for + uniform and one for the division, so entries with
     equal counts are equal and purification ties are exact.
 
-    Best responses change rarely (on the bench's fp games, once every 33
-    to 2000 iterations on average), so fp runs in blocks of iterations
-    that aim at the last best responses seen, pure: step j of a block
-    starting at iteration k is iteration k + j, with counts + j * pure.
-    A block builds all of its steps' rows [s | t] in one broadcast and
-    evaluates them at once: one np.vecdot per player (still one row dot
-    per step and (type, action)), one argmax per player, one gather, one
-    product and a row-wise np.add.reduce per gap term, which runs numpy's
-    pairwise sum on each row as a 1-D reduce of that row does, so gaps
-    are bit-equal to _regret's.  The steps through the first one off aim
-    are exact; the block ends there, the next one aims at that step's
-    best responses and halves its length, and a block that stays on aim
-    doubles it, up to _FP_BLOCK.
+    fp runs in blocks of iterations, each step aimed at its predicted
+    best responses: step j of a block starting at iteration k is
+    iteration k + j, with counts plus the one-hot aims of steps 0 to
+    j - 1, an exact integer sum.  Between best-response switches each
+    agent's unscaled action values M @ (counts + uniform) are linear in
+    j, so _predict_aims runs a block through every switch it predicts,
+    starting from the values of the last step checked, q * (k - 1) *
+    n^2.  A one-step block, and a block in which no action gains on its
+    agent's aim, aims at the last best responses seen and predicts
+    nothing; the slopes are recomputed only when the aims change.  A
+    block builds all of its steps' rows [s | t], one broadcast per
+    segment of equal aims, and evaluates them at once: one np.vecdot per
+    player (still one row dot per step and (type, action)), one argmax
+    per player, one gather, one product and a row-wise np.add.reduce per
+    gap term, which runs numpy's pairwise sum on each row as a 1-D
+    reduce of that row does, so gaps are bit-equal to _regret's.  The
+    steps through the first one off aim are exact; the block ends there,
+    and the next one halves its length.  A one-step block, and a block
+    that stays on aim, doubles it, up to _FP_BLOCK.
 
     After each iterate's gap check, fp purifies it: each type plays its
     largest entry, a tie going to the lowest index.  If both finite gaps
     of that pure profile are finite and at most target_gap, fp returns
     it, with iterations the iteration it purified.  A block purifies its
-    exact steps with one argmax per player and takes finite_gap only of
-    a purified profile that differs from the last one taken, so a run
+    exact steps with one argmax per player and takes the gaps only of a
+    purified profile that differs from the last one taken, so a run
     that never hits pays two np.vecdot per distinct purified profile and
     returns the bits of plain fictitious play.
 
@@ -511,13 +542,16 @@ def solve_fp(fg, max_iters, target_gap):
     N = N1 + n * H
     rows = np.empty((_FP_BLOCK, N))
     q, prod = np.empty_like(rows), np.empty_like(rows)
-    counts, pure = np.zeros(N), np.zeros(N)
+    counts = np.zeros(N)
     uniform = np.repeat([1.0 / L, 1.0 / H], [N1, N - N1])
     steps = np.arange(_FP_BLOCK, dtype=float)
     pick = np.empty((_FP_BLOCK, 2 * n), dtype=np.intp)
+    aimed = np.empty_like(pick)
     purified = np.full((_FP_BLOCK + 1, 2 * n), -1, dtype=np.intp)
     aim = np.full(2 * n, -1, dtype=np.intp)  # nothing before iteration 1
+    slopes = (None,)  # the _slopes of no aim yet
     offsets = np.concatenate([np.arange(n) * L, N1 + np.arange(n) * H])
+    owner = np.repeat(np.arange(2 * n), [L] * n + [H] * n)
     starts = np.arange(_FP_BLOCK)[:, None] * N  # each step's offset in q
     # scaled after the dot products, as in action_values: folding 1/n^2
     # into M1 and M2 rounds the values differently and can flip a best
@@ -529,9 +563,24 @@ def solve_fp(fg, max_iters, target_gap):
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             size = min(size, max_iters - k + 1)
+            segments = [(0, aim)]
+            if size > 1:  # a one-step block has no aim to predict
+                if not np.array_equal(aim, slopes[0]):
+                    slopes = _slopes(fg, owner, aim)
+                if slopes[2].size:  # some action gains on its aim
+                    segments, slopes = _predict_aims(
+                        fg, offsets, owner, q[last] * ((k - 1) * n * n),
+                        slopes, size)
             # in place: temporaries of this size showed in peak RSS
-            np.multiply.outer(steps[:size], pure, out=rows[:size])
-            rows[:size] += counts  # an exact integer sum
+            base = counts
+            ends = [j for j, _ in segments[1:]] + [size]
+            for (j, a), end in zip(segments, ends):
+                one = np.zeros(N)
+                one[a] = 1.0
+                np.multiply.outer(steps[:end - j], one, out=rows[j:end])
+                rows[j:end] += base  # an exact integer sum
+                base = base + (end - j) * one
+                aimed[j:end] = a
             rows[:size] += uniform
             rows[:size] /= k + steps[:size, None]
             np.vecdot(M1, rows[:size, None, N1:], out=q[:size, :N1])
@@ -546,7 +595,7 @@ def solve_fp(fg, max_iters, target_gap):
             np.multiply(rows[:size], q[:size], out=prod[:size])
             gaps1 = total(top[:, :n], 1) - total(prod[:size, :N1], 1)
             gaps2 = total(top[:, n:], 1) - total(prod[:size, N1:], 1)
-            off = np.flatnonzero((pick[:size] != aim).any(axis=1))
+            off = np.flatnonzero((pick[:size] != aimed[:size]).any(axis=1))
             last = int(off[0]) if off.size else size - 1  # last exact step
             stop = k + last == max_iters
             # each exact step purified; row 0 holds the last one checked
@@ -577,15 +626,13 @@ def solve_fp(fg, max_iters, target_gap):
                 best = (rows[j].copy(), gap1, gap2, k + j)
             if stop:
                 break
-            counts += last * pure  # the aimed best responses of steps < last
-            if off.size:
-                aim[:] = pick[last]
-                pure.fill(0.0)
-                pure[aim] = 1.0
-                size = max(1, size // 2)
+            # the best responses of steps 0 to last: the aims, then last's
+            counts += np.bincount(pick[:last + 1].ravel(), minlength=N)
+            aim = pick[last].copy()
+            if off.size and size > 1:  # a one-step block predicted nothing
+                size //= 2
             else:
                 size = min(_FP_BLOCK, 2 * size)
-            counts += pure  # step last's own best response
             purified[0] = purified[last + 1]
             k += last + 1
     best_rows, gap1, gap2, k = best

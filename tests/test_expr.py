@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import bnecert as bc
 from bnecert import parse
 from bnecert.errors import DomainError, ExprSyntaxError, UnknownIdentifier
 from bnecert.expr import (
@@ -18,6 +19,7 @@ from bnecert.expr import (
 )
 
 from conftest import (
+    _bench_games,
     expr_eval,
     oracle_eval,
     oracle_parse,
@@ -502,6 +504,59 @@ def test_negated_table_adds_one_step_per_cell():
         u = [e for row in _random_table(rng, L, H) for e in row]
         v = [parse(f"-({render(e)})") for e in u]
         assert len(Program(u + v).tape) <= len(Program(u).tape) + L * H
+
+
+def _unfolded(e):
+    """e with each negated constant -c spelled -(c + -0.0): adding -0.0
+    is exact, and the negation stays a step of the program."""
+    if isinstance(e, Neg):
+        if isinstance(e.arg, Num):
+            return Neg(BinOp("+", e.arg, Num(-0.0)))
+        return Neg(_unfolded(e.arg))
+    if isinstance(e, BinOp):
+        return BinOp(e.op, _unfolded(e.left), _unfolded(e.right))
+    if isinstance(e, Call):
+        return Call(e.name, tuple(map(_unfolded, e.args)))
+    return e
+
+
+def _negated_constants(program):
+    """The np.negative steps of program whose operand is a constant."""
+    return [a for fn, a, _ in program.tape.values()
+            if fn is np.negative and a not in program.tape and a >= 2]
+
+
+def _negations(program):
+    return sum(fn is np.negative for fn, _, _ in program.tape.values())
+
+
+def test_negated_constants_compile_to_constants():
+    """The bench generator spells negative coefficients as
+    -0.4231*theta1^2: no compiled bench spec keeps an np.negative of a
+    constant, and its values are those of the program that negates at
+    run time, bit for bit."""
+    shapes = [("constant_sum", 2, 2), ("general_sum", 2, 2),
+              ("general_sum", 2, 3), ("constant_sum", 3, 3),
+              ("general_sum", 3, 3)]
+    t1 = np.linspace(0.0, 1.0, 7)[:, None]
+    t2 = np.linspace(0.0, 1.0, 5)[None, :]
+    for seed in (1, 2, 3):
+        for index, (family, L, H) in enumerate(shapes):
+            spec = _bench_games().game_spec(seed, index, family, L, H)
+            g = bc.load_game(bc.GameSpec.from_dict(spec))
+            assert _negated_constants(g.program) == []
+            trees = [parse(spec["prior"])] + [
+                parse(e) for table in (spec["u"], spec["v"])
+                for row in table for e in row]
+            folded = Program(trees)
+            unfolded = Program([_unfolded(e) for e in trees])
+            # every spec negates some constant
+            assert _negations(unfolded) > _negations(folded)
+            for got, want in zip(folded.run(t1, t2), unfolded.run(t1, t2)):
+                assert got.tobytes() == want.tobytes()
+    # a folded constant keeps its sign bit, and a double negation folds
+    zero, two = Program([parse("-0"), parse("--2")]).run(1.0, 1.0)
+    assert np.signbit(zero) and two == 2.0
 
 
 def test_shared_subtrees_share_a_slot():
