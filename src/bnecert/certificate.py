@@ -50,10 +50,7 @@ def interim_values(g, player, opponent):
     """theta -> the (own actions, theta) array of interim values against
     the atomic opponent, for a 1-D array of theta; each is one dot product
     over the atoms and actions of nonzero mass, so 0 * inf never arises.
-    A player other than 1 or 2 is a ValueError, as in discretize.lift."""
-    if (isinstance(player, bool) or not isinstance(player, numbers.Integral)
-            or player not in (1, 2)):
-        raise ValueError(f"player must be 1 or 2, got {player!r}")
+    A player other than 1 or 2 is a ValueError when the values are read."""
     masses = opponent.atom_masses()
     pts = opponent.atom_points
     keep = masses != 0.0
@@ -61,9 +58,9 @@ def interim_values(g, player, opponent):
     def values(theta):
         # payoffs indexed [own action, theta, atom, opponent action]
         if player == 1:
-            payoff = g.payoff(1, theta[:, None], pts).transpose(0, 2, 3, 1)
+            payoff = g.payoff(player, theta[:, None], pts).transpose(0, 2, 3, 1)
         else:
-            payoff = g.payoff(2, pts, theta[:, None]).transpose(1, 2, 3, 0)
+            payoff = g.payoff(player, pts, theta[:, None]).transpose(1, 2, 3, 0)
         return np.vecdot(payoff[..., keep], masses[keep])
 
     return values

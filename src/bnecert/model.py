@@ -149,10 +149,15 @@ class GameSpec:
 
     @classmethod
     def from_dict(cls, d):
-        """Spec from its JSON object; a missing or mistyped field raises a
-        ValueError that names it."""
+        """Spec from its JSON object; a missing, mistyped or unknown field
+        raises a ValueError that names it."""
         if not isinstance(d, dict):
             raise ValueError("a game spec must be a JSON object")
+        unknown = set(d) - {"actions1", "actions2", "u", "v", "prior", "m1",
+                            "m2", "type_range1", "type_range2"}
+        if unknown:
+            raise ValueError("spec has unknown fields: " + ", ".join(
+                map(repr, sorted(unknown, key=str))))
 
         def field(name, what, ok, default=None):
             if name not in d and default is None:

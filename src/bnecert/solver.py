@@ -8,10 +8,10 @@ Two backends:
                    dense-tableau simplex with Bland's rule from a
                    feasible crash basis, with no phase 1 (simplex);
   * solve_fp    -- agent-form fictitious play (general-sum fallback) on
-                   exact best-response counts, in blocks of iterations
-                   evaluated together that run through the best-response
-                   switches they predict, each step checked, and that
-                   stop at the first purified iterate within the target.
+                   exact best-response counts, in blocks of iterations,
+                   evaluated and scanned together, that run through the
+                   switches they predict and stop at the first purified
+                   iterate within the target.
 
 All payoffs here are prior-assimilated, so the finite game carries a
 uniform 1/n^2 prior and a uniform 1/n conditional.
@@ -497,34 +497,34 @@ def solve_fp(fg, max_iters, target_gap):
     rounding for + uniform and one for the division, so entries with
     equal counts are equal and purification ties are exact.
 
-    fp runs in blocks of iterations, each step aimed at its predicted
-    best responses: step j of a block starting at iteration k is
-    iteration k + j, with counts plus the one-hot aims of steps 0 to
-    j - 1, an exact integer sum.  Between best-response switches each
-    agent's unscaled action values M @ (counts + uniform) are linear in
-    j, so _predict_aims runs a block through every switch it predicts,
-    starting from the values of the last step checked, q * (k - 1) *
-    n^2.  A one-step block, and a block in which no action gains on its
-    agent's aim, aims at the last best responses seen and predicts
-    nothing; the slopes are recomputed only when the aims change.  A
-    block builds all of its steps' rows [s | t], one broadcast per
-    segment of equal aims, and evaluates them at once: one np.vecdot per
-    player (still one row dot per step and (type, action)), one argmax
-    per player, one gather, one product and a row-wise np.add.reduce per
-    gap term, which runs numpy's pairwise sum on each row as a 1-D
-    reduce of that row does, so gaps are bit-equal to _regret's.  The
-    steps through the first one off aim are exact; the block ends there,
-    and the next one halves its length.  A one-step block, and a block
-    that stays on aim, doubles it, up to _FP_BLOCK.
+    fp runs in blocks of iterations, each step aimed at its predicted best
+    responses: step j of a block starting at iteration k is iteration k + j,
+    with counts plus the one-hot aims of steps 0 to j - 1, an exact integer
+    sum.  Between best-response switches each agent's unscaled action values
+    M @ (counts + uniform) are linear in j, so _predict_aims runs a block
+    through every switch it predicts, starting from the values of the last
+    step checked, q * (k - 1) * n^2.  A block that can predict nothing aims
+    at the last best responses seen.  A block builds all of its steps' rows
+    [s | t], one broadcast per segment of equal aims, and evaluates them at
+    once: one np.vecdot per player (still one row dot per step and (type,
+    action)), one argmax per player, one gather, one product and a row-wise
+    np.add.reduce per gap term, which runs numpy's pairwise sum on each row
+    as a 1-D reduce of that row does, so gaps are bit-equal to _regret's.
+    The steps through the first one off aim are exact; the block ends there,
+    and the next one halves its length.  A one-step block, and a block that
+    stays on aim, doubles it, up to _FP_BLOCK.  One scan of the exact steps'
+    gaps finds the first event, where fp stops: gaps not both finite, or the
+    larger at most target_gap.  The best iterate is the first least larger
+    gap up to the event.
 
-    After each iterate's gap check, fp purifies it: each type plays its
+    fp purifies each iterate before the event: each type plays its
     largest entry, a tie going to the lowest index.  If both finite gaps
     of that pure profile are finite and at most target_gap, fp returns
     it, with iterations the iteration it purified.  A block purifies its
-    exact steps with one argmax per player and takes the gaps only of a
-    purified profile that differs from the last one taken, so a run
-    that never hits pays two np.vecdot per distinct purified profile and
-    returns the bits of plain fictitious play.
+    exact steps with one argmax per player and takes the gaps, in order,
+    only of a purified profile that differs from the one before it, so a
+    run that never hits pays two np.vecdot per distinct purified profile
+    and returns the bits of plain fictitious play.
 
     Raises ValueError if target_gap is not a real number or is nan,
     NoConvergence (carrying the best iterate) if neither an iterate nor
@@ -597,34 +597,30 @@ def solve_fp(fg, max_iters, target_gap):
             gaps2 = total(top[:, n:], 1) - total(prod[:size, N1:], 1)
             off = np.flatnonzero((pick[:size] != aimed[:size]).any(axis=1))
             last = int(off[0]) if off.size else size - 1  # last exact step
-            stop = k + last == max_iters
             # each exact step purified; row 0 holds the last one checked
             rows[:last + 1, :N1].reshape(last + 1, n, L).argmax(
                 axis=2, out=purified[1:last + 2, :n])
             rows[:last + 1, N1:].reshape(last + 1, n, H).argmax(
                 axis=2, out=purified[1:last + 2, n:])
             fresh = (purified[1:last + 2] != purified[:last + 1]).any(axis=1)
-            kept = None
-            for j, gap1, gap2, new in zip(range(last + 1), gaps1.tolist(),
-                                          gaps2.tolist(), fresh.tolist()):
-                if not (math.isfinite(gap1) and math.isfinite(gap2)):
-                    raise NonFinite("fictitious play gap is not finite at "
-                                    f"iteration {k + j}")
-                worst = max(gap1, gap2)
-                if worst < best_gap:
-                    best_gap, kept = worst, (j, gap1, gap2)
-                if worst <= target_gap:
-                    stop = True
-                    break
-                if new:
-                    hit = _pure_hit(fg, purified[j + 1] + offsets, target_gap)
-                    if hit is not None:
-                        profile, gap1, gap2 = hit
-                        return SolverResult(profile, gap1, gap2, "fp", k + j)
-            if kept is not None:
-                j, gap1, gap2 = kept
-                best = (rows[j].copy(), gap1, gap2, k + j)
-            if stop:
+            worst = np.maximum(gaps1, gaps2)[:last + 1]
+            bad = ~(np.isfinite(gaps1) & np.isfinite(gaps2))[:last + 1]
+            # the first event: a gap not finite, or an iterate on target
+            events = np.flatnonzero(bad | (worst <= target_gap))
+            end = int(events[0]) if events.size else last + 1
+            for j in np.flatnonzero(fresh[:end]).tolist():
+                hit = _pure_hit(fg, purified[j + 1] + offsets, target_gap)
+                if hit is not None:
+                    profile, gap1, gap2 = hit
+                    return SolverResult(profile, gap1, gap2, "fp", k + j)
+            if end <= last and bad[end]:
+                raise NonFinite("fictitious play gap is not finite at "
+                                f"iteration {k + end}")
+            j = int(worst[:end + 1].argmin())
+            if worst[j] < best_gap:
+                best_gap = float(worst[j])
+                best = rows[j].copy(), float(gaps1[j]), float(gaps2[j]), k + j
+            if end <= last or k + last == max_iters:
                 break
             # the best responses of steps 0 to last: the aims, then last's
             counts += np.bincount(pick[:last + 1].ravel(), minlength=N)

@@ -153,6 +153,23 @@ def test_one_multiplier_needs_the_other():
                                   f"the multipliers come as a pair")
 
 
+def test_unknown_fields_are_rejected_by_name_in_sorted_order():
+    path = ROOT / "demos" / "specs" / "linear_prior_multipliers.json"
+    doc = json.loads(path.read_text())
+    # a misspelt type_range1 would otherwise leave it at (0, 1)
+    with pytest.raises(ValueError,
+                       match=r"^spec has unknown fields: 'type_range_1'$"):
+        bc.GameSpec.from_dict({**doc, "type_range_1": [0, 2]})
+    # checked before the known fields, which here are missing
+    with pytest.raises(ValueError,
+                       match=r"^spec has unknown fields: 'U', 'comment'$"):
+        bc.GameSpec.from_dict({"comment": "", "U": [["1"]]})
+    # every field of the schema is known
+    spec = bc.GameSpec.from_dict({**doc, "type_range1": [0, 2],
+                                  "type_range2": [0, 1]})
+    assert spec.type_range1 == (0, 2)
+
+
 def test_spec_validation_errors():
     base = {"actions1": ["x1", "x2"], "actions2": ["y1"],
             "u": [["1"], ["1"]], "v": [["1"], ["1"]], "prior": "1"}
