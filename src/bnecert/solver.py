@@ -5,8 +5,10 @@ Two backends:
   * solve_lp    -- the slack-maximization LP, valid under the multiplier
                    condition, one block per player (_solve_block) whose
                    duals give the other player's strategy, solved by a
-                   dense-tableau simplex with Bland's rule from a
-                   feasible crash basis, with no phase 1 (simplex);
+                   dense-tableau simplex from a feasible crash basis,
+                   with no phase 1, that enters the most negative
+                   reduced cost and falls back to Bland's rule after a
+                   degenerate pivot (simplex);
   * solve_fp    -- agent-form fictitious play (general-sum fallback) on
                    exact best-response counts, in blocks of iterations,
                    evaluated and scanned together, that run through the
@@ -180,7 +182,8 @@ def default_alphas(fg, g, prop1):
 
 
 # ---------------------------------------------------------------------------
-# dense-tableau simplex (Bland's rule from a feasible start basis)
+# dense-tableau simplex (Dantzig's rule, Bland's after a degenerate pivot,
+# from a feasible start basis)
 
 _TOL = 1e-9
 _PIV_TOL = 1e-7  # min pivot magnitude; _solve_block's payoffs are in [0, 2)
@@ -234,8 +237,18 @@ def _rebuild(T, A, b, costvec, basis):
 
 
 def simplex(c, A, b, *, basis):
-    """Minimize c @ x subject to A x = b, x >= 0, by Bland's rule from a
-    feasible start basis.
+    """Minimize c @ x subject to A x = b, x >= 0, from a feasible start
+    basis.
+
+    The entering column has the most negative reduced cost, the lowest
+    index among equals (Dantzig's rule), while the last pivot moved the
+    basic solution: its step, the ratio test's minimum, was above _TOL.
+    After a degenerate pivot it is the first column whose reduced cost is
+    below -_TOL (Bland's rule).  The leaving row is the ratio test's
+    minimum, ties to the lowest basic column, under both rules.  This
+    terminates: a nondegenerate pivot strictly lowers the objective, so
+    no basis repeats across one, and within a run of degenerate pivots
+    every pivot after the first is Bland's, which cannot cycle.
 
     basis[r] is the column of A basic in row r.  There is no phase 1: a
     start whose basis matrix is singular raises SimplexStall, and one
@@ -262,11 +275,16 @@ def simplex(c, A, b, *, basis):
                          f"{xb[low[0]]}")
     negative = np.empty(c.size, dtype=bool)
     pivots = since_refactor = 0
+    degenerate = False  # was the last pivot's step at most _TOL?
     while True:
         np.less(cost, -_TOL, out=negative)
         enter = negative.argmax()  # Bland: the first such column
         if not negative[enter]:
             break
+        if not degenerate:
+            # Dantzig: the most negative, the first of equals; the mask
+            # keeps a NaN reduced cost out, as it does from Bland's rule
+            enter = np.where(negative, cost, 0.0).argmin()
         # ratio test; Bland tie-break on the basic variable index.  The
         # 1e-12 tie test chains, so the fold runs in row order.
         column = T[:m, enter]
@@ -287,6 +305,7 @@ def simplex(c, A, b, *, basis):
                 continue
             raise UnboundedObjective(f"column {enter} is unbounded")
         _pivot(T, basis, leave, enter)
+        degenerate = best <= _TOL
         pivots += 1
         since_refactor += 1
         if since_refactor >= _REFACTOR_EVERY:

@@ -929,17 +929,23 @@ def _rebuild(T, A, b, costvec, basis):
 
 def _run_phase(T, basis, A, b, costvec):
     """Iterate pivots until the cost row has no negative entry.  Returns
-    the pivot count."""
+    the pivot count.  The entering column has the most negative reduced
+    cost (the lowest index among equals), except right after a pivot
+    whose step was at most _TOL: then it is the first negative one."""
     m = T.shape[0] - 1
     pivots = 0
     since_refactor = 0
+    step = np.inf  # no pivot yet: price by the most negative
     while True:
         cost = T[-1, :-1]
         enter = -1
         for j in range(cost.size):
             if cost[j] < -_TOL:
-                enter = j
-                break
+                if step <= _TOL:
+                    enter = j
+                    break
+                if enter < 0 or cost[j] < cost[enter]:
+                    enter = j
         if enter < 0:
             return pivots
         # ratio test; Bland tie-break on the basic variable index
@@ -963,6 +969,7 @@ def _run_phase(T, basis, A, b, costvec):
                     continue
             raise UnboundedObjective(f"column {enter} is unbounded")
         _pivot(T, basis, leave, enter)
+        step = best
         pivots += 1
         since_refactor += 1
         if since_refactor >= _REFACTOR_EVERY:

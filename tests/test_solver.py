@@ -321,6 +321,33 @@ def test_simplex_unbounded():
                 np.array([1.0]), basis=[2])
 
 
+def test_simplex_does_not_cycle_on_beales_lp():
+    """Beale's LP cycles under the most-negative rule with the lowest-index
+    tie-breaks: every pivot from the start basis is degenerate, and six of
+    them return to it.  Bland's rule after a degenerate pivot breaks the
+    cycle, and the optimum is -5/4."""
+    c = np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
+    A = np.array([[1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+                  [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+                  [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]])
+    b = np.array([0.0, 0.0, 1.0])
+    x, y, pivots = simplex(c, A, b, basis=[0, 1, 2])
+    assert c @ x == pytest.approx(-1.25, abs=1e-12)
+    assert b @ y == pytest.approx(-1.25, abs=1e-12)
+    assert pivots == 6
+
+
+def test_the_slack_lp_prices_by_the_most_negative_reduced_cost():
+    """linear_prior_multipliers at n = 56 takes 384 pivots when every
+    entering column is the first negative one, and 46 under the
+    most-negative rule."""
+    g = bc.load_game_file(ROOT / "demos" / "specs"
+                          / "linear_prior_multipliers.json")
+    fg = bc.build_finite(g, 56)
+    res = solve_lp(fg, *default_alphas(fg, g, check_prop1(g)))
+    assert res.iterations <= 96
+
+
 def _captured_lps(monkeypatch, call):
     """The LP of each simplex call that call() makes: (c, A, b, start
     basis).  Each simplex call returns the uniform rows and zero duals,
@@ -525,7 +552,7 @@ def test_a_rebuild_solves_the_nonbasic_columns_to_the_bits_of_a_full_solve(
 
     g = bc.load_game_file(path)
     prop1 = check_prop1(g)
-    for n in (40, 48, 56):
+    for n in (40, 48, 56, 64, 72):
         fg = bc.build_finite(g, n)
         alpha1, alpha2 = default_alphas(fg, g, prop1)
         lps = (_slack_lp(monkeypatch, fg, alpha1, alpha2),
@@ -534,7 +561,7 @@ def test_a_rebuild_solves_the_nonbasic_columns_to_the_bits_of_a_full_solve(
             patch.setattr("bnecert.solver._rebuild", compare)
             for lp in lps:
                 _simplex_outcome(simplex, lp)
-    # 6 start rebuilds, and at least as many periodic ones
+    # 10 start rebuilds, and periodic ones past them
     assert len(calls) >= 12 and all(calls)
 
 
@@ -604,6 +631,13 @@ def test_lp_solves_the_demo_specs_at_bench_sizes(path):
         assert res.finite_gap1 <= 1e-8 and res.finite_gap2 <= 1e-8
 
 
+def _block2_objective(fg, alpha2, s):
+    """Player 2's block objective at s, unscaled: alpha2 @ z2, z2[j] the
+    largest of type j's rows of M2 / n @ s."""
+    q = (fg.M2 @ s.ravel()).reshape(fg.n, fg.H).max(axis=1) / fg.n
+    return float(alpha2 @ q)
+
+
 @pytest.mark.parametrize("path", DEMO_SPECS, ids=[p.stem for p in DEMO_SPECS])
 def test_lp_solves_the_demo_specs_at_every_level_to_64(path):
     g = bc.load_game_file(path)
@@ -613,9 +647,12 @@ def test_lp_solves_the_demo_specs_at_every_level_to_64(path):
         alpha1, alpha2 = default_alphas(fg, g, prop1)
         res = solve_lp(fg, alpha1, alpha2)
         assert max(res.finite_gap1, res.finite_gap2) <= 1e-8, n
-        # s, from player 1's duals, is the primal of player 2's block
+        # s, from player 1's duals, attains player 2's block optimum.  Not
+        # the same s: zero_sum_match has mirror-image equilibria, and the
+        # two solves may stop at mirrored vertices
         s = _solve_block(fg.M2, fg.H, alpha2)[0]
-        assert np.abs(res.profile.s - s).max() <= 1e-12, n
+        assert abs(_block2_objective(fg, alpha2, res.profile.s)
+                   - _block2_objective(fg, alpha2, s)) <= 1e-12, n
 
 
 def test_lp_solves_generated_3x3_constant_sum_games():
