@@ -5,10 +5,11 @@ Two backends:
   * solve_lp    -- the slack-maximization LP, valid under the multiplier
                    condition, one block per player (_solve_block) whose
                    duals give the other player's strategy, solved by a
-                   dense-tableau simplex from a feasible crash basis,
-                   with no phase 1, that enters the most negative
-                   reduced cost and falls back to Bland's rule after a
-                   degenerate pivot (simplex);
+                   dense-tableau simplex from a feasible crash basis
+                   chosen from the payoffs, whose tableau is written in
+                   closed form (_crash), with no phase 1, that enters the
+                   most negative reduced cost and falls back to Bland's
+                   rule after a degenerate pivot (simplex);
   * solve_fp    -- agent-form fictitious play (general-sum fallback) on
                    exact best-response counts, in blocks of iterations,
                    evaluated and scanned together, that run through the
@@ -183,7 +184,7 @@ def default_alphas(fg, g, prop1):
 
 # ---------------------------------------------------------------------------
 # dense-tableau simplex (Dantzig's rule, Bland's after a degenerate pivot,
-# from a feasible start basis)
+# from the tableau of a feasible start basis)
 
 _TOL = 1e-9
 _PIV_TOL = 1e-7  # min pivot magnitude; _solve_block's payoffs are in [0, 2)
@@ -236,9 +237,9 @@ def _rebuild(T, A, b, costvec, basis):
     return True
 
 
-def simplex(c, A, b, *, basis):
+def simplex(c, A, b, T, *, basis):
     """Minimize c @ x subject to A x = b, x >= 0, from a feasible start
-    basis.
+    basis and its tableau T.
 
     The entering column has the most negative reduced cost, the lowest
     index among equals (Dantzig's rule), while the last pivot moved the
@@ -250,23 +251,23 @@ def simplex(c, A, b, *, basis):
     no basis repeats across one, and within a run of degenerate pivots
     every pivot after the first is Bland's, which cannot cycle.
 
-    basis[r] is the column of A basic in row r.  There is no phase 1: a
-    start whose basis matrix is singular raises SimplexStall, and one
-    whose basic solution has an entry below -_TOL raises Infeasible, both
-    before any pivot.  Returns (x, y, pivots), x over every column of A:
-    y = c_B B^-1 are the row duals of the final basis matrix B, solved
-    from B as x_B is, so that b @ y = c @ x and no reduced cost c - A^T y
-    is below -_TOL, up to rounding.  Raises UnboundedObjective,
-    SimplexStall at the pivot cap or when the final B is singular, and
-    NonFinite when the tableau, x or y is not finite.
+    basis[r] is the column of A basic in row r, and T, column-major, is
+    B^-1 [A | b] above the reduced costs c - c_B B^-1 A and -c_B B^-1 b,
+    for the basis matrix B = A[:, basis]: the caller builds it, and the
+    pivots rewrite it in place.  There is no phase 1: a start tableau
+    that is not finite raises NonFinite, and one whose basic solution has
+    an entry below -_TOL raises Infeasible, both before any pivot.
+    Returns (x, y, pivots), x over every column of A: y = c_B B^-1 are
+    the row duals of the final basis matrix B, solved from B as x_B is,
+    so that b @ y = c @ x and no reduced cost c - A^T y is below -_TOL,
+    up to rounding.  Raises UnboundedObjective, SimplexStall at the pivot
+    cap or when the final B is singular, and NonFinite when the tableau,
+    x or y is not finite.
     """
     m = A.shape[0]
     basis = np.array(basis, dtype=np.intp)  # a copy: the pivots rewrite it
-    # the tableau, column-major: every column and b, above the cost row
-    T = np.zeros((m + 1, c.size + 1), order="F")
-    # a repeated column is singular even where rounding hides it from LU
-    if len(set(basis.tolist())) < m or not _rebuild(T, A, b, c, basis):
-        raise SimplexStall("singular start basis")
+    if not np.isfinite(T).all():
+        raise NonFinite("the simplex tableau is not finite")
     cost, xb = T[-1, :-1], T[:m, -1]  # views: they follow the pivots
     low = np.flatnonzero(xb < -_TOL)
     if low.size:
@@ -343,6 +344,52 @@ def _normalize_rows(mat):
     return mat / sums
 
 
+def _crash(A, alpha, width):
+    """_solve_block's start basis and its tableau, as simplex takes them.
+
+    Each opponent type j starts at its action y of least alpha-weighted
+    payoff against uniform own play, sum_i alpha[i] sum_x P[(i, x), (j,
+    y)] over the payoff block P = A[:rows, :cols], the lowest index among
+    equals: first[j], basic in sum row j.  z[i] is basic in the row of
+    type i's best action against those, and each other row keeps its
+    slack.  The tableau B^-1 [A | b] is written in closed form, with no
+    basis matrix factored.  For a column [r_M; r_S], sigma[first[j]] is
+    r_S[j]; with w = r_M - P[:, first] @ r_S, z[i] is -w at z[i]'s row,
+    the slack of row (i, a) is w[(i, a)] + z[i], and the reduced cost is
+    c - alpha @ z.  r_S is a unit vector in a sigma column and all ones
+    in b, so w is a difference of two payoff columns, or minus the rows'
+    values.  The z columns and the other rows' slacks are basic, and the
+    slack of z[i]'s row is -1 in each row of type i."""
+    n = alpha.size
+    m, size = A.shape
+    rows, cols = m - n, size - m
+    P = A[:rows, :cols]
+    own = np.arange(n)
+    weighted = (alpha[:, None] * P.reshape(n, width, cols).sum(axis=1)).sum(
+        axis=0)
+    first = own * (cols // n) + weighted.reshape(n, -1).argmin(axis=1)
+    value = np.vecdot(P[:, first], np.ones(n))  # each row against first
+    choice = value.reshape(n, width).argmax(axis=1)
+    zrow = own * width + choice  # z[i] is basic in row zrow[i]
+    basis = np.concatenate([cols + n + np.arange(rows), first])
+    basis[zrow] = cols + own
+    T = np.zeros((m + 1, size + 1), order="F")
+    types = np.arange(cols) // (cols // n)  # each sigma column's type
+    w = np.hstack([P - P[:, first[types]], -value[:, None]])  # sigma, b
+    w = w.reshape(n, width, cols + 1)
+    wz = w[own, choice]  # -z
+    w -= wz[:, None]
+    w[own, choice] = -wz
+    sigma_b = np.append(np.arange(cols), size)
+    T[:rows, sigma_b] = w.reshape(rows, cols + 1)
+    T[-1, sigma_b] = np.vecdot(wz.T, alpha)
+    T[rows + types, np.arange(cols)] = T[rows:m, -1] = 1.0
+    T[np.arange(rows), cols + n + zrow.repeat(width)] = -1.0
+    T[-1, cols + n + zrow] = alpha
+    T[:, basis] = np.eye(m + 1, m)  # unit columns, reduced costs 0
+    return T, basis
+
+
 def _solve_block(M, width, alpha):
     """One player's block of the slack LP, in the equality form that
     simplex takes: minimize c @ x subject to A x = b, x >= 0, where x is
@@ -361,10 +408,13 @@ def _solve_block(M, width, alpha):
     tolerances suit it whatever the payoffs' size, and then shifted by
     -min(0, min M).  Neither moves the optimal sigma: z scales with M,
     and as each row of sigma sums to 1, the shift moves every constraint
-    row by the same constant.  After the shift z >= 0 cannot bind, and
-    the start basis is feasible: in each sum-to-one row the opponent
-    type's first action is basic, z[i] is basic in the row of type i's
-    best action against those, and every other row keeps its slack.
+    row by the same constant.  After the shift z >= 0 cannot bind, and a
+    start basis is feasible if in each sum-to-one row one action of the
+    opponent type is basic, z[i] is basic in the row of type i's best
+    action against those, and every other row keeps its slack.  _crash
+    picks the actions from the payoffs and writes that start's tableau
+    in closed form, so no basis matrix is factored before the first
+    pivot.
 
     The own rows come from the duals: p = -y on the M rows, each type's
     row normalized.  The dual maximizes sum_j min_b (p M / n)[j, b] over
@@ -385,14 +435,11 @@ def _solve_block(M, width, alpha):
     A[np.arange(rows), cols + np.arange(rows) // width] = -1.0
     A[np.arange(rows), cols + n + np.arange(rows)] = 1.0
     A[rows + np.arange(cols) // (cols // n), np.arange(cols)] = 1.0
-    first = np.arange(0, cols, cols // n)  # each opponent type's action 0
-    best = A[:rows, first].sum(axis=1).reshape(n, width).argmax(axis=1)
-    basis = np.concatenate([cols + n + np.arange(rows), first])
-    basis[np.arange(n) * width + best] = cols + np.arange(n)
     b = np.concatenate([np.zeros(rows), np.ones(n)])
     c = np.zeros(cols + n + rows)
     c[cols:cols + n] = alpha
-    x, y, pivots = simplex(c, A, b, basis=basis)
+    T, basis = _crash(A, alpha, width)
+    x, y, pivots = simplex(c, A, b, T, basis=basis)
     return (_normalize_rows(x[:cols].reshape(n, cols // n)),
             _normalize_rows(-y[:rows].reshape(n, width)), pivots)
 

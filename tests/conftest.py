@@ -987,9 +987,29 @@ SINGULAR_DUALS_LP = (np.zeros(2), np.array([[-1.95, -0.4875], [2.18, 0.545]]),
                      np.zeros(2), [0, 1])
 
 
-def oracle_simplex(c, A, b, *, basis):
+def start_tableau(c, A, b, basis):
+    """The start tableau that simplex and oracle_simplex take for basis,
+    built by the library's _rebuild, column-major: B^-1 [A | b] above the
+    reduced costs.  Raises SimplexStall if the basis matrix is singular,
+    before any solver sees the LP."""
+    m = len(A)
+    basis = np.array(basis, dtype=np.intp)
+    T = np.zeros((m + 1, c.size + 1), order="F")
+    # a repeated column is singular even where rounding hides it from LU
+    if len(set(basis.tolist())) < m or not bc.solver._rebuild(T, A, b, c,
+                                                               basis):
+        raise SimplexStall("singular start basis")
+    return T
+
+
+def from_start(solver, c, A, b, basis):
+    """solver (simplex or oracle_simplex) on the LP, from start_tableau."""
+    return solver(c, A, b, start_tableau(c, A, b, basis), basis=basis)
+
+
+def oracle_simplex(c, A, b, T, *, basis):
     """Minimize c @ x subject to A x = b, x >= 0, from the start basis
-    (basis[r] is the column basic in row r).
+    (basis[r] is the column basic in row r) and a copy of its tableau T.
 
     Returns (x, y, pivots), x over every column and y = c_B B^-1 the row
     duals of the final basis matrix B.  Raises Infeasible /
@@ -997,9 +1017,9 @@ def oracle_simplex(c, A, b, *, basis):
     """
     m = len(A)
     basis = [int(col) for col in basis]
-    T = np.zeros((m + 1, c.size + 1))
-    if len(set(basis)) < m or not _rebuild(T, A, b, c, basis):
-        raise SimplexStall("singular start basis")
+    T = np.array(T, order="C")
+    if not np.isfinite(T).all():
+        raise NonFinite("the simplex tableau is not finite")
     for r in range(m):
         if T[r, -1] < -_TOL:
             raise Infeasible(f"the start basis is infeasible: column "

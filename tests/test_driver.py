@@ -21,6 +21,7 @@ from bnecert.driver import schedule_levels, sup_distance
 
 from conftest import (
     SINGULAR_DUALS_LP,
+    from_start,
     generated_constant_sum_game,
     make_game,
     random_poly_game,
@@ -313,8 +314,7 @@ def test_run_records_simplex_failure_against_its_level(monkeypatch):
     def singular_once(*args, **kwargs):
         calls.append(None)
         if len(calls) == 1:
-            *data, basis = SINGULAR_DUALS_LP
-            return real_simplex(*data, basis=basis)
+            return from_start(real_simplex, *SINGULAR_DUALS_LP)
         return real_simplex(*args, **kwargs)
 
     monkeypatch.setattr("bnecert.solver.simplex", singular_once)

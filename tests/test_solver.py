@@ -47,6 +47,7 @@ from conftest import (
     _rebuild as oracle_rebuild,
     ex_ante_value,
     exact_solve_fp,
+    from_start,
     generated_constant_sum_game,
     generated_general_sum_game,
     make_game,
@@ -61,6 +62,7 @@ from conftest import (
     random_profile,
     solve_default_lp,
     src_env,
+    start_tableau,
     uniform_profile,
 )
 
@@ -294,31 +296,32 @@ def test_alphas_name_the_level_type_in_spec_coordinates():
 
 def test_simplex_bounded_ub():
     # min -x s.t. x + s1 = 3, y + s2 = 1, from the slacks
-    x, _, _ = simplex(np.array([-1.0, 0.0, 0.0, 0.0]),
-                      np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]),
-                      np.array([3.0, 1.0]), basis=[2, 3])
+    x, _, _ = from_start(simplex, np.array([-1.0, 0.0, 0.0, 0.0]),
+                         np.array([[1.0, 0.0, 1.0, 0.0],
+                                   [0.0, 1.0, 0.0, 1.0]]),
+                         np.array([3.0, 1.0]), [2, 3])
     assert x[0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_simplex_equality():
     # min x + y s.t. x + y = 2, x - y = 0
-    x, _, _ = simplex(np.array([1.0, 1.0]),
-                      np.array([[1.0, 1.0], [1.0, -1.0]]),
-                      np.array([2.0, 0.0]), basis=[0, 1])
+    x, _, _ = from_start(simplex, np.array([1.0, 1.0]),
+                         np.array([[1.0, 1.0], [1.0, -1.0]]),
+                         np.array([2.0, 0.0]), [0, 1])
     assert x == pytest.approx([1.0, 1.0], abs=1e-10)
 
 
 def test_simplex_infeasible():
     with pytest.raises(Infeasible):
-        simplex(np.array([0.0]), np.array([[1.0]]), np.array([-1.0]),
-                basis=[0])
+        from_start(simplex, np.array([0.0]), np.array([[1.0]]),
+                   np.array([-1.0]), [0])
 
 
 def test_simplex_unbounded():
     # min -x s.t. y + s = 1, from the slack
     with pytest.raises(UnboundedObjective):
-        simplex(np.array([-1.0, 0.0, 0.0]), np.array([[0.0, 1.0, 1.0]]),
-                np.array([1.0]), basis=[2])
+        from_start(simplex, np.array([-1.0, 0.0, 0.0]),
+                   np.array([[0.0, 1.0, 1.0]]), np.array([1.0]), [2])
 
 
 def test_simplex_does_not_cycle_on_beales_lp():
@@ -331,31 +334,37 @@ def test_simplex_does_not_cycle_on_beales_lp():
                   [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
                   [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]])
     b = np.array([0.0, 0.0, 1.0])
-    x, y, pivots = simplex(c, A, b, basis=[0, 1, 2])
+    x, y, pivots = from_start(simplex, c, A, b, [0, 1, 2])
     assert c @ x == pytest.approx(-1.25, abs=1e-12)
     assert b @ y == pytest.approx(-1.25, abs=1e-12)
     assert pivots == 6
 
 
-def test_the_slack_lp_prices_by_the_most_negative_reduced_cost():
-    """linear_prior_multipliers at n = 56 takes 384 pivots when every
-    entering column is the first negative one, and 46 under the
-    most-negative rule."""
+def test_the_slack_lp_prices_by_the_most_negative_reduced_cost(
+        monkeypatch):
+    """linear_prior_multipliers' slack LP at n = 56, started as the block
+    once started it, each opponent type at action 0 and z[i] in the row
+    of type i's best reply to those: 384 pivots when every entering
+    column is the first negative one, and 46 under the most-negative
+    rule.  From _solve_block's own start it takes 2, too few to tell the
+    rules apart."""
     g = bc.load_game_file(ROOT / "demos" / "specs"
                           / "linear_prior_multipliers.json")
     fg = bc.build_finite(g, 56)
-    res = solve_lp(fg, *default_alphas(fg, g, check_prop1(g)))
-    assert res.iterations <= 96
+    lp = _action_0_start(fg, _slack_lp(monkeypatch, fg, *default_alphas(
+        fg, g, check_prop1(g))))
+    assert from_start(simplex, *lp)[2] <= 96
 
 
 def _captured_lps(monkeypatch, call):
     """The LP of each simplex call that call() makes: (c, A, b, start
-    basis).  Each simplex call returns the uniform rows and zero duals,
-    so that call() runs to its end and every call is seen."""
+    tableau, start basis).  Each simplex call returns the uniform rows
+    and zero duals, so that call() runs to its end and every call is
+    seen."""
     calls = []
 
-    def capture(c, A, b, *, basis):
-        calls.append((c, A, b, basis))
+    def capture(c, A, b, T, *, basis):
+        calls.append((c, A, b, T, basis))
         sums = A[b == 1.0]  # the sum-to-one rows
         return sums.T @ (1.0 / sums.sum(axis=1)), np.zeros(len(A)), 0
 
@@ -372,6 +381,19 @@ def _slack_lp(monkeypatch, fg, alpha1=None, alpha2=None):
     return calls[0]
 
 
+def _action_0_start(fg, lp):
+    """Player 1's captured slack LP lp as (c, A, b, basis), from the start
+    the block once took: each opponent type at action 0, z[i] in the row
+    of type i's best reply to those, and every other row's slack."""
+    c, A, b, _, _ = lp
+    n, rows, cols = fg.n, fg.n * fg.L, fg.n * fg.H
+    first = np.arange(0, cols, fg.H)
+    best = A[:rows, first].sum(axis=1).reshape(n, fg.L).argmax(axis=1)
+    basis = np.concatenate([cols + n + np.arange(rows), first])
+    basis[np.arange(n) * fg.L + best] = cols + np.arange(n)
+    return c, A, b, basis
+
+
 def _player2_block(fg, alpha2):
     """Player 2's block of the slack LP, built entry by entry.  solve_lp
     reads player 1's strategy from the duals of player 1's block instead
@@ -381,10 +403,17 @@ def _player2_block(fg, alpha2):
 
 
 def _simplex_outcome(solver, lp):
-    """(x bytes, y bytes, pivots), or the exception's type and message."""
+    """(x bytes, y bytes, pivots), or the exception's type and message.
+    lp is (c, A, b, basis), started from start_tableau, or a captured
+    (c, A, b, T, basis), whose start tableau T each solver pivots from a
+    copy of."""
     *data, basis = lp
     try:
-        x, y, pivots = solver(*data, basis=basis)
+        if len(data) == 3:
+            x, y, pivots = from_start(solver, *data, basis)
+        else:
+            *data, T = data
+            x, y, pivots = solver(*data, T.copy(order="F"), basis=basis)
     except BnecertError as exc:
         return type(exc), str(exc)
     return x.tobytes(), y.tobytes(), pivots
@@ -472,7 +501,7 @@ def test_simplex_duals_are_optimal_on_the_random_lps():
     for _ in range(2000):
         c, A, b, basis = _standard_form(*_random_lp(rng))
         try:
-            x, y, _ = simplex(c, A, b, basis=basis)
+            x, y, _ = from_start(simplex, c, A, b, basis)
         except BnecertError:
             continue
         assert abs(b @ y - c @ x) <= 1e-9
@@ -528,11 +557,12 @@ def test_simplex_takes_the_oracle_pivots_on_generated_games_to_n_32(
 @pytest.mark.parametrize("path", DEMO_SPECS, ids=[p.stem for p in DEMO_SPECS])
 def test_a_rebuild_solves_the_nonbasic_columns_to_the_bits_of_a_full_solve(
         path, monkeypatch):
-    """Every rebuild of the bench-size demo LPs against the oracle's
-    rebuild, which solves B^-1 A for every column: the nonbasic columns,
-    their reduced costs, x_B and the objective are the same bits, because
-    gesv solves each right-hand column on its own, and each basic column
-    is the exact unit vector of its row with reduced cost exactly 0."""
+    """Every periodic rebuild of the demo LPs at n = 40..96 against the
+    oracle's rebuild, which solves B^-1 A for every column: the nonbasic
+    columns, their reduced costs, x_B and the objective are the same
+    bits, because gesv solves each right-hand column on its own, and each
+    basic column is the exact unit vector of its row with reduced cost
+    exactly 0.  The starts are built before the count begins."""
     rebuild = bc.solver._rebuild
     calls = []
 
@@ -552,27 +582,108 @@ def test_a_rebuild_solves_the_nonbasic_columns_to_the_bits_of_a_full_solve(
 
     g = bc.load_game_file(path)
     prop1 = check_prop1(g)
-    for n in (40, 48, 56, 64, 72):
+    for n in range(40, 97, 8):
         fg = bc.build_finite(g, n)
         alpha1, alpha2 = default_alphas(fg, g, prop1)
-        lps = (_slack_lp(monkeypatch, fg, alpha1, alpha2),
-               _player2_block(fg, alpha2))
+        lp1 = _slack_lp(monkeypatch, fg, alpha1, alpha2)
+        lps = [lp1]
+        for c, A, b, basis in (_player2_block(fg, alpha2),
+                               _action_0_start(fg, lp1)):
+            lps.append((c, A, b, start_tableau(c, A, b, basis), basis))
         with monkeypatch.context() as patch:
             patch.setattr("bnecert.solver._rebuild", compare)
             for lp in lps:
                 _simplex_outcome(simplex, lp)
-    # 10 start rebuilds, and periodic ones past them
-    assert len(calls) >= 12 and all(calls)
+    # the blocks' own starts leave linear_prior_multipliers in at most 2
+    # pivots, so its 7 rebuilds come from the action-0 starts (32 to 78
+    # pivots); the other specs take n pivots a block, and rebuild 33 times
+    assert len(calls) >= 7 and all(calls)
+
+
+def _check_closed_form_start(lp):
+    """The start tableau T of a captured slack LP is column-major and
+    within 1e-15 of _rebuild's for its basis; its basic columns are the
+    exact unit vectors of their rows with reduced cost 0.0, and x_B >= 0."""
+    c, A, b, T, basis = lp
+    m = len(A)
+    assert T.flags.f_contiguous
+    assert np.abs(T - start_tableau(c, A, b, basis)).max() <= 1e-15
+    want = np.eye(m + 1, m)
+    assert np.ascontiguousarray(T[:, basis]).tobytes() == want.tobytes()
+    assert T[:m, -1].min() >= 0.0
+
+
+@pytest.mark.parametrize("path", DEMO_SPECS, ids=[p.stem for p in DEMO_SPECS])
+def test_the_closed_form_start_is_the_rebuilt_start_on_demo_specs(
+        path, monkeypatch):
+    g = bc.load_game_file(path)
+    prop1 = check_prop1(g)
+    for n in range(1, 65):
+        fg = bc.build_finite(g, n)
+        alpha1, alpha2 = default_alphas(fg, g, prop1)
+        for lp in _captured_lps(monkeypatch, lambda: (
+                _solve_block(fg.M1, fg.L, alpha1),
+                _solve_block(fg.M2, fg.H, alpha2))):
+            _check_closed_form_start(lp)
+
+
+def test_the_closed_form_start_is_the_rebuilt_start_on_generated_games(
+        zero_sum_match, monkeypatch):
+    """Generated constant-sum games, zero_sum_match with payoffs shifted
+    below 0, and a general-sum game with a -0.0 payoff, each block under
+    uneven weights."""
+    rng = np.random.default_rng(40)
+    games = [bc.build_finite(generated_constant_sum_game(seed, *shape), n)
+             for shape in ((2, 2), (2, 3), (3, 3)) for seed in (1, 2, 3)
+             for n in (1, 2, 5, 8, 16, 32)]
+    for n in (3, 8, 16):
+        fg = bc.build_finite(zero_sum_match, n)
+        games.append(FiniteGame(n, fg.actions1, fg.actions2, fg.U - 3.0,
+                                fg.V + 3.0))
+        assert games[-1].U.min() < 0.0
+    U, V = 4.0 * rng.random((3, 2, 4, 4)) - 1.0, rng.random((3, 2, 4, 4))
+    V[0, 1, :, 3] = -0.0
+    games.append(FiniteGame(4, ("x1", "x2", "x3"), ("y1", "y2"), U, V))
+    for fg in games:
+        # default_alphas' scale: weights of 1/n, over a multiplier
+        alpha1, alpha2 = (rng.random((2, fg.n)) + 0.5) / fg.n
+        lps = _captured_lps(monkeypatch, lambda: (
+            _solve_block(fg.M1, fg.L, alpha1),
+            _solve_block(fg.M2, fg.H, alpha2)))
+        assert len(lps) == 2
+        for lp in lps:
+            _check_closed_form_start(lp)
+
+
+def test_the_423_lp_sweep_solves_every_lp_within_5169_pivots():
+    """README's sweep: the demo specs at n = 1..64 and generated
+    constant-sum 2x2, 2x3 and 3x3 games at seeds 1-7 and n = 2..12.
+    None fails, every finite gap is at most 4.5e-16, and the pivots total
+    at most 5 169 (8 376 from the former action-0 start)."""
+    games = [(bc.load_game_file(path), range(1, 65)) for path in DEMO_SPECS]
+    games += [(generated_constant_sum_game(seed, *shape), range(2, 13))
+              for shape in ((2, 2), (2, 3), (3, 3)) for seed in range(1, 8)]
+    count = pivots = 0
+    for g, levels in games:
+        prop1 = check_prop1(g)
+        for n in levels:
+            fg = bc.build_finite(g, n)
+            res = solve_lp(fg, *default_alphas(fg, g, prop1))
+            assert max(res.finite_gap1, res.finite_gap2) <= 4.5e-16, n
+            pivots += res.iterations
+            count += 1
+    assert count == 423 and pivots <= 5169
 
 
 def test_an_lp_with_no_nonbasic_column_solves_in_0_pivots():
-    """As many columns as rows: the rebuild solves a right-hand side of 0
-    columns.  The first LP of
+    """As many columns as rows: the start's rebuild solves a right-hand
+    side of 0 columns.  The first LP of
     test_a_singular_start_basis_stalls_before_any_pivot is square too:
     numpy raises LinAlgError on a singular B with 0 right-hand columns,
-    so that start still stalls."""
-    x, y, pivots = simplex(np.array([1.0, 1.0]), np.diag([1.0, 2.0]),
-                           np.array([1.0, 1.0]), basis=[0, 1])
+    so start_tableau still refuses that start."""
+    x, y, pivots = from_start(simplex, np.array([1.0, 1.0]),
+                              np.diag([1.0, 2.0]), np.array([1.0, 1.0]),
+                              [0, 1])
     assert x.tolist() == [1.0, 0.5] and y.tolist() == [1.0, 0.5]
     assert pivots == 0
 
@@ -583,9 +694,9 @@ def test_the_final_tableau_stays_within_1e_12_of_its_rebuild(monkeypatch):
     of its final basis at n = 24, and 1.1e-9 at n = 48."""
     lps, tableaus = [], []
 
-    def capture_lp(c, A, b, *, basis):
+    def capture_lp(c, A, b, T, *, basis):
         lps.append((c, A, b))
-        return simplex(c, A, b, basis=basis)
+        return simplex(c, A, b, T, basis=basis)
 
     def capture_pivot(T, basis, row, col):
         tableaus.append((T, basis))  # both change in place
@@ -615,7 +726,7 @@ def test_the_duals_of_player_1s_block_solve_player_2s_block(path):
         alpha1, alpha2 = default_alphas(fg, g, prop1)
         s = solve_lp(fg, alpha1, alpha2).profile.s
         c, A, b, basis = _player2_block(fg, alpha2)
-        x, _, _ = oracle_simplex(c, A, b, basis=basis)
+        x, _, _ = from_start(oracle_simplex, c, A, b, basis)
         z2 = (A[:n * fg.H, :n * fg.L] @ s.ravel()).reshape(n, fg.H).max(
             axis=1)
         assert abs(alpha2 @ z2 - c @ x) <= 1e-9, n
@@ -727,18 +838,22 @@ def test_lp_gives_action_0_to_a_type_whose_duals_sum_to_0(monkeypatch):
                          ids=["simplex", "oracle"])
 def test_a_singular_start_basis_stalls_before_any_pivot(solver,
                                                         monkeypatch):
+    """Neither solver factors its start: the slack block writes its own
+    start tableau, and every other test LP starts from start_tableau,
+    which refuses a singular basis before the solver is called."""
     pivots = []
     monkeypatch.setitem(solver.__globals__, "_pivot",
                         lambda *args: pivots.append(args))
     with pytest.raises(SimplexStall, match="^singular start basis$"):
         # x and y basic in the rows of x + y = 2 and 2x + 2y = 4
-        solver(np.array([1.0, -1.0]), np.array([[1.0, 1.0], [2.0, 2.0]]),
-               np.array([2.0, 4.0]), basis=[0, 1])
+        from_start(solver, np.array([1.0, -1.0]),
+                   np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([2.0, 4.0]),
+                   [0, 1])
     with pytest.raises(SimplexStall, match="^singular start basis$"):
         # x basic in both rows: LU's rounding leaves this basis matrix a
         # nonzero last pivot, but not that of its transpose
-        solver(np.array([0.42]), np.array([[0.31], [-1.99]]),
-               np.array([0.0, 0.0]), basis=[0, 0])
+        from_start(solver, np.array([0.42]), np.array([[0.31], [-1.99]]),
+                   np.array([0.0, 0.0]), [0, 0])
     assert pivots == []
 
 
@@ -754,9 +869,9 @@ def test_an_infeasible_start_basis_raises_before_any_pivot(solver,
     # phase 1 could repair that start
     with pytest.raises(Infeasible, match="^the start basis is infeasible: "
                        r"column 2, basic in row 0, is -1\.0$"):
-        solver(np.array([1.0, 1.0, 0.0]),
-               np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
-               np.array([1.0, 2.0]), basis=[2, 0])
+        from_start(solver, np.array([1.0, 1.0, 0.0]),
+                   np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
+                   np.array([1.0, 2.0]), [2, 0])
     assert pivots == []
 
 
@@ -849,10 +964,9 @@ def test_lp_overflow_is_a_nonfinite_error(zero_sum_match):
 @pytest.mark.parametrize("solver", [simplex, oracle_simplex],
                          ids=["simplex", "oracle"])
 def test_a_singular_final_basis_is_a_stall(solver):
-    *data, basis = SINGULAR_DUALS_LP
     with pytest.raises(SimplexStall,
                        match="^singular basis matrix: Singular matrix$"):
-        solver(*data, basis=basis)
+        from_start(solver, *SINGULAR_DUALS_LP)
 
 
 def test_lp_singular_basis_is_a_toolkit_error(matching_pennies,
@@ -860,8 +974,7 @@ def test_lp_singular_basis_is_a_toolkit_error(matching_pennies,
     real_simplex = simplex
 
     def singular(*args, **kwargs):
-        *data, basis = SINGULAR_DUALS_LP
-        return real_simplex(*data, basis=basis)
+        return from_start(real_simplex, *SINGULAR_DUALS_LP)
 
     monkeypatch.setattr("bnecert.solver.simplex", singular)
     fg = bc.build_finite(matching_pennies, 2)
@@ -902,12 +1015,18 @@ def _loop_built_block(fg, player, alpha):
     for i in range(n):
         c[z + i] = alpha[i]
         b[rows + i] = 1.0
-    # each row's slack, and each opponent type's first action in its
-    # sum-to-one row; then z[i] in the row of i's best reply to those
+    # each row's slack, and in each sum-to-one row the opponent type's
+    # action of least alpha-weighted payoff against uniform own play;
+    # then z[i] in the row of i's best reply to those
     basis = [slack + r for r in range(rows)]
-    basis += [j * opp for j in range(n)]
+    for j in range(n):
+        weighted = [sum(alpha[i] * sum(A[i * own + x, j * opp + y]
+                                       for x in range(own))
+                        for i in range(n))
+                    for y in range(opp)]
+        basis.append(j * opp + weighted.index(min(weighted)))
     for i in range(n):
-        values = [sum(A[i * own + x, j * opp] for j in range(n))
+        values = [sum(A[i * own + x, basis[rows + j]] for j in range(n))
                   for x in range(own)]
         basis[i * own + values.index(max(values))] = z + i
     return c, A, b, basis
@@ -927,7 +1046,7 @@ def test_lp_constraints_byte_identical_to_loop_build(monkeypatch):
                              lambda: _solve_block(fg.M2, H, alpha2))]
     for player, alpha, lp in ((1, alpha1, blocks[0]),
                               (2, alpha2, blocks[1])):
-        *arrays, basis = lp
+        *arrays, _, basis = lp
         *want_arrays, want_basis = _loop_built_block(fg, player, alpha)
         for got, want in zip(arrays, want_arrays):  # c, A and b
             assert got.shape == want.shape
@@ -937,8 +1056,10 @@ def test_lp_constraints_byte_identical_to_loop_build(monkeypatch):
     assert np.signbit(blocks[1][1][3 * H + 1, :n * L:L]).all()
     # the types' best replies in player 1's start differ, so the loop
     # checks a choice, not a constant
-    z_rows = [blocks[0][3].tolist().index(n * H + i) for i in range(n)]
+    z_rows = [blocks[0][4].tolist().index(n * H + i) for i in range(n)]
     assert len({row % L for row in z_rows}) > 1
+    # and so do the opponent types' start actions, the last n basics
+    assert len({col % H for col in blocks[0][4][-n:].tolist()}) > 1
 
 
 # ---------------------------------------------------------------------------
