@@ -73,6 +73,13 @@ class FiniteGame:
     U: np.ndarray = field(repr=False)
     V: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        check_count("n", self.n)
+        shape = (self.L, self.H, self.n, self.n)
+        if np.shape(self.U) != shape or np.shape(self.V) != shape:
+            raise ValueError(f"U and V must have shape {shape}, got "
+                             f"{np.shape(self.U)} and {np.shape(self.V)}")
+
     @property
     def L(self):
         return len(self.actions1)

@@ -523,18 +523,19 @@ def _slopes(fg, owner, aim):
 
 
 @np.errstate(all="ignore")  # a prediction never raises
-def _predict_aims(fg, offsets, owner, W, slopes, size):
-    """Predicted best responses of a block's size steps, as segments
-    (first step, agent-form actions), and the _slopes of the last one.
+def _predict_aims(fg, offsets, owner, W, slopes, aimed):
+    """Write the predicted best responses of each of a block's steps into
+    the rows of aimed, one per step, and return the _slopes of the last.
 
     W is the unscaled action values of the step before the block, and
-    slopes the _slopes of its best responses.  Each segment aims at the
+    slopes the _slopes of its best responses.  Each step aims at the
     argmax of W (ties to the lowest index); while the aims hold, W grows
     by S per step, so an entry whose slope exceeds its aim's by A and
     whose value trails it by -D first overtakes it floor(-D / A) + 1
-    steps on, where the next segment starts.  nan predicts no switch."""
-    n, N1 = fg.n, fg.n * fg.L
-    segments, j = [], 0
+    steps on, and the steps before that share one slice assignment.  nan
+    predicts no switch."""
+    n, N1, size = fg.n, fg.n * fg.L, len(aimed)
+    j = 0
     while True:
         W = W + slopes[1]  # the values of step j
         aim = np.empty(2 * n, dtype=np.intp)
@@ -543,12 +544,12 @@ def _predict_aims(fg, offsets, owner, W, slopes, size):
         aim += offsets
         if (aim != slopes[0]).any():
             slopes = _slopes(fg, owner, aim)
-        segments.append((j, aim))
         _, S, up, ref = slopes
         step = np.fmin.reduce(np.floor((W[ref] - W[up]) / (S[up] - S[ref])),
                               initial=np.inf) + 1.0
+        aimed[j:j + int(min(step, size - j))] = aim
         if not step < size - j:
-            return segments, slopes
+            return slopes
         W = W + (step - 1.0) * S
         j += int(step)
 
@@ -563,25 +564,25 @@ def solve_fp(fg, max_iters, target_gap):
     rounding for + uniform and one for the division, so entries with
     equal counts are equal and purification ties are exact.
 
-    fp runs in blocks of iterations, each step aimed at its predicted best
-    responses: step j of a block starting at iteration k is iteration k + j,
-    with counts plus the one-hot aims of steps 0 to j - 1, an exact integer
-    sum.  Between best-response switches each agent's unscaled action values
-    M @ (counts + uniform) are linear in j, so _predict_aims runs a block
-    through every switch it predicts, starting from the values of the last
-    step checked, q * (k - 1) * n^2.  A block that can predict nothing aims
-    at the last best responses seen.  A block builds all of its steps' rows
-    [s | t], one broadcast per segment of equal aims, and evaluates them at
-    once: one np.vecdot per player (still one row dot per step and (type,
-    action)), one argmax per player, one gather, one product and a row-wise
-    np.add.reduce per gap term, which runs numpy's pairwise sum on each row
-    as a 1-D reduce of that row does, so gaps are bit-equal to _regret's.
-    The steps through the first one off aim are exact; the block ends there,
-    and the next one halves its length.  A one-step block, and a block that
-    stays on aim, doubles it, up to _FP_BLOCK.  One scan of the exact steps'
-    gaps finds the first event, where fp stops: gaps not both finite, or the
-    larger at most target_gap.  The best iterate is the first least larger
-    gap up to the event.
+    fp runs in blocks of iterations: the block that starts at iteration k
+    runs min(_FP_BLOCK, k, max_iters - k + 1) steps, step j being
+    iteration k + j, aimed at its predicted best responses, one row of
+    aimed per step.  Between best-response switches each agent's unscaled
+    action values M @ (counts + uniform) are linear in j, so _predict_aims
+    runs a block through every switch it predicts, starting from the
+    values of the last step checked, q * (k - 1) * n^2.  A block that can
+    predict nothing aims at the last best responses seen.  Step j's rows
+    [s | t] hold counts plus the one-hot aims of steps 0 to j - 1, an
+    exact integer sum that one cumulative sum over the block builds; the
+    block evaluates them at once: one np.vecdot per player (still one row
+    dot per step and (type, action)), one argmax per player, one gather,
+    one product and a row-wise np.add.reduce per gap term, which runs
+    numpy's pairwise sum on each row as a 1-D reduce of that row does, so
+    gaps are bit-equal to _regret's.  The steps through the first one off
+    aim are exact, and the block ends there.  One scan of the exact steps'
+    gaps finds the first event, where fp stops: gaps not both finite, or
+    the larger at most target_gap.  The best iterate is the first least
+    larger gap up to the event.
 
     fp purifies each iterate before the event: each type plays its
     largest entry, a tie going to the lowest index.  If both finite gaps
@@ -618,35 +619,32 @@ def solve_fp(fg, max_iters, target_gap):
     slopes = (None,)  # the _slopes of no aim yet
     offsets = np.concatenate([np.arange(n) * L, N1 + np.arange(n) * H])
     owner = np.repeat(np.arange(2 * n), [L] * n + [H] * n)
-    starts = np.arange(_FP_BLOCK)[:, None] * N  # each step's offset in q
+    starts = np.arange(_FP_BLOCK)[:, None] * N  # each step's offset in rows, q
     # scaled after the dot products, as in action_values: folding 1/n^2
     # into M1 and M2 rounds the values differently and can flip a best
     # response between near-tied actions
     scale = 1.0 / n ** 2
     total = np.add.reduce  # ndarray.sum without its Python wrapper
     best_gap = np.inf  # so iteration 1, whose gaps are finite, sets best
-    k, size = 1, 1  # the iteration at block step 0, the block length
+    k = 1  # the iteration at block step 0
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            size = min(size, max_iters - k + 1)
-            segments = [(0, aim)]
+            size = min(_FP_BLOCK, k, max_iters - k + 1)
+            aimed[:size] = aim
             if size > 1:  # a one-step block has no aim to predict
                 if not np.array_equal(aim, slopes[0]):
                     slopes = _slopes(fg, owner, aim)
                 if slopes[2].size:  # some action gains on its aim
-                    segments, slopes = _predict_aims(
+                    slopes = _predict_aims(
                         fg, offsets, owner, q[last] * ((k - 1) * n * n),
-                        slopes, size)
-            # in place: temporaries of this size showed in peak RSS
-            base = counts
-            ends = [j for j, _ in segments[1:]] + [size]
-            for (j, a), end in zip(segments, ends):
-                one = np.zeros(N)
-                one[a] = 1.0
-                np.multiply.outer(steps[:end - j], one, out=rows[j:end])
-                rows[j:end] += base  # an exact integer sum
-                base = base + (end - j) * one
-                aimed[j:end] = a
+                        slopes, aimed[:size])
+            # in place: temporaries of this size showed in peak RSS.  Row
+            # j is counts plus the aims of steps 0 to j - 1, an exact
+            # integer sum.
+            rows[1:size] = 0.0
+            rows[0] = counts
+            rows.put(aimed[:size - 1] + starts[1:size], 1.0)
+            np.cumsum(rows[:size], axis=0, out=rows[:size])
             rows[:size] += uniform
             rows[:size] /= k + steps[:size, None]
             np.vecdot(M1, rows[:size, None, N1:], out=q[:size, :N1])
@@ -691,10 +689,6 @@ def solve_fp(fg, max_iters, target_gap):
             # the best responses of steps 0 to last: the aims, then last's
             counts += np.bincount(pick[:last + 1].ravel(), minlength=N)
             aim = pick[last].copy()
-            if off.size and size > 1:  # a one-step block predicted nothing
-                size //= 2
-            else:
-                size = min(_FP_BLOCK, 2 * size)
             purified[0] = purified[last + 1]
             k += last + 1
     best_rows, gap1, gap2, k = best

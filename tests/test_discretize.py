@@ -85,6 +85,24 @@ def test_build_finite_accepts_numpy_integer_levels():
     assert np.array_equal(fg.U, bc.build_finite(g, 2).U)
 
 
+def test_finite_game_rejects_payoffs_of_the_wrong_shape():
+    """A transposed V, or tensors of another level than n, would build
+    agent-form matrices of the expected shape over scrambled payoffs."""
+    fg = bc.build_finite(make_game([["theta1", "1", "0"], ["0", "1", "2"]],
+                                   [["theta2", "0", "1"], ["1", "0", "2"]]), 3)
+    U, V = fg.U, fg.V  # (2, 3, 3, 3)
+    with pytest.raises(ValueError) as exc:
+        bc.FiniteGame(3, fg.actions1, fg.actions2, U, V.transpose(1, 0, 2, 3))
+    assert str(exc.value) == ("U and V must have shape (2, 3, 3, 3), got "
+                              "(2, 3, 3, 3) and (3, 2, 3, 3)")
+    with pytest.raises(ValueError, match=r"\(2, 3, 2, 2\), got "
+                                         r"\(2, 3, 3, 3\) and \(2, 3, 3, 3\)"):
+        bc.FiniteGame(2, fg.actions1, fg.actions2, U, V)
+    with pytest.raises(ValueError, match="^n must be an integer, got 3.0$"):
+        bc.FiniteGame(3.0, fg.actions1, fg.actions2, U, V)
+    assert bc.FiniteGame(3, fg.actions1, fg.actions2, U, V).M2.shape == (9, 6)
+
+
 def test_lift_pure_per_type():
     profile = bc.BehavioralProfile(
         s=np.array([[1.0, 0.0], [0.0, 1.0]]),

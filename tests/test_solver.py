@@ -1410,23 +1410,27 @@ def test_fp_equals_the_oracle_over_random_games(fg, max_iters, reach):
     _check_against_plain_fp(fg, got, target, max_iters)
 
 
-def _best_response_switches(fg, max_iters):
-    """The iterations at which the oracle's best responses change, on the
-    oracle's trajectory: iteration k's rows are (counts + 1/L) / k."""
+def _plain_trajectory(fg, max_iters):
+    """The oracle's fictitious play iterates (s, t, br1, br2) for k = 1 to
+    max_iters: iteration k's rows are (counts + 1/L) / k, br1 and br2
+    their best responses as one-hot rows."""
     c1, c2 = np.zeros((fg.n, fg.L)), np.zeros((fg.n, fg.H))
-    switches, last = [], None
     for k in range(1, max_iters + 1):
         s = (c1 + 1.0 / fg.L) / k
         t = (c2 + 1.0 / fg.H) / k
         br1, _ = oracle_finite_best_response(fg, 1, t)
         br2, _ = oracle_finite_best_response(fg, 2, s)
-        pure = br1.tobytes() + br2.tobytes()
-        if last is not None and pure != last:
-            switches.append(k)
-        last = pure
+        yield s, t, br1, br2
         c1 += br1
         c2 += br2
-    return switches
+
+
+def _best_response_switches(fg, max_iters):
+    """The iterations at which the oracle's best responses change, on the
+    oracle's trajectory."""
+    pures = [br1.tobytes() + br2.tobytes()
+             for _, _, br1, br2 in _plain_trajectory(fg, max_iters)]
+    return [k for k in range(2, max_iters + 1) if pures[k - 1] != pures[k - 2]]
 
 
 def test_fp_equals_the_oracle_where_best_responses_switch_in_blocks():
@@ -1451,33 +1455,35 @@ def test_fp_equals_the_oracle_where_best_responses_switch_in_blocks():
 
 def _wrong_predictor(kind, rng):
     """A stand-in for solver._predict_aims whose aims are wrong: "shift"
-    moves one agent of every predicted segment to its next action,
-    "late" adds a segment of such aims halfway through the block, and
-    "random" aims each step at random actions."""
+    moves one agent in every run of equal predicted aims to its next
+    action, "late" adds a run of such aims from halfway through the block,
+    and "random" aims each step at random actions."""
     predict = bc.solver._predict_aims
 
-    def wrong(fg, offsets, owner, W, slopes, size):
-        segments, slopes = predict(fg, offsets, owner, W, slopes, size)
+    def wrong(fg, offsets, owner, W, slopes, aimed):
+        slopes = predict(fg, offsets, owner, W, slopes, aimed)
         widths = np.bincount(owner)  # the actions of each agent
+        size = len(aimed)
 
         def shifted(aim):
             aim, i = aim.copy(), rng.integers(aim.size)
             aim[i] = offsets[i] + (aim[i] - offsets[i] + 1) % widths[i]
             return aim
 
+        firsts = np.flatnonzero(
+            np.append(True, (aimed[1:] != aimed[:-1]).any(axis=1)))
+        runs = list(zip(firsts, [*firsts[1:], size]))  # of equal aims
         if kind == "shift":
-            segments = [(j, shifted(a)) for j, a in segments]
+            for j, end in runs:
+                aimed[j:end] = shifted(aimed[j])
         elif kind == "late":
             half = size // 2
-            a = [a for j, a in segments if j <= half][-1]
-            segments = ([(j, a) for j, a in segments if j < half]
-                        + [(half, shifted(a))]
-                        + [(j, a) for j, a in segments if j > half])
+            end = next(end for _, end in runs if end > half)
+            aimed[half:end] = shifted(aimed[half])
         else:
-            segments = [(j, offsets + rng.integers(widths))
-                        for j in range(size)]
+            aimed[:] = offsets + rng.integers(widths, size=aimed.shape)
         wrong.calls += 1
-        return segments, slopes
+        return slopes
 
     wrong.calls = 0
     return wrong
@@ -1531,6 +1537,46 @@ def test_fp_blocks_run_through_predicted_switches(monkeypatch):
     with pytest.raises(NoConvergence):
         solve_fp(fg, max_iters=2000, target_gap=1e-4)
     assert sum(calls) // 2 <= 121 // 2
+
+
+@pytest.mark.parametrize("kind", [None, "late"])
+def test_fp_block_at_iteration_k_runs_min_of_64_k_and_the_iterations_left(
+        kind, monkeypatch):
+    """On the game of the block test, the block that starts at iteration
+    k runs min(_FP_BLOCK, k, max_iters - k + 1) steps, read from the
+    leading size of its np.vecdot(..., out=) calls.  A block whose aim is
+    wrong at step last has exact rows through step last only, and the
+    next block starts at k + last + 1, under the same rule; "late" wrong
+    aims end many blocks that way."""
+    fg = bc.build_finite(generated_general_sum_game(1, 1, 2, 2), 8)
+    max_iters = 2000
+    plain = np.array([np.concatenate([s.ravel(), t.ravel()])
+                      for s, t, _, _ in _plain_trajectory(fg, max_iters)])
+    vecdot, opponent_rows = np.vecdot, []
+
+    def recording(*args, **kwargs):
+        if "out" in kwargs:
+            opponent_rows.append(args[1][:, 0].copy())
+        return vecdot(*args, **kwargs)
+
+    monkeypatch.setattr(np, "vecdot", recording)
+    if kind is not None:
+        monkeypatch.setattr(bc.solver, "_predict_aims",
+                            _wrong_predictor(kind, np.random.default_rng(3)))
+    with pytest.raises(NoConvergence):
+        solve_fp(fg, max_iters=max_iters, target_gap=1e-4)
+    k, early = 1, 0
+    # player 1's values take t's rows, player 2's take s's
+    for t, s in zip(opponent_rows[::2], opponent_rows[1::2]):
+        size = len(s)
+        assert size == min(_FP_BLOCK, k, max_iters - k + 1)
+        left = ~(np.hstack([s, t]) == plain[k - 1:k - 1 + size]).all(axis=1)
+        assert not left[0]
+        last = int(left.argmax()) - 1 if left.any() else size - 1
+        early += last < size - 1
+        k += last + 1
+    assert k == max_iters + 1
+    assert early > 10 if kind == "late" else early == 0
 
 
 def test_fp_stops_where_exact_rational_fp_stops():
