@@ -74,19 +74,15 @@ def check_tolerances(epsilon):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
 
 
-class _Deviation(tuple):
-    """br_value_infinite's (value, error_bound), with its interim values
-    at the partition points 0, 1/n, ..., 1 as the attribute interim."""
-
-
 def br_value_infinite(g, player, opponent, quad_tol):
     """Value of the best pure deviation against an atomic opponent.
 
-    Returns (value, error_bound) from adaptive Simpson quadrature of the
-    max over own actions of interim_values, with mandatory panel splits
-    at the opponent's atom abscissae.  Its attribute interim holds
-    interim_values at the partition 0, 1/n, ..., 1, read from the first
-    call of the integrand, whose abscissae start with it.
+    Returns (value, error_bound, interim): value and error_bound from
+    adaptive Simpson quadrature of the max over own actions of
+    interim_values, with mandatory panel splits at the opponent's atom
+    abscissae, and interim the interim_values at the partition 0, 1/n,
+    ..., 1, read from the first call of the integrand, whose abscissae
+    start with it.
     """
     values = interim_values(g, player, opponent)
     first = []
@@ -97,10 +93,9 @@ def br_value_infinite(g, player, opponent, quad_tol):
             first.append(acc[:, :opponent.n + 1])
         return np.where(np.isnan(acc), -np.inf, acc).max(axis=0)
 
-    result = _Deviation(integrate(psi, 0.0, 1.0, quad_tol,
-                                  presplit=opponent.atom_points[:-1]))
-    result.interim = first[0]
-    return result
+    value, error_bound = integrate(psi, 0.0, 1.0, quad_tol,
+                                   presplit=opponent.atom_points[:-1])
+    return value, error_bound, first[0]
 
 
 def certify(g, F, G, epsilon):
@@ -122,11 +117,10 @@ def certify(g, F, G, epsilon):
     start = time.perf_counter()
     values, gaps, errors = [], [], []
     for player, own, opponent in ((1, F, G), (2, G, F)):
-        deviation = br_value_infinite(g, player, opponent, quad_tol)
-        br, err = deviation
+        br, err, interim = br_value_infinite(g, player, opponent, quad_tol)
         # own atoms 1/n, ..., 1: the opponent's level is the own one
         values.append(float(np.vecdot(own.atom_masses().ravel(),
-                                      deviation.interim[:, 1:].T.ravel())))
+                                      interim[:, 1:].T.ravel())))
         gaps.append(br - values[-1])
         errors.append(err)
     return Certificate(

@@ -230,14 +230,15 @@ class InfiniteGame:
     def actions2(self):
         return self.spec.actions2
 
-    def _map(self, theta1, theta2):
+    def spec_types(self, theta1, theta2):
+        """Unit-square types theta1, theta2 in the spec's coordinates."""
         a1, b1 = self.spec.type_range1
         a2, b2 = self.spec.type_range2
         return a1 + (b1 - a1) * theta1, a2 + (b2 - a2) * theta2
 
     def prior(self, theta1, theta2):
         """Normalized joint density at unit-square coordinates."""
-        t1, t2 = self._map(theta1, theta2)
+        t1, t2 = self.spec_types(theta1, theta2)
         return self.program.run(t1, t2, (0,))[0] / self.prior_norm
 
     def tables(self, theta1, theta2, players=(1, 2), assimilated=True):
@@ -251,7 +252,7 @@ class InfiniteGame:
             check_player(player)
             start = 1 if player == 1 else 1 + size
             outputs.extend(range(start, start + size))
-        t1, t2 = self._map(theta1, theta2)
+        t1, t2 = self.spec_types(theta1, theta2)
         shape = np.broadcast(t1, t2).shape
         # cell by cell into one buffer, so one cell is alive at a time
         raw = np.empty((len(players) * size, *shape))
@@ -276,7 +277,7 @@ class InfiniteGame:
         check_player(player)
         if self.spec.m1 is None:
             return None
-        t1, t2 = self._map(theta, theta)
+        t1, t2 = self.spec_types(theta, theta)
         args = (t1, 0.0) if player == 1 else (0.0, t2)
         return self.program.run(*args, (2 * self.L * self.H + player,))[0]
 
@@ -305,7 +306,7 @@ def load_game(spec, grid_check=101):
     grid = np.linspace(0.0, 1.0, grid_check)
     # unnormalized until the norm is known; x / 1.0 is exact
     game = InfiniteGame(spec=spec, prior_norm=1.0, program=_compile(spec))
-    t1, t2 = game._map(grid, grid)  # the grid in spec coordinates
+    t1, t2 = game.spec_types(grid, grid)  # the grid in spec coordinates
 
     # prior checks on the raw (unnormalized) density
     prior_vals = game.prior(grid[:, None], grid[None, :])

@@ -6,8 +6,8 @@ Two backends:
                    condition, one block per player (_solve_block) whose
                    duals give the other player's strategy, solved by a
                    dense-tableau simplex from a feasible crash basis
-                   chosen from the payoffs, whose tableau is written in
-                   closed form (_crash), with no phase 1, that enters the
+                   chosen from the payoffs, whose tableau the block
+                   writes in closed form, with no phase 1, that enters the
                    most negative reduced cost and falls back to Bland's
                    rule after a degenerate pivot (simplex);
   * solve_fp    -- agent-form fictitious play (general-sum fallback) on
@@ -83,34 +83,31 @@ def action_values(fg, player, opponent_rows):
     return q * (1.0 / fg.n ** 2)
 
 
-def _regret(q, own_rows, choice):
-    """Ex-ante regret of own_rows given q and its per-type argmax."""
-    best = q[np.arange(q.shape[0]), choice]
-    return float(best.sum() - (own_rows * q).sum())
+def finite_gap(fg, s, t):
+    """Exact ex-ante regret of each player within the finite game, at
+    player 1's rows s and player 2's rows t."""
+    q1, q2 = action_values(fg, 1, t), action_values(fg, 2, s)
+    gaps = []
+    for q, own in ((q1, s), (q2, t)):
+        best = q[np.arange(fg.n), q.argmax(axis=1)]
+        gaps.append(float(best.sum() - (own * q).sum()))
+    return tuple(gaps)
 
 
-def finite_gap(fg, profile):
-    """Exact ex-ante regret of each player within the finite game."""
-    q1 = action_values(fg, 1, profile.t)
-    q2 = action_values(fg, 2, profile.s)
-    return (_regret(q1, profile.s, q1.argmax(axis=1)),
-            _regret(q2, profile.t, q2.argmax(axis=1)))
-
-
-def ck_objective(fg, profile, alpha1, alpha2):
-    """Slack-program objective at a profile, slacks set to the negated
-    per-type best-response values.
+def ck_objective(fg, s, t, alpha1, alpha2):
+    """Slack-program objective at player 1's rows s and player 2's rows
+    t, slacks set to the negated per-type best-response values.
 
     Algebraically this equals minus the alpha-weighted sum of per-type
     regrets, hence it is <= 0 with equality exactly at equilibria.
     """
     n = fg.n
-    q1 = action_values(fg, 1, profile.t) * n  # interim units
-    q2 = action_values(fg, 2, profile.s) * n
+    q1 = action_values(fg, 1, t) * n  # interim units
+    q2 = action_values(fg, 2, s) * n
     s1 = -q1.max(axis=1)
     s2 = -q2.max(axis=1)
-    bilinear1 = (alpha1 * (profile.s * q1).sum(axis=1)).sum()
-    bilinear2 = (alpha2 * (profile.t * q2).sum(axis=1)).sum()
+    bilinear1 = (alpha1 * (s * q1).sum(axis=1)).sum()
+    bilinear2 = (alpha2 * (t * q2).sum(axis=1)).sum()
     return float((alpha1 * s1).sum() + bilinear1
                  + (alpha2 * s2).sum() + bilinear2)
 
@@ -151,7 +148,7 @@ def check_prop1(g):
             bad = ~(np.abs(lhs - rhs) <= 1e-6 * scale) | ~np.isfinite(scale)
         if np.any(bad):
             x, y, i, j = np.argwhere(bad)[0]
-            t1, t2 = g._map(pts[i], pts[j])  # in spec coordinates
+            t1, t2 = g.spec_types(pts[i], pts[j])
             raise Prop1Violation(
                 f"identity fails at actions ({x}, {y}), "
                 f"types ({t1}, {t2}): "
@@ -162,19 +159,17 @@ def check_prop1(g):
 
 
 def default_alphas(fg, g, prop1):
-    """Per-type objective weights: marginal over multiplier when the
-    multipliers are known, otherwise the uniform 1/n."""
+    """Per-type objective weights (1/n) / m: m is the multiplier at the
+    level's types when the multipliers are known, otherwise 1."""
     n = fg.n
-    if prop1.kind != "user":
-        return np.full(n, 1.0 / n), np.full(n, 1.0 / n)
     grid = level_grid(n)
     alphas = []
     for player in (1, 2):
         # check_prop1 saw the multiplier on its own grid only
-        m = g.multiplier(player, grid)
+        m = g.multiplier(player, grid) if prop1.kind == "user" else np.ones(n)
         bad = np.flatnonzero(~((m > 0.0) & (m < np.inf)))
         if bad.size:
-            theta = g._map(grid, grid)[player - 1][bad[0]]  # spec coordinates
+            theta = g.spec_types(grid, grid)[player - 1][bad[0]]
             raise Prop1Violation(f"m{player} is {m[bad[0]]} at the level-"
                                  f"{n} type {theta}; it must be "
                                  f"positive and finite")
@@ -344,27 +339,68 @@ def _normalize_rows(mat):
     return mat / sums
 
 
-def _crash(A, alpha, width):
-    """_solve_block's start basis and its tableau, as simplex takes them.
+def _solve_block(M, width, alpha):
+    """One player's block of the slack LP, in the equality form that
+    simplex takes: minimize c @ x subject to A x = b, x >= 0, where x is
+    the opponent's rows sigma, then z = -slack, then one slack column per
+    row of M, and
 
-    Each opponent type j starts at its action y of least alpha-weighted
-    payoff against uniform own play, sum_i alpha[i] sum_x P[(i, x), (j,
-    y)] over the payoff block P = A[:rows, :cols], the lowest index among
-    equals: first[j], basic in sum row j.  z[i] is basic in the row of
-    type i's best action against those, and each other row keeps its
-    slack.  The tableau B^-1 [A | b] is written in closed form, with no
-    basis matrix factored.  For a column [r_M; r_S], sigma[first[j]] is
+        A = [P | -E_z | I ; E_sigma | 0 | 0],  b = [0; 1],
+        c = [0; alpha; 0],  P = M / n.
+
+    So P @ sigma <= z[type] on each own row type * width + action (E_z
+    picks the row's z), and each row of sigma sums to 1 (E_sigma sums it).
+    Returns sigma's rows, the own rows and the pivot count.
+
+    M is first scaled by a power of two (exact, barring underflow) to a
+    largest magnitude in [1/2, 1), so that the simplex's absolute
+    tolerances suit it whatever the payoffs' size, and then shifted by
+    -min(0, min M).  Neither moves the optimal sigma: z scales with M,
+    and as each row of sigma sums to 1, the shift moves every constraint
+    row by the same constant.  After the shift z >= 0 cannot bind, and a
+    start basis is feasible if in each sum-to-one row one action of the
+    opponent type is basic, z[i] is basic in the row of type i's best
+    action against those, and every other row keeps its slack.
+
+    The start takes, for each opponent type j, its action y of least
+    alpha-weighted payoff against uniform own play, sum_i alpha[i] sum_x
+    P[(i, x), (j, y)], the lowest index among equals: first[j], basic in
+    sum row j, with z and the slacks placed as above.  Its tableau B^-1
+    [A | b] is written in closed form, with no basis matrix factored
+    before the first pivot.  For a column [r_M; r_S], sigma[first[j]] is
     r_S[j]; with w = r_M - P[:, first] @ r_S, z[i] is -w at z[i]'s row,
     the slack of row (i, a) is w[(i, a)] + z[i], and the reduced cost is
     c - alpha @ z.  r_S is a unit vector in a sigma column and all ones
     in b, so w is a difference of two payoff columns, or minus the rows'
     values.  The z columns and the other rows' slacks are basic, and the
-    slack of z[i]'s row is -1 in each row of type i."""
+    slack of z[i]'s row is -1 in each row of type i.
+
+    The own rows come from the duals: p = -y on the M rows, each type's
+    row normalized.  The dual maximizes sum_j min_b (p P)[j, b] over
+    p >= 0 whose type-i row sums to at most alpha[i].  As the shifted M
+    is >= 0, adding mass to a row of p keeps p optimal, so normalizing is
+    sound, and a row that sums to 0 (z[i] nonbasic at 0) plays action 0.
+    Rows that sum to alpha are alpha times own rows, and under the
+    multiplier identity (alpha M is minus the opponent's alpha times its
+    M, transposed, up to a constant) the dual is the opponent's block."""
     n = alpha.size
-    m, size = A.shape
-    rows, cols = m - n, size - m
-    P = A[:rows, :cols]
+    rows, cols = M.shape
+    m, size = rows + n, cols + n + rows
+    M = np.ldexp(M, -np.frexp(np.abs(M).max())[1])
+    P = (M - min(0.0, M.min())) / n
     own = np.arange(n)
+    types = np.arange(cols) // (cols // n)  # each sigma column's type
+    # the +-1 entries are set by index, since a negated identity would
+    # write -0.0 everywhere else
+    A = np.zeros((m, size))
+    A[:rows, :cols] = P
+    A[np.arange(rows), cols + np.arange(rows) // width] = -1.0
+    A[np.arange(rows), cols + n + np.arange(rows)] = 1.0
+    A[rows + types, np.arange(cols)] = 1.0
+    b = np.concatenate([np.zeros(rows), np.ones(n)])
+    c = np.zeros(size)
+    c[cols:cols + n] = alpha
+    # the start basis and its tableau B^-1 [A | b], in closed form
     weighted = (alpha[:, None] * P.reshape(n, width, cols).sum(axis=1)).sum(
         axis=0)
     first = own * (cols // n) + weighted.reshape(n, -1).argmin(axis=1)
@@ -374,7 +410,6 @@ def _crash(A, alpha, width):
     basis = np.concatenate([cols + n + np.arange(rows), first])
     basis[zrow] = cols + own
     T = np.zeros((m + 1, size + 1), order="F")
-    types = np.arange(cols) // (cols // n)  # each sigma column's type
     w = np.hstack([P - P[:, first[types]], -value[:, None]])  # sigma, b
     w = w.reshape(n, width, cols + 1)
     wz = w[own, choice]  # -z
@@ -387,58 +422,9 @@ def _crash(A, alpha, width):
     T[np.arange(rows), cols + n + zrow.repeat(width)] = -1.0
     T[-1, cols + n + zrow] = alpha
     T[:, basis] = np.eye(m + 1, m)  # unit columns, reduced costs 0
-    return T, basis
-
-
-def _solve_block(M, width, alpha):
-    """One player's block of the slack LP, in the equality form that
-    simplex takes: minimize c @ x subject to A x = b, x >= 0, where x is
-    the opponent's rows sigma, then z = -slack, then one slack column per
-    row of M, and
-
-        A = [M / n | -E_z | I ; E_sigma | 0 | 0],  b = [0; 1],
-        c = [0; alpha; 0].
-
-    So M / n @ sigma <= z[type] on each own row type * width + action
-    (E_z picks the row's z), and each row of sigma sums to 1 (E_sigma
-    sums it).  Returns sigma's rows, the own rows and the pivot count.
-
-    M is first scaled by a power of two (exact, barring underflow) to a
-    largest magnitude in [1/2, 1), so that the simplex's absolute
-    tolerances suit it whatever the payoffs' size, and then shifted by
-    -min(0, min M).  Neither moves the optimal sigma: z scales with M,
-    and as each row of sigma sums to 1, the shift moves every constraint
-    row by the same constant.  After the shift z >= 0 cannot bind, and a
-    start basis is feasible if in each sum-to-one row one action of the
-    opponent type is basic, z[i] is basic in the row of type i's best
-    action against those, and every other row keeps its slack.  _crash
-    picks the actions from the payoffs and writes that start's tableau
-    in closed form, so no basis matrix is factored before the first
-    pivot.
-
-    The own rows come from the duals: p = -y on the M rows, each type's
-    row normalized.  The dual maximizes sum_j min_b (p M / n)[j, b] over
-    p >= 0 whose type-i row sums to at most alpha[i].  As the shifted M
-    is >= 0, adding mass to a row of p keeps p optimal, so normalizing is
-    sound, and a row that sums to 0 (z[i] nonbasic at 0) plays action 0.
-    Rows that sum to alpha are alpha times own rows, and under the
-    multiplier identity (alpha M is minus the opponent's alpha times its
-    M, transposed, up to a constant) the dual is the opponent's block."""
-    n = alpha.size
-    rows, cols = M.shape
-    M = np.ldexp(M, -np.frexp(np.abs(M).max())[1])
-    M = M - min(0.0, M.min())
-    # the +-1 entries are set by index, since a negated identity would
-    # write -0.0 everywhere else
-    A = np.zeros((rows + n, cols + n + rows))
-    A[:rows, :cols] = M / n
-    A[np.arange(rows), cols + np.arange(rows) // width] = -1.0
-    A[np.arange(rows), cols + n + np.arange(rows)] = 1.0
-    A[rows + np.arange(cols) // (cols // n), np.arange(cols)] = 1.0
-    b = np.concatenate([np.zeros(rows), np.ones(n)])
-    c = np.zeros(cols + n + rows)
-    c[cols:cols + n] = alpha
-    T, basis = _crash(A, alpha, width)
+    # two payoff-sized arrays that the pivots need not keep: alive, they
+    # showed in lp-ladder's peak RSS
+    del M, w
     x, y, pivots = simplex(c, A, b, T, basis=basis)
     return (_normalize_rows(x[:cols].reshape(n, cols // n)),
             _normalize_rows(-y[:rows].reshape(n, width)), pivots)
@@ -469,8 +455,8 @@ def solve_lp(fg, alpha1, alpha2):
     with np.errstate(over="ignore", invalid="ignore"):
         t, s, pivots = _solve_block(fg.M1, L, alpha1)
         profile = BehavioralProfile(s, t)
-        gap1, gap2 = finite_gap(fg, profile)
-        objective = ck_objective(fg, profile, alpha1, alpha2)
+        gap1, gap2 = finite_gap(fg, s, t)
+        objective = ck_objective(fg, s, t, alpha1, alpha2)
     if not (math.isfinite(gap1) and math.isfinite(gap2)):
         raise NonFinite(f"the LP profile's finite gaps are {gap1}, {gap2}")
     return SolverResult(
@@ -493,15 +479,13 @@ _FP_BLOCK = 64
 def _pure_hit(fg, choice, target_gap):
     """The pure profile that plays the agent-form actions choice ([player
     1 | player 2], one per type) and its finite gaps, if both are finite
-    and at most target_gap; otherwise None.  The gaps are finite_gap's
-    bits, and only a hit builds a profile."""
+    and at most target_gap; otherwise None.  Only a hit builds a
+    profile."""
     n, L = fg.n, fg.L
     pure = np.zeros(n * (L + fg.H))
     pure[choice] = 1.0
     s, t = pure[:n * L].reshape(n, L), pure[n * L:].reshape(n, fg.H)
-    q1, q2 = action_values(fg, 1, t), action_values(fg, 2, s)
-    gap1 = _regret(q1, s, q1.argmax(axis=1))
-    gap2 = _regret(q2, t, q2.argmax(axis=1))
+    gap1, gap2 = finite_gap(fg, s, t)
     if (math.isfinite(gap1) and math.isfinite(gap2)
             and gap1 <= target_gap and gap2 <= target_gap):
         return BehavioralProfile(s, t), gap1, gap2
@@ -578,7 +562,7 @@ def solve_fp(fg, max_iters, target_gap):
     dot per step and (type, action)), one argmax per player, one gather,
     one product and a row-wise np.add.reduce per gap term, which runs
     numpy's pairwise sum on each row as a 1-D reduce of that row does, so
-    gaps are bit-equal to _regret's.  The steps through the first one off
+    gaps are bit-equal to finite_gap's.  The steps through the first one off
     aim are exact, and the block ends there.  One scan of the exact steps'
     gaps finds the first event, where fp stops: gaps not both finite, or
     the larger at most target_gap.  The best iterate is the first least

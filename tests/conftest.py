@@ -1233,7 +1233,7 @@ def _solve_support_system(fg, supports1, supports2):
         if q2[j].max() > v2[j] + 1e-9:
             return None
     profile = BehavioralProfile(_normalize_rows(s), _normalize_rows(t))
-    gap1, gap2 = finite_gap(fg, profile)
+    gap1, gap2 = finite_gap(fg, profile.s, profile.t)
     if max(gap1, gap2) > 1e-9:
         return None
     return profile, gap1, gap2
@@ -1259,7 +1259,7 @@ def oracle_solve_enum(fg):
                 profile = BehavioralProfile(
                     _pure_rows(choice1, L), _pure_rows(choice2, H)
                 )
-                gap1, gap2 = finite_gap(fg, profile)
+                gap1, gap2 = finite_gap(fg, profile.s, profile.t)
                 return SolverResult(profile, gap1, gap2,
                                     "enum_oracle", examined)
 

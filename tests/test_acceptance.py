@@ -129,7 +129,7 @@ def test_criterion_3_finite_gap_oracle_equivalence(capsys):
         n = 1 + trial % 2
         fg = bc.build_finite(g, n)
         enum = oracle_solve_enum(fg)
-        gaps = finite_gap(fg, enum.profile)
+        gaps = finite_gap(fg, enum.profile.s, enum.profile.t)
         if enum.profile.s.max() == 1.0 and enum.profile.t.max() == 1.0 \
                 and np.all(np.isin(enum.profile.s, (0.0, 1.0))):
             if gaps != (0.0, 0.0):  # pure output: exact zero
@@ -165,7 +165,7 @@ def test_criterion_4_ck_certificate_identity(capsys):
     for fg, profile in outputs:
         n = fg.n
         alpha = np.full(n, 1.0 / n)
-        obj = ck_objective(fg, profile, alpha, alpha)
+        obj = ck_objective(fg, profile.s, profile.t, alpha, alpha)
         q1 = action_values(fg, 1, profile.t) * n
         q2 = action_values(fg, 2, profile.s) * n
         regret1 = q1.max(axis=1) - (profile.s * q1).sum(axis=1)
@@ -173,7 +173,7 @@ def test_criterion_4_ck_certificate_identity(capsys):
         want = -(alpha * regret1).sum() - (alpha * regret2).sum()
         if abs(obj - want) > 1e-10:
             ok = False
-        gap1, gap2 = finite_gap(fg, profile)
+        gap1, gap2 = finite_gap(fg, profile.s, profile.t)
         zero_obj = abs(obj) <= 2e-10
         zero_gaps = gap1 <= 1e-10 and gap2 <= 1e-10
         if zero_obj != zero_gaps:
@@ -188,7 +188,7 @@ def test_criterion_5_quadrature_correctness(capsys):
     weights = np.zeros((1, 2))
     weights[0, 0] = 1.0
     G = StepStrategy(n=1, actions=g.actions2, weights=weights)
-    value, _ = br_value_infinite(g, 1, G, quad_tol=1e-8)
+    value, _, _ = br_value_infinite(g, 1, G, quad_tol=1e-8)
     if abs(value - 0.75) > 1e-8:
         ok = False
 
@@ -203,7 +203,7 @@ def test_criterion_5_quadrature_correctness(capsys):
         player = 1 + trial % 2
         opponent = bc.lift(profile, 3 - player,
                            game.actions2 if player == 1 else game.actions1)
-        got, _ = br_value_infinite(game, player, opponent, quad_tol)
+        got, _, _ = br_value_infinite(game, player, opponent, quad_tol)
         want = riemann_br_value(game, player, opponent)
         if abs(got - want) > max(quad_tol, 1e-6):
             ok = False

@@ -111,6 +111,11 @@ def test_signatures_take_no_tuning_options():
         bnecert.solve_lp(fg)
 
 
+def _flat(*parts):
+    """A call's returned parts in one flat array, compared at once."""
+    return np.concatenate([np.ravel(part) for part in parts])
+
+
 # each public call that takes a player, on a game g with multipliers and
 # a level-2 step strategy F (two actions, so either player's opponent)
 PLAYER_CALLS = {
@@ -123,8 +128,8 @@ PLAYER_CALLS = {
     "multiplier": lambda g, F, p: g.multiplier(p, 0.5),
     "interim_values": lambda g, F, p: bnecert.certificate.interim_values(
         g, p, F)(np.array([0.5])),
-    "br_value_infinite": lambda g, F, p:
-        bnecert.certificate.br_value_infinite(g, p, F, 1e-6),
+    "br_value_infinite": lambda g, F, p: _flat(
+        *bnecert.certificate.br_value_infinite(g, p, F, 1e-6)),
 }
 
 
@@ -235,6 +240,35 @@ def test_no_submodule_is_shadowed():
     for info in pkgutil.iter_modules(bnecert.__path__):
         module = importlib.import_module(f"bnecert.{info.name}")
         assert getattr(bnecert, info.name) is module, info.name
+
+
+def test_no_private_name_is_read_across_modules():
+    """A name with a leading underscore belongs to the module that
+    defines it: no module of src/bnecert reads one off an object other
+    than self unless it defines that name itself."""
+    reads = []
+    for path in sorted((ROOT / "src" / "bnecert").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                           ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                                ast.Store):
+                defined.add(node.attr)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)
+                    and node.attr.startswith("_")
+                    and not node.attr.startswith("__")
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id == "self")
+                    and node.attr not in defined):
+                reads.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert reads == []
 
 
 def test_certificate_imports_only_the_trusted_core():

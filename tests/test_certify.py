@@ -131,7 +131,7 @@ def test_br_value_analytic_tent():
     g = make_game([["theta1*theta2", "0"], ["1-theta1", "0"]],
                   [["0", "0"], ["0", "0"]])
     G = pure_step(1, g.actions2, 0)  # single atom at theta2 = 1 on y1
-    value, err = br_value_infinite(g, 1, G, quad_tol=1e-8)
+    value, err, _ = br_value_infinite(g, 1, G, quad_tol=1e-8)
     assert err <= 1e-8
     assert value == pytest.approx(0.75, abs=1e-8)
 
@@ -139,7 +139,7 @@ def test_br_value_analytic_tent():
 def test_br_value_analytic_single_action():
     g = make_game([["theta1*theta2"]], [["0"]])
     G = pure_step(2, ("y1",), 0)  # atoms 0.5 and 1.0, mass 1/2 each
-    value, err = br_value_infinite(g, 1, G, quad_tol=1e-8)
+    value, err, _ = br_value_infinite(g, 1, G, quad_tol=1e-8)
     assert value == pytest.approx(0.375, abs=1e-8)
     assert err <= 1e-8
 
@@ -154,7 +154,7 @@ def test_br_value_against_riemann_oracle_20_games():
         for player, opponent_side in ((1, 2), (2, 1)):
             opponent = bc.lift(profile, opponent_side,
                                g.actions2 if player == 1 else g.actions1)
-            got, err = br_value_infinite(g, player, opponent, quad_tol)
+            got, err, _ = br_value_infinite(g, player, opponent, quad_tol)
             want = riemann_br_value(g, player, opponent)
             assert abs(got - want) <= max(quad_tol, 1e-6)
             assert err <= quad_tol
@@ -227,7 +227,7 @@ def test_best_deviation_ignores_zero_mass_actions_where_payoff_overflows():
     assert g.payoff(1, 0.5501, 0.5)[0, 0] == np.inf
     values = interim_values(g, 1, G)
     assert values(np.array([0.1, 0.5501])) == pytest.approx(np.ones((1, 2)))
-    value, err = br_value_infinite(g, 1, G, quad_tol=1e-9)
+    value, err, _ = br_value_infinite(g, 1, G, quad_tol=1e-9)
     # the payoff 1 under a uniform prior
     assert value == 1.0
     assert err <= 1e-9
@@ -376,7 +376,7 @@ def test_shrinking_quad_tol_is_conservative():
         loose = br_value_infinite(g, player, opponent, 1e-3)
         tight = br_value_infinite(g, player, opponent, 1e-8)
         # both pass the epsilon = 0.05 test that certify applies
-        for br, err in (loose, tight):
+        for br, err, _ in (loose, tight):
             assert br - values[player - 1] + err <= 0.05
         assert tight[1] <= loose[1] + 1e-12
         # the deviation values agree within the looser error bound

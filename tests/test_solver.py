@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bnecert as bc
-from bnecert.discretize import FiniteGame
+from bnecert.discretize import FiniteGame, level_grid
 from bnecert.errors import (
     BnecertError,
     DomainError,
@@ -111,19 +111,20 @@ def test_best_response_n2_match_game(zero_sum_match):
 def test_finite_gap_single_action():
     g = make_game([["theta1"]], [["theta2"]])
     fg = bc.build_finite(g, 3)
-    gaps = finite_gap(fg, uniform_profile(3, 1, 1))
+    uniform = uniform_profile(3, 1, 1)
+    gaps = finite_gap(fg, uniform.s, uniform.t)
     assert gaps == (0.0, 0.0)
 
 
 def test_finite_gap_matching_pennies(matching_pennies):
     fg = bc.build_finite(matching_pennies, 1)
     uniform = uniform_profile(1, 2, 2)
-    gap1, gap2 = finite_gap(fg, uniform)
+    gap1, gap2 = finite_gap(fg, uniform.s, uniform.t)
     assert abs(gap1) <= 1e-12 and abs(gap2) <= 1e-12
 
     lopsided = bc.BehavioralProfile(np.array([[1.0, 0.0]]),
                                     np.array([[0.5, 0.5]]))
-    gap1, gap2 = finite_gap(fg, lopsided)
+    gap1, gap2 = finite_gap(fg, lopsided.s, lopsided.t)
     assert gap1 == pytest.approx(0.0, abs=1e-12)
     assert gap2 == pytest.approx(0.5, abs=1e-8)
 
@@ -135,7 +136,7 @@ def test_gap_nonnegativity_random():
         n = int(rng.integers(1, 6))
         fg = bc.build_finite(g, n)
         profile = random_profile(rng, n, 2, 2)
-        gap1, gap2 = finite_gap(fg, profile)
+        gap1, gap2 = finite_gap(fg, profile.s, profile.t)
         assert gap1 >= -1e-10 and gap2 >= -1e-10
 
 
@@ -208,6 +209,28 @@ def test_prop1_user_multipliers():
     alpha1, alpha2 = default_alphas(bc.build_finite(g, 2), g, res)
     assert alpha1 == pytest.approx([0.5 / 1.5, 0.5 / 2.0], abs=1e-12)
     assert alpha2 == pytest.approx([0.5 / 1.5, 0.5 / 2.0], abs=1e-12)
+    # the weights are (1/n) / m at the level's types, to the byte
+    for n in range(1, 65):
+        alphas = default_alphas(bc.build_finite(g, n), g, res)
+        for player, alpha in zip((1, 2), alphas):
+            m = g.multiplier(player, level_grid(n))
+            assert alpha.tobytes() == ((1.0 / n) / m).tobytes()
+
+
+def test_constant_sum_alphas_are_uniform_and_read_no_multiplier():
+    # m1 vanishes at the level type 1/2 and is negative below it, so
+    # weights read from it would raise Prop1Violation at every n > 1
+    u = [["theta1*theta2", "theta1"], ["0", "theta2"]]
+    v = [["2 - theta1*theta2", "2 - theta1"], ["2", "2 - theta2"]]
+    g = make_game(u, v, m1="theta1 - 0.5", m2="1")
+    prop1 = check_prop1(g)
+    assert prop1.kind == "zero_sum"
+    assert g.multiplier(1, level_grid(2))[0] == 0.0
+    for n in range(1, 65):
+        alphas = default_alphas(bc.build_finite(g, n), g, prop1)
+        assert len(alphas) == 2
+        for alpha in alphas:
+            assert alpha.tobytes() == np.full(n, 1.0 / n).tobytes()
 
 
 def test_alphas_need_multipliers_positive_at_every_level_type():
@@ -1164,7 +1187,7 @@ def test_fp_purifies_a_tie_to_the_lowest_index():
             assert np.all(res.profile.s[:, 0] == 1.0)
             assert np.all(res.profile.t[:, 0] == 1.0)
             assert (res.finite_gap1, res.finite_gap2) == finite_gap(
-                fg, res.profile)
+                fg, res.profile.s, res.profile.t)
 
 
 def _fp_outcome(solver, fg, target_gap, max_iters=300):
@@ -1194,7 +1217,8 @@ def test_fp_and_gaps_equal_the_oracle_bit_for_bit():
         for n in (1, 3, 5):
             fg = bc.build_finite(g, n)
             profile = random_profile(rng, n, fg.L, fg.H)
-            assert finite_gap(fg, profile) == oracle_finite_gap(fg, profile)
+            assert (finite_gap(fg, profile.s, profile.t)
+                    == oracle_finite_gap(fg, profile))
             for target in (1e-2, 1e-9):
                 got = _fp_outcome(solve_fp, fg, target)
                 assert got == _fp_outcome(oracle_solve_fp, fg, target)
@@ -1317,7 +1341,7 @@ def test_fp_reports_the_gaps_of_its_profile():
                     res = solve_fp(fg, max_iters=200, target_gap=target)
                 except NoConvergence as exc:
                     res = exc.result
-                gaps = finite_gap(fg, res.profile)
+                gaps = finite_gap(fg, res.profile.s, res.profile.t)
                 assert (res.finite_gap1, res.finite_gap2) == gaps
 
 
@@ -1726,7 +1750,7 @@ def _assert_ck_identity(fg, profile):
     n = fg.n
     alpha1 = np.full(n, 1.0 / n)
     alpha2 = np.full(n, 1.0 / n)
-    obj = ck_objective(fg, profile, alpha1, alpha2)
+    obj = ck_objective(fg, profile.s, profile.t, alpha1, alpha2)
     # independent regret computation in interim units
     q1 = action_values(fg, 1, profile.t) * n
     q2 = action_values(fg, 2, profile.s) * n
@@ -1735,7 +1759,7 @@ def _assert_ck_identity(fg, profile):
     want = -(alpha1 * regret1).sum() - (alpha2 * regret2).sum()
     assert abs(obj - want) <= 1e-10
     assert obj <= 1e-10
-    gap1, gap2 = finite_gap(fg, profile)
+    gap1, gap2 = finite_gap(fg, profile.s, profile.t)
     if obj >= -1e-10:
         assert gap1 <= 1e-9 and gap2 <= 1e-9
     if max(gap1, gap2) > 1e-9:
