@@ -87,11 +87,11 @@ def br_value_infinite(g, player, opponent, quad_tol):
     values = interim_values(g, player, opponent)
     first = []
 
-    def psi(theta):  # nan never beats another action
+    def psi(theta):  # a nan value makes the estimate, so certify, fail
         acc = values(theta)
         if not first:
             first.append(acc[:, :opponent.n + 1])
-        return np.where(np.isnan(acc), -np.inf, acc).max(axis=0)
+        return acc.max(axis=0)
 
     value, error_bound = integrate(psi, 0.0, 1.0, quad_tol,
                                    presplit=opponent.atom_points[:-1])

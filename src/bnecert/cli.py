@@ -33,39 +33,29 @@ CURVE_POINTS = 1001
 
 def cmd_check(args):
     g = load_game_file(args.spec)
-    prop1 = check_prop1(g)
-    print(json.dumps({
+    return {
         "actions1": list(g.actions1),
         "actions2": list(g.actions2),
         "prior_norm": g.prior_norm,
-        "multiplier_condition": prop1.kind,
-    }, indent=2, sort_keys=True))
-    return EXIT_OK
+        "multiplier_condition": check_prop1(g).kind,
+    }, EXIT_OK
 
 
 def cmd_discretize(args):
-    g = load_game_file(args.spec)
-    fg = build_finite(g, args.level)
-    doc = {
+    fg = build_finite(load_game_file(args.spec), args.level)
+    return {
         "n": fg.n,
         "actions1": list(fg.actions1),
         "actions2": list(fg.actions2),
         "U": fg.U.tolist(),
         "V": fg.V.tolist(),
-    }
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return EXIT_OK
+    }, EXIT_OK
 
 
 def cmd_solve(args):
     g = load_game_file(args.spec)
     result, note = solve_level(g, args.level, check_prop1(g), SOLVE_EPSILON)
-    print(json.dumps({
+    return {
         "backend": result.backend,
         "iterations": result.iterations,
         "note": note,
@@ -74,16 +64,14 @@ def cmd_solve(args):
         "objective": result.objective,
         "s": result.profile.s.tolist(),
         "t": result.profile.t.tolist(),
-    }, indent=2, sort_keys=True))
-    return EXIT_OK
+    }, EXIT_OK
 
 
 def cmd_certify(args):
     check_tolerances(args.epsilon)
     g = load_game_file(args.spec)
     *_, cert = certify_level(g, args.level, check_prop1(g), args.epsilon)
-    print(json.dumps(cert.to_dict(), indent=2, sort_keys=True))
-    return EXIT_OK if cert.certified else EXIT_UNCERTIFIED
+    return cert.to_dict(), EXIT_OK if cert.certified else EXIT_UNCERTIFIED
 
 
 def _write_curves(base, report):
@@ -103,17 +91,33 @@ def _write_curves(base, report):
 def cmd_run(args):
     cfg = RunConfig(epsilon=args.epsilon, max_level=args.max_level)
     report = run(load_game_file(args.spec), cfg)
-    text = report.to_json()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        if args.emit_curves:
-            _write_curves(args.output, report)
-    else:
-        print(text)
-    if report.status == "failed":
-        return EXIT_FATAL
-    return EXIT_OK if report.status == "certified" else EXIT_UNCERTIFIED
+    if args.emit_curves:  # main has checked that --output is set
+        _write_curves(args.output, report)
+    codes = {"certified": EXIT_OK, "failed": EXIT_FATAL}
+    return report.to_dict(), codes.get(report.status, EXIT_UNCERTIFIED)
+
+
+# argparse keywords of each option, which any subcommand may take
+OPTIONS = {
+    "--level": dict(type=int, required=True),
+    "--epsilon": dict(type=float, required=True),
+    "--max-level": dict(type=int, default=RunConfig.max_level),
+    "--output": {},
+    "--emit-curves": dict(action="store_true"),
+}
+
+# name, function, help and options of each subcommand, in help order;
+# the function returns a JSON document and the exit code for main
+SUBCOMMANDS = (
+    ("check", cmd_check, "validate a game spec", ()),
+    ("discretize", cmd_discretize, "dump level-n payoff tensors",
+     ("--level", "--output")),
+    ("solve", cmd_solve, "solve the level-n finite game", ("--level",)),
+    ("certify", cmd_certify, "solve one level and certify it",
+     ("--level", "--epsilon")),
+    ("run", cmd_run, "full certification loop",
+     ("--epsilon", "--max-level", "--output", "--emit-curves")),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,39 +136,12 @@ def build_parser():
                     "continuous-type Bayesian games by discretization.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, func, help_text, options in SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("spec", help="path to the JSON game spec")
-
-    p = sub.add_parser("check", help="validate a game spec")
-    add_common(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("discretize", help="dump level-n payoff tensors")
-    add_common(p)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_discretize)
-
-    p = sub.add_parser("solve", help="solve the level-n finite game")
-    add_common(p)
-    p.add_argument("--level", type=int, required=True)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("certify", help="solve one level and certify it")
-    add_common(p)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("run", help="full certification loop")
-    add_common(p)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--max-level", type=int, default=RunConfig.max_level)
-    p.add_argument("--output")
-    p.add_argument("--emit-curves", action="store_true")
-    p.set_defaults(func=cmd_run)
-
+        for option in options:
+            p.add_argument(option, **OPTIONS[option])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -175,7 +152,14 @@ def main(argv=None):
         parser.error("--emit-curves writes files next to the report, "
                      "so it needs --output")
     try:
-        return args.func(args)
+        doc, code = args.func(args)
+        text = json.dumps(doc, indent=2, sort_keys=True)
+        if getattr(args, "output", None):
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+        return code
     except BnecertError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FATAL

@@ -119,33 +119,52 @@ def ck_objective(fg, s, t, alpha1, alpha2):
 PROP1_GRID = 21
 
 
+def _mismatch(lhs, rhs, rel):
+    """Where lhs and rhs differ by more than rel times the largest finite
+    |lhs| + |rhs| of the table, or |lhs| + |rhs| is not finite: a verdict
+    that does not depend on the units of either side."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = np.abs(lhs) + np.abs(rhs)
+        finite = np.isfinite(size)
+        scale = size[finite].max(initial=0.0)
+        return ~finite | ~(np.abs(lhs - rhs) <= rel * scale)
+
+
+def _multiplier(g, player, pts, where):
+    """m1 or m2 at the unit types pts; a Prop1Violation naming the first
+    type where it is not positive and finite, called the `where` type."""
+    m = g.multiplier(player, pts)
+    bad = np.flatnonzero(~((m > 0.0) & (m < np.inf)))
+    if bad.size:
+        theta = g.spec_types(pts, pts)[player - 1][bad[0]]
+        raise Prop1Violation(f"m{player} is {m[bad[0]]} at the {where}type "
+                             f"{theta}; it must be positive and finite")
+    return m
+
+
 def check_prop1(g):
     """Detect whether the slack program's bilinear terms are constant.
 
     Checks the raw utilities, not weighted by the prior, on a PROP1_GRID x
     PROP1_GRID type grid: constant-sum detection first, then verification
-    of user-supplied multipliers m1, m2.  A sum that overflows, or is not
-    finite, is not constant.
+    of user-supplied multipliers m1, m2.  Both passes compare two tables
+    relative to the largest finite |lhs| + |rhs| among them (see
+    _mismatch), so a sum that overflows, or is not finite, is not constant.
     """
     pts = np.linspace(0.0, 1.0, PROP1_GRID)
     u, v = g.tables(pts[:, None], pts[None, :], assimilated=False)
-    # constant-sum pass
+    # constant-sum pass: u against (u + v at the first grid point) - v
     with np.errstate(over="ignore", invalid="ignore"):
-        w = u + v
-        spread = np.abs(w - w[0, 0, 0, 0])
-    if np.all(spread <= 1e-9):
+        rhs = (u[0, 0, 0, 0] + v[0, 0, 0, 0]) - v
+    if not np.any(_mismatch(u, rhs, 1e-9)):
         return Prop1Result(kind="zero_sum")
 
     if g.spec.m1 is not None and g.spec.m2 is not None:
-        m1, m2 = g.multiplier(1, pts), g.multiplier(2, pts)
-        if np.any(m1 <= 0.0) or np.any(m2 <= 0.0):
-            raise Prop1Violation("multipliers must be strictly positive")
+        m1, m2 = (_multiplier(g, player, pts, "") for player in (1, 2))
         with np.errstate(over="ignore", invalid="ignore"):
             lhs = m2 * u
             rhs = -m1[:, None] * v
-            scale = np.maximum(np.maximum(1.0, np.abs(lhs)), np.abs(rhs))
-            # a side that is not finite verifies nothing
-            bad = ~(np.abs(lhs - rhs) <= 1e-6 * scale) | ~np.isfinite(scale)
+        bad = _mismatch(lhs, rhs, 1e-6)
         if np.any(bad):
             x, y, i, j = np.argwhere(bad)[0]
             t1, t2 = g.spec_types(pts[i], pts[j])
@@ -163,18 +182,10 @@ def default_alphas(fg, g, prop1):
     level's types when the multipliers are known, otherwise 1."""
     n = fg.n
     grid = level_grid(n)
-    alphas = []
-    for player in (1, 2):
-        # check_prop1 saw the multiplier on its own grid only
-        m = g.multiplier(player, grid) if prop1.kind == "user" else np.ones(n)
-        bad = np.flatnonzero(~((m > 0.0) & (m < np.inf)))
-        if bad.size:
-            theta = g.spec_types(grid, grid)[player - 1][bad[0]]
-            raise Prop1Violation(f"m{player} is {m[bad[0]]} at the level-"
-                                 f"{n} type {theta}; it must be "
-                                 f"positive and finite")
-        alphas.append((1.0 / n) / m)
-    return tuple(alphas)
+    # check_prop1 saw the multipliers on its own grid only
+    ms = ((_multiplier(g, player, grid, f"level-{n} ") for player in (1, 2))
+          if prop1.kind == "user" else (np.ones(n), np.ones(n)))
+    return tuple((1.0 / n) / m for m in ms)
 
 
 # ---------------------------------------------------------------------------

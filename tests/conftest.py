@@ -576,8 +576,7 @@ def oracle_certify(g, F, G, epsilon):
                                       interim(own.atom_points).T.ravel())))
 
         def psi(theta, k):
-            acc = interim(theta)
-            return np.where(np.isnan(acc), -np.inf, acc).max(axis=0)
+            return interim(theta).max(axis=0)
 
         br, err = oracle_integrate_many(psi, 1, 0.0, 1.0, quad_tol,
                                         presplit=opponent.atom_points[:-1])

@@ -450,6 +450,24 @@ def test_when_both_players_fail_the_error_is_player_1s():
     assert str(second.value) != str(want.value)
 
 
+def test_a_nan_action_value_is_nonfinite_as_in_build_finite():
+    # u_b is nan on (0.3713, 0.3787), which the 101-point validation grid
+    # misses; a nan value used to lose the max over own actions silently
+    E = "exp(0.01/((theta1 - 0.375)^2 + 1e-300))"
+    g = make_game([["0"], [f"-1 + ({E} - {E})"]], [["0"], ["0"]],
+                  actions1=("a", "b"), actions2=("c",), grid_check=101)
+    with pytest.raises(bc.errors.NonFinite):
+        bc.build_finite(g, 8)  # its type 3/8 lies in the interval
+    # 0.375 is a quarter point of the first integrand call at level 2
+    F = pure_step(2, g.actions1, 0)
+    G = pure_step(2, g.actions2, 0)
+    with pytest.raises(bc.errors.NonFinite) as want:
+        oracle_certify(g, F, G, 1e-3)
+    with pytest.raises(bc.errors.NonFinite) as got:
+        bc.certify(g, F, G, 1e-3)
+    assert str(got.value) == str(want.value)
+
+
 def test_certificate_module_beside_the_certify_function():
     # a bnecert.certify submodule would be shadowed by the function, and
     # its other names unreachable as bnecert.certify.<name>

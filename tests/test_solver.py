@@ -280,6 +280,58 @@ def test_prop1_identity_that_overflows_is_not_verified():
                                "(0.05, 0.0): 5e+307 vs inf")
 
 
+def prop1_verdict(u, v, scale, multipliers):
+    """check_prop1's kind for the tables u and v times scale, or
+    "Prop1Violation"; multipliers is (m1, m2) as numbers, or None."""
+    def scaled(table):
+        return [[f"{scale!r}*({e})" for e in row] for row in table]
+    extra = {} if multipliers is None else dict(
+        m1=repr(multipliers[0]), m2=repr(multipliers[1]))
+    try:
+        return check_prop1(make_game(scaled(u), scaled(v), **extra)).kind
+    except Prop1Violation:
+        return "Prop1Violation"
+
+
+SIN = "sin(3*theta1*theta2)"
+
+
+@pytest.mark.parametrize("u, v, multipliers", [
+    # constant-sum, with payoffs of 1e8 at the largest scale
+    ([[SIN, "0"], ["0", SIN]],
+     [[f"0.3 - {SIN}", "0.3"], ["0.3", f"0.3 - {SIN}"]], None),
+    # general-sum, with u + v within 2e-10 at the smallest scale
+    ([["theta1", "0"], ["0", "1 - theta1"]],
+     [["theta2", "0"], ["0", "theta1*theta2"]], None),
+    ([["theta1", "0"], ["0", "1 - theta1"]],
+     [["theta2", "0"], ["0", "theta1*theta2"]], (1.0, 1.0)),
+    # 2u = -v: the identity holds with m2 = 2 m1
+    ([["theta1*theta2", "theta1"], ["1", "theta2"]],
+     [["-2*theta1*theta2", "-2*theta1"], ["-2", "-2*theta2"]], (1.0, 2.0)),
+], ids=["constant_sum", "general_sum", "general_sum_unit_m", "user"])
+def test_prop1_verdict_does_not_depend_on_units(u, v, multipliers):
+    want = prop1_verdict(u, v, 1.0, multipliers)
+    assert want in ("zero_sum", "none", "Prop1Violation", "user")
+    for scale in (1e-10, 1.0, 1e8):
+        for c in (1e-7, 1.0, 1e3) if multipliers else (None,):
+            m = multipliers and (c * multipliers[0], c * multipliers[1])
+            assert prop1_verdict(u, v, scale, m) == want, (scale, m)
+
+
+@pytest.mark.parametrize("m1, message", [
+    ("theta1 - 0.5", "m1 is -0.5 at the type 0.0"),
+    # inf - inf from theta1 = 0.75, the first grid type where exp overflows
+    ("1 + (exp(1000*theta1) - exp(1000*theta1))",
+     "m1 is nan at the type 0.75"),
+], ids=["negative", "nan"])
+def test_prop1_multipliers_must_be_positive_and_finite(m1, message):
+    g = make_game([["theta1", "0"], ["0", "1"]],
+                  [["theta2", "0"], ["0", "0"]], m1=m1, m2="1")
+    with pytest.raises(Prop1Violation) as info:
+        check_prop1(g)
+    assert str(info.value) == f"{message}; it must be positive and finite"
+
+
 def test_prop1_violation():
     u = [["theta1*theta2 + 1"]]
     v = [["-(1+theta2)*(theta1*theta2 + 1)/(1+theta1)"]]
