@@ -7,9 +7,10 @@ non-decreasing right-continuous step function per action,
 
     F_a(theta) = (1/n) * sum_{i/n <= theta} weights[i - 1, a],
 
-with an atom of mass weights[i, a] / n at theta = (i + 1) / n.
-level_grid(n) defines those types once; StepStrategy.values counts the
-atoms at or below theta by searchsorted on it, so grid points are exact.
+with an atom of mass weights[i, a] / n at theta = (i + 1) / n, n being
+the row count of StepStrategy(actions, weights).  level_grid(n) defines
+those types once; StepStrategy.values counts the atoms at or below theta
+by searchsorted on it, so grid points are exact.
 """
 
 from __future__ import annotations
@@ -110,35 +111,32 @@ class BehavioralProfile:
         if self.s.shape[0] != self.t.shape[0]:
             raise ValueError("s and t must have the same number of types")
 
-    @property
-    def n(self):
-        return self.s.shape[0]
-
 
 @dataclass(frozen=True)
 class StepStrategy:
     """Distributional-form strategy: per-action step CDFs on the 1/n grid."""
 
-    n: int
     actions: tuple[str, ...]
     weights: np.ndarray = field(repr=False)  # (n, A), row-stochastic
 
     def __post_init__(self):
-        if self.weights.shape != (self.n, len(self.actions)):
-            raise ValueError("weights must have shape (n, len(actions))")
         _check_rows("weights", self.weights)
-        # cumulative masses; cum[k, a] = sum of first k rows
-        cum = np.vstack(
-            [np.zeros(len(self.actions)), np.cumsum(self.weights, axis=0)]
-        )
-        object.__setattr__(self, "_cum", cum)
+        if self.weights.shape[1] != len(self.actions):
+            raise ValueError("weights must have one column per action")
+
+    @property
+    def n(self):
+        return self.weights.shape[0]
 
     def values(self, theta):
         """All F_a(theta): the exact partial sum over the atoms at or
         below theta, so right-continuous and all 0 below 1/n.  An array
         theta gives one row each."""
         k = np.searchsorted(self.atom_points, theta, side="right")
-        return self._cum[k] / self.n
+        # cumulative masses; cum[k, a] = sum of first k rows
+        cum = np.vstack([np.zeros(len(self.actions)),
+                         np.cumsum(self.weights, axis=0)])
+        return cum[k] / self.n
 
     @property
     def atom_points(self):
@@ -149,13 +147,10 @@ class StepStrategy:
         return self.weights / self.n
 
     def serialize(self, player):
-        atoms = []
-        for i, theta in enumerate(self.atom_points):
-            for a, action in enumerate(self.actions):
-                atoms.append(
-                    {"theta": theta, "action": action,
-                     "mass": self.weights[i, a] / self.n}
-                )
+        masses = self.atom_masses()
+        atoms = [{"theta": theta, "action": action, "mass": masses[i, a]}
+                 for i, theta in enumerate(self.atom_points)
+                 for a, action in enumerate(self.actions)]
         return {"player": player, "level": self.n, "atoms": atoms}
 
 
@@ -171,9 +166,8 @@ def build_finite(g, n):
 
 
 def lift(profile, player, actions):
-    """Lift one side of a finite-game profile to a StepStrategy labelled
-    with that player's actions."""
+    """Lift one side of a finite-game profile to a StepStrategy: that
+    player's rows, labelled with that player's actions."""
     check_player(player)
     weights = profile.s if player == 1 else profile.t
-    return StepStrategy(n=profile.n, actions=tuple(actions),
-                        weights=np.array(weights, dtype=float))
+    return StepStrategy(tuple(actions), np.array(weights, dtype=float))

@@ -58,7 +58,7 @@ class SolverResult:
 class Prop1Result:
     """Outcome of the linearizability check.
 
-    kind is 'zero_sum' (raw utilities sum to one constant everywhere),
+    kind is 'zero_sum' (raw utilities sum to one constant, of any size),
     'user' (supplied multipliers verified), or 'none'.
     """
 
@@ -119,15 +119,18 @@ def ck_objective(fg, s, t, alpha1, alpha2):
 PROP1_GRID = 21
 
 
-def _mismatch(lhs, rhs, rel):
-    """Where lhs and rhs differ by more than rel times the largest finite
-    |lhs| + |rhs| of the table, or |lhs| + |rhs| is not finite: a verdict
-    that does not depend on the units of either side."""
+def _largest(a, b):
+    """The largest finite |a| + |b| of two tables, 0 if there is none."""
     with np.errstate(over="ignore", invalid="ignore"):
-        size = np.abs(lhs) + np.abs(rhs)
-        finite = np.isfinite(size)
-        scale = size[finite].max(initial=0.0)
-        return ~finite | ~(np.abs(lhs - rhs) <= rel * scale)
+        size = np.abs(a) + np.abs(b)
+    return size[np.isfinite(size)].max(initial=0.0)
+
+
+def _mismatch(lhs, rhs, tol):
+    """Where |lhs - rhs| exceeds tol, or |lhs| + |rhs| is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (~np.isfinite(np.abs(lhs) + np.abs(rhs))
+                | ~(np.abs(lhs - rhs) <= tol))
 
 
 def _multiplier(g, player, pts, where):
@@ -147,16 +150,18 @@ def check_prop1(g):
 
     Checks the raw utilities, not weighted by the prior, on a PROP1_GRID x
     PROP1_GRID type grid: constant-sum detection first, then verification
-    of user-supplied multipliers m1, m2.  Both passes compare two tables
-    relative to the largest finite |lhs| + |rhs| among them (see
-    _mismatch), so a sum that overflows, or is not finite, is not constant.
+    of user-supplied multipliers m1, m2, to a share of each table's largest
+    finite |lhs| + |rhs|: no unit and no constant added to one player's
+    utilities sways the verdict, and a point whose sum is not finite fails.
     """
     pts = np.linspace(0.0, 1.0, PROP1_GRID)
     u, v = g.tables(pts[:, None], pts[None, :], assimilated=False)
-    # constant-sum pass: u against (u + v at the first grid point) - v
+    # constant-sum pass: u against (u + v at the first grid point) - v, to
+    # 1e-9 of |u| + |rhs| plus 8 eps of |u| + |v|, the addends' rounding
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = (u[0, 0, 0, 0] + v[0, 0, 0, 0]) - v
-    if not np.any(_mismatch(u, rhs, 1e-9)):
+    tol = 1e-9 * _largest(u, rhs) + 8 * np.finfo(float).eps * _largest(u, v)
+    if not np.any(_mismatch(u, rhs, tol)):
         return Prop1Result(kind="zero_sum")
 
     if g.spec.m1 is not None and g.spec.m2 is not None:
@@ -164,7 +169,7 @@ def check_prop1(g):
         with np.errstate(over="ignore", invalid="ignore"):
             lhs = m2 * u
             rhs = -m1[:, None] * v
-        bad = _mismatch(lhs, rhs, 1e-6)
+        bad = _mismatch(lhs, rhs, 1e-6 * _largest(lhs, rhs))
         if np.any(bad):
             x, y, i, j = np.argwhere(bad)[0]
             t1, t2 = g.spec_types(pts[i], pts[j])

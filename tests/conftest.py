@@ -247,7 +247,7 @@ def threshold_step_regret(k, m, profile):
     theta - c with c = k P in [0, 1], so the best deviation is worth
     (1 - c)^2 / 2, and row i's value is s_iA * int_cell (theta - c).
     """
-    n = profile.n
+    n = profile.s.shape[0]
     cell = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n ** 2)  # int theta
     regrets = []
     for weight, own, opp in ((k, profile.s, profile.t),
@@ -268,7 +268,7 @@ def riemann_step_regret(g, profile, points=(1000, 200)):
     are defined, without the library's assimilated tables.  Each count
     is rounded up to a multiple of n, so no midpoint sits on a cell edge.
     """
-    n = profile.n
+    n = profile.s.shape[0]
     sizes = [-(-p // n) * n for p in points]
     own_t, opp_t = ((np.arange(p) + 0.5) / p for p in sizes)
     regrets = []
@@ -413,7 +413,7 @@ def exact_step_regret(g, profile):
     played value, per own cell, from exact antiderivatives."""
     if (g.spec.type_range1, g.spec.type_range2) != ((0.0, 1.0),) * 2:
         raise ValueError("the oracle takes unit type ranges only")
-    edges = np.linspace(0.0, 1.0, profile.n + 1)
+    edges = np.linspace(0.0, 1.0, profile.s.shape[0] + 1)
     regrets = []
     for player, own, opp in ((1, profile.s, profile.t),
                              (2, profile.t, profile.s)):
@@ -443,7 +443,7 @@ def riemann_step_regret_error(g, profile, points=(1000, 200)):
     * the prior's norm, which load_game integrates to 5e-10: 1e-8 of the
       largest |Phi_x| twice over.
     Sup norms are bounded by the sums of the absolute coefficients."""
-    n = profile.n
+    n = profile.s.shape[0]
     h, k = (1.0 / (-(-p // n) * n) for p in points)
     prior = poly2(g.spec.prior)
     bounds = []

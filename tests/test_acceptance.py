@@ -187,7 +187,7 @@ def test_criterion_5_quadrature_correctness(capsys):
                   [["0", "0"], ["0", "0"]])
     weights = np.zeros((1, 2))
     weights[0, 0] = 1.0
-    G = StepStrategy(n=1, actions=g.actions2, weights=weights)
+    G = StepStrategy(actions=g.actions2, weights=weights)
     value, _, _ = br_value_infinite(g, 1, G, quad_tol=1e-8)
     if abs(value - 0.75) > 1e-8:
         ok = False

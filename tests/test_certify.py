@@ -32,7 +32,7 @@ from conftest import (
 def pure_step(n, actions, index):
     weights = np.zeros((n, len(actions)))
     weights[:, index] = 1.0
-    return StepStrategy(n=n, actions=tuple(actions), weights=weights)
+    return StepStrategy(actions=tuple(actions), weights=weights)
 
 
 def lp_profile(g, n):

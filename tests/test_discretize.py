@@ -19,7 +19,7 @@ from conftest import (
 def atoms_counted(n, theta):
     """The number of atoms at or below theta that values counts for a
     level-n one-action strategy, whose atoms each have mass 1/n."""
-    F = StepStrategy(n=n, actions=("x",), weights=np.ones((n, 1)))
+    F = StepStrategy(actions=("x",), weights=np.ones((n, 1)))
     return np.rint(F.values(theta)[..., 0] * n).astype(int)
 
 
@@ -202,7 +202,7 @@ def test_step_strategy_weights_must_be_a_strategy(fill, message):
     g = matching_pennies_game()
     for actions in (g.actions1, g.actions2):
         with pytest.raises(ValueError, match=message):
-            StepStrategy(n=4, actions=actions, weights=np.full((4, 2), fill))
+            StepStrategy(actions=actions, weights=np.full((4, 2), fill))
 
 
 def test_an_empty_profile_is_named():
@@ -210,15 +210,24 @@ def test_an_empty_profile_is_named():
     with pytest.raises(ValueError, match="^s has no rows$"):
         bc.BehavioralProfile(np.zeros((0, 2)), np.zeros((0, 2)))
     with pytest.raises(ValueError, match="^weights has no rows$"):
-        StepStrategy(0, ("a",), np.zeros((0, 1)))
+        StepStrategy(("a",), np.zeros((0, 1)))
+
+
+def test_step_strategy_weights_have_one_column_per_action():
+    # the level is the row count, so only the columns are checked
+    # against the labels
+    with pytest.raises(ValueError,
+                       match="^weights must have one column per action$"):
+        StepStrategy(("a", "b"), np.ones((3, 1)))
+    assert StepStrategy(("a",), np.ones((3, 1))).n == 3
 
 
 def test_step_strategy_takes_rows_that_sum_to_1_within_1e_12():
     weights = np.array([[0.5, 0.5 + 5e-13], [1.0 - 5e-13, 0.0]])
-    F = StepStrategy(n=2, actions=("x1", "x2"), weights=weights)
+    F = StepStrategy(actions=("x1", "x2"), weights=weights)
     assert F.values(1.0) == pytest.approx([0.75, 0.25], abs=1e-12)
     with pytest.raises(ValueError, match="^rows of weights must sum to 1$"):
-        StepStrategy(n=2, actions=("x1", "x2"), weights=weights * 1.001)
+        StepStrategy(actions=("x1", "x2"), weights=weights * 1.001)
 
 
 def test_serialize_atoms():

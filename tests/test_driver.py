@@ -150,22 +150,25 @@ def test_run_config_has_no_backend():
 
 @st.composite
 def games_of_each_kind(draw):
-    """Spec of a 2x2 game: constant-sum, general-sum, or one whose v is
+    """(kind, spec) of a game with 1 to 3 actions per player: constant-sum
+    with u + v = 0.5, 1e8 or 1e10, general-sum, or one whose v is
     -(m2/m1) u with multipliers m1, m2 in the spec.  A poisoned game's
     payoffs take the log of 0 at the level-3 type 1/3, which no
     validation grid meets, so level 3 fails."""
     kind = draw(st.sampled_from(["constant", "general", "multipliers"]))
     poison = " + 0*log(abs(theta1 - 1/3))" * draw(st.booleans())
+    L, H = draw(st.integers(1, 3)), draw(st.integers(1, 3))
 
     def table():
         def cell():
             a, b, c = (draw(st.integers(-9, 9)) / 8 for _ in range(3))
             return f"{a} + {b}*theta1 + {c}*theta1*theta2{poison}"
-        return [[cell(), cell()], [cell(), cell()]]
+        return [[cell() for _ in range(H)] for _ in range(L)]
 
     u, extra = table(), {}
     if kind == "constant":
-        v = [[f"0.5 - ({e})" for e in row] for row in u]
+        total = draw(st.sampled_from([0.5, 1e8, 1e10]))
+        v = [[f"{total!r} - ({e})" for e in row] for row in u]
     elif kind == "general":
         v = table()
     else:
@@ -173,19 +176,34 @@ def games_of_each_kind(draw):
                  "m2": f"1 + {draw(st.integers(0, 3))}*theta2"}
         v = [[f"-({extra['m2']})*({e})/({extra['m1']})" for e in row]
              for row in u]
-    return {"actions1": ["x1", "x2"], "actions2": ["y1", "y2"], "u": u,
-            "v": v, "prior": "1", **extra}
+    return kind, {"actions1": [f"x{i + 1}" for i in range(L)],
+                  "actions2": [f"y{j + 1}" for j in range(H)],
+                  "u": u, "v": v, "prior": "1", **extra}
 
 
 @settings(max_examples=60, deadline=None)
 @given(games_of_each_kind())
-def test_backend_follows_the_game(doc):
+def test_backend_follows_the_game(drawn):
+    # a constant of 1e8 or more in v used to read as general-sum, since
+    # evaluating v rounds by more than 1e-9 of |u|
+    kind, doc = drawn
     g = bc.load_game(bc.GameSpec.from_dict(doc), grid_check=11)
-    want = "lp" if bc.check_prop1(g).linearizable else "fp"
+    prop1 = bc.check_prop1(g)
+    if kind == "constant":
+        assert prop1.kind == "zero_sum"
+    elif kind == "multipliers":
+        assert prop1.linearizable
+    want = "lp" if prop1.linearizable else "fp"
     report = bc.run(g, bc.RunConfig(epsilon=1e-9, max_level=3))
     # every level, failed or not, names the solver the game picks
     assert report.levels
     assert [r["backend"] for r in report.levels] == [want] * len(report.levels)
+    for record in report.levels:
+        if want == "lp" and record["error"] is None:
+            fg = bc.build_finite(g, record["n"])
+            scale = max(np.abs(fg.U).max(), np.abs(fg.V).max())
+            for gap in (record["finite_gap1"], record["finite_gap2"]):
+                assert abs(gap) <= 1e-9 * scale, (record["n"], gap, scale)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "game.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -204,6 +222,20 @@ def test_constant_game_certified_at_level_one():
     assert len(report.levels) == 1
     assert report.levels[0]["certificate"]["certified"] is True
     assert report.strategies["player1"]["level"] == 1
+
+
+def test_a_constant_in_the_sum_does_not_change_the_certified_level():
+    # with u + v = 1e8, check_prop1 read the game as general-sum: fp
+    # missed its target at every level and the run ended exhausted
+    u = [["1 + 0.3*theta1", "0.2*theta2"], ["0.1", "1 - 0.2*theta1*theta2"]]
+    cfg = bc.RunConfig(epsilon=1e-3, max_level=64)
+    reports = [bc.run(make_game(u, [[f"{total!r} - ({e})" for e in row]
+                                    for row in u]), cfg)
+               for total in (0.0, 1e8)]
+    for report in reports:
+        assert report.status == "certified"
+        assert [r["backend"] for r in report.levels] == ["lp"] * 5
+    assert reports[0].certified_level == reports[1].certified_level == 16
 
 
 def test_zero_sum_certified_within_the_cap():
@@ -283,8 +315,8 @@ def test_sup_distance_sees_steps_between_grid_points():
     wa = np.tile([1.0, 0.0], (n, 1))
     wb = wa.copy()
     wa[1] = wb[0] = [0.0, 1.0]
-    A = StepStrategy(n=n, actions=("x1", "x2"), weights=wa)
-    B = StepStrategy(n=n, actions=("x1", "x2"), weights=wb)
+    A = StepStrategy(actions=("x1", "x2"), weights=wa)
+    B = StepStrategy(actions=("x1", "x2"), weights=wb)
     assert sup_distance(A, B) == pytest.approx(1.0 / n, abs=1e-15)
     assert grid_sup_distance(A, B) == 0.0
 
@@ -295,7 +327,7 @@ def step_strategies(draw):
     raw = draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=2,
                                  max_size=2), min_size=n, max_size=n))
     w = np.array(raw) + 1e-3
-    return StepStrategy(n=n, actions=("x1", "x2"),
+    return StepStrategy(actions=("x1", "x2"),
                         weights=w / w.sum(axis=1, keepdims=True))
 
 

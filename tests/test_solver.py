@@ -318,6 +318,22 @@ def test_prop1_verdict_does_not_depend_on_units(u, v, multipliers):
             assert prop1_verdict(u, v, scale, m) == want, (scale, m)
 
 
+MATCH = [["theta1*theta2", "0"], ["0", "theta1*theta2"]]
+
+
+@pytest.mark.parametrize("shift", [1e8, 1e10, 1e12])
+def test_prop1_verdict_does_not_depend_on_a_constant_in_v(shift):
+    # zero_sum_match with shift added to v: evaluating v rounds it by up
+    # to shift * eps / 2, which 1e-9 of |u| + |rhs| missed from 1e8 up;
+    # a departure of 1e-3 * theta1 stays visible up to 1e10
+    def verdict(extra):
+        v = [[f"-({e}) + {shift!r}{extra}" for e in row] for row in MATCH]
+        return check_prop1(make_game(MATCH, v)).kind
+    assert verdict("") == "zero_sum"
+    if shift <= 1e10:
+        assert verdict(" + 1e-3*theta1") == "none"
+
+
 @pytest.mark.parametrize("m1, message", [
     ("theta1 - 0.5", "m1 is -0.5 at the type 0.0"),
     # inf - inf from theta1 = 0.75, the first grid type where exp overflows
