@@ -31,8 +31,7 @@ SOLVE_EPSILON = 0.01
 CURVE_POINTS = 1001
 
 
-def cmd_check(args):
-    g = load_game_file(args.spec)
+def cmd_check(g, args):
     return {
         "actions1": list(g.actions1),
         "actions2": list(g.actions2),
@@ -41,8 +40,8 @@ def cmd_check(args):
     }, EXIT_OK
 
 
-def cmd_discretize(args):
-    fg = build_finite(load_game_file(args.spec), args.level)
+def cmd_discretize(g, args):
+    fg = build_finite(g, args.level)
     return {
         "n": fg.n,
         "actions1": list(fg.actions1),
@@ -52,8 +51,7 @@ def cmd_discretize(args):
     }, EXIT_OK
 
 
-def cmd_solve(args):
-    g = load_game_file(args.spec)
+def cmd_solve(g, args):
     result, note = solve_level(g, args.level, check_prop1(g), SOLVE_EPSILON)
     return {
         "backend": result.backend,
@@ -67,9 +65,8 @@ def cmd_solve(args):
     }, EXIT_OK
 
 
-def cmd_certify(args):
+def cmd_certify(g, args):
     check_tolerances(args.epsilon)
-    g = load_game_file(args.spec)
     *_, cert = certify_level(g, args.level, check_prop1(g), args.epsilon)
     return cert.to_dict(), EXIT_OK if cert.certified else EXIT_UNCERTIFIED
 
@@ -88,9 +85,9 @@ def _write_curves(base, report):
                         writer.writerow([repr(theta), action, repr(value)])
 
 
-def cmd_run(args):
+def cmd_run(g, args):
     cfg = RunConfig(epsilon=args.epsilon, max_level=args.max_level)
-    report = run(load_game_file(args.spec), cfg)
+    report = run(g, cfg)
     if args.emit_curves:  # main has checked that --output is set
         _write_curves(args.output, report)
     codes = {"certified": EXIT_OK, "failed": EXIT_FATAL}
@@ -107,7 +104,7 @@ OPTIONS = {
 }
 
 # name, function, help and options of each subcommand, in help order;
-# the function returns a JSON document and the exit code for main
+# main passes each function (game, args) and gets (document, exit code)
 SUBCOMMANDS = (
     ("check", cmd_check, "validate a game spec", ()),
     ("discretize", cmd_discretize, "dump level-n payoff tensors",
@@ -152,7 +149,7 @@ def main(argv=None):
         parser.error("--emit-curves writes files next to the report, "
                      "so it needs --output")
     try:
-        doc, code = args.func(args)
+        doc, code = args.func(load_game_file(args.spec), args)
         text = json.dumps(doc, indent=2, sort_keys=True)
         if getattr(args, "output", None):
             with open(args.output, "w", encoding="utf-8") as fh:

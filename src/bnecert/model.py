@@ -195,11 +195,6 @@ class GameSpec:
             type_range2=type_range("type_range2"),
         )
 
-    @classmethod
-    def from_file(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
 
 @dataclass(frozen=True)
 class InfiniteGame:
@@ -337,4 +332,6 @@ def load_game(spec, grid_check=101):
 
 
 def load_game_file(path):
-    return load_game(GameSpec.from_file(path))
+    """load_game on the spec in the JSON file at path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return load_game(GameSpec.from_dict(json.load(fh)))

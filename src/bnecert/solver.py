@@ -371,12 +371,14 @@ def _solve_block(M, width, alpha):
     M is first scaled by a power of two (exact, barring underflow) to a
     largest magnitude in [1/2, 1), so that the simplex's absolute
     tolerances suit it whatever the payoffs' size, and then shifted by
-    -min(0, min M).  Neither moves the optimal sigma: z scales with M,
-    and as each row of sigma sums to 1, the shift moves every constraint
-    row by the same constant.  After the shift z >= 0 cannot bind, and a
-    start basis is feasible if in each sum-to-one row one action of the
-    opponent type is basic, z[i] is basic in the row of type i's best
-    action against those, and every other row keeps its slack.
+    -min(0, min M); alpha is scaled as M is, since the reduced costs
+    scale with it.  None of these moves the optimal sigma or own rows: z
+    scales with M, the duals with alpha, and as each row of sigma sums
+    to 1, the shift moves every constraint row by the same constant.
+    After the shift z >= 0 cannot bind, and a start basis is feasible if
+    in each sum-to-one row one action of the opponent type is basic, z[i]
+    is basic in the row of type i's best action against those, and every
+    other row keeps its slack.
 
     The start takes, for each opponent type j, its action y of least
     alpha-weighted payoff against uniform own play, sum_i alpha[i] sum_x
@@ -403,6 +405,7 @@ def _solve_block(M, width, alpha):
     rows, cols = M.shape
     m, size = rows + n, cols + n + rows
     M = np.ldexp(M, -np.frexp(np.abs(M).max())[1])
+    alpha = np.ldexp(alpha, -np.frexp(alpha.max())[1])
     P = (M - min(0.0, M.min())) / n
     own = np.arange(n)
     types = np.arange(cols) // (cols // n)  # each sigma column's type
@@ -466,8 +469,8 @@ def solve_lp(fg, alpha1, alpha2):
             raise ValueError(f"{name} must be {n} positive finite weights, "
                              f"one per type, got {alpha.tolist()}")
 
-    # payoffs or alphas near the float limit overflow; the finiteness
-    # checks in simplex and below turn that into NonFinite
+    # _solve_block scales payoffs and alphas, so neither overflows the
+    # simplex; the gaps or the objective can, which is then NonFinite
     with np.errstate(over="ignore", invalid="ignore"):
         t, s, pivots = _solve_block(fg.M1, L, alpha1)
         profile = BehavioralProfile(s, t)
@@ -475,6 +478,8 @@ def solve_lp(fg, alpha1, alpha2):
         objective = ck_objective(fg, s, t, alpha1, alpha2)
     if not (math.isfinite(gap1) and math.isfinite(gap2)):
         raise NonFinite(f"the LP profile's finite gaps are {gap1}, {gap2}")
+    if not math.isfinite(objective):
+        raise NonFinite(f"the LP profile's objective is {objective}")
     return SolverResult(
         profile=profile,
         finite_gap1=gap1,

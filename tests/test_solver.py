@@ -3,6 +3,7 @@ the enumeration oracle they are checked against."""
 
 import collections
 import itertools
+import json
 import math
 import subprocess
 import sys
@@ -691,14 +692,21 @@ def test_a_rebuild_solves_the_nonbasic_columns_to_the_bits_of_a_full_solve(
     assert len(calls) >= 7 and all(calls)
 
 
-def _check_closed_form_start(lp):
-    """The start tableau T of a captured slack LP is column-major and
-    within 1e-15 of _rebuild's for its basis; its basic columns are the
-    exact unit vectors of their rows with reduced cost 0.0, and x_B >= 0."""
+def _check_closed_form_start(lp, alpha):
+    """The start tableau T of a captured slack LP, whose block took the
+    weights alpha, is column-major and within 1e-15 of _rebuild's for its
+    basis, once the cost row of both is divided by the power of two that
+    the block scales alpha by (exact); its basic columns are the exact
+    unit vectors of their rows with reduced cost 0.0, and x_B >= 0."""
     c, A, b, T, basis = lp
     m = len(A)
+    scale = math.ldexp(1.0, -math.frexp(alpha.max())[1])
+    assert np.array_equal(c[c != 0.0], alpha * scale)  # z's costs
     assert T.flags.f_contiguous
-    assert np.abs(T - start_tableau(c, A, b, basis)).max() <= 1e-15
+    got, want = T.copy(), start_tableau(c, A, b, basis)
+    got[-1] /= scale
+    want[-1] /= scale
+    assert np.abs(got - want).max() <= 1e-15
     want = np.eye(m + 1, m)
     assert np.ascontiguousarray(T[:, basis]).tobytes() == want.tobytes()
     assert T[:m, -1].min() >= 0.0
@@ -712,10 +720,11 @@ def test_the_closed_form_start_is_the_rebuilt_start_on_demo_specs(
     for n in range(1, 65):
         fg = bc.build_finite(g, n)
         alpha1, alpha2 = default_alphas(fg, g, prop1)
-        for lp in _captured_lps(monkeypatch, lambda: (
-                _solve_block(fg.M1, fg.L, alpha1),
-                _solve_block(fg.M2, fg.H, alpha2))):
-            _check_closed_form_start(lp)
+        lps = _captured_lps(monkeypatch, lambda: (
+            _solve_block(fg.M1, fg.L, alpha1),
+            _solve_block(fg.M2, fg.H, alpha2)))
+        for lp, alpha in zip(lps, (alpha1, alpha2), strict=True):
+            _check_closed_form_start(lp, alpha)
 
 
 def test_the_closed_form_start_is_the_rebuilt_start_on_generated_games(
@@ -741,9 +750,32 @@ def test_the_closed_form_start_is_the_rebuilt_start_on_generated_games(
         lps = _captured_lps(monkeypatch, lambda: (
             _solve_block(fg.M1, fg.L, alpha1),
             _solve_block(fg.M2, fg.H, alpha2)))
-        assert len(lps) == 2
-        for lp in lps:
-            _check_closed_form_start(lp)
+        for lp, alpha in zip(lps, (alpha1, alpha2), strict=True):
+            _check_closed_form_start(lp, alpha)
+
+
+def test_the_lp_does_not_depend_on_the_multipliers_units():
+    """linear_prior_multipliers with both multipliers times a common
+    scale, which keeps m2 u = -m1 v: at every level to 24 the LP solves
+    to finite gaps of at most 1e-12 in the same pivots as at scale 1.
+    Unscaled, weights (1/n) / m near 1e-9 would leave every reduced cost
+    above -_TOL, and the simplex at its start basis."""
+    with open(ROOT / "demos" / "specs" / "linear_prior_multipliers.json",
+              encoding="utf-8") as fh:
+        doc = json.load(fh)
+    pivots = {}
+    for scale in ("1", "1e-8", "1e4", "1e8", "1e12"):
+        g = bc.load_game(bc.GameSpec.from_dict(dict(
+            doc, m1=f"{scale} * ({doc['m1']})",
+            m2=f"{scale} * ({doc['m2']})")))
+        prop1 = check_prop1(g)
+        assert prop1.kind == "user"
+        for n in range(1, 25):
+            fg = bc.build_finite(g, n)
+            res = solve_lp(fg, *default_alphas(fg, g, prop1))
+            assert max(res.finite_gap1, res.finite_gap2) <= 1e-12, (scale,
+                                                                     n)
+            assert pivots.setdefault(n, res.iterations) == res.iterations
 
 
 def test_the_423_lp_sweep_solves_every_lp_within_5169_pivots():
@@ -806,10 +838,11 @@ def test_the_final_tableau_stays_within_1e_12_of_its_rebuild(monkeypatch):
 
 @pytest.mark.parametrize("path", DEMO_SPECS, ids=[p.stem for p in DEMO_SPECS])
 def test_the_duals_of_player_1s_block_solve_player_2s_block(path):
-    """Player 2's block minimizes alpha2 @ z2 subject to z2[j] >= each of
-    type j's rows of its scaled, shifted M2 / n @ sigma1.  At solve_lp's
-    s, read from the duals of player 1's block, that objective is the
-    optimum the oracle reaches on player 2's block."""
+    """Player 2's block minimizes w2 @ z2, w2 its scaled alpha2, subject
+    to z2[j] >= each of type j's rows of its scaled, shifted M2 / n @
+    sigma1.  At solve_lp's s, read from the duals of player 1's block,
+    that objective is the optimum the oracle reaches on player 2's
+    block."""
     g = bc.load_game_file(path)
     prop1 = check_prop1(g)
     for n in range(1, 7):
@@ -820,7 +853,8 @@ def test_the_duals_of_player_1s_block_solve_player_2s_block(path):
         x, _, _ = from_start(oracle_simplex, c, A, b, basis)
         z2 = (A[:n * fg.H, :n * fg.L] @ s.ravel()).reshape(n, fg.H).max(
             axis=1)
-        assert abs(alpha2 @ z2 - c @ x) <= 1e-9, n
+        w2 = c[n * fg.L:n * fg.L + n]
+        assert abs(w2 @ z2 - c @ x) <= 1e-9, n
 
 
 @pytest.mark.parametrize("path", DEMO_SPECS, ids=[p.stem for p in DEMO_SPECS])
@@ -1037,19 +1071,41 @@ def test_lp_rejects_alphas_not_finite_or_not_one_per_type(zero_sum_match):
 
 
 def test_lp_overflow_is_a_nonfinite_error(zero_sum_match):
-    """Overflow in the LP is a typed error, not a RuntimeWarning: alphas
-    near the float limit overflow the simplex's cost row or its duals,
-    and payoffs near it the action values of the finite gaps.  Duals
-    that are not finite are caught before they reach a profile."""
+    """Overflow in the LP is a typed error, not a RuntimeWarning.  The
+    block scales the alphas, so alphas near the float limit no longer
+    overflow the simplex, but they can overflow the objective; payoffs
+    near it overflow the action values of the finite gaps."""
     fg = bc.build_finite(zero_sum_match, 8)
-    with pytest.raises(NonFinite, match="^the simplex tableau is not "):
+    with pytest.raises(NonFinite, match="^the LP profile's objective is "):
         solve_lp(fg, np.full(8, 1.7e308), np.full(8, 1.7e308))
     fg = bc.build_finite(zero_sum_match, 6)
-    with pytest.raises(NonFinite, match="^the simplex duals are not "):
-        solve_lp(fg, np.full(6, 1e308), np.full(6, 1e308))
+    res = solve_lp(fg, np.full(6, 1e308), np.full(6, 1e308))
+    assert max(res.finite_gap1, res.finite_gap2) <= 1e-16
+    assert math.isfinite(res.objective)
     g = generated_constant_sum_game(1, 2, 2, "5e+307")
     with pytest.raises(NonFinite, match="^the LP profile's finite gaps "):
         solve_default_lp(bc.build_finite(g, 8), g)
+
+
+@pytest.mark.parametrize("solver", [simplex, oracle_simplex],
+                         ids=["simplex", "oracle"])
+def test_simplex_overflow_is_a_nonfinite_error(solver):
+    """Costs near the float limit overflow a reduced cost of the start
+    tableau, which the rebuild that builds it and the solver that takes
+    it each reject, or the duals that a tiny basis matrix divides them
+    by.  The caller masks the warnings, as solve_lp does."""
+    c = np.array([-1.7e308, 1.7e308])
+    A, b = np.array([[1.0, 1.0]]), np.array([1.0])
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFinite, match="^the simplex tableau is not "):
+            from_start(solver, c, A, b, [0])
+        T = start_tableau(np.zeros(2), A, b, [0])
+        T[-1, 1] = c[1] - c[0]  # the reduced cost the rebuild overflowed
+        with pytest.raises(NonFinite, match="^the simplex tableau is not "):
+            solver(c, A, b, T, basis=[0])
+        with pytest.raises(NonFinite, match="^the simplex duals are not "):
+            from_start(solver, np.array([1e308]), np.array([[1e-10]]),
+                       np.array([1e-10]), [0])
 
 
 @pytest.mark.parametrize("solver", [simplex, oracle_simplex],
@@ -1079,8 +1135,11 @@ def _loop_built_block(fg, player, alpha):
     """c, A, b and the start basis of one player's block of the slack LP,
     entry by entry: columns are the opponent's sigma, then the own z,
     then one slack per own row.  The payoffs are scaled by a power of two
-    to a largest magnitude in [1/2, 1) and shifted by -min(0, min)."""
+    to a largest magnitude in [1/2, 1) and shifted by -min(0, min), and
+    alpha by a power of two to a largest entry in [1/2, 1)."""
     n, L, H = fg.n, fg.L, fg.H
+    alpha_exponent = math.frexp(max(alpha))[1]
+    alpha = [math.ldexp(a, -alpha_exponent) for a in alpha]
     own, opp = (L, H) if player == 1 else (H, L)
 
     def payoff(i, x, j, y):
