@@ -102,7 +102,8 @@ def certify(g, F, G, epsilon):
     """Check the epsilon-equilibrium condition of the infinite game for
     player 1's strategy F and player 2's G, over the game's labels; F and
     G must share a level.  The quadrature tolerance is epsilon / 100,
-    floored at QUAD_TOL_FLOOR."""
+    floored at QUAD_TOL_FLOOR of the game's largest payoff on its
+    validation grid."""
     check_tolerances(epsilon)
     for player, strat, actions in ((1, F, g.actions1), (2, G, g.actions2)):
         if strat.actions != actions:
@@ -112,7 +113,7 @@ def certify(g, F, G, epsilon):
     if F.n != G.n:
         raise ValueError(f"player 1's strategy is of level {F.n} and "
                          f"player 2's of level {G.n}; they must share one")
-    quad_tol = max(epsilon / 100.0, QUAD_TOL_FLOOR)
+    quad_tol = max(epsilon / 100.0, QUAD_TOL_FLOOR * g.payoff_scale)
 
     start = time.perf_counter()
     values, gaps, errors = [], [], []

@@ -3,11 +3,11 @@
 A game is given by two finite action sets, one utility expression per
 action pair and player, and a joint prior density over the unit square.
 Loading compiles the prior, every utility cell and the multipliers into
-one expression Program, auto-normalizes the prior, folds it into the
-payoffs (u = b * u_bar), and sanity-checks the prior and the utilities
-on a dense grid.  Every later evaluation of the game runs the steps of
-that program which its outputs need, so a subtree shared by several
-cells is evaluated once.
+one expression Program, checks the prior and the utilities in one pass
+over a dense grid, auto-normalizes the prior and folds it into the
+payoffs (u = b * u_bar).  Every later evaluation of the game runs the
+steps of that program which its outputs need, so a subtree shared by
+several cells is evaluated once.
 
 Declared type ranges [a, b] are rescaled affinely onto [0, 1]; the
 constant Jacobian is absorbed by the prior normalization.
@@ -77,34 +77,54 @@ def _compile(spec):
     return Program(trees, names)
 
 
-def _check_utilities(g, t1, t2):
-    """Check g's utility cells (u's, then v's) finite at types t1 x t2
-    (one axis each).  Raises what checking the cells one by one over the
-    whole grid raises first: a DomainError, or NonFinite naming the cell
-    and the point.
+def _check_grid(g, t1, t2):
+    """Check g's raw prior and utility cells (u's, then v's) at types
+    t1 x t2 (one axis each); return the prior's largest value there and
+    the largest |prior x utility|.  Raises what checking the whole grid
+    at once raises first: a DomainError, NonFinite or NegativePrior for the
+    prior, or NonFinite naming a cell and the point; then ZeroMarginal for
+    a grid line with no positive prior value, player 1's lines first.
 
     The grid runs in blocks of rows, so the values that cells share stay
     small while they wait for their last use.  On an error the whole grid
     runs again, so that the error raised is that first one.
     """
-    program, cells = g.program, range(1, 1 + 2 * g.L * g.H)
+    program, outputs = g.program, range(1 + 2 * g.L * g.H)
 
     def check(rows):
-        values = program.stream(rows[:, None], t2[None, :], cells)
+        values = program.stream(rows[:, None], t2[None, :], outputs)
         with np.errstate(all="ignore"):
-            for k, vals in zip(cells, values):
-                bad = ~np.isfinite(vals)
-                if bad.any():
-                    i, j = np.argwhere(bad)[0]
+            b = next(values)
+            if not math.isfinite(b.max()):
+                raise NonFinite("prior evaluates to NaN/inf on the "
+                                "validation grid")
+            if b.min() < 0.0:
+                i, j = np.argwhere(b < 0.0)[0]
+                raise NegativePrior(f"prior is negative at theta=({rows[i]}, "
+                                    f"{t2[j]})")
+            # each |cell|, and the largest of them so far, point by point
+            size, largest = np.empty(b.shape), np.zeros(b.shape)
+            for k, vals in zip(outputs[1:], values):
+                if not math.isfinite(np.abs(vals, out=size).max()):
+                    i, j = np.argwhere(~np.isfinite(vals))[0]
                     raise NonFinite(f"{program.names[k]}: utility is not "
                                     f"finite at ({rows[i]}, {t2[j]})")
+                np.maximum(largest, size, out=largest)
+            return b, (b * largest).max()  # b >= 0: the largest |b x cell|
 
     blocks = -(-t1.size * t2.size // _BLOCK_POINTS)
     try:
-        for rows in np.array_split(t1, blocks):
-            check(rows)
-    except (DomainError, NonFinite):
+        b, scales = zip(*map(check, np.array_split(t1, blocks)))
+    except (DomainError, NonFinite, NegativePrior):
         check(t1)
+    b = np.concatenate(b)
+    for player, thetas, tops in ((1, t1, b.max(axis=1)),
+                                 (2, t2, b.max(axis=0))):
+        bad = np.flatnonzero(tops == 0.0)
+        if bad.size:
+            raise ZeroMarginal(f"marginal of player {player} at theta="
+                               f"{thetas[bad[0]]} is 0.0")
+    return b.max(), max(scales)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,6 +227,7 @@ class InfiniteGame:
 
     spec: GameSpec
     prior_norm: float
+    payoff_scale: float  # the largest |payoff| on the validation grid
     program: Program = field(repr=False, compare=False)
 
     @property
@@ -294,41 +315,31 @@ def load_game(spec, grid_check=101):
     """Validate a GameSpec and build the normalized InfiniteGame.
 
     grid_check is the per-axis size of the validation grid (odd, >= 11).
+    The grid pass's errors come before the normalization's.
     """
     check_count("grid_check", grid_check)
     if grid_check < 11 or grid_check % 2 == 0:
         raise ValueError("grid_check must be odd and >= 11")
     grid = np.linspace(0.0, 1.0, grid_check)
-    # unnormalized until the norm is known; x / 1.0 is exact
-    game = InfiniteGame(spec=spec, prior_norm=1.0, program=_compile(spec))
-    t1, t2 = game.spec_types(grid, grid)  # the grid in spec coordinates
+    # the norm and the scale stand in until the grid pass gives them
+    game = InfiniteGame(spec=spec, prior_norm=1.0, payoff_scale=1.0,
+                        program=_compile(spec))
+    top, scale = _check_grid(game, *game.spec_types(grid, grid))
 
-    # prior checks on the raw (unnormalized) density
-    prior_vals = game.prior(grid[:, None], grid[None, :])
-    if not np.all(np.isfinite(prior_vals)):
-        raise NonFinite("prior evaluates to NaN/inf on the validation grid")
-    if np.any(prior_vals < 0.0):
-        i, j = np.argwhere(prior_vals < 0.0)[0]
-        raise NegativePrior(f"prior is negative at theta=({t1[i]}, {t2[j]})")
-
-    # normalization constant over the unit square (Jacobian absorbed): the
-    # marginal of player 1 to 1e-9 / 4, integrated to 1e-9 / 2
-    norm, _ = integrate(lambda t: marginal(game, 1, t, 2.5e-10), 0.0, 1.0,
-                        5e-10)
+    # normalization constant over the unit square (Jacobian absorbed), of
+    # the prior over the power of two at or below its largest grid value,
+    # which is exact and keeps the tolerances from under- or overflowing:
+    # the marginal of player 1 to 1e-9 / 4 of that value, integrated to
+    # 1e-9 / 2 of it
+    game = replace(game, prior_norm=math.ldexp(1.0, math.frexp(top)[1] - 1))
+    tol = 5e-10 * (top / game.prior_norm)
+    norm, _ = integrate(lambda t: marginal(game, 1, t, tol / 2), 0.0, 1.0, tol)
+    norm *= game.prior_norm
     if not (math.isfinite(norm) and norm > 0.0):
         raise ZeroMarginal(f"prior integrates to {norm}; must be positive")
-
-    _check_utilities(game, t1, t2)
-    game = replace(game, prior_norm=norm)
-
-    # marginal positivity along every grid line
-    for player, thetas in ((1, t1), (2, t2)):
-        densities = marginal(game, player, grid, quad_tol=1e-7)
-        bad = np.flatnonzero(densities <= 0.0)
-        if bad.size:
-            raise ZeroMarginal(f"marginal of player {player} at theta="
-                               f"{thetas[bad[0]]} is {densities[bad[0]]}")
-    return game
+    # a scale that overflows is capped, so certify's tolerance stays finite
+    return replace(game, prior_norm=norm,
+                   payoff_scale=min(scale / norm, np.finfo(float).max))
 
 
 def load_game_file(path):

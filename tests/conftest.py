@@ -134,13 +134,19 @@ def random_poly(rng, terms=3, decreasing=False):
     return " + ".join(random_monomial(rng, decreasing) for _ in range(terms))
 
 
+def random_poly_doc(rng, decreasing=False):
+    """Spec dict of a 2x2 general-sum game with random polynomial
+    utilities and a uniform prior."""
+    u, v = ([[random_poly(rng, decreasing=decreasing) for _ in range(2)]
+             for _ in range(2)] for _ in range(2))
+    return {"actions1": ["x1", "x2"], "actions2": ["y1", "y2"],
+            "u": u, "v": v, "prior": "1"}
+
+
 def random_poly_game(rng, decreasing=False, grid_check=21):
-    """2x2 general-sum game with random polynomial utilities."""
-    u = [[random_poly(rng, decreasing=decreasing) for _ in range(2)]
-         for _ in range(2)]
-    v = [[random_poly(rng, decreasing=decreasing) for _ in range(2)]
-         for _ in range(2)]
-    return make_game(u, v, grid_check=grid_check)
+    """random_poly_doc's game."""
+    return bc.load_game(bc.GameSpec.from_dict(
+        random_poly_doc(rng, decreasing)), grid_check=grid_check)
 
 
 @functools.cache
@@ -440,8 +446,9 @@ def riemann_step_regret_error(g, profile, points=(1000, 200)):
     * the own axis: the played value by h^2 D_own / 24, D_own the largest
       |Phi_x''|, and psi by as much plus h^2 S / 4 for each switch point,
       S the largest |Phi_x'| (the midpoint rule on a Lipschitz cell);
-    * the prior's norm, which load_game integrates to 5e-10: 1e-8 of the
-      largest |Phi_x| twice over.
+    * the prior's norm, which load_game integrates to 5e-10 of the prior's
+      largest grid value, at most 5 against a norm of at least 3/4: 1e-8
+      of the largest |Phi_x| twice over.
     Sup norms are bounded by the sums of the absolute coefficients."""
     n = profile.s.shape[0]
     h, k = (1.0 / (-(-p // n) * n) for p in points)
@@ -568,7 +575,7 @@ def oracle_certify(g, F, G, epsilon):
     """(gap1, gap2, quad_error1, quad_error2, value1, value2) of certify,
     player by player: the candidate's value, then the best deviation by
     oracle_integrate_many alone.  An error is the first player's."""
-    quad_tol = max(epsilon / 100.0, 1e-9)
+    quad_tol = max(epsilon / 100.0, 1e-9 * g.payoff_scale)
     gaps, errors, values = [], [], []
     for player, own, opponent in ((1, F, G), (2, G, F)):
         interim = bc.certificate.interim_values(g, player, opponent)

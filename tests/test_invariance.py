@@ -1,0 +1,133 @@
+"""Metamorphic properties: a change of units changes no verdict.
+
+Scaling u and v by 2^k, and epsilon with them, must scale every number of
+a level's certificate by 2^k and leave the check_prop1 kind, the solved
+profile and the verdict as they are.  Scaling the prior by 2^k must change
+no certificate at all, since loading normalizes it away.  Both factors
+are powers of two, so every scaled number is exact and the tests compare
+bits.  Two repros scale by 1e-8, which no float scales exactly, and
+compare within a tolerance.
+"""
+
+import json
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import bnecert as bc
+from bnecert.driver import certify_level
+
+from conftest import ROOT, random_poly_doc
+
+NUMBERS = ("gap1", "gap2", "quad_error1", "quad_error2", "value1", "value2")
+# the 2x2 constant-sum game whose quadrature error depended on its units
+PAYOFFS = [["sin(3*theta1)*exp(theta2) - theta2", "cos(2*theta1*theta2)"],
+           ["exp(-theta1) * theta2", "0.3*sqrt(theta1 + theta2)"]]
+# a prior that Simpson's rule does not integrate exactly
+WAVY_PRIOR = "exp(sin(5*theta1*theta2)) + theta1"
+
+
+def demo(name):
+    path = ROOT / "demos" / "specs" / f"{name}.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+games = st.one_of(
+    st.sampled_from(["zero_sum_match", "matching_pennies",
+                     "linear_prior_multipliers"]).map(demo),
+    st.integers(0, 2 ** 32 - 1).map(
+        lambda seed: random_poly_doc(np.random.default_rng(seed))))
+
+
+def scaled(doc, factor, fields):
+    """doc with each expression of the named fields times factor."""
+    def times(e):
+        return f"{factor!r} * ({e})"
+    out = dict(doc)
+    for name in fields:
+        value = doc[name]
+        out[name] = (times(value) if isinstance(value, str)
+                     else [[times(e) for e in row] for row in value])
+    return out
+
+
+def level(doc, n, epsilon):
+    """(check_prop1 kind, solver result, certificate) of level n."""
+    g = bc.load_game(bc.GameSpec.from_dict(doc))
+    prop1 = bc.check_prop1(g)
+    result, _, _, _, cert = certify_level(g, n, prop1, epsilon)
+    return prop1.kind, result, cert
+
+
+def profile_bytes(result):
+    return result.profile.s.tobytes(), result.profile.t.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(doc=games, n=st.integers(1, 8), k=st.integers(-40, 40),
+       epsilon=st.sampled_from([1e-2, 1e-3]))
+# with u and v times 2^-27, gap2 moved in its fourth digit while certify's
+# quadrature floor was an absolute 1e-9
+@example(doc=demo("linear_prior_multipliers"), n=8, k=-27, epsilon=1e-2)
+def test_payoff_units_scale_every_certificate_number(doc, n, k, epsilon):
+    kind, result, cert = level(doc, n, epsilon)
+    factor = 2.0 ** k
+    kind_k, result_k, cert_k = level(scaled(doc, factor, ("u", "v")), n,
+                                     epsilon * factor)
+    assert kind_k == kind
+    assert profile_bytes(result_k) == profile_bytes(result)
+    assert cert_k.certified == cert.certified
+    for name in NUMBERS:
+        want = math.ldexp(getattr(cert, name), k)
+        assert getattr(cert_k, name) == want, name
+
+
+@settings(max_examples=50, deadline=None)
+@given(doc=games, prior=st.sampled_from(["1", "1 + theta1*theta2",
+                                         WAVY_PRIOR]),
+       n=st.integers(1, 8), k=st.integers(-40, 10))
+# its norm read 0.47% low when the normalization was to an absolute 5e-10
+@example(doc=demo("zero_sum_match"), prior=WAVY_PRIOR, n=4, k=-40)
+def test_prior_units_change_no_certificate(doc, prior, n, k):
+    doc = dict(doc, prior=prior)
+    _, result, cert = level(doc, n, 1e-3)
+    _, result_k, cert_k = level(scaled(doc, 2.0 ** k, ("prior",)), n, 1e-3)
+    assert profile_bytes(result_k) == profile_bytes(result)
+    want = cert.to_dict()
+    got = cert_k.to_dict()
+    del want["wall_time"], got["wall_time"]
+    assert got == want
+
+
+def constant_sum_doc(scale=1.0, prior="1 + theta1", prior_scale=None):
+    """The 2x2 constant-sum game of PAYOFFS, times scale, v = -u."""
+    if prior_scale is not None:
+        prior = f"{prior_scale!r} * ({prior})"
+    return {"actions1": ["a", "b"], "actions2": ["c", "d"],
+            "u": [[f"{scale!r} * ({e})" for e in row] for row in PAYOFFS],
+            "v": [[f"-{scale!r} * ({e})" for e in row] for row in PAYOFFS],
+            "prior": prior}
+
+
+def test_small_payoffs_keep_their_quadrature_error():
+    # times 1e-8, the error read 1.88e-2 of the payoffs, against 2.47e-6
+    # at unit scale
+    scale = 1e-8
+    _, _, cert = level(constant_sum_doc(scale), 1, 2e-3 * scale)
+    assert 2.47e-6 / 2 <= cert.quad_error1 / scale <= 2.47e-6 * 2
+
+
+def test_a_small_prior_normalizes_to_its_unit_norm():
+    # times 1e-8, the norm read 0.47% low, and so did every payoff
+    unit = constant_sum_doc(prior=WAVY_PRIOR)
+    small = constant_sum_doc(prior=WAVY_PRIOR, prior_scale=1e-8)
+    norms = [bc.load_game(bc.GameSpec.from_dict(doc)).prior_norm
+             for doc in (unit, small)]
+    assert math.isclose(norms[1] / 1e-8, norms[0], rel_tol=1e-12)
+    (_, _, cert), (_, _, cert_small) = (level(doc, 4, 1e-3)
+                                        for doc in (unit, small))
+    for name in ("gap1", "gap2"):
+        assert math.isclose(getattr(cert_small, name), getattr(cert, name),
+                            rel_tol=1e-9), name

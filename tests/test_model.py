@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import bnecert as bc
 from bnecert.errors import (
+    DomainError,
     ExprSyntaxError,
     NegativePrior,
     NonFinite,
@@ -82,6 +84,47 @@ def test_zero_marginal_rejected(prior, message):
     with pytest.raises(ZeroMarginal) as info:
         make_game([["1"]], [["0"]], prior=prior, grid_check=101)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("prior, u, error, message", [
+    # the prior is 0 on the whole grid: a grid line names it
+    ("0", "1", ZeroMarginal, "marginal of player 1 at theta=0.0 is 0.0"),
+    # log(0) at theta1 = 1/8, off the grid, raises only in the
+    # normalization, which comes after the grid's utility error
+    ("10 + log(abs(theta1 - 0.125))", "exp(1000*theta1)", NonFinite,
+     "u[0][0]: utility is not finite at (0.71, 0.0)"),
+    ("10 + log(abs(theta1 - 0.125))", "1", DomainError,
+     "prior: log of non-positive value 0.0"),
+])
+def test_the_grid_pass_fails_before_the_normalization(prior, u, error,
+                                                       message):
+    with pytest.raises(error) as info:
+        make_game([[u]], [["0"]], prior=prior, grid_check=101)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("k", [-40, -20, 10])
+def test_prior_norm_scales_with_the_prior_bit_for_bit(k):
+    prior = "exp(sin(5*theta1*theta2)) + theta1"
+    unit = make_game([["1"]], [["0"]], prior=prior, grid_check=101)
+    scaled = make_game([["1"]], [["0"]], prior=f"{2.0 ** k!r} * ({prior})",
+                       grid_check=101)
+    assert scaled.prior_norm == math.ldexp(unit.prior_norm, k)
+
+
+@pytest.mark.parametrize("prior", ["1e-320", "1e308"])
+def test_a_subnormal_or_huge_prior_normalizes(prior):
+    # the tolerances are of a power of two near the prior's size, so they
+    # neither underflow to 0 nor let the Simpson sums overflow
+    g = make_game([["theta1"]], [["0"]], prior=prior)
+    assert g.prior(0.3, 0.9) == 1.0
+    assert g.payoff_scale == 1.0
+
+
+def test_an_overflowing_payoff_scale_is_capped():
+    g = make_game([["1e10"]], [["0"]], prior="1e300")
+    assert g.prior_norm == 1e300
+    assert g.payoff_scale == sys.float_info.max
 
 
 @pytest.mark.parametrize("error, change, message", [
