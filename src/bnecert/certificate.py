@@ -26,8 +26,6 @@ import numpy as np
 
 from .quadrature import integrate
 
-QUAD_TOL_FLOOR = 1e-9
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -67,11 +65,14 @@ def interim_values(g, player, opponent):
 
 
 def check_tolerances(epsilon):
-    """ValueError unless epsilon is a positive, finite real number.  numpy
-    floats count; bools do not."""
+    """ValueError unless epsilon and its hundredth, certify's quadrature
+    tolerance, are positive, finite real numbers.  numpy floats count;
+    bools do not."""
     if (isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real)
-            or not 0.0 < epsilon < math.inf):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+            or not 0.0 < epsilon / 100.0 < math.inf):
+        raise ValueError(f"epsilon must be positive and finite, and so must "
+                         f"epsilon / 100, the quadrature tolerance; got "
+                         f"{epsilon}")
 
 
 def br_value_infinite(g, player, opponent, quad_tol):
@@ -101,9 +102,8 @@ def br_value_infinite(g, player, opponent, quad_tol):
 def certify(g, F, G, epsilon):
     """Check the epsilon-equilibrium condition of the infinite game for
     player 1's strategy F and player 2's G, over the game's labels; F and
-    G must share a level.  The quadrature tolerance is epsilon / 100,
-    floored at QUAD_TOL_FLOOR of the game's largest payoff on its
-    validation grid."""
+    G must share a level.  Each player's integral runs to epsilon / 100,
+    which the quadrature floors near rounding of that player's integrand."""
     check_tolerances(epsilon)
     for player, strat, actions in ((1, F, g.actions1), (2, G, g.actions2)):
         if strat.actions != actions:
@@ -113,7 +113,7 @@ def certify(g, F, G, epsilon):
     if F.n != G.n:
         raise ValueError(f"player 1's strategy is of level {F.n} and "
                          f"player 2's of level {G.n}; they must share one")
-    quad_tol = max(epsilon / 100.0, QUAD_TOL_FLOOR * g.payoff_scale)
+    quad_tol = epsilon / 100.0
 
     start = time.perf_counter()
     values, gaps, errors = [], [], []

@@ -79,11 +79,11 @@ def _compile(spec):
 
 def _check_grid(g, t1, t2):
     """Check g's raw prior and utility cells (u's, then v's) at types
-    t1 x t2 (one axis each); return the prior's largest value there and
-    the largest |prior x utility|.  Raises what checking the whole grid
-    at once raises first: a DomainError, NonFinite or NegativePrior for the
-    prior, or NonFinite naming a cell and the point; then ZeroMarginal for
-    a grid line with no positive prior value, player 1's lines first.
+    t1 x t2 (one axis each); return the prior's largest value there.
+    Raises what checking the whole grid at once raises first: a
+    DomainError, NonFinite or NegativePrior for the prior, or NonFinite
+    naming a cell and the point; then ZeroMarginal for a grid line with no
+    positive prior value, player 1's lines first.
 
     The grid runs in blocks of rows, so the values that cells share stay
     small while they wait for their last use.  On an error the whole grid
@@ -102,29 +102,25 @@ def _check_grid(g, t1, t2):
                 i, j = np.argwhere(b < 0.0)[0]
                 raise NegativePrior(f"prior is negative at theta=({rows[i]}, "
                                     f"{t2[j]})")
-            # each |cell|, and the largest of them so far, point by point
-            size, largest = np.empty(b.shape), np.zeros(b.shape)
             for k, vals in zip(outputs[1:], values):
-                if not math.isfinite(np.abs(vals, out=size).max()):
+                if not np.isfinite(vals).all():
                     i, j = np.argwhere(~np.isfinite(vals))[0]
                     raise NonFinite(f"{program.names[k]}: utility is not "
                                     f"finite at ({rows[i]}, {t2[j]})")
-                np.maximum(largest, size, out=largest)
-            return b, (b * largest).max()  # b >= 0: the largest |b x cell|
+            return b
 
     blocks = -(-t1.size * t2.size // _BLOCK_POINTS)
     try:
-        b, scales = zip(*map(check, np.array_split(t1, blocks)))
+        b = np.concatenate(list(map(check, np.array_split(t1, blocks))))
     except (DomainError, NonFinite, NegativePrior):
         check(t1)
-    b = np.concatenate(b)
     for player, thetas, tops in ((1, t1, b.max(axis=1)),
                                  (2, t2, b.max(axis=0))):
         bad = np.flatnonzero(tops == 0.0)
         if bad.size:
             raise ZeroMarginal(f"marginal of player {player} at theta="
                                f"{thetas[bad[0]]} is 0.0")
-    return b.max(), max(scales)
+    return b.max()
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,7 +223,6 @@ class InfiniteGame:
 
     spec: GameSpec
     prior_norm: float
-    payoff_scale: float  # the largest |payoff| on the validation grid
     program: Program = field(repr=False, compare=False)
 
     @property
@@ -321,10 +316,9 @@ def load_game(spec, grid_check=101):
     if grid_check < 11 or grid_check % 2 == 0:
         raise ValueError("grid_check must be odd and >= 11")
     grid = np.linspace(0.0, 1.0, grid_check)
-    # the norm and the scale stand in until the grid pass gives them
-    game = InfiniteGame(spec=spec, prior_norm=1.0, payoff_scale=1.0,
-                        program=_compile(spec))
-    top, scale = _check_grid(game, *game.spec_types(grid, grid))
+    # the norm stands in until the grid pass gives the prior's size
+    game = InfiniteGame(spec=spec, prior_norm=1.0, program=_compile(spec))
+    top = _check_grid(game, *game.spec_types(grid, grid))
 
     # normalization constant over the unit square (Jacobian absorbed), of
     # the prior over the power of two at or below its largest grid value,
@@ -337,9 +331,7 @@ def load_game(spec, grid_check=101):
     norm *= game.prior_norm
     if not (math.isfinite(norm) and norm > 0.0):
         raise ZeroMarginal(f"prior integrates to {norm}; must be positive")
-    # a scale that overflows is capped, so certify's tolerance stays finite
-    return replace(game, prior_norm=norm,
-                   payoff_scale=min(scale / norm, np.finfo(float).max))
+    return replace(game, prior_norm=norm)
 
 
 def load_game_file(path):

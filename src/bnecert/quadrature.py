@@ -11,7 +11,8 @@ whether it is integrated alone or in a batch, so results are
 deterministic and do not depend on the batching.  Simpson estimates that
 are not finite (from an integrand that is not, or one above about 3e307,
 where fa + 4 fm + fb overflows) raise NonFinite at once, since refining
-cannot make them finite.
+cannot make them finite.  Each integrand's tolerance is floored near
+rounding of its own size, so no other integrand's units move it.
 
 Pass schedule.  Each panel carries f on its dyadic grid of 2**m
 intervals, built by the 0.5 * (lo + hi) chain that refinement follows,
@@ -53,6 +54,7 @@ LOOKAHEAD = 4  # depths of quarter points that one call of f fetches
 # A call of f runs ahead of refinement only up to this many abscissae: past
 # that it is bound by arithmetic, and running ahead only grows its arrays.
 FETCH_POINTS = 1024
+ROUNDING = 1e-14  # an error below this share of an integral's size is rounding
 
 
 def _simpson(fa, fm, fb, h):
@@ -61,7 +63,9 @@ def _simpson(fa, fm, fb, h):
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises NonFinite
 def integrate_many(f, count, a, b, tol, presplit=()):
-    """Integrate count integrands over [a, b], each to absolute accuracy tol.
+    """Integrate count integrands over [a, b], each to absolute accuracy
+    tol, floored at ROUNDING x (b - a) x its largest |f| among its first
+    panels' ends and middles.
 
     f(x, k) maps 1-D arrays of abscissae x and integrand indices k to the
     values of integrand k[m] at x[m].  Every integrand is refined, held to
@@ -124,6 +128,9 @@ def integrate_many(f, count, a, b, tol, presplit=()):
     lo, hi = np.tile(points[:-1], count), np.tile(points[1:], count)
     k = np.arange(count).repeat(cells)
     grid = fetch(lo, hi, k, None)  # (2**m + 1, panels): f on the dyadic grids
+    # the plain first call's values are the panels' ends and middles
+    sampled = np.abs(grid[::grid.shape[0] // 2]).reshape(-1, count, cells)
+    tols = np.maximum(tol, ROUNDING * width * sampled.max(axis=(0, 2)))
     s_whole = _simpson(grid[0], grid[grid.shape[0] // 2], grid[-1], hi - lo)
     accepted = []
     used = np.zeros(count, dtype=int)
@@ -147,7 +154,7 @@ def integrate_many(f, count, a, b, tol, presplit=()):
                             f"integrand {k[i]} are not finite")
         # proportional error allocation keeps the summed bound <= tol
         h = hi - lo
-        ok = (err <= tol * h / width) | (h < 1e-14)
+        ok = (err <= tols[k] * h / width) | (h < 1e-14)
         accepted.append(np.array([k, s2 + (s2 - s_whole) / 15.0, err])[:, ok])
         r = ~ok  # refined panels become their halves, the left ones first
         lo, mid, hi = lo[r], mid[r], hi[r]
@@ -171,10 +178,10 @@ def integrate(f, a, b, tol, presplit=()):
     The first call of f takes that partition first: a, the presplit
     abscissae inside (a, b) in increasing order, then b.
 
-    Returns (value, error_bound) with error_bound <= tol on success.
-    Raises ValueError unless 0 < tol < inf, QuadratureFailure if the
-    panel budget runs out first, and NonFinite if a Simpson estimate is
-    not finite.
+    Returns (value, error_bound) with error_bound at most tol, floored as
+    integrate_many floors it, on success.  Raises ValueError unless
+    0 < tol < inf, QuadratureFailure if the panel budget runs out first,
+    and NonFinite if a Simpson estimate is not finite.
     """
     value, err = integrate_many(lambda x, k: f(x), 1, a, b, tol, presplit)
     return float(value[0]), float(err[0])

@@ -519,7 +519,9 @@ def oracle_integrate_many(f, count, a, b, tol, presplit=(),
                           max_panels=10 ** 6):
     """integrate_many as it was before the pass schedule: the first call
     of f takes the initial panels' ends and midpoints, and each depth
-    then calls f once on the quarter points of all its panels."""
+    then calls f once on the quarter points of all its panels.  Each
+    integrand's tolerance is floored at quadrature.ROUNDING of width x
+    its largest |f| in that first call."""
     if b <= a:
         return np.zeros(count), np.zeros(count)
     points = np.array(sorted({a, b, *(p for p in presplit if a < p < b)}),
@@ -530,6 +532,8 @@ def oracle_integrate_many(f, count, a, b, tol, presplit=(),
     x = np.concatenate((points, 0.5 * (lo + hi)))
     fx = f(np.tile(x, count), np.arange(count).repeat(x.size))
     fx = fx.reshape(count, x.size)
+    tols = np.maximum(tol, bc.quadrature.ROUNDING * width
+                      * np.abs(fx).max(axis=1))
     flo, fhi, fm = (fx[:, :lo.size].ravel(), fx[:, 1:points.size].ravel(),
                     fx[:, points.size:].ravel())
     lo, hi = np.tile(lo, count), np.tile(hi, count)
@@ -559,7 +563,7 @@ def oracle_integrate_many(f, count, a, b, tol, presplit=(),
             i = np.argmax(~np.isfinite(err))
             raise NonFinite(f"Simpson estimates on [{lo[i]}, {hi[i]}] of "
                             f"integrand {k[i]} are not finite")
-        ok = (err <= tol * (hi - lo) / width) | (hi - lo < 1e-14)
+        ok = (err <= tols[k] * (hi - lo) / width) | (hi - lo < 1e-14)
         accepted.append(np.array([k, s2 + (s2 - s_whole) / 15.0, err])[:, ok])
         left = np.array([lo, mid, flo, flm, fm, s_left, k])
         right = np.array([mid, hi, fm, frm, fhi, s_right, k])
@@ -575,7 +579,7 @@ def oracle_certify(g, F, G, epsilon):
     """(gap1, gap2, quad_error1, quad_error2, value1, value2) of certify,
     player by player: the candidate's value, then the best deviation by
     oracle_integrate_many alone.  An error is the first player's."""
-    quad_tol = max(epsilon / 100.0, 1e-9 * g.payoff_scale)
+    quad_tol = epsilon / 100.0
     gaps, errors, values = [], [], []
     for player, own, opponent in ((1, F, G), (2, G, F)):
         interim = bc.certificate.interim_values(g, player, opponent)

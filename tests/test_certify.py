@@ -350,6 +350,9 @@ def test_certify_rejects_bad_epsilon():
     for epsilon in (-1e-3, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             bc.certify(g, F, G, epsilon)
+    # its hundredth, the quadrature tolerance, underflows to 0
+    with pytest.raises(ValueError, match="epsilon / 100, the quadrature"):
+        bc.certify(g, F, G, 5e-324)
 
 
 def test_gap_nonnegativity_up_to_quadrature_error():

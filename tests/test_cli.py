@@ -418,6 +418,15 @@ def test_bad_epsilon_or_quad_tol_is_fatal(spec_path, capsys, command, option,
     assert "must be positive" in out.err
 
 
+def test_an_epsilon_whose_hundredth_underflows_is_fatal(spec_path, capsys):
+    assert main(["run", spec_path, "--epsilon", "5e-324"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: epsilon must be positive and finite, and so "
+                       "must epsilon / 100, the quadrature tolerance; got "
+                       "5e-324\n")
+
+
 def readme_commands():
     """The bnecert command lines of README's sh blocks, continuations
     joined."""

@@ -137,6 +137,14 @@ def test_epsilon_that_is_not_a_real_number_is_rejected(epsilon):
         bc.certify(g, F, G, epsilon)
 
 
+@pytest.mark.parametrize("epsilon", [5e-324, 1e-322])
+def test_an_epsilon_whose_hundredth_underflows_is_rejected(epsilon):
+    # before, run certified each level to a tolerance of 0, which the
+    # quadrature rejects, and reported "exhausted"
+    with pytest.raises(ValueError, match="epsilon / 100, the quadrature"):
+        bc.RunConfig(epsilon=epsilon)
+
+
 def test_run_config_has_no_backend():
     # the game picks its solver, epsilon sets the quadrature tolerance and
     # fp's budget is fixed, so there is nothing else to set

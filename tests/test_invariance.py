@@ -2,17 +2,20 @@
 
 Scaling u and v by 2^k, and epsilon with them, must scale every number of
 a level's certificate by 2^k and leave the check_prop1 kind, the solved
-profile and the verdict as they are.  Scaling the prior by 2^k must change
-no certificate at all, since loading normalizes it away.  Both factors
-are powers of two, so every scaled number is exact and the tests compare
-bits.  Two repros scale by 1e-8, which no float scales exactly, and
-compare within a tolerance.
+profile and the verdict as they are.  Scaling the prior by 2^k, or player
+1's type range by 2^j, must change no certificate at all: loading
+normalizes the one away, and the other only relabels the types.  These
+factors are powers of two, so every scaled number is exact and the tests
+compare bits.  Two repros scale by 1e-8, which no float scales exactly,
+and compare within a tolerance.  A constant added to v must leave player
+1's certificate as it is, bit for bit.
 """
 
 import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -41,16 +44,19 @@ games = st.one_of(
         lambda seed: random_poly_doc(np.random.default_rng(seed))))
 
 
-def scaled(doc, factor, fields):
-    """doc with each expression of the named fields times factor."""
-    def times(e):
-        return f"{factor!r} * ({e})"
+def rewritten(doc, change, fields):
+    """doc with each expression text e of the named fields as change(e)."""
     out = dict(doc)
     for name in fields:
         value = doc[name]
-        out[name] = (times(value) if isinstance(value, str)
-                     else [[times(e) for e in row] for row in value])
+        out[name] = (change(value) if isinstance(value, str)
+                     else [[change(e) for e in row] for row in value])
     return out
+
+
+def scaled(doc, factor, fields):
+    """doc with each expression of the named fields times factor."""
+    return rewritten(doc, lambda e: f"{factor!r} * ({e})", fields)
 
 
 def level(doc, n, epsilon):
@@ -63,6 +69,16 @@ def level(doc, n, epsilon):
 
 def profile_bytes(result):
     return result.profile.s.tobytes(), result.profile.t.tobytes()
+
+
+def constant_sum_doc(scale=1.0, prior="1 + theta1", prior_scale=None):
+    """The 2x2 constant-sum game of PAYOFFS, times scale, v = -u."""
+    if prior_scale is not None:
+        prior = f"{prior_scale!r} * ({prior})"
+    return {"actions1": ["a", "b"], "actions2": ["c", "d"],
+            "u": [[f"{scale!r} * ({e})" for e in row] for row in PAYOFFS],
+            "v": [[f"-{scale!r} * ({e})" for e in row] for row in PAYOFFS],
+            "prior": prior}
 
 
 @settings(max_examples=50, deadline=None)
@@ -90,6 +106,9 @@ def test_payoff_units_scale_every_certificate_number(doc, n, k, epsilon):
        n=st.integers(1, 8), k=st.integers(-40, 10))
 # its norm read 0.47% low when the normalization was to an absolute 5e-10
 @example(doc=demo("zero_sum_match"), prior=WAVY_PRIOR, n=4, k=-40)
+# prior x payoff overflowed certify's floor while that was one scale for
+# the game: quad_error1 read 3.34e6 against 9.73 at the unit prior
+@example(doc=constant_sum_doc(2.0 ** 34), prior="1 + theta1", n=4, k=990)
 def test_prior_units_change_no_certificate(doc, prior, n, k):
     doc = dict(doc, prior=prior)
     _, result, cert = level(doc, n, 1e-3)
@@ -99,16 +118,6 @@ def test_prior_units_change_no_certificate(doc, prior, n, k):
     got = cert_k.to_dict()
     del want["wall_time"], got["wall_time"]
     assert got == want
-
-
-def constant_sum_doc(scale=1.0, prior="1 + theta1", prior_scale=None):
-    """The 2x2 constant-sum game of PAYOFFS, times scale, v = -u."""
-    if prior_scale is not None:
-        prior = f"{prior_scale!r} * ({prior})"
-    return {"actions1": ["a", "b"], "actions2": ["c", "d"],
-            "u": [[f"{scale!r} * ({e})" for e in row] for row in PAYOFFS],
-            "v": [[f"-{scale!r} * ({e})" for e in row] for row in PAYOFFS],
-            "prior": prior}
 
 
 def test_small_payoffs_keep_their_quadrature_error():
@@ -131,3 +140,43 @@ def test_a_small_prior_normalizes_to_its_unit_norm():
     for name in ("gap1", "gap2"):
         assert math.isclose(getattr(cert_small, name), getattr(cert, name),
                             rel_tol=1e-9), name
+
+
+@pytest.mark.parametrize("C", [1e4, 1e8, 1e10])
+def test_a_constant_in_v_leaves_player_1s_certificate_alone(C):
+    # when certify's floor was one scale for the game, C = 1e8 moved gap1
+    # from 0x1.2ca15bc86201fp-1 to 0x1.15fa97fac5f29p-1, and quad_error1
+    # from 2.47e-6 to 1.88e-2
+    doc = constant_sum_doc()
+    kind, result, cert = level(doc, 1, 2e-3)
+    shifted = dict(doc, v=[[f"{C!r} - ({e})" for e in row] for row in PAYOFFS])
+    kind_c, result_c, cert_c = level(shifted, 1, 2e-3)
+    assert kind == kind_c == "zero_sum"
+    assert profile_bytes(result_c) == profile_bytes(result)
+    for name in ("gap1", "quad_error1", "value1"):
+        assert getattr(cert_c, name) == getattr(cert, name), name
+    # player 2's values are C minus player 1's, rounded at C's size
+    assert abs(cert_c.gap2 - cert.gap2) <= 4 * math.ulp(C)
+
+
+@pytest.mark.parametrize("j", [-3, 1, 5])
+@pytest.mark.parametrize("name", ["zero_sum_match", "matching_pennies",
+                                  "linear_prior_multipliers"])
+def test_a_type_range_of_a_power_of_two_only_relabels(name, j):
+    # player 1's types on [0, 2^j], and theta1 * 2^-j for theta1 in every
+    # expression: both maps are exact
+    doc = demo(name)
+    fields = [f for f in ("u", "v", "prior", "m1") if f in doc]
+    relabelled = rewritten(
+        doc, lambda e: e.replace("theta1", f"(theta1 * {2.0 ** -j!r})"),
+        fields)
+    docs = doc, dict(relabelled, type_range1=[0.0, 2.0 ** j])
+    norms = [bc.load_game(bc.GameSpec.from_dict(d)).prior_norm for d in docs]
+    assert norms[1] == norms[0]
+    (kind, result, cert), (kind_j, result_j, cert_j) = (level(d, 8, 1e-3)
+                                                        for d in docs)
+    assert kind_j == kind
+    assert profile_bytes(result_j) == profile_bytes(result)
+    want, got = cert.to_dict(), cert_j.to_dict()
+    del want["wall_time"], got["wall_time"]
+    assert got == want

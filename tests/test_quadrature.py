@@ -35,6 +35,17 @@ def test_error_bound_is_honest():
         assert abs(value - exact) <= err + 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e8, 1e12, 1e15])
+def test_error_bound_is_honest_where_rounding_floors_tol(scale):
+    # tol is below this integrand's rounding: refining on until S2 and S1
+    # rounded alike reported 7e-18 at scale 1e12, against a true error of
+    # 1e-3
+    value, err = integrate(lambda t: scale * np.sin(10 * t), 0.0, 1.0, 1e-10)
+    exact = scale * (1 - math.cos(10.0)) / 10.0
+    assert err <= quadrature.ROUNDING * scale
+    assert abs(value - exact) <= err
+
+
 def test_kink_with_presplit():
     value, err = integrate(lambda t: np.maximum(t, 1 - t), 0.0, 1.0, 1e-10,
                            presplit=(0.5,))
