@@ -3,14 +3,16 @@
 Both sides of a gap read interim_values, each own action's value against
 the atomic opponent: one np.vecdot over the opponent's atoms and actions
 of nonzero mass, of payoffs from numpy's ufuncs (within 1 ulp of the C
-library's).  The best deviation integrates its max over own actions,
-pre-splitting panels at the opponent's atoms (where the integrand may
-kink) and refining adaptively.  The candidate's value sums it exactly
-over its own atoms, at the right ends of its cells, read from the
-integrand's first call, which takes the panel ends first.  The sides
-differ only in the own type, summed for one and integrated for the
-other: that is the gap's O(1/n) bias.  A certificate passes only if the
-gap plus the a-posteriori quadrature bound stays within epsilon.
+library's).  Both players' best deviations are one integrate_many call:
+integrand k, player k + 1's max over own actions, is pre-split at the
+opponent's atoms (where it may kink) and refined adaptively, as alone.
+An error is the first that refinement meets.  Each candidate's value
+sums the same values exactly over its own atoms, at the right ends of
+its cells, read from its integrand's first call, which takes the panel
+ends first.  The sides differ only in the own type, summed for one and
+integrated for the other: that is the gap's O(1/n) bias.  A certificate
+passes only if the gap plus the a-posteriori quadrature bound stays
+within epsilon.
 
 F and G must share a level: a certificate reports one.
 """
@@ -24,7 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .quadrature import integrate
+from .quadrature import integrate_many
 
 
 @dataclass(frozen=True)
@@ -67,43 +69,25 @@ def interim_values(g, player, opponent):
 def check_tolerances(epsilon):
     """ValueError unless epsilon and its hundredth, certify's quadrature
     tolerance, are positive, finite real numbers.  numpy floats count;
-    bools do not."""
-    if (isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real)
-            or not 0.0 < epsilon / 100.0 < math.inf):
+    bools do not, nor does an int too large for a float."""
+    try:
+        ok = (not isinstance(epsilon, bool)
+              and isinstance(epsilon, numbers.Real)
+              and 0.0 < epsilon / 100.0 < math.inf)
+    except OverflowError:
+        ok = False
+    if not ok:
         raise ValueError(f"epsilon must be positive and finite, and so must "
                          f"epsilon / 100, the quadrature tolerance; got "
                          f"{epsilon}")
 
 
-def br_value_infinite(g, player, opponent, quad_tol):
-    """Value of the best pure deviation against an atomic opponent.
-
-    Returns (value, error_bound, interim): value and error_bound from
-    adaptive Simpson quadrature of the max over own actions of
-    interim_values, with mandatory panel splits at the opponent's atom
-    abscissae, and interim the interim_values at the partition 0, 1/n,
-    ..., 1, read from the first call of the integrand, whose abscissae
-    start with it.
-    """
-    values = interim_values(g, player, opponent)
-    first = []
-
-    def psi(theta):  # a nan value makes the estimate, so certify, fail
-        acc = values(theta)
-        if not first:
-            first.append(acc[:, :opponent.n + 1])
-        return acc.max(axis=0)
-
-    value, error_bound = integrate(psi, 0.0, 1.0, quad_tol,
-                                   presplit=opponent.atom_points[:-1])
-    return value, error_bound, first[0]
-
-
 def certify(g, F, G, epsilon):
     """Check the epsilon-equilibrium condition of the infinite game for
     player 1's strategy F and player 2's G, over the game's labels; F and
-    G must share a level.  Each player's integral runs to epsilon / 100,
-    which the quadrature floors near rounding of that player's integrand."""
+    G must share a level.  Both players' deviations are integrated in one
+    call, each to epsilon / 100, which the quadrature floors near rounding
+    of that player's integrand."""
     check_tolerances(epsilon)
     for player, strat, actions in ((1, F, g.actions1), (2, G, g.actions2)):
         if strat.actions != actions:
@@ -113,17 +97,31 @@ def certify(g, F, G, epsilon):
     if F.n != G.n:
         raise ValueError(f"player 1's strategy is of level {F.n} and "
                          f"player 2's of level {G.n}; they must share one")
-    quad_tol = epsilon / 100.0
 
     start = time.perf_counter()
-    values, gaps, errors = [], [], []
-    for player, own, opponent in ((1, F, G), (2, G, F)):
-        br, err, interim = br_value_infinite(g, player, opponent, quad_tol)
-        # own atoms 1/n, ..., 1: the opponent's level is the own one
-        values.append(float(np.vecdot(own.atom_masses().ravel(),
-                                      interim[:, 1:].T.ravel())))
-        gaps.append(br - values[-1])
-        errors.append(err)
+    sides = interim_values(g, 1, G), interim_values(g, 2, F)
+    first = [None, None]  # each side's first values, at 0, 1/n, ..., 1
+
+    def psi(theta, k):  # a nan value makes the estimate, so certify, fail
+        out = np.empty(theta.size)
+        for side, values in enumerate(sides):
+            mine = k == side
+            if mine.any():
+                acc = values(theta[mine])
+                if first[side] is None:
+                    first[side] = acc[:, :F.n + 1]
+                out[mine] = acc.max(axis=0)
+        return out
+
+    # F's atoms are G's too, so they split both sides' panels
+    brs, errors = integrate_many(psi, 2, 0.0, 1.0, epsilon / 100.0,
+                                 presplit=F.atom_points[:-1])
+    # own atoms 1/n, ..., 1
+    values = [float(np.vecdot(own.atom_masses().ravel(),
+                              interim[:, 1:].T.ravel()))
+              for own, interim in zip((F, G), first)]
+    gaps = [br - value for br, value in zip(brs.tolist(), values)]
+    errors = errors.tolist()
     return Certificate(
         level=F.n,
         epsilon_requested=float(epsilon),

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import bnecert as bc
-from bnecert.certificate import br_value_infinite
 from bnecert.discretize import StepStrategy
 from bnecert.solver import (
     action_values,
@@ -187,24 +186,31 @@ def test_criterion_5_quadrature_correctness(capsys):
                   [["0", "0"], ["0", "0"]])
     weights = np.zeros((1, 2))
     weights[0, 0] = 1.0
+    F = StepStrategy(actions=g.actions1, weights=weights)
     G = StepStrategy(actions=g.actions2, weights=weights)
-    value, _, _ = br_value_infinite(g, 1, G, quad_tol=1e-8)
-    if abs(value - 0.75) > 1e-8:
+    # certify integrates each deviation to epsilon / 100
+    cert = bc.certify(g, F, G, epsilon=1e-6)
+    if abs(cert.gap1 + cert.value1 - 0.75) > 1e-8:
         ok = False
 
     rng = np.random.default_rng(55)
-    quad_tol = 1e-7
+    epsilon = 1e-5
+    quad_tol = epsilon / 100.0
     for trial in range(20):
         game = random_poly_game(rng)
         n = (1, 2, 4)[trial % 3]
         raw = rng.random((n, 2))
         profile = bc.BehavioralProfile(raw / raw.sum(axis=1, keepdims=True),
                                        np.full((n, 2), 0.5))
-        player = 1 + trial % 2
-        opponent = bc.lift(profile, 3 - player,
-                           game.actions2 if player == 1 else game.actions1)
-        got, _, _ = br_value_infinite(game, player, opponent, quad_tol)
-        want = riemann_br_value(game, player, opponent)
+        F = bc.lift(profile, 1, game.actions1)
+        G = bc.lift(profile, 2, game.actions2)
+        cert = bc.certify(game, F, G, epsilon)
+        if trial % 2 == 0:  # player 1 against G
+            got, want = (cert.gap1 + cert.value1,
+                         riemann_br_value(game, 1, G))
+        else:
+            got, want = (cert.gap2 + cert.value2,
+                         riemann_br_value(game, 2, F))
         if abs(got - want) > max(quad_tol, 1e-6):
             ok = False
     _verdict(capsys, 5, "quadrature correctness", ok)

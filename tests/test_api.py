@@ -92,8 +92,6 @@ def test_signatures_take_no_tuning_options():
         bnecert.load_game: ["spec", "grid_check"],
         bnecert.solve_lp: ["fg", "alpha1", "alpha2"],
         bnecert.solve_fp: ["fg", "max_iters", "target_gap"],
-        bnecert.certificate.br_value_infinite: ["g", "player", "opponent",
-                                                "quad_tol"],
         bnecert.certificate.interim_values: ["g", "player", "opponent"],
         bnecert.quadrature.integrate: ["f", "a", "b", "tol", "presplit"],
         bnecert.quadrature.integrate_many: ["f", "count", "a", "b", "tol",
@@ -101,19 +99,13 @@ def test_signatures_take_no_tuning_options():
     }
     for func, params in want.items():
         assert list(inspect.signature(func).parameters) == params, func
-    for func in (bnecert.solve_lp, bnecert.solve_fp,
-                 bnecert.certificate.br_value_infinite):
+    for func in (bnecert.solve_lp, bnecert.solve_fp):
         assert all(p.default is inspect.Parameter.empty
                    for p in inspect.signature(func).parameters.values()), func
     fg = bnecert.build_finite(bnecert.load_game_file(
         ROOT / "demos" / "specs" / "zero_sum_match.json"), 2)
     with pytest.raises(TypeError):
         bnecert.solve_lp(fg)
-
-
-def _flat(*parts):
-    """A call's returned parts in one flat array, compared at once."""
-    return np.concatenate([np.ravel(part) for part in parts])
 
 
 # each public call that takes a player, on a game g with multipliers and
@@ -128,8 +120,6 @@ PLAYER_CALLS = {
     "multiplier": lambda g, F, p: g.multiplier(p, 0.5),
     "interim_values": lambda g, F, p: bnecert.certificate.interim_values(
         g, p, F)(np.array([0.5])),
-    "br_value_infinite": lambda g, F, p: _flat(
-        *bnecert.certificate.br_value_infinite(g, p, F, 1e-6)),
 }
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bnecert as bc
-from bnecert.certificate import br_value_infinite, interim_values
+from bnecert.certificate import interim_values
 from bnecert.discretize import StepStrategy
 from bnecert.errors import NoConvergence
 from bnecert.solver import solve_fp
@@ -38,6 +38,14 @@ def pure_step(n, actions, index):
 def lp_profile(g, n):
     """The LP profile of g's level-n game."""
     return solve_default_lp(bc.build_finite(g, n), g).profile
+
+
+def deviation(cert, player):
+    """(best deviation value, error bound) of a player, read off the
+    certificate as gap + candidate value."""
+    if player == 1:
+        return cert.gap1 + cert.value1, cert.quad_error1
+    return cert.gap2 + cert.value2, cert.quad_error2
 
 
 def profile_values(g, F, G):
@@ -127,34 +135,40 @@ def test_certificate_values_equal_the_finite_ex_ante_values():
 # ---------------------------------------------------------------------------
 # best-deviation values
 
+# certify integrates each player's deviation to epsilon / 100
+
 def test_br_value_analytic_tent():
     g = make_game([["theta1*theta2", "0"], ["1-theta1", "0"]],
                   [["0", "0"], ["0", "0"]])
+    F = pure_step(1, g.actions1, 0)
     G = pure_step(1, g.actions2, 0)  # single atom at theta2 = 1 on y1
-    value, err, _ = br_value_infinite(g, 1, G, quad_tol=1e-8)
+    value, err = deviation(bc.certify(g, F, G, epsilon=1e-6), 1)
     assert err <= 1e-8
     assert value == pytest.approx(0.75, abs=1e-8)
 
 
 def test_br_value_analytic_single_action():
     g = make_game([["theta1*theta2"]], [["0"]])
+    F = pure_step(2, ("x1",), 0)
     G = pure_step(2, ("y1",), 0)  # atoms 0.5 and 1.0, mass 1/2 each
-    value, err, _ = br_value_infinite(g, 1, G, quad_tol=1e-8)
+    value, err = deviation(bc.certify(g, F, G, epsilon=1e-6), 1)
     assert value == pytest.approx(0.375, abs=1e-8)
     assert err <= 1e-8
 
 
 def test_br_value_against_riemann_oracle_20_games():
     rng = np.random.default_rng(29)
-    quad_tol = 1e-7
+    epsilon = 1e-5
+    quad_tol = epsilon / 100.0
     for k in range(20):
         g = random_poly_game(rng)
         n = (1, 2, 4)[k % 3]
         profile = random_profile(rng, n, 2, 2)
-        for player, opponent_side in ((1, 2), (2, 1)):
-            opponent = bc.lift(profile, opponent_side,
-                               g.actions2 if player == 1 else g.actions1)
-            got, err, _ = br_value_infinite(g, player, opponent, quad_tol)
+        F = bc.lift(profile, 1, g.actions1)
+        G = bc.lift(profile, 2, g.actions2)
+        cert = bc.certify(g, F, G, epsilon)
+        for player, opponent in ((1, G), (2, F)):
+            got, err = deviation(cert, player)
             want = riemann_br_value(g, player, opponent)
             assert abs(got - want) <= max(quad_tol, 1e-6)
             assert err <= quad_tol
@@ -223,23 +237,15 @@ def test_best_deviation_ignores_zero_mass_actions_where_payoff_overflows():
                   grid_check=11)
     profile = bc.BehavioralProfile(np.ones((3, 1)),
                                    np.tile([0.0, 1.0], (3, 1)))
+    F = bc.lift(profile, 1, g.actions1)
     G = bc.lift(profile, 2, g.actions2)
     assert g.payoff(1, 0.5501, 0.5)[0, 0] == np.inf
     values = interim_values(g, 1, G)
     assert values(np.array([0.1, 0.5501])) == pytest.approx(np.ones((1, 2)))
-    value, err, _ = br_value_infinite(g, 1, G, quad_tol=1e-9)
-    # the payoff 1 under a uniform prior
-    assert value == 1.0
-    assert err <= 1e-9
-
-
-def test_br_value_rejects_bad_tol():
-    g = make_game([["1"]], [["1"]])
-    with pytest.raises(ValueError):
-        br_value_infinite(g, 1, pure_step(1, ("y1",), 0), quad_tol=0.0)
-    with pytest.raises(ValueError):
-        br_value_infinite(g, 1, pure_step(1, ("y1",), 0),
-                          quad_tol=float("nan"))
+    cert = bc.certify(g, F, G, epsilon=1e-7)
+    # the deviation's value is the payoff 1 under a uniform prior
+    assert cert.gap1 == 1.0 - cert.value1
+    assert cert.quad_error1 <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +359,9 @@ def test_certify_rejects_bad_epsilon():
     # its hundredth, the quadrature tolerance, underflows to 0
     with pytest.raises(ValueError, match="epsilon / 100, the quadrature"):
         bc.certify(g, F, G, 5e-324)
+    # an int too large for a float: epsilon / 100 raised OverflowError
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        bc.certify(g, F, G, 10 ** 400)
 
 
 def test_gap_nonnegativity_up_to_quadrature_error():
@@ -375,15 +384,16 @@ def test_shrinking_quad_tol_is_conservative():
     F = bc.lift(profile, 1, g.actions1)
     G = bc.lift(profile, 2, g.actions2)
     values = profile_values(g, F, G)
-    for player, opponent in ((1, G), (2, F)):
-        loose = br_value_infinite(g, player, opponent, 1e-3)
-        tight = br_value_infinite(g, player, opponent, 1e-8)
+    loose, tight = (bc.certify(g, F, G, epsilon) for epsilon in (0.1, 1e-6))
+    for player in (1, 2):
+        (loose_br, loose_err), (tight_br, tight_err) = (
+            deviation(cert, player) for cert in (loose, tight))
         # both pass the epsilon = 0.05 test that certify applies
-        for br, err, _ in (loose, tight):
+        for br, err in ((loose_br, loose_err), (tight_br, tight_err)):
             assert br - values[player - 1] + err <= 0.05
-        assert tight[1] <= loose[1] + 1e-12
+        assert tight_err <= loose_err + 1e-12
         # the deviation values agree within the looser error bound
-        assert abs(tight[0] - loose[0]) <= loose[1] + 1e-10
+        assert abs(tight_br - loose_br) <= loose_err + 1e-10
 
 
 def test_prior_scaling_invariance():
@@ -434,23 +444,22 @@ def test_certify_equals_certifying_player_by_player(certify_games, n):
             assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
-def test_when_both_players_fail_the_error_is_player_1s():
+def test_when_both_players_fail_the_shallower_failure_is_raised():
     # inf near 0.35 for player 1 and near 0.55 for player 2: player 2's
-    # overflow shows at a shallower depth, so refining both players in
-    # one loop would raise player 2's error
+    # overflow shows at a shallower depth, and certify refines both
+    # players in one loop, so it raises player 2's error, on integrand 1
     g = make_game([["exp(1/abs(theta1 - 0.35))"]],
                   [["exp(1/abs(theta2 - 0.55))"]], grid_check=11)
     F = pure_step(2, g.actions1, 0)
     G = pure_step(2, g.actions2, 0)
-    with pytest.raises(bc.errors.NonFinite) as want:
-        oracle_certify(g, F, G, 1e-3)
-    assert "integrand 0" in str(want.value)
     with pytest.raises(bc.errors.NonFinite) as got:
         bc.certify(g, F, G, 1e-3)
-    assert str(got.value) == str(want.value)
-    with pytest.raises(bc.errors.NonFinite) as second:
-        br_value_infinite(g, 2, F, 1e-5)
-    assert str(second.value) != str(want.value)
+    assert str(got.value) == ("Simpson estimates on [0.546875, 0.5625] of "
+                              "integrand 1 are not finite")
+    # player by player, player 1's deeper failure comes first
+    with pytest.raises(bc.errors.NonFinite) as first:
+        oracle_certify(g, F, G, 1e-3)
+    assert "integrand 0" in str(first.value)
 
 
 def test_a_nan_action_value_is_nonfinite_as_in_build_finite():

@@ -427,6 +427,18 @@ def test_an_epsilon_whose_hundredth_underflows_is_fatal(spec_path, capsys):
                        "5e-324\n")
 
 
+@pytest.mark.parametrize("command", [["discretize"], ["solve"],
+                                     ["certify", "--epsilon", "0.01"]])
+def test_a_level_too_large_to_allocate_is_fatal(capsys, command):
+    # before, numpy's _ArrayMemoryError ended in a traceback
+    spec = str(ROOT / "demos" / "specs" / "zero_sum_match.json")
+    assert main([*command, spec, "--level", "4000000"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: Unable to allocate ")
+    assert "Traceback" not in out.err
+
+
 def readme_commands():
     """The bnecert command lines of README's sh blocks, continuations
     joined."""

@@ -145,6 +145,14 @@ def test_an_epsilon_whose_hundredth_underflows_is_rejected(epsilon):
         bc.RunConfig(epsilon=epsilon)
 
 
+@pytest.mark.parametrize("epsilon", [10 ** 400, -10 ** 400],
+                         ids=["1e400", "-1e400"])
+def test_an_int_epsilon_too_large_for_a_float_is_rejected(epsilon):
+    # before, epsilon / 100 raised OverflowError
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        bc.RunConfig(epsilon=epsilon)
+
+
 def test_run_config_has_no_backend():
     # the game picks its solver, epsilon sets the quadrature tolerance and
     # fp's budget is fixed, so there is nothing else to set

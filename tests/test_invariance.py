@@ -8,11 +8,13 @@ normalizes the one away, and the other only relabels the types.  These
 factors are powers of two, so every scaled number is exact and the tests
 compare bits.  Two repros scale by 1e-8, which no float scales exactly,
 and compare within a tolerance.  A constant added to v must leave player
-1's certificate as it is, bit for bit.
+1's certificate as it is, bit for bit, and swapping the players must swap
+every certificate number.
 """
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bnecert as bc
-from bnecert.driver import certify_level
+from bnecert.driver import certify_level, solve_level
 
 from conftest import ROOT, random_poly_doc
 
@@ -180,3 +182,56 @@ def test_a_type_range_of_a_power_of_two_only_relabels(name, j):
     want, got = cert.to_dict(), cert_j.to_dict()
     del want["wall_time"], got["wall_time"]
     assert got == want
+
+
+def swapped(doc):
+    """doc with the players exchanged: theta1 <-> theta2 in every
+    expression, u[x][y] <-> v[y][x], and each player's actions,
+    multiplier and type range as the other's."""
+    def swap(e):
+        return re.sub(r"theta([12])", lambda m: f"theta{3 - int(m[1])}", e)
+
+    def table(rows):  # transposed, with the types swapped
+        return [[swap(e) for e in column] for column in zip(*rows)]
+
+    out = {"actions1": doc["actions2"], "actions2": doc["actions1"],
+           "u": table(doc["v"]), "v": table(doc["u"]),
+           "prior": swap(doc["prior"])}
+    if "m1" in doc:  # then m2 is too
+        out["m1"], out["m2"] = swap(doc["m2"]), swap(doc["m1"])
+    for name, other in (("type_range1", "type_range2"),
+                        ("type_range2", "type_range1")):
+        if name in doc:
+            out[other] = doc[name]
+    return out
+
+
+def mirrored(name):
+    """The certificate field of the other player: gap1 <-> gap2, ..."""
+    return name[:-1] + ("2" if name[-1] == "1" else "1")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("source", ["zero_sum_match", "matching_pennies",
+                                    "linear_prior_multipliers",
+                                    0, 1, 2, 3, 4, 5])
+def test_swapping_the_players_swaps_every_certificate_number(source, n):
+    # certify integrates both players in one call, so this also checks
+    # that its integrand keeps the two players apart
+    doc = (demo(source) if isinstance(source, str)
+           else random_poly_doc(np.random.default_rng(source)))
+    g, gs = (bc.load_game(bc.GameSpec.from_dict(d))
+             for d in (doc, swapped(doc)))
+    prop1, prop1_s = bc.check_prop1(g), bc.check_prop1(gs)
+    assert prop1_s.kind == prop1.kind
+    result, _, F, G, cert = certify_level(g, n, prop1, 1e-3)
+    cert_s = bc.certify(gs, G, F, 1e-3)
+    assert cert_s.certified == cert.certified
+    got = [getattr(cert_s, mirrored(name)) for name in NUMBERS]
+    want = [getattr(cert, name) for name in NUMBERS]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    result_s, _ = solve_level(gs, n, prop1_s, 1e-3)
+    if prop1.linearizable:  # the LP may reach another optimal vertex
+        assert max(result_s.finite_gap1, result_s.finite_gap2) <= 1e-12
+    else:  # fictitious play mirrors its steps
+        assert profile_bytes(result_s) == profile_bytes(result)[::-1]
