@@ -70,16 +70,17 @@ def check_tolerances(epsilon):
     """ValueError unless epsilon and its hundredth, certify's quadrature
     tolerance, are positive, finite real numbers.  numpy floats count;
     bools do not, nor does an int too large for a float."""
+    got = epsilon
     try:
         ok = (not isinstance(epsilon, bool)
               and isinstance(epsilon, numbers.Real)
               and 0.0 < epsilon / 100.0 < math.inf)
-    except OverflowError:
-        ok = False
+    except OverflowError:  # its digits may pass int's str limit
+        ok, got = False, "a number too large for a float"
     if not ok:
         raise ValueError(f"epsilon must be positive and finite, and so must "
                          f"epsilon / 100, the quadrature tolerance; got "
-                         f"{epsilon}")
+                         f"{got}")
 
 
 def certify(g, F, G, epsilon):

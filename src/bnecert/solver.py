@@ -164,7 +164,7 @@ def check_prop1(g):
     if not np.any(_mismatch(u, rhs, tol)):
         return Prop1Result(kind="zero_sum")
 
-    if g.spec.m1 is not None and g.spec.m2 is not None:
+    if g.spec.m1 is not None:  # then m2 is too
         m1, m2 = (_multiplier(g, player, pts, "") for player in (1, 2))
         with np.errstate(over="ignore", invalid="ignore"):
             lhs = m2 * u

@@ -359,9 +359,12 @@ def test_certify_rejects_bad_epsilon():
     # its hundredth, the quadrature tolerance, underflows to 0
     with pytest.raises(ValueError, match="epsilon / 100, the quadrature"):
         bc.certify(g, F, G, 5e-324)
-    # an int too large for a float: epsilon / 100 raised OverflowError
-    with pytest.raises(ValueError, match="epsilon must be positive"):
-        bc.certify(g, F, G, 10 ** 400)
+    # an int too large for a float: epsilon / 100 raised OverflowError,
+    # and past int's 4300-digit str limit, the message's formatting raised
+    for epsilon in (10 ** 400, 10 ** 5000):
+        with pytest.raises(ValueError,
+                           match="^epsilon must be positive and finite"):
+            bc.certify(g, F, G, epsilon)
 
 
 def test_gap_nonnegativity_up_to_quadrature_error():

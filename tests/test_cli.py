@@ -66,15 +66,17 @@ def general_sum_report(epsilon, max_level):
     return bc.run(g, bc.RunConfig(epsilon=epsilon, max_level=max_level))
 
 
-def test_check(spec_path, capsys):
-    assert main(["check", spec_path]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["actions1"] == ["x1", "x2"]
-    assert doc["multiplier_condition"] == "zero_sum"
-    assert doc["prior_norm"] == pytest.approx(1.0, abs=1e-8)
-    # payoffs are prior x utility, so there is no per-game offset to show
-    assert set(doc) == {"actions1", "actions2", "prior_norm",
-                        "multiplier_condition"}
+def test_check(spec_path, general_sum_path, capsys):
+    for path, condition in ((spec_path, "zero_sum"),
+                            (general_sum_path, "none")):
+        assert main(["check", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["actions1"] == ["x1", "x2"]
+        assert doc["multiplier_condition"] == condition
+        assert doc["prior_norm"] == pytest.approx(1.0, abs=1e-8)
+        # payoffs are prior x utility: there is no per-game offset to show
+        assert set(doc) == {"actions1", "actions2", "prior_norm",
+                            "multiplier_condition"}
 
 
 @pytest.mark.parametrize("utility", ["exp(1000*theta1)", "10^400"])

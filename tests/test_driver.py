@@ -145,11 +145,14 @@ def test_an_epsilon_whose_hundredth_underflows_is_rejected(epsilon):
         bc.RunConfig(epsilon=epsilon)
 
 
-@pytest.mark.parametrize("epsilon", [10 ** 400, -10 ** 400],
-                         ids=["1e400", "-1e400"])
+@pytest.mark.parametrize("epsilon", [10 ** 400, -10 ** 400, 10 ** 5000,
+                                     -10 ** 5000],
+                         ids=["1e400", "-1e400", "1e5000", "-1e5000"])
 def test_an_int_epsilon_too_large_for_a_float_is_rejected(epsilon):
-    # before, epsilon / 100 raised OverflowError
-    with pytest.raises(ValueError, match="epsilon must be positive"):
+    # before, epsilon / 100 raised OverflowError; past int's 4300-digit str
+    # limit, formatting the message raised Python's own ValueError
+    with pytest.raises(ValueError,
+                       match="^epsilon must be positive and finite"):
         bc.RunConfig(epsilon=epsilon)
 
 

@@ -29,6 +29,13 @@ from conftest import (
 # k and m away from 0 and 1, where fp's 2000 iterations still settle
 weights = st.floats(0.05, 0.95)
 
+# a general-sum entry game, which fp solves; at level 1 and epsilon 0.05 it
+# certifies, though its exact step regrets are 0.467 and 0.108
+ENTRY_SPEC = {"actions1": ["enter", "stay"], "actions2": ["fight", "yield"],
+              "u": [["theta1 - 1", "1 + theta1"], ["0", "0"]],
+              "v": [["theta2 - 0.5", "0"], ["1", "1"]],
+              "prior": "1 + theta1*theta2"}
+
 
 @settings(max_examples=20, deadline=None)
 @given(k=weights, m=weights, n=st.integers(1, 16),
@@ -158,6 +165,7 @@ def test_exact_polynomial_regret_agrees_with_a_riemann_sum(spec, n, seed):
     "against an exact step regret of 0.125"))
 @settings(max_examples=30, deadline=None)
 @example(spec=threshold_spec(0.5, 0.5), n=1, epsilon=1e-3)
+@example(spec=ENTRY_SPEC, n=1, epsilon=0.05)
 @given(spec=polynomial_game_specs(), n=st.integers(1, 8),
        epsilon=st.floats(1e-6, 0.1))
 def test_certified_implies_the_exact_step_regret_is_within_epsilon(
