@@ -17,14 +17,17 @@ precedence, the floor of its right operand and its function:
 + - (1, 1), * / (2, 2), ^ (4, 3); a unary minus's operand has floor 3.
 FUNCTIONS holds each function's least and greatest number of arguments
 and its function.  A name that is neither a function nor one of the
-VARIABLES is an UnknownIdentifier.  Trees are immutable and evaluation
-is pure, so Expr values are safe to share across threads.
+VARIABLES is an UnknownIdentifier.  parse yields an expression's
+postorder code: a tuple of instructions ("num", value), ("var", name),
+("neg",), ("op", symbol) and ("call", name, count), each after its
+operands' instructions, which come left to right.  Code is a flat tuple,
+so it compares and prints at any depth, and it is safe to share.
 
-A Program compiles a list of trees into one tape of steps, in which
-structurally equal subtrees share a step, and evaluates the steps that
-the requested trees need.
-Evaluation is elementwise over numpy arrays, one numpy ufunc per node;
-min and max keep Python's semantics, nan and signed zeros included.
+A Program compiles a list of codes into one tape of steps, in which
+equal subexpressions share a step, and evaluates the steps that the
+requested codes need.  Evaluation is elementwise over numpy arrays, one
+numpy ufunc per step; min and max keep Python's semantics, nan and
+signed zeros included.
 exp, log, sin, cos and ^ stay within 1 ulp of the C library's functions
 (tests/test_expr.py; with numpy 2.4 on AVX-512, exp and ^ differ by one
 ulp on a few percent of inputs, sin and cos nowhere).  Inputs are taken
@@ -34,66 +37,13 @@ Overflow gives +-inf and sin or cos of an infinity nan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifier
 
-class Expr:
-    """Base class for AST nodes.  A node compares and hashes by identity
-    and prints as an object: the methods a dataclass would generate
-    recurse, and a tree may be deeper than the stack."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class Num(Expr):
-    value: float
-
-
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class Var(Expr):
-    name: str
-
-
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class Neg(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class BinOp(Expr):
-    op: str
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class Call(Expr):
-    name: str
-    args: tuple[Expr, ...]
-
-
-def postorder(tree):
-    """The nodes of tree, each after its operands, which come left to
-    right; the walk keeps its own stack, so any depth will do."""
-    nodes, todo = [], [tree]
-    while todo:  # each node before its operands, the last operand first
-        e = todo.pop()
-        nodes.append(e)
-        if isinstance(e, BinOp):
-            todo += (e.left, e.right)
-        elif isinstance(e, Neg):
-            todo.append(e.arg)
-        elif isinstance(e, Call):
-            todo += e.args
-    return nodes[::-1]
-
 
 # ---------------------------------------------------------------------------
-# compiled evaluation: one numpy ufunc per node, domain checks first
+# compiled evaluation: one numpy ufunc per step, domain checks first
 
 def _first(bad, x):
     """The value of x at the first point where bad holds."""
@@ -158,64 +108,65 @@ FUNCTIONS = {"min": (2, None, _min), "max": (2, None, _max),
 
 
 class Program:
-    """Straight-line program that evaluates a list of trees together.
+    """Straight-line program that evaluates a list of codes together.
 
-    Compiling walks each tree bottom-up and puts one step on the tape, a
-    function and the slots of its operands, for each node whose key is
-    new.  A node is keyed on its function and its operands' slots, so
-    structurally equal subtrees share one slot, within a tree and across
-    trees, and compiling is linear in the size of the trees.  The first
-    slots hold the VARIABLES, in order; a constant is keyed on its bits,
-    and the negation of a constant compiles to the negated constant.
+    Compiling reads each code in order and puts one step on the tape, a
+    function and the slots of its operands, for each instruction whose
+    key is new.  An instruction is keyed on its function and its
+    operands' slots, so equal subexpressions share one slot, within a
+    code and across codes, and compiling is linear in the length of the
+    codes.  The first slots hold the VARIABLES, in order; a constant is
+    keyed on its bits, and the negation of a constant compiles to the
+    negated constant.
 
     run takes the requested outputs in turn and runs the steps of each
-    tree in the order a walk of the tree meets them, skipping the steps
-    that an earlier output ran.  So the first DomainError is the one that
-    evaluating the trees one by one, in that order, would raise; when the
-    program has names, its message starts with the name of that tree.
+    code in the order the code meets them, skipping the steps that an
+    earlier output ran.  So the first DomainError is the one that
+    evaluating the codes one by one, in that order, would raise; when the
+    program has names, its message starts with the name of that code.
     Each step's value is dropped after its last use.
     """
 
-    def __init__(self, trees, names=None):
+    def __init__(self, codes, names=None):
         self.names = names
         self.tape = {}        # slot -> (function, operand, operand or -1)
         self._slot_of = {}    # key -> slot, while compiling
         self._init = [None, None]  # per slot: None, or a constant
-        self._walk = []       # per tree: the slots of its steps
+        self._walk = []       # per code: the slots of its steps
         self.outputs = []
-        for e in trees:
+        for code in codes:
             walk = []
-            self.outputs.append(self._emit(e, walk))
-            # first visits only: a repeated subtree's steps come in once
+            self.outputs.append(self._emit(code, walk))
+            # first visits only: a repeated subexpression's steps come in once
             self._walk.append(tuple(dict.fromkeys(walk)))
         del self._slot_of
         self._schedules = {}
 
-    def _emit(self, tree, walk):
-        """Slot of tree's value; appends the slots of its steps to walk in
-        the order a walk of the tree evaluates them.  Nodes come in
-        postorder and take their operands' slots off a stack."""
+    def _emit(self, code, walk):
+        """Slot of code's value; appends the slots of its steps to walk in
+        the order the code evaluates them.  Each instruction takes its
+        operands' slots off a stack."""
         slots = []
-        for e in postorder(tree):
-            if isinstance(e, BinOp):
+        for kind, *args in code:
+            if kind == "op":
                 right = slots.pop()
-                key = (OPERATORS[e.op][2], slots.pop(), right)
-            elif isinstance(e, Var):
-                slots.append(VARIABLES.index(e.name))
+                key = (OPERATORS[args[0]][2], slots.pop(), right)
+            elif kind == "var":
+                slots.append(VARIABLES.index(args[0]))
                 continue
-            elif isinstance(e, Num):
-                slots.append(self._constant(e.value))
+            elif kind == "num":
+                slots.append(self._constant(args[0]))
                 continue
-            elif isinstance(e, Neg):
+            elif kind == "neg":
                 value = self._init[slots[-1]]
                 if value is not None:  # a constant: negating it is exact
                     slots[-1] = self._constant(-value)
                     continue
                 key = (np.negative, slots.pop(), -1)
-            elif FUNCTIONS[e.name][1] is not None:
-                key = (FUNCTIONS[e.name][2], slots.pop(), -1)
+            elif FUNCTIONS[args[0]][1] is not None:
+                key = (FUNCTIONS[args[0]][2], slots.pop(), -1)
             else:  # a fold from the left
-                fn, n = FUNCTIONS[e.name][2], len(e.args)
+                fn, n = FUNCTIONS[args[0]][2], args[1]
                 first, second, *rest = slots[-n:]
                 del slots[-n:]
                 key = (fn, first, second)
@@ -369,6 +320,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.code = []
 
     def expect_op(self, symbol):
         kind, value, offset = self.tokens[self.pos]
@@ -377,35 +329,38 @@ class _Parser:
         self.pos += 1
 
     def expr(self, floor):
-        """One operand, then each binary operator whose precedence is
-        above floor, folded in with its right operand parsed at its
-        operator's floor."""
+        """Emit one operand, then each binary operator whose precedence is
+        above floor, after its right operand parsed at its operator's
+        floor."""
         kind, value, offset = self.tokens[self.pos]
         self.pos += 1
         if kind == "num":
-            e = Num(value)
+            self.code.append(("num", value))
         elif kind == "ident" and value in VARIABLES:
-            e = Var(value)
+            self.code.append(("var", value))
         elif kind == "ident" and value in FUNCTIONS:
             self.expect_op("(")
-            args = [self.expr(0)]
+            self.expr(0)
+            count = 1
             while self.tokens[self.pos][:2] == ("op", ","):
                 self.pos += 1
-                args.append(self.expr(0))
+                self.expr(0)
+                count += 1
             self.expect_op(")")
             lo, hi, _ = FUNCTIONS[value]
-            if len(args) < lo or (hi is not None and len(args) > hi):
+            if count < lo or (hi is not None and count > hi):
                 raise ExprSyntaxError(
                     f"{value} takes {lo}{'+' if hi is None else ''} "
-                    f"argument(s), got {len(args)}", offset)
-            e = Call(value, tuple(args))
+                    f"argument(s), got {count}", offset)
+            self.code.append(("call", value, count))
         elif kind == "ident":
             raise UnknownIdentifier(value, offset)
         elif (kind, value) == ("op", "("):
-            e = self.expr(0)
+            self.expr(0)
             self.expect_op(")")
         elif (kind, value) == ("op", "-"):
-            e = Neg(self.expr(3))  # so only '^' binds tighter
+            self.expr(3)  # so only '^' binds tighter
+            self.code.append(("neg",))
         else:
             what = "end of input" if kind == "end" else repr(value)
             raise ExprSyntaxError(f"expected operand, got {what}", offset)
@@ -413,20 +368,21 @@ class _Parser:
             op = self.tokens[self.pos][1]
             prec, right_floor, _ = OPERATORS.get(op, (0, 0, None))
             if prec <= floor:
-                return e
+                return
             self.pos += 1
-            e = BinOp(op, e, self.expr(right_floor))
+            self.expr(right_floor)
+            self.code.append(("op", op))
 
 
 def parse(text):
-    """Parse DSL text into an immutable Expr tree."""
+    """The postorder code of DSL text."""
     p = _Parser(text)
     try:
-        e = p.expr(0)
+        p.expr(0)
     except RecursionError:  # named at the last token read
         raise ExprSyntaxError("expression nested too deeply",
                               p.tokens[p.pos - 1][2]) from None
     kind, value, offset = p.tokens[p.pos]
     if kind != "end":
         raise ExprSyntaxError(f"unexpected trailing input {value!r}", offset)
-    return e
+    return tuple(p.code)

@@ -6,8 +6,8 @@ Loading compiles the prior, every utility cell and the multipliers into
 one expression Program, checks the prior and the utilities in one pass
 over a dense grid, auto-normalizes the prior and folds it into the
 payoffs (u = b * u_bar).  Every later evaluation of the game runs the
-steps of that program which its outputs need, so a subtree shared by
-several cells is evaluated once.
+steps of that program which its outputs need, so a subexpression shared
+by several cells is evaluated once.
 
 Declared type ranges [a, b] are rescaled affinely onto [0, 1]; the
 constant Jacobian is absorbed by the prior normalization.
@@ -30,14 +30,14 @@ from .errors import (
     NonFinite,
     ZeroMarginal,
 )
-from .expr import Expr, Program
+from .expr import Program
 from .quadrature import integrate, integrate_many
 
 _BLOCK_POINTS = 3072  # validation grid points per program pass: 24 KiB a value
 
 
-def _variables_of(e):
-    return {v.name for v in exprmod.postorder(e) if isinstance(v, exprmod.Var)}
+def _variables_of(code):
+    return {ins[1] for ins in code if ins[0] == "var"}
 
 
 _ARRAY = (list, tuple)  # a JSON array, or a tuple in a spec built in code
@@ -65,16 +65,16 @@ def _parse(text, where):
 def _compile(spec):
     """One program over the prior, then u's cells and v's, row by row,
     then m1 and m2 when given."""
-    trees, names = [spec.prior], ["prior"]
+    codes, names = [spec.prior], ["prior"]
     for name, table in (("u", spec.u_raw), ("v", spec.v_raw)):
         for x, row in enumerate(table):
-            for y, e in enumerate(row):
-                trees.append(e)
+            for y, code in enumerate(row):
+                codes.append(code)
                 names.append(f"{name}[{x}][{y}]")
     if spec.m1 is not None:  # then m2 is too
-        trees += [spec.m1, spec.m2]
+        codes += [spec.m1, spec.m2]
         names += ["m1", "m2"]
-    return Program(trees, names)
+    return Program(codes, names)
 
 
 def _check_grid(g, t1, t2):
@@ -125,17 +125,18 @@ def _check_grid(g, t1, t2):
 
 @dataclass(frozen=True, eq=False)
 class GameSpec:
-    """Parsed but not yet validated game description.  Specs compare by
-    identity and print without their expressions, whose trees may be
-    deeper than the stack."""
+    """Parsed but not yet validated game description: each expression is
+    held as its postorder code (see expr.parse).  Specs compare by
+    identity and print without their expressions, whose code is as long
+    as their text."""
 
     actions1: tuple[str, ...]
     actions2: tuple[str, ...]
-    u_raw: tuple[tuple[Expr, ...], ...] = field(repr=False)  # [x][y]
-    v_raw: tuple[tuple[Expr, ...], ...] = field(repr=False)
-    prior: Expr = field(repr=False)
-    m1: Expr | None = field(default=None, repr=False)
-    m2: Expr | None = field(default=None, repr=False)
+    u_raw: tuple[tuple[tuple, ...], ...] = field(repr=False)  # [x][y]
+    v_raw: tuple[tuple[tuple, ...], ...] = field(repr=False)
+    prior: tuple = field(repr=False)
+    m1: tuple | None = field(default=None, repr=False)
+    m2: tuple | None = field(default=None, repr=False)
     type_range1: tuple[float, float] = (0.0, 1.0)
     type_range2: tuple[float, float] = (0.0, 1.0)
 
@@ -160,8 +161,9 @@ class GameSpec:
                              f"multipliers come as a pair")
         for name, rng in (("type_range1", self.type_range1),
                           ("type_range2", self.type_range2)):
-            if not rng[1] > rng[0]:
-                raise ValueError(f"{name} must be an increasing interval")
+            if not 0 < rng[1] - rng[0] < math.inf:
+                raise ValueError(f"{name} must be an increasing interval "
+                                 f"of finite width")
 
     @classmethod
     def from_dict(cls, d):
@@ -337,4 +339,8 @@ def load_game(spec, grid_check=101):
 def load_game_file(path):
     """load_game on the spec in the JSON file at path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return load_game(GameSpec.from_dict(json.load(fh)))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+    return load_game(GameSpec.from_dict(doc))

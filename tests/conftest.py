@@ -3,21 +3,22 @@
 The oracles here deliberately avoid the library's own quadrature and
 tensor code paths: Riemann sums are plain uniform midpoint sums over
 numpy arrays, reference payoff sums are naive Python loops, and the
-expression oracle walks the tree one point at a time with Python floats
-and numpy's scalar exp, log, sin, cos and power.  The tableau simplex
-and fictitious play oracles are the per-row loop versions that the array
-code replaced, and the quadrature oracle is the loop that called its
-integrand once a depth before the library's prefetching pass schedule.
-The parser oracle is the recursive-descent parser, one method per
-grammar rule, that the precedence-climbing parser replaced.  The exact
-regret oracle reads the prior and utility trees of a polynomial game
-as coefficient arrays and integrates them with numpy.polynomial, with
+expression oracle runs a stack over the code one point at a time with
+Python floats and numpy's scalar exp, log, sin, cos and power.  The
+tableau simplex and fictitious play oracles are the per-row loop
+versions that the array code replaced, and the quadrature oracle is the
+loop that called its integrand once a depth before the library's
+prefetching pass schedule.  The parser oracle is the recursive-descent
+parser, one method per grammar rule, that the precedence-climbing parser
+replaced; it emits postorder code as it descends.  The exact regret
+oracle reads the prior and utility code of a polynomial game as
+coefficient arrays and integrates them with numpy.polynomial, with
 no library evaluation at all.  The exact fictitious play oracle runs in
 Fractions over the float agent-form matrices, so rounding decides none
 of its best responses or gap checks.  The enumeration oracle exists
 only here: an exhaustive pure-profile and support search, used as an
 independent cross-check of the lp and fp backends on small games.  So
-does the pretty-printer of expression trees, whose output the tests
+does the pretty-printer of expression code, whose output the tests
 reparse.
 """
 
@@ -50,14 +51,8 @@ from bnecert.errors import (
 from bnecert.expr import (
     FUNCTIONS,
     VARIABLES,
-    BinOp,
-    Call,
-    Neg,
-    Num,
     Program,
-    Var,
     _tokenize,
-    postorder,
 )
 from bnecert.solver import (
     SolverResult,
@@ -336,37 +331,45 @@ def _poly2_add(a, b):
     return out
 
 
-def poly2(e):
-    """Coefficients c[p, q] of theta1^p theta2^q of a tree built from
+def poly2(code):
+    """Coefficients c[p, q] of theta1^p theta2^q of code built from
     numbers, theta1, theta2, +, -, *, division by a constant and powers
-    by a whole number; ValueError for any other tree."""
-    if isinstance(e, Num):
-        return np.array([[float(e.value)]])
-    if isinstance(e, Var):
-        return np.array([[0.0], [1.0]] if e.name == "theta1"
-                        else [[0.0, 1.0]])
-    if isinstance(e, Neg):
-        return -poly2(e.arg)
-    if isinstance(e, BinOp):
-        a = poly2(e.left)
-        if e.op == "^":
-            k = e.right.value if isinstance(e.right, Num) else -1
+    by a whole number; ValueError for any other code."""
+    stack = []
+    for i, ins in enumerate(code):
+        kind = ins[0]
+        if kind == "num":
+            stack.append(np.array([[float(ins[1])]]))
+        elif kind == "var":
+            stack.append(np.array([[0.0], [1.0]] if ins[1] == "theta1"
+                                  else [[0.0, 1.0]]))
+        elif kind == "neg":
+            stack.append(-stack.pop())
+        elif ins == ("op", "^"):
+            # a whole power is a number, the instruction just before
+            k = code[i - 1][1] if code[i - 1][0] == "num" else -1
             if k < 0 or k != int(k):
-                raise ValueError(f"not a whole power: {e.right!r}")
-            out = np.ones((1, 1))
+                raise ValueError(f"not a whole power: {code[i - 1]!r}")
+            stack.pop()
+            a, out = stack.pop(), np.ones((1, 1))
             for _ in range(int(k)):
                 out = _poly2_mul(out, a)
-            return out
-        b = poly2(e.right)
-        if e.op == "+":
-            return _poly2_add(a, b)
-        if e.op == "-":
-            return _poly2_add(a, -b)
-        if e.op == "*":
-            return _poly2_mul(a, b)
-        if b.size == 1:  # "/"
-            return a / b[0, 0]
-    raise ValueError(f"not a polynomial: {e!r}")
+            stack.append(out)
+        elif kind == "op":
+            b, a = stack.pop(), stack.pop()
+            if ins[1] == "+":
+                stack.append(_poly2_add(a, b))
+            elif ins[1] == "-":
+                stack.append(_poly2_add(a, -b))
+            elif ins[1] == "*":
+                stack.append(_poly2_mul(a, b))
+            elif b.size == 1:  # "/"
+                stack.append(a / b[0, 0])
+            else:
+                raise ValueError(f"not a polynomial: division by {b!r}")
+        else:
+            raise ValueError(f"not a polynomial: {ins!r}")
+    return stack[0]
 
 
 def _poly2_integral(c):
@@ -599,13 +602,13 @@ def oracle_certify(g, F, G, epsilon):
 
 
 # ---------------------------------------------------------------------------
-# one tree's array value, and point-by-point oracles for it and for
+# one code's array value, and point-by-point oracles for it and for
 # InfiniteGame.payoff
 
 
 def expr_eval(e, theta1, theta2):
-    """Value of the tree e at broadcasting scalars or arrays of types,
-    from a Program of that tree alone; DomainError if any point is
+    """Value of the code e at broadcasting scalars or arrays of types,
+    from a Program of that code alone; DomainError if any point is
     outside the domain."""
     return Program([e]).run(theta1, theta2)[0]
 
@@ -617,8 +620,8 @@ def _is_integer(b):
     return math.isinf(b) or b == math.floor(b)
 
 
-def oracle_eval(e, theta1, theta2):
-    """Value of an Expr tree at one type pair, with Python floats.
+def oracle_eval(code, theta1, theta2):
+    """Value of code at one type pair, with Python floats, from a stack.
 
     This is the scalar evaluator the array one replaced, except that exp,
     log, sin, cos and ^ are numpy's, called on one float64 at a time: an
@@ -626,35 +629,46 @@ def oracle_eval(e, theta1, theta2):
     infinity give nan.
     """
     theta1, theta2 = float(theta1), float(theta2)
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return theta1 if e.name == "theta1" else theta2
-    if isinstance(e, Neg):
-        return -oracle_eval(e.arg, theta1, theta2)
-    if isinstance(e, BinOp):
-        a = oracle_eval(e.left, theta1, theta2)
-        b = oracle_eval(e.right, theta1, theta2)
-        op = e.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0.0:
-                raise DomainError("division by zero")
-            return a / b
-        if a < 0.0 and not _is_integer(b):
-            raise DomainError(
-                f"non-integer power {b!r} of negative base {a!r}"
-            )
-        if a == 0.0 and b < 0.0:
-            raise DomainError("zero raised to a negative power")
-        return _np_scalar(np.power, a, b)
-    vals = [oracle_eval(a, theta1, theta2) for a in e.args]
-    name = e.name
+    stack = []
+    for ins in code:
+        kind = ins[0]
+        if kind == "num":
+            stack.append(ins[1])
+        elif kind == "var":
+            stack.append(theta1 if ins[1] == "theta1" else theta2)
+        elif kind == "neg":
+            stack.append(-stack.pop())
+        elif kind == "op":
+            b, a = stack.pop(), stack.pop()
+            stack.append(_oracle_op(ins[1], a, b))
+        else:
+            vals = stack[-ins[2]:]
+            del stack[-ins[2]:]
+            stack.append(_oracle_call(ins[1], vals))
+    return stack[0]
+
+
+def _oracle_op(op, a, b):
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        if b == 0.0:
+            raise DomainError("division by zero")
+        return a / b
+    if a < 0.0 and not _is_integer(b):
+        raise DomainError(
+            f"non-integer power {b!r} of negative base {a!r}"
+        )
+    if a == 0.0 and b < 0.0:
+        raise DomainError("zero raised to a negative power")
+    return _np_scalar(np.power, a, b)
+
+
+def _oracle_call(name, vals):
     if name == "min":
         return min(vals)
     if name == "max":
@@ -697,6 +711,7 @@ class _OracleParser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.code = []
 
     def peek(self):
         return self.tokens[self.pos]
@@ -713,154 +728,137 @@ class _OracleParser:
         return self.advance()
 
     def parse(self):
-        e = self.expr()
+        self.expr()
         kind, value, offset = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected trailing input {value!r}", offset)
-        return e
+        return tuple(self.code)
 
     def expr(self):
-        e = self.term()
+        self.term()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                e = BinOp(value, e, self.term())
+                self.term()
+                self.code.append(("op", value))
             else:
-                return e
+                return
 
     def term(self):
-        e = self.unary()
+        self.unary()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "*/":
                 self.advance()
-                e = BinOp(value, e, self.unary())
+                self.unary()
+                self.code.append(("op", value))
             else:
-                return e
+                return
 
     def unary(self):
         kind, value, _ = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            self.unary()
+            self.code.append(("neg",))
+        else:
+            self.power()
 
     def power(self):
-        base = self.atom()
+        self.atom()
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            return BinOp("^", base, self.unary())
-        return base
+            self.unary()
+            self.code.append(("op", "^"))
 
     def atom(self):
         kind, value, offset = self.advance()
         if kind == "num":
-            return Num(value)
-        if kind == "ident":
+            self.code.append(("num", value))
+        elif kind == "ident":
             if value in VARIABLES:
-                return Var(value)
-            if value in FUNCTIONS:
-                return self.call(value, offset)
-            raise UnknownIdentifier(value, offset)
-        if kind == "op" and value == "(":
-            e = self.expr()
+                self.code.append(("var", value))
+            elif value in FUNCTIONS:
+                self.call(value, offset)
+            else:
+                raise UnknownIdentifier(value, offset)
+        elif kind == "op" and value == "(":
+            self.expr()
             self.expect_op(")")
-            return e
-        what = "end of input" if kind == "end" else repr(value)
-        raise ExprSyntaxError(f"expected operand, got {what}", offset)
+        else:
+            what = "end of input" if kind == "end" else repr(value)
+            raise ExprSyntaxError(f"expected operand, got {what}", offset)
 
     def call(self, name, name_offset):
         self.expect_op("(")
-        args = [self.expr()]
+        self.expr()
+        count = 1
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value == ",":
                 self.advance()
-                args.append(self.expr())
+                self.expr()
+                count += 1
             else:
                 break
         self.expect_op(")")
         lo, hi, _ = FUNCTIONS[name]
-        if len(args) < lo or (hi is not None and len(args) > hi):
+        if count < lo or (hi is not None and count > hi):
             raise ExprSyntaxError(
                 f"{name} takes {lo}{'+' if hi is None else ''} argument(s), "
-                f"got {len(args)}",
+                f"got {count}",
                 name_offset,
             )
-        return Call(name, tuple(args))
+        self.code.append(("call", name, count))
 
 
 def oracle_parse(text):
-    """Expr tree of DSL text, by recursive descent on the tokenizer's
+    """Postorder code of DSL text, by recursive descent on the tokenizer's
     tokens; raises what bnecert.parse raises, with the same offsets."""
     return _OracleParser(text).parse()
-
-
-def tree_repr(tree):
-    """The text a dataclass repr would give the Expr tree, such as
-    BinOp(op='+', left=Var(name='theta1'), right=Num(value=1.0)), built
-    over postorder, so any depth will do.  Tests compare trees by it:
-    equal texts are equal trees, and a failed assert shows both."""
-    texts = []
-    for e in postorder(tree):
-        if isinstance(e, BinOp):
-            right = texts.pop()
-            texts.append(f"BinOp(op={e.op!r}, left={texts.pop()}, "
-                         f"right={right})")
-        elif isinstance(e, Neg):
-            texts.append(f"Neg(arg={texts.pop()})")
-        elif isinstance(e, Call):
-            start = len(texts) - len(e.args)
-            args = ", ".join(texts[start:]) + ("," if start == len(texts) - 1
-                                               else "")
-            del texts[start:]
-            texts.append(f"Call(name={e.name!r}, args=({args}))")
-        elif isinstance(e, Num):
-            texts.append(f"Num(value={e.value!r})")
-        else:
-            texts.append(f"Var(name={e.name!r})")
-    return texts[0]
 
 
 # ---------------------------------------------------------------------------
 # pretty-printing with minimal parentheses; reparses to the same evaluation
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+_PREC_OF = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL,
+            "^": _PREC_POW}
 
 
-def _prec(e):
-    if isinstance(e, (Num, Var, Call)):
-        return _PREC_ATOM
-    if isinstance(e, Neg):
-        return _PREC_NEG
-    return {"+": _PREC_ADD, "-": _PREC_ADD,
-            "*": _PREC_MUL, "/": _PREC_MUL,
-            "^": _PREC_POW}[e.op]
+def render(code):
+    """DSL text of code with the fewest parentheses, from a stack of
+    (text, precedence) pairs."""
 
+    def operand(floor):  # the top text, parenthesized below floor
+        text, prec = stack.pop()
+        return f"({text})" if floor > prec else text
 
-def render(e, parent_prec=0):
-    """DSL text of an Expr tree with the fewest parentheses."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Call):
-        return f"{e.name}({', '.join(render(a) for a in e.args)})"
-    if isinstance(e, Neg):
-        s = "-" + render(e.arg, _PREC_NEG)
-        return f"({s})" if parent_prec > _PREC_NEG else s
-    # BinOp; left-associative except '^'
-    prec = _prec(e)
-    if e.op == "^":
-        left = render(e.left, _PREC_ATOM)     # base must be an atom
-        right = render(e.right, _PREC_NEG)    # exponent may be unary
-    else:
-        left = render(e.left, prec)
-        right = render(e.right, prec + 1)
-    s = f"{left} {e.op} {right}"
-    return f"({s})" if parent_prec > prec else s
+    stack = []
+    for ins in code:
+        kind = ins[0]
+        if kind == "num":
+            stack.append((repr(ins[1]), _PREC_ATOM))
+        elif kind == "var":
+            stack.append((ins[1], _PREC_ATOM))
+        elif kind == "call":
+            args = [text for text, _ in stack[-ins[2]:]]
+            del stack[-ins[2]:]
+            stack.append((f"{ins[1]}({', '.join(args)})", _PREC_ATOM))
+        elif kind == "neg":
+            stack.append(("-" + operand(_PREC_NEG), _PREC_NEG))
+        else:  # left-associative except '^'
+            prec = _PREC_OF[ins[1]]
+            if ins[1] == "^":  # the base must be an atom, the exponent
+                right = operand(_PREC_NEG)  # may be unary
+                left = operand(_PREC_ATOM)
+            else:
+                right = operand(prec + 1)
+                left = operand(prec)
+            stack.append((f"{left} {ins[1]} {right}", prec))
+    return stack[0][0]
 
 
 # ---------------------------------------------------------------------------

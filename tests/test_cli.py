@@ -8,6 +8,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -353,6 +354,28 @@ def test_deep_nesting_is_an_error_naming_its_cell_not_a_traceback(tmp_path):
     assert proc.returncode == 1
     assert re.fullmatch(r"error: ExprSyntaxError: u\[0\]\[0\]: expression "
                         r"nested too deeply \(at offset \d+\)\n", proc.stderr)
+
+
+def test_a_spec_file_nested_too_deeply_is_an_error_not_a_traceback(
+        tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: JSON nested too deeply\n"
+
+
+def test_a_type_range_of_infinite_width_is_a_named_error(tmp_path, capsys):
+    # its width overflowed, and numpy warned of a nan type before loading
+    # blamed the utility
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(dict(ZERO_SUM_DOC,
+                                    type_range1=[-1e308, 1e308])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == ("error: type_range1 must be an "
+                                       "increasing interval of finite width\n")
 
 
 @pytest.mark.parametrize("change, message", [

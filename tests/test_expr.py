@@ -8,15 +8,7 @@ import pytest
 import bnecert as bc
 from bnecert import parse
 from bnecert.errors import DomainError, ExprSyntaxError, UnknownIdentifier
-from bnecert.expr import (
-    FUNCTIONS,
-    BinOp,
-    Call,
-    Neg,
-    Num,
-    Program,
-    Var,
-)
+from bnecert.expr import FUNCTIONS, Program
 
 from conftest import (
     _bench_games,
@@ -24,33 +16,22 @@ from conftest import (
     oracle_eval,
     oracle_parse,
     render,
-    tree_repr,
 )
 
 
 def test_parse_product_tree():
-    e = parse("theta1*theta2")
-    assert tree_repr(e) == tree_repr(BinOp("*", Var("theta1"), Var("theta2")))
-
-
-def test_tree_repr_is_the_dataclass_repr():
-    e = BinOp("+", Neg(Num(1.5)), Call("min", (Var("theta1"),
-                                               Call("max", (Num(2.0),)))))
-    assert tree_repr(e) == (
-        "BinOp(op='+', left=Neg(arg=Num(value=1.5)), right=Call(name='min', "
-        "args=(Var(name='theta1'), Call(name='max', args=(Num(value=2.0),)))"
-        "))")
+    assert parse("theta1*theta2") == (("var", "theta1"), ("var", "theta2"),
+                                      ("op", "*"))
 
 
 def test_a_1500_term_sum_compares_hashes_and_prints():
-    """A 1500-term sum is a tree 1500 deep, past the recursion limit:
-    nodes compare and hash by identity, and tree_repr walks it."""
+    """A 1500-term sum is 1500 operators deep, past the recursion limit:
+    its code is flat, so it compares, hashes and prints by value."""
     text = " + ".join(["theta1"] * 1500)
     a, b = parse(text), parse(text)
-    assert a == a and a != b and hash(a) == hash(a)
-    assert repr(a).startswith("<bnecert.expr.BinOp object at ")
-    assert tree_repr(a) == tree_repr(b)
-    assert tree_repr(a) != tree_repr(parse(text[:-1] + "2"))  # theta2 last
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != parse(text[:-1] + "2")  # theta2 last
+    assert repr(a).count("('op', '+')") == 1499
 
 
 def test_dangling_operator_offset():
@@ -138,34 +119,43 @@ def test_domain_errors():
 
 
 def _random_ast(rng, depth, names=("min", "max", "abs")):
+    """Code of a random expression at most depth operators deep."""
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.5:
-            return Num(float(rng.integers(1, 5)))
-        return Var("theta1" if rng.random() < 0.5 else "theta2")
+            return (("num", float(rng.integers(1, 5))),)
+        return (("var", "theta1" if rng.random() < 0.5 else "theta2"),)
     kind = rng.random()
     if kind < 0.15:
-        return Neg(_random_ast(rng, depth - 1, names))
+        return _random_ast(rng, depth - 1, names) + (("neg",),)
     if kind < 0.30:
         name = names[int(rng.integers(0, len(names)))]
         arity = 2 if name in ("min", "max") else 1
-        return Call(name, tuple(_random_ast(rng, depth - 1, names)
-                                for _ in range(arity)))
+        args = (_random_ast(rng, depth - 1, names) for _ in range(arity))
+        return sum(args, ()) + (("call", name, arity),)
     op = "+-*/^"[int(rng.integers(0, 5))]
-    return BinOp(op, _random_ast(rng, depth - 1, names),
-                 _random_ast(rng, depth - 1, names))
+    left = _random_ast(rng, depth - 1, names)
+    return left + _random_ast(rng, depth - 1, names) + (("op", op),)
 
 
-def _paren_render(e):
+def _paren_render(code):
     """Fully parenthesized reference rendering (precedence-free)."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        return f"(-{_paren_render(e.arg)})"
-    if isinstance(e, Call):
-        return f"{e.name}({', '.join(_paren_render(a) for a in e.args)})"
-    return f"({_paren_render(e.left)} {e.op} {_paren_render(e.right)})"
+    texts = []
+    for ins in code:
+        kind = ins[0]
+        if kind == "num":
+            texts.append(repr(ins[1]))
+        elif kind == "var":
+            texts.append(ins[1])
+        elif kind == "neg":
+            texts.append(f"(-{texts.pop()})")
+        elif kind == "call":
+            args = ", ".join(texts[-ins[2]:])
+            del texts[-ins[2]:]
+            texts.append(f"{ins[1]}({args})")
+        else:
+            right = texts.pop()
+            texts.append(f"({texts.pop()} {ins[1]} {right})")
+    return texts[0]
 
 
 def _try_eval(e, t1, t2):
@@ -211,7 +201,7 @@ def test_pretty_print_round_trip_on_grid():
 
 # ---------------------------------------------------------------------------
 # precedence climbing parses as the recursive-descent oracle does: the same
-# trees, or the same error type, message and offset
+# code, or the same error type, message and offset
 
 # tokens of the DSL, near misses, whitespace, and non-ASCII letters and
 # digits: '٣' is a digit float() reads, '²' one it does not, '½' neither
@@ -233,14 +223,14 @@ def _fuzz_text(rng):
 
 def _parse_outcome(parser, text):
     try:
-        return tree_repr(parser(text))
+        return "code", parser(text)
     except (ExprSyntaxError, UnknownIdentifier) as exc:
         return type(exc), str(exc), exc.offset
 
 
 def _parse_corpus(rng, strings, asts):
-    """strings fuzzed texts, then asts random trees of depth at most 6,
-    each rendered with the fewest and with full parentheses."""
+    """strings fuzzed texts, then asts random expressions of depth at
+    most 6, each rendered with the fewest and with full parentheses."""
     texts = [_fuzz_text(rng) for _ in range(strings)]
     for _ in range(asts):
         ast = _random_ast(rng, depth=int(rng.integers(0, 7)),
@@ -256,8 +246,8 @@ def test_parse_equals_the_recursive_descent_oracle():
     for text in texts:
         got = _parse_outcome(parse, text)
         assert got == _parse_outcome(oracle_parse, text), text
-        kinds.add(got[0] if isinstance(got, tuple) else "tree")
-    assert kinds == {"tree", ExprSyntaxError, UnknownIdentifier}
+        kinds.add(got[0])
+    assert kinds == {"code", ExprSyntaxError, UnknownIdentifier}
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +378,12 @@ def test_value_does_not_depend_on_memory_layout():
 
 
 # ---------------------------------------------------------------------------
-# one program over a table of trees is its trees, evaluated one by one
+# one program over a table of codes is its codes, evaluated one by one
 
 
 def _random_table(rng, L, H):
-    """L x H trees built from a small pool of subtrees, so that cells
-    share subtrees with each other."""
+    """L x H codes built from a small pool of subexpressions, so that
+    cells share subexpressions with each other."""
     pool = [_random_ast(rng, depth=int(rng.integers(0, 4)),
                         names=tuple(FUNCTIONS)) for _ in range(4)]
 
@@ -403,22 +393,23 @@ def _random_table(rng, L, H):
             other = pool[int(rng.integers(0, len(pool)))]
             kind = rng.random()
             if kind < 0.6:
-                e = BinOp("+-*/^"[int(rng.integers(0, 5))], e, other)
+                e += other + (("op", "+-*/^"[int(rng.integers(0, 5))]),)
             elif kind < 0.8:
                 args = (other, e, pool[int(rng.integers(0, len(pool)))])
-                e = Call(("min", "max")[int(rng.integers(0, 2))],
-                         args[:int(rng.integers(2, 4))])
+                name = ("min", "max")[int(rng.integers(0, 2))]
+                count = int(rng.integers(2, 4))
+                e = sum(args[:count], ()) + (("call", name, count),)
             else:
-                e = Neg(e)
+                e += (("neg",),)
         return e
 
     return [[cell() for _ in range(H)] for _ in range(L)]
 
 
-def _first_error(trees, t1, t2):
-    """Index and message of the first tree that raises when the trees
+def _first_error(codes, t1, t2):
+    """Index and message of the first code that raises when the codes
     are evaluated one by one; None if none does."""
-    for k, e in enumerate(trees):
+    for k, e in enumerate(codes):
         try:
             expr_eval(e, t1, t2)
         except DomainError as exc:
@@ -440,19 +431,20 @@ def test_table_program_equals_point_oracle_cell_by_cell():
     for _ in range(150):
         L, H = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         u = _random_table(rng, L, H)
-        v = ([[Neg(e) for e in row] for row in u] if rng.random() < 0.5
+        v = ([[e + (("neg",),) for e in row] for row in u]
+             if rng.random() < 0.5
              else _random_table(rng, L, H))
-        trees = [e for table in (u, v) for row in table for e in row]
+        codes = [e for table in (u, v) for row in table for e in row]
         names = [f"{name}[{x}][{y}]" for name in "uv"
                  for x in range(L) for y in range(H)]
-        program = Program(trees, names)
+        program = Program(codes, names)
         t1 = _random_points(rng, (6, 1))
         t2 = _random_points(rng, (1, 5))
-        first = _first_error(trees, t1, t2)
+        first = _first_error(codes, t1, t2)
         if first is not None:
             k, message = first
             # the oracle agrees that this cell, and no earlier one, fails
-            for j, e in enumerate(trees[:k + 1]):
+            for j, e in enumerate(codes[:k + 1]):
                 fails = False
                 for i0, j0 in np.ndindex(6, 5):
                     try:
@@ -467,16 +459,16 @@ def test_table_program_equals_point_oracle_cell_by_cell():
             raised += 1
             continue
         values = program.run(t1, t2)
-        for e, got in zip(trees, values):
+        for e, got in zip(codes, values):
             want = np.empty((6, 5))
             for i0, j0 in np.ndindex(want.shape):
                 want[i0, j0] = oracle_eval(e, t1[i0, 0], t2[0, j0])
             assert _equal_bits(got, want), render(e)
         # a subset of the outputs runs only its own steps, to the same bits
-        some = sorted(rng.choice(len(trees), size=len(trees) // 2 + 1,
+        some = sorted(rng.choice(len(codes), size=len(codes) // 2 + 1,
                                  replace=False))
         for k, got in zip(some, program.run(t1, t2, some)):
-            assert _equal_bits(got, values[k]), render(trees[k])
+            assert _equal_bits(got, values[k]), render(codes[k])
         compared += 1
     assert raised > 20 and compared > 50
 
@@ -506,18 +498,15 @@ def test_negated_table_adds_one_step_per_cell():
         assert len(Program(u + v).tape) <= len(Program(u).tape) + L * H
 
 
-def _unfolded(e):
-    """e with each negated constant -c spelled -(c + -0.0): adding -0.0
+def _unfolded(code):
+    """code with each negated constant -c spelled -(c + -0.0): adding -0.0
     is exact, and the negation stays a step of the program."""
-    if isinstance(e, Neg):
-        if isinstance(e.arg, Num):
-            return Neg(BinOp("+", e.arg, Num(-0.0)))
-        return Neg(_unfolded(e.arg))
-    if isinstance(e, BinOp):
-        return BinOp(e.op, _unfolded(e.left), _unfolded(e.right))
-    if isinstance(e, Call):
-        return Call(e.name, tuple(map(_unfolded, e.args)))
-    return e
+    out = []
+    for ins in code:
+        if ins == ("neg",) and out[-1][0] == "num":  # its operand is c
+            out += [("num", -0.0), ("op", "+")]
+        out.append(ins)
+    return tuple(out)
 
 
 def _negated_constants(program):
@@ -545,11 +534,11 @@ def test_negated_constants_compile_to_constants():
             spec = _bench_games().game_spec(seed, index, family, L, H)
             g = bc.load_game(bc.GameSpec.from_dict(spec))
             assert _negated_constants(g.program) == []
-            trees = [parse(spec["prior"])] + [
+            codes = [parse(spec["prior"])] + [
                 parse(e) for table in (spec["u"], spec["v"])
                 for row in table for e in row]
-            folded = Program(trees)
-            unfolded = Program([_unfolded(e) for e in trees])
+            folded = Program(codes)
+            unfolded = Program([_unfolded(e) for e in codes])
             # every spec negates some constant
             assert _negations(unfolded) > _negations(folded)
             for got, want in zip(folded.run(t1, t2), unfolded.run(t1, t2)):
@@ -567,7 +556,7 @@ def test_shared_subtrees_share_a_slot():
     assert len(program.tape) == 4
     assert program.outputs[0] == program.outputs[2]
     # -0.0 and 0.0 are different constants
-    signed = Program([BinOp("+", Num(-0.0), Num(-0.0)),
-                      BinOp("+", Num(0.0), Num(-0.0))])
+    signed = Program([(("num", -0.0), ("num", -0.0), ("op", "+")),
+                      (("num", 0.0), ("num", -0.0), ("op", "+"))])
     first, second = signed.run(0.0, 0.0)
     assert np.signbit(first) and not np.signbit(second)

@@ -8,8 +8,10 @@ normalizes the one away, and the other only relabels the types.  These
 factors are powers of two, so every scaled number is exact and the tests
 compare bits.  Two repros scale by 1e-8, which no float scales exactly,
 and compare within a tolerance.  A constant added to v must leave player
-1's certificate as it is, bit for bit, and swapping the players must swap
-every certificate number.
+1's certificate as it is, bit for bit, swapping the players must swap
+every certificate number, and reversing one player's actions must permute
+the certified profile's columns and change no certificate number beyond
+rounding.
 """
 
 import json
@@ -22,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bnecert as bc
+from bnecert.discretize import BehavioralProfile, lift
 from bnecert.driver import certify_level, solve_level
 
 from conftest import ROOT, random_poly_doc
@@ -235,3 +238,57 @@ def test_swapping_the_players_swaps_every_certificate_number(source, n):
         assert max(result_s.finite_gap1, result_s.finite_gap2) <= 1e-12
     else:  # fictitious play mirrors its steps
         assert profile_bytes(result_s) == profile_bytes(result)[::-1]
+
+
+def permuted(doc, player):
+    """doc with player's actions in reverse order: its labels, and the
+    rows (player 1) or columns (player 2) of u and v."""
+    out = dict(doc)
+    if player == 1:
+        out["actions1"] = doc["actions1"][::-1]
+        out["u"], out["v"] = doc["u"][::-1], doc["v"][::-1]
+    else:
+        out["actions2"] = doc["actions2"][::-1]
+        out["u"], out["v"] = ([row[::-1] for row in doc[name]]
+                              for name in ("u", "v"))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("player", [1, 2])
+@pytest.mark.parametrize("source", ["zero_sum_match", "matching_pennies",
+                                    "linear_prior_multipliers", 0, 1, 2])
+def test_reversing_a_players_actions_permutes_the_profile(source, player, n):
+    epsilon = 1e-3
+    doc = (demo(source) if isinstance(source, str)
+           else random_poly_doc(np.random.default_rng(source)))
+    g, gp = (bc.load_game(bc.GameSpec.from_dict(d))
+             for d in (doc, permuted(doc, player)))
+    prop1, prop1_p = bc.check_prop1(g), bc.check_prop1(gp)
+    assert prop1_p.kind == prop1.kind
+    result, _, _, _, cert = certify_level(g, n, prop1, epsilon)
+    # the same profile, the player's columns reversed with the actions;
+    # certify sums the actions in another order, so it may round apart
+    s, t = result.profile.s, result.profile.t
+    if player == 1:
+        s = s[:, ::-1]
+    else:
+        t = t[:, ::-1]
+    profile = BehavioralProfile(s, t)
+    cert_p = bc.certify(gp, lift(profile, 1, gp.actions1),
+                        lift(profile, 2, gp.actions2), epsilon)
+    for name in NUMBERS:
+        assert abs(getattr(cert_p, name) - getattr(cert, name)) <= 1e-12, name
+    margins = [abs(getattr(cert, f"gap{i}") + getattr(cert, f"quad_error{i}")
+                   - epsilon) for i in (1, 2)]
+    if min(margins) > 1e-9:
+        assert cert_p.certified == cert.certified
+    result_p, _ = solve_level(gp, n, prop1_p, epsilon)
+    target = 1e-12 if prop1.linearizable else epsilon / 10.0
+    assert max(result_p.finite_gap1, result_p.finite_gap2) <= target
+    # the LP may reach another optimal vertex, and fictitious play breaks
+    # an exact tie toward the lowest index, which the reversal moves;
+    # these fictitious play games meet no exact tie, so only their rows
+    # are the permuted rows, bit for bit
+    if not prop1.linearizable:
+        assert profile_bytes(result_p) == (s.tobytes(), t.tobytes())

@@ -293,8 +293,8 @@ def _one_cell_doc(**change):
 
 
 def test_long_sums_load():
-    """A 1500-term sum is a tree 1500 deep, which compiles and validates
-    without recursion."""
+    """A 1500-term sum is 1500 operators deep; it parses, compiles and
+    validates without recursion."""
     terms = ["theta1"] * 1500
     g = bc.load_game(bc.GameSpec.from_dict(_one_cell_doc(
         u=[[" + ".join(terms)]], m1=" + ".join(["1", *terms[1:]]), m2="1")))
@@ -306,8 +306,8 @@ def test_long_sums_load():
 
 
 def test_deep_specs_print_compare_and_hash():
-    """repr, == and hash of a spec do not walk its expression trees, so a
-    1500-term sum (a tree 1500 deep) does not exhaust the stack."""
+    """A spec compares and hashes by identity and prints without its
+    expressions, so a 1500-term sum leaves its repr short."""
     doc = _one_cell_doc(u=[[" + ".join(["theta1"] * 1500)]])
     spec, spec2 = (bc.GameSpec.from_dict(doc) for _ in range(2))
     assert repr(spec) == ("GameSpec(actions1=('x',), actions2=('y',), "
@@ -327,6 +327,19 @@ def test_nesting_deeper_than_the_stack_is_a_syntax_error(text):
     with pytest.raises(ExprSyntaxError, match=r"^u\[0\]\[0\]: expression "
                        r"nested too deeply \(at offset \d+\)$"):
         bc.load_game(bc.GameSpec.from_dict(_one_cell_doc(u=[[text]])))
+
+
+@pytest.mark.parametrize("name", ["type_range1", "type_range2"])
+def test_a_type_range_of_infinite_width_is_rejected(name):
+    # b - a overflowed to inf, and the rescaled type at 0 read nan, which
+    # loading blamed on the utility
+    with pytest.raises(ValueError, match=rf"^{name} must be an increasing "
+                       rf"interval of finite width$"):
+        bc.GameSpec.from_dict(_one_cell_doc(**{name: [-1e308, 1e308]}))
+    # a finite width loads, however wide
+    g = bc.load_game(bc.GameSpec.from_dict(_one_cell_doc(
+        **{name: [0, 1e308]})))
+    assert g.prior_norm == 1.0
 
 
 def test_spec_accepts_tuples_and_integer_ranges():
