@@ -4,15 +4,15 @@ Both sides of a gap read interim_values, each own action's value against
 the atomic opponent: one np.vecdot over the opponent's atoms and actions
 of nonzero mass, of payoffs from numpy's ufuncs (within 1 ulp of the C
 library's).  Both players' best deviations are one integrate_many call:
-integrand k, player k + 1's max over own actions, is pre-split at the
-opponent's atoms (where it may kink) and refined adaptively, as alone.
-An error is the first that refinement meets.  Each candidate's value
-sums the same values exactly over its own atoms, at the right ends of
-its cells, read from its integrand's first call, which takes the panel
-ends first.  The sides differ only in the own type, summed for one and
-integrated for the other: that is the gap's O(1/n) bias.  A certificate
-passes only if the gap plus the a-posteriori quadrature bound stays
-within epsilon.
+integrand k, player k + 1's max over own actions, is split first at the
+level's edges 0, 1/n, ..., 1 (the opponent's atoms, where it may kink)
+and refined adaptively, as alone.  An error is the first that refinement
+meets.  Each candidate's value sums the same values exactly over its own
+atoms, at the right ends of its cells, read from its integrand's first
+call, which takes those edges first.  The sides differ only in the own
+type, summed for one and integrated for the other: that is the gap's
+O(1/n) bias.  A certificate passes only if the gap plus the a-posteriori
+quadrature bound stays within epsilon.
 
 F and G must share a level: a certificate reports one.
 """
@@ -114,9 +114,9 @@ def certify(g, F, G, epsilon):
                 out[mine] = acc.max(axis=0)
         return out
 
-    # F's atoms are G's too, so they split both sides' panels
-    brs, errors = integrate_many(psi, 2, 0.0, 1.0, epsilon / 100.0,
-                                 presplit=F.atom_points[:-1])
+    # the level's edges, F's atoms and G's, split both sides' panels
+    brs, errors = integrate_many(psi, 2, epsilon / 100.0,
+                                 np.append(0.0, F.atom_points))
     # own atoms 1/n, ..., 1
     values = [float(np.vecdot(own.atom_masses().ravel(),
                               interim[:, 1:].T.ravel()))

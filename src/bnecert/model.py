@@ -31,7 +31,7 @@ from .errors import (
     ZeroMarginal,
 )
 from .expr import Program
-from .quadrature import integrate, integrate_many
+from .quadrature import integrate_many
 
 _BLOCK_POINTS = 3072  # validation grid points per program pass: 24 KiB a value
 
@@ -47,10 +47,17 @@ def _strings(x):
     return isinstance(x, _ARRAY) and all(isinstance(s, str) for s in x)
 
 
+def _finite(v):  # whether the number v converts to a finite float
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _finite_pair(x):
     return isinstance(x, _ARRAY) and len(x) == 2 and all(
         isinstance(v, (int, float)) and not isinstance(v, bool)
-        and math.isfinite(v) for v in x)
+        and _finite(v) for v in x)
 
 
 def _parse(text, where):
@@ -159,9 +166,9 @@ class GameSpec:
                               else ("m2", "m1"))
             raise ValueError(f"{given} is given without {missing}; the "
                              f"multipliers come as a pair")
-        for name, rng in (("type_range1", self.type_range1),
-                          ("type_range2", self.type_range2)):
-            if not 0 < rng[1] - rng[0] < math.inf:
+        for name, r in (("type_range1", self.type_range1),
+                        ("type_range2", self.type_range2)):
+            if not (all(map(_finite, r)) and 0 < r[1] - r[0] < math.inf):
                 raise ValueError(f"{name} must be an increasing interval "
                                  f"of finite width")
 
@@ -304,7 +311,7 @@ def marginal(g, player, theta, quad_tol=1e-9):
         f = lambda t, k: g.prior(thetas[k], t)
     else:
         f = lambda t, k: g.prior(t, thetas[k])
-    values, _ = integrate_many(f, thetas.size, 0.0, 1.0, quad_tol)
+    values, _ = integrate_many(f, thetas.size, quad_tol)
     return values if np.ndim(theta) else float(values[0])
 
 
@@ -329,8 +336,8 @@ def load_game(spec, grid_check=101):
     # 1e-9 / 2 of it
     game = replace(game, prior_norm=math.ldexp(1.0, math.frexp(top)[1] - 1))
     tol = 5e-10 * (top / game.prior_norm)
-    norm, _ = integrate(lambda t: marginal(game, 1, t, tol / 2), 0.0, 1.0, tol)
-    norm *= game.prior_norm
+    f = lambda t, k: marginal(game, 1, t, tol / 2)
+    norm = float(integrate_many(f, 1, tol)[0][0]) * game.prior_norm
     if not (math.isfinite(norm) and norm > 0.0):
         raise ZeroMarginal(f"prior integrates to {norm}; must be positive")
     return replace(game, prior_norm=norm)

@@ -1,4 +1,4 @@
-"""Adaptive composite Simpson quadrature with Richardson error estimates.
+"""Adaptive Simpson quadrature on [0, 1] with Richardson error estimates.
 
 Each panel compares one Simpson estimate against the two-half refinement;
 |S2 - S1| / 15 is the classic Richardson a-posteriori error estimate and
@@ -20,7 +20,7 @@ so its points are the floats refinement reaches: rows 0, 2**(m-1) and
 2**m are its ends and middle, rows 2**(m-2) and 3 * 2**(m-2) the
 quarter points its depth needs, and each half takes its half of the
 grid.  One rule calls f: once for the first panels, on each integrand's
-ends once and the middles, and once for each depth whose grids hold no
+edges once and the middles, and once for each depth whose grids hold no
 quarter points, on each panel's grid of 2**(LOOKAHEAD + 1) intervals
 but its ends and middle, whose values the panel holds.
 A call takes the first panels' quarter points, or a depth's whole grids,
@@ -62,26 +62,27 @@ def _simpson(fa, fm, fb, h):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises NonFinite
-def integrate_many(f, count, a, b, tol, presplit=()):
-    """Integrate count integrands over [a, b], each to absolute accuracy
-    tol, floored at ROUNDING x (b - a) x its largest |f| among its first
-    panels' ends and middles.
+def integrate_many(f, count, tol, edges=(0.0, 1.0)):
+    """Integrate count integrands over [0, 1], each to absolute accuracy
+    tol, floored at ROUNDING x its largest |f| among its first panels'
+    ends and middles; those panels are the cells of edges.
 
     f(x, k) maps 1-D arrays of abscissae x and integrand indices k to the
-    values of integrand k[m] at x[m].  Every integrand is refined, held to
-    the panel budget and summed exactly as integrate would do it alone.
+    values of integrand k[m] at x[m], each integrand's edges first in its
+    first call.  Each integrand is refined, budgeted and summed as alone.
     Returns arrays (values, error_bounds).  Raises ValueError unless
-    0 < tol < inf, NonFinite when a panel's Simpson estimates or their
-    difference are not finite, and QuadratureFailure when an integrand
-    exceeds the panel budget.
+    0 < tol < inf and edges increase strictly from 0.0 to 1.0, NonFinite
+    when a panel's Simpson estimates or their difference are not finite,
+    and QuadratureFailure when an integrand exceeds the panel budget.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if b <= a or count == 0:
-        return np.zeros(count), np.zeros(count)
-    points = np.array(sorted({a, b, *(p for p in presplit if a < p < b)}),
-                      dtype=float)
-    width = b - a
+    points = np.asarray(edges, dtype=float)
+    if not (points.ndim == 1 and points.size and points[0] == 0.0
+            and points[-1] == 1.0 and (points[1:] > points[:-1]).all()):
+        raise ValueError(f"edges must increase from 0.0 to 1.0, got {edges}")
+    if count == 0:
+        return np.zeros(0), np.zeros(0)
     cells = points.size - 1
     cap = max(FETCH_POINTS, count * (2 * cells + 1))
     ahead = True  # calls may run ahead of refinement until one raises
@@ -89,7 +90,7 @@ def integrate_many(f, count, a, b, tol, presplit=()):
     def fetch(lo, hi, k, grid):
         """The panels' grids of f, quarter points included, from one call
         of f.  grid holds f at their ends and middles, or is None for the
-        first call, which also takes each integrand's ends once."""
+        first call, which also takes each integrand's edges once."""
         nonlocal ahead
         first = grid is None
         m = 2 if first else LOOKAHEAD + 1  # a grid of 2**m intervals
@@ -130,7 +131,7 @@ def integrate_many(f, count, a, b, tol, presplit=()):
     grid = fetch(lo, hi, k, None)  # (2**m + 1, panels): f on the dyadic grids
     # the plain first call's values are the panels' ends and middles
     sampled = np.abs(grid[::grid.shape[0] // 2]).reshape(-1, count, cells)
-    tols = np.maximum(tol, ROUNDING * width * sampled.max(axis=(0, 2)))
+    tols = np.maximum(tol, ROUNDING * sampled.max(axis=(0, 2)))
     s_whole = _simpson(grid[0], grid[grid.shape[0] // 2], grid[-1], hi - lo)
     accepted = []
     used = np.zeros(count, dtype=int)
@@ -154,7 +155,7 @@ def integrate_many(f, count, a, b, tol, presplit=()):
                             f"integrand {k[i]} are not finite")
         # proportional error allocation keeps the summed bound <= tol
         h = hi - lo
-        ok = (err <= tols[k] * h / width) | (h < 1e-14)
+        ok = (err <= tols[k] * h) | (h < 1e-14)
         accepted.append(np.array([k, s2 + (s2 - s_whole) / 15.0, err])[:, ok])
         r = ~ok  # refined panels become their halves, the left ones first
         lo, mid, hi = lo[r], mid[r], hi[r]
@@ -167,21 +168,3 @@ def integrate_many(f, count, a, b, tol, presplit=()):
     k, value, err = np.concatenate(accepted, axis=1)
     return (np.bincount(k.astype(int), weights=value, minlength=count),
             np.bincount(k.astype(int), weights=err, minlength=count))
-
-
-def integrate(f, a, b, tol, presplit=()):
-    """Integrate f over [a, b] to absolute accuracy tol.
-
-    f maps a 1-D array of abscissae to the array of integrand values.
-    presplit lists interior abscissae where the integrand may kink; the
-    initial partition is split there before adaptive refinement starts.
-    The first call of f takes that partition first: a, the presplit
-    abscissae inside (a, b) in increasing order, then b.
-
-    Returns (value, error_bound) with error_bound at most tol, floored as
-    integrate_many floors it, on success.  Raises ValueError unless
-    0 < tol < inf, QuadratureFailure if the panel budget runs out first,
-    and NonFinite if a Simpson estimate is not finite.
-    """
-    value, err = integrate_many(lambda x, k: f(x), 1, a, b, tol, presplit)
-    return float(value[0]), float(err[0])

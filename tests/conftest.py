@@ -518,25 +518,19 @@ def _oracle_simpson(fa, fm, fb, h):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def oracle_integrate_many(f, count, a, b, tol, presplit=(),
+def oracle_integrate_many(f, count, tol, edges=(0.0, 1.0),
                           max_panels=10 ** 6):
-    """integrate_many as it was before the pass schedule: the first call
-    of f takes the initial panels' ends and midpoints, and each depth
-    then calls f once on the quarter points of all its panels.  Each
-    integrand's tolerance is floored at quadrature.ROUNDING of width x
-    its largest |f| in that first call."""
-    if b <= a:
-        return np.zeros(count), np.zeros(count)
-    points = np.array(sorted({a, b, *(p for p in presplit if a < p < b)}),
-                      dtype=float)
-    width = b - a
-
+    """integrate_many as it was before the pass schedule, over [0, 1]
+    split at edges: the first call of f takes the initial panels' ends
+    and midpoints, and each depth then calls f once on the quarter points
+    of all its panels.  Each integrand's tolerance is floored at
+    quadrature.ROUNDING of its largest |f| in that first call."""
+    points = np.asarray(edges, dtype=float)
     lo, hi = points[:-1], points[1:]
     x = np.concatenate((points, 0.5 * (lo + hi)))
     fx = f(np.tile(x, count), np.arange(count).repeat(x.size))
     fx = fx.reshape(count, x.size)
-    tols = np.maximum(tol, bc.quadrature.ROUNDING * width
-                      * np.abs(fx).max(axis=1))
+    tols = np.maximum(tol, bc.quadrature.ROUNDING * np.abs(fx).max(axis=1))
     flo, fhi, fm = (fx[:, :lo.size].ravel(), fx[:, 1:points.size].ravel(),
                     fx[:, points.size:].ravel())
     lo, hi = np.tile(lo, count), np.tile(hi, count)
@@ -566,7 +560,7 @@ def oracle_integrate_many(f, count, a, b, tol, presplit=(),
             i = np.argmax(~np.isfinite(err))
             raise NonFinite(f"Simpson estimates on [{lo[i]}, {hi[i]}] of "
                             f"integrand {k[i]} are not finite")
-        ok = (err <= tols[k] * (hi - lo) / width) | (hi - lo < 1e-14)
+        ok = (err <= tols[k] * (hi - lo)) | (hi - lo < 1e-14)
         accepted.append(np.array([k, s2 + (s2 - s_whole) / 15.0, err])[:, ok])
         left = np.array([lo, mid, flo, flm, fm, s_left, k])
         right = np.array([mid, hi, fm, frm, fhi, s_right, k])
@@ -594,8 +588,8 @@ def oracle_certify(g, F, G, epsilon):
         def psi(theta, k):
             return interim(theta).max(axis=0)
 
-        br, err = oracle_integrate_many(psi, 1, 0.0, 1.0, quad_tol,
-                                        presplit=opponent.atom_points[:-1])
+        br, err = oracle_integrate_many(psi, 1, quad_tol,
+                                        np.append(0.0, opponent.atom_points))
         gaps.append(float(br[0]) - values[-1])
         errors.append(float(err[0]))
     return (*gaps, *errors, *values)

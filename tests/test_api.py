@@ -93,9 +93,7 @@ def test_signatures_take_no_tuning_options():
         bnecert.solve_lp: ["fg", "alpha1", "alpha2"],
         bnecert.solve_fp: ["fg", "max_iters", "target_gap"],
         bnecert.certificate.interim_values: ["g", "player", "opponent"],
-        bnecert.quadrature.integrate: ["f", "a", "b", "tol", "presplit"],
-        bnecert.quadrature.integrate_many: ["f", "count", "a", "b", "tol",
-                                            "presplit"],
+        bnecert.quadrature.integrate_many: ["f", "count", "tol", "edges"],
     }
     for func, params in want.items():
         assert list(inspect.signature(func).parameters) == params, func

@@ -411,6 +411,10 @@ def test_invalid_json_is_fatal(tmp_path, capsys):
     ({"type_range1": ["a", "b"]}, "type_range1 must be two finite numbers"),
     ({"prior": 1}, "prior must be an expression string"),
     ({"u": "1"}, "u must be a list of rows of expression strings"),
+    # math.isfinite raised OverflowError on this 401-digit bound
+    pytest.param({"type_range2": [0, 10 ** 400]},
+                 f"type_range2 must be two finite numbers, got "
+                 f"[0, {10 ** 400}]\n", id="int-bound-too-large"),
 ])
 def test_malformed_spec_is_a_named_error(tmp_path, capsys, change, message):
     doc = {k: v for k, v in {**ZERO_SUM_DOC, **change}.items()

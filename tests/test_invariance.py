@@ -11,7 +11,9 @@ and compare within a tolerance.  A constant added to v must leave player
 1's certificate as it is, bit for bit, swapping the players must swap
 every certificate number, and reversing one player's actions must permute
 the certified profile's columns and change no certificate number beyond
-rounding.
+rounding.  So must an affine map of one player's type range whose offset
+and factor are not powers of two, with every expression composed with
+its inverse.
 """
 
 import json
@@ -292,3 +294,48 @@ def test_reversing_a_players_actions_permutes_the_profile(source, player, n):
     # are the permuted rows, bit for bit
     if not prop1.linearizable:
         assert profile_bytes(result_p) == (s.tobytes(), t.tobytes())
+
+
+def mapped(doc, player, c, d):
+    """doc with player's type range mapped by theta -> c + d theta, and
+    (theta - c) / d for that player's type in every expression."""
+    var = f"theta{player}"
+    fields = [f for f in ("u", "v", "prior", "m1", "m2") if f in doc]
+    out = rewritten(doc, lambda e: re.sub(
+        rf"\b{var}\b", f"(({var} - ({c!r})) / {d!r})", e), fields)
+    a, b = doc.get(f"type_range{player}", [0.0, 1.0])
+    out[f"type_range{player}"] = [c + d * a, c + d * b]
+    return out
+
+
+@pytest.mark.parametrize("c, d", [(0.3, 1.7), (-2.5, 0.1), (1e3, 3.0)])
+@pytest.mark.parametrize("player", [1, 2])
+@pytest.mark.parametrize("source", ["zero_sum_match", "matching_pennies",
+                                    "linear_prior_multipliers", 0, 1, 2])
+def test_an_affine_type_range_only_relabels(source, player, c, d):
+    # neither c nor d is a power of two, so the relabelled types round
+    # apart from the original ones, and the numbers agree to rounding
+    epsilon = 1e-3
+    doc = (demo(source) if isinstance(source, str)
+           else random_poly_doc(np.random.default_rng(source)))
+    g, gm = (bc.load_game(bc.GameSpec.from_dict(x))
+             for x in (doc, mapped(doc, player, c, d)))
+    prop1, prop1_m = bc.check_prop1(g), bc.check_prop1(gm)
+    assert prop1_m.kind == prop1.kind
+    target = 1e-12 if prop1.linearizable else epsilon / 10.0
+    for n in (1, 2, 3, 5, 8):
+        _, _, F, G, cert = certify_level(g, n, prop1, epsilon)
+        cert_m = bc.certify(gm, F, G, epsilon)
+        for name in NUMBERS:
+            want = getattr(cert, name)
+            assert abs(getattr(cert_m, name) - want) \
+                <= 1e-9 * max(1.0, abs(want)), (n, name)
+        margins = [abs(getattr(cert, f"gap{i}")
+                       + getattr(cert, f"quad_error{i}") - epsilon)
+                   for i in (1, 2)]
+        if min(margins) > 1e-6:
+            assert cert_m.certified == cert.certified, n
+        # the LP may reach another optimal vertex, so only the mapped
+        # game's own gaps are checked
+        result_m, _ = solve_level(gm, n, prop1_m, epsilon)
+        assert max(result_m.finite_gap1, result_m.finite_gap2) <= target, n

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +341,22 @@ def test_a_type_range_of_infinite_width_is_rejected(name):
     g = bc.load_game(bc.GameSpec.from_dict(_one_cell_doc(
         **{name: [0, 1e308]})))
     assert g.prior_norm == 1.0
+
+
+@pytest.mark.parametrize("name", ["type_range1", "type_range2"])
+@pytest.mark.parametrize("bounds", [
+    (0, 10 ** 400), (-10 ** 400, 0), (10 ** 400, 10 ** 400 + 1),
+], ids=["upper", "lower", "both"])
+def test_an_int_bound_too_large_for_a_float_is_rejected(name, bounds):
+    # math.isfinite raised OverflowError on a JSON spec, and a spec built
+    # in code passed its checks, then raised it at load_game
+    with pytest.raises(ValueError, match=rf"^{name} must be two finite "
+                       rf"numbers, got \[{bounds[0]}, {bounds[1]}\]$"):
+        bc.GameSpec.from_dict(_one_cell_doc(**{name: list(bounds)}))
+    spec = bc.GameSpec.from_dict(_one_cell_doc())
+    with pytest.raises(ValueError, match=rf"^{name} must be an increasing "
+                       rf"interval of finite width$"):
+        replace(spec, **{name: bounds})
 
 
 def test_spec_accepts_tuples_and_integer_ranges():

@@ -9,27 +9,28 @@ import pytest
 
 from bnecert import parse, quadrature
 from bnecert.errors import DomainError, NonFinite, QuadratureFailure
-from bnecert.quadrature import integrate, integrate_many
+from bnecert.quadrature import integrate_many
 
 from conftest import expr_eval, oracle_eval, oracle_integrate_many
 
 
 def test_polynomial_exact():
     # Simpson is exact on cubics, so the Richardson estimate vanishes
-    value, err = integrate(lambda t: t ** 3, 0.0, 1.0, 1e-9)
+    (value,), (err,) = integrate_many(lambda t, k: t ** 3, 1, 1e-9)
     assert value == pytest.approx(0.25, abs=1e-14)
     assert err <= 1e-9
 
 
 def test_smooth_transcendental():
-    value, err = integrate(np.exp, 0.0, 1.0, 1e-10)
+    (value,), (err,) = integrate_many(lambda t, k: np.exp(t), 1, 1e-10)
     assert abs(value - (math.e - 1.0)) <= err + 1e-13
     assert err <= 1e-10
 
 
 def test_error_bound_is_honest():
     for tol in (1e-4, 1e-7, 1e-10):
-        value, err = integrate(lambda t: np.sin(10 * t), 0.0, 1.0, tol)
+        (value,), (err,) = integrate_many(lambda t, k: np.sin(10 * t), 1,
+                                          tol)
         exact = (1 - math.cos(10.0)) / 10.0
         assert err <= tol
         assert abs(value - exact) <= err + 1e-12
@@ -40,56 +41,60 @@ def test_error_bound_is_honest_where_rounding_floors_tol(scale):
     # tol is below this integrand's rounding: refining on until S2 and S1
     # rounded alike reported 7e-18 at scale 1e12, against a true error of
     # 1e-3
-    value, err = integrate(lambda t: scale * np.sin(10 * t), 0.0, 1.0, 1e-10)
+    (value,), (err,) = integrate_many(lambda t, k: scale * np.sin(10 * t),
+                                      1, 1e-10)
     exact = scale * (1 - math.cos(10.0)) / 10.0
     assert err <= quadrature.ROUNDING * scale
     assert abs(value - exact) <= err
 
 
-def test_kink_with_presplit():
-    value, err = integrate(lambda t: np.maximum(t, 1 - t), 0.0, 1.0, 1e-10,
-                           presplit=(0.5,))
+def test_kink_at_an_edge():
+    (value,), (err,) = integrate_many(lambda t, k: np.maximum(t, 1 - t), 1,
+                                      1e-10, (0.0, 0.5, 1.0))
     assert abs(value - 0.75) <= 1e-12
     assert err <= 1e-10
 
 
-def test_kink_without_presplit_still_converges():
-    value, err = integrate(lambda t: np.abs(t - 1 / 3), 0.0, 1.0, 1e-8)
+def test_kink_between_edges_still_converges():
+    (value,), (err,) = integrate_many(lambda t, k: np.abs(t - 1 / 3), 1,
+                                      1e-8)
     exact = (1 / 3) ** 2 / 2 + (2 / 3) ** 2 / 2
     assert abs(value - exact) <= err + 1e-10
     assert err <= 1e-8
-
-
-def test_empty_interval():
-    assert integrate(np.ones_like, 1.0, 1.0, 1e-9) == (0.0, 0.0)
-    assert integrate(np.ones_like, 2.0, 1.0, 1e-9) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 def test_tol_must_be_positive_and_finite(tol):
     # at once, not after refining a million panels
     with pytest.raises(ValueError, match="tol must be positive and finite"):
-        integrate(np.ones_like, 0.0, 1.0, tol)
-    with pytest.raises(ValueError, match="tol must be positive and finite"):
-        integrate_many(lambda x, k: x, 2, 0.0, 1.0, tol)
+        integrate_many(lambda x, k: x, 2, tol)
 
 
 def test_no_integrands():
-    values, errs = integrate_many(lambda x, k: x, 0, 0.0, 1.0, 1e-9)
+    values, errs = integrate_many(lambda x, k: x, 0, 1e-9)
     assert values.shape == errs.shape == (0,)
 
 
-def test_presplit_outside_interval_ignored():
-    value, _ = integrate(np.ones_like, 0.0, 1.0, 1e-9,
-                         presplit=(-1.0, 0.5, 2.0))
-    assert value == pytest.approx(1.0, abs=1e-14)
+@pytest.mark.parametrize("edges", [
+    (-1.0, 0.5, 2.0), (0.0, 0.5), (0.5, 1.0), (0.0, 0.5, 0.5, 1.0),
+    (0.0, 0.7, 0.3, 1.0), (0.0, math.nan, 1.0), (1.0,), (),
+    ((0.0, 1.0),), np.array([[0.0, 0.5, 1.0]]),
+], ids=["outside", "no-end", "no-start", "repeated", "unsorted", "nan",
+        "one", "empty", "nested", "2-d"])
+def test_malformed_edges_raise(edges):
+    # at once, and for no integrands too: a partition of [0, 1] from 0.0
+    # to 1.0 that increases strictly, or no result
+    for count in (0, 1):
+        with pytest.raises(ValueError, match="^edges must increase from "
+                           r"0\.0 to 1\.0, got "):
+            integrate_many(lambda x, k: x, count, 1e-9, edges)
 
 
 def test_panel_budget_exhaustion(monkeypatch):
     # resolving a fast oscillation needs far more than 50 panels
     monkeypatch.setattr(quadrature, "MAX_PANELS", 50)
     with pytest.raises(QuadratureFailure):
-        integrate(lambda t: np.sin(1e6 * t), 0.0, 1.0, 1e-12)
+        integrate_many(lambda t, k: np.sin(1e6 * t), 1, 1e-12)
 
 
 @pytest.mark.parametrize("integrand", [
@@ -102,23 +107,23 @@ def test_overflowing_simpson_estimate_is_nonfinite(integrand, monkeypatch):
     # (the suite turns those into errors)
     monkeypatch.setattr(quadrature, "MAX_PANELS", 10)
     with pytest.raises(NonFinite, match="Simpson estimates on"):
-        integrate(integrand, 0.0, 1.0, 1e-6)
+        integrate_many(lambda t, k: integrand(t), 1, 1e-6)
 
 
 def test_determinism():
-    f = lambda t: np.sin(37.0 * t) + t ** 2
-    a = integrate(f, 0.0, 1.0, 1e-9)
-    b = integrate(f, 0.0, 1.0, 1e-9)
-    assert a == b
+    f = lambda t, k: np.sin(37.0 * t) + t ** 2
+    a = integrate_many(f, 1, 1e-9)
+    b = integrate_many(f, 1, 1e-9)
+    assert np.array(a).tobytes() == np.array(b).tobytes()
 
 
 def test_random_polynomials_against_antiderivative():
     rng = np.random.default_rng(11)
     for _ in range(25):
         coeffs = rng.random(5)
-        f = lambda t: sum(c * t ** k for k, c in enumerate(coeffs))
+        f = lambda t, _: sum(c * t ** k for k, c in enumerate(coeffs))
         exact = sum(c / (k + 1) for k, c in enumerate(coeffs))
-        value, err = integrate(f, 0.0, 1.0, 1e-10)
+        (value,), (err,) = integrate_many(f, 1, 1e-10)
         assert abs(value - exact) <= err + 1e-12
 
 
@@ -127,16 +132,14 @@ def test_random_polynomials_against_antiderivative():
 # summed in another order
 
 
-def _depth_first_panels(f, a, b, tol, presplit=(), max_panels=10 ** 6):
-    """Scalar-integrand adaptive Simpson, panels popped off a stack; the
-    (value, error) of each accepted panel, in the order accepted."""
+def _depth_first_panels(f, tol, edges, max_panels=10 ** 6):
+    """Scalar-integrand adaptive Simpson over [0, 1] split at edges,
+    panels popped off a stack; the (value, error) of each accepted panel,
+    in the order accepted."""
     def simpson(fa, fm, fb, h):
         return (h / 6.0) * (fa + 4.0 * fm + fb)
 
-    if b <= a:
-        return []
-    points = sorted({a, b, *(p for p in presplit if a < p < b)})
-    width = b - a
+    points = list(edges)
     accepted = []
     panels = 0
     stack = []
@@ -156,12 +159,17 @@ def _depth_first_panels(f, a, b, tol, presplit=(), max_panels=10 ** 6):
         s_right = simpson(fm, frm, fhi, hi - mid)
         s2 = s_left + s_right
         err = abs(s2 - s_whole) / 15.0
-        if err <= tol * (hi - lo) / width or hi - lo < 1e-14:
+        if err <= tol * (hi - lo) or hi - lo < 1e-14:
             accepted.append((s2 + (s2 - s_whole) / 15.0, err))
             continue
         stack.append((mid, hi, fm, frm, fhi, s_right))
         stack.append((lo, mid, flo, flm, fm, s_left))
     return accepted
+
+
+def _random_edges(rng, most):
+    """0.0, fewer than most random abscissae in increasing order, 1.0."""
+    return (0.0, *np.sort(rng.random(int(rng.integers(0, most)))), 1.0)
 
 
 def _random_kinked_integrand(rng):
@@ -181,21 +189,20 @@ def test_batched_equals_depth_first_on_300_kinked_integrands(monkeypatch):
     failures = reordered = 0
     for _ in range(300):
         e = parse(_random_kinked_integrand(rng))
-        presplit = tuple(rng.random(int(rng.integers(0, 6))))
+        edges = _random_edges(rng, 6)
         tol = 10.0 ** rng.uniform(-10.0, -3.0)
         max_panels = int(rng.choice([20, 60, 200, 10 ** 6]))
         monkeypatch.setattr(quadrature, "MAX_PANELS", max_panels)
-        a, b = sorted(rng.uniform(-0.5, 1.5, 2))
+        f = lambda t, k: expr_eval(e, t, 0.0)
         try:
-            terms = _depth_first_panels(
-                lambda t: oracle_eval(e, t, 0.0), a, b, tol, presplit,
-                max_panels)
+            terms = _depth_first_panels(lambda t: oracle_eval(e, t, 0.0),
+                                        tol, edges, max_panels)
         except QuadratureFailure:
             with pytest.raises(QuadratureFailure):
-                integrate(lambda t: expr_eval(e, t, 0.0), a, b, tol, presplit)
+                integrate_many(f, 1, tol, edges)
             failures += 1
             continue
-        got = integrate(lambda t: expr_eval(e, t, 0.0), a, b, tol, presplit)
+        got = np.ravel(integrate_many(f, 1, tol, edges))
         # recursive sums of the same m terms in two orders differ by at
         # most 2 * gamma_{m-1} * sum |term| (Higham, Accuracy and
         # Stability of Numerical Algorithms, 2002, section 4.2)
@@ -220,11 +227,10 @@ def test_batch_equals_each_integrand_alone(monkeypatch):
     for _ in range(12):
         exprs = [parse(_random_kinked_integrand(rng)) for _ in range(25)]
         exprs.append(parse("0 * theta1"))  # an all-zero sum
-        presplit = tuple(rng.random(int(rng.integers(0, 4))))
+        edges = _random_edges(rng, 4)
         tol = 10.0 ** rng.uniform(-9.0, -4.0)
         monkeypatch.setattr(quadrature, "MAX_PANELS",
                             int(rng.choice([60, 10 ** 6])))
-        a, b = sorted(rng.uniform(-0.5, 1.5, 2))
 
         def f(x, k):
             values = np.array([expr_eval(e, x, 0.0) for e in exprs])
@@ -233,17 +239,17 @@ def test_batch_equals_each_integrand_alone(monkeypatch):
         want = []
         for e in exprs:
             try:
-                want.append(integrate(lambda t: expr_eval(e, t, 0.0), a, b,
-                                      tol, presplit))
+                want.append(np.ravel(integrate_many(
+                    lambda t, k: expr_eval(e, t, 0.0), 1, tol, edges)))
             except QuadratureFailure:
                 want = None
                 break
         if want is None:
             with pytest.raises(QuadratureFailure):
-                integrate_many(f, len(exprs), a, b, tol, presplit)
+                integrate_many(f, len(exprs), tol, edges)
             failures += 1
             continue
-        values, errs = integrate_many(f, len(exprs), a, b, tol, presplit)
+        values, errs = integrate_many(f, len(exprs), tol, edges)
         assert np.array([values, errs]).T.tobytes() == np.array(want).tobytes()
     assert 0 < failures < 12
 
@@ -291,12 +297,11 @@ def _random_batch(rng, monkeypatch):
     budget set to a random one of 20, 60 and 10**6."""
     count = int(rng.integers(1, 4))
     exprs = [_trapped_integrand(rng) for _ in range(count)]
-    presplit = tuple(rng.random(int(rng.integers(0, 6))))
+    edges = _random_edges(rng, 6)
     tol = 10.0 ** rng.uniform(-10.0, -3.0)
     max_panels = int(rng.choice([20, 60, 10 ** 6]))
     monkeypatch.setattr(quadrature, "MAX_PANELS", max_panels)
-    a, b = sorted(rng.uniform(-0.5, 1.5, 2))
-    return _batch(exprs), count, a, b, tol, presplit, max_panels
+    return _batch(exprs), count, tol, edges, max_panels
 
 
 def test_pass_schedule_is_bit_identical_to_one_call_a_depth(monkeypatch):
@@ -348,9 +353,9 @@ def test_every_call_of_f_is_pinned():
         c = rng.random(count)
         presplit = tuple(rng.random(int(rng.integers(0, 6))))
         tol = 10.0 ** rng.uniform(-10.0, -3.0)
-        integrate_many(exact(c, 1), count, 0.0, 1.0, tol, presplit)
-    integrate_many(exact(rng.random(8), 2), 8, 0.0, 1.0, 1e-13,
-                   tuple(np.arange(1, 64) / 64))
+        integrate_many(exact(c, 1), count, tol,
+                       (0.0, *sorted(presplit), 1.0))
+    integrate_many(exact(rng.random(8), 2), 8, 1e-13, np.arange(65) / 64)
     assert sizes == [
         50, 120, 120, 120, 60, 63, 180, 180, 180, 51, 180, 120, 13, 60, 75,
         180, 180, 180, 180, 180, 60, 50, 120, 120, 25, 60, 60, 60, 18, 120,
@@ -377,10 +382,9 @@ def test_no_call_outgrows_fetch_points_or_the_plain_schedule():
             return np.sin(40.0 * x)
         return f
 
-    presplit = tuple(np.arange(1, 64) / 64)
-    want = oracle_integrate_many(sized("plain"), 1, 0.0, 1.0, 1e-13,
-                                 presplit)
-    got = integrate_many(sized("new"), 1, 0.0, 1.0, 1e-13, presplit)
+    edges = np.arange(65) / 64
+    want = oracle_integrate_many(sized("plain"), 1, 1e-13, edges)
+    got = integrate_many(sized("new"), 1, 1e-13, edges)
     assert np.array(got).tobytes() == np.array(want).tobytes()
     assert max(sizes["new"]) <= max(quadrature.FETCH_POINTS,
                                     max(sizes["plain"]))
@@ -418,18 +422,18 @@ def test_raises_on_abscissae_the_plain_schedule_never_reaches_change_nothing(
 def test_a_first_call_that_raises_is_replayed_as_the_plain_one():
     # the plain schedule first calls f at 0, 1 and 0.5, then at depth 0
     # at 0.25 and 0.75, where this f raises
-    def f(x):
+    def f(x, k):
         if (x == 0.25).any():
             raise ValueError(f"0.25 among {x.size} abscissae")
         return x
 
     with pytest.raises(ValueError, match=r"^0\.25 among 2 abscissae$"):
-        integrate(f, 0.0, 1.0, 1e-9)
+        integrate_many(f, 1, 1e-9)
 
 
 @pytest.mark.parametrize("lookahead", [1, 2, 3, 4, 5])
 def test_a_kink_costs_one_call_per_lookahead_depths(monkeypatch, lookahead):
-    """On |theta - c| with c off the presplit, f is called once for depth
+    """On |theta - c| with c off the edges, f is called once for depth
     0 and once per LOOKAHEAD depths below it."""
     if lookahead != quadrature.LOOKAHEAD:
         monkeypatch.setattr(quadrature, "LOOKAHEAD", lookahead)
@@ -437,7 +441,7 @@ def test_a_kink_costs_one_call_per_lookahead_depths(monkeypatch, lookahead):
     deepest = 0
     for _ in range(20):
         c = rng.random()
-        presplit = tuple(rng.random(int(rng.integers(0, 4))))
+        edges = _random_edges(rng, 4)
         tol = 10.0 ** rng.uniform(-10.0, -4.0)
         calls = Counter()
 
@@ -447,9 +451,8 @@ def test_a_kink_costs_one_call_per_lookahead_depths(monkeypatch, lookahead):
                 return np.abs(x - c)
             return f
 
-        want = oracle_integrate_many(counted("plain"), 1, 0.0, 1.0, tol,
-                                     presplit)
-        got = integrate_many(counted("new"), 1, 0.0, 1.0, tol, presplit)
+        want = oracle_integrate_many(counted("plain"), 1, tol, edges)
+        got = integrate_many(counted("new"), 1, tol, edges)
         assert np.array(got).tobytes() == np.array(want).tobytes()
         depths = calls["plain"] - 1
         assert calls["new"] <= 1 + math.ceil((depths - 1) / lookahead)
