@@ -23,17 +23,9 @@ import numpy as np
 
 from . import expr as exprmod
 from .discretize import check_count, check_player
-from .errors import (
-    DomainError,
-    ExprSyntaxError,
-    NegativePrior,
-    NonFinite,
-    ZeroMarginal,
-)
+from .errors import ExprSyntaxError, NegativePrior, NonFinite, ZeroMarginal
 from .expr import Program
 from .quadrature import integrate_many
-
-_BLOCK_POINTS = 3072  # validation grid points per program pass: 24 KiB a value
 
 
 def _variables_of(code):
@@ -85,42 +77,30 @@ def _compile(spec):
 
 
 def _check_grid(g, t1, t2):
-    """Check g's raw prior and utility cells (u's, then v's) at types
-    t1 x t2 (one axis each); return the prior's largest value there.
-    Raises what checking the whole grid at once raises first: a
-    DomainError, NonFinite or NegativePrior for the prior, or NonFinite
-    naming a cell and the point; then ZeroMarginal for a grid line with no
-    positive prior value, player 1's lines first.
-
-    The grid runs in blocks of rows, so the values that cells share stay
-    small while they wait for their last use.  On an error the whole grid
-    runs again, so that the error raised is that first one.
+    """Check g's raw prior and utility cells at types t1 x t2 (one axis
+    each) in one program pass; return the prior's largest value there.
+    Raises the first error in this order: the prior's (a DomainError, or
+    NonFinite, or NegativePrior naming the point); then each cell's, u's
+    then v's, row by row (a DomainError, or NonFinite naming the point);
+    then ZeroMarginal for a grid line with no positive prior value,
+    player 1's lines first.
     """
     program, outputs = g.program, range(1 + 2 * g.L * g.H)
-
-    def check(rows):
-        values = program.stream(rows[:, None], t2[None, :], outputs)
-        with np.errstate(all="ignore"):
-            b = next(values)
-            if not math.isfinite(b.max()):
-                raise NonFinite("prior evaluates to NaN/inf on the "
-                                "validation grid")
-            if b.min() < 0.0:
-                i, j = np.argwhere(b < 0.0)[0]
-                raise NegativePrior(f"prior is negative at theta=({rows[i]}, "
-                                    f"{t2[j]})")
-            for k, vals in zip(outputs[1:], values):
-                if not np.isfinite(vals).all():
-                    i, j = np.argwhere(~np.isfinite(vals))[0]
-                    raise NonFinite(f"{program.names[k]}: utility is not "
-                                    f"finite at ({rows[i]}, {t2[j]})")
-            return b
-
-    blocks = -(-t1.size * t2.size // _BLOCK_POINTS)
-    try:
-        b = np.concatenate(list(map(check, np.array_split(t1, blocks))))
-    except (DomainError, NonFinite, NegativePrior):
-        check(t1)
+    values = program.stream(t1[:, None], t2[None, :], outputs)
+    with np.errstate(all="ignore"):
+        b = next(values)
+        if not math.isfinite(b.max()):
+            raise NonFinite("prior evaluates to NaN/inf on the "
+                            "validation grid")
+        if b.min() < 0.0:
+            i, j = np.argwhere(b < 0.0)[0]
+            raise NegativePrior(f"prior is negative at theta=({t1[i]}, "
+                                f"{t2[j]})")
+        for k, vals in zip(outputs[1:], values):
+            if not np.isfinite(vals).all():
+                i, j = np.argwhere(~np.isfinite(vals))[0]
+                raise NonFinite(f"{program.names[k]}: utility is not "
+                                f"finite at ({t1[i]}, {t2[j]})")
     for player, thetas, tops in ((1, t1, b.max(axis=1)),
                                  (2, t2, b.max(axis=0))):
         bad = np.flatnonzero(tops == 0.0)
@@ -168,7 +148,7 @@ class GameSpec:
                              f"multipliers come as a pair")
         for name, r in (("type_range1", self.type_range1),
                         ("type_range2", self.type_range2)):
-            if not (all(map(_finite, r)) and 0 < r[1] - r[0] < math.inf):
+            if not (_finite_pair(r) and 0 < r[1] - r[0] < math.inf):
                 raise ValueError(f"{name} must be an increasing interval "
                                  f"of finite width")
 
@@ -189,7 +169,11 @@ class GameSpec:
                 raise ValueError(f"spec has no {name!r} field")
             value = d.get(name, default)
             if not ok(value):
-                raise ValueError(f"{name} must be {what}, got {value!r}")
+                try:
+                    shown = repr(value)
+                except ValueError:  # an int past Python's digit limit
+                    shown = "a number too long to print"
+                raise ValueError(f"{name} must be {what}, got {shown}")
             return value
 
         def expr(name):
@@ -350,4 +334,6 @@ def load_game_file(path):
             doc = json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:  # malformed JSON, or an over-long int
+            raise ValueError(f"{path}: {exc}") from None
     return load_game(GameSpec.from_dict(doc))

@@ -404,6 +404,19 @@ def test_invalid_json_is_fatal(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: Expecting property name")
+
+
+def test_an_int_too_long_to_parse_is_an_error_naming_the_file(tmp_path,
+                                                              capsys):
+    # json.load's digit-limit error named neither the file nor the field
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(ZERO_SUM_DOC)[:-1]
+                    + ', "type_range1": [0, ' + "9" * 5001 + "]}")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: Exceeds the limit")
 
 
 @pytest.mark.parametrize("change, message", [

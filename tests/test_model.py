@@ -103,6 +103,27 @@ def test_the_grid_pass_fails_before_the_normalization(prior, u, error,
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("prior, u, error, message", [
+    # u[0][1] fails at theta1 = 0, u[0][0] only at theta1 = 0.75
+    ("1", "log(1.5 - 2*theta1)", DomainError,
+     "u[0][0]: log of non-positive value 0.0"),
+    # the prior is inf only at theta1 >= 0.95, u[0][1] fails at 0
+    ("exp(5000*(theta1 - 0.8))", "0", NonFinite,
+     "prior evaluates to NaN/inf on the validation grid"),
+    ("0.9 - theta1", "0", NegativePrior,
+     "prior is negative at theta=(0.91, 0.0)"),
+], ids=["cell-order", "prior-nonfinite", "prior-negative"])
+def test_grid_errors_come_in_table_order_over_the_whole_grid(prior, u, error,
+                                                             message):
+    # the prior's error, then each cell's in table order, wherever on the
+    # grid each one fails: checking the grid in blocks of rows would raise
+    # u[0][1]'s error, which the first rows already show
+    with pytest.raises(error) as info:
+        make_game([[u, "log(theta1 - 0.2)"]], [["0", "0"]], prior=prior,
+                  grid_check=101)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("k", [-40, -20, 10])
 def test_prior_norm_scales_with_the_prior_bit_for_bit(k):
     prior = "exp(sin(5*theta1*theta2)) + theta1"
@@ -357,6 +378,30 @@ def test_an_int_bound_too_large_for_a_float_is_rejected(name, bounds):
     with pytest.raises(ValueError, match=rf"^{name} must be an increasing "
                        rf"interval of finite width$"):
         replace(spec, **{name: bounds})
+
+
+@pytest.mark.parametrize("bounds", [("0", 1), (0, 1, 2), (True, 2)],
+                         ids=["string", "three-numbers", "bool"])
+def test_a_spec_built_in_code_meets_the_type_range_rule(bounds):
+    # the JSON rule, two finite numbers that are not bools: a string
+    # raised TypeError, three numbers failed at load_game, and a bool loaded
+    spec = bc.GameSpec.from_dict(_one_cell_doc())
+    for name in ("type_range1", "type_range2"):
+        with pytest.raises(ValueError, match=rf"^{name} must be an "
+                           rf"increasing interval of finite width$"):
+            replace(spec, **{name: bounds})
+
+
+@pytest.mark.parametrize("change, name", [
+    ({"type_range1": [0, 10 ** 5000]}, "type_range1"),
+    ({"actions1": 10 ** 5000}, "actions1"),
+    ({"prior": 10 ** 5000}, "prior"),
+], ids=["type-range", "actions", "prior"])
+def test_an_int_too_long_to_print_is_a_named_error(change, name):
+    # repr of an int past Python's digit limit raised its own ValueError
+    with pytest.raises(ValueError, match=rf"^{name} must be [a-z ]+, got "
+                       rf"a number too long to print$"):
+        bc.GameSpec.from_dict(_one_cell_doc(**change))
 
 
 def test_spec_accepts_tuples_and_integer_ranges():
