@@ -1,13 +1,13 @@
 """Continuous-type Bayesian game: loading, validation, normalization.
 
-A game is given by two finite action sets, one utility expression per
-action pair and player, and a joint prior density over the unit square.
-Loading compiles the prior, every utility cell and the multipliers into
-one expression Program, checks the prior and the utilities in one pass
-over a dense grid, auto-normalizes the prior and folds it into the
-payoffs (u = b * u_bar).  Every later evaluation of the game runs the
-steps of that program which its outputs need, so a subexpression shared
-by several cells is evaluated once.
+A GameSpec holds a game as written: two finite action sets, one utility
+expression per action pair and player and a joint prior density over the
+unit square, each as its text.  Loading parses them, with the
+multipliers, into one expression Program, checks the prior and the
+utilities in one pass over a dense grid, auto-normalizes the prior and
+folds it into the payoffs (u = b * u_bar).  Every later evaluation of the
+game runs the steps of that program which its outputs need, so a
+subexpression shared by several cells is evaluated once.
 
 Declared type ranges [a, b] are rescaled affinely onto [0, 1]; the
 constant Jacobian is absorbed by the prior normalization.
@@ -17,19 +17,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from . import expr as exprmod
 from .discretize import check_count, check_player
 from .errors import ExprSyntaxError, NegativePrior, NonFinite, ZeroMarginal
-from .expr import Program
+from .expr import Program, parse
 from .quadrature import integrate_many
-
-
-def _variables_of(code):
-    return {ins[1] for ins in code if ins[0] == "var"}
 
 
 _ARRAY = (list, tuple)  # a JSON array, or a tuple in a spec built in code
@@ -39,41 +34,66 @@ def _strings(x):
     return isinstance(x, _ARRAY) and all(isinstance(s, str) for s in x)
 
 
-def _finite(v):  # whether the number v converts to a finite float
+def _finite_pair(x):
     try:
-        return math.isfinite(v)
+        return isinstance(x, _ARRAY) and len(x) == 2 and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v) for v in x)
     except OverflowError:  # an int too large for a float
         return False
 
 
-def _finite_pair(x):
-    return isinstance(x, _ARRAY) and len(x) == 2 and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool)
-        and _finite(v) for v in x)
+_LABELS = "a list of strings", _strings
+_TABLE = ("a list of rows of expression strings",
+          lambda t: isinstance(t, _ARRAY) and all(map(_strings, t)))
+_TEXT = "an expression string", lambda x: isinstance(x, str)
+_RANGE = "two finite numbers", _finite_pair
+
+# each GameSpec field's rule, in schema order: what its value must be, and
+# whether a value is that
+_RULES = {"actions1": _LABELS, "actions2": _LABELS, "u": _TABLE, "v": _TABLE,
+          "prior": _TEXT, "m1": _TEXT, "m2": _TEXT, "type_range1": _RANGE,
+          "type_range2": _RANGE}
 
 
-def _parse(text, where):
-    """Parse one expression of a spec; a syntax error names where it is."""
+def _shown(value, form=repr):  # value as an error message shows it
     try:
-        return exprmod.parse(text)
-    except ExprSyntaxError as exc:
-        exc.args = (f"{where}: {exc}",)
-        raise
+        return form(value)
+    except ValueError:  # an int past Python's digit limit
+        return "a number too long to print"
+
+
+def _mistyped(name, value):
+    return ValueError(f"{name} must be {_RULES[name][0]}, got {_shown(value)}")
+
+
+def _tuples(x):
+    """x with every list in it a tuple."""
+    return tuple(map(_tuples, x)) if isinstance(x, _ARRAY) else x
 
 
 def _compile(spec):
-    """One program over the prior, then u's cells and v's, row by row,
-    then m1 and m2 when given."""
-    codes, names = [spec.prior], ["prior"]
-    for name, table in (("u", spec.u_raw), ("v", spec.v_raw)):
-        for x, row in enumerate(table):
-            for y, code in enumerate(row):
-                codes.append(code)
-                names.append(f"{name}[{x}][{y}]")
+    """Parse the spec's expressions into one program: the prior, then u's
+    cells and v's, row by row, then m1 and m2 when given.  A syntax error
+    names its field, and so does a multiplier that reads the other
+    player's type."""
+    texts = [("prior", spec.prior)]
+    for name, table in (("u", spec.u), ("v", spec.v)):
+        texts += [(f"{name}[{x}][{y}]", text) for x, row in enumerate(table)
+                  for y, text in enumerate(row)]
     if spec.m1 is not None:  # then m2 is too
-        codes += [spec.m1, spec.m2]
-        names += ["m1", "m2"]
-    return Program(codes, names)
+        texts += [("m1", spec.m1), ("m2", spec.m2)]
+    codes = []
+    for where, text in texts:
+        try:
+            codes.append(parse(text))
+        except ExprSyntaxError as exc:
+            exc.args = (f"{where}: {exc}",)
+            raise
+        own = {"m1": "theta1", "m2": "theta2"}.get(where)
+        if own and any(ins[0] == "var" and ins[1] != own for ins in codes[-1]):
+            raise ValueError(f"{where} may only reference {own}")
+    return Program(codes, [where for where, _ in texts])
 
 
 def _check_grid(g, t1, t2):
@@ -112,43 +132,46 @@ def _check_grid(g, t1, t2):
 
 @dataclass(frozen=True, eq=False)
 class GameSpec:
-    """Parsed but not yet validated game description: each expression is
-    held as its postorder code (see expr.parse).  Specs compare by
-    identity and print without their expressions, whose code is as long
-    as their text."""
+    """A game as written: the JSON schema's fields, each expression as its
+    text, which load_game parses.  A spec from a file, one built in code
+    and a dataclasses.replace copy meet the same rules (_RULES, then the
+    structural checks); lists are held as tuples and an absent multiplier
+    is None.  Specs compare by identity and print without their
+    expressions, which can be long."""
 
     actions1: tuple[str, ...]
     actions2: tuple[str, ...]
-    u_raw: tuple[tuple[tuple, ...], ...] = field(repr=False)  # [x][y]
-    v_raw: tuple[tuple[tuple, ...], ...] = field(repr=False)
-    prior: tuple = field(repr=False)
-    m1: tuple | None = field(default=None, repr=False)
-    m2: tuple | None = field(default=None, repr=False)
+    u: tuple[tuple[str, ...], ...] = field(repr=False)  # [x][y]
+    v: tuple[tuple[str, ...], ...] = field(repr=False)
+    prior: str = field(repr=False)
+    m1: str | None = field(default=None, repr=False)
+    m2: str | None = field(default=None, repr=False)
     type_range1: tuple[float, float] = (0.0, 1.0)
     type_range2: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
+        for name, (_, ok) in _RULES.items():
+            value = getattr(self, name)
+            if not (ok(value) or value is None and name in ("m1", "m2")):
+                raise _mistyped(name, value)
+            object.__setattr__(self, name, _tuples(value))
         for player, labels in ((1, self.actions1), (2, self.actions2)):
             if len(set(labels)) != len(labels):
                 raise ValueError(f"duplicate action labels for player {player}")
         if not self.actions1 or not self.actions2:
             raise ValueError("each player needs at least one action")
         L, H = len(self.actions1), len(self.actions2)
-        for name, table in (("u", self.u_raw), ("v", self.v_raw)):
+        for name, table in (("u", self.u), ("v", self.v)):
             if len(table) != L or any(len(row) != H for row in table):
                 raise ValueError(f"{name} must be a {L}x{H} expression table")
-        for name, m in (("m1", self.m1), ("m2", self.m2)):
-            var = "theta1" if name == "m1" else "theta2"
-            if m is not None and not _variables_of(m) <= {var}:
-                raise ValueError(f"{name} may only reference {var}")
         if (self.m1 is None) != (self.m2 is None):
             given, missing = (("m1", "m2") if self.m2 is None
                               else ("m2", "m1"))
             raise ValueError(f"{given} is given without {missing}; the "
                              f"multipliers come as a pair")
-        for name, r in (("type_range1", self.type_range1),
-                        ("type_range2", self.type_range2)):
-            if not (_finite_pair(r) and 0 < r[1] - r[0] < math.inf):
+        for name in ("type_range1", "type_range2"):
+            a, b = map(float, getattr(self, name))
+            if not 0 < b - a < math.inf:
                 raise ValueError(f"{name} must be an increasing interval "
                                  f"of finite width")
 
@@ -158,51 +181,17 @@ class GameSpec:
         raises a ValueError that names it."""
         if not isinstance(d, dict):
             raise ValueError("a game spec must be a JSON object")
-        unknown = set(d) - {"actions1", "actions2", "u", "v", "prior", "m1",
-                            "m2", "type_range1", "type_range2"}
+        unknown = set(d) - _RULES.keys()
         if unknown:
             raise ValueError("spec has unknown fields: " + ", ".join(
-                map(repr, sorted(unknown, key=str))))
-
-        def field(name, what, ok, default=None):
-            if name not in d and default is None:
-                raise ValueError(f"spec has no {name!r} field")
-            value = d.get(name, default)
-            if not ok(value):
-                try:
-                    shown = repr(value)
-                except ValueError:  # an int past Python's digit limit
-                    shown = "a number too long to print"
-                raise ValueError(f"{name} must be {what}, got {shown}")
-            return value
-
-        def expr(name):
-            return _parse(field(name, "an expression string",
-                                lambda x: isinstance(x, str)), name)
-
-        def table(name):
-            rows = field(name, "a list of rows of expression strings",
-                         lambda t: isinstance(t, _ARRAY)
-                         and all(map(_strings, t)))
-            return tuple(tuple(_parse(text, f"{name}[{x}][{y}]")
-                               for y, text in enumerate(row))
-                         for x, row in enumerate(rows))
-
-        def type_range(name):
-            return tuple(field(name, "two finite numbers", _finite_pair,
-                               (0.0, 1.0)))
-
-        return cls(
-            actions1=tuple(field("actions1", "a list of strings", _strings)),
-            actions2=tuple(field("actions2", "a list of strings", _strings)),
-            u_raw=table("u"),
-            v_raw=table("v"),
-            prior=expr("prior"),
-            m1=expr("m1") if "m1" in d else None,
-            m2=expr("m2") if "m2" in d else None,
-            type_range1=type_range("type_range1"),
-            type_range2=type_range("type_range2"),
-        )
+                map(_shown, sorted(unknown, key=lambda k: _shown(k, str)))))
+        for f in fields(cls):
+            if f.name not in d and f.default is MISSING:
+                raise ValueError(f"spec has no {f.name!r} field")
+            # JSON leaves an absent multiplier out: a null one is mistyped
+            if f.default is None and f.name in d and d[f.name] is None:
+                raise _mistyped(f.name, None)
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -238,7 +227,8 @@ class InfiniteGame:
         """Unit-square types theta1, theta2 in the spec's coordinates."""
         a1, b1 = self.spec.type_range1
         a2, b2 = self.spec.type_range2
-        return a1 + (b1 - a1) * theta1, a2 + (b2 - a2) * theta2
+        return (a1 + (b1 - a1) * np.asarray(theta1, float),
+                a2 + (b2 - a2) * np.asarray(theta2, float))
 
     def prior(self, theta1, theta2):
         """Normalized joint density at unit-square coordinates."""
@@ -300,10 +290,10 @@ def marginal(g, player, theta, quad_tol=1e-9):
 
 
 def load_game(spec, grid_check=101):
-    """Validate a GameSpec and build the normalized InfiniteGame.
+    """Parse and validate a GameSpec and build the normalized InfiniteGame.
 
     grid_check is the per-axis size of the validation grid (odd, >= 11).
-    The grid pass's errors come before the normalization's.
+    Syntax errors come first, then the grid pass's, then the normalization's.
     """
     check_count("grid_check", grid_check)
     if grid_check < 11 or grid_check % 2 == 0:

@@ -383,8 +383,8 @@ def interim_polynomials(g, player, opponent_rows):
     the sum over the opponent's cells j and actions y of
     opponent_rows[j, y] times the integral over cell j of prior * utility
     / Z, Z the prior's integral over the unit square."""
-    prior = poly2(g.spec.prior)
-    table = g.spec.u_raw if player == 1 else g.spec.v_raw
+    prior = poly2(oracle_parse(g.spec.prior))
+    table = g.spec.u if player == 1 else g.spec.v
     own_count, opp_count = (g.L, g.H) if player == 1 else (g.H, g.L)
     edges = np.linspace(0.0, 1.0, opponent_rows.shape[0] + 1)
     phis = []
@@ -392,7 +392,7 @@ def interim_polynomials(g, player, opponent_rows):
         phi = np.zeros(1)
         for y in range(opp_count):
             cell = table[x][y] if player == 1 else table[y][x]
-            c = _poly2_mul(prior, poly2(cell))
+            c = _poly2_mul(prior, poly2(oracle_parse(cell)))
             if player == 2:
                 c = c.T  # own type first
             anti = P.polyint(c, axis=1).T  # (opponent powers, own powers)
@@ -455,13 +455,13 @@ def riemann_step_regret_error(g, profile, points=(1000, 200)):
     Sup norms are bounded by the sums of the absolute coefficients."""
     n = profile.s.shape[0]
     h, k = (1.0 / (-(-p // n) * n) for p in points)
-    prior = poly2(g.spec.prior)
+    prior = poly2(oracle_parse(g.spec.prior))
     bounds = []
-    for player, table, opp in ((1, g.spec.u_raw, profile.t),
-                               (2, g.spec.v_raw, profile.s)):
+    for player, table, opp in ((1, g.spec.u, profile.t),
+                               (2, g.spec.v, profile.s)):
         d_opp = 0.0
         for e in itertools.chain.from_iterable(table):
-            c = np.abs(_poly2_mul(prior, poly2(e)))
+            c = np.abs(_poly2_mul(prior, poly2(oracle_parse(e))))
             power = np.indices(c.shape)[2 - player]  # the opponent's
             d_opp = max(d_opp, float((c * power * (power - 1)).sum()))
         d_opp /= abs(_poly2_integral(prior))
@@ -691,9 +691,9 @@ def oracle_payoff(g, player, x, y, theta1, theta2):
     a2, b2 = g.spec.type_range2
     t1 = a1 + (b1 - a1) * float(theta1)
     t2 = a2 + (b2 - a2) * float(theta2)
-    prior = oracle_eval(g.spec.prior, t1, t2) / g.prior_norm
-    table = g.spec.u_raw if player == 1 else g.spec.v_raw
-    return prior * oracle_eval(table[x][y], t1, t2)
+    prior = oracle_eval(oracle_parse(g.spec.prior), t1, t2) / g.prior_norm
+    table = g.spec.u if player == 1 else g.spec.v
+    return prior * oracle_eval(oracle_parse(table[x][y]), t1, t2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""The narrative demos run to completion."""
+"""The narrative demos and README's Python examples run to completion."""
 
+import re
 import subprocess
 import sys
 
@@ -17,3 +18,13 @@ def test_demo_exits_zero(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_runs(monkeypatch):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    # the quick start and the schema section's spec built in code
+    assert len(blocks) == 2
+    monkeypatch.chdir(ROOT)  # the examples read the demo specs
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

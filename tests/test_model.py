@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import bnecert as bc
 from bnecert.errors import (
+    BnecertError,
     DomainError,
     ExprSyntaxError,
     NegativePrior,
@@ -19,7 +21,7 @@ from bnecert.errors import (
 )
 from bnecert.expr import Program
 
-from conftest import ROOT, make_game
+from conftest import ROOT, make_game, polynomial_game_specs, strip_wall_time
 
 
 def test_uniform_prior_product_utility():
@@ -226,6 +228,10 @@ def test_unknown_fields_are_rejected_by_name_in_sorted_order():
     with pytest.raises(ValueError,
                        match=r"^spec has unknown fields: 'U', 'comment'$"):
         bc.GameSpec.from_dict({"comment": "", "U": [["1"]]})
+    # a key too long to print
+    with pytest.raises(ValueError, match=r"^spec has unknown fields: a "
+                       r"number too long to print$"):
+        bc.GameSpec.from_dict({10 ** 5000: 1})
     # every field of the schema is known
     spec = bc.GameSpec.from_dict({**doc, "type_range1": [0, 2],
                                   "type_range2": [0, 1]})
@@ -271,15 +277,17 @@ def test_spec_validation_errors():
 
 
 def test_expression_errors_name_their_field():
+    # a spec holds its text: load_game parses it
     base = {"actions1": ["x1", "x2"], "actions2": ["y1"],
             "u": [["1"], ["1"]], "v": [["1"], ["1"]], "prior": "1"}
     for change, where, error, offset in (
             ({"v": [["1"], ["theta1*"]]}, "v[1][0]", ExprSyntaxError, 7),
             ({"u": [["theta3"], ["1"]]}, "u[0][0]", UnknownIdentifier, 0),
             ({"prior": "1 +"}, "prior", ExprSyntaxError, 3),
-            ({"m2": "exp(theta2"}, "m2", ExprSyntaxError, 10)):
+            ({"m1": "1", "m2": "exp(theta2"}, "m2", ExprSyntaxError, 10)):
+        spec = bc.GameSpec.from_dict({**base, **change})
         with pytest.raises(error) as info:
-            bc.GameSpec.from_dict({**base, **change})
+            bc.load_game(spec)
         assert str(info.value).startswith(f"{where}: ")
         assert str(info.value).endswith(f"(at offset {offset})")
         assert info.value.offset == offset
@@ -290,7 +298,7 @@ def test_an_unknown_name_in_a_cell_names_the_cell():
            "u": [["1", "theta1 + theta3"], ["1", "1"]],
            "v": [["1", "1"], ["1", "1"]], "prior": "1"}
     with pytest.raises(ExprSyntaxError) as info:
-        bc.GameSpec.from_dict(doc)
+        bc.load_game(bc.GameSpec.from_dict(doc))
     assert type(info.value) is UnknownIdentifier
     assert str(info.value) == ("u[0][1]: unknown identifier 'theta3' "
                                "(at offset 9)")
@@ -323,8 +331,8 @@ def test_long_sums_load():
     assert g.payoff(1, 0.5, 0.25)[0, 0] == 750.0
     assert g.multiplier(1, 0.5) == 750.5
     with pytest.raises(ValueError, match="^m1 may only reference theta1$"):
-        bc.GameSpec.from_dict(_one_cell_doc(
-            m1=" + ".join([*terms, "theta2"]), m2="1"))
+        bc.load_game(bc.GameSpec.from_dict(_one_cell_doc(
+            m1=" + ".join([*terms, "theta2"]), m2="1")))
 
 
 def test_deep_specs_print_compare_and_hash():
@@ -354,10 +362,12 @@ def test_nesting_deeper_than_the_stack_is_a_syntax_error(text):
 @pytest.mark.parametrize("name", ["type_range1", "type_range2"])
 def test_a_type_range_of_infinite_width_is_rejected(name):
     # b - a overflowed to inf, and the rescaled type at 0 read nan, which
-    # loading blamed on the utility
-    with pytest.raises(ValueError, match=rf"^{name} must be an increasing "
-                       rf"interval of finite width$"):
-        bc.GameSpec.from_dict(_one_cell_doc(**{name: [-1e308, 1e308]}))
+    # loading blamed on the utility; with ints, b - a was exact, and
+    # load_game raised OverflowError
+    for bounds in ([-1e308, 1e308], [-10 ** 308, 10 ** 308]):
+        with pytest.raises(ValueError, match=rf"^{name} must be an "
+                           rf"increasing interval of finite width$"):
+            bc.GameSpec.from_dict(_one_cell_doc(**{name: bounds}))
     # a finite width loads, however wide
     g = bc.load_game(bc.GameSpec.from_dict(_one_cell_doc(
         **{name: [0, 1e308]})))
@@ -375,8 +385,8 @@ def test_an_int_bound_too_large_for_a_float_is_rejected(name, bounds):
                        rf"numbers, got \[{bounds[0]}, {bounds[1]}\]$"):
         bc.GameSpec.from_dict(_one_cell_doc(**{name: list(bounds)}))
     spec = bc.GameSpec.from_dict(_one_cell_doc())
-    with pytest.raises(ValueError, match=rf"^{name} must be an increasing "
-                       rf"interval of finite width$"):
+    with pytest.raises(ValueError, match=rf"^{name} must be two finite "
+                       rf"numbers, got \({bounds[0]}, {bounds[1]}\)$"):
         replace(spec, **{name: bounds})
 
 
@@ -387,9 +397,10 @@ def test_a_spec_built_in_code_meets_the_type_range_rule(bounds):
     # raised TypeError, three numbers failed at load_game, and a bool loaded
     spec = bc.GameSpec.from_dict(_one_cell_doc())
     for name in ("type_range1", "type_range2"):
-        with pytest.raises(ValueError, match=rf"^{name} must be an "
-                           rf"increasing interval of finite width$"):
+        with pytest.raises(ValueError) as info:
             replace(spec, **{name: bounds})
+        assert str(info.value) == (f"{name} must be two finite numbers, "
+                                   f"got {bounds!r}")
 
 
 @pytest.mark.parametrize("change, name", [
@@ -402,6 +413,130 @@ def test_an_int_too_long_to_print_is_a_named_error(change, name):
     with pytest.raises(ValueError, match=rf"^{name} must be [a-z ]+, got "
                        rf"a number too long to print$"):
         bc.GameSpec.from_dict(_one_cell_doc(**change))
+
+
+def _zero_sum_match_doc():
+    path = ROOT / "demos" / "specs" / "zero_sum_match.json"
+    return json.loads(path.read_text())
+
+
+def test_a_spec_built_in_code_runs_as_its_json_twin():
+    # labels given as lists were held as lists, and run raised an
+    # uncaught ValueError on the strategy's tuple of labels
+    doc = _zero_sum_match_doc()
+    twin = bc.GameSpec.from_dict(doc)
+    spec = replace(twin, actions1=doc["actions1"], actions2=doc["actions2"])
+    assert spec.actions1 == twin.actions1 == ("x1", "x2")
+    cfg = bc.RunConfig(epsilon=0.05, max_level=4)
+    reports = [strip_wall_time(bc.run(bc.load_game(s), cfg).to_dict())
+               for s in (twin, spec)]
+    assert reports[0] == reports[1]
+
+
+def test_a_spec_built_in_code_holds_its_expressions_as_text():
+    # load_game took the text for postorder code and raised IndexError
+    spec = replace(bc.GameSpec.from_dict(_one_cell_doc()), prior="2")
+    assert bc.load_game(spec).prior_norm == 2.0
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"actions1": (1, 2)}, "actions1 must be a list of strings, got (1, 2)"),
+    ({"u": (("1", "0"), ("0", 1))},
+     "u must be a list of rows of expression strings, got "
+     "(('1', '0'), ('0', 1))"),
+    ({"m1": ("var", "theta1")},
+     "m1 must be an expression string, got ('var', 'theta1')"),
+], ids=["labels", "table", "multiplier"])
+def test_a_spec_built_in_code_meets_each_field_rule(change, message):
+    # the same rule and message as in JSON: int labels loaded before
+    spec = bc.GameSpec.from_dict(_zero_sum_match_doc())
+    with pytest.raises(ValueError) as info:
+        replace(spec, **change)
+    assert str(info.value) == message
+    doc = {**_zero_sum_match_doc(), **change}
+    with pytest.raises(ValueError) as info:
+        bc.GameSpec.from_dict(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", ["m1", "m2"])
+def test_a_null_multiplier_is_mistyped_not_absent(name):
+    # JSON leaves an absent multiplier out; in code, None stands for it
+    with pytest.raises(ValueError, match=rf"^{name} must be an expression "
+                       rf"string, got None$"):
+        bc.GameSpec.from_dict({**_one_cell_doc(), name: None})
+
+
+_DROP = object()  # a change that leaves the field out
+
+# one fault at each step of the documented error order, each with what it
+# raises while it is the first; where two change one field, the earlier
+# fault's value stands
+_FAULTS = [
+    ({"comment": ""}, ValueError, "spec has unknown fields: 'comment'"),
+    ({"v": _DROP}, ValueError, "spec has no 'v' field"),
+    ({"m1": None}, ValueError, "m1 must be an expression string, got None"),
+    ({"actions2": "y"}, ValueError,
+     "actions2 must be a list of strings, got 'y'"),
+    ({"prior": 1}, ValueError, "prior must be an expression string, got 1"),
+    ({"type_range1": [0, "1"]}, ValueError,
+     "type_range1 must be two finite numbers, got [0, '1']"),
+    ({"actions1": ["x", "x"]}, ValueError,
+     "duplicate action labels for player 1"),
+    ({"u": [["1"]]}, ValueError, "u must be a 2x1 expression table"),
+    ({"m1": _DROP}, ValueError,
+     "m2 is given without m1; the multipliers come as a pair"),
+    ({"type_range2": [1, 0]}, ValueError,
+     "type_range2 must be an increasing interval of finite width"),
+    ({"prior": "1 +"}, ExprSyntaxError,
+     "prior: expected operand, got end of input (at offset 3)"),
+    ({"u": [["theta3"], ["1"]]}, UnknownIdentifier,
+     "u[0][0]: unknown identifier 'theta3' (at offset 0)"),
+    ({"v": [["0"], ["0 0"]]}, ExprSyntaxError,
+     "v[1][0]: unexpected trailing input 0.0 (at offset 2)"),
+    ({"m1": "theta2"}, ValueError, "m1 may only reference theta1"),
+    ({"m2": "exp(theta2"}, ExprSyntaxError,
+     "m2: expected ')' (at offset 10)"),
+    ({"prior": "theta1 - 0.5"}, NegativePrior,
+     "prior is negative at theta=(0.0, 0.0)"),
+    ({"u": [["1"], ["exp(1000*theta1)"]]}, NonFinite,
+     "u[1][0]: utility is not finite at (0.71, 0.0)"),
+]
+
+
+@pytest.mark.parametrize("first", range(len(_FAULTS)))
+def test_a_spec_with_many_faults_raises_the_first_in_the_documented_order(
+        first):
+    doc = {"actions1": ["x1", "x2"], "actions2": ["y"], "u": [["1"], ["1"]],
+           "v": [["0"], ["0"]], "prior": "1", "m1": "1", "m2": "1"}
+    for change, _, _ in reversed(_FAULTS[first:]):
+        doc.update(change)
+    doc = {k: v for k, v in doc.items() if v is not _DROP}
+    error, message = _FAULTS[first][1:]
+    with pytest.raises((ValueError, BnecertError)) as info:
+        bc.load_game(bc.GameSpec.from_dict(doc))
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def _as_tuples(x):
+    return tuple(map(_as_tuples, x)) if isinstance(x, list) else x
+
+
+@settings(max_examples=25, deadline=None)
+@given(polynomial_game_specs())
+def test_a_spec_built_in_code_loads_as_its_json_twin(doc):
+    twin = bc.GameSpec.from_dict(doc)
+    specs = [twin, bc.GameSpec(**doc),
+             bc.GameSpec(**{k: _as_tuples(v) for k, v in doc.items()}),
+             replace(twin)]
+    grid = np.linspace(0.0, 1.0, 7)
+    outcomes = set()
+    for spec in specs:
+        g = bc.load_game(spec, grid_check=21)
+        tables = np.stack(g.tables(grid[:, None], grid[None, :]))
+        outcomes.add((g.prior_norm.hex(), tables.tobytes(),
+                      bc.check_prop1(g).kind))
+    assert len(outcomes) == 1
 
 
 def test_spec_accepts_tuples_and_integer_ranges():
@@ -482,6 +617,19 @@ def test_type_range_rescaling():
     assert g.prior(0.5, 0.3) == pytest.approx(1.0, abs=1e-9)  # (1+1)/2
     raw, = g.tables(0.5, 0.0, (1,), assimilated=False)
     assert raw[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_game_accessors_take_lists_of_types():
+    g = make_game([["theta1 * theta2"]], [["theta2"]],
+                  prior="1 + theta1", type_range1=[0, 2])
+    got = (g.payoff(1, [0.1], [0.2]), g.prior([0.1, 0.2], 0.3),
+           g.tables([0.1, 0.2], [[0.3], [0.4]], assimilated=False))
+    want = (g.payoff(1, np.array([0.1]), np.array([0.2])),
+            g.prior(np.array([0.1, 0.2]), 0.3),
+            g.tables(np.array([0.1, 0.2]), np.array([[0.3], [0.4]]),
+                     assimilated=False))
+    for a, b in zip(got, want):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def test_load_game_file_round_trip(tmp_path):
