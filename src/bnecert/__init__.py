@@ -13,7 +13,8 @@ from .discretize import BehavioralProfile, FiniteGame, build_finite, lift
 from .driver import RunConfig, convergence_diagnostic, run
 from .expr import parse
 from .model import GameSpec, load_game, load_game_file, marginal
-from .solver import check_prop1, default_alphas, solve_fp, solve_lp
+from .prop1 import check_prop1, default_alphas
+from .solver import solve_fp, solve_lp
 
 __all__ = [
     "BehavioralProfile",

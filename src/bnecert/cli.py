@@ -19,7 +19,7 @@ from .discretize import build_finite
 from .driver import RunConfig, certify_level, run, solve_level
 from .errors import BnecertError
 from .model import load_game_file
-from .solver import check_prop1
+from .prop1 import check_prop1
 
 EXIT_OK = 0
 EXIT_FATAL = 1

@@ -20,7 +20,8 @@ import numpy as np
 from .certificate import certify, check_tolerances
 from .discretize import build_finite, check_count, lift
 from .errors import BnecertError, NoConvergence
-from .solver import check_prop1, default_alphas, solve_fp, solve_lp
+from .prop1 import check_prop1, default_alphas
+from .solver import solve_fp, solve_lp
 
 # fictitious play's iteration budget per level
 FP_MAX_ITERS = 2000

@@ -6,7 +6,8 @@ Two backends:
                    condition, one block per player (_solve_block) whose
                    duals give the other player's strategy, solved by a
                    dense-tableau simplex from a feasible crash basis
-                   chosen from the payoffs, whose tableau the block
+                   chosen from the payoffs, exact ties spread over the
+                   tied actions in a snake order, whose tableau the block
                    writes in closed form, with no phase 1, that enters the
                    most negative reduced cost and falls back to Bland's
                    rule after a degenerate pivot (simplex);
@@ -34,12 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import BehavioralProfile, check_count, level_grid
+from .discretize import BehavioralProfile, check_count
 from .errors import (
     Infeasible,
     NoConvergence,
     NonFinite,
-    Prop1Violation,
     SimplexStall,
     UnboundedObjective,
 )
@@ -52,21 +52,6 @@ class SolverResult:
     backend: str
     iterations: int
     objective: float | None = None
-
-
-@dataclass(frozen=True)
-class Prop1Result:
-    """Outcome of the linearizability check.
-
-    kind is 'zero_sum' (raw utilities sum to one constant, of any size),
-    'user' (supplied multipliers verified), or 'none'.
-    """
-
-    kind: str
-
-    @property
-    def linearizable(self):
-        return self.kind != "none"
 
 
 # ---------------------------------------------------------------------------
@@ -110,87 +95,6 @@ def ck_objective(fg, s, t, alpha1, alpha2):
     bilinear2 = (alpha2 * (t * q2).sum(axis=1)).sum()
     return float((alpha1 * s1).sum() + bilinear1
                  + (alpha2 * s2).sum() + bilinear2)
-
-
-# ---------------------------------------------------------------------------
-# linearizability detection
-
-# points per type axis of check_prop1's grid
-PROP1_GRID = 21
-
-
-def _largest(a, b):
-    """The largest finite |a| + |b| of two tables, 0 if there is none."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        size = np.abs(a) + np.abs(b)
-    return size[np.isfinite(size)].max(initial=0.0)
-
-
-def _mismatch(lhs, rhs, tol):
-    """Where |lhs - rhs| exceeds tol, or |lhs| + |rhs| is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (~np.isfinite(np.abs(lhs) + np.abs(rhs))
-                | ~(np.abs(lhs - rhs) <= tol))
-
-
-def _multiplier(g, player, pts, where):
-    """m1 or m2 at the unit types pts; a Prop1Violation naming the first
-    type where it is not positive and finite, called the `where` type."""
-    m = g.multiplier(player, pts)
-    bad = np.flatnonzero(~((m > 0.0) & (m < np.inf)))
-    if bad.size:
-        theta = g.spec_types(pts, pts)[player - 1][bad[0]]
-        raise Prop1Violation(f"m{player} is {m[bad[0]]} at the {where}type "
-                             f"{theta}; it must be positive and finite")
-    return m
-
-
-def check_prop1(g):
-    """Detect whether the slack program's bilinear terms are constant.
-
-    Checks the raw utilities, not weighted by the prior, on a PROP1_GRID x
-    PROP1_GRID type grid: constant-sum detection first, then verification
-    of user-supplied multipliers m1, m2, to a share of each table's largest
-    finite |lhs| + |rhs|: no unit and no constant added to one player's
-    utilities sways the verdict, and a point whose sum is not finite fails.
-    """
-    pts = np.linspace(0.0, 1.0, PROP1_GRID)
-    u, v = g.tables(pts[:, None], pts[None, :], assimilated=False)
-    # constant-sum pass: u against (u + v at the first grid point) - v, to
-    # 1e-9 of |u| + |rhs| plus 8 eps of |u| + |v|, the addends' rounding
-    with np.errstate(over="ignore", invalid="ignore"):
-        rhs = (u[0, 0, 0, 0] + v[0, 0, 0, 0]) - v
-    tol = 1e-9 * _largest(u, rhs) + 8 * np.finfo(float).eps * _largest(u, v)
-    if not np.any(_mismatch(u, rhs, tol)):
-        return Prop1Result(kind="zero_sum")
-
-    if g.spec.m1 is not None:  # then m2 is too
-        m1, m2 = (_multiplier(g, player, pts, "") for player in (1, 2))
-        with np.errstate(over="ignore", invalid="ignore"):
-            lhs = m2 * u
-            rhs = -m1[:, None] * v
-        bad = _mismatch(lhs, rhs, 1e-6 * _largest(lhs, rhs))
-        if np.any(bad):
-            x, y, i, j = np.argwhere(bad)[0]
-            t1, t2 = g.spec_types(pts[i], pts[j])
-            raise Prop1Violation(
-                f"identity fails at actions ({x}, {y}), "
-                f"types ({t1}, {t2}): "
-                f"{lhs[x, y, i, j]} vs {rhs[x, y, i, j]}"
-            )
-        return Prop1Result(kind="user")
-    return Prop1Result(kind="none")
-
-
-def default_alphas(fg, g, prop1):
-    """Per-type objective weights (1/n) / m: m is the multiplier at the
-    level's types when the multipliers are known, otherwise 1."""
-    n = fg.n
-    grid = level_grid(n)
-    # check_prop1 saw the multipliers on its own grid only
-    ms = ((_multiplier(g, player, grid, f"level-{n} ") for player in (1, 2))
-          if prop1.kind == "user" else (np.ones(n), np.ones(n)))
-    return tuple((1.0 / n) / m for m in ms)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +259,26 @@ def _normalize_rows(mat):
     return mat / sums
 
 
+def _spread(values, pick):
+    """pick, each row's argmin or argmax of values, with exact ties
+    spread: the rows where several entries equal the picked one, sorted
+    by that value, largest first, in row order among equals, take turns,
+    the k-th taking entry k of the snake order 0, 1, ..., c - 1, c - 1,
+    ..., 0, 0, 1, ... over its c tied entries.  Exact: near-ties that
+    counted as ties could start x_B a rounding below 0."""
+    best = values[np.arange(pick.size), pick]
+    tied = values == best[:, None]
+    rows = np.flatnonzero(tied.sum(axis=1) > 1)
+    if rows.size:
+        rows = rows[np.argsort(-best[rows], kind="stable")]
+        tied = tied[rows]
+        c = 2 * tied.sum(axis=1)
+        k = np.arange(rows.size) % c
+        k = np.minimum(k, c - 1 - k)
+        pick[rows] = (tied.cumsum(axis=1) > k[:, None]).argmax(axis=1)
+    return pick
+
+
 def _solve_block(M, width, alpha):
     """One player's block of the slack LP, in the equality form that
     simplex takes: minimize c @ x subject to A x = b, x >= 0, where x is
@@ -382,16 +306,26 @@ def _solve_block(M, width, alpha):
 
     The start takes, for each opponent type j, its action y of least
     alpha-weighted payoff against uniform own play, sum_i alpha[i] sum_x
-    P[(i, x), (j, y)], the lowest index among equals: first[j], basic in
-    sum row j, with z and the slacks placed as above.  Its tableau B^-1
-    [A | b] is written in closed form, with no basis matrix factored
-    before the first pivot.  For a column [r_M; r_S], sigma[first[j]] is
-    r_S[j]; with w = r_M - P[:, first] @ r_S, z[i] is -w at z[i]'s row,
-    the slack of row (i, a) is w[(i, a)] + z[i], and the reduced cost is
-    c - alpha @ z.  r_S is a unit vector in a sigma column and all ones
-    in b, so w is a difference of two payoff columns, or minus the rows'
-    values.  The z columns and the other rows' slacks are basic, and the
-    slack of z[i]'s row is -1 in each row of type i.
+    P[(i, x), (j, y)]: first[j], basic in sum row j, with z and the
+    slacks placed as above.  Both choices spread exact ties (_spread):
+    the tied types take their tied actions in turn, in a snake order,
+    largest tied value first.  On a matching game every action ties, and
+    the lowest index would start every type at action 0, n pivots from
+    the optimum; the snake balances the actions, and where that makes
+    the start's pure pair a saddle point of the level game the simplex
+    takes no pivot (matching_pennies at even n, zero_sum_match at n = 8,
+    16, 32, 64, 128).  A row without an exact tie keeps its argmin or
+    argmax, so a game without exact ties keeps its start.
+
+    The start's tableau B^-1 [A | b] is written in closed form, with no
+    basis matrix factored before the first pivot.  For a column
+    [r_M; r_S], sigma[first[j]] is r_S[j]; with w = r_M - P[:, first] @
+    r_S, z[i] is -w at z[i]'s row, the slack of row (i, a) is w[(i, a)]
+    + z[i], and the reduced cost is c - alpha @ z.  r_S is a unit vector
+    in a sigma column and all ones in b, so w is a difference of two
+    payoff columns, or minus the rows' values.  The z columns and the
+    other rows' slacks are basic, and the slack of z[i]'s row is -1 in
+    each row of type i.
 
     The own rows come from the duals: p = -y on the M rows, each type's
     row normalized.  The dual maximizes sum_j min_b (p P)[j, b] over
@@ -407,38 +341,40 @@ def _solve_block(M, width, alpha):
     M = np.ldexp(M, -np.frexp(np.abs(M).max())[1])
     alpha = np.ldexp(alpha, -np.frexp(alpha.max())[1])
     P = (M - min(0.0, M.min())) / n
-    own = np.arange(n)
-    types = np.arange(cols) // (cols // n)  # each sigma column's type
+    own, row, col = np.arange(n), np.arange(rows), np.arange(cols)
+    types = col // (cols // n)  # each sigma column's type
     # the +-1 entries are set by index, since a negated identity would
     # write -0.0 everywhere else
     A = np.zeros((m, size))
     A[:rows, :cols] = P
-    A[np.arange(rows), cols + np.arange(rows) // width] = -1.0
-    A[np.arange(rows), cols + n + np.arange(rows)] = 1.0
-    A[rows + types, np.arange(cols)] = 1.0
+    A[row, cols + row // width] = -1.0
+    A[row, cols + n + row] = 1.0
+    A[rows + types, col] = 1.0
     b = np.concatenate([np.zeros(rows), np.ones(n)])
     c = np.zeros(size)
     c[cols:cols + n] = alpha
     # the start basis and its tableau B^-1 [A | b], in closed form
     weighted = (alpha[:, None] * P.reshape(n, width, cols).sum(axis=1)).sum(
-        axis=0)
-    first = own * (cols // n) + weighted.reshape(n, -1).argmin(axis=1)
-    value = np.vecdot(P[:, first], np.ones(n))  # each row against first
-    choice = value.reshape(n, width).argmax(axis=1)
+        axis=0).reshape(n, -1)
+    first = own * (cols // n) + _spread(weighted, weighted.argmin(axis=1))
+    # each row against first
+    value = np.vecdot(P[:, first], np.ones(n)).reshape(n, width)
+    choice = _spread(value, value.argmax(axis=1))
     zrow = own * width + choice  # z[i] is basic in row zrow[i]
-    basis = np.concatenate([cols + n + np.arange(rows), first])
+    basis = np.concatenate([cols + n + row, first])
     basis[zrow] = cols + own
     T = np.zeros((m + 1, size + 1), order="F")
-    w = np.hstack([P - P[:, first[types]], -value[:, None]])  # sigma, b
+    # sigma's columns, then b's
+    w = np.hstack([P - P[:, first[types]], -value.reshape(rows, 1)])
     w = w.reshape(n, width, cols + 1)
     wz = w[own, choice]  # -z
     w -= wz[:, None]
     w[own, choice] = -wz
-    sigma_b = np.append(np.arange(cols), size)
+    sigma_b = np.append(col, size)
     T[:rows, sigma_b] = w.reshape(rows, cols + 1)
     T[-1, sigma_b] = np.vecdot(wz.T, alpha)
-    T[rows + types, np.arange(cols)] = T[rows:m, -1] = 1.0
-    T[np.arange(rows), cols + n + zrow.repeat(width)] = -1.0
+    T[rows + types, col] = T[rows:m, -1] = 1.0
+    T[row, cols + n + zrow.repeat(width)] = -1.0
     T[-1, cols + n + zrow] = alpha
     T[:, basis] = np.eye(m + 1, m)  # unit columns, reduced costs 0
     # two payoff-sized arrays that the pivots need not keep: alive, they
@@ -480,14 +416,7 @@ def solve_lp(fg, alpha1, alpha2):
         raise NonFinite(f"the LP profile's finite gaps are {gap1}, {gap2}")
     if not math.isfinite(objective):
         raise NonFinite(f"the LP profile's objective is {objective}")
-    return SolverResult(
-        profile=profile,
-        finite_gap1=gap1,
-        finite_gap2=gap2,
-        backend="lp",
-        iterations=pivots,
-        objective=objective,
-    )
+    return SolverResult(profile, gap1, gap2, "lp", pivots, objective)
 
 
 # ---------------------------------------------------------------------------

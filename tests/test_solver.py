@@ -27,14 +27,13 @@ from bnecert.errors import (
     SimplexStall,
     UnboundedObjective,
 )
+from bnecert.prop1 import check_prop1, default_alphas
 from bnecert.solver import (
     _FP_BLOCK,
     _pivot,
     _solve_block,
     action_values,
-    check_prop1,
     ck_objective,
-    default_alphas,
     finite_gap,
     simplex,
     solve_fp,
@@ -45,6 +44,7 @@ from conftest import (
     SINGULAR_DUALS_LP,
     EquilibriumNotFound,
     TooLarge,
+    _bench_games,
     _rebuild as oracle_rebuild,
     ex_ante_value,
     exact_solve_fp,
@@ -52,6 +52,7 @@ from conftest import (
     generated_constant_sum_game,
     generated_general_sum_game,
     make_game,
+    negate_table,
     oracle_action_values,
     oracle_finite_best_response,
     oracle_finite_gap,
@@ -754,6 +755,124 @@ def test_the_closed_form_start_is_the_rebuilt_start_on_generated_games(
             _check_closed_form_start(lp, alpha)
 
 
+@pytest.mark.parametrize("name, levels", [
+    ("matching_pennies", range(2, 65, 2)),
+    ("zero_sum_match", (8, 16, 32, 64)),
+])
+def test_matching_games_start_at_their_optimum(name, levels, request,
+                                               monkeypatch):
+    """Every action ties in both of the start's choices, and the spread
+    start's pure pair is a saddle point of the level game: each block
+    takes 0 pivots, where the lowest-index start, every type at action 0,
+    took n.  The tied starts are still the rebuilt start of their basis,
+    with x_B >= 0 and exact unit basic columns."""
+    g = request.getfixturevalue(name)
+    prop1 = check_prop1(g)
+    for n in levels:
+        fg = bc.build_finite(g, n)
+        alpha1, alpha2 = default_alphas(fg, g, prop1)
+        res = solve_lp(fg, alpha1, alpha2)
+        assert res.iterations == 0, n
+        assert max(res.finite_gap1, res.finite_gap2) <= 1e-15, n
+        assert _solve_block(fg.M2, fg.H, alpha2)[2] == 0, n
+        lps = _captured_lps(monkeypatch, lambda: (
+            _solve_block(fg.M1, fg.L, alpha1),
+            _solve_block(fg.M2, fg.H, alpha2)))
+        for lp, alpha in zip(lps, (alpha1, alpha2), strict=True):
+            _check_closed_form_start(lp, alpha)
+            assert _start_ties(lp, n) == (n, n)
+
+
+def _start_ties(lp, n):
+    """Checks that the start basis of a captured slack LP takes
+    _loop_spread's picks, which are tied-best entries only, of the values
+    _solve_block sums: for each opponent type, each action's
+    alpha-weighted payoff against uniform own play, the least picked; for
+    each own type, z's row at an action of best value against those.
+    Returns how many opponent types and how many own types tie there."""
+    c, A, _, _, basis = lp
+    cols = np.flatnonzero(c)[0]  # z's columns follow sigma's
+    rows = len(A) - n
+    P, alpha = A[:rows, :cols], c[cols:cols + n]
+    weighted = (alpha[:, None] * P.reshape(n, -1, cols).sum(axis=1)).sum(
+        axis=0).reshape(n, -1)
+    first = basis[rows:]
+    width, opp = rows // n, cols // n
+    assert first.tolist() == [j * opp + y for j, y in enumerate(
+        _loop_spread(weighted.tolist(), min))]
+    value = np.vecdot(P[:, first], np.ones(n)).reshape(n, width)
+    zrow = [basis.tolist().index(cols + i) for i in range(n)]
+    assert zrow == [i * width + x for i, x in enumerate(
+        _loop_spread(value.tolist(), max))]
+    least = weighted.min(axis=1, keepdims=True)
+    top = value.max(axis=1, keepdims=True)
+    return (int(((weighted == least).sum(axis=1) > 1).sum()),
+            int(((value == top).sum(axis=1) > 1).sum()))
+
+
+@st.composite
+def tied_constant_sum_games(draw):
+    """Constant-sum games with many exact ties in the start's choices, at
+    a level n: u = w1(theta1) w2(theta2) [x = y] with positive polynomial
+    weights and v = -u; a generated constant-sum game with one of player
+    2's actions duplicated; or constant payoffs."""
+    kind = draw(st.sampled_from(["matching", "duplicated", "constant"]))
+    n = draw(st.integers(1, 12))
+    if kind == "matching":
+        size = draw(st.integers(2, 3))
+        coefficient = st.integers(1, 8).map(lambda q: q / 4)
+
+        def weight(var):
+            return " + ".join(f"{draw(coefficient)}*{var}^{power}"
+                              for power in range(draw(st.integers(1, 3))))
+
+        w = f"({weight('theta1')})*({weight('theta2')})"
+        u = [[w if x == y else "0" for y in range(size)]
+             for x in range(size)]
+        return kind, make_game(u, negate_table(u)), n
+    if kind == "duplicated":
+        L, H = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]))
+        spec = _bench_games().game_spec(draw(st.integers(1, 50)), 0,
+                                        "constant_sum", L, H)
+        y = draw(st.integers(0, H - 1))
+        for table in ("u", "v"):
+            spec[table] = [[*row, row[y]] for row in spec[table]]
+        spec["actions2"] = [*spec["actions2"], "copy"]
+        return kind, bc.load_game(bc.GameSpec.from_dict(spec)), n
+    L, H = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    level = st.integers(-8, 8).map(lambda q: str(q / 4))
+    u, v = draw(level), draw(level)
+    return kind, make_game([[u] * H] * L, [[v] * H] * L), n
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=tied_constant_sum_games())
+def test_tied_starts_are_sound_on_constant_sum_games(case):
+    """Each block's start is its rebuilt start with x_B >= 0 and takes
+    the spread picks, tied-best columns only, and solve_lp reaches finite
+    gaps of at most 1e-12.  The constant games tie at every opponent type
+    in both blocks, and the matching games in player 1's."""
+    kind, g, n = case
+    fg = bc.build_finite(g, n)
+    prop1 = check_prop1(g)
+    assert prop1.kind == "zero_sum"
+    alpha1, alpha2 = default_alphas(fg, g, prop1)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        lps = _captured_lps(monkeypatch, lambda: (
+            _solve_block(fg.M1, fg.L, alpha1),
+            _solve_block(fg.M2, fg.H, alpha2)))
+    for player, lp, alpha in zip((1, 2), lps, (alpha1, alpha2),
+                                 strict=True):
+        _check_closed_form_start(lp, alpha)
+        opponent_ties, _ = _start_ties(lp, n)
+        # player 2's block shifts the matching payoffs, -u, by max u, and
+        # its sums of shifted cells may round apart
+        if kind == "constant" or (kind == "matching" and player == 1):
+            assert opponent_ties == n
+    res = solve_lp(fg, alpha1, alpha2)
+    assert max(res.finite_gap1, res.finite_gap2) <= 1e-12
+
+
 def test_the_lp_does_not_depend_on_the_multipliers_units():
     """linear_prior_multipliers with both multipliers times a common
     scale, which keeps m2 u = -m1 v: at every level to 24 the LP solves
@@ -778,11 +897,16 @@ def test_the_lp_does_not_depend_on_the_multipliers_units():
             assert pivots.setdefault(n, res.iterations) == res.iterations
 
 
-def test_the_423_lp_sweep_solves_every_lp_within_5169_pivots():
+def test_the_423_lp_sweep_solves_every_lp_within_2429_pivots():
     """README's sweep: the demo specs at n = 1..64 and generated
     constant-sum 2x2, 2x3 and 3x3 games at seeds 1-7 and n = 2..12.
-    None fails, every finite gap is at most 4.5e-16, and the pivots total
-    at most 5 169 (8 376 from the former action-0 start)."""
+    None fails, every finite gap is at most 8.9e-16, and the pivots total
+    at most 2 429 (5 169 from the lowest-index start, 8 376 from the
+    former action-0 start).  Two gaps pass the lowest-index start's
+    4.5e-16, both of matching_pennies at odd n, where no pure start is
+    optimal and about n/2 pivots follow: 5.0e-16 at n = 59 and 8.9e-16
+    at n = 63.  The final duals leave one of player 1's types at 0.5 +-
+    5e-14 there."""
     games = [(bc.load_game_file(path), range(1, 65)) for path in DEMO_SPECS]
     games += [(generated_constant_sum_game(seed, *shape), range(2, 13))
               for shape in ((2, 2), (2, 3), (3, 3)) for seed in range(1, 8)]
@@ -792,10 +916,10 @@ def test_the_423_lp_sweep_solves_every_lp_within_5169_pivots():
         for n in levels:
             fg = bc.build_finite(g, n)
             res = solve_lp(fg, *default_alphas(fg, g, prop1))
-            assert max(res.finite_gap1, res.finite_gap2) <= 4.5e-16, n
+            assert max(res.finite_gap1, res.finite_gap2) <= 8.9e-16, n
             pivots += res.iterations
             count += 1
-    assert count == 423 and pivots <= 5169
+    assert count == 423 and pivots <= 2429
 
 
 def test_an_lp_with_no_nonbasic_column_solves_in_0_pivots():
@@ -1167,19 +1291,77 @@ def _loop_built_block(fg, player, alpha):
         b[rows + i] = 1.0
     # each row's slack, and in each sum-to-one row the opponent type's
     # action of least alpha-weighted payoff against uniform own play;
-    # then z[i] in the row of i's best reply to those
+    # then z[i] in the row of i's best reply to those; exact ties spread
     basis = [slack + r for r in range(rows)]
-    for j in range(n):
-        weighted = [sum(alpha[i] * sum(A[i * own + x, j * opp + y]
-                                       for x in range(own))
-                        for i in range(n))
-                    for y in range(opp)]
-        basis.append(j * opp + weighted.index(min(weighted)))
-    for i in range(n):
-        values = [sum(A[i * own + x, basis[rows + j]] for j in range(n))
-                  for x in range(own)]
-        basis[i * own + values.index(max(values))] = z + i
+    weighted = [[sum(alpha[i] * sum(A[i * own + x, j * opp + y]
+                                    for x in range(own))
+                     for i in range(n))
+                 for y in range(opp)]
+                for j in range(n)]
+    for j, y in enumerate(_loop_spread(weighted, min)):
+        basis.append(j * opp + y)
+    values = [[sum(A[i * own + x, basis[rows + j]] for j in range(n))
+               for x in range(own)]
+              for i in range(n)]
+    for i, x in enumerate(_loop_spread(values, max)):
+        basis[i * own + x] = z + i
     return c, A, b, basis
+
+
+def _loop_spread(table, best):
+    """Each row's first index of its best value; the rows where several
+    entries tie exactly at it, sorted by that value, largest first and in
+    row order among equals, take turns, the k-th taking entry k of the
+    snake order 0, 1, ..., c - 1, c - 1, ..., 1, 0, 0, ... of its c tied
+    entries."""
+    picks, tied = [], []
+    for row in table:
+        top = best(row)
+        ties = [index for index, value in enumerate(row) if value == top]
+        picks.append(ties[0])
+        if len(ties) > 1:
+            tied.append((top, len(picks) - 1, ties))
+    tied.sort(key=lambda item: item[0], reverse=True)  # stable
+    for k, (_, r, ties) in enumerate(tied):
+        k %= 2 * len(ties)
+        picks[r] = ties[k] if k < len(ties) else ties[2 * len(ties) - 1 - k]
+    return picks
+
+
+def _check_loop_build(monkeypatch, fg, alpha1, alpha2):
+    """Both blocks' c, A, b and start basis, as solve_lp and _solve_block
+    build them, against _loop_built_block's, byte for byte.  Returns the
+    captured blocks."""
+    blocks = [_slack_lp(monkeypatch, fg, alpha1, alpha2),
+              *_captured_lps(monkeypatch,
+                             lambda: _solve_block(fg.M2, fg.H, alpha2))]
+    for player, alpha, lp in ((1, alpha1, blocks[0]),
+                              (2, alpha2, blocks[1])):
+        *arrays, _, basis = lp
+        *want_arrays, want_basis = _loop_built_block(fg, player, alpha)
+        for got, want in zip(arrays, want_arrays):  # c, A and b
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert basis.tolist() == want_basis
+    return blocks
+
+
+@pytest.mark.parametrize("name", ["matching_pennies", "zero_sum_match"])
+def test_tied_lp_starts_byte_identical_to_loop_build(name, monkeypatch):
+    """Matching games at n = 8, where every opponent action ties in the
+    start's first choice and the own actions tie in the second: the
+    spread start, not the lowest index, in both blocks."""
+    g = bc.load_game_file(ROOT / "demos" / "specs" / f"{name}.json")
+    fg = bc.build_finite(g, 8)
+    blocks = _check_loop_build(monkeypatch, fg,
+                               *default_alphas(fg, g, check_prop1(g)))
+    # both actions appear among the sum rows' basic sigma columns and
+    # among z's rows; z's 8 columns follow sigma's 16
+    for lp in blocks:
+        start = lp[4].tolist()
+        assert {col % 2 for col in start[-8:]} == {0, 1}
+        z_rows = [start.index(16 + i) for i in range(8)]
+        assert {row % 2 for row in z_rows} == {0, 1}
 
 
 def test_lp_constraints_byte_identical_to_loop_build(monkeypatch):
@@ -1191,17 +1373,7 @@ def test_lp_constraints_byte_identical_to_loop_build(monkeypatch):
     V[0, 1, :, 3] = -0.0  # the sign of zero must reach the LP as well
     fg = FiniteGame(n, ("x1", "x2", "x3"), ("y1", "y2"), U, V)
     alpha1, alpha2 = rng.random(n) + 0.5, rng.random(n) + 0.5
-    blocks = [_slack_lp(monkeypatch, fg, alpha1, alpha2),
-              *_captured_lps(monkeypatch,
-                             lambda: _solve_block(fg.M2, H, alpha2))]
-    for player, alpha, lp in ((1, alpha1, blocks[0]),
-                              (2, alpha2, blocks[1])):
-        *arrays, _, basis = lp
-        *want_arrays, want_basis = _loop_built_block(fg, player, alpha)
-        for got, want in zip(arrays, want_arrays):  # c, A and b
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-        assert basis.tolist() == want_basis
+    blocks = _check_loop_build(monkeypatch, fg, alpha1, alpha2)
     # the -0.0 entries of V are in player 2's block, rows j = 3, y = 1
     assert np.signbit(blocks[1][1][3 * H + 1, :n * L:L]).all()
     # the types' best replies in player 1's start differ, so the loop
