@@ -6,13 +6,15 @@ of nonzero mass, of payoffs from numpy's ufuncs (within 1 ulp of the C
 library's).  Both players' best deviations are one integrate_many call:
 integrand k, player k + 1's max over own actions, is split first at the
 level's edges 0, 1/n, ..., 1 (the opponent's atoms, where it may kink)
-and refined adaptively, as alone.  An error is the first that refinement
-meets.  Each candidate's value sums the same values exactly over its own
-atoms, at the right ends of its cells, read from its integrand's first
-call, which takes those edges first.  The sides differ only in the own
-type, summed for one and integrated for the other: that is the gap's
-O(1/n) bias.  A certificate passes only if the gap plus the a-posteriori
-quadrature bound stays within epsilon.
+and refined adaptively, as alone.  A NonFinite or QuadratureFailure is
+the first that refinement meets; an error a payoff raises, such as a
+DomainError, comes from the integrand's call that met it, which may run
+ahead of refinement.  Each candidate's value sums the same values
+exactly over its own atoms, at the right ends of its cells, read from
+its integrand's first call, which takes those edges first.  The sides
+differ only in the own type, summed for one and integrated for the
+other: that is the gap's O(1/n) bias.  A certificate passes only if the
+gap plus the a-posteriori quadrature bound stays within epsilon.
 
 F and G must share a level: a certificate reports one.
 """

@@ -32,13 +32,13 @@ counts toward neither the panel budget nor NonFinite until refinement
 reaches its panel.
 
 Exactness rule.  f must give each value whatever else the array holds;
-then results are bit-identical to calling f once a depth on just the
-quarter points that depth needs, the plain schedule.  A call that also
-holds abscissae the refinement has not reached may raise where the
-plain call would not.  It is then discarded: f is called on exactly what
-the plain schedule asks for at that step, in its order, and the
-integral finishes on the plain schedule.  So any error raised is the
-one the plain schedule raises.
+then an integral whose integrand raises nowhere is bit-identical to
+calling f once a depth on just the quarter points that depth needs, the
+plain schedule, whatever LOOKAHEAD and FETCH_POINTS are.  An exception
+that f raises propagates unchanged from the call that raised it, which
+may hold abscissae the refinement has not reached yet: such an
+integrand belongs to a game outside the paper's class, whose utilities
+and prior are continuous on the whole type square.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ def integrate_many(f, count, tol, edges=(0.0, 1.0)):
     Returns arrays (values, error_bounds).  Raises ValueError unless
     0 < tol < inf and edges increase strictly from 0.0 to 1.0, NonFinite
     when a panel's Simpson estimates or their difference are not finite,
-    and QuadratureFailure when an integrand exceeds the panel budget.
+    QuadratureFailure when an integrand exceeds the panel budget, and any
+    exception f raises, from the call of f that raised it.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -85,21 +86,18 @@ def integrate_many(f, count, tol, edges=(0.0, 1.0)):
         return np.zeros(0), np.zeros(0)
     cells = points.size - 1
     cap = max(FETCH_POINTS, count * (2 * cells + 1))
-    ahead = True  # calls may run ahead of refinement until one raises
 
     def fetch(lo, hi, k, grid):
         """The panels' grids of f, quarter points included, from one call
         of f.  grid holds f at their ends and middles, or is None for the
         first call, which also takes each integrand's edges once."""
-        nonlocal ahead
         first = grid is None
         m = 2 if first else LOOKAHEAD + 1  # a grid of 2**m intervals
         # rows f has not given yet: the middle is known past the first call
         rows = [2, 1, 3] if first else [r for r in range(1, 2 ** m)
                                         if r != 2 ** (m - 1)]
         held = len(rows) * k.size + first * count * (cells + 1)  # abscissae
-        now = ahead and held <= cap  # this call runs ahead of refinement
-        if not now:  # just the middles, or just the quarter points
+        if held > cap:  # just the middles, or just the quarter points
             m, rows = (1, [1]) if first else (2, [1, 3])
         size = 2 ** m
         x = np.empty((size + 1, k.size))
@@ -107,23 +105,17 @@ def integrate_many(f, count, tol, edges=(0.0, 1.0)):
         for step in (2 ** j for j in range(m, 0, -1)):  # coarse to fine
             x[step // 2::step] = 0.5 * (x[:-1:step] + x[step::step])
         fx = np.empty_like(x)
-        try:
-            if first:  # integrand by integrand: ends, then rows
-                xs = np.concatenate((points, x[rows, :cells].ravel()))
-                v = f(np.tile(xs, count), np.arange(count).repeat(xs.size))
-                v = v.reshape(count, -1)
-                by = fx.reshape(size + 1, count, cells).swapaxes(0, 1)
-                by[:, 0], by[:, size] = v[:, :cells], v[:, 1:cells + 1]
-                by[:, rows] = v[:, cells + 1:].reshape(count, -1, cells)
-            else:  # row by row; the known ends and middles stay
-                v = f(x[rows].ravel(), np.tile(k, len(rows)))
-                fx[rows] = v.reshape(len(rows), -1)
-                fx[::size // 2] = grid
-        except Exception:  # the exactness rule
-            if not now:
-                raise
-            ahead = False
-            return fetch(lo, hi, k, grid)
+        if first:  # integrand by integrand: ends, then rows
+            xs = np.concatenate((points, x[rows, :cells].ravel()))
+            v = f(np.tile(xs, count), np.arange(count).repeat(xs.size))
+            v = v.reshape(count, -1)
+            by = fx.reshape(size + 1, count, cells).swapaxes(0, 1)
+            by[:, 0], by[:, size] = v[:, :cells], v[:, 1:cells + 1]
+            by[:, rows] = v[:, cells + 1:].reshape(count, -1, cells)
+        else:  # row by row; the known ends and middles stay
+            v = f(x[rows].ravel(), np.tile(k, len(rows)))
+            fx[rows] = v.reshape(len(rows), -1)
+            fx[::size // 2] = grid
         return fx
 
     lo, hi = np.tile(points[:-1], count), np.tile(points[1:], count)

@@ -576,8 +576,8 @@ def oracle_certify(g, F, G, epsilon):
     """(gap1, gap2, quad_error1, quad_error2, value1, value2) of certify,
     player by player: the candidate's value, then the best deviation by
     oracle_integrate_many alone.  An error is the first player's; certify,
-    which refines both players at once, raises the first one its
-    refinement meets."""
+    which refines both players at once, raises the first NonFinite or
+    QuadratureFailure its refinement meets."""
     quad_tol = epsilon / 100.0
     gaps, errors, values = [], [], []
     for player, own, opponent in ((1, F, G), (2, G, F)):

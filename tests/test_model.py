@@ -217,6 +217,13 @@ def test_one_multiplier_needs_the_other():
                                   f"the multipliers come as a pair")
 
 
+def test_a_game_without_multipliers_has_none_for_either_player():
+    g = bc.load_game(bc.GameSpec.from_dict(_one_cell_doc()))
+    for player in (1, 2):
+        assert g.multiplier(player, 0.5) is None
+        assert g.multiplier(player, np.array([0.0, 1.0])) is None
+
+
 def test_unknown_fields_are_rejected_by_name_in_sorted_order():
     path = ROOT / "demos" / "specs" / "linear_prior_multipliers.json"
     doc = json.loads(path.read_text())
