@@ -122,25 +122,26 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _rebuild(T, A, b, costvec, basis):
+def _rebuild(T, columns, b, costvec, basis):
     """Recompute the tableau for the current basis from the original data
-    (kills the drift accumulated by repeated pivoting).  Only the
-    nonbasic columns are solved: gesv solves each right-hand column on
-    its own, so they take the bits of a solve of every column, and each
-    basic column is written as the exact unit vector of its row, with
-    reduced cost 0.  Returns False if the recorded basis is numerically
-    singular; raises NonFinite if the rebuilt tableau is not finite."""
+    (kills the drift accumulated by repeated pivoting), with B and the
+    nonbasic columns from columns(idx) = A[:, idx].  Only the nonbasic
+    columns are solved: gesv solves each right-hand column on its own, so
+    they take the bits of a solve of every column, and each basic column
+    is written as the exact unit vector of its row, with reduced cost 0.
+    Returns False if the recorded basis is numerically singular; raises
+    NonFinite if the rebuilt tableau is not finite."""
     nonbasic = np.ones(costvec.size, dtype=bool)
     nonbasic[basis] = False
     rest = np.flatnonzero(nonbasic)
-    B = A[:, basis]
+    B = columns(basis)
     try:
-        body = np.linalg.solve(B, A[:, rest])
+        body = np.linalg.solve(B, columns(rest))
         # apart: solved as one more column of body, b rounds differently
         xb = np.linalg.solve(B, b)
     except np.linalg.LinAlgError:
         return False
-    m = A.shape[0]
+    m = b.size
     T[:, basis] = np.eye(m + 1, m)  # unit columns, reduced costs 0
     T[:m, rest] = body
     T[:m, -1] = xb
@@ -152,9 +153,10 @@ def _rebuild(T, A, b, costvec, basis):
     return True
 
 
-def simplex(c, A, b, T, *, basis):
+def simplex(c, columns, b, T, *, basis):
     """Minimize c @ x subject to A x = b, x >= 0, from a feasible start
-    basis and its tableau T.
+    basis and its tableau T.  columns(idx) returns A[:, idx] for an index
+    array: the simplex builds only the columns it factors, never A.
 
     The entering column has the most negative reduced cost, the lowest
     index among equals (Dantzig's rule), while the last pivot moved the
@@ -168,7 +170,7 @@ def simplex(c, A, b, T, *, basis):
 
     basis[r] is the column of A basic in row r, and T, column-major, is
     B^-1 [A | b] above the reduced costs c - c_B B^-1 A and -c_B B^-1 b,
-    for the basis matrix B = A[:, basis]: the caller builds it, and the
+    for the basis matrix B = A[:, basis]: the caller builds T, and the
     pivots rewrite it in place.  There is no phase 1: a start tableau
     that is not finite raises NonFinite, and one whose basic solution has
     an entry below -_TOL raises Infeasible, both before any pivot.
@@ -179,7 +181,7 @@ def simplex(c, A, b, T, *, basis):
     cap or when the final B is singular, and NonFinite when the tableau,
     x or y is not finite.
     """
-    m = A.shape[0]
+    m = b.size
     basis = np.array(basis, dtype=np.intp)  # a copy: the pivots rewrite it
     if not np.isfinite(T).all():
         raise NonFinite("the simplex tableau is not finite")
@@ -216,7 +218,7 @@ def simplex(c, A, b, T, *, basis):
                 leave = r
         if leave < 0:
             # may be pivot drift; refactorize once and re-examine
-            if since_refactor > 0 and _rebuild(T, A, b, c, basis):
+            if since_refactor > 0 and _rebuild(T, columns, b, c, basis):
                 since_refactor = 0
                 continue
             raise UnboundedObjective(f"column {enter} is unbounded")
@@ -225,13 +227,13 @@ def simplex(c, A, b, T, *, basis):
         pivots += 1
         since_refactor += 1
         if since_refactor >= _REFACTOR_EVERY:
-            if _rebuild(T, A, b, c, basis):
+            if _rebuild(T, columns, b, c, basis):
                 since_refactor = 0
         if pivots > _MAX_PIVOTS:
             raise SimplexStall(f"pivot cap {_MAX_PIVOTS} reached")
 
     # final refactorization for a drift-free basic solution and its duals
-    B = A[:, basis]
+    B = columns(basis)
     try:
         xb = np.linalg.solve(B, b)
         if not np.isfinite(xb).all():
@@ -290,7 +292,8 @@ def _solve_block(M, width, alpha):
 
     So P @ sigma <= z[type] on each own row type * width + action (E_z
     picks the row's z), and each row of sigma sums to 1 (E_sigma sums it).
-    Returns sigma's rows, the own rows and the pivot count.
+    Returns sigma's rows, the own rows and the pivot count.  A is never
+    stored: simplex gets columns(idx) = A[:, idx], built from P.
 
     M is first scaled by a power of two (exact, barring underflow) to a
     largest magnitude in [1/2, 1), so that the simplex's absolute
@@ -338,18 +341,25 @@ def _solve_block(M, width, alpha):
     n = alpha.size
     rows, cols = M.shape
     m, size = rows + n, cols + n + rows
-    M = np.ldexp(M, -np.frexp(np.abs(M).max())[1])
+    P = np.ldexp(M, -np.frexp(np.abs(M).max())[1])
     alpha = np.ldexp(alpha, -np.frexp(alpha.max())[1])
-    P = (M - min(0.0, M.min())) / n
+    P -= min(0.0, P.min())  # in place, on the scaled copy
+    P /= n
     own, row, col = np.arange(n), np.arange(rows), np.arange(cols)
     types = col // (cols // n)  # each sigma column's type
-    # the +-1 entries are set by index, since a negated identity would
-    # write -0.0 everywhere else
-    A = np.zeros((m, size))
-    A[:rows, :cols] = P
-    A[row, cols + row // width] = -1.0
-    A[row, cols + n + row] = 1.0
-    A[rows + types, col] = 1.0
+
+    def columns(idx):  # A[:, idx]; +-1 set by index, so no -0.0
+        out = np.zeros((m, idx.size))
+        at = np.arange(idx.size)
+        z = idx - cols  # z's index, or past n a slack's row plus n
+        sigma, slack = z < 0, z >= n
+        zs = ~(sigma | slack)
+        out[:rows, sigma] = P[:, idx[sigma]]
+        out[rows + types[idx[sigma]], at[sigma]] = 1.0
+        out[z[zs, None] * width + np.arange(width), at[zs, None]] = -1.0
+        out[z[slack] - n, at[slack]] = 1.0
+        return out
+
     b = np.concatenate([np.zeros(rows), np.ones(n)])
     c = np.zeros(size)
     c[cols:cols + n] = alpha
@@ -377,10 +387,10 @@ def _solve_block(M, width, alpha):
     T[row, cols + n + zrow.repeat(width)] = -1.0
     T[-1, cols + n + zrow] = alpha
     T[:, basis] = np.eye(m + 1, m)  # unit columns, reduced costs 0
-    # two payoff-sized arrays that the pivots need not keep: alive, they
+    # a payoff-sized array that the pivots need not keep: alive, it
     # showed in lp-ladder's peak RSS
-    del M, w
-    x, y, pivots = simplex(c, A, b, T, basis=basis)
+    del w
+    x, y, pivots = simplex(c, columns, b, T, basis=basis)
     return (_normalize_rows(x[:cols].reshape(n, cols // n)),
             _normalize_rows(-y[:rows].reshape(n, width)), pivots)
 

@@ -993,22 +993,30 @@ SINGULAR_DUALS_LP = (np.zeros(2), np.array([[-1.95, -0.4875], [2.18, 0.545]]),
 
 def start_tableau(c, A, b, basis):
     """The start tableau that simplex and oracle_simplex take for basis,
-    built by the library's _rebuild, column-major: B^-1 [A | b] above the
-    reduced costs.  Raises SimplexStall if the basis matrix is singular,
-    before any solver sees the LP."""
+    built by the library's _rebuild from the dense A, column-major:
+    B^-1 [A | b] above the reduced costs.  Raises SimplexStall if the
+    basis matrix is singular, before any solver sees the LP."""
     m = len(A)
     basis = np.array(basis, dtype=np.intp)
     T = np.zeros((m + 1, c.size + 1), order="F")
     # a repeated column is singular even where rounding hides it from LU
-    if len(set(basis.tolist())) < m or not bc.solver._rebuild(T, A, b, c,
-                                                               basis):
+    if len(set(basis.tolist())) < m or not bc.solver._rebuild(
+            T, lambda idx: A[:, idx], b, c, basis):
         raise SimplexStall("singular start basis")
     return T
 
 
+def constraints_for(solver, A):
+    """The dense A as solver takes it: oracle_simplex reads A itself, and
+    simplex a column source, lambda idx: A[:, idx]."""
+    return A if solver is oracle_simplex else lambda idx: A[:, idx]
+
+
 def from_start(solver, c, A, b, basis):
-    """solver (simplex or oracle_simplex) on the LP, from start_tableau."""
-    return solver(c, A, b, start_tableau(c, A, b, basis), basis=basis)
+    """solver (simplex or oracle_simplex) on the LP with the dense
+    constraint matrix A, from start_tableau."""
+    return solver(c, constraints_for(solver, A), b,
+                  start_tableau(c, A, b, basis), basis=basis)
 
 
 def oracle_simplex(c, A, b, T, *, basis):

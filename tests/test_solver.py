@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -46,6 +47,7 @@ from conftest import (
     TooLarge,
     _bench_games,
     _rebuild as oracle_rebuild,
+    constraints_for,
     ex_ante_value,
     exact_solve_fp,
     from_start,
@@ -449,22 +451,30 @@ def test_the_slack_lp_prices_by_the_most_negative_reduced_cost(
     assert from_start(simplex, *lp)[2] <= 96
 
 
-def _captured_lps(monkeypatch, call):
-    """The LP of each simplex call that call() makes: (c, A, b, start
-    tableau, start basis).  Each simplex call returns the uniform rows
-    and zero duals, so that call() runs to its end and every call is
-    seen."""
+def _captured_sources(monkeypatch, call):
+    """The LP of each simplex call that call() makes: (c, column source,
+    b, start tableau, start basis).  Each simplex call returns the
+    uniform rows and zero duals, so that call() runs to its end and every
+    call is seen."""
     calls = []
 
-    def capture(c, A, b, T, *, basis):
-        calls.append((c, A, b, T, basis))
-        sums = A[b == 1.0]  # the sum-to-one rows
-        return sums.T @ (1.0 / sums.sum(axis=1)), np.zeros(len(A)), 0
+    def capture(c, columns, b, T, *, basis):
+        calls.append((c, columns, b, T, basis))
+        sums = columns(np.arange(c.size))[b == 1.0]  # the sum-to-one rows
+        return sums.T @ (1.0 / sums.sum(axis=1)), np.zeros(b.size), 0
 
     with monkeypatch.context() as patch:
         patch.setattr("bnecert.solver.simplex", capture)
         call()
     return calls
+
+
+def _captured_lps(monkeypatch, call):
+    """_captured_sources' LPs as (c, A, b, start tableau, start basis),
+    the dense A read from the column source: columns(np.arange(c.size))."""
+    return [(c, columns(np.arange(c.size)), b, T, basis)
+            for c, columns, b, T, basis in _captured_sources(monkeypatch,
+                                                             call)]
 
 
 def _slack_lp(monkeypatch, fg, alpha1=None, alpha2=None):
@@ -505,8 +515,9 @@ def _simplex_outcome(solver, lp):
         if len(data) == 3:
             x, y, pivots = from_start(solver, *data, basis)
         else:
-            *data, T = data
-            x, y, pivots = solver(*data, T.copy(order="F"), basis=basis)
+            c, A, b, T = data
+            x, y, pivots = solver(c, constraints_for(solver, A), b,
+                                  T.copy(order="F"), basis=basis)
     except BnecertError as exc:
         return type(exc), str(exc)
     return x.tobytes(), y.tobytes(), pivots
@@ -659,12 +670,13 @@ def test_a_rebuild_solves_the_nonbasic_columns_to_the_bits_of_a_full_solve(
     rebuild = bc.solver._rebuild
     calls = []
 
-    def compare(T, A, b, costvec, basis):
-        ok = rebuild(T, A, b, costvec, basis)
+    def compare(T, columns, b, costvec, basis):
+        ok = rebuild(T, columns, b, costvec, basis)
         full = np.zeros_like(T)
+        A = columns(np.arange(costvec.size))
         assert oracle_rebuild(full, A, b, costvec, basis) == ok
         if ok:
-            m = A.shape[0]
+            m = b.size
             rest = np.setdiff1d(np.arange(costvec.size), basis)
             assert T[:, rest].tobytes() == full[:, rest].tobytes()
             assert T[:, -1].tobytes() == full[:, -1].tobytes()
@@ -941,9 +953,9 @@ def test_the_final_tableau_stays_within_1e_12_of_its_rebuild(monkeypatch):
     of its final basis at n = 24, and 1.1e-9 at n = 48."""
     lps, tableaus = [], []
 
-    def capture_lp(c, A, b, T, *, basis):
-        lps.append((c, A, b))
-        return simplex(c, A, b, T, basis=basis)
+    def capture_lp(c, columns, b, T, *, basis):
+        lps.append((c, columns, b))
+        return simplex(c, columns, b, T, basis=basis)
 
     def capture_pivot(T, basis, row, col):
         tableaus.append((T, basis))  # both change in place
@@ -954,9 +966,9 @@ def test_the_final_tableau_stays_within_1e_12_of_its_rebuild(monkeypatch):
     monkeypatch.setattr("bnecert.solver._pivot", capture_pivot)
     solve_default_lp(bc.build_finite(g, 24), g)
     assert len(lps) == 1 and tableaus
-    (c, A, b), (T, basis) = lps[0], tableaus[-1]
+    (c, columns, b), (T, basis) = lps[0], tableaus[-1]
     rebuilt = np.zeros_like(T)
-    assert bc.solver._rebuild(rebuilt, A, b, c, basis)
+    assert bc.solver._rebuild(rebuilt, columns, b, c, basis)
     assert np.max(np.abs(T - rebuilt)) <= 1e-12
 
 
@@ -1226,7 +1238,7 @@ def test_simplex_overflow_is_a_nonfinite_error(solver):
         T = start_tableau(np.zeros(2), A, b, [0])
         T[-1, 1] = c[1] - c[0]  # the reduced cost the rebuild overflowed
         with pytest.raises(NonFinite, match="^the simplex tableau is not "):
-            solver(c, A, b, T, basis=[0])
+            solver(c, constraints_for(solver, A), b, T, basis=[0])
         with pytest.raises(NonFinite, match="^the simplex duals are not "):
             from_start(solver, np.array([1e308]), np.array([[1e-10]]),
                        np.array([1e-10]), [0])
@@ -1382,6 +1394,72 @@ def test_lp_constraints_byte_identical_to_loop_build(monkeypatch):
     assert len({row % L for row in z_rows}) > 1
     # and so do the opponent types' start actions, the last n basics
     assert len({col % H for col in blocks[0][4][-n:].tolist()}) > 1
+
+
+@st.composite
+def column_requests(draw):
+    """A level game with payoffs in quarters (exact ties, no -0.0), one
+    player's block of it under weights alpha, and index arrays into the
+    block's columns: sigma's, z's and the slacks', unsorted, repeated or
+    empty."""
+    n = draw(st.integers(1, 5))
+    L, H = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    U, V = rng.integers(-4, 5, (2, L, H, n, n)) / 4.0
+    fg = FiniteGame(n, tuple(f"x{a}" for a in range(L)),
+                    tuple(f"y{a}" for a in range(H)), U, V)
+    player = draw(st.sampled_from([1, 2]))
+    own, opp = (L, H) if player == 1 else (H, L)
+    sigma, z, slack = n * opp, n, n * own
+
+    def indices(start, count):
+        return st.lists(st.integers(start, start + count - 1), max_size=6)
+
+    requests = []
+    for _ in range(draw(st.integers(1, 4))):
+        idx = (draw(indices(0, sigma)) + draw(indices(sigma, z))
+               + draw(indices(sigma + z, slack)))
+        requests.append(np.array(draw(st.permutations(idx)), dtype=np.intp))
+    return fg, player, rng.random(n) + 0.5, requests
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=column_requests())
+def test_the_column_source_is_the_dense_constraint_matrix(case):
+    """columns(idx), which _solve_block hands the simplex in place of A,
+    is _loop_built_block's A[:, idx] byte for byte, for any index array,
+    and none of its zeros is -0.0."""
+    fg, player, alpha, requests = case
+    M, width = (fg.M1, fg.L) if player == 1 else (fg.M2, fg.H)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        (_, columns, _, _, _), = _captured_sources(
+            monkeypatch, lambda: _solve_block(M, width, alpha))
+    A = _loop_built_block(fg, player, alpha)[1]
+    for idx in [np.arange(A.shape[1]), np.arange(0), *requests]:
+        got, want = columns(idx), A[:, idx]
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[got == 0.0]).any()
+
+
+@pytest.mark.parametrize("path", DEMO_SPECS, ids=[p.stem for p in DEMO_SPECS])
+def test_the_lp_traces_at_most_5_mb_at_n_128(path):
+    """solve_lp stores no constraint matrix: the simplex builds the
+    columns it factors.  Its traced peak at n = 128 is 4.5 MB on each
+    demo spec; a dense A, 384 x 640 doubles (2.0 MB), and the payoff
+    temporaries that built it took it to 7.0 MB.  The game caches its
+    agent-form matrices, so they are built before the trace starts."""
+    g = bc.load_game_file(path)
+    fg = bc.build_finite(g, 128)
+    alphas = default_alphas(fg, g, check_prop1(g))
+    fg.M1, fg.M2  # cached on first use
+    tracemalloc.start()
+    try:
+        solve_lp(fg, *alphas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6
 
 
 # ---------------------------------------------------------------------------
